@@ -55,14 +55,15 @@ check: stdout-guard
 	$(MAKE) flight-smoke
 	$(MAKE) doctor-smoke
 
-# fuzz-smoke gives the coverage-guided fuzzers a brief shake on every check;
-# run e.g. `go test -fuzz FuzzDecode -fuzztime 5m ./internal/msg` for a real
-# session. internal/msg has several fuzz targets, and `go test -fuzz` only
+# fuzz-smoke gives the coverage-guided fuzzers a brief shake on every check:
+# the stanza reader that faces raw TCP bytes (xmpp), the frozen and plain
+# binary body decoders (msg), and the scenario parser. Run e.g.
+# `go test -fuzz 'FuzzDecode$' -fuzztime 5m ./internal/msg` for a real
+# session. internal/msg has two fuzz targets, and `go test -fuzz` only
 # accepts a pattern matching exactly one, so each is named explicitly.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/xmpp
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/msg
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeVsStdlib$$' -fuzztime 10s ./internal/msg
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryRoundTrip$$' -fuzztime 10s ./internal/msg
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioParse$$' -fuzztime 10s ./internal/scenario
 

@@ -122,19 +122,6 @@ func hotpathBenchmarks() []struct {
 				}
 			}
 		}},
-		{"msg_decode_json", func(b *testing.B) {
-			wire, err := msg.EncodeJSON(hotpathPayload())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := msg.DecodeJSON(wire); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{"transport_roundtrip", func(b *testing.B) {
 			// Full reliable-delivery round trip on the simulated switchboard:
 			// enqueue → binary envelope → CRC frame → wire → decode →

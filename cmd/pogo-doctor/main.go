@@ -172,9 +172,10 @@ func checkBacklog(snap obs.Snapshot) check {
 }
 
 // checkDataFlow looks for evidence any message has ever arrived — and for
-// frames that arrived but were thrown away by the CRC check (mangled base64
-// wraps, flipped bytes in flight). Corrupt drops with no surviving traffic
-// mean the node is receiving garbage, not nothing.
+// frames that arrived but were thrown away by the CRC or envelope check
+// (flipped bytes in flight, anything that is not the one wire format).
+// Corrupt drops with no surviving traffic mean the node is receiving
+// garbage, not nothing.
 func checkDataFlow(snap obs.Snapshot) check {
 	n := sumCounters(snap, "transport_messages_received_total")
 	corrupt := sumCounters(snap, "transport_corrupt_dropped_total")

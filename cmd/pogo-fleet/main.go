@@ -1,7 +1,7 @@
 // Command pogo-fleet runs the sharded fleet simulation across worker
 // processes: a coordinator forks N copies of this binary (via re-exec), hands
 // each a contiguous shard range, and exchanges cross-shard traffic at
-// conservative-lookahead epoch barriers over the 0xB1 binary wire codec.
+// conservative-lookahead epoch barriers over the transport envelope codec.
 //
 // Usage:
 //

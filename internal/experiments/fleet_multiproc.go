@@ -21,7 +21,7 @@ import (
 // processes, each building and running only one contiguous global shard
 // range [lo, hi) of the fleet. Workers meet the coordinator at every epoch
 // barrier over a byte-framed pipe protocol; staged cross-process traffic
-// rides the same 0xB1 binary envelope codec devices use on the wire
+// rides the same envelope codec devices use on the wire
 // (transport.AppendWireBatch), so inter-process bytes stay on the audited
 // format. Because each worker engine merges sorted(local ∪ inbound) with the
 // same (deliver-at, sender, sender-seq) content key a single process sorts
@@ -33,10 +33,10 @@ import (
 //	'C' coordinator → worker  JSON fleetWorkerBoot (config + shard range)
 //	'R' worker → coordinator  empty; the worker's world is built
 //	'B' worker → coordinator  barrier: now-offset, delivered, pending,
-//	                          then length-prefixed 0xB1 envelopes of
+//	                          then length-prefixed envelopes of
 //	                          outbound staged traffic (one per sender run)
 //	'M' coordinator → worker  stop byte, then this worker's inbound staged
-//	                          traffic as length-prefixed 0xB1 envelopes
+//	                          traffic as length-prefixed envelopes
 //	'L' worker → coordinator  one per local shard: compact delivery log
 //	'F' worker → coordinator  JSON fleetWorkerFinal (stats, rusage, heap)
 const (
@@ -117,7 +117,7 @@ func fleetReadFrame(r *bufio.Reader, want byte) ([]byte, error) {
 }
 
 // fleetStagedCodec converts between fleet.Staged slices and length-prefixed
-// 0xB1 envelope runs, reusing its scratch across barriers. Deliver-at
+// envelope runs, reusing its scratch across barriers. Deliver-at
 // instants travel as offsets from the barrier instant in the envelope ID
 // field (always in (0, Lookahead], so one or two varint bytes).
 type fleetStagedCodec struct {

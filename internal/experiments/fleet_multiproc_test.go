@@ -9,7 +9,7 @@ import (
 // regression: splitting the shard range over worker protocol instances must
 // reproduce the in-process run byte for byte — same delivery-log hash, same
 // exactly-once audit, same epoch count. The pipe spawner runs the full wire
-// protocol (boot, barriers with 0xB1 staged envelopes, log streaming) on
+// protocol (boot, barriers with staged envelopes, log streaming) on
 // goroutines, so `make check` exercises it under -race.
 func TestFleetMultiprocMatchesInProcess(t *testing.T) {
 	cfg := smallFleet(7, 60, 4)

@@ -20,20 +20,6 @@ func BenchmarkEncodeJSON(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeJSON(b *testing.B) {
-	raw, err := EncodeJSON(benchPayload())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeJSON(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkClone(b *testing.B) {
 	m := benchPayload()
 	b.ReportAllocs()

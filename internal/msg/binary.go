@@ -11,12 +11,12 @@ import (
 	"unsafe"
 )
 
-// Compact binary message codec: the wire format for the transport and fleet
-// fabric. JSON remains the interchange format for everything human-facing
-// (/metrics.json, CSV export, logs) and for fuzz cross-checks; the two codecs
-// are value-equivalent by construction — both coerce NaN/±Inf to null and
-// both treat integral floats |x| < 1e15 as integers — so switching the wire
-// codec cannot change what a subscriber observes.
+// Compact binary message codec: the one wire format for message bodies
+// (transport and fleet fabric). JSON remains the interchange format for
+// everything human-facing (/metrics.json, CSV export, logs, JSON.parse in
+// scripts) and for fuzz cross-checks; the two codecs are value-equivalent by
+// construction — both coerce NaN/±Inf to null and both treat integral floats
+// |x| < 1e15 as integers.
 //
 // Layout: one tag byte per value, varint lengths, no padding.
 //
@@ -30,16 +30,12 @@ import (
 //	tag 0x07  map         uvarint count + count × (uvarint key len + key bytes + value),
 //	                      keys sorted lexicographically (deterministic bytes)
 //
-// The first byte of any binary value is ≤ 0x07, which can never begin valid
-// JSON (whitespace, '{', '[', '"', digits, '-', 't', 'f', 'n' are all
-// ≥ 0x09) — Decode exploits that to sniff the codec.
-//
 // Decoding is zero-copy over the input buffer except for retained strings
 // (map keys and string values must outlive the frame, so they are copied
 // out); structure (slices, maps) is allocated, scalars are not. Hostile
 // input cannot over-allocate: every claimed length and count is bounded by
 // the bytes actually remaining in the buffer before anything is allocated,
-// and nesting depth shares maxJSONDepth with the JSON decoder.
+// and nesting depth is capped at maxDepth.
 
 const (
 	tagNull   = 0x00
@@ -52,9 +48,9 @@ const (
 	tagMap    = 0x07
 )
 
-// binaryMaxTag is the highest tag byte; Decode uses it to sniff binary
-// input from JSON.
-const binaryMaxTag = tagMap
+// maxDepth bounds decode recursion so hostile deeply-nested input cannot
+// exhaust the stack (encoding/json draws the same line for DecodeJSON).
+const maxDepth = 10000
 
 // ErrBinary reports malformed binary codec input.
 var ErrBinary = errors.New("msg: binary decode")
@@ -166,7 +162,7 @@ var keysPool = sync.Pool{
 }
 
 // DecodeBinary parses a binary-codec value. It rejects trailing data, depth
-// beyond maxJSONDepth, and any length or count exceeding the bytes that
+// beyond maxDepth, and any length or count exceeding the bytes that
 // remain — malformed or hostile input errors out before large allocations.
 func DecodeBinary(data []byte) (Value, error) {
 	v, rest, err := decodeBinary(data, 0, false)
@@ -179,13 +175,13 @@ func DecodeBinary(data []byte) (Value, error) {
 	return v, nil
 }
 
-// DecodeBinaryFrozen parses a binary-codec value for the delivery hot path:
+// DecodeFrozen parses a binary-codec value for the delivery hot path:
 // map keys are interned, string values alias the input buffer instead of
 // being copied out, and a map root is frozen in place, ready to share across
 // subscribers. The returned value RETAINS data — the caller must not modify
 // the buffer after the call (hand the decoder its own copy, as the transport
 // receive path does).
-func DecodeBinaryFrozen(data []byte) (Value, error) {
+func DecodeFrozen(data []byte) (Value, error) {
 	// Byte-identical bodies decode to the same immutable tree; a memo hit
 	// skips the whole decode. Retransmissions and unchanged periodic
 	// readings make exact duplicates common.
@@ -214,7 +210,7 @@ func DecodeBinaryFrozen(data []byte) (Value, error) {
 }
 
 func decodeBinary(data []byte, depth int, alias bool) (Value, []byte, error) {
-	if depth > maxJSONDepth {
+	if depth > maxDepth {
 		return nil, nil, fmt.Errorf("%w: nesting too deep", ErrBinary)
 	}
 	if len(data) == 0 {
@@ -319,8 +315,8 @@ func decodeBinary(data []byte, depth int, alias bool) (Value, []byte, error) {
 // the one copy the decoder makes: it must outlive the frame buffer. In alias
 // mode the string shares the input buffer's backing array (the caller
 // guaranteed the buffer is retained and immutable). Invalid UTF-8 is coerced
-// to U+FFFD exactly like the JSON codec, so the two wire formats can never
-// disagree about string content.
+// to U+FFFD exactly like encoding/json, so the binary and JSON codecs can
+// never disagree about string content.
 func decodeBinaryStr(data []byte, alias bool) (string, []byte, error) {
 	raw, rest, err := decodeBinaryRaw(data)
 	if err != nil {
@@ -377,44 +373,19 @@ func aliasString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// Decode parses either codec, sniffing by the first byte: binary tags are
-// 0x00..0x07, which never begin valid JSON. This keeps mixed-codec peers
-// interoperable — a node that still speaks JSON is decoded transparently.
-func Decode(data []byte) (Value, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrBinary)
-	}
-	if data[0] <= binaryMaxTag {
-		return DecodeBinary(data)
-	}
-	return DecodeJSON(data)
-}
-
-// DecodeFrozen is Decode for the delivery path: the same codec sniff, but a
-// map result arrives already frozen and the binary path aliases strings into
-// data instead of copying them out. data must not be modified after the
-// call. Legacy JSON input still pays the copying decoder; only the freeze is
-// added there.
-func DecodeFrozen(data []byte) (Value, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrBinary)
-	}
-	if data[0] <= binaryMaxTag {
-		return DecodeBinaryFrozen(data)
-	}
-	if v, ok := cachedFrozen(data); ok {
-		return v, nil
-	}
-	v, err := DecodeJSON(data)
-	if err != nil {
-		return nil, err
-	}
-	if m, ok := v.(Map); ok {
-		fm := FreezeOwned(m)
-		if IsFrozen(fm) {
-			storeFrozen(data, fm)
+// fixUTF8 copies s replacing invalid UTF-8 sequences with U+FFFD, matching
+// encoding/json's unquote behavior.
+func fixUTF8(s []byte) string {
+	buf := make([]byte, 0, len(s)+3)
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRune(s[i:])
+		if r == utf8.RuneError && size <= 1 {
+			buf = utf8.AppendRune(buf, utf8.RuneError)
+			i++
+			continue
 		}
-		return fm, nil
+		buf = append(buf, s[i:i+size]...)
+		i += size
 	}
-	return v, nil
+	return string(buf)
 }

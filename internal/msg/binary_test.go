@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -95,28 +96,16 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 	}
 }
 
-func TestDecodeSniffsCodec(t *testing.T) {
-	m := Map{"a": 1.0, "s": "x"}
-	jb, _ := EncodeJSON(m)
-	bb, _ := EncodeBinary(m)
-	for _, in := range [][]byte{jb, bb} {
-		v, err := Decode(in)
-		if err != nil {
-			t.Fatalf("Decode(%q): %v", in, err)
+// Wire bodies are binary only: JSON text handed to either wire decoder is
+// malformed input, not a second codec.
+func TestDecodeRejectsJSON(t *testing.T) {
+	for _, in := range []string{`{"a":1}`, `[1]`, `1`, `-2.5`, `"s"`, `true`, `null`, ` {"a":1}`, ``} {
+		if _, err := DecodeBinary([]byte(in)); !errors.Is(err, ErrBinary) {
+			t.Errorf("DecodeBinary(%q) = %v, want ErrBinary", in, err)
 		}
-		if !Equal(v, m) {
-			t.Errorf("Decode(%q) = %#v, want %#v", in, v, m)
+		if _, err := DecodeFrozen([]byte(in)); !errors.Is(err, ErrBinary) {
+			t.Errorf("DecodeFrozen(%q) = %v, want ErrBinary", in, err)
 		}
-	}
-	// Scalar JSON forms must also sniff correctly: they start with digits,
-	// '-', '"', 't', 'f', 'n' — all above the binary tag range.
-	for _, in := range []string{`1`, `-2.5`, `"s"`, `true`, `false`, `null`, ` {"a":1}`} {
-		if _, err := Decode([]byte(in)); err != nil {
-			t.Errorf("Decode(%q): %v", in, err)
-		}
-	}
-	if _, err := Decode(nil); err == nil {
-		t.Error("Decode(empty) succeeded, want error")
 	}
 }
 
@@ -150,8 +139,8 @@ func TestBinaryDecodeErrors(t *testing.T) {
 
 func TestBinaryDepthLimit(t *testing.T) {
 	// 20k nested arrays: [ [ [ ... null ... ] ] ] — two header bytes per
-	// level, well past maxJSONDepth. Must error, not overflow the stack.
-	depth := maxJSONDepth + 10
+	// level, well past maxDepth. Must error, not overflow the stack.
+	depth := maxDepth + 10
 	buf := make([]byte, 0, depth*2+1)
 	for i := 0; i < depth; i++ {
 		buf = append(buf, tagArray, 1)
@@ -160,7 +149,7 @@ func TestBinaryDepthLimit(t *testing.T) {
 	if _, err := DecodeBinary(buf); err == nil {
 		t.Error("DecodeBinary accepted nesting past the depth limit")
 	}
-	// The JSON decoder enforces the same bound.
+	// encoding/json enforces the same bound for DecodeJSON.
 	js := strings.Repeat("[", depth) + "null" + strings.Repeat("]", depth)
 	if _, err := DecodeJSON([]byte(js)); err == nil {
 		t.Error("DecodeJSON accepted nesting past the depth limit")

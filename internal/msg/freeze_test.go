@@ -137,12 +137,15 @@ func TestHostileMarkerKey(t *testing.T) {
 	if Len(m) != 2 || len(Keys(m)) != 2 {
 		t.Error("Len/Keys dropped a non-marker entry under the marker key")
 	}
-	for _, enc := range []func(Value) ([]byte, error){EncodeJSON, EncodeBinary} {
-		b, err := enc(m)
+	for _, codec := range []struct {
+		enc func(Value) ([]byte, error)
+		dec func([]byte) (Value, error)
+	}{{EncodeJSON, DecodeJSON}, {EncodeBinary, DecodeBinary}} {
+		b, err := codec.enc(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Decode(b)
+		back, err := codec.dec(b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,6 @@ package msg
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
 	"testing"
 )
 
@@ -81,77 +78,4 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			t.Errorf("codecs disagree:\nbinary: %#v\n  json: %#v", v, jv)
 		}
 	})
-}
-
-// refDecodeJSON is the stdlib-based decoder the hand-rolled one replaced,
-// kept as the semantic reference: the fuzz suite cross-checks the two on
-// every input. One deliberate fix over the original: the trailing-data
-// check uses Token-until-EOF rather than Decoder.More, because More()
-// reports false for a trailing ']' or '}' and the original silently
-// accepted inputs like "true]".
-func refDecodeJSON(data []byte) (Value, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	raw, err := refDecodeToken(dec)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("trailing data")
-	}
-	return raw, nil
-}
-
-func refDecodeToken(dec *json.Decoder) (Value, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, err
-	}
-	switch t := tok.(type) {
-	case json.Delim:
-		switch t {
-		case '{':
-			out := Map{}
-			for dec.More() {
-				keyTok, err := dec.Token()
-				if err != nil {
-					return nil, err
-				}
-				key, ok := keyTok.(string)
-				if !ok {
-					return nil, fmt.Errorf("object key is %T, want string", keyTok)
-				}
-				val, err := refDecodeToken(dec)
-				if err != nil {
-					return nil, err
-				}
-				out[key] = val
-			}
-			if _, err := dec.Token(); err != nil {
-				return nil, err
-			}
-			return out, nil
-		case '[':
-			out := []Value{}
-			for dec.More() {
-				val, err := refDecodeToken(dec)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, val)
-			}
-			if _, err := dec.Token(); err != nil {
-				return nil, err
-			}
-			return out, nil
-		default:
-			return nil, fmt.Errorf("unexpected delimiter %q", t)
-		}
-	case json.Number:
-		return t.Float64()
-	case string, bool, nil:
-		return t, nil
-	default:
-		return nil, fmt.Errorf("unexpected token %T", tok)
-	}
 }

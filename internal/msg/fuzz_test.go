@@ -4,10 +4,12 @@ import (
 	"testing"
 )
 
-// FuzzDecode checks that any input DecodeJSON accepts round-trips through
-// the codec: decode → encode → decode must converge to an Equal value.
-// Payloads reach DecodeJSON straight off the wire (transport envelopes), so
-// the decoder must hold this invariant for arbitrary bytes.
+// FuzzDecode drives arbitrary bytes through DecodeFrozen, the decoder the
+// transport calls on every delivered wire body (aliased strings, interned
+// keys, in-place freeze, memo cache). It must accept exactly what the plain
+// DecodeBinary accepts, produce an Equal value, hand back map roots frozen
+// (or unfrozen only on a hostile marker-key collision), and be stable when the
+// same bytes arrive again through the memo.
 func FuzzDecode(f *testing.F) {
 	seeds := []Value{
 		nil,
@@ -24,69 +26,38 @@ func FuzzDecode(f *testing.F) {
 		Map{"wifi": Map{"rssi": -61.0, "ssid": "eduroam"}, "tags": []Value{"a", "b"}},
 	}
 	for _, v := range seeds {
-		b, err := EncodeJSON(v)
+		b, err := EncodeBinary(v)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
 	}
-	f.Add([]byte(`{"truncated":`))
-	f.Add([]byte(`1e999`))
-	f.Add([]byte("\x00\xff"))
+	f.Add([]byte(`{"json":"is not a wire format"}`))
+	f.Add([]byte{tagMap, 1, byte(len(markerKey)), 0, 'f', 'r', 'o', 'z', 'e', 'n', tagTrue})
+	f.Add([]byte{tagString, 2, 0xff, 0xfe})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := DecodeJSON(data)
+		// DecodeFrozen retains its input; the fuzzer reuses its buffers.
+		own := append([]byte(nil), data...)
+		want, wantErr := DecodeBinary(data)
+		got, err := DecodeFrozen(own)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("acceptance differs on %x: frozen %v, plain %v", data, err, wantErr)
+		}
 		if err != nil {
 			return // rejecting garbage is fine; crashing is not
 		}
-		b, err := EncodeJSON(v)
-		if err != nil {
-			t.Fatalf("decoded value does not re-encode: %v (input %q)", err, data)
+		if !Equal(got, want) {
+			t.Fatalf("frozen decode diverged on %x:\nfrozen: %#v\n plain: %#v", data, got, want)
 		}
-		v2, err := DecodeJSON(b)
-		if err != nil {
-			t.Fatalf("own encoding does not decode: %v (encoded %q)", err, b)
+		if m, ok := got.(Map); ok && !IsFrozen(m) {
+			if _, collides := m[markerKey]; !collides {
+				t.Fatalf("map root not frozen: %#v", m)
+			}
 		}
-		if !Equal(v, v2) {
-			t.Errorf("round-trip diverged:\n in: %#v\nout: %#v\n(wire %q)", v, v2, b)
-		}
-		// Deterministic encoding: a second encode must be byte-identical.
-		b2, err := EncodeJSON(v2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(b) != string(b2) {
-			t.Errorf("encoding not canonical: %q vs %q", b, b2)
-		}
-	})
-}
-
-// FuzzDecodeVsStdlib pins the hand-rolled JSON decoder to encoding/json
-// semantics: on every input both must agree on acceptance, and on accepted
-// inputs they must produce Equal values. Inputs are capped well below the
-// nesting-depth limit, where the two implementations may legitimately draw
-// the line one level apart.
-func FuzzDecodeVsStdlib(f *testing.F) {
-	f.Add([]byte(`{"a":[1,2.5,"x",null,true],"b":{"c":-3}}`))
-	f.Add([]byte(`"esc \u00e9 \ud83d\ude00 \ud800 tail"`))
-	f.Add([]byte(`  [ 0.5e-3 , -0 , 1e15 ]  `))
-	f.Add([]byte(`{"dup":1,"dup":2}`))
-	f.Add([]byte("\"raw \x80\xff bytes\""))
-	f.Add([]byte(`01`))
-	f.Add([]byte(`1.`))
-	f.Add([]byte(`[1,]`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 4096 {
-			return
-		}
-		got, gotErr := DecodeJSON(data)
-		want, wantErr := refDecodeJSON(data)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("acceptance disagrees with stdlib on %q:\n ours: %v\n  ref: %v", data, gotErr, wantErr)
-		}
-		if gotErr == nil && !Equal(got, want) {
-			t.Errorf("value disagrees with stdlib on %q:\n ours: %#v\n  ref: %#v", data, got, want)
+		again, err := DecodeFrozen(append([]byte(nil), data...))
+		if err != nil || !Equal(again, want) {
+			t.Fatalf("second decode of %x diverged: %#v, %v", data, again, err)
 		}
 	})
 }

@@ -4,7 +4,8 @@
 // Messages are trees of key/value pairs (§4.3 of the paper) that map directly
 // onto PogoScript objects so they can cross the Java↔JavaScript boundary —
 // here the Go↔PogoScript boundary — without translation glue. Messages are
-// serialized to JSON when delivered to a remote node.
+// serialized with the binary codec (binary.go) when delivered to a remote
+// node; JSON is the human-facing interchange format.
 //
 // The value domain is deliberately small: nil, bool, float64, string,
 // []Value, and Map. Integers are represented as float64, matching
@@ -270,6 +271,18 @@ func appendJSONString(sb *strings.Builder, s string) {
 	}
 	b, _ := json.Marshal(s)
 	sb.Write(b)
+}
+
+// DecodeJSON parses JSON into a message value: objects decode to Map, arrays
+// to []Value, numbers to float64 — encoding/json's untyped output is exactly
+// the message value domain. Nothing on the wire is JSON; the callers are
+// JSON.parse in scripts and the thaw of persisted script state.
+func DecodeJSON(data []byte) (Value, error) {
+	var v Value
+	if err := json.Unmarshal(data, &v); err != nil {
+		return nil, fmt.Errorf("msg: decode: %w", err)
+	}
+	return v, nil
 }
 
 // Get walks a dotted path ("wifi.rssi") through nested Maps and returns the

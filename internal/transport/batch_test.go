@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"encoding/base64"
 	"errors"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -223,10 +225,12 @@ func TestPropertyBatchedFlushExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestCorruptWrapCountsDropped: a "b:"-prefixed body whose base64 is mangled
-// must surface as a CRC rejection — counted in the endpoint's CorruptDropped
-// stat and the transport_corrupt_dropped_total counter that pogo-doctor's
-// data-flow check reads — not vanish silently inside the XMPP adapter.
+// TestCorruptWrapCountsDropped: the two retired representations — a JSON
+// envelope (correctly CRC-framed, so only the envelope decoder can refuse it)
+// and a "b:"+base64-wrapped frame — are malformed input like any other. Each
+// must be counted in the endpoint's CorruptDropped stat and the
+// transport_corrupt_dropped_total counter that pogo-doctor's data-flow check
+// reads, and deliver nothing.
 func TestCorruptWrapCountsDropped(t *testing.T) {
 	srv := startXMPP(t)
 	srv.Associate("evil", "collector")
@@ -251,22 +255,99 @@ func TestCorruptWrapCountsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer evil.Close()
-	// The "b:" marker with bytes that are not valid base64: a truncated or
-	// mangled legacy wrap.
-	if err := evil.SendMessage(xmpp.MakeJID("collector"), "1", "b:%%%not-base64%%%"); err != nil {
-		t.Fatal(err)
+	jsonEnv := frameInto(append(frameHeader[:],
+		`{"from":"evil","batch":[{"id":1,"seq":0,"ch":"x","body":{"n":1}}]}`...))
+	if _, err := unframe(jsonEnv); err != nil {
+		t.Fatalf("JSON envelope must pass the CRC check to reach the decoder: %v", err)
+	}
+	valid := AppendWireBatch(nil, "evil", []WireItem{{ID: 1, Channel: "x", Body: []byte{0x00}}})
+	wrapped := "b:" + base64.StdEncoding.EncodeToString(valid)
+	for i, payload := range [][]byte{jsonEnv, []byte(wrapped)} {
+		if err := evil.SendMessageBytes(xmpp.MakeJID("collector"), strconv.Itoa(i), payload, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	waitCond(t, "corrupt frame counted", func() bool {
-		return colEp.Stats().CorruptDropped == 1
+	waitCond(t, "both refusals counted", func() bool {
+		return colEp.Stats().CorruptDropped == 2
 	})
-	if n := reg.CounterValue("transport_corrupt_dropped_total", obs.L("node", "collector")); n != 1 {
-		t.Errorf("transport_corrupt_dropped_total = %d, want 1", n)
+	if n := reg.CounterValue("transport_corrupt_dropped_total", obs.L("node", "collector")); n != 2 {
+		t.Errorf("transport_corrupt_dropped_total = %d, want 2", n)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if delivered != 0 {
-		t.Errorf("corrupt frame was delivered %d times", delivered)
+		t.Errorf("refused payloads were delivered %d times", delivered)
+	}
+}
+
+// A flush of more messages than fit one stanza trace field (241 IDs) must
+// still go out as one stanza and drain exactly once, in order: the trace
+// field is trimmed to what fits instead of overflowing the server's frame
+// bound, which used to reset the stream and retransmit the same oversized
+// batch for ever.
+func TestLargeFlushDrainsOnceOverRealXMPP(t *testing.T) {
+	srvReg := obs.NewRegistry()
+	srv := xmpp.NewServer(xmpp.ServerConfig{AllowAutoRegister: true, Obs: srvReg})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	srv.Associate("device", "collector")
+
+	devReg := obs.NewRegistry()
+	devM, err := DialXMPP(srv.Addr(), "device", "pw", "phone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devM.Close()
+	devM.Instrument(devReg)
+	colM, err := DialXMPP(srv.Addr(), "collector", "pw", "pc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer colM.Close()
+	devEp := NewEndpoint(devM, store.OpenMemory(), vclock.Real{}, EndpointConfig{})
+	colEp := NewEndpoint(colM, store.OpenMemory(), vclock.Real{}, EndpointConfig{})
+	var mu sync.Mutex
+	var got []float64
+	colEp.OnMessage(func(_, _ string, payload msg.Value) {
+		n, _ := msg.GetNumber(payload.(msg.Map), "n")
+		mu.Lock()
+		got = append(got, n)
+		mu.Unlock()
+	})
+
+	const total = 300
+	for i := 0; i < total; i++ {
+		if err := devEp.Enqueue("collector", "bulk", msg.Map{"n": float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sent := devEp.Flush(); sent != total {
+		t.Fatalf("Flush handed off %d messages, want %d", sent, total)
+	}
+	waitCond(t, "all delivered and acked", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == total && devEp.Pending() == 0
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for i, n := range got {
+		if n != float64(i) {
+			t.Fatalf("delivery %d carries n=%v: out of order", i, n)
+		}
+	}
+	dev, col := devEp.Stats(), colEp.Stats()
+	if dev.MessagesSent != total || dev.Retries != 0 || col.Duplicates != 0 || col.MessagesReceived != total {
+		t.Errorf("not drained exactly once: sender %+v, receiver %+v", dev, col)
+	}
+	if n := devReg.CounterValue("xmpp_reconnects_total", obs.L("node", "device")); n != 0 {
+		t.Errorf("stream was reset %d times", n)
+	}
+	if n := srvReg.CounterValue("xmpp_server_stanzas_routed_total"); n != 2 {
+		t.Errorf("server routed %d stanzas, want one envelope and one ack", n)
 	}
 }
 

@@ -12,7 +12,7 @@
 // faults internal/faultnet injects:
 //
 //   - every payload is CRC32-framed, so a byte flipped in flight is detected
-//     even when the corrupted bytes still parse as JSON;
+//     even when the corrupted bytes still parse as an envelope;
 //   - unacked entries retransmit with capped exponential backoff, and a
 //     reconnect resets the backoff and replays the outbox immediately;
 //   - each entry carries a per-(destination, channel) sequence number; the
@@ -30,7 +30,6 @@
 package transport
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -104,41 +103,29 @@ type BatchSender interface {
 	SendBatch(batch []Outgoing) (int, error)
 }
 
-// envelope is the JSON wire format of one switchboard payload: a batch of
-// data messages and/or a set of acknowledgements.
+// envelope is one decoded switchboard payload: a batch of data messages
+// and/or a set of acknowledgements (wire layout in wirecodec.go).
 type envelope struct {
-	From string `json:"from"`
+	From string
 	// Boot identifies the sender's process lifetime. Message IDs restart
 	// after a reboot (fresh outbox), so the receiver resets its dedup state
 	// for the sender whenever Boot changes.
-	Boot  string         `json:"boot,omitempty"`
-	Batch []envelopeItem `json:"batch,omitempty"`
-	Ack   []uint64       `json:"ack,omitempty"`
+	Boot  string
+	Batch []envelopeItem
+	Ack   []uint64
 	// Floors maps channel → the lowest sequence number still live in the
 	// sender's outbox for that channel (or the next sequence to be assigned
 	// when the channel drained). The receiver uses it to skip sequence gaps
 	// left by the max-age purge or by acks that predate its own reboot.
-	Floors map[string]uint64 `json:"floors,omitempty"`
+	Floors map[string]uint64
 }
 
 type envelopeItem struct {
-	ID      uint64 `json:"id"`
-	Seq     uint64 `json:"seq"`
-	Channel string `json:"ch"`
-	// Trace is the message's causal trace ID (obs.TraceID), 0 when
-	// untraced. Optional on the wire in both codecs: omitted from JSON when
-	// zero and ignored (as 0) by peers that predate it.
-	Trace uint64          `json:"t,omitempty"`
-	Body  json.RawMessage `json:"body"`
-}
-
-// frame prefixes the payload with its CRC32 ("%08x:" + body). A byte flipped
-// in flight is then detected even when the corrupted payload still parses as
-// valid JSON with plausible content.
-func frame(b []byte) []byte {
-	out := make([]byte, 0, len(b)+9)
-	out = append(out, fmt.Sprintf("%08x:", crc32.ChecksumIEEE(b))...)
-	return append(out, b...)
+	ID      uint64
+	Seq     uint64
+	Channel string
+	Trace   uint64 // the message's causal trace ID (obs.TraceID), 0 when untraced
+	Body    []byte // msg binary codec
 }
 
 // unframe verifies and strips the CRC32 header. The hex header is parsed by
@@ -207,10 +194,6 @@ type EndpointConfig struct {
 	// are charged to; defaults to the messenger's local id. Experiments use
 	// it to keep per-trial accounting apart in one registry.
 	Entity string
-	// Codec selects the wire encoding (envelopes and message bodies). The
-	// zero value is CodecBinary; set CodecJSON for the legacy format.
-	// Receivers accept either codec regardless of this setting.
-	Codec Codec
 	// TraceSeed seeds the deterministic trace-ID derivation for messages
 	// originated at this endpoint (obs.NewTraceID(TraceSeed, localID,
 	// outboxID)). Trace assignment is independent of Obs — the wire bytes
@@ -239,7 +222,6 @@ type endpointObs struct {
 	bytesRecv      *obs.Counter
 	flushes        *obs.Counter
 	sendErrors     *obs.Counter
-	codecSaved     *obs.Counter // bytes the binary body codec saved vs JSON
 	batchSize      *obs.Histogram
 	queueDelay     *obs.Histogram
 
@@ -289,7 +271,6 @@ func newEndpointObs(reg *obs.Registry, node, entity string) *endpointObs {
 		bytesRecv:      reg.Counter("transport_bytes_received_total", l),
 		flushes:        reg.Counter("transport_flushes_total", l),
 		sendErrors:     reg.Counter("transport_send_errors_total", l),
-		codecSaved:     reg.Counter("codec_bytes_saved_vs_json", l),
 		batchSize:      reg.Histogram("transport_batch_size_messages", obs.CountBuckets, l),
 		queueDelay:     reg.Histogram("transport_queue_delay_seconds", obs.DefBuckets, l),
 	}
@@ -597,17 +578,10 @@ func (e *Endpoint) Enqueue(to, channel string, payload msg.Value) error {
 // "originates here" and derives the root ID.
 func (e *Endpoint) EnqueueTraced(to, channel string, payload msg.Value, trace obs.TraceID) error {
 	bp := getWireBuf()
-	b, err := e.encodeBody((*bp)[:0], payload)
+	b, err := msg.AppendBinary((*bp)[:0], payload)
 	if err != nil {
 		putWireBuf(bp, nil)
 		return fmt.Errorf("transport: encode: %w", err)
-	}
-	if e.cfg.Codec == CodecBinary && e.obs.codecSaved != nil {
-		// Metered runs pay one JSON encode per message to report exact
-		// savings; unmetered hot paths skip it entirely.
-		if jb, jerr := msg.EncodeJSON(payload); jerr == nil && len(jb) > len(b) {
-			e.obs.codecSaved.Add(int64(len(jb) - len(b)))
-		}
 	}
 	now := e.clk.Now()
 	e.mu.Lock()
@@ -635,18 +609,6 @@ func (e *Endpoint) EnqueueTraced(to, channel string, payload msg.Value, trace ob
 		e.obs.span(now, trace, obs.StageEnqueue, channel, id, "to="+to)
 	}
 	return nil
-}
-
-// encodeBody appends the codec-selected encoding of payload to dst.
-func (e *Endpoint) encodeBody(dst []byte, payload msg.Value) ([]byte, error) {
-	if e.cfg.Codec == CodecJSON {
-		b, err := msg.EncodeJSON(payload)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, b...), nil
-	}
-	return msg.AppendBinary(dst, payload)
 }
 
 // Flush attempts delivery of every eligible buffered message, batched into
@@ -821,11 +783,7 @@ func (e *Endpoint) flush(retryOnly bool) int {
 		sc.outBufs = sc.outBufs[:0]
 		sc.outMeta = sc.outMeta[:0]
 		for _, dm := range sc.dests {
-			wire, bp, err := e.encodeDest(sc, dm)
-			if err != nil {
-				putWireBuf(bp, nil)
-				continue
-			}
+			wire, bp := e.encodeDest(sc, dm)
 			sc.out = append(sc.out, Outgoing{To: dm.name, Payload: wire, Traces: sc.traces[dm.elig0:dm.elig1]})
 			sc.outBufs = append(sc.outBufs, bp)
 			sc.outMeta = append(sc.outMeta, dm)
@@ -844,11 +802,8 @@ func (e *Endpoint) flush(retryOnly bool) int {
 		}
 	} else {
 		for _, dm := range sc.dests {
-			wire, bp, err := e.encodeDest(sc, dm)
-			if err != nil {
-				putWireBuf(bp, nil)
-				continue
-			}
+			wire, bp := e.encodeDest(sc, dm)
+			var err error
 			// A trace-aware messenger (the XMPP adapter) gets the batch's
 			// trace IDs alongside the payload so it can stamp them on the
 			// stanza.
@@ -894,7 +849,7 @@ func destsHave(dests []destMeta, name string) bool {
 // encodeDest builds and frames one destination's envelope into a pooled
 // buffer. The caller owns the returned buffer handle and must release it
 // with putWireBuf on every path.
-func (e *Endpoint) encodeDest(sc *flushScratch, dm destMeta) ([]byte, *[]byte, error) {
+func (e *Endpoint) encodeDest(sc *flushScratch, dm destMeta) ([]byte, *[]byte) {
 	batch := sc.batch[:0]
 	for k := dm.elig0; k < dm.elig1; k++ {
 		entry := &sc.elig[k]
@@ -903,18 +858,15 @@ func (e *Endpoint) encodeDest(sc *flushScratch, dm destMeta) ([]byte, *[]byte, e
 			Seq:     entry.Seq,
 			Channel: entry.Channel,
 			Trace:   uint64(sc.traces[k]),
-			Body:    json.RawMessage(entry.Payload),
+			Body:    entry.Payload,
 		})
 	}
 	sc.batch = batch
 	bp := getWireBuf()
 	buf := append((*bp)[:0], frameHeader[:]...)
-	buf, err := appendEnvelopeParts(buf, e.m.LocalID(), e.cfg.BootID, batch, nil,
-		sc.floorCh[dm.fl0:dm.fl1], sc.floorSeq[dm.fl0:dm.fl1], e.cfg.Codec)
-	if err != nil {
-		return nil, bp, err
-	}
-	return frameInto(buf), bp, nil
+	buf = appendEnvelope(buf, e.m.LocalID(), e.cfg.BootID, batch, nil,
+		sc.floorCh[dm.fl0:dm.fl1], sc.floorSeq[dm.fl0:dm.fl1])
+	return frameInto(buf), bp
 }
 
 // finishDest books a successfully handed-off envelope: inflight state,
@@ -988,7 +940,7 @@ func (e *Endpoint) receive(from string, payload []byte) {
 	}
 	sc := envScratchPool.Get().(*envScratch)
 	defer envScratchPool.Put(sc)
-	env, err := decodeEnvelopeInto(body, sc)
+	env, err := decodeEnvelope(body, sc)
 	if err != nil {
 		e.mu.Lock()
 		e.stats.CorruptDropped++
@@ -1113,25 +1065,21 @@ func (e *Endpoint) receive(from string, payload []byte) {
 	if len(ackIDs) > 0 {
 		bp := getWireBuf()
 		buf := append((*bp)[:0], frameHeader[:]...)
-		buf, err := appendEnvelopeParts(buf, e.m.LocalID(), e.cfg.BootID, nil, ackIDs, nil, nil, e.cfg.Codec)
-		if err == nil {
-			wire := frameInto(buf)
-			if e.m.Send(sender, wire) == nil {
-				e.notifyWire(int64(len(wire)), 0)
-				e.obs.ackBytes.Add(int64(len(wire)))
-			}
+		wire := frameInto(appendEnvelope(buf, e.m.LocalID(), e.cfg.BootID, nil, ackIDs, nil, nil))
+		if e.m.Send(sender, wire) == nil {
+			e.notifyWire(int64(len(wire)), 0)
+			e.obs.ackBytes.Add(int64(len(wire)))
 		}
-		putWireBuf(bp, buf)
+		putWireBuf(bp, wire)
 	}
 
 	if handler == nil && handlerT == nil {
 		return
 	}
 	for _, item := range deliver {
-		// DecodeFrozen sniffs the body codec (so a mixed-codec peer set
-		// delivers uniformly) and hands the application a pre-frozen map
-		// whose strings alias the receive buffer: the broker's zero-copy
-		// fanout starts at the wire, with no defensive clone in between.
+		// DecodeFrozen hands the application a pre-frozen map whose strings
+		// alias the receive buffer: the broker's zero-copy fanout starts at
+		// the wire, with no defensive clone in between.
 		v, err := msg.DecodeFrozen(item.Body)
 		if err != nil {
 			continue

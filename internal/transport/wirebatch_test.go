@@ -33,14 +33,14 @@ func TestWireBatchRoundTrip(t *testing.T) {
 }
 
 func TestWireBatchDecodableByEnvelopeDecoder(t *testing.T) {
-	// The exported batch must stay on the standard 0xB1 envelope format:
-	// the ordinary receive-path decoder has to parse it unchanged.
+	// The exported batch must stay on the one envelope format: the ordinary
+	// receive-path decoder has to parse it unchanged.
 	frame := AppendWireBatch(nil, "w3", []WireItem{{ID: 9, Seq: 2, Channel: "ch", Body: []byte("x")}})
 	body, err := unframe(frame)
 	if err != nil {
 		t.Fatalf("unframe: %v", err)
 	}
-	env, err := decodeEnvelope(body)
+	env, err := decodeEnvelope(body, new(envScratch))
 	if err != nil {
 		t.Fatalf("decodeEnvelope: %v", err)
 	}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -11,60 +10,38 @@ import (
 	"pogo/internal/msg"
 )
 
-// Binary envelope codec and pooled framing: the zero-garbage half of the
-// wire path. JSON envelopes remain fully supported on receive (the first
-// byte disambiguates — a JSON envelope starts with '{', a binary one with
-// envMagic), so endpoints with different codecs interoperate during a
-// migration; message BODIES are likewise sniffed by msg.Decode at delivery.
+// Envelope codec and pooled framing: the zero-garbage half of the wire path.
+// There is one envelope format, and both ends of every connection speak it.
 //
-// Binary envelope layout (after the 9-byte CRC frame header):
+// A switchboard payload is a 9-byte frame header — the CRC32 (IEEE) of
+// everything after it as 8 lowercase hex digits, then ':' — followed by the
+// envelope:
 //
-//	magic     1 byte, envMagic (0xB0 | version)
+//	magic     1 byte, envMagic
 //	from      uvarint length + bytes
 //	boot      uvarint length + bytes
 //	batch     uvarint count, then per item:
 //	            id uvarint · seq uvarint · channel (uvarint len + bytes)
-//	            [· trace uvarint, envMagicTraced only]
-//	            · body (uvarint len + bytes, already codec-encoded)
+//	            · trace uvarint (obs.TraceID, 0 = untraced)
+//	            · body (uvarint len + bytes, msg binary codec)
 //	acks      uvarint count + count uvarints
 //	floors    uvarint count + count × (channel uvarint len + bytes,
 //	            floor uvarint), channels sorted (deterministic bytes)
 //
-// Trace context (PR 6) rides as an optional per-item uvarint announced by a
-// second magic byte, envMagicTraced: encoders emit it only when at least one
-// item carries a nonzero trace ID, so untraced envelopes stay byte-identical
-// to the PR 5 format, and decoders that predate tracing simply never see the
-// new magic from an untraced sender. An absent trace field decodes as 0
-// ("untraced") — a no-op downstream — which covers the legacy-JSON interop
-// path too ("t" is omitempty, unknown fields are ignored).
+// Anything else — a bad checksum, another first byte, a length or count that
+// overruns the input, trailing bytes — is rejected and counted in
+// transport_corrupt_dropped_total; the sender retransmits.
 //
-// Decode mirrors encode's pooling (PR 9): an envScratch carries the batch,
-// ack, and floor storage from envelope to envelope, and the envelope's
-// From/Boot/Channel strings are interned — sensor fleets repeat the same
-// few identifiers forever, so in steady state decoding an envelope
-// allocates nothing beyond what its payload bodies need.
+// Decode mirrors encode's pooling: an envScratch carries the batch, ack, and
+// floor storage from envelope to envelope, and the envelope's From/Boot/
+// Channel strings are interned — sensor fleets repeat the same few
+// identifiers forever, so in steady state decoding an envelope allocates
+// nothing beyond what its payload bodies need.
 
-// Codec selects the wire encoding of an endpoint's envelopes and message
-// bodies.
-type Codec int
+// envMagic is the first byte of every envelope: 0xB0 | format version.
+const envMagic = 0xB2
 
-const (
-	// CodecBinary is the default: compact binary envelopes and bodies.
-	CodecBinary Codec = iota
-	// CodecJSON is the legacy JSON wire format, kept for debugging and for
-	// peers that predate the binary codec.
-	CodecJSON
-)
-
-// envMagic is the first byte of a binary envelope: 0xB0 | version. It can
-// never begin a JSON envelope ('{') and never appears at offset 0 of one.
-const envMagic = 0xB1
-
-// envMagicTraced marks a binary envelope whose batch items each carry a
-// trailing trace-ID uvarint after the channel.
-const envMagicTraced = 0xB2
-
-var errEnvelope = errors.New("transport: malformed binary envelope")
+var errEnvelope = errors.New("transport: malformed envelope")
 
 // wireBufPool recycles encode scratch for envelopes, acks, and enqueued
 // bodies. Every consumer (messenger Send, store.Outbox.Add) copies the bytes
@@ -94,7 +71,7 @@ func putWireBuf(bp *[]byte, buf []byte) {
 var frameHeader = [9]byte{'0', '0', '0', '0', '0', '0', '0', '0', ':'}
 
 // frameInto fills the reserved 9-byte header of buf ("%08x:" CRC32 of the
-// body at buf[9:]) in place — the allocation-free equivalent of frame().
+// body at buf[9:]) in place.
 func frameInto(buf []byte) []byte {
 	const hexdigits = "0123456789abcdef"
 	crc := crc32.ChecksumIEEE(buf[9:])
@@ -106,50 +83,11 @@ func frameInto(buf []byte) []byte {
 	return buf
 }
 
-// appendEnvelope appends the codec-selected encoding of env to dst.
-func appendEnvelope(dst []byte, env *envelope, codec Codec) ([]byte, error) {
-	if codec == CodecJSON {
-		b, err := json.Marshal(env)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, b...), nil
-	}
-	return appendEnvelopeBinary(dst, env), nil
-}
-
-// appendEnvelopeParts encodes an envelope from its flattened components —
-// the allocation-free twin of appendEnvelope for the flush and ack hot
-// paths, which keep floors as parallel (channel, seq) slices instead of a
-// map. floorCh must already be sorted; the bytes produced are identical to
-// appendEnvelope on the equivalent envelope struct.
-func appendEnvelopeParts(dst []byte, from, boot string, batch []envelopeItem, ack []uint64, floorCh []string, floorSeq []uint64, codec Codec) ([]byte, error) {
-	if codec == CodecJSON {
-		env := envelope{From: from, Boot: boot, Batch: batch, Ack: ack}
-		if len(floorCh) > 0 {
-			env.Floors = make(map[string]uint64, len(floorCh))
-			for i, ch := range floorCh {
-				env.Floors[ch] = floorSeq[i]
-			}
-		}
-		b, err := json.Marshal(&env)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, b...), nil
-	}
-	traced := false
-	for i := range batch {
-		if batch[i].Trace != 0 {
-			traced = true
-			break
-		}
-	}
-	if traced {
-		dst = append(dst, envMagicTraced)
-	} else {
-		dst = append(dst, envMagic)
-	}
+// appendEnvelope appends the encoding of one envelope to dst. Floors travel
+// as parallel (channel, seq) slices — the flush path keeps them that way to
+// stay allocation-free — and floorCh must already be sorted.
+func appendEnvelope(dst []byte, from, boot string, batch []envelopeItem, ack []uint64, floorCh []string, floorSeq []uint64) []byte {
+	dst = append(dst, envMagic)
 	dst = appendUvStr(dst, from)
 	dst = appendUvStr(dst, boot)
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
@@ -158,9 +96,7 @@ func appendEnvelopeParts(dst []byte, from, boot string, batch []envelopeItem, ac
 		dst = binary.AppendUvarint(dst, it.ID)
 		dst = binary.AppendUvarint(dst, it.Seq)
 		dst = appendUvStr(dst, it.Channel)
-		if traced {
-			dst = binary.AppendUvarint(dst, it.Trace)
-		}
+		dst = binary.AppendUvarint(dst, it.Trace)
 		dst = binary.AppendUvarint(dst, uint64(len(it.Body)))
 		dst = append(dst, it.Body...)
 	}
@@ -173,58 +109,12 @@ func appendEnvelopeParts(dst []byte, from, boot string, batch []envelopeItem, ac
 		dst = appendUvStr(dst, ch)
 		dst = binary.AppendUvarint(dst, floorSeq[i])
 	}
-	return dst, nil
+	return dst
 }
 
 func appendUvStr(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-func appendEnvelopeBinary(dst []byte, env *envelope) []byte {
-	traced := false
-	for i := range env.Batch {
-		if env.Batch[i].Trace != 0 {
-			traced = true
-			break
-		}
-	}
-	if traced {
-		dst = append(dst, envMagicTraced)
-	} else {
-		dst = append(dst, envMagic)
-	}
-	dst = appendUvStr(dst, env.From)
-	dst = appendUvStr(dst, env.Boot)
-	dst = binary.AppendUvarint(dst, uint64(len(env.Batch)))
-	for i := range env.Batch {
-		it := &env.Batch[i]
-		dst = binary.AppendUvarint(dst, it.ID)
-		dst = binary.AppendUvarint(dst, it.Seq)
-		dst = appendUvStr(dst, it.Channel)
-		if traced {
-			dst = binary.AppendUvarint(dst, it.Trace)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(it.Body)))
-		dst = append(dst, it.Body...)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(env.Ack)))
-	for _, id := range env.Ack {
-		dst = binary.AppendUvarint(dst, id)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(env.Floors)))
-	if len(env.Floors) > 0 {
-		chans := make([]string, 0, len(env.Floors))
-		for ch := range env.Floors {
-			chans = append(chans, ch)
-		}
-		sortStrings(chans)
-		for _, ch := range chans {
-			dst = appendUvStr(dst, ch)
-			dst = binary.AppendUvarint(dst, env.Floors[ch])
-		}
-	}
-	return dst
 }
 
 // sortStrings is an allocation-free insertion sort for the short channel
@@ -254,37 +144,20 @@ type envScratch struct {
 }
 
 var envScratchPool = sync.Pool{
-	New: func() any { return &envScratch{floors: make(map[string]uint64, 8)} },
+	New: func() any { return new(envScratch) },
 }
 
-// decodeEnvelope parses either envelope encoding into freshly allocated
-// storage (tests and cold paths; receive uses decodeEnvelopeInto).
-func decodeEnvelope(body []byte) (envelope, error) {
-	return decodeEnvelopeInto(body, &envScratch{floors: make(map[string]uint64)})
-}
-
-// decodeEnvelopeInto parses either envelope encoding, sniffing by first
-// byte. Binary envelopes decode into sc's recycled storage.
-func decodeEnvelopeInto(body []byte, sc *envScratch) (envelope, error) {
-	if len(body) > 0 && (body[0] == envMagic || body[0] == envMagicTraced) {
-		return decodeEnvelopeBinary(body[1:], body[0] == envMagicTraced, sc)
+// decodeEnvelope parses an unframed envelope into sc's recycled storage. Item
+// bodies alias the input buffer (zero-copy): the buffer is GC-owned by the
+// receive path, never pooled, so held-back items keep it alive exactly as
+// long as needed. Envelope strings (from, boot, channels) are interned — a
+// fleet repeats the same identifiers forever. Claimed counts and lengths are
+// validated against the remaining bytes before any allocation.
+func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
+	if len(b) == 0 || b[0] != envMagic {
+		return envelope{}, fmt.Errorf("%w: not an envelope", errEnvelope)
 	}
-	var env envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return envelope{}, err
-	}
-	return env, nil
-}
-
-// decodeEnvelopeBinary parses the body after the magic byte. Item bodies
-// alias the input buffer (zero-copy): the buffer is GC-owned by the receive
-// path, never pooled, so held-back items keep it alive exactly as long as
-// needed. Envelope strings (from, boot, channels) are interned — a fleet
-// repeats the same identifiers forever. Claimed counts and lengths are
-// validated against the remaining bytes before any allocation. traced
-// selects the envMagicTraced layout (per-item trace uvarint); an untraced
-// envelope leaves every Trace 0.
-func decodeEnvelopeBinary(b []byte, traced bool, sc *envScratch) (envelope, error) {
+	b = b[1:]
 	var env envelope
 	var err error
 	if env.From, b, err = readUvStr(b); err != nil {
@@ -293,11 +166,7 @@ func decodeEnvelopeBinary(b []byte, traced bool, sc *envScratch) (envelope, erro
 	if env.Boot, b, err = readUvStr(b); err != nil {
 		return envelope{}, err
 	}
-	minItem := uint64(4) // id+seq+chlen+bodylen ≥ 4 bytes per item
-	if traced {
-		minItem = 5 // + trace
-	}
-	n, b, err := readCount(b, minItem)
+	n, b, err := readCount(b, 5) // id+seq+chlen+trace+bodylen ≥ 5 bytes per item
 	if err != nil {
 		return envelope{}, err
 	}
@@ -314,10 +183,8 @@ func decodeEnvelopeBinary(b []byte, traced bool, sc *envScratch) (envelope, erro
 			if it.Channel, b, err = readUvStr(b); err != nil {
 				return envelope{}, err
 			}
-			if traced {
-				if it.Trace, b, err = readUv(b); err != nil {
-					return envelope{}, err
-				}
+			if it.Trace, b, err = readUv(b); err != nil {
+				return envelope{}, err
 			}
 			var bl uint64
 			if bl, b, err = readUv(b); err != nil {
@@ -326,7 +193,7 @@ func decodeEnvelopeBinary(b []byte, traced bool, sc *envScratch) (envelope, erro
 			if bl > uint64(len(b)) {
 				return envelope{}, fmt.Errorf("%w: body length %d exceeds input", errEnvelope, bl)
 			}
-			it.Body = json.RawMessage(b[:bl])
+			it.Body = b[:bl]
 			b = b[bl:]
 			batch = append(batch, it)
 		}
@@ -352,6 +219,9 @@ func decodeEnvelopeBinary(b []byte, traced bool, sc *envScratch) (envelope, erro
 		return envelope{}, err
 	}
 	if n > 0 {
+		if sc.floors == nil {
+			sc.floors = make(map[string]uint64, 8)
+		}
 		clear(sc.floors)
 		for i := uint64(0); i < n; i++ {
 			var ch string
@@ -407,10 +277,10 @@ func readUvStr(b []byte) (string, []byte, error) {
 }
 
 // WireItem is one payload inside an exported wire batch: the flattened,
-// public shape of a binary-envelope batch item. The fleet's multi-process
+// public shape of an envelope batch item. The fleet's multi-process
 // coordinator reuses the envelope codec to ship staged cross-shard traffic
 // between worker processes, so inter-process bytes stay on the same audited
-// 0xB1 format as inter-device bytes.
+// format as inter-device bytes.
 type WireItem struct {
 	ID      uint64 // sender-relative ordering key (the fleet ships deliver-at offsets here)
 	Seq     uint64
@@ -418,28 +288,23 @@ type WireItem struct {
 	Body    []byte
 }
 
-// AppendWireBatch appends one CRC-framed binary (0xB1) envelope from `from`
-// carrying items to dst and returns the extended slice. The bytes are
-// exactly what the endpoint flush path would emit for an untraced batch with
-// no acks, floors, or boot ID, so any envelope decoder can parse them.
+// AppendWireBatch appends one CRC-framed envelope from `from` carrying items
+// to dst and returns the extended slice. The bytes are exactly what the
+// endpoint flush path would emit for an untraced batch with no acks, floors,
+// or boot ID.
 func AppendWireBatch(dst []byte, from string, items []WireItem) []byte {
-	off := len(dst)
-	dst = append(dst, frameHeader[:]...)
-	dst = append(dst, envMagic)
-	dst = appendUvStr(dst, from)
-	dst = appendUvStr(dst, "") // boot: unused in batch-only envelopes
-	dst = binary.AppendUvarint(dst, uint64(len(items)))
+	sc := envScratchPool.Get().(*envScratch)
+	batch := sc.batch[:0]
 	for i := range items {
 		it := &items[i]
-		dst = binary.AppendUvarint(dst, it.ID)
-		dst = binary.AppendUvarint(dst, it.Seq)
-		dst = appendUvStr(dst, it.Channel)
-		dst = binary.AppendUvarint(dst, uint64(len(it.Body)))
-		dst = append(dst, it.Body...)
+		batch = append(batch, envelopeItem{ID: it.ID, Seq: it.Seq, Channel: it.Channel, Body: it.Body})
 	}
-	dst = binary.AppendUvarint(dst, 0) // acks
-	dst = binary.AppendUvarint(dst, 0) // floors
+	off := len(dst)
+	dst = append(dst, frameHeader[:]...)
+	dst = appendEnvelope(dst, from, "", batch, nil, nil, nil)
 	frameInto(dst[off:])
+	sc.batch = batch
+	envScratchPool.Put(sc)
 	return dst
 }
 
@@ -454,7 +319,7 @@ func DecodeWireBatch(frame []byte, scratch []WireItem) (from string, items []Wir
 	}
 	sc := envScratchPool.Get().(*envScratch)
 	defer envScratchPool.Put(sc)
-	env, err := decodeEnvelopeInto(body, sc)
+	env, err := decodeEnvelope(body, sc)
 	if err != nil {
 		return "", nil, err
 	}

@@ -2,8 +2,8 @@ package transport
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -12,26 +12,34 @@ func traceTestEnvelope() *envelope {
 		From: "phone01",
 		Boot: "boot-1",
 		Batch: []envelopeItem{
-			{ID: 1, Seq: 1, Channel: "upload", Body: json.RawMessage(`{"n":0}`)},
-			{ID: 2, Seq: 2, Channel: "upload", Body: json.RawMessage(`{"n":1}`)},
+			{ID: 1, Seq: 1, Channel: "upload", Body: []byte{0x07, 0x00}},
+			{ID: 2, Seq: 2, Channel: "upload", Body: []byte{0x04, 0x02}},
 		},
 		Ack:    []uint64{7},
 		Floors: map[string]uint64{"upload": 1},
 	}
 }
 
-// TestBinaryEnvelopeUntracedUnchanged: an envelope with no trace IDs must
-// encode to the legacy magic and the exact legacy byte layout, so untraced
-// senders stay bit-compatible with pre-tracing peers (and with the PR 5
-// fuzz corpus).
-func TestBinaryEnvelopeUntracedUnchanged(t *testing.T) {
-	env := traceTestEnvelope()
-	wire := appendEnvelopeBinary(nil, env)
-	if wire[0] != envMagic {
-		t.Fatalf("untraced magic = %#x, want %#x", wire[0], envMagic)
+// encodeEnvelope flattens env's floors into the sorted parallel slices the
+// encoder takes.
+func encodeEnvelope(env *envelope) []byte {
+	var floorCh []string
+	for ch := range env.Floors {
+		floorCh = append(floorCh, ch)
 	}
-	// Re-encoding after a roundtrip reproduces identical bytes.
-	dec, err := decodeEnvelope(wire)
+	slices.Sort(floorCh)
+	floorSeq := make([]uint64, len(floorCh))
+	for i, ch := range floorCh {
+		floorSeq[i] = env.Floors[ch]
+	}
+	return appendEnvelope(nil, env.From, env.Boot, env.Batch, env.Ack, floorCh, floorSeq)
+}
+
+// TestBinaryEnvelopeUntracedUnchanged: an envelope whose items carry no trace
+// IDs decodes with every trace 0 and re-encodes byte-identically.
+func TestBinaryEnvelopeUntracedUnchanged(t *testing.T) {
+	wire := encodeEnvelope(traceTestEnvelope())
+	dec, err := decodeEnvelope(wire, new(envScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,19 +48,20 @@ func TestBinaryEnvelopeUntracedUnchanged(t *testing.T) {
 			t.Fatalf("item %d decoded trace %d from an untraced envelope", i, it.Trace)
 		}
 	}
-	if again := appendEnvelopeBinary(nil, &dec); !bytes.Equal(wire, again) {
+	if again := encodeEnvelope(&dec); !bytes.Equal(wire, again) {
 		t.Fatal("untraced envelope did not re-encode byte-identically")
 	}
 }
 
+// Traced and untraced (trace 0) items share one layout under one magic.
 func TestBinaryEnvelopeTraceRoundTrip(t *testing.T) {
 	env := traceTestEnvelope()
 	env.Batch[0].Trace = 0xdeadbeefcafe // mixed: item 1 stays untraced
-	wire := appendEnvelopeBinary(nil, env)
-	if wire[0] != envMagicTraced {
-		t.Fatalf("traced magic = %#x, want %#x", wire[0], envMagicTraced)
+	wire := encodeEnvelope(env)
+	if wire[0] != envMagic {
+		t.Fatalf("magic = %#x, want %#x", wire[0], envMagic)
 	}
-	dec, err := decodeEnvelope(wire)
+	dec, err := decodeEnvelope(wire, new(envScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,57 +73,16 @@ func TestBinaryEnvelopeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJSONEnvelopeTraceInterop covers the legacy wire format in both
-// directions: zero traces vanish from the JSON (old peers see exactly the
-// bytes they always saw), and JSON from an old peer — no "t" field, possibly
-// unknown future fields — decodes with Trace 0 as a no-op.
-func TestJSONEnvelopeTraceInterop(t *testing.T) {
-	env := traceTestEnvelope()
-	wire, err := appendEnvelope(nil, env, CodecJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(wire, []byte(`"t"`)) {
-		t.Fatalf("zero trace leaked into JSON: %s", wire)
-	}
-
-	env.Batch[0].Trace = 42
-	traced, err := appendEnvelope(nil, env, CodecJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(traced, []byte(`"t":42`)) {
-		t.Fatalf("trace missing from JSON: %s", traced)
-	}
-	dec, err := decodeEnvelope(traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Batch[0].Trace != 42 || dec.Batch[1].Trace != 0 {
-		t.Fatalf("JSON roundtrip traces = %d, %d; want 42, 0", dec.Batch[0].Trace, dec.Batch[1].Trace)
-	}
-
-	// Old-peer JSON: no trace field, plus a field from a hypothetical future
-	// version. Decode must succeed with Trace 0.
-	oldPeer := []byte(`{"from":"phone01","batch":[{"id":1,"seq":1,"ch":"upload","future":true,"body":{"n":0}}]}`)
-	dec, err = decodeEnvelope(oldPeer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec.Batch) != 1 || dec.Batch[0].Trace != 0 {
-		t.Fatalf("old-peer decode = %+v, want one untraced item", dec.Batch)
-	}
-}
-
-// TestTracedEnvelopeTruncationRejected: the traced layout's per-item minimum
-// size participates in count validation, so a traced header claiming more
-// items than its bytes can hold is rejected before allocation.
+// TestTracedEnvelopeTruncationRejected: the per-item minimum size
+// participates in count validation, so a header claiming more items than its
+// bytes can hold is rejected before allocation — as is every other proper
+// prefix of a valid envelope.
 func TestTracedEnvelopeTruncationRejected(t *testing.T) {
 	env := traceTestEnvelope()
 	env.Batch[0].Trace = 99
-	wire := appendEnvelopeBinary(nil, env)
-	for cut := 1; cut < len(wire); cut++ {
-		if _, err := decodeEnvelope(wire[:cut]); err == nil {
+	wire := encodeEnvelope(env)
+	for cut := 0; cut < len(wire); cut++ {
+		if _, err := decodeEnvelope(wire[:cut], new(envScratch)); err == nil {
 			t.Fatalf("truncation to %d bytes decoded without error", cut)
 		}
 	}

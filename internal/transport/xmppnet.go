@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/base64"
 	"strconv"
 	"sync"
 	"time"
@@ -93,20 +91,8 @@ func (m *XMPPMessenger) connect() error {
 		m.mu.Unlock()
 		recvs.Inc()
 		recvBytes.Add(int64(len(body)))
-		payload := body
-		if bytes.HasPrefix(body, []byte(binaryWrapPrefix)) {
-			raw, err := base64.StdEncoding.DecodeString(string(body[len(binaryWrapPrefix):]))
-			if err != nil {
-				// Mangled wrap from a legacy peer. Hand the raw bytes through
-				// anyway: the endpoint's CRC check rejects them and counts the
-				// drop in corrupt_dropped, instead of the frame vanishing
-				// without a trace.
-				raw = body
-			}
-			payload = raw
-		}
 		if fn != nil {
-			fn(from.User(), payload)
+			fn(from.User(), body)
 		}
 	})
 	c.OnPresence(func(peer xmpp.JID, online bool) {
@@ -188,15 +174,8 @@ func (m *XMPPMessenger) Online() bool {
 	return m.online && !m.closed
 }
 
-// binaryWrapPrefix marks an XMPP body carrying a base64-wrapped binary
-// payload, the legacy representation still used when either side of a
-// connection predates binary message frames. It cannot collide with an
-// unwrapped frame: those always start with 8 hex digits before the ':' (so
-// their ':' sits at offset 8, not 1).
-const binaryWrapPrefix = "b:"
-
-// Send implements Messenger. Payloads travel as binary message frames on
-// frame-capable streams; the client base64-wraps them only for legacy peers.
+// Send implements Messenger. Payloads travel verbatim in binary message
+// frames.
 func (m *XMPPMessenger) Send(to string, payload []byte) error {
 	return m.send(to, payload, "")
 }

@@ -1,7 +1,6 @@
 package xmpp
 
 import (
-	"encoding/base64"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -15,12 +14,8 @@ import (
 // value is not usable; construct with Dial. Incoming stanzas are dispatched
 // on a dedicated reader goroutine; handlers must not block for long.
 type Client struct {
-	jid JID
-	// binOK reports that the server negotiated binary message frames (its
-	// stream header carried bin="1"). Set during the handshake, read-only
-	// afterwards.
-	binOK bool
-	conn  net.Conn
+	jid  JID
+	conn net.Conn
 	// sr is set during the handshake; afterwards only the reader goroutine
 	// touches it.
 	sr *stanzaReader
@@ -32,7 +27,7 @@ type Client struct {
 	err          error
 	onMessage    func(from JID, id, body string)
 	onMessageRaw func(from JID, id string, body []byte)
-	backlog      []messageStanza // arrived before OnMessage was registered
+	backlog      []message // arrived before OnMessage was registered
 	onError      func(id, reason string)
 	onPresence   func(peer JID, available bool)
 	onDisconnect func(err error)
@@ -88,7 +83,9 @@ func (c *Client) handshake(user, password, resource string) error {
 	if !ok {
 		return errors.New("xmpp: server stream: not an xmpp greeting")
 	}
-	c.binOK = hdr.Bin == streamBinAttr
+	if hdr.Bin != streamBinAttr {
+		return fmt.Errorf("xmpp: server stream: %s (header lacks bin=%q)", reasonWireVersion, streamBinAttr)
+	}
 	if err := c.write(authStanza{User: user, Password: password, Resource: resource}); err != nil {
 		return err
 	}
@@ -122,9 +119,6 @@ func (c *Client) handshake(user, password, resource string) error {
 // JID returns the bound full JID.
 func (c *Client) JID() JID { return c.jid }
 
-// BinaryCapable reports whether the server negotiated binary message frames.
-func (c *Client) BinaryCapable() bool { return c.binOK }
-
 // OnMessage sets the inbound message handler. Messages that arrived before
 // the handler was registered — e.g. stanzas the server replayed the moment
 // this session resumed — are delivered to it immediately, in arrival order.
@@ -135,14 +129,13 @@ func (c *Client) OnMessage(fn func(from JID, id, body string)) {
 	c.backlog = nil
 	c.mu.Unlock()
 	for i := range backlog {
-		fn(JID(backlog[i].From), backlog[i].ID, backlog[i].bodyString())
+		fn(JID(backlog[i].From), backlog[i].ID, string(backlog[i].Body))
 	}
 }
 
 // OnMessageRaw sets a byte-oriented inbound message handler (preferred over
 // OnMessage when both are set). The body slice is freshly allocated per
-// message and owned by the handler — binary frames hand over their payload
-// without any base64 or string detour.
+// message and owned by the handler.
 func (c *Client) OnMessageRaw(fn func(from JID, id string, body []byte)) {
 	c.mu.Lock()
 	c.onMessageRaw = fn
@@ -150,7 +143,7 @@ func (c *Client) OnMessageRaw(fn func(from JID, id string, body []byte)) {
 	c.backlog = nil
 	c.mu.Unlock()
 	for i := range backlog {
-		fn(JID(backlog[i].From), backlog[i].ID, backlog[i].rawBody())
+		fn(JID(backlog[i].From), backlog[i].ID, backlog[i].Body)
 	}
 }
 
@@ -181,26 +174,19 @@ func (c *Client) SendMessage(to JID, id, body string) error {
 	return c.SendMessageBytes(to, id, []byte(body), "")
 }
 
-// SendMessageTraced is SendMessage with a trace attribute (TraceAttr form)
-// stamped on the stanza so the switchboard can record causal hops. An empty
-// trace emits a stanza byte-identical to SendMessage's.
+// SendMessageTraced is SendMessage with a trace field (TraceAttr form) so the
+// switchboard can record causal hops.
 func (c *Client) SendMessageTraced(to JID, id, body, trace string) error {
 	return c.SendMessageBytes(to, id, []byte(body), trace)
 }
 
-// SendMessageBytes sends a message with an arbitrary byte body. On a
-// frame-negotiated connection the body travels verbatim in a binary frame;
-// to a legacy server, binary-unsafe bodies fall back to "b:"+base64 XML
-// character data and text bodies travel as plain XML.
+// SendMessageBytes sends a message with an arbitrary byte body, which travels
+// verbatim in a binary frame.
 func (c *Client) SendMessageBytes(to JID, id string, body []byte, trace string) error {
 	bp := getWireBuf()
-	buf, err := c.appendMessage((*bp)[:0], to, id, body, trace)
-	if err != nil {
-		putWireBuf(bp, nil)
-		return err
-	}
+	buf := appendFrame((*bp)[:0], to.String(), "", id, trace, body)
 	c.writeMu.Lock()
-	_, err = c.conn.Write(buf)
+	_, err := c.conn.Write(buf)
 	c.writeMu.Unlock()
 	putWireBuf(bp, buf)
 	return err
@@ -218,12 +204,8 @@ func (c *Client) SendMessages(msgs []RawMessage) (int, error) {
 	bp := getWireBuf()
 	buf := (*bp)[:0]
 	ends := make([]int, len(msgs))
-	var err error
 	for i := range msgs {
-		if buf, err = c.appendMessage(buf, msgs[i].To, msgs[i].ID, msgs[i].Body, msgs[i].Trace); err != nil {
-			putWireBuf(bp, nil)
-			return 0, err
-		}
+		buf = appendFrame(buf, msgs[i].To.String(), "", msgs[i].ID, msgs[i].Trace, msgs[i].Body)
 		ends[i] = len(buf)
 	}
 	c.writeMu.Lock()
@@ -238,26 +220,6 @@ func (c *Client) SendMessages(msgs []RawMessage) (int, error) {
 		k++
 	}
 	return k, err
-}
-
-// appendMessage appends one message in the representation the connection
-// negotiated.
-func (c *Client) appendMessage(dst []byte, to JID, id string, body []byte, trace string) ([]byte, error) {
-	if c.binOK {
-		return appendFrame(dst, to.String(), "", id, trace, body), nil
-	}
-	m := messageStanza{To: to.String(), ID: id, T: trace}
-	if bodyIsXMLSafe(body) {
-		m.Body = string(body)
-	} else {
-		m.Body = bodyWrapPrefix + base64.StdEncoding.EncodeToString(body)
-	}
-	b, err := marshalStanza(m)
-	if err != nil {
-		return nil, err
-	}
-	dst = append(dst, b...)
-	return append(dst, '\n'), nil
 }
 
 // Roster fetches the user's contact list from the server.
@@ -301,34 +263,25 @@ func (c *Client) Close() {
 }
 
 func (c *Client) write(v any) error {
-	b, err := marshalStanza(v)
-	if err != nil {
-		return err
-	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	_, err = c.conn.Write(append(b, '\n'))
-	return err
+	return writeStanza(c.conn, v)
 }
 
-func (c *Client) dispatchMessage(m messageStanza) {
+func (c *Client) dispatchMessage(m message) {
 	c.mu.Lock()
-	onMsg, onRaw, onErr := c.onMessage, c.onMessageRaw, c.onError
-	if m.Type != "error" && onMsg == nil && onRaw == nil && len(c.backlog) < 256 {
+	onMsg, onRaw := c.onMessage, c.onMessageRaw
+	if onMsg == nil && onRaw == nil && len(c.backlog) < 256 {
 		// No handler yet (session-resumption replay races handler
 		// registration): hold the message for OnMessage/OnMessageRaw.
 		c.backlog = append(c.backlog, m)
 	}
 	c.mu.Unlock()
 	switch {
-	case m.Type == "error":
-		if onErr != nil {
-			onErr(m.ID, m.bodyString())
-		}
 	case onRaw != nil:
-		onRaw(JID(m.From), m.ID, m.rawBody())
+		onRaw(JID(m.From), m.ID, m.Body)
 	case onMsg != nil:
-		onMsg(JID(m.From), m.ID, m.bodyString())
+		onMsg(JID(m.From), m.ID, string(m.Body))
 	}
 }
 
@@ -347,17 +300,18 @@ func (c *Client) readLoop() {
 		}
 		switch name := elementName(line); name {
 		case "message":
-			mm, ok := parseMessageLine(line)
-			if !ok {
-				// Shapes the fast path does not recognize (attribute escapes,
-				// self-closed bodies, peer idiosyncrasies) take the full XML
-				// decoder.
-				if err := xml.Unmarshal(line, &mm); err != nil {
-					loopErr = err
-					break
-				}
+			// The one XML message is the server's type="error" bounce.
+			var b messageStanza
+			if err := xml.Unmarshal(line, &b); err != nil {
+				loopErr = err
+				break
 			}
-			c.dispatchMessage(mm)
+			c.mu.Lock()
+			fn := c.onError
+			c.mu.Unlock()
+			if b.Type == "error" && fn != nil {
+				fn(b.ID, b.Body)
+			}
 		case "presence":
 			var p presenceStanza
 			if err := xml.Unmarshal(line, &p); err != nil {

@@ -1,7 +1,11 @@
 package xmpp
 
 import (
+	"encoding/xml"
+	"io"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,7 +56,7 @@ func TestServerHandshakeTimeout(t *testing.T) {
 	s := startServer(t, ServerConfig{AllowAutoRegister: true, HandshakeTimeout: 100 * time.Millisecond})
 	c := rawConn(t, s)
 	// Open the stream and then stall before auth: the server must hang up.
-	c.Write([]byte(`<stream to="pogo">`))
+	c.Write([]byte(`<stream to="pogo" bin="1">` + "\n"))
 	buf := make([]byte, 256)
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	closed := false
@@ -249,6 +253,95 @@ func TestSessionResumptionAcrossDroppedTCP(t *testing.T) {
 	waitFor(t, "resumption after reconnect", func() bool { return len(got2()) == 2 })
 	if g := got2(); g[0] != "queued-1" || g[1] != "queued-2" {
 		t.Errorf("resumed %v", g)
+	}
+}
+
+// Version check, server side: a stream header without bin="1" gets the
+// server's own header, an explicit failure stanza, and a closed connection —
+// before any credentials are looked at.
+func TestServerRefusesStreamWithoutBin(t *testing.T) {
+	s := startServer(t, ServerConfig{AllowAutoRegister: true})
+	c := rawConn(t, s)
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Write([]byte(`<stream to="pogo">` + "\n" + `<auth user="old" password="pw" resource="r"></auth>` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	all, err := io.ReadAll(c) // returns only once the server hangs up
+	if err != nil {
+		t.Fatalf("connection not closed cleanly: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(all)), "\n")
+	if len(lines) != 2 || elementName([]byte(lines[0])) != "stream" {
+		t.Fatalf("server answered %q, want its stream header then a failure", all)
+	}
+	var f failureStanza
+	if err := xml.Unmarshal([]byte(lines[1]), &f); err != nil || f.Reason != reasonWireVersion {
+		t.Fatalf("refusal = %q (%v), want failure reason %q", lines[1], err, reasonWireVersion)
+	}
+	if s.Online("old") {
+		t.Error("refused peer was given a session")
+	}
+}
+
+// Version check, client side: a server whose greeting lacks bin="1" is an
+// error from Dial, not a silent downgrade to some other message encoding.
+func TestDialRefusesServerWithoutBin(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.Write([]byte(`<stream from="` + Domain + `">` + "\n"))
+		io.Copy(io.Discard, conn)
+	}()
+	c, err := Dial(ln.Addr().String(), "alice", "pw", "r")
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a server that does not announce the wire version")
+	}
+	if !strings.Contains(err.Error(), reasonWireVersion) {
+		t.Errorf("Dial error %q does not name the version mismatch", err)
+	}
+}
+
+// A session is visible to its roster contacts' presence broadcasts from the
+// moment it authenticates; none of them may reach the client before the
+// success stanza its handshake is waiting for. Fully meshed users logging in
+// at once used to fail Dial with "unexpected <presence> during auth".
+func TestPresenceNeverOvertakesAuthSuccess(t *testing.T) {
+	s := startServer(t, ServerConfig{AllowAutoRegister: true})
+	const n = 32
+	users := make([]string, n)
+	for i := range users {
+		users[i] = "u" + strconv.Itoa(i)
+		for _, peer := range users[:i] {
+			s.Associate(users[i], peer)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		clients := make([]*Client, n)
+		errs := make([]error, n)
+		for i, u := range users {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				clients[i], errs[i] = Dial(s.Addr(), u, "pw", "r")
+			}()
+		}
+		wg.Wait()
+		for i, c := range clients {
+			if errs[i] != nil {
+				t.Fatalf("round %d: dial %s: %v", round, users[i], errs[i])
+			}
+			c.Close()
+		}
 	}
 }
 

@@ -1,11 +1,9 @@
 package xmpp
 
 import (
-	"encoding/base64"
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -47,7 +45,7 @@ type Server struct {
 	accounts map[string]string          // user → password
 	rosters  map[string]map[string]bool // user → contact users
 	sessions map[string]*session        // user → live session (one resource per user)
-	queues   map[string][]messageStanza // user → stanzas awaiting session resumption
+	queues   map[string][]message       // user → messages awaiting session resumption
 	closed   bool
 	wg       sync.WaitGroup
 
@@ -66,8 +64,8 @@ type Server struct {
 // switchboard is a single central entity, not a Pogo node.
 const switchboardNode = "switchboard"
 
-// recordHops records one causal hop per trace ID carried in a stanza's t
-// attribute. The switchboard serves real clients over TCP and has no
+// recordHops records one causal hop per trace ID carried in a frame's trace
+// field. The switchboard serves real clients over TCP and has no
 // simulated clock, so hops are stamped with wall time.
 func (s *Server) recordHops(stage obs.Stage, traceAttr, detail string) {
 	if s.spans == nil || traceAttr == "" {
@@ -92,7 +90,7 @@ func NewServer(cfg ServerConfig) *Server {
 		accounts: make(map[string]string),
 		rosters:  make(map[string]map[string]bool),
 		sessions: make(map[string]*session),
-		queues:   make(map[string][]messageStanza),
+		queues:   make(map[string][]message),
 	}
 	if reg := cfg.Obs; reg != nil {
 		s.obsSessions = reg.Gauge("xmpp_server_sessions")
@@ -233,46 +231,25 @@ type session struct {
 	user string
 	jid  JID
 	conn net.Conn
-	// bin records that the client's stream header negotiated binary message
-	// frames; binary bodies routed to it travel framed instead of
-	// base64-wrapped.
-	bin bool
 
 	writeMu sync.Mutex
 }
 
 func (sess *session) send(v any) error {
-	b, err := marshalStanza(v)
-	if err != nil {
-		return err
-	}
 	sess.writeMu.Lock()
 	defer sess.writeMu.Unlock()
-	_, err = sess.conn.Write(append(b, '\n'))
-	return err
+	return writeStanza(sess.conn, v)
 }
 
-// sendMessage writes a message stanza in the representation this session
-// negotiated: binary bodies go framed to frame-capable clients and fall back
-// to "b:"+base64 XML character data for legacy ones; text bodies pass
-// through as plain XML either way.
-func (sess *session) sendMessage(m *messageStanza) error {
-	if m.bodyRaw == nil {
-		return sess.send(*m)
-	}
-	if sess.bin {
-		bp := getWireBuf()
-		buf := appendFrame((*bp)[:0], m.To, m.From, m.ID, m.T, m.bodyRaw)
-		sess.writeMu.Lock()
-		_, err := sess.conn.Write(buf)
-		sess.writeMu.Unlock()
-		putWireBuf(bp, buf)
-		return err
-	}
-	m2 := *m
-	m2.bodyRaw = nil
-	m2.Body = bodyWrapPrefix + base64.StdEncoding.EncodeToString(m.bodyRaw)
-	return sess.send(m2)
+// sendMessage writes a message as a binary frame.
+func (sess *session) sendMessage(m *message) error {
+	bp := getWireBuf()
+	buf := appendFrame((*bp)[:0], m.To, m.From, m.ID, m.T, m.Body)
+	sess.writeMu.Lock()
+	_, err := sess.conn.Write(buf)
+	sess.writeMu.Unlock()
+	putWireBuf(bp, buf)
+	return err
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -289,8 +266,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	if !ok {
 		return
 	}
-	clientBin := hdr.Bin == streamBinAttr
 	if _, err := conn.Write(streamOpenLine("from", Domain)); err != nil {
+		return
+	}
+	if hdr.Bin != streamBinAttr {
+		// Version check: messages travel as binary frames only.
+		writeStanza(conn, failureStanza{Reason: reasonWireVersion})
 		return
 	}
 
@@ -303,14 +284,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := xml.Unmarshal(line, &auth); err != nil {
 		return
 	}
-	sess, failReason := s.authenticate(&auth, conn, clientBin)
+	sess, failReason := s.authenticate(&auth, conn)
 	if sess == nil {
-		b, _ := marshalStanza(failureStanza{Reason: failReason})
-		conn.Write(append(b, '\n'))
+		writeStanza(conn, failureStanza{Reason: failReason})
 		return
 	}
 	conn.SetDeadline(time.Time{})
-	if err := sess.send(successStanza{JID: sess.jid.String()}); err != nil {
+	// authenticate returned with sess.writeMu held: the session is already
+	// visible to other sessions' presence broadcasts, and none of them may
+	// overtake the success stanza the client's handshake is waiting for.
+	err = writeStanza(conn, successStanza{JID: sess.jid.String()})
+	sess.writeMu.Unlock()
+	if err != nil {
 		s.dropSession(sess)
 		return
 	}
@@ -334,14 +319,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		switch elementName(line) {
-		case "message":
-			mm, ok := parseMessageLine(line)
-			if !ok {
-				if err := xml.Unmarshal(line, &mm); err != nil {
-					return
-				}
-			}
-			s.routeMessage(sess, mm)
 		case "iq":
 			var iq iqStanza
 			if err := xml.Unmarshal(line, &iq); err != nil {
@@ -357,8 +334,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			if p.Type == "unavailable" {
 				return
 			}
-		case "":
-			// Not a stanza line at all: protocol violation, hang up.
+		case "", "message":
+			// Not a stanza line at all, or a message outside a binary frame:
+			// protocol violation, hang up.
 			return
 		default:
 			// Unknown stanza kinds are skipped, as the streaming decoder did.
@@ -366,7 +344,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) authenticate(auth *authStanza, conn net.Conn, bin bool) (*session, string) {
+func (s *Server) authenticate(auth *authStanza, conn net.Conn) (*session, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -397,8 +375,8 @@ func (s *Server) authenticate(auth *authStanza, conn net.Conn, bin bool) (*sessi
 		user: auth.User,
 		jid:  JID(auth.User + "@" + Domain + "/" + resource),
 		conn: conn,
-		bin:  bin,
 	}
+	sess.writeMu.Lock() // released by serveConn once success is written
 	s.sessions[auth.User] = sess
 	s.obsSessions.Set(float64(len(s.sessions)))
 	return sess, ""
@@ -417,7 +395,7 @@ func (s *Server) dropSession(sess *session) {
 // stanza: XMPP-level delivery is best-effort (Pogo adds end-to-end acks).
 // With OfflineQueue enabled, messages for offline (or stale-session) users
 // are buffered for session resumption instead of bounced.
-func (s *Server) routeMessage(from *session, m messageStanza) {
+func (s *Server) routeMessage(from *session, m message) {
 	toUser := JID(m.To).User()
 	s.mu.Lock()
 	dst := s.sessions[toUser]
@@ -460,7 +438,7 @@ func (s *Server) bounce(from *session, id, reason string) {
 
 // queueOffline buffers m for user until their next session, dropping the
 // oldest stanza when the queue is full.
-func (s *Server) queueOffline(user string, m messageStanza) {
+func (s *Server) queueOffline(user string, m message) {
 	dropped := false
 	s.mu.Lock()
 	q := s.queues[user]
@@ -542,53 +520,5 @@ func (s *Server) sendInitialPresence(sess *session) {
 	sort.Strings(online)
 	for _, c := range online {
 		sess.send(presenceStanza{From: MakeJID(c).String(), Type: "available"})
-	}
-}
-
-// expectElement reads the next start element, requiring the given name, and
-// decodes it into v. A stream header is left open (not consumed to EOF).
-func expectElement(dec *xml.Decoder, name string, v any) error {
-	tok, err := nextStart(dec)
-	if err != nil {
-		return err
-	}
-	if tok.Name.Local != name {
-		return fmt.Errorf("xmpp: expected <%s>, got <%s>", name, tok.Name.Local)
-	}
-	if name == "stream" {
-		// Stream elements stay open for the connection's lifetime; decode
-		// attributes by hand instead of consuming to the end tag.
-		hdr, ok := v.(*streamHeader)
-		if !ok {
-			return errors.New("xmpp: bad stream target")
-		}
-		for _, a := range tok.Attr {
-			switch a.Name.Local {
-			case "to":
-				hdr.To = a.Value
-			case "from":
-				hdr.From = a.Value
-			}
-		}
-		return nil
-	}
-	return dec.DecodeElement(v, &tok)
-}
-
-// nextStart advances to the next XML start element.
-func nextStart(dec *xml.Decoder) (xml.StartElement, error) {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return xml.StartElement{}, err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			return t, nil
-		case xml.EndElement:
-			if t.Name.Local == "stream" {
-				return xml.StartElement{}, io.EOF
-			}
-		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package xmpp implements the subset of the XMPP instant-messaging protocol
 // that Pogo relies on (§4.6 of the paper): XML streams over TCP, PLAIN-style
 // authentication, rosters ("buddy lists" capturing which devices are
-// assigned to which researchers), presence, and message stanzas.
+// assigned to which researchers), presence, and messages. Control stanzas are
+// newline-delimited XML; messages travel as binary frames (see wire.go).
 //
 // The paper runs an off-the-shelf Openfire server; this package is the
 // equivalent switchboard, written from scratch on the standard library. It
@@ -13,6 +14,7 @@ package xmpp
 import (
 	"encoding/xml"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -48,14 +50,10 @@ func (j JID) User() string {
 // String returns the JID text.
 func (j JID) String() string { return string(j) }
 
-// streamHeader opens an XML stream in either direction. Bin advertises
-// binary message-frame support ("1"); absent on legacy peers, which
-// therefore never receive frames.
+// streamHeader opens a stream in either direction. Bin is the wire version
+// (streamBinAttr); a peer whose header lacks it is refused.
 type streamHeader struct {
-	XMLName xml.Name `xml:"stream"`
-	To      string   `xml:"to,attr,omitempty"`
-	From    string   `xml:"from,attr,omitempty"`
-	Bin     string   `xml:"bin,attr,omitempty"`
+	To, From, Bin string
 }
 
 // authStanza carries simplified PLAIN credentials and the desired resource.
@@ -85,48 +83,40 @@ type presenceStanza struct {
 	Type    string   `xml:"type,attr"` // "available" or "unavailable"
 }
 
-// messageStanza is a routed chat message. Pogo puts its JSON envelopes in
-// Body. Type "error" bounces an undeliverable message back to the sender.
-// T optionally carries the causal trace IDs of the enveloped batch
-// (comma-joined hex, see TraceAttr) so the switchboard can record
-// route/offline/replay hops without parsing the opaque body.
+// message is one routed message, carried on the wire as a binary frame
+// (wire.go). Pogo puts its transport envelopes in Body. T optionally carries
+// the causal trace IDs of the enveloped batch (see TraceAttr) so the
+// switchboard can record route/offline/replay hops without parsing the
+// opaque body.
+type message struct {
+	To, From, ID, T string
+	Body            []byte
+}
+
+// messageStanza is the one XML message left: the server's type="error"
+// bounce of an undeliverable message back to its sender, reason in Body.
 type messageStanza struct {
 	XMLName xml.Name `xml:"message"`
 	From    string   `xml:"from,attr,omitempty"`
 	To      string   `xml:"to,attr"`
 	ID      string   `xml:"id,attr,omitempty"`
 	Type    string   `xml:"type,attr,omitempty"`
-	T       string   `xml:"t,attr,omitempty"`
 	Body    string   `xml:"body"`
-
-	// bodyRaw, when non-nil, holds the body as raw bytes from a binary
-	// message frame (Body is then empty). It is invisible to the XML codec;
-	// writers pick the representation per recipient: a frame to a
-	// frame-capable peer, "b:"+base64 XML to a legacy one.
-	bodyRaw []byte
 }
 
-// rawBody returns the stanza's body as bytes, whatever representation it
-// arrived in. The returned slice is owned by the stanza.
-func (m *messageStanza) rawBody() []byte {
-	if m.bodyRaw != nil {
-		return m.bodyRaw
-	}
-	return []byte(m.Body)
-}
+// maxTraceAttrIDs is how many 16-hex-digit IDs plus separating commas fit in
+// one frame field (17n − 1 ≤ maxFrameField).
+const maxTraceAttrIDs = (maxFrameField + 1) / 17
 
-// bodyString returns the stanza's body as a string.
-func (m *messageStanza) bodyString() string {
-	if m.bodyRaw != nil {
-		return string(m.bodyRaw)
-	}
-	return m.Body
-}
-
-// TraceAttr renders a batch's trace IDs as the stanza t attribute:
-// fixed-width lowercase hex, comma-joined, empty when every ID is zero (so
-// untraced senders emit byte-identical stanzas to pre-tracing peers).
+// TraceAttr renders a batch's trace IDs as the frame's trace field:
+// fixed-width lowercase hex, comma-joined, empty when every ID is zero. Only
+// the first maxTraceAttrIDs are rendered — switchboard hop tracing is
+// best-effort, and an over-long field would make the server drop the stream
+// (and with it the batch, on every retransmission).
 func TraceAttr(traces []obs.TraceID) string {
+	if len(traces) > maxTraceAttrIDs {
+		traces = traces[:maxTraceAttrIDs]
+	}
 	any := false
 	for _, t := range traces {
 		if t != 0 {
@@ -147,7 +137,7 @@ func TraceAttr(traces []obs.TraceID) string {
 	return sb.String()
 }
 
-// ParseTraceAttr parses a t attribute back into trace IDs; malformed
+// ParseTraceAttr parses a trace field back into trace IDs; malformed
 // segments decode as 0 (untraced) rather than failing the stanza.
 func ParseTraceAttr(s string) []obs.TraceID {
 	if s == "" {
@@ -189,4 +179,15 @@ func marshalStanza(v any) ([]byte, error) {
 		return nil, fmt.Errorf("xmpp: marshal %T: %w", v, err)
 	}
 	return b, nil
+}
+
+// writeStanza writes v as one XML stanza line. The caller serializes writes
+// on w.
+func writeStanza(w io.Writer, v any) error {
+	b, err := marshalStanza(v)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }

@@ -31,6 +31,28 @@ func TestTraceAttrRoundTrip(t *testing.T) {
 	}
 }
 
+// A batch with more IDs than fit one frame field renders only the prefix that
+// fits: the switchboard loses hop tracing for the tail, never the batch.
+func TestTraceAttrFitsFrameField(t *testing.T) {
+	traces := make([]obs.TraceID, 300)
+	for i := range traces {
+		traces[i] = obs.NewTraceID(1, "a", uint64(i+1))
+	}
+	attr := TraceAttr(traces)
+	if len(attr) > maxFrameField {
+		t.Fatalf("300 IDs render %d bytes, over the %d-byte field bound", len(attr), maxFrameField)
+	}
+	got := ParseTraceAttr(attr)
+	if len(got) != maxTraceAttrIDs || len(TraceAttr(traces[:maxTraceAttrIDs+1])) != len(attr) {
+		t.Fatalf("rendered %d IDs, want the %d that fit", len(got), maxTraceAttrIDs)
+	}
+	for i, id := range got {
+		if id != traces[i] {
+			t.Fatalf("id %d: %s != %s", i, id, traces[i])
+		}
+	}
+}
+
 // TestServerRecordsTraceHops drives a traced stanza through the three
 // switchboard paths — live route, offline queue, session-resumption replay —
 // and checks each leaves its causal hop in the server's span store.

@@ -1,61 +1,52 @@
-// Stanza wire framing: newline-delimited XML with an optional binary frame
-// fast path.
+// Stanza wire framing. A stream carries two kinds of stanza, told apart by
+// their first byte:
 //
-// Every stanza this implementation writes is a single line — xml.Marshal
-// escapes CR/LF in both attributes and character data — so the reader is
-// line-oriented rather than a streaming XML decoder. That removes the
-// token-by-token decoder allocations from the per-message path and lets the
-// reader sniff each stanza's representation from its first byte:
+//	'<'   one XML stanza per line: the stream header, auth, success/failure,
+//	      presence, iq, and the server's type="error" message bounce. Every
+//	      stanza this implementation writes is a single line — xml.Marshal
+//	      escapes CR/LF in both attributes and character data — so the reader
+//	      is line-oriented rather than a streaming XML decoder.
+//	0xB3  a binary message frame. Every message travels this way, body bytes
+//	      verbatim:
 //
-//	'<'   an XML stanza line (legacy peers, and all non-message stanzas)
-//	0xB3  a binary message frame (negotiated, see below)
+//	        uvarint len + bytes  × 4:  to, from, id, trace field (TraceAttr)
+//	        uvarint len + bytes:       body (arbitrary bytes)
+//	        '\n'                       terminator (framing self-check)
 //
-// Binary message frames carry Pogo's binary-codec envelopes without the
-// base64 detour XML character data used to force (+33% bytes and an
-// encode/decode pass per hop). Frame layout, after the 0xB3 magic:
-//
-//	uvarint len + bytes  × 4:  to, from, id, trace-attr
-//	uvarint len + bytes:       body (arbitrary bytes)
-//	'\n'                       terminator (framing self-check)
-//
-// Frames are only sent to peers that negotiated them: both stream headers
-// carry a bin="1" attribute when the speaker understands frames, and each
-// side sends frames only after seeing the peer's. A legacy peer therefore
-// never observes a frame; binary bodies routed to it are re-wrapped as
-// "b:" + base64 XML character data exactly as before (version-sniffed
-// fallback). 0xB3 cannot begin an XML stanza ('<' is 0x3C) and cannot begin
-// a legacy line (stanza lines start with '<'), so the sniff is unambiguous.
+// Version check: both stream headers carry bin="1", and a peer whose header
+// lacks it is refused — the server answers with a failure stanza and closes,
+// the client's Dial returns an error. There is no other message encoding to
+// fall back to.
 package xmpp
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
-	"unicode/utf8"
 )
 
 // frameMagic is the first byte of a binary message frame. It is deliberately
 // outside the valid-UTF-8-start range of any stanza line.
 const frameMagic = 0xB3
 
-// streamBinAttr is the stream-header attribute value advertising frame
-// support.
+// streamBinAttr is the value of the stream header's bin attribute: the wire
+// version both ends must announce.
 const streamBinAttr = "1"
 
-// bodyWrapPrefix marks an XML body carrying a base64-wrapped binary payload
-// (the legacy fallback). It cannot collide with a CRC-framed transport
-// payload: those put their ':' at offset 8, not 1.
-const bodyWrapPrefix = "b:"
+// reasonWireVersion is the failure reason (server) and Dial error (client)
+// for a peer whose stream header does not announce streamBinAttr.
+const reasonWireVersion = "unsupported-wire-version"
 
 // Wire size bounds: hostile peers must not make the reader allocate
 // unboundedly off a forged length prefix.
 const (
 	maxLineLen    = 1 << 20 // one XML stanza line
-	maxFrameField = 1 << 12 // to / from / id / trace attr
+	maxFrameField = 1 << 12 // to / from / id / trace field
 	maxFrameBody  = 1 << 24 // message body
 )
 
@@ -94,19 +85,6 @@ func appendFrameStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// bodyIsXMLSafe reports whether payload can travel as XML character data:
-// XML 1.0 forbids most control characters, and binary-codec envelopes are
-// full of them. JSON-codec frames are plain ASCII and pass through
-// unwrapped, byte-for-byte compatible with pre-codec peers.
-func bodyIsXMLSafe(payload []byte) bool {
-	for _, c := range payload {
-		if c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
-			return false
-		}
-	}
-	return utf8.Valid(payload)
-}
-
 // stanzaReader reads one stanza at a time off a connection, sniffing each
 // stanza's representation from its first byte. It owns all read buffering on
 // the connection (nothing else may read concurrently).
@@ -122,11 +100,11 @@ func newStanzaReader(r io.Reader) *stanzaReader {
 // m populated — its body buffer is freshly allocated and owned by the
 // caller) or one XML line (isFrame false; line aliases the reader's buffer
 // and is valid only until the next call).
-func (sr *stanzaReader) next() (m messageStanza, isFrame bool, line []byte, err error) {
+func (sr *stanzaReader) next() (m message, isFrame bool, line []byte, err error) {
 	for {
 		b, err := sr.r.Peek(1)
 		if err != nil {
-			return messageStanza{}, false, nil, err
+			return message{}, false, nil, err
 		}
 		switch b[0] {
 		case '\n', '\r':
@@ -136,16 +114,16 @@ func (sr *stanzaReader) next() (m messageStanza, isFrame bool, line []byte, err 
 			return m, true, nil, err
 		default:
 			line, err := sr.readLine()
-			return messageStanza{}, false, line, err
+			return message{}, false, line, err
 		}
 	}
 }
 
 // readFrame parses one binary message frame (the magic byte is still
 // unconsumed).
-func (sr *stanzaReader) readFrame() (messageStanza, error) {
+func (sr *stanzaReader) readFrame() (message, error) {
 	sr.r.Discard(1)
-	var m messageStanza
+	var m message
 	var err error
 	if m.To, err = sr.readFrameStr(); err != nil {
 		return m, err
@@ -180,7 +158,7 @@ func (sr *stanzaReader) readFrame() (messageStanza, error) {
 	if nl != '\n' {
 		return m, errors.New("xmpp: unterminated frame")
 	}
-	m.bodyRaw = body
+	m.Body = body
 	return m, nil
 }
 
@@ -266,234 +244,29 @@ func elementName(line []byte) string {
 	return string(line[1:i])
 }
 
-// scanAttrs walks the name="value" attributes of a start tag, invoking fn
-// with raw (still-escaped) value bytes. It returns the offset just past the
-// tag's closing '>' (with selfClosed set for <.../> tags), or ok=false on
-// any syntax it does not understand — callers fall back to encoding/xml.
-func scanAttrs(line []byte, fn func(name string, rawValue []byte)) (rest int, selfClosed, ok bool) {
-	i := 1
-	// Skip the element name.
-	for i < len(line) && line[i] != ' ' && line[i] != '\t' && line[i] != '>' && line[i] != '/' {
-		i++
-	}
-	for {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		if i >= len(line) {
-			return 0, false, false
-		}
-		if line[i] == '>' {
-			return i + 1, false, true
-		}
-		if line[i] == '/' {
-			if i+1 < len(line) && line[i+1] == '>' {
-				return i + 2, true, true
-			}
-			return 0, false, false
-		}
-		nameStart := i
-		for i < len(line) && line[i] != '=' && line[i] != ' ' && line[i] != '>' {
-			i++
-		}
-		if i >= len(line) || line[i] != '=' {
-			return 0, false, false
-		}
-		name := line[nameStart:i]
-		i++
-		if i >= len(line) || (line[i] != '"' && line[i] != '\'') {
-			return 0, false, false
-		}
-		quote := line[i]
-		i++
-		valStart := i
-		for i < len(line) && line[i] != quote {
-			i++
-		}
-		if i >= len(line) {
-			return 0, false, false
-		}
-		fn(string(name), line[valStart:i])
-		i++
-	}
-}
-
-// unescapeXML resolves the XML entities our marshaler (and any conforming
-// peer) can emit. Input without '&' is returned with a single string copy.
-func unescapeXML(b []byte) (string, bool) {
-	amp := -1
-	for i, c := range b {
-		if c == '&' {
-			amp = i
-			break
-		}
-	}
-	if amp < 0 {
-		return string(b), true
-	}
-	var sb strings.Builder
-	sb.Grow(len(b))
-	sb.Write(b[:amp])
-	i := amp
-	for i < len(b) {
-		c := b[i]
-		if c != '&' {
-			sb.WriteByte(c)
-			i++
-			continue
-		}
-		end := -1
-		for j := i + 1; j < len(b) && j <= i+10; j++ {
-			if b[j] == ';' {
-				end = j
-				break
-			}
-		}
-		if end < 0 {
-			return "", false
-		}
-		ent := string(b[i+1 : end])
-		switch ent {
-		case "amp":
-			sb.WriteByte('&')
-		case "lt":
-			sb.WriteByte('<')
-		case "gt":
-			sb.WriteByte('>')
-		case "quot":
-			sb.WriteByte('"')
-		case "apos":
-			sb.WriteByte('\'')
-		default:
-			r, ok := parseCharRef(ent)
-			if !ok {
-				return "", false
-			}
-			sb.WriteRune(r)
-		}
-		i = end + 1
-	}
-	return sb.String(), true
-}
-
-func parseCharRef(ent string) (rune, bool) {
-	if len(ent) < 2 || ent[0] != '#' {
-		return 0, false
-	}
-	var n uint64
-	if ent[1] == 'x' || ent[1] == 'X' {
-		for _, c := range ent[2:] {
-			var d uint64
-			switch {
-			case c >= '0' && c <= '9':
-				d = uint64(c - '0')
-			case c >= 'a' && c <= 'f':
-				d = uint64(c-'a') + 10
-			case c >= 'A' && c <= 'F':
-				d = uint64(c-'A') + 10
-			default:
-				return 0, false
-			}
-			n = n<<4 | d
-			if n > utf8.MaxRune {
-				return 0, false
-			}
-		}
-		if len(ent) == 2 {
-			return 0, false
-		}
-	} else {
-		for _, c := range ent[1:] {
-			if c < '0' || c > '9' {
-				return 0, false
-			}
-			n = n*10 + uint64(c-'0')
-			if n > utf8.MaxRune {
-				return 0, false
-			}
-		}
-	}
-	return rune(n), true
-}
-
-// parseMessageLine is the hand-rolled fast path for <message> stanza lines:
-// a generic attribute scan plus a strict <body>…</body> tail, with entity
-// unescaping only where an escape actually occurs. Returns ok=false on any
-// shape it does not recognize; callers then fall back to encoding/xml, so
-// the fast path never has to be complete, only correct.
-func parseMessageLine(line []byte) (messageStanza, bool) {
-	var m messageStanza
-	attrsOK := true
-	rest, selfClosed, ok := scanAttrs(line, func(name string, raw []byte) {
-		v, vok := unescapeXML(raw)
-		if !vok {
-			attrsOK = false
-			return
-		}
-		switch name {
-		case "from":
-			m.From = v
-		case "to":
-			m.To = v
-		case "id":
-			m.ID = v
-		case "type":
-			m.Type = v
-		case "t":
-			m.T = v
-		}
-	})
-	if !ok || !attrsOK {
-		return messageStanza{}, false
-	}
-	if selfClosed {
-		if rest != len(line) {
-			return messageStanza{}, false
-		}
-		return m, true
-	}
-	tail := line[rest:]
-	const openTag, closeTag = "<body>", "</body></message>"
-	if len(tail) < len(openTag)+len(closeTag) ||
-		string(tail[:len(openTag)]) != openTag ||
-		string(tail[len(tail)-len(closeTag):]) != closeTag {
-		return messageStanza{}, false
-	}
-	body, bok := unescapeXML(tail[len(openTag) : len(tail)-len(closeTag)])
-	if !bok {
-		return messageStanza{}, false
-	}
-	m.Body = body
-	return m, true
-}
-
 // parseStreamHeader parses a stream-open line: `<stream to="..." bin="1">`.
 // Stream elements stay open for the connection's lifetime, so they are never
-// well-formed standalone XML — attributes are always scanned by hand.
+// well-formed standalone XML — only the start tag is tokenized.
 func parseStreamHeader(line []byte) (hdr streamHeader, ok bool) {
-	if elementName(line) != "stream" {
+	tok, err := xml.NewDecoder(bytes.NewReader(line)).Token()
+	start, isStart := tok.(xml.StartElement)
+	if err != nil || !isStart || start.Name.Local != "stream" {
 		return hdr, false
 	}
-	attrsOK := true
-	_, _, ok = scanAttrs(line, func(name string, raw []byte) {
-		v, vok := unescapeXML(raw)
-		if !vok {
-			attrsOK = false
-			return
-		}
-		switch name {
+	for _, a := range start.Attr {
+		switch a.Name.Local {
 		case "to":
-			hdr.To = v
+			hdr.To = a.Value
 		case "from":
-			hdr.From = v
+			hdr.From = a.Value
 		case "bin":
-			hdr.Bin = v
+			hdr.Bin = a.Value
 		}
-	})
-	return hdr, ok && attrsOK
+	}
+	return hdr, true
 }
 
-// streamOpenLine renders a stream header advertising frame support.
+// streamOpenLine renders a stream header announcing the wire version.
 func streamOpenLine(attr, value string) []byte {
 	return []byte(fmt.Sprintf(`<stream %s=%q bin=%q>`+"\n", attr, value, streamBinAttr))
 }

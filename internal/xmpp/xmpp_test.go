@@ -1,9 +1,17 @@
 package xmpp
 
 import (
+	"bytes"
+	"encoding/hex"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"pogo/internal/obs"
 )
 
 func startServer(t *testing.T, cfg ServerConfig) *Server {
@@ -304,4 +312,75 @@ func TestManyClientsConcurrent(t *testing.T) {
 		defer mu.Unlock()
 		return len(bodies) == n*10
 	})
+}
+
+// hostileBody is deliberately unfit for XML character data: control bytes, a
+// NUL, an invalid UTF-8 sequence, a newline, and the frame magic itself.
+var hostileBody = []byte{0x00, 0x01, 'p', 'o', 'g', 'o', 0xff, 0xfe, '\n', 0x7f, frameMagic, '<'}
+
+// A hostile binary body must survive client → server → client byte for byte.
+func TestHostileBodySurvivesFrames(t *testing.T) {
+	s := startServer(t, ServerConfig{})
+	s.AddAccount("alice", "pw")
+	s.AddAccount("bob", "pw")
+	s.Associate("alice", "bob")
+
+	bob := dial(t, s, "bob", "pw")
+	got := make(chan []byte, 1)
+	bob.OnMessageRaw(func(_ JID, _ string, body []byte) { got <- body })
+
+	alice := dial(t, s, "alice", "pw")
+	if err := alice.SendMessageBytes(MakeJID("bob"), "f1", hostileBody, ""); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case body := <-got:
+		if !bytes.Equal(body, hostileBody) {
+			t.Fatalf("frame payload mangled: got %x want %x", body, hostileBody)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("framed message never arrived")
+	}
+}
+
+// readHexFixture loads a checked-in wire fixture from the transport package's
+// testdata (hex text, whitespace ignored).
+func readHexFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "transport", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return b
+}
+
+// The checked-in 0xB3 frame — a client's send of the fixture data envelope
+// with both items' trace IDs in the trace field — pins the frame layout byte
+// for byte in both directions.
+func TestStanzaFrameFixture(t *testing.T) {
+	want := readHexFixture(t, "stanza_frame.hex")
+	m := message{
+		To:   "collector@pogo",
+		ID:   "1",
+		T:    TraceAttr([]obs.TraceID{0x0123456789abcdef, 0xfedcba9876543210}),
+		Body: readHexFixture(t, "data_envelope.hex"),
+	}
+	if got := appendFrame(nil, m.To, m.From, m.ID, m.T, m.Body); !bytes.Equal(got, want) {
+		t.Fatalf("frame encoding moved:\n got %x\nwant %x", got, want)
+	}
+	sr := newStanzaReader(bytes.NewReader(want))
+	got, isFrame, _, err := sr.next()
+	if err != nil || !isFrame {
+		t.Fatalf("fixture did not read as a frame: isFrame=%v err=%v", isFrame, err)
+	}
+	if got.To != m.To || got.From != m.From || got.ID != m.ID || got.T != m.T || !bytes.Equal(got.Body, m.Body) {
+		t.Fatalf("decoded %+v, want %+v", got, m)
+	}
+	if _, _, _, err := sr.next(); err != io.EOF {
+		t.Fatalf("bytes after the fixture frame: %v", err)
+	}
 }
