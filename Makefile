@@ -39,11 +39,15 @@ connscale-smoke:
 	$(GO) run ./cmd/pogo-bench -run connscale -conns 2000 -gate
 
 # check is the tier-1 gate: vet, the full test suite under the race
-# detector, the library-stdout guard, a short fuzz smoke of the wire-facing
-# parsers, the determinism diffs, and the allocation regression gate.
+# detector, the end-to-end harness's own smoke (bench/ is a nested module
+# `go test ./...` does not descend into: real stack with the audit on, and
+# BENCHMARK.json checked against the harness), the library-stdout guard, a
+# short fuzz smoke of the wire-facing parsers, the determinism diffs, and the
+# allocation regression gate.
 check: stdout-guard
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) -C bench test -short ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) scenario
 	$(MAKE) determinism

@@ -195,6 +195,85 @@ func hotpathBenchmarks() []struct {
 				b.Fatalf("delivered %d of %d", delivered-primed, b.N)
 			}
 		}},
+		{"flush_one_new_10_inflight", func(b *testing.B) { benchFlushOneNew(b, 10) }},
+		{"flush_one_new_1k_inflight", func(b *testing.B) { benchFlushOneNew(b, 1000) }},
+	}
+}
+
+// benchPort is a synchronous in-process messenger: Send runs the peer's
+// receive handler before it returns, so a flush's ack is back by the time
+// Flush is — one op is the whole enqueue → flush → deliver → ack cycle with
+// no simulated network in between. While drop is set, payloads vanish.
+type benchPort struct {
+	id   string
+	peer *benchPort
+	recv func(from string, payload []byte)
+	buf  []byte
+	drop bool
+}
+
+func (p *benchPort) LocalID() string { return p.id }
+func (p *benchPort) Online() bool    { return true }
+func (p *benchPort) Send(to string, payload []byte) error {
+	if p.drop {
+		return nil
+	}
+	// The receiver gets its own copy, as over any real link; the buffer is
+	// free again when Send returns (a nested ack uses the peer's buffer).
+	p.buf = append(p.buf[:0], payload...)
+	p.peer.recv(p.id, p.buf)
+	return nil
+}
+func (p *benchPort) OnReceive(fn func(from string, payload []byte)) { p.recv = fn }
+func (p *benchPort) OnOnline(func())                                {}
+func (p *benchPort) OnPresence(func(peer string, online bool))      {}
+func (p *benchPort) Peers() []string                                { return []string{p.peer.id} }
+
+// idleClock stands still and never fires. The flush rows measure what a
+// flush computes; on a simulated clock every op would also pay for the event
+// the re-armed retry timer leaves in the simulator's queue.
+type idleClock struct{ now time.Time }
+
+func (c idleClock) Now() time.Time                               { return c.now }
+func (c idleClock) AfterFunc(time.Duration, func()) vclock.Timer { return idleTimer{} }
+
+type idleTimer struct{}
+
+func (idleTimer) Stop() bool { return true }
+
+// benchFlushOneNew measures "enqueue one message and flush it" on an
+// endpoint that already has `inflight` entries sent and unacknowledged (on
+// another channel, backoff an hour away). The cost of a flush must follow
+// what it sends, not what is pending: the 1k row should read like the 10 row. The one
+// allocation per op is the outbox taking its own copy of the payload.
+func benchFlushOneNew(b *testing.B, inflight int) {
+	clk := idleClock{now: vclock.SimEpoch}
+	pp, cp := &benchPort{id: "phone"}, &benchPort{id: "collector"}
+	pp.peer, cp.peer = cp, pp
+	cfg := transport.EndpointConfig{BootID: "bench", RetryAfter: time.Hour}
+	phone := transport.NewEndpoint(pp, store.OpenMemory(), clk, cfg)
+	transport.NewEndpoint(cp, store.OpenMemory(), clk, cfg)
+	payload := hotpathPayload()
+	pp.drop = true
+	for i := 0; i < inflight; i++ {
+		if err := phone.Enqueue("collector", "stuck", payload); err != nil {
+			b.Fatal(err)
+		}
+		phone.Flush()
+	}
+	pp.drop = false
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := phone.Enqueue("collector", "bench", payload); err != nil {
+			b.Fatal(err)
+		}
+		phone.Flush()
+	}
+	b.StopTimer()
+	if st := phone.Stats(); phone.Pending() != inflight || st.Retries != 0 || st.MessagesSent != inflight+b.N {
+		b.Fatalf("pending %d (want %d), retries %d, sent %d of %d",
+			phone.Pending(), inflight, st.Retries, st.MessagesSent, inflight+b.N)
 	}
 }
 
@@ -241,6 +320,12 @@ const (
 	gateSlackAllocs = 2
 	gateSlackBytes  = 64
 )
+
+// flushScaleLimit bounds flush_one_new_1k_inflight's ns/op relative to
+// flush_one_new_10_inflight's. A flush that looks at the whole backlog reads
+// two orders of magnitude here; one that does not reads 1.0, so 2 leaves
+// room for noise and none for a scan.
+const flushScaleLimit = 2.0
 
 func gateHotpath(fresh []hotpathResult) error {
 	data, err := os.ReadFile(hotpathFileName)
@@ -310,6 +395,22 @@ func gateHotpath(fresh []hotpathResult) error {
 		if !found {
 			fmt.Printf("%-28s  removed from suite but still in baseline\n", name)
 		}
+	}
+	// The one wall-clock figure that is a property of the code: both flush
+	// rows ran in this process on this machine, so their ratio says whether
+	// a flush still costs what it sends rather than what is pending.
+	byName := make(map[string]hotpathResult, len(fresh))
+	for _, f := range fresh {
+		byName[f.Name] = f
+	}
+	if few, many := byName["flush_one_new_10_inflight"], byName["flush_one_new_1k_inflight"]; few.NsPerOp > 0 {
+		ratio := many.NsPerOp / few.NsPerOp
+		verdict := ""
+		if ratio > flushScaleLimit {
+			verdict = "FAIL"
+			failures++
+		}
+		fmt.Printf("flush at 1k inflight / at 10 inflight: %.2fx (fail above %.1fx)  %s\n", ratio, flushScaleLimit, verdict)
 	}
 	if failures > 0 {
 		return fmt.Errorf("bench gate: %d hard regression(s); if intended, regenerate the baseline with `pogo-bench -run hotpath`", failures)

@@ -22,6 +22,15 @@
 //     the sender's outbox) so the receiver can skip gaps left by the max-age
 //     purge or a pre-reboot ack instead of stalling forever.
 //
+// A flush costs what it sends, not what is pending. It selects under the
+// endpoint lock, against the live outbox: on a policy flush the entries past
+// a send cursor (everything enqueued since the last one) and the entries the
+// messenger refused last time; on every flush the inflight entries at the
+// head of a deadline queue whose backoff has run out. The same queue's head
+// is the instant the retransmission timer is armed for, and the outbox
+// answers the floors from its own per-channel bookkeeping — no step looks
+// at an entry the flush does not send.
+//
 // Two Messenger implementations are provided: a real XMPP client adapter
 // (xmppnet.go) used by the cmd/ binaries, and an in-memory switchboard
 // (memnet.go) whose deliveries traverse the simulated radios — so every
@@ -30,6 +39,7 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -95,8 +105,9 @@ type Outgoing struct {
 // destination's envelope and issues a single conn.Write per connection.
 // SendBatch reports how many envelopes (a strict prefix of batch) were
 // accepted for transmission; the endpoint treats the remainder as send
-// failures and leaves their entries for the retransmission path, so a
-// connection cut mid-batch degrades into retries, never loss or duplicates.
+// failures — entries not yet transmitted stay unsent for the next flush,
+// retransmissions stay due — so a connection cut mid-batch degrades into
+// retries, never loss or duplicates.
 // Implementations must copy any payload they retain: the buffers are pooled
 // and reused as soon as SendBatch returns.
 type BatchSender interface {
@@ -305,12 +316,6 @@ func (o *endpointObs) chargeChannel(channel string, n int64) {
 	}
 }
 
-// sendState tracks one inflight (sent, unacked) entry for retry backoff.
-type sendState struct {
-	at       time.Time // last transmission; zero time = retransmit immediately
-	attempts int
-}
-
 // chanOrder is the receiver's FIFO state for one (sender, channel) pair:
 // out-of-order arrivals wait in hold until the gap before them fills (or the
 // sender's floor reveals the gap will never fill).
@@ -367,13 +372,23 @@ type Endpoint struct {
 	onTraced   func(from, channel string, payload msg.Value, trace obs.TraceID)
 	onWire     func(sentBytes, recvBytes int64)
 	peers      map[string]*peerState
-	inflight   map[uint64]sendState
 	nextSeq    map[string]map[string]uint64 // dest → channel → next FIFO sequence
 	traceOf    map[uint64]obs.TraceID       // outbox id → inherited (relayed) trace; roots are derived
 	dirty      map[string]map[string]bool   // dest → channels whose floor moved by expiry
 	retryTimer vclock.Timer                 // pending self-driven retransmission, if any
 	retryFn    func()                       // the timer's callback, allocated once
 	stats      Stats
+
+	// What a flush sends, kept so that selecting it costs the entries it
+	// picks, never the backlog: entries past cursor have not been picked up
+	// yet (policy flushes advance it), refused ones were picked up but the
+	// messenger would not take them (the next policy flush tries again), and
+	// inflight ones wait in retryq for their retransmission deadline.
+	cursor   uint64
+	refused  []uint64
+	inflight map[uint64]*sendState
+	retryq   deadlineQueue
+	free     []*sendState // recycled inflight records
 
 	// flushMu serializes flush so its recycled scratch (fsc) has a single
 	// writer. It is always taken before e.mu, never while holding it.
@@ -396,18 +411,15 @@ type destMeta struct {
 // at a time (flushMu), so the same slices carry every flush and steady-state
 // flushing allocates nothing: no per-flush maps, no per-destination slices.
 type flushScratch struct {
-	pending  []store.Entry  // PendingInto scratch (ID order)
-	byDest   []store.Entry  // pending stably re-sorted by destination
-	elig     []store.Entry  // retry-eligible entries, grouped per dest
+	elig     []store.Entry  // the entries this flush sends, grouped per dest
 	traces   []obs.TraceID  // parallel to elig
-	attempts []int          // per-send bookkeeping scratch
+	attempts []int          // parallel to elig: transmissions before this one
 	batch    []envelopeItem // envelope batch under construction
 	floorCh  []string       // floor channel/seq pairs, grouped per dest
 	floorSeq []uint64
 	dests    []destMeta
-	out      []Outgoing // coalesced-send staging (BatchSender path)
+	out      []Outgoing // coalesced-send staging (BatchSender path), parallel to dests
 	outBufs  []*[]byte
-	outMeta  []destMeta
 }
 
 // sortFloorPairs orders a destination's floor entries by channel in place —
@@ -542,12 +554,43 @@ func (e *Endpoint) notifyWire(sent, recv int64) {
 // unacked may have died with the stale connection) and replays the outbox.
 func (e *Endpoint) onReconnect() {
 	e.mu.Lock()
-	for id, st := range e.inflight {
-		st.at = time.Time{}
-		e.inflight[id] = st
+	// Every deadline becomes the same instant, and a heap of equal keys is
+	// in order wherever its elements sit: retryq needs no fixing up.
+	for _, st := range e.inflight {
+		st.due = time.Time{}
 	}
 	e.mu.Unlock()
 	e.Flush()
+}
+
+// trackLocked starts an inflight record for outbox entry id: picked up by
+// the running flush, first transmission pending. Caller holds e.mu.
+func (e *Endpoint) trackLocked(id uint64) {
+	var st *sendState
+	if n := len(e.free); n > 0 {
+		st, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		st = new(sendState)
+	}
+	*st = sendState{id: id, pos: -1}
+	if e.inflight == nil {
+		e.inflight = make(map[uint64]*sendState)
+	}
+	e.inflight[id] = st
+}
+
+// forgetLocked drops id's inflight record, if any (acked, expired, or handed
+// back by the messenger). Caller holds e.mu.
+func (e *Endpoint) forgetLocked(id uint64) {
+	st := e.inflight[id]
+	if st == nil {
+		return
+	}
+	if st.pos >= 0 {
+		e.retryq.remove(st)
+	}
+	delete(e.inflight, id)
+	e.free = append(e.free, st)
 }
 
 // retryWait returns the backoff before retransmission attempt attempts+1:
@@ -621,7 +664,10 @@ func (e *Endpoint) Flush() int { return e.flush(false) }
 // gone quiet (FlushImmediate with no new enqueues, say) would never
 // retransmit a lost batch: backoff would be computed but nothing would ever
 // fire it. The timer drives retransmissions only — first transmission stays
-// with the flush policy, which owns the energy trade-off (§4.7).
+// with the flush policy, which owns the energy trade-off (§4.7). It is
+// stopped and re-armed after every flush, at the exact head of the deadline
+// queue: simulated runs order same-instant events by arming order, so a
+// timer that merely fired "no later than" the deadline would change them.
 func (e *Endpoint) scheduleRetry(now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -629,53 +675,122 @@ func (e *Endpoint) scheduleRetry(now time.Time) {
 		e.retryTimer.Stop()
 		e.retryTimer = nil
 	}
-	var earliest time.Time
-	for _, st := range e.inflight {
-		if due := st.at.Add(e.retryWait(st.attempts)); earliest.IsZero() || due.Before(earliest) {
-			earliest = due
-		}
-	}
-	if earliest.IsZero() {
+	if len(e.retryq) == 0 {
 		return
 	}
-	delay := earliest.Sub(now)
+	delay := e.retryq[0].due.Sub(now)
 	if delay < time.Millisecond {
 		delay = time.Millisecond
 	}
 	e.retryTimer = e.clk.AfterFunc(delay, e.retryFn)
 }
 
+// purgeExpired applies the max-age policy and forgets everything the
+// endpoint knew about the dropped entries.
+func (e *Endpoint) purgeExpired(now time.Time) {
+	dropped, err := e.box.PurgeExpired(now, e.cfg.MaxAge)
+	if err != nil || len(dropped) == 0 {
+		return
+	}
+	expTraces := make([]obs.TraceID, len(dropped))
+	e.mu.Lock()
+	e.stats.MessagesExpired += len(dropped)
+	for i, entry := range dropped {
+		// The purge moved the channel's floor; mark it so the next
+		// envelope tells the receiver not to wait for the gap.
+		if e.dirty == nil {
+			e.dirty = make(map[string]map[string]bool)
+		}
+		if e.dirty[entry.To] == nil {
+			e.dirty[entry.To] = make(map[string]bool)
+		}
+		e.dirty[entry.To][entry.Channel] = true
+		e.forgetLocked(entry.ID)
+		expTraces[i] = e.traceForLocked(entry.ID)
+		delete(e.traceOf, entry.ID)
+	}
+	e.mu.Unlock()
+	e.obs.expired.Add(int64(len(dropped)))
+	if e.obs.tracing() {
+		e.obs.record(now, "", obs.StageExpire, 0, "count="+strconv.Itoa(len(dropped)))
+		for i, entry := range dropped {
+			e.obs.span(now, expTraces[i], obs.StageExpire, entry.Channel, entry.ID, "to="+entry.To)
+		}
+	}
+}
+
+// selectLocked gathers the entries this flush sends into sc.elig, ordered by
+// (destination, ID), with their traces and prior attempt counts alongside:
+// on a policy flush whatever the messenger refused last time and everything
+// enqueued since the cursor, and on every flush the inflight entries whose
+// backoff has elapsed. Selection reads the live outbox under e.mu — an ack
+// cannot slip between "what is pending" and "what was already sent", so a
+// sent entry is never mistaken for a new one. Caller holds e.mu.
+func (e *Endpoint) selectLocked(sc *flushScratch, now time.Time, retryOnly bool) {
+	elig := sc.elig[:0]
+	if !retryOnly {
+		for _, id := range e.refused {
+			if entry, ok := e.box.Get(id); ok {
+				elig = append(elig, entry)
+			}
+		}
+		e.refused = e.refused[:0]
+		elig = e.box.AppendAfter(elig, e.cursor)
+		if n := len(elig); n > 0 && elig[n-1].ID > e.cursor {
+			e.cursor = elig[n-1].ID
+		}
+		for i := range elig {
+			e.trackLocked(elig[i].ID)
+		}
+	}
+	for st := e.retryq.popDue(now); st != nil; st = e.retryq.popDue(now) {
+		if entry, ok := e.box.Get(st.id); ok {
+			elig = append(elig, entry)
+		} else {
+			e.forgetLocked(st.id) // acked a moment ago; receive is about to say so
+		}
+	}
+	// One destination's entries in outbox-ID (FIFO) order, destinations
+	// ascending: the envelope contents and the send order.
+	slices.SortFunc(elig, func(a, b store.Entry) int {
+		if c := strings.Compare(a.To, b.To); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	sc.elig = elig
+	sc.traces = sc.traces[:0]
+	sc.attempts = sc.attempts[:0]
+	for i := range elig {
+		sc.traces = append(sc.traces, e.traceForLocked(elig[i].ID))
+		sc.attempts = append(sc.attempts, e.inflight[elig[i].ID].attempts)
+	}
+}
+
+// appendFloorsLocked appends dest's floor pairs, sorted by channel, to the
+// scratch: the lowest live sequence of every channel with entries buffered
+// (all of them, not just the ones this flush sends), and for channels the
+// purge drained entirely, the sequence the next enqueue would get. Caller
+// holds e.mu.
+func (e *Endpoint) appendFloorsLocked(sc *flushScratch, dest string) (fl0, fl1 int) {
+	fl0 = len(sc.floorCh)
+	sc.floorCh, sc.floorSeq = e.box.AppendFloors(dest, sc.floorCh, sc.floorSeq)
+	for ch := range e.dirty[dest] {
+		if !floorHas(sc.floorCh[fl0:], ch) {
+			sc.floorCh = append(sc.floorCh, ch)
+			sc.floorSeq = append(sc.floorSeq, e.nextSeq[dest][ch])
+		}
+	}
+	fl1 = len(sc.floorCh)
+	sortFloorPairs(sc.floorCh[fl0:fl1], sc.floorSeq[fl0:fl1])
+	return fl0, fl1
+}
+
 // flush implements Flush. In retryOnly mode (the self-driven retransmission
 // timer) entries never yet transmitted are left for the flush policy.
 func (e *Endpoint) flush(retryOnly bool) int {
 	now := e.clk.Now()
-	if dropped, err := e.box.PurgeExpired(now, e.cfg.MaxAge); err == nil && len(dropped) > 0 {
-		expTraces := make([]obs.TraceID, len(dropped))
-		e.mu.Lock()
-		e.stats.MessagesExpired += len(dropped)
-		for i, entry := range dropped {
-			// The purge moved the channel's floor; mark it so the next
-			// envelope tells the receiver not to wait for the gap.
-			if e.dirty == nil {
-				e.dirty = make(map[string]map[string]bool)
-			}
-			if e.dirty[entry.To] == nil {
-				e.dirty[entry.To] = make(map[string]bool)
-			}
-			e.dirty[entry.To][entry.Channel] = true
-			delete(e.inflight, entry.ID)
-			expTraces[i] = e.traceForLocked(entry.ID)
-			delete(e.traceOf, entry.ID)
-		}
-		e.mu.Unlock()
-		e.obs.expired.Add(int64(len(dropped)))
-		if e.obs.tracing() {
-			e.obs.record(now, "", obs.StageExpire, 0, "count="+strconv.Itoa(len(dropped)))
-			for i, entry := range dropped {
-				e.obs.span(now, expTraces[i], obs.StageExpire, entry.Channel, entry.ID, "to="+entry.To)
-			}
-		}
-	}
+	e.purgeExpired(now)
 	if !e.m.Online() {
 		return 0
 	}
@@ -683,88 +798,35 @@ func (e *Endpoint) flush(retryOnly bool) int {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 	sc := &e.fsc
-	sc.pending = e.box.PendingInto(sc.pending)
-	// Group by destination with a stable sort so each destination's span
-	// keeps outbox-ID (FIFO) order — within one (dest, channel), IDs and
-	// sequences are assigned together under e.mu, so the first entry of a
-	// channel in a span carries that channel's lowest live sequence.
-	sc.byDest = append(sc.byDest[:0], sc.pending...)
-	slices.SortStableFunc(sc.byDest, func(a, b store.Entry) int { return strings.Compare(a.To, b.To) })
-
-	sc.elig = sc.elig[:0]
-	sc.traces = sc.traces[:0]
 	sc.floorCh = sc.floorCh[:0]
 	sc.floorSeq = sc.floorSeq[:0]
 	sc.dests = sc.dests[:0]
 
 	e.mu.Lock()
-	for i := 0; i < len(sc.byDest); {
-		dest := sc.byDest[i].To
-		j := i
-		for j < len(sc.byDest) && sc.byDest[j].To == dest {
-			j++
+	e.selectLocked(sc, now, retryOnly)
+	for i := 0; i < len(sc.elig); {
+		dm := destMeta{name: sc.elig[i].To, elig0: i}
+		for i < len(sc.elig) && sc.elig[i].To == dm.name {
+			i++
 		}
-		dm := destMeta{name: dest, elig0: len(sc.elig), fl0: len(sc.floorCh)}
-		for k := i; k < j; k++ {
-			entry := sc.byDest[k]
-			// Floors cover ALL live entries (not just retry-eligible ones):
-			// first occurrence of a channel in ID order is its lowest
-			// sequence.
-			if !floorHas(sc.floorCh[dm.fl0:], entry.Channel) {
-				sc.floorCh = append(sc.floorCh, entry.Channel)
-				sc.floorSeq = append(sc.floorSeq, entry.Seq)
-			}
-			st, wasSent := e.inflight[entry.ID]
-			if wasSent && now.Sub(st.at) < e.retryWait(st.attempts) {
-				continue
-			}
-			if !wasSent && retryOnly {
-				continue
-			}
-			sc.elig = append(sc.elig, entry)
-			sc.traces = append(sc.traces, e.traceForLocked(entry.ID))
-		}
-		dm.elig1 = len(sc.elig)
-		for ch := range e.dirty[dest] {
-			if !floorHas(sc.floorCh[dm.fl0:], ch) {
-				// Channel fully drained by the purge: the floor is whatever
-				// the next enqueue would be assigned.
-				sc.floorCh = append(sc.floorCh, ch)
-				sc.floorSeq = append(sc.floorSeq, e.nextSeq[dest][ch])
-			}
-		}
-		dm.fl1 = len(sc.floorCh)
-		if dm.elig1 > dm.elig0 || len(e.dirty[dest]) > 0 {
-			sortFloorPairs(sc.floorCh[dm.fl0:dm.fl1], sc.floorSeq[dm.fl0:dm.fl1])
-			sc.dests = append(sc.dests, dm)
-		} else {
-			// Nothing to send this destination: roll its floor scratch back.
-			sc.floorCh = sc.floorCh[:dm.fl0]
-			sc.floorSeq = sc.floorSeq[:dm.fl0]
-		}
-		i = j
+		dm.elig1 = i
+		dm.fl0, dm.fl1 = e.appendFloorsLocked(sc, dm.name)
+		sc.dests = append(sc.dests, dm)
 	}
-	// Destinations whose only business is a purge-moved floor (no live
-	// entries at all).
+	// Destinations whose only business is a purge-moved floor.
 	for dest, chans := range e.dirty {
 		if len(chans) == 0 || destsHave(sc.dests, dest) {
 			continue
 		}
-		dm := destMeta{name: dest, elig0: len(sc.elig), elig1: len(sc.elig), fl0: len(sc.floorCh)}
-		for ch := range chans {
-			sc.floorCh = append(sc.floorCh, ch)
-			sc.floorSeq = append(sc.floorSeq, e.nextSeq[dest][ch])
-		}
-		dm.fl1 = len(sc.floorCh)
-		sortFloorPairs(sc.floorCh[dm.fl0:dm.fl1], sc.floorSeq[dm.fl0:dm.fl1])
+		dm := destMeta{name: dest, elig0: len(sc.elig), elig1: len(sc.elig)}
+		dm.fl0, dm.fl1 = e.appendFloorsLocked(sc, dest)
 		sc.dests = append(sc.dests, dm)
 	}
 	if !retryOnly {
 		e.stats.Flushes++
 	}
 	e.mu.Unlock()
-	// Deterministic send order: destinations ascending, exactly as the
-	// sorted destination set behaved before the scratch rewrite.
+	// Deterministic send order: destinations ascending.
 	slices.SortFunc(sc.dests, func(a, b destMeta) int { return strings.Compare(a.name, b.name) })
 	if !retryOnly {
 		e.obs.flushes.Inc()
@@ -781,22 +843,20 @@ func (e *Endpoint) flush(retryOnly bool) int {
 		// the batch returns.
 		sc.out = sc.out[:0]
 		sc.outBufs = sc.outBufs[:0]
-		sc.outMeta = sc.outMeta[:0]
 		for _, dm := range sc.dests {
 			wire, bp := e.encodeDest(sc, dm)
 			sc.out = append(sc.out, Outgoing{To: dm.name, Payload: wire, Traces: sc.traces[dm.elig0:dm.elig1]})
 			sc.outBufs = append(sc.outBufs, bp)
-			sc.outMeta = append(sc.outMeta, dm)
 		}
 		nOK, _ := bs.SendBatch(sc.out)
 		if nOK > len(sc.out) {
 			nOK = len(sc.out)
 		}
-		for i, dm := range sc.outMeta {
+		for i, dm := range sc.dests {
 			if i < nOK {
 				sent += e.finishDest(now, sc, dm, int64(len(sc.out[i].Payload)))
 			} else {
-				e.obs.sendErrors.Inc()
+				e.refuseDest(sc, dm)
 			}
 			putWireBuf(sc.outBufs[i], sc.out[i].Payload)
 		}
@@ -815,7 +875,7 @@ func (e *Endpoint) flush(retryOnly bool) int {
 			wireLen := int64(len(wire))
 			putWireBuf(bp, wire)
 			if err != nil {
-				e.obs.sendErrors.Inc()
+				e.refuseDest(sc, dm)
 				continue
 			}
 			sent += e.finishDest(now, sc, dm, wireLen)
@@ -869,31 +929,50 @@ func (e *Endpoint) encodeDest(sc *flushScratch, dm destMeta) ([]byte, *[]byte) {
 	return frameInto(buf), bp
 }
 
+// refuseDest books an envelope the messenger would not take. Entries on
+// their first transmission go back to being unsent — the next policy flush
+// picks them up, the retry timer never does — and retransmissions return to
+// the deadline queue with the deadline they already had.
+func (e *Endpoint) refuseDest(sc *flushScratch, dm destMeta) {
+	e.obs.sendErrors.Inc()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for k := dm.elig0; k < dm.elig1; k++ {
+		id := sc.elig[k].ID
+		st := e.inflight[id]
+		switch {
+		case st == nil: // acked or expired meanwhile
+		case st.attempts == 0:
+			e.forgetLocked(id)
+			e.refused = append(e.refused, id)
+		default:
+			e.retryq.push(st)
+		}
+	}
+}
+
 // finishDest books a successfully handed-off envelope: inflight state,
 // stats, counters, ledger charges, and trace spans for every entry it
 // carried. Returns the number of data entries sent.
 func (e *Endpoint) finishDest(now time.Time, sc *flushScratch, dm destMeta, wireLen int64) int {
 	entries := sc.elig[dm.elig0:dm.elig1]
 	traces := sc.traces[dm.elig0:dm.elig1]
+	attempts := sc.attempts[dm.elig0:dm.elig1]
 	e.notifyWire(wireLen, 0)
 	retries := 0
-	if cap(sc.attempts) < len(entries) {
-		sc.attempts = make([]int, len(entries))
-	}
-	attempts := sc.attempts[:len(entries)]
 	e.mu.Lock()
-	if e.inflight == nil {
-		e.inflight = make(map[uint64]sendState)
-	}
 	for i := range entries {
-		st := e.inflight[entries[i].ID]
-		if st.attempts > 0 {
+		if attempts[i] > 0 {
 			retries++
 		}
-		st.at = now
-		st.attempts++
-		attempts[i] = st.attempts
-		e.inflight[entries[i].ID] = st
+		attempts[i]++
+		// A missing record means the ack overtook this bookkeeping: the
+		// entry is done, and nothing must bring it back.
+		if st := e.inflight[entries[i].ID]; st != nil {
+			st.attempts = attempts[i]
+			st.due = now.Add(e.retryWait(st.attempts))
+			e.retryq.push(st)
+		}
 	}
 	delete(e.dirty, dm.name)
 	e.stats.MessagesSent += len(entries)
@@ -952,7 +1031,7 @@ func (e *Endpoint) receive(from string, payload []byte) {
 		e.box.Ack(env.Ack...)
 		e.mu.Lock()
 		for _, id := range env.Ack {
-			delete(e.inflight, id)
+			e.forgetLocked(id)
 			delete(e.traceOf, id)
 		}
 		e.stats.MessagesAcked += len(env.Ack)

@@ -6,6 +6,7 @@ import (
 
 	"pogo/internal/android"
 	"pogo/internal/energy"
+	"pogo/internal/faultnet"
 	"pogo/internal/msg"
 	"pogo/internal/radio"
 	"pogo/internal/store"
@@ -196,26 +197,33 @@ func TestRetransmitUntilAcked(t *testing.T) {
 
 func TestReceiverDeduplicates(t *testing.T) {
 	clk := vclock.NewSim()
-	sb := NewSwitchboard(clk)
-	sb.Associate("dev1", "col")
-	dev := newSimNode(t, clk, sb, "dev1")
-	col := newWiredNode(t, clk, sb, "col")
+	net, fa, fb := faultPair(clk, faultnet.Config{Seed: 1})
+	dev := NewEndpoint(fa, store.OpenMemory(), clk, EndpointConfig{RetryAfter: 2 * time.Second})
+	col := NewEndpoint(fb, store.OpenMemory(), clk, EndpointConfig{})
 	got := collect(col)
 
-	dev.ep.Enqueue("col", "ch", msg.Map{"v": 1.0})
-	dev.ep.Flush()
-	// Force a duplicate send before the ack lands: zero the retry window
-	// just long enough for a second flush to retransmit, then restore it so
-	// the self-driven retry timer doesn't keep duplicating.
-	dev.ep.cfg.RetryAfter = 0
-	dev.ep.Flush()
-	dev.ep.cfg.RetryAfter = 30 * time.Second
-	clk.Advance(time.Minute)
+	// The ack dies on its way back, so the sender's backoff runs out and it
+	// retransmits an entry the receiver already has.
+	net.Partition("b", "a")
+	dev.Enqueue("b", "ch", msg.Map{"v": 1.0})
+	dev.Flush()
+	clk.Advance(3 * time.Second) // first copy, then the retransmission at 2 s
+	if st := col.Stats(); len(*got) != 1 || st.Duplicates != 1 {
+		t.Fatalf("before heal: delivered %d, Duplicates = %d; want 1 and 1", len(*got), st.Duplicates)
+	}
+	if dev.Pending() != 1 {
+		t.Fatalf("Pending = %d with every ack dropped", dev.Pending())
+	}
+	net.Heal("b", "a")
+	clk.Advance(time.Minute) // the next retransmission's ack gets through
 	if len(*got) != 1 {
 		t.Fatalf("delivered %d, want 1 after dedup", len(*got))
 	}
-	if st := col.Stats(); st.Duplicates != 1 {
-		t.Errorf("Duplicates = %d", st.Duplicates)
+	if dup, retries := col.Stats().Duplicates, dev.Stats().Retries; dup != 2 || retries != 2 {
+		t.Errorf("Duplicates = %d, Retries = %d; want one duplicate per retransmission (2)", dup, retries)
+	}
+	if dev.Pending() != 0 {
+		t.Errorf("Pending = %d after the ack", dev.Pending())
 	}
 }
 
