@@ -32,7 +32,7 @@ func main() {
 	// the shard protocol on stdin/stdout and never reaches flag parsing.
 	experiments.MaybeFleetWorker()
 	var (
-		run        = flag.String("run", "all", "experiment: table2|table3|table4|figure3|figure4|ablations|all, or pubsub / chaos / fleet / hotpath / latency / connscale (benchmarks, not part of all)")
+		run        = flag.String("run", "all", "experiment: table2|table3|table4|figure3|figure4|ablations|all, or chaos / fleet / hotpath / latency / connscale (benchmarks, not part of all)")
 		days       = flag.Int("days", 24, "table4: experiment length in days")
 		seed       = flag.Int64("seed", 1, "table4 / chaos / fleet: world seed")
 		phones     = flag.Int("phones", 0, "chaos / fleet: testbed size (0 = per-benchmark default: 50 chaos, 2000 fleet)")
@@ -121,23 +121,6 @@ func runExperiments(which string, days int, seed int64, phones, shards int, flee
 		return runLatency(seed, phones, gate)
 	}
 
-	if which == "pubsub" {
-		// Broker fanout microbenchmark: not part of "all" (it measures this
-		// machine, not the paper). Records the baseline BENCH_pubsub.json.
-		res := experiments.PubsubBench(1000, 2000)
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile("BENCH_pubsub.json", append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("pubsub fanout: %d subscribers x %d publishes: %.0f ns/publish, %.0f deliveries/s, %.1f allocs/publish, %.0f B/publish\n",
-			res.Subscribers, res.Publishes, res.NsPerPublish, res.DeliveriesPerSecond,
-			res.AllocsPerPublish, res.BytesPerPublish)
-		fmt.Println("baseline written to BENCH_pubsub.json")
-		return nil
-	}
 	if want("table2") {
 		ran = true
 		rows, err := experiments.Table2()
@@ -201,7 +184,7 @@ func runExperiments(which string, days int, seed int64, phones, shards int, flee
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (want %s)", which,
-			strings.Join([]string{"table2", "table3", "table4", "figure3", "figure4", "ablations", "all", "pubsub", "chaos", "fleet", "hotpath", "latency"}, "|"))
+			strings.Join([]string{"table2", "table3", "table4", "figure3", "figure4", "ablations", "all", "chaos", "fleet", "hotpath", "latency"}, "|"))
 	}
 	if stats {
 		fmt.Println("metrics registry:")

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -105,16 +104,8 @@ func run(server, id, password, scriptDir, metricsAddr, pprofAddr string) error {
 		fmt.Printf("pogo-collector: metrics on http://%s/metrics (accounting on /accounting, series on /timeseries, alerts on /alerts)\n", metricsAddr)
 	}
 	if pprofAddr != "" {
-		// Flag-guarded profiler on its own mux and address — never exposed
-		// implicitly alongside the metrics endpoints.
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			if err := http.ListenAndServe(pprofAddr, mux); err != nil {
+			if err := http.ListenAndServe(pprofAddr, obs.PprofHandler()); err != nil {
 				fmt.Fprintln(os.Stderr, "pogo-collector: pprof:", err)
 			}
 		}()

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -26,19 +25,6 @@ import (
 	"pogo/internal/vclock"
 	"pogo/internal/xmpp"
 )
-
-// pprofMux builds a mux serving the net/http/pprof endpoints. The profiler
-// is flag-guarded and bound to its own address: profiling a production
-// switchboard is an explicit operator decision, never an accidental default.
-func pprofMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
 
 type associations []string
 
@@ -112,7 +98,7 @@ func run(addr string, autoReg bool, metricsAddr, pprofAddr string, offlineQueue 
 	}
 	if pprofAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(pprofAddr, pprofMux()); err != nil {
+			if err := http.ListenAndServe(pprofAddr, obs.PprofHandler()); err != nil {
 				fmt.Fprintln(os.Stderr, "pogo-server: pprof:", err)
 			}
 		}()

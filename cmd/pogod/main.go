@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -63,16 +62,8 @@ func run(server, id, password, stateDir string, seed int64, verbose bool, hide s
 		defer stopRuntime()
 	}
 	if pprofAddr != "" {
-		// Flag-guarded profiler on its own mux — a device node never exposes
-		// debug endpoints unless the operator asks.
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			if err := http.ListenAndServe(pprofAddr, mux); err != nil {
+			if err := http.ListenAndServe(pprofAddr, obs.PprofHandler()); err != nil {
 				fmt.Fprintln(os.Stderr, "pogod: pprof:", err)
 			}
 		}()

@@ -1,6 +1,6 @@
-// Testbed-admin: the paper's §6 future-work features working together —
-// automated device↔researcher assignment by capability and region, the
-// owner's per-channel privacy switch, and per-script power accounting.
+// Testbed-admin: two of the paper's §6 future-work features working
+// together — the owner's per-channel privacy switch and per-script power
+// accounting — on devices the administrator assigned with Associate.
 //
 //	go run ./examples/testbed-admin
 package main
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pogo/internal/android"
-	"pogo/internal/assign"
 	"pogo/internal/core"
 	"pogo/internal/energy"
 	"pogo/internal/radio"
@@ -38,28 +37,18 @@ type phone struct {
 func run() error {
 	clk := vclock.NewSim()
 	sb := transport.NewSwitchboard(clk)
-	broker := assign.NewBroker()
 
-	// Five volunteers install Pogo; their devices advertise capabilities.
+	// Two volunteers install Pogo.
+	granted := []string{"p1", "p2"}
 	phones := map[string]*phone{}
-	infos := []assign.DeviceInfo{
-		{ID: "p1", Sensors: []string{"battery", "wifi-scan"}, Region: "nl-delft", BatteryLevel: 0.9},
-		{ID: "p2", Sensors: []string{"battery"}, Region: "nl-delft", BatteryLevel: 0.7},
-		{ID: "p3", Sensors: []string{"battery", "wifi-scan", "location"}, Region: "nl-delft", BatteryLevel: 0.95},
-		{ID: "p4", Sensors: []string{"battery", "wifi-scan"}, Region: "us-boston", BatteryLevel: 0.8},
-		{ID: "p5", Sensors: []string{"battery"}, Region: "nl-delft", BatteryLevel: 0.1}, // nearly empty
-	}
-	for _, info := range infos {
-		p, err := newPhone(clk, sb, info.ID)
+	for _, id := range granted {
+		p, err := newPhone(clk, sb, id)
 		if err != nil {
 			return err
 		}
-		phones[info.ID] = p
-		broker.Register(info)
+		phones[id] = p
 	}
 
-	// A researcher asks the (automated) administrator for two Delft devices
-	// with battery sensors.
 	col, err := core.NewNode(core.Config{
 		ID: "researcher", Mode: core.CollectorMode,
 		Clock: clk, Messenger: sb.Port("researcher", nil),
@@ -69,16 +58,11 @@ func run() error {
 	}
 	defer col.Close()
 
-	granted, err := broker.Assign(assign.Request{
-		Researcher: "researcher",
-		Sensors:    []string{"battery"},
-		Region:     "nl-delft",
-		Count:      2,
-	}, sb)
-	if err != nil {
-		return err
+	// The administrator assigns both devices to the researcher (§3.1).
+	for _, id := range granted {
+		sb.Associate("researcher", id)
 	}
-	fmt.Printf("assignment broker granted: %v (p4 wrong region, p5 battery too low)\n", granted)
+	fmt.Printf("administrator assigned: %v\n", granted)
 
 	// Deploy the battery experiment to the granted devices.
 	col.DeployLocal("battery-collect.js", scripts.MustSource("battery-collect.js"))

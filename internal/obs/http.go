@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 )
@@ -15,9 +16,9 @@ import (
 //	GET /metrics.json       — full Snapshot as JSON (counters, gauges, histograms)
 //	GET /accounting         — the per-entity resource ledger as JSON
 //	GET /timeseries         — retained time-series samples as JSON (?last=N limits)
-//	GET /trace              — retained lifecycle events as JSON
-//	GET /trace?channel=ch   — events for one channel
-//	GET /trace.pftrace      — span store as Chrome/Perfetto trace.json
+//	GET /trace              — retained lifecycle hops as JSON
+//	GET /trace?channel=ch   — hops for one channel
+//	GET /trace.pftrace      — the same hops as Chrome/Perfetto trace.json
 //	GET /alerts             — alert rules, states, and transition log as JSON
 //	GET /alerts?format=prom — firing/pending rules as Prometheus ALERTS samples
 //	GET /stats              — the human-readable text dump (same as -stats)
@@ -67,22 +68,19 @@ func Handler(r *Registry) http.Handler {
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		t := r.Tracer()
-		var events []Event
-		if ch := req.URL.Query().Get("channel"); ch != "" {
-			events = t.Channel(ch)
-		} else {
-			events = t.Events()
-		}
-		if events == nil {
-			events = []Event{}
+		hops := []Hop{} // an empty store still answers "hops": []
+		ch := req.URL.Query().Get("channel")
+		for _, h := range r.Spans().Hops() {
+			if ch == "" || h.Channel == ch {
+				hops = append(hops, h)
+			}
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(struct {
-			Dropped uint64  `json:"dropped"`
-			Events  []Event `json:"events"`
-		}{t.Dropped(), events})
+			Dropped uint64 `json:"dropped"`
+			Hops    []Hop  `json:"hops"`
+		}{r.Spans().Dropped(), hops})
 	})
 	mux.HandleFunc("/trace.pftrace", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -119,6 +117,20 @@ func Handler(r *Registry) http.Handler {
 	return mux
 }
 
+// PprofHandler returns a mux serving the net/http/pprof endpoints under
+// /debug/pprof/. The binaries bind it to its own flag-guarded address, never
+// alongside Handler: profiling a production node is an explicit operator
+// decision, not an accidental default.
+func PprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
 // WriteText renders the registry as a sorted, aligned text report — the
 // -stats output of cmd/pogod and cmd/pogo-bench.
 func WriteText(w io.Writer, r *Registry) {
@@ -147,9 +159,8 @@ func WriteText(w io.Writer, r *Registry) {
 			fmt.Fprintf(w, "  %-64s count=%d sum=%g mean=%g\n", k, h.Count, h.Sum, mean)
 		}
 	}
-	if t := r.Tracer(); t != nil || r.Spans() != nil {
+	if r.Spans() != nil {
 		section("tracing")
-		fmt.Fprintf(w, "  %-64s %d\n", "tracer events dropped", t.Dropped())
 		fmt.Fprintf(w, "  %-64s %d\n", "span hops retained", r.Spans().Len())
 		fmt.Fprintf(w, "  %-64s %d\n", "span hops dropped", r.Spans().Dropped())
 	}

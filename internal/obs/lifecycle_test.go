@@ -1,10 +1,10 @@
 // Lifecycle tracing is verified from outside the package (obs_test) so the
 // test can assemble a real simulated testbed: a collector and a device wired
 // through the in-memory switchboard, both instrumented into one registry.
-// The traced message must yield the ordered span sequence
-// publish → enqueue → send → deliver → fanout, and — because every timestamp
-// comes from the simulated clock — two identical runs must produce
-// byte-for-byte identical traces.
+// The traced message must yield the ordered hop chain
+// publish → enqueue → send → deliver → fanout under one trace ID, and —
+// because every timestamp comes from the simulated clock and every trace ID
+// from the seed — two identical runs must produce identical hop lists.
 package obs_test
 
 import (
@@ -24,8 +24,8 @@ import (
 
 // runPingLifecycle builds a fresh collector+device testbed, publishes one
 // message on channel "ping" from a device script five simulated seconds in,
-// and returns the channel's trace.
-func runPingLifecycle(t *testing.T) []obs.Event {
+// and returns the channel's hops in the span store's canonical order.
+func runPingLifecycle(t *testing.T) []obs.Hop {
 	t.Helper()
 	reg := obs.NewRegistry()
 	clk := vclock.NewSim()
@@ -62,11 +62,17 @@ func runPingLifecycle(t *testing.T) []obs.Event {
 		t.Fatal(err)
 	}
 	clk.Advance(10 * time.Second)
-	return reg.Tracer().Channel("ping")
+	var hops []obs.Hop
+	for _, h := range reg.Spans().Hops() {
+		if h.Channel == "ping" {
+			hops = append(hops, h)
+		}
+	}
+	return hops
 }
 
 func TestMessageLifecycleTrace(t *testing.T) {
-	events := runPingLifecycle(t)
+	hops := runPingLifecycle(t)
 
 	type step struct {
 		node  string
@@ -79,16 +85,18 @@ func TestMessageLifecycleTrace(t *testing.T) {
 		{"collector", obs.StageDeliver}, // endpoint dedups and accepts
 		{"collector", obs.StageFanout},  // collector broker reaches the script
 	}
-	if len(events) != len(want) {
-		t.Fatalf("trace has %d events, want %d:\n%+v", len(events), len(want), events)
+	if len(hops) != len(want) {
+		t.Fatalf("trace has %d hops, want %d:\n%+v", len(hops), len(want), hops)
 	}
 	for i, w := range want {
-		ev := events[i]
-		if ev.Node != w.node || ev.Stage != w.stage {
-			t.Errorf("event[%d] = %s@%s, want %s@%s", i, ev.Stage, ev.Node, w.stage, w.node)
+		h := hops[i]
+		if h.Node != w.node || h.Stage != w.stage {
+			t.Errorf("hop[%d] = %s@%s, want %s@%s", i, h.Stage, h.Node, w.stage, w.node)
 		}
-		if i > 0 && ev.Seq <= events[i-1].Seq {
-			t.Errorf("event[%d].Seq = %d not after %d", i, ev.Seq, events[i-1].Seq)
+		// One publication, one trace: the ID assigned at publish rides the
+		// wire to the collector's fanout.
+		if h.Trace == 0 || h.Trace != hops[0].Trace {
+			t.Errorf("hop[%d] trace = %s, want the publish hop's nonzero %s", i, h.Trace, hops[0].Trace)
 		}
 	}
 
@@ -96,22 +104,22 @@ func TestMessageLifecycleTrace(t *testing.T) {
 	// script's 5 s timeout, inside the 10 s run, with the radio hop putting
 	// delivery strictly after the send.
 	epoch := vclock.SimEpoch
-	for i, ev := range events {
-		if ev.At.Before(epoch.Add(5*time.Second)) || ev.At.After(epoch.Add(10*time.Second)) {
-			t.Errorf("event[%d] at %v, outside the simulated window", i, ev.At)
+	for i, h := range hops {
+		if h.At.Before(epoch.Add(5*time.Second)) || h.At.After(epoch.Add(10*time.Second)) {
+			t.Errorf("hop[%d] at %v, outside the simulated window", i, h.At)
 		}
-		if i > 0 && ev.At.Before(events[i-1].At) {
-			t.Errorf("event[%d] at %v before its predecessor at %v", i, ev.At, events[i-1].At)
+		if i > 0 && h.At.Before(hops[i-1].At) {
+			t.Errorf("hop[%d] at %v before its predecessor at %v", i, h.At, hops[i-1].At)
 		}
 	}
-	if !events[3].At.After(events[2].At) {
-		t.Errorf("deliver at %v not after send at %v", events[3].At, events[2].At)
+	if !hops[3].At.After(hops[2].At) {
+		t.Errorf("deliver at %v not after send at %v", hops[3].At, hops[2].At)
 	}
 
 	// The send and deliver stages carry the same outbox message id.
-	if events[2].MsgID == 0 || events[2].MsgID != events[3].MsgID {
+	if hops[2].MsgID == 0 || hops[2].MsgID != hops[3].MsgID {
 		t.Errorf("send/deliver msg ids = %d/%d, want equal and nonzero",
-			events[2].MsgID, events[3].MsgID)
+			hops[2].MsgID, hops[3].MsgID)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package obs is Pogo's observability substrate: a dependency-free metrics
-// registry plus a lightweight message-lifecycle tracer.
+// registry plus one message-lifecycle recorder, the SpanStore.
 //
 // The paper's evaluation (§5) rests on quantities — bytes uplinked, messages
 // delivered, tail-sync hit rate, per-script resource cost — that the rest of
 // the stack previously computed ad hoc. This package gives every layer one
 // way to count them and one way to watch a message travel
-// publish → fanout → enqueue → flush → send → deliver.
+// publish → enqueue → send → deliver → fanout.
 //
 // Design rules:
 //
@@ -233,10 +233,10 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry holds named, labeled instruments plus the tracer. The zero value
-// is not usable; construct with NewRegistry. A nil *Registry is a valid
+// Registry holds named, labeled instruments plus the span store. The zero
+// value is not usable; construct with NewRegistry. A nil *Registry is a valid
 // "observability off" registry: it hands out nil instruments and a nil
-// tracer.
+// span store.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -245,7 +245,6 @@ type Registry struct {
 	meta       map[string]metricMeta // canonical key -> family name + labels
 	collectors map[int]func()
 	nextID     int
-	tracer     *Tracer
 	spans      *SpanStore
 	ledger     *Ledger
 	series     *SeriesStore
@@ -259,8 +258,8 @@ type metricMeta struct {
 	labels []Label // sorted by key
 }
 
-// NewRegistry returns an empty registry with an attached tracer, ledger, and
-// time-series store.
+// NewRegistry returns an empty registry with an attached span store, ledger,
+// and time-series store.
 func NewRegistry() *Registry {
 	r := &Registry{
 		counters:   make(map[string]*Counter),
@@ -268,14 +267,12 @@ func NewRegistry() *Registry {
 		hists:      make(map[string]*Histogram),
 		meta:       make(map[string]metricMeta),
 		collectors: make(map[int]func()),
-		tracer:     NewTracer(DefaultTraceCapacity),
 		spans:      NewSpanStore(DefaultSpanCapacity),
 		ledger:     NewLedger(),
 		series:     NewSeriesStore(DefaultSeriesCapacity),
 	}
 	// Registered lazily on first eviction; before that, /stats surfaces the
-	// zero drop counts through its dedicated tracing section.
-	r.tracer.OnDrop(func() { r.Counter("trace_dropped_events").Inc() })
+	// zero drop count through its dedicated tracing section.
 	r.spans.OnDrop(func() { r.Counter("trace_dropped_spans").Inc() })
 	r.spans.latencyFor = func(channel string) *Histogram {
 		return r.Histogram("trace_delivery_latency_seconds", DeliveryLatencyBuckets, L("channel", channel))
@@ -391,14 +388,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 		r.recordMeta(k, name, labels)
 	}
 	return h
-}
-
-// Tracer returns the registry's lifecycle tracer (nil on a nil registry).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
 }
 
 // Spans returns the registry's causal span store (nil on a nil registry; a

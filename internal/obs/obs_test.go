@@ -70,12 +70,12 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram accumulated")
 	}
-	tr := r.Tracer()
-	tr.Record(time.Time{}, "n", "ch", StagePublish, 0, "")
-	if tr.Events() != nil || tr.Dropped() != 0 {
-		t.Error("nil tracer recorded")
+	sp := r.Spans()
+	sp.Record(time.Time{}, 1, StagePublish, "n", "ch", 0, "")
+	if sp.Hops() != nil || sp.Len() != 0 || sp.Dropped() != 0 {
+		t.Error("nil span store recorded")
 	}
-	tr.Reset()
+	sp.Reset()
 	cancel := r.OnCollect(func() {})
 	cancel()
 	s := r.Snapshot()
@@ -103,40 +103,6 @@ func TestHistogramBuckets(t *testing.T) {
 		if snap.Counts[i] != n {
 			t.Errorf("bucket[%d] = %d, want %d (all: %v)", i, snap.Counts[i], n, snap.Counts)
 		}
-	}
-}
-
-func TestTracerRingAndOrdering(t *testing.T) {
-	tr := NewTracer(4)
-	base := time.Date(2012, 6, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 6; i++ {
-		tr.Record(base.Add(time.Duration(i)*time.Second), "n", "ch", StagePublish, uint64(i), "")
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	if tr.Dropped() != 2 {
-		t.Errorf("dropped = %d", tr.Dropped())
-	}
-	for i, ev := range evs {
-		if ev.MsgID != uint64(i+2) {
-			t.Errorf("event[%d].MsgID = %d, want %d", i, ev.MsgID, i+2)
-		}
-		if i > 0 && evs[i].Seq <= evs[i-1].Seq {
-			t.Error("sequence not increasing")
-		}
-	}
-	if got := tr.Channel("other"); len(got) != 0 {
-		t.Errorf("Channel(other) = %v", got)
-	}
-	tr.Reset()
-	if len(tr.Events()) != 0 {
-		t.Error("reset did not clear")
-	}
-	tr.Record(base, "n", "ch", StageDeliver, 9, "")
-	if got := tr.Events(); len(got) != 1 || got[0].Seq != 6 {
-		t.Errorf("post-reset events = %+v (seq must keep running)", got)
 	}
 }
 
@@ -169,12 +135,12 @@ func TestConcurrentHotPaths(t *testing.T) {
 			c := r.Counter("c", L("node", "x"))
 			g := r.Gauge("g")
 			h := r.Histogram("h", DefBuckets)
-			tr := r.Tracer()
+			sp := r.Spans()
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				g.Add(1)
 				h.Observe(float64(j % 7))
-				tr.Record(time.Time{}, "n", "ch", StageSend, uint64(j), "")
+				sp.Record(time.Time{}, TraceID(n+1), StageSend, "n", "ch", uint64(j), "")
 			}
 		}(i)
 	}
@@ -184,7 +150,7 @@ func TestConcurrentHotPaths(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				r.Snapshot()
-				r.Tracer().Events()
+				r.Spans().Hops()
 			}
 		}()
 	}
@@ -203,8 +169,6 @@ func TestConcurrentHotPaths(t *testing.T) {
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("transport_bytes_sent_total", L("node", "phone")).Add(123)
-	r.Tracer().Record(time.Date(2012, 6, 1, 0, 0, 5, 0, time.UTC), "phone", "battery", StagePublish, 0, "fanout=1")
-	r.Tracer().Record(time.Date(2012, 6, 1, 0, 0, 6, 0, time.UTC), "phone", "wifi", StagePublish, 0, "fanout=0")
 	h := Handler(r)
 
 	get := func(path string) string {
@@ -256,21 +220,27 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("timeseries = %+v", ts.Samples)
 	}
 
+	// An empty store must still answer with an array, never null.
+	if body := get("/trace"); !strings.Contains(body, `"hops": []`) {
+		t.Errorf("empty /trace = %s, want \"hops\": []", body)
+	}
+	r.Spans().Record(time.Date(2012, 6, 1, 0, 0, 5, 0, time.UTC), 1, StagePublish, "phone", "battery", 0, "fanout=1")
+	r.Spans().Record(time.Date(2012, 6, 1, 0, 0, 6, 0, time.UTC), 2, StagePublish, "phone", "wifi", 0, "fanout=0")
 	var trace struct {
-		Dropped uint64  `json:"dropped"`
-		Events  []Event `json:"events"`
+		Dropped uint64 `json:"dropped"`
+		Hops    []Hop  `json:"hops"`
 	}
 	if err := json.Unmarshal([]byte(get("/trace")), &trace); err != nil {
 		t.Fatalf("bad /trace JSON: %v", err)
 	}
-	if len(trace.Events) != 2 {
-		t.Errorf("trace events = %d", len(trace.Events))
+	if len(trace.Hops) != 2 {
+		t.Errorf("trace hops = %d", len(trace.Hops))
 	}
 	if err := json.Unmarshal([]byte(get("/trace?channel=battery")), &trace); err != nil {
 		t.Fatal(err)
 	}
-	if len(trace.Events) != 1 || trace.Events[0].Channel != "battery" {
-		t.Errorf("filtered trace = %+v", trace.Events)
+	if len(trace.Hops) != 1 || trace.Hops[0].Channel != "battery" || trace.Hops[0].Trace != 1 {
+		t.Errorf("filtered trace = %+v", trace.Hops)
 	}
 
 	stats := get("/stats")

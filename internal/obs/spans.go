@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Causal distributed tracing. Where the Tracer (trace.go) records isolated
-// point events, the SpanStore records *hops* keyed by an 8-byte trace ID that
+// Lifecycle tracing. The SpanStore is the one recorder of a message's
+// journey: every layer records a *hop* keyed by an 8-byte trace ID that
 // travels with the message across the wire (transport envelope field, XMPP
 // stanza attribute), so the full causal chain
 //
@@ -25,6 +25,42 @@ import (
 //     never exposed in recording order, so concurrent shard workers feeding
 //     one store still yield byte-identical exports.
 //   - Timestamps are supplied by callers from their own (simulated) clock.
+
+// Stage names one step of a message's lifecycle through the stack.
+type Stage string
+
+// Lifecycle stages, in the order a message that crosses the network
+// traverses them. A locally consumed message stops at StagePublish; a
+// remote-bound one continues through the transport to the peer, where the
+// final broker fanout is recorded as StageFanout.
+const (
+	// StagePublish: a broker delivered a local publication to its active
+	// subscriptions (internal/pubsub).
+	StagePublish Stage = "publish"
+	// StageEnqueue: the transport buffered a message in the durable outbox
+	// (internal/transport).
+	StageEnqueue Stage = "enqueue"
+	// StageSend: one buffered message was handed to the messenger inside a
+	// batch envelope.
+	StageSend Stage = "send"
+	// StageRoute: the XMPP switchboard routed a stanza toward an online
+	// recipient (internal/xmpp).
+	StageRoute Stage = "route"
+	// StageOffline: the switchboard parked a stanza in the recipient's
+	// offline queue.
+	StageOffline Stage = "offline"
+	// StageReplay: the switchboard replayed a queued stanza to a recipient
+	// that came back online.
+	StageReplay Stage = "replay"
+	// StageDeliver: the receiving endpoint accepted a fresh (deduplicated)
+	// message and handed it to the application.
+	StageDeliver Stage = "deliver"
+	// StageFanout: the receiving broker re-published a remote-originated
+	// message to its local subscriptions.
+	StageFanout Stage = "fanout"
+	// StageExpire: the max-age policy purged a buffered message unsent.
+	StageExpire Stage = "expire"
+)
 
 // TraceID is the 8-byte causal identity of one published message. Zero means
 // "untraced": decoders map an absent wire field to 0 and recorders drop
@@ -113,10 +149,10 @@ func NewTraceID(seed int64, entity string, seq uint64) TraceID {
 	return TraceID(h)
 }
 
-// Hop is one causally linked step of a traced message. Unlike Event it
-// carries no store-assigned sequence number: its identity is purely its
-// content, so hops recorded concurrently (fleet shards) or replayed out of
-// order reassemble identically.
+// Hop is one causally linked step of a traced message. It carries no
+// store-assigned sequence number: its identity is purely its content, so
+// hops recorded concurrently (fleet shards) or replayed out of order
+// reassemble identically.
 type Hop struct {
 	Trace   TraceID   `json:"trace"`
 	At      time.Time `json:"at"`
@@ -138,24 +174,22 @@ func stageRank(s Stage) int {
 		return 0
 	case StageEnqueue:
 		return 1
-	case StageFlush:
-		return 2
 	case StageSend:
-		return 3
+		return 2
 	case StageRoute:
-		return 4
+		return 3
 	case StageOffline:
-		return 5
+		return 4
 	case StageReplay:
-		return 6
+		return 5
 	case StageDeliver:
-		return 7
+		return 6
 	case StageFanout:
-		return 8
+		return 7
 	case StageExpire:
-		return 9
+		return 8
 	default:
-		return 10
+		return 9
 	}
 }
 
@@ -168,10 +202,11 @@ var DeliveryLatencyBuckets = []float64{
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 15, 30, 60, 120, 300, 900,
 }
 
-// maxTrackedRoots bounds the first-hop index used for delivery-latency
-// observation; beyond it new traces still record hops but skip the latency
-// histogram.
-const maxTrackedRoots = 1 << 20
+// rootsPerHop sizes the first-hop index used for delivery-latency
+// observation relative to the ring: a trace's root outlives its hops' stay
+// in the ring (a delivery delayed by retries still finds its zero point), up
+// to rootsPerHop × capacity traces — 2^20 at DefaultSpanCapacity.
+const rootsPerHop = 64
 
 // SpanStore records hops into a bounded ring and reassembles span trees.
 // The zero value is not usable; construct with NewSpanStore (NewRegistry
@@ -185,7 +220,8 @@ type SpanStore struct {
 	dropped uint64
 	onDrop  func()
 	// roots holds the earliest-known hop instant per trace, the zero point
-	// for delivery-latency observation at StageDeliver.
+	// for delivery-latency observation at StageDeliver. At most
+	// rootsPerHop × cap entries; see sweepRootsLocked.
 	roots map[TraceID]time.Time
 	// latencyFor supplies the per-channel delivery-latency histogram; set by
 	// NewRegistry, nil on a bare store.
@@ -227,7 +263,10 @@ func (s *SpanStore) Record(at time.Time, trace TraceID, stage Stage, node, chann
 	)
 	s.mu.Lock()
 	if root, ok := s.roots[trace]; !ok {
-		if len(s.roots) < maxTrackedRoots {
+		if len(s.roots) >= rootsPerHop*s.cap {
+			s.sweepRootsLocked()
+		}
+		if len(s.roots) < rootsPerHop*s.cap {
 			s.roots[trace] = at
 		}
 	} else if at.Before(root) {
@@ -248,6 +287,29 @@ func (s *SpanStore) Record(at time.Time, trace TraceID, stage Stage, node, chann
 	}
 	s.mu.Unlock()
 	observe.Observe(latency)
+}
+
+// sweepRootsLocked makes room in a full roots index by forgetting every
+// trace that began before the oldest hop still in the ring: on a long-lived
+// node those are the delivered and abandoned messages of hours ago, and
+// without the sweep the index would fill once and no later trace would ever
+// reach the latency histogram. A swept trace that does deliver after all
+// starts over as a new root and goes unobserved. The sweep frees all but the
+// last ring's worth of traces, so its cost amortizes over the roughly
+// (rootsPerHop-1) × cap new traces it takes to fill the index again.
+func (s *SpanStore) sweepRootsLocked() {
+	// A full index implies recorded hops, and Reset clears both together.
+	oldest := s.buf[0].At
+	for _, h := range s.buf[1:] {
+		if h.At.Before(oldest) {
+			oldest = h.At
+		}
+	}
+	for trace, at := range s.roots {
+		if at.Before(oldest) {
+			delete(s.roots, trace)
+		}
+	}
 }
 
 // Dropped reports how many hops the ring has evicted.

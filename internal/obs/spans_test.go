@@ -129,12 +129,47 @@ func TestSpanStoreEvictionCountsDrops(t *testing.T) {
 	if st.Len() != 2 || st.Dropped() != 3 {
 		t.Fatal("zero-trace record must be a no-op")
 	}
+	// Reset empties the ring; the drop count is history and stays.
+	st.Reset()
+	if st.Len() != 0 || len(st.Hops()) != 0 || st.Dropped() != 3 {
+		t.Fatalf("after Reset: Len = %d, Dropped = %d, want 0/3", st.Len(), st.Dropped())
+	}
+}
+
+// TestRootsIndexSweptOnLongLivedStore: the first-hop index behind the
+// delivery-latency histogram is bounded, and a store that has seen far more
+// traces than the bound must make room by forgetting traces older than
+// anything left in the ring — not by refusing every new trace, which would
+// blind trace_delivery_latency_seconds (and the delivery_latency_slo rule)
+// for the rest of the process's life.
+func TestRootsIndexSweptOnLongLivedStore(t *testing.T) {
+	const capacity = 4
+	reg := NewRegistry()
+	st := NewSpanStore(capacity)
+	st.latencyFor = reg.spans.latencyFor
+	bound := rootsPerHop * capacity
+	traces := 10 * bound
+	for i := 1; i <= traces; i++ {
+		at := time.Unix(int64(2*i), 0)
+		st.Record(at, TraceID(i), StageEnqueue, "phone", "upload", uint64(i), "")
+		st.Record(at.Add(time.Second), TraceID(i), StageDeliver, "collector", "upload", uint64(i), "")
+		st.mu.Lock()
+		n := len(st.roots)
+		st.mu.Unlock()
+		if n > bound {
+			t.Fatalf("after %d traces the roots index holds %d, bound %d", i, n, bound)
+		}
+	}
+	rep := LatencyReport(reg)
+	if len(rep) != 1 || rep[0].Count != int64(traces) {
+		t.Fatalf("LatencyReport = %+v, want all %d deliveries observed, the last included", rep, traces)
+	}
 }
 
 // TestRegistryDropCountersLazy: a pristine registry exposes no drop counters
 // (keeping snapshot cardinality unchanged for pre-tracing consumers), but the
-// first eviction registers and bumps trace_dropped_events / _spans, and the
-// /stats text always reports the tracing section.
+// first eviction registers and bumps trace_dropped_spans, and the /stats text
+// always reports the tracing section.
 func TestRegistryDropCountersLazy(t *testing.T) {
 	reg := NewRegistry()
 	if _, ok := reg.Snapshot().Counters["trace_dropped_spans"]; ok {

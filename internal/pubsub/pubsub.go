@@ -107,7 +107,6 @@ type brokerObs struct {
 	cowClones  *obs.Counter
 	fanout     *obs.Histogram
 	active     *obs.Gauge
-	tracer     *obs.Tracer
 	spans      *obs.SpanStore
 	ledger     *obs.Ledger
 }
@@ -131,7 +130,6 @@ func (b *Broker) Instrument(reg *obs.Registry, now func() time.Time, node, entit
 		cowClones:  reg.Counter("msg_cow_clones", obs.L("node", node)),
 		fanout:     reg.Histogram("pubsub_fanout_subscribers", obs.CountBuckets, obs.L("node", node)),
 		active:     reg.Gauge("pubsub_subscriptions_active", obs.L("node", node)),
-		tracer:     reg.Tracer(),
 		spans:      reg.Spans(),
 		ledger:     reg.Ledger(),
 	}
@@ -263,7 +261,6 @@ func (b *Broker) PublishTraced(channel string, m msg.Map, origin string, trace o
 			stage = obs.StageFanout
 			detail += " origin=" + origin
 		}
-		o.tracer.Record(o.now(), o.node, channel, stage, 0, detail)
 		o.spans.Record(o.now(), trace, stage, o.node, channel, 0, detail)
 		if o.ledger != nil {
 			o.ledger.Meter(o.entity, "", channel).AddMessages(1)

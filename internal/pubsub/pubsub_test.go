@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -345,5 +346,33 @@ func TestPropertyToggleDeliveryCount(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPubsubConcurrentPublish: handlers run on whichever goroutine calls
+// Publish, so a broker shared across parallel fleet shards fans out from
+// several goroutines at once. Every publish must still reach every
+// subscriber exactly once — `make check` runs this under -race.
+func TestPubsubConcurrentPublish(t *testing.T) {
+	const publishers, perPublisher, subscribers = 8, 200, 5
+	br := New()
+	var delivered atomic.Int64
+	for i := 0; i < subscribers; i++ {
+		br.Subscribe("bench", nil, func(Event) { delivered.Add(1) })
+	}
+	payload := msg.Map{"n": 1.0}
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perPublisher; i++ {
+				br.Publish("bench", payload)
+			}
+		}()
+	}
+	wg.Wait()
+	if want := int64(publishers * perPublisher * subscribers); delivered.Load() != want {
+		t.Errorf("deliveries = %d, want %d", delivered.Load(), want)
 	}
 }

@@ -218,7 +218,6 @@ type EndpointConfig struct {
 // struct is always usable — callers never test for "observability off".
 type endpointObs struct {
 	node           string
-	tracer         *obs.Tracer
 	spans          *obs.SpanStore
 	enqueued       *obs.Counter
 	sent           *obs.Counter
@@ -267,7 +266,6 @@ func newEndpointObs(reg *obs.Registry, node, entity string) *endpointObs {
 		ledger:         reg.Ledger(),
 		entity:         entity,
 		deviceMeter:    reg.Meter(entity, "", ""),
-		tracer:         reg.Tracer(),
 		spans:          reg.Spans(),
 		enqueued:       reg.Counter("transport_messages_enqueued_total", l),
 		sent:           reg.Counter("transport_messages_sent_total", l),
@@ -288,13 +286,9 @@ func newEndpointObs(reg *obs.Registry, node, entity string) *endpointObs {
 }
 
 // tracing reports whether a registry is attached. Hot paths use it to skip
-// building detail strings ("to="+dest, ...) that the nil-safe record/span
-// no-ops would otherwise force to be concatenated for nothing.
-func (o *endpointObs) tracing() bool { return o.tracer != nil || o.spans != nil }
-
-func (o *endpointObs) record(at time.Time, channel string, stage obs.Stage, id uint64, detail string) {
-	o.tracer.Record(at, o.node, channel, stage, id, detail)
-}
+// building detail strings ("to="+dest, ...) that the nil-safe span no-op
+// would otherwise force to be concatenated for nothing.
+func (o *endpointObs) tracing() bool { return o.spans != nil }
 
 // span records one causal hop against the message's trace ID; no-op when no
 // registry is attached or the message is untraced.
@@ -648,7 +642,6 @@ func (e *Endpoint) EnqueueTraced(to, channel string, payload msg.Value, trace ob
 	e.mu.Unlock()
 	e.obs.enqueued.Inc()
 	if e.obs.tracing() {
-		e.obs.record(now, channel, obs.StageEnqueue, id, "to="+to)
 		e.obs.span(now, trace, obs.StageEnqueue, channel, id, "to="+to)
 	}
 	return nil
@@ -712,7 +705,6 @@ func (e *Endpoint) purgeExpired(now time.Time) {
 	e.mu.Unlock()
 	e.obs.expired.Add(int64(len(dropped)))
 	if e.obs.tracing() {
-		e.obs.record(now, "", obs.StageExpire, 0, "count="+strconv.Itoa(len(dropped)))
 		for i, entry := range dropped {
 			e.obs.span(now, expTraces[i], obs.StageExpire, entry.Channel, entry.ID, "to="+entry.To)
 		}
@@ -830,9 +822,6 @@ func (e *Endpoint) flush(retryOnly bool) int {
 	slices.SortFunc(sc.dests, func(a, b destMeta) int { return strings.Compare(a.name, b.name) })
 	if !retryOnly {
 		e.obs.flushes.Inc()
-	}
-	if len(sc.dests) > 0 && e.obs.tracing() {
-		e.obs.record(now, "", obs.StageFlush, 0, "destinations="+strconv.Itoa(len(sc.dests)))
 	}
 
 	sent := 0
@@ -994,7 +983,6 @@ func (e *Endpoint) finishDest(now time.Time, sc *flushScratch, dm destMeta, wire
 	}
 	if e.obs.tracing() {
 		for i := range entries {
-			e.obs.record(now, entries[i].Channel, obs.StageSend, entries[i].ID, "to="+dm.name)
 			e.obs.span(now, traces[i], obs.StageSend, entries[i].Channel, entries[i].ID,
 				"to="+dm.name+" attempt="+strconv.Itoa(attempts[i]))
 		}
@@ -1130,10 +1118,9 @@ func (e *Endpoint) receive(from string, payload []byte) {
 	for _, item := range deliver {
 		e.obs.chargeChannel(item.Channel, -int64(len(item.Body)))
 	}
-	if e.obs.tracer != nil || e.obs.spans != nil {
+	if e.obs.tracing() {
 		at := e.clk.Now()
 		for _, item := range deliver {
-			e.obs.record(at, item.Channel, obs.StageDeliver, item.ID, "from="+sender)
 			e.obs.span(at, obs.TraceID(item.Trace), obs.StageDeliver, item.Channel, item.ID, "from="+sender)
 		}
 	}

@@ -25,9 +25,8 @@ type Client struct {
 	mu           sync.Mutex
 	closed       bool
 	err          error
-	onMessage    func(from JID, id, body string)
 	onMessageRaw func(from JID, id string, body []byte)
-	backlog      []message // arrived before OnMessage was registered
+	backlog      []message // arrived before OnMessageRaw was registered
 	onError      func(id, reason string)
 	onPresence   func(peer JID, available bool)
 	onDisconnect func(err error)
@@ -119,23 +118,11 @@ func (c *Client) handshake(user, password, resource string) error {
 // JID returns the bound full JID.
 func (c *Client) JID() JID { return c.jid }
 
-// OnMessage sets the inbound message handler. Messages that arrived before
-// the handler was registered — e.g. stanzas the server replayed the moment
-// this session resumed — are delivered to it immediately, in arrival order.
-func (c *Client) OnMessage(fn func(from JID, id, body string)) {
-	c.mu.Lock()
-	c.onMessage = fn
-	backlog := c.backlog
-	c.backlog = nil
-	c.mu.Unlock()
-	for i := range backlog {
-		fn(JID(backlog[i].From), backlog[i].ID, string(backlog[i].Body))
-	}
-}
-
-// OnMessageRaw sets a byte-oriented inbound message handler (preferred over
-// OnMessage when both are set). The body slice is freshly allocated per
-// message and owned by the handler.
+// OnMessageRaw sets the inbound message handler. The body slice is freshly
+// allocated per message and owned by the handler. Messages that arrived
+// before the handler was registered — e.g. stanzas the server replayed the
+// moment this session resumed — are delivered to it immediately, in arrival
+// order.
 func (c *Client) OnMessageRaw(fn func(from JID, id string, body []byte)) {
 	c.mu.Lock()
 	c.onMessageRaw = fn
@@ -169,19 +156,9 @@ func (c *Client) OnDisconnect(fn func(err error)) {
 	c.onDisconnect = fn
 }
 
-// SendMessage sends a message stanza. Delivery is best-effort at this layer.
-func (c *Client) SendMessage(to JID, id, body string) error {
-	return c.SendMessageBytes(to, id, []byte(body), "")
-}
-
-// SendMessageTraced is SendMessage with a trace field (TraceAttr form) so the
-// switchboard can record causal hops.
-func (c *Client) SendMessageTraced(to JID, id, body, trace string) error {
-	return c.SendMessageBytes(to, id, []byte(body), trace)
-}
-
 // SendMessageBytes sends a message with an arbitrary byte body, which travels
-// verbatim in a binary frame.
+// verbatim in a binary frame; delivery is best-effort at this layer. A
+// non-empty trace (TraceAttr form) lets the switchboard record causal hops.
 func (c *Client) SendMessageBytes(to JID, id string, body []byte, trace string) error {
 	bp := getWireBuf()
 	buf := appendFrame((*bp)[:0], to.String(), "", id, trace, body)
@@ -270,18 +247,15 @@ func (c *Client) write(v any) error {
 
 func (c *Client) dispatchMessage(m message) {
 	c.mu.Lock()
-	onMsg, onRaw := c.onMessage, c.onMessageRaw
-	if onMsg == nil && onRaw == nil && len(c.backlog) < 256 {
+	onRaw := c.onMessageRaw
+	if onRaw == nil && len(c.backlog) < 256 {
 		// No handler yet (session-resumption replay races handler
-		// registration): hold the message for OnMessage/OnMessageRaw.
+		// registration): hold the message for OnMessageRaw.
 		c.backlog = append(c.backlog, m)
 	}
 	c.mu.Unlock()
-	switch {
-	case onRaw != nil:
+	if onRaw != nil {
 		onRaw(JID(m.From), m.ID, m.Body)
-	case onMsg != nil:
-		onMsg(JID(m.From), m.ID, string(m.Body))
 	}
 }
 

@@ -77,7 +77,7 @@ func TestServerUnknownStanzaSkipped(t *testing.T) {
 	a := dial(t, s, "a", "pw")
 	b := dial(t, s, "b", "pw")
 	got := make(chan string, 1)
-	b.OnMessage(func(_ JID, _, body string) { got <- body })
+	b.OnMessageRaw(func(_ JID, _ string, body []byte) { got <- string(body) })
 
 	// Inject an unknown stanza directly, then a legitimate message: the
 	// server must skip the former and route the latter.
@@ -85,7 +85,7 @@ func TestServerUnknownStanzaSkipped(t *testing.T) {
 		XMLName struct{} `xml:"weird"`
 		Data    string   `xml:"data"`
 	}{Data: "???"})
-	a.SendMessage(MakeJID("b"), "m1", "still-works")
+	a.SendMessageBytes(MakeJID("b"), "m1", []byte("still-works"), "")
 	select {
 	case body := <-got:
 		if body != "still-works" {
@@ -100,9 +100,9 @@ func TestServerUnknownStanzaSkipped(t *testing.T) {
 func collectBodies(c *Client) func() []string {
 	var mu sync.Mutex
 	var got []string
-	c.OnMessage(func(_ JID, _, body string) {
+	c.OnMessageRaw(func(_ JID, _ string, body []byte) {
 		mu.Lock()
-		got = append(got, body)
+		got = append(got, string(body))
 		mu.Unlock()
 	})
 	return func() []string {
@@ -123,7 +123,7 @@ func TestOfflineQueueResumesSession(t *testing.T) {
 	r.OnError(func(id, reason string) { bounced <- reason })
 
 	for _, body := range []string{"m1", "m2", "m3"} {
-		if err := r.SendMessage(MakeJID("d"), body, body); err != nil {
+		if err := r.SendMessageBytes(MakeJID("d"), body, []byte(body), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestOfflineQueueBounded(t *testing.T) {
 	s.Associate("r", "d")
 	r := dial(t, s, "r", "pw")
 	for _, body := range []string{"m1", "m2", "m3"} {
-		r.SendMessage(MakeJID("d"), body, body)
+		r.SendMessageBytes(MakeJID("d"), body, []byte(body), "")
 	}
 	waitFor(t, "queue overflow accounted", func() bool {
 		return reg.CounterValue("xmpp_server_queue_drops_total") == 1
@@ -184,7 +184,7 @@ func TestStaleSessionDeliveryQueues(t *testing.T) {
 	s.sessions["d"] = &session{user: "d", jid: JID("d@pogo/stale"), conn: c1}
 	s.mu.Unlock()
 
-	if err := r.SendMessage(MakeJID("d"), "m1", "behind-stale"); err != nil {
+	if err := r.SendMessageBytes(MakeJID("d"), "m1", []byte("behind-stale"), ""); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "failed delivery queued", func() bool {
@@ -223,7 +223,7 @@ func TestSessionResumptionAcrossDroppedTCP(t *testing.T) {
 	dead := make(chan struct{})
 	d1.OnDisconnect(func(error) { close(dead) })
 
-	r.SendMessage(MakeJID("d"), "live", "live")
+	r.SendMessageBytes(MakeJID("d"), "live", []byte("live"), "")
 	waitFor(t, "live delivery through proxy", func() bool { return len(got1()) == 1 })
 
 	// Churn: the phone's TCP session dies mid-stream.
@@ -235,8 +235,8 @@ func TestSessionResumptionAcrossDroppedTCP(t *testing.T) {
 	}
 	waitFor(t, "server drops the dead session", func() bool { return !s.Online("d") })
 
-	r.SendMessage(MakeJID("d"), "q1", "queued-1")
-	r.SendMessage(MakeJID("d"), "q2", "queued-2")
+	r.SendMessageBytes(MakeJID("d"), "q1", []byte("queued-1"), "")
+	r.SendMessageBytes(MakeJID("d"), "q2", []byte("queued-2"), "")
 	waitFor(t, "outage traffic queued", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()

@@ -64,11 +64,11 @@ func TestServerRecordsTraceHops(t *testing.T) {
 	s.Associate("alice", "bob")
 
 	var delivered atomic.Int32
-	bob.OnMessage(func(JID, string, string) { delivered.Add(1) })
+	bob.OnMessageRaw(func(JID, string, []byte) { delivered.Add(1) })
 
 	tr := obs.NewTraceID(9, "alice", 1)
 	attr := TraceAttr([]obs.TraceID{tr})
-	if err := alice.SendMessageTraced(MakeJID("bob"), "m1", "hello", attr); err != nil {
+	if err := alice.SendMessageBytes(MakeJID("bob"), "m1", []byte("hello"), attr); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "routed delivery", func() bool { return delivered.Load() == 1 })
@@ -87,18 +87,18 @@ func TestServerRecordsTraceHops(t *testing.T) {
 	// Offline: queue a second traced stanza while bob is gone, then resume.
 	bob.Close()
 	waitFor(t, "bob offline", func() bool { return !s.Online("bob") })
-	if err := alice.SendMessageTraced(MakeJID("bob"), "m2", "queued", attr); err != nil {
+	if err := alice.SendMessageBytes(MakeJID("bob"), "m2", []byte("queued"), attr); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "offline hop", func() bool { return stages()[obs.StageOffline] == 1 })
 
 	bob2 := dial(t, s, "bob", "pw")
-	bob2.OnMessage(func(JID, string, string) { delivered.Add(1) })
+	bob2.OnMessageRaw(func(JID, string, []byte) { delivered.Add(1) })
 	waitFor(t, "replayed delivery", func() bool { return delivered.Load() == 2 })
 	waitFor(t, "replay hop", func() bool { return stages()[obs.StageReplay] == 1 })
 
 	// Untraced stanzas leave no hops: the store only grows for the traced one.
-	if err := alice.SendMessage(MakeJID("bob"), "m3", "plain"); err != nil {
+	if err := alice.SendMessageBytes(MakeJID("bob"), "m3", []byte("plain"), ""); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "plain delivery", func() bool { return delivered.Load() == 3 })

@@ -97,13 +97,13 @@ func TestMessageRouting(t *testing.T) {
 	var mu sync.Mutex
 	var got []string
 	dev := dial(t, s, "device1", "pw")
-	dev.OnMessage(func(from JID, id, body string) {
+	dev.OnMessageRaw(func(from JID, id string, body []byte) {
 		mu.Lock()
-		got = append(got, from.Bare().String()+"|"+id+"|"+body)
+		got = append(got, from.Bare().String()+"|"+id+"|"+string(body))
 		mu.Unlock()
 	})
 	res := dial(t, s, "researcher", "pw")
-	if err := res.SendMessage(MakeJID("device1"), "m1", `{"hello":1}`); err != nil {
+	if err := res.SendMessageBytes(MakeJID("device1"), "m1", []byte(`{"hello":1}`), ""); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "message delivery", func() bool {
@@ -129,7 +129,7 @@ func TestMessageToOfflinePeerBounces(t *testing.T) {
 		errs = append(errs, id+"|"+reason)
 		mu.Unlock()
 	})
-	res.SendMessage(MakeJID("device1"), "m9", "payload")
+	res.SendMessageBytes(MakeJID("device1"), "m9", []byte("payload"), "")
 	waitFor(t, "error bounce", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -149,7 +149,7 @@ func TestMessageOutsideRosterRejected(t *testing.T) {
 	a := dial(t, s, "devA", "pw")
 	b := dial(t, s, "devB", "pw")
 	received := make(chan string, 1)
-	b.OnMessage(func(_ JID, _, body string) { received <- body })
+	b.OnMessageRaw(func(_ JID, _ string, body []byte) { received <- string(body) })
 	var mu sync.Mutex
 	var errs []string
 	a.OnError(func(id, reason string) {
@@ -157,7 +157,7 @@ func TestMessageOutsideRosterRejected(t *testing.T) {
 		errs = append(errs, reason)
 		mu.Unlock()
 	})
-	a.SendMessage(MakeJID("devB"), "m1", "sneaky")
+	a.SendMessageBytes(MakeJID("devB"), "m1", []byte("sneaky"), "")
 	waitFor(t, "rejection", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -243,13 +243,13 @@ func TestReconnectReplacesSession(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []string
-	c2.OnMessage(func(_ JID, _, body string) {
+	c2.OnMessageRaw(func(_ JID, _ string, body []byte) {
 		mu.Lock()
-		got = append(got, body)
+		got = append(got, string(body))
 		mu.Unlock()
 	})
 	r := dial(t, s, "r", "pw")
-	r.SendMessage(MakeJID("d"), "m", "after-handover")
+	r.SendMessageBytes(MakeJID("d"), "m", []byte("after-handover"), "")
 	waitFor(t, "delivery to new session", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -283,9 +283,9 @@ func TestManyClientsConcurrent(t *testing.T) {
 	var mu sync.Mutex
 	bodies := map[string]bool{}
 	col := dial(t, s, "collector", "pw")
-	col.OnMessage(func(from JID, _, body string) {
+	col.OnMessageRaw(func(from JID, _ string, body []byte) {
 		mu.Lock()
-		bodies[body] = true
+		bodies[string(body)] = true
 		mu.Unlock()
 	})
 	var wg sync.WaitGroup
@@ -301,7 +301,7 @@ func TestManyClientsConcurrent(t *testing.T) {
 			}
 			defer c.Close()
 			for j := 0; j < 10; j++ {
-				c.SendMessage(MakeJID("collector"), "m", name+"-"+string(rune('0'+j)))
+				c.SendMessageBytes(MakeJID("collector"), "m", []byte(name+"-"+string(rune('0'+j))), "")
 			}
 			time.Sleep(50 * time.Millisecond)
 		}(i)
