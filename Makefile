@@ -12,7 +12,8 @@ bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
 # bench-gate reruns the hot-path microbenchmarks (broker fanout, msg codecs,
-# transport round trip — single-connection and with 1000 live connections)
+# transport round trip — single-connection and with 1000 live connections —
+# flush cost at 10 and 1000 in flight, the scheduler hop on the real clock)
 # and compares them against the checked-in BENCH_hotpath.json: B/op or
 # allocs/op more than 15% worse than the baseline fails the build
 # (allocation counts are machine-independent, so a real increase is a code

@@ -2,10 +2,11 @@ package main
 
 // The hot-path microbenchmark suite and its regression gate. `pogo-bench
 // -run hotpath` measures the zero-copy message path — broker fanout, the
-// msg codecs, and a full transport round trip — with testing.Benchmark and
-// records ns/op, B/op, allocs/op to BENCH_hotpath.json. With -gate it
-// instead compares a fresh run against the checked-in baseline and fails on
-// regressions (see gateHotpath for the thresholds and their rationale).
+// msg codecs, a full transport round trip, and the scheduler hop — with
+// testing.Benchmark and records ns/op, B/op, allocs/op to
+// BENCH_hotpath.json. With -gate it instead compares a fresh run against the
+// checked-in baseline and fails on regressions (see gateHotpath for the
+// thresholds and their rationale).
 
 import (
 	"encoding/json"
@@ -18,6 +19,7 @@ import (
 
 	"pogo/internal/msg"
 	"pogo/internal/pubsub"
+	"pogo/internal/sched"
 	"pogo/internal/store"
 	"pogo/internal/transport"
 	"pogo/internal/vclock"
@@ -197,6 +199,25 @@ func hotpathBenchmarks() []struct {
 		}},
 		{"flush_one_new_10_inflight", func(b *testing.B) { benchFlushOneNew(b, 10) }},
 		{"flush_one_new_1k_inflight", func(b *testing.B) { benchFlushOneNew(b, 1000) }},
+		{"sched_submit_real", func(b *testing.B) {
+			// Submit → task start on the system clock, one name, its lane
+			// already running: the hop every message takes into a script and
+			// into the flush. The one allocation is the caller's closure,
+			// built per message as core's subscription dispatch builds it.
+			s := sched.New(vclock.Real{}, nil)
+			defer s.Close()
+			started := make(chan int)
+			s.Submit("bench", func() { started <- -1 })
+			<-started
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Submit("bench", func() { started <- i })
+				if got := <-started; got != i {
+					b.Fatalf("task %d started when %d was submitted", got, i)
+				}
+			}
+		}},
 	}
 }
 

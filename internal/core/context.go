@@ -127,7 +127,7 @@ func (c *Context) deploy(name, source string) error {
 		old.inst.Stop()
 	}
 
-	host := &scriptHost{ctx: c, name: name}
+	host := &scriptHost{ctx: c, name: name, scriptTask: "script-" + name, timeoutTask: "timeout-" + name}
 	inst, err := script.New(name, source, host, c.node.cfg.ScriptConfig)
 	if err != nil {
 		return err
@@ -400,6 +400,9 @@ func (c *Context) applyPrivacy(channel string, shared bool) {
 type scriptHost struct {
 	ctx  *Context
 	name string
+	// Scheduler task names, built once: the scheduler runs each name's tasks
+	// in order, so these are also what keeps a script's messages in order.
+	scriptTask, timeoutTask string
 }
 
 var _ script.Host = (*scriptHost)(nil)
@@ -428,7 +431,7 @@ func (h *scriptHost) Subscribe(channel string, params msg.Map, handler func(msg.
 	node := h.ctx.node
 	sub := h.ctx.broker.Subscribe(channel, params, func(ev pubsub.Event) {
 		m, origin := ev.Message, ev.Origin
-		node.sch.Submit("script-"+h.name, func() { handler(m, origin) })
+		node.sch.Submit(h.scriptTask, func() { handler(m, origin) })
 	})
 	ls := h.ctx.registerLocalSub(channel, params, sub)
 	return func() { h.ctx.releaseLocalSub(ls) },
@@ -481,7 +484,7 @@ func (h *scriptHost) freezeKey(scriptName string) string {
 // callback fires even if the CPU slept in between (an RTC alarm), and runs
 // under a wake lock.
 func (h *scriptHost) SetTimeout(fn func(), delay time.Duration) {
-	h.ctx.node.sch.After(delay, "timeout-"+h.name, fn)
+	h.ctx.node.sch.After(delay, h.timeoutTask, fn)
 }
 
 // ReportError implements script.Host.

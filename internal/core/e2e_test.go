@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +9,8 @@ import (
 
 	"pogo/internal/android"
 	"pogo/internal/energy"
+	"pogo/internal/msg"
+	"pogo/internal/pubsub"
 	"pogo/internal/radio"
 	"pogo/internal/store"
 	"pogo/internal/transport"
@@ -133,5 +136,79 @@ func TestAutoStartOffRequiresManualStart(t *testing.T) {
 	}
 	if err := ctx.StartScript("missing.js"); err == nil {
 		t.Error("starting an unknown script succeeded")
+	}
+}
+
+// TestScriptSeesMessagesInPublishOrderOverRealXMPP pins the paper's ordering
+// promise on the production path: what one phone publishes on a channel, the
+// collector's script handles in the same order. The transport delivers in
+// order; the last hop, broker → scheduler → script, has to keep it.
+func TestScriptSeesMessagesInPublishOrderOverRealXMPP(t *testing.T) {
+	const n = 5000
+	srv := xmpp.NewServer(xmpp.ServerConfig{AllowAutoRegister: true})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Associate("researcher", "phone")
+
+	node := func(id string, mode Mode) *Node {
+		m, err := transport.DialXMPP(srv.Addr(), id, "pw", "r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		nd, err := NewNode(Config{ID: id, Mode: mode, Clock: vclock.Real{}, Messenger: m, FlushPolicy: FlushImmediate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nd.Close)
+		return nd
+	}
+	col, phone := node("researcher", CollectorMode), node("phone", DeviceMode)
+
+	var mu sync.Mutex
+	var got []string
+	col.Logs().SetOnAppend(func(log, line string) {
+		if log == "seq" {
+			mu.Lock()
+			got = append(got, line)
+			mu.Unlock()
+		}
+	})
+	logged := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got)
+	}
+	if err := col.DeployLocal("sink.js", `subscribe('seq', function (m) { logTo('seq', '' + m.n); });`); err != nil {
+		t.Fatal(err)
+	}
+
+	// The phone learns of the collector's subscription over the wire; publish
+	// once its proxy is installed.
+	var broker *pubsub.Broker
+	for deadline := time.Now().Add(10 * time.Second); broker == nil || !broker.HasSubscribers("seq"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("phone never installed the proxy subscription")
+		}
+		if ctx := phone.Contexts()["researcher"]; ctx != nil {
+			broker = ctx.Broker()
+		}
+	}
+	for i := 0; i < n; i++ {
+		broker.Publish("seq", msg.Map{"n": float64(i)})
+	}
+	for deadline := time.Now().Add(30 * time.Second); logged() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d messages logged", logged(), n)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, line := range got {
+		if line != strconv.Itoa(i) {
+			t.Fatalf("log line %d is message %s (%d lines logged)", i, line, len(got))
+		}
 	}
 }

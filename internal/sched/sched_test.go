@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -112,8 +111,13 @@ func TestCloseCancelsPending(t *testing.T) {
 	if ran != 0 {
 		t.Errorf("ran = %d after Close", ran)
 	}
-	// Tasks submitted after Close never run.
+	// Tasks submitted after Close never run, and arm nothing on the clock
+	// that would pin them until they fire.
 	s.Submit("late", func() { ran++ })
+	s.After(24*time.Hour, "purge", func() { ran++ })
+	if n := clk.Pending(); n != 0 {
+		t.Errorf("%d clock events armed on a closed scheduler", n)
+	}
 	clk.Advance(time.Minute)
 	if ran != 0 {
 		t.Errorf("ran = %d, post-Close submit executed", ran)
@@ -126,34 +130,5 @@ func TestAccessors(t *testing.T) {
 	s := New(clk, dev)
 	if s.Clock() != vclock.Clock(clk) || s.Device() != dev {
 		t.Error("accessors wrong")
-	}
-}
-
-func TestSerialQueueMutualExclusion(t *testing.T) {
-	var q SerialQueue
-	active := 0
-	maxActive := 0
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			q.Do(func() {
-				mu.Lock()
-				active++
-				if active > maxActive {
-					maxActive = active
-				}
-				mu.Unlock()
-				mu.Lock()
-				active--
-				mu.Unlock()
-			})
-		}()
-	}
-	wg.Wait()
-	if maxActive != 1 {
-		t.Errorf("maxActive = %d, want 1", maxActive)
 	}
 }
