@@ -13,9 +13,10 @@ bench:
 
 # bench-gate reruns the hot-path microbenchmarks (broker fanout, msg codecs,
 # transport round trip — single-connection and with 1000 live connections —
-# flush cost at 10 and 1000 in flight, the scheduler hop on the real clock)
-# and compares them against the checked-in BENCH_hotpath.json: B/op or
-# allocs/op more than 15% worse than the baseline fails the build
+# flush cost at 10 and 1000 in flight, the file-backed outbox's add + ack,
+# the scheduler hop on the real clock) and compares them against the
+# checked-in BENCH_hotpath.json: B/op or allocs/op more than 15% worse than
+# the baseline fails the build
 # (allocation counts are machine-independent, so a real increase is a code
 # regression); ns/op deltas are printed but advisory. After an intentional
 # change, refresh the baseline with `go run ./cmd/pogo-bench -run hotpath`
@@ -62,7 +63,8 @@ check: stdout-guard
 
 # fuzz-smoke gives the coverage-guided fuzzers a brief shake on every check:
 # the stanza reader that faces raw TCP bytes (xmpp), the frozen and plain
-# binary body decoders (msg), and the scenario parser. Run e.g.
+# binary body decoders (msg), the scenario parser, and the outbox log's
+# replay, which faces whatever a crash or a bad disk left (store). Run e.g.
 # `go test -fuzz 'FuzzDecode$' -fuzztime 5m ./internal/msg` for a real
 # session. internal/msg has two fuzz targets, and `go test -fuzz` only
 # accepts a pattern matching exactly one, so each is named explicitly.
@@ -71,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/msg
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryRoundTrip$$' -fuzztime 10s ./internal/msg
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioParse$$' -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz 'FuzzReplay$$' -fuzztime 10s ./internal/store
 
 # chaos replays the seeded fault-injection matrix (drop, duplicate, corrupt,
 # delay, partition, churn at three fault levels) under the race detector,

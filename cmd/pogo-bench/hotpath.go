@@ -2,16 +2,17 @@ package main
 
 // The hot-path microbenchmark suite and its regression gate. `pogo-bench
 // -run hotpath` measures the zero-copy message path — broker fanout, the
-// msg codecs, a full transport round trip, and the scheduler hop — with
-// testing.Benchmark and records ns/op, B/op, allocs/op to
-// BENCH_hotpath.json. With -gate it instead compares a fresh run against the
-// checked-in baseline and fails on regressions (see gateHotpath for the
+// msg codecs, a full transport round trip, the file-backed outbox, and the
+// scheduler hop — with testing.Benchmark and records ns/op, B/op, allocs/op
+// to BENCH_hotpath.json. With -gate it instead compares a fresh run against
+// the checked-in baseline and fails on regressions (see gateHotpath for the
 // thresholds and their rationale).
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -199,6 +200,51 @@ func hotpathBenchmarks() []struct {
 		}},
 		{"flush_one_new_10_inflight", func(b *testing.B) { benchFlushOneNew(b, 10) }},
 		{"flush_one_new_1k_inflight", func(b *testing.B) { benchFlushOneNew(b, 1000) }},
+		{"store_add_ack_file", func(b *testing.B) {
+			// The file-backed outbox as a stream drives it: one Add and the
+			// Ack of the oldest entry, 64 outstanding. Each is one record
+			// built in the outbox's buffer and one write; the one allocation
+			// is the outbox's own copy of the payload.
+			dir, err := os.MkdirTemp("", "pogo-hotpath-")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer os.RemoveAll(dir)
+			box, err := store.Open(filepath.Join(dir, "outbox.log"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer box.Close()
+			payload, err := msg.AppendBinary(nil, hotpathPayload())
+			if err != nil {
+				b.Fatal(err)
+			}
+			const backlog = 64
+			var ring [backlog]uint64
+			add := func(i int) {
+				id, err := box.Add("collector", "bench", uint64(i), payload, vclock.SimEpoch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ring[i%backlog] = id
+			}
+			for i := 0; i < backlog; i++ {
+				add(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := backlog; i < backlog+b.N; i++ {
+				oldest := ring[i%backlog]
+				add(i)
+				if err := box.Ack(oldest); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if box.Len() != backlog {
+				b.Fatalf("%d buffered, want %d", box.Len(), backlog)
+			}
+		}},
 		{"sched_submit_real", func(b *testing.B) {
 			// Submit → task start on the system clock, one name, its lane
 			// already running: the hop every message takes into a script and

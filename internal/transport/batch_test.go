@@ -346,7 +346,11 @@ func TestLargeFlushDrainsOnceOverRealXMPP(t *testing.T) {
 	if n := devReg.CounterValue("xmpp_reconnects_total", obs.L("node", "device")); n != 0 {
 		t.Errorf("stream was reset %d times", n)
 	}
-	if n := srvReg.CounterValue("xmpp_server_stanzas_routed_total"); n != 2 {
+	// The server counts a stanza after writing it, so the phone may have
+	// settled the ack before the count moves.
+	routed := func() int64 { return srvReg.CounterValue("xmpp_server_stanzas_routed_total") }
+	waitCond(t, "the server to count the ack it routed", func() bool { return routed() >= 2 })
+	if n := routed(); n != 2 {
 		t.Errorf("server routed %d stanzas, want one envelope and one ack", n)
 	}
 }

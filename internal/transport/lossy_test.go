@@ -258,6 +258,55 @@ func TestEndpointRebootReplaysOutboxInOrder(t *testing.T) {
 	}
 }
 
+// Acks carry bare outbox IDs, so an ID must never be handed out twice: an
+// ack that was still on its way when the phone rebooted — here for the first
+// message of the last boot, long delivered and acknowledged — must not delete
+// whatever the new boot has buffered since.
+func TestStaleAckAfterRebootLeavesNewEntryPending(t *testing.T) {
+	clk := vclock.NewSim()
+	sb := NewSwitchboard(clk)
+	sb.Associate("phone", "col")
+	path := filepath.Join(t.TempDir(), "outbox.log")
+	box, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := NewEndpoint(sb.Port("phone", nil), box, clk, EndpointConfig{BootID: "boot1"})
+	col := NewEndpoint(sb.Port("col", nil), store.OpenMemory(), clk, EndpointConfig{})
+	for i := 0; i < 100; i++ {
+		ep.Enqueue("col", "ch", msg.Map{"n": float64(i)})
+	}
+	ep.Flush()
+	clk.Advance(time.Second)
+	if ep.Pending() != 0 || col.Stats().MessagesReceived != 100 {
+		t.Fatalf("pre-reboot: pending %d, delivered %d", ep.Pending(), col.Stats().MessagesReceived)
+	}
+	if err := box.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	box2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer box2.Close()
+	ep2 := NewEndpoint(sb.Port("phone", nil), box2, clk, EndpointConfig{BootID: "boot2"})
+	if err := ep2.Enqueue("col", "ch", msg.Map{"n": 100.0}); err != nil {
+		t.Fatal(err)
+	}
+	stale := append([]byte(nil), frameHeader[:]...)
+	stale = frameInto(appendEnvelope(stale, "col", "", nil, []uint64{1}, nil, nil))
+	ep2.receive("col", stale)
+	if p := box2.Pending(); len(p) != 1 || p[0].ID != 101 {
+		t.Fatalf("after a stale ack for ID 1: %+v buffered, want the new message alone, as ID 101", p)
+	}
+	ep2.Flush()
+	clk.Advance(time.Second)
+	if ep2.Pending() != 0 || col.Stats().MessagesReceived != 101 {
+		t.Errorf("post-reboot: pending %d, delivered %d of 101", ep2.Pending(), col.Stats().MessagesReceived)
+	}
+}
+
 func ExampleEndpoint() {
 	clk := vclock.NewSim()
 	sb := NewSwitchboard(clk)
