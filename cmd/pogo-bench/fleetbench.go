@@ -1,11 +1,11 @@
 package main
 
 // The fleet scaling benchmark and its memory-diet regression gate.
-// `pogo-bench -run fleet` sweeps the sharded fleet simulation over shard and
-// process counts, hard-fails unless every split of a given (seed, phones)
-// preserves the exactly-once audit AND the same delivery-log SHA-256, and
-// merges the rows into BENCH_fleet.json. `-fleet-scale 10000,100000` appends
-// the phones-vs-throughput scaling curve. With -gate it instead replays the
+// `pogo-bench -run fleet` sweeps the sharded fleet simulation over shard
+// counts, hard-fails unless every split of a given (seed, phones) preserves
+// the exactly-once audit AND the same delivery-log SHA-256, and merges the
+// rows into BENCH_fleet.json. `-fleet-scale 10000,100000` appends the
+// phones-vs-throughput scaling curve. With -gate it instead replays the
 // canonical 2000-phone row and fails on fleet_bytes_per_phone or
 // allocs_per_delivery regressions (see gateFleetDiet).
 
@@ -25,8 +25,8 @@ import (
 const fleetFileName = "BENCH_fleet.json"
 
 // fleetBenchRun is one row of BENCH_fleet.json: a FleetResult (which carries
-// its own phones/shards/procs coordinates) plus the wall-clock speedup
-// against the shards=1, procs=1 run of the same fleet size.
+// its own phones/shards coordinates) plus the wall-clock speedup against
+// the shards=1 run of the same fleet size.
 type fleetBenchRun struct {
 	experiments.FleetResult
 	SpeedupVs1Shard float64 `json:"speedup_vs_1_shard"`
@@ -35,7 +35,7 @@ type fleetBenchRun struct {
 // fleetBench is the BENCH_fleet.json schema. NumCPU/GOMAXPROCS record the
 // machine the wall-clock figures were taken on: the delivery-log hash,
 // allocs_per_delivery and fleet_bytes_per_phone are machine-independent, the
-// wall-clock columns are not — on a box with fewer cores than workers the
+// wall-clock columns are not — on a box with fewer cores than shards the
 // speedup is flat and cpu_seconds is what attributes the work.
 type fleetBench struct {
 	Seed       int64           `json:"seed"`
@@ -44,29 +44,24 @@ type fleetBench struct {
 	Runs       []fleetBenchRun `json:"runs"`
 }
 
-// fleetCombo is one (phones, shards, procs) point of the sweep.
+// fleetCombo is one (phones, shards) point of the sweep.
 type fleetCombo struct {
-	phones, shards, procs int
+	phones, shards int
 }
 
 // fleetSweep builds the default sweep: shard counts 1, 2, 4, … up to
-// maxShards in-process, plus the widest shard count split over two worker
-// processes. Scale sizes each get the three points that make the curve
-// readable: serial (1×1), sharded (8×1), and sharded multi-process (8×2).
+// maxShards. Scale sizes each get the two points that make the curve
+// readable: serial and 8 shards.
 func fleetSweep(phones, maxShards int, scaleSizes []int) []fleetCombo {
-	combos := []fleetCombo{{phones, 1, 1}}
+	combos := []fleetCombo{{phones, 1}}
 	for k := 2; k < maxShards; k *= 2 {
-		combos = append(combos, fleetCombo{phones, k, 1})
+		combos = append(combos, fleetCombo{phones, k})
 	}
 	if maxShards > 1 {
-		combos = append(combos, fleetCombo{phones, maxShards, 1})
-		combos = append(combos, fleetCombo{phones, maxShards, 2})
+		combos = append(combos, fleetCombo{phones, maxShards})
 	}
 	for _, n := range scaleSizes {
-		combos = append(combos,
-			fleetCombo{n, 1, 1},
-			fleetCombo{n, 8, 1},
-			fleetCombo{n, 8, 2})
+		combos = append(combos, fleetCombo{n, 1}, fleetCombo{n, 8})
 	}
 	return combos
 }
@@ -88,12 +83,11 @@ func parseFleetScale(s string) ([]int, error) {
 
 // runFleet executes the sweep. Every run must preserve the exactly-once
 // delivery guarantee, and every run of the same fleet size must produce the
-// same delivery-log hash as that size's 1-shard, 1-process run — the
-// partitioning, in-process or across workers, must be invisible to the
-// simulation. Rows merge into BENCH_fleet.json keyed by (phones, shards,
-// procs), so a scale sweep and the default sweep accumulate into one file.
-// With -fleet-log the merged delivery log of the last base-size run is
-// written out so `make fleet` can diff two same-seed invocations.
+// same delivery-log hash as that size's 1-shard run — the partitioning must
+// be invisible to the simulation. Rows merge into BENCH_fleet.json keyed by
+// (phones, shards), so a scale sweep and the default sweep accumulate into
+// one file. With -fleet-log the merged delivery log of the last base-size run
+// is written out so `make fleet` can diff two same-seed invocations.
 func runFleet(seed int64, phones, maxShards int, fleetScale, logPath, traceOut string) error {
 	if phones == 0 {
 		phones = 2000
@@ -110,39 +104,31 @@ func runFleet(seed int64, phones, maxShards int, fleetScale, logPath, traceOut s
 	}
 	combos := fleetSweep(phones, maxShards, scaleSizes)
 
-	baseHash := make(map[int]string) // phones → 1×1 hash
+	baseHash := make(map[int]string) // phones → 1-shard hash
 	baseWall := make(map[int]float64)
 	var runs []fleetBenchRun
 	var lastLog []string
 	var lastReg *obs.Registry
 	for _, c := range combos {
 		cfg := experiments.FleetScenario(seed, c.phones, c.shards)
-		cfg.Procs = c.procs
 		cfg.KeepLog = logPath != "" && c.phones == phones
-		if traceOut != "" && c.procs == 1 {
+		if traceOut != "" {
 			// A fresh registry per run: spans from different shard counts must
 			// not mix (same seed means identical trace IDs across runs).
 			lastReg = obs.NewRegistry()
 			cfg.Obs = lastReg
 		}
-		var res experiments.FleetResult
-		if c.procs > 1 {
-			if res, err = experiments.FleetMultiproc(cfg, nil); err != nil {
-				return fmt.Errorf("fleet phones=%d shards=%d procs=%d: %w", c.phones, c.shards, c.procs, err)
-			}
-		} else {
-			res = experiments.Fleet(cfg)
-		}
+		res := experiments.Fleet(cfg)
 		if res.Lost != 0 || res.Duplicated != 0 || res.OutOfOrder != 0 || res.Undrained != 0 {
-			return fmt.Errorf("fleet phones=%d shards=%d procs=%d violated the delivery guarantee: lost=%d dup=%d ooo=%d undrained=%d",
-				c.phones, c.shards, c.procs, res.Lost, res.Duplicated, res.OutOfOrder, res.Undrained)
+			return fmt.Errorf("fleet phones=%d shards=%d violated the delivery guarantee: lost=%d dup=%d ooo=%d undrained=%d",
+				c.phones, c.shards, res.Lost, res.Duplicated, res.OutOfOrder, res.Undrained)
 		}
 		if ref, ok := baseHash[c.phones]; !ok {
 			baseHash[c.phones] = res.LogSHA256
 			baseWall[c.phones] = res.WallSeconds
 		} else if res.LogSHA256 != ref {
-			return fmt.Errorf("fleet phones=%d shards=%d procs=%d: delivery log hash %s differs from 1-shard hash %s (determinism broken)",
-				c.phones, c.shards, c.procs, res.LogSHA256, ref)
+			return fmt.Errorf("fleet phones=%d shards=%d: delivery log hash %s differs from 1-shard hash %s (determinism broken)",
+				c.phones, c.shards, res.LogSHA256, ref)
 		}
 		run := fleetBenchRun{FleetResult: res}
 		if res.WallSeconds > 0 {
@@ -152,8 +138,8 @@ func runFleet(seed int64, phones, maxShards int, fleetScale, logPath, traceOut s
 		if cfg.KeepLog {
 			lastLog = res.Log
 		}
-		fmt.Printf("fleet phones=%d shards=%d procs=%d seed=%d collectors=%d: %d/%d delivered, epochs=%d, events=%d, cross-shard=%d\n",
-			res.Phones, res.Shards, res.Procs, res.Seed, res.Collectors,
+		fmt.Printf("fleet phones=%d shards=%d seed=%d collectors=%d: %d/%d delivered, epochs=%d, events=%d, cross-shard=%d\n",
+			res.Phones, res.Shards, res.Seed, res.Collectors,
 			res.Delivered, res.Expected, res.Epochs, res.Events, res.CrossShard)
 		fmt.Printf("  %.1f sim-s in %.2f wall-s (%.2f cpu-s): %.0f events/s, %.0f deliveries/s, speedup vs 1 shard %.2fx\n",
 			res.SimSeconds, res.WallSeconds, res.CPUSeconds, res.EventsPerSec, res.DeliveriesPerSec, run.SpeedupVs1Shard)
@@ -161,10 +147,10 @@ func runFleet(seed int64, phones, maxShards int, fleetScale, logPath, traceOut s
 		fmt.Printf("  delivery log sha256: %s\n", res.LogSHA256)
 	}
 	for _, n := range append([]int{phones}, scaleSizes...) {
-		fmt.Printf("determinism: phones=%d, identical delivery-log hash %s across every (shards x procs) split\n", n, baseHash[n])
+		fmt.Printf("determinism: phones=%d, identical delivery-log hash %s at every shard count\n", n, baseHash[n])
 	}
 	if runtime.NumCPU() < maxShards {
-		fmt.Printf("note: only %d CPU(s) available; wall-clock speedup needs as many cores as workers (cpu_seconds attributes the work regardless)\n", runtime.NumCPU())
+		fmt.Printf("note: only %d CPU(s) available; wall-clock speedup needs as many cores as shards (cpu_seconds attributes the work regardless)\n", runtime.NumCPU())
 	}
 
 	if logPath != "" {
@@ -187,7 +173,7 @@ func runFleet(seed int64, phones, maxShards int, fleetScale, logPath, traceOut s
 }
 
 // mergeFleetRows folds fresh rows into BENCH_fleet.json keyed by (phones,
-// shards, procs): the default 2000-phone sweep and the -fleet-scale curve are
+// shards): the default 2000-phone sweep and the -fleet-scale curve are
 // recorded by separate invocations but live in one file. A seed change
 // invalidates every hash, so the file restarts from scratch.
 func mergeFleetRows(seed int64, fresh []fleetBenchRun) error {
@@ -201,7 +187,7 @@ func mergeFleetRows(seed int64, fresh []fleetBenchRun) error {
 	for _, f := range fresh {
 		replaced := false
 		for i, r := range bench.Runs {
-			if r.Phones == f.Phones && r.Shards == f.Shards && r.Procs == f.Procs {
+			if r.Phones == f.Phones && r.Shards == f.Shards {
 				bench.Runs[i] = f
 				replaced = true
 				break
@@ -216,10 +202,7 @@ func mergeFleetRows(seed int64, fresh []fleetBenchRun) error {
 		if a.Phones != b.Phones {
 			return a.Phones < b.Phones
 		}
-		if a.Shards != b.Shards {
-			return a.Shards < b.Shards
-		}
-		return a.Procs < b.Procs
+		return a.Shards < b.Shards
 	})
 	b, err := json.MarshalIndent(bench, "", "  ")
 	if err != nil {
@@ -262,13 +245,13 @@ func gateFleetDiet(seed int64) error {
 	var ref *fleetBenchRun
 	for i := range base.Runs {
 		r := &base.Runs[i]
-		if r.Phones == phones && r.Shards == shards && r.Procs == 1 {
+		if r.Phones == phones && r.Shards == shards {
 			ref = r
 			break
 		}
 	}
 	if ref == nil {
-		return fmt.Errorf("baseline %s has no phones=%d shards=%d procs=1 row; run `pogo-bench -run fleet` to record it", fleetFileName, phones, shards)
+		return fmt.Errorf("baseline %s has no phones=%d shards=%d row; run `pogo-bench -run fleet` to record it", fleetFileName, phones, shards)
 	}
 
 	res := experiments.Fleet(experiments.FleetScenario(seed, phones, shards))

@@ -14,7 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -156,8 +155,7 @@ func hotpathBenchmarks() []struct {
 		{"transport_roundtrip_1k_conns", func(b *testing.B) {
 			// The same round trip with 1000 live connections on the
 			// switchboard: per-op cost must not degrade as rosters, dedup
-			// cursors, and sequence maps grow with the fleet. This is the
-			// gated companion of the connscale_<n>_conns sweep rows.
+			// cursors, and sequence maps grow with the fleet.
 			const conns = 1000
 			clk := vclock.NewSim()
 			sw := transport.NewSwitchboard(clk)
@@ -363,10 +361,14 @@ func runHotpath(gate bool) error {
 	if gate {
 		return gateHotpath(fresh)
 	}
-	// Merge rather than overwrite: the connscale_<n>_conns sweep rows
-	// recorded by `-run connscale` live in the same file and must survive a
-	// suite baseline refresh.
-	if err := mergeHotpathRows(fresh); err != nil {
+	b, err := json.MarshalIndent(hotpathFile{
+		Note:    "hot-path baseline; `pogo-bench -run hotpath -gate` (make bench-gate) fails on >15% B/op or allocs/op regressions",
+		Results: fresh,
+	}, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(hotpathFileName, append(b, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("baseline written to %s\n", hotpathFileName)
@@ -449,9 +451,6 @@ func gateHotpath(fresh []hotpathResult) error {
 		fmt.Printf("%-28s %+13.1f%% %+13.1f%% %+13.1f%%  %s\n", f.Name, dNs, dBytes, dAllocs, verdict)
 	}
 	for name := range baseline {
-		if strings.HasPrefix(name, "connscale_") {
-			continue // recorded by `-run connscale`, not this suite
-		}
 		found := false
 		for _, f := range fresh {
 			if f.Name == name {

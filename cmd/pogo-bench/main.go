@@ -28,11 +28,8 @@ import (
 )
 
 func main() {
-	// A fleet worker process (forked by FleetMultiproc's exec spawner) serves
-	// the shard protocol on stdin/stdout and never reaches flag parsing.
-	experiments.MaybeFleetWorker()
 	var (
-		run        = flag.String("run", "all", "experiment: table2|table3|table4|figure3|figure4|ablations|all, or chaos / fleet / hotpath / latency / connscale (benchmarks, not part of all)")
+		run        = flag.String("run", "all", "experiment: table2|table3|table4|figure3|figure4|ablations|all, or chaos / fleet / hotpath / latency (benchmarks, not part of all)")
 		days       = flag.Int("days", 24, "table4: experiment length in days")
 		seed       = flag.Int64("seed", 1, "table4 / chaos / fleet: world seed")
 		phones     = flag.Int("phones", 0, "chaos / fleet: testbed size (0 = per-benchmark default: 50 chaos, 2000 fleet)")
@@ -42,8 +39,7 @@ func main() {
 		freeze     = flag.Bool("freeze", false, "table4: enable freeze/thaw state persistence (the post-paper fix)")
 		stats      = flag.Bool("stats", false, "dump the full metrics registry after the experiments")
 		csvDir     = flag.String("csv", "", "write accounting.csv, timeseries.csv, and ledger-derived table3.csv/table4.csv into this directory")
-		gate       = flag.Bool("gate", false, "hotpath / latency: compare against the checked-in baseline instead of rewriting it; connscale: verify only, no baseline write; exit 1 on regression")
-		conns      = flag.Int("conns", 100000, "connscale: highest concurrent-connection count in the sweep")
+		gate       = flag.Bool("gate", false, "fleet / hotpath / latency: compare against the checked-in baseline instead of rewriting it; exit 1 on regression")
 		traceOut   = flag.String("traceout", "", "chaos / fleet: write the last run's causal spans as Chrome/Perfetto trace JSON to this file")
 		flightOut  = flag.String("flightout", "pogo-flight.json", "chaos: flight-recorder dump path, written when the delivery audit fails")
 		sabotage   = flag.Bool("sabotage-drain", false, "chaos: disable the post-window drain so the audit genuinely fails — exercises the flight recorder")
@@ -71,12 +67,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	var err error
-	if *run == "connscale" {
-		err = runConnscale(*conns, *gate)
-	} else {
-		err = runExperiments(*run, *days, *seed, *phones, *shards, *fleetLog, *fleetScale, *traceOut, *flightOut, *sabotage, *freeze, *gate, *stats, *csvDir)
-	}
+	err := runExperiments(*run, *days, *seed, *phones, *shards, *fleetLog, *fleetScale, *traceOut, *flightOut, *sabotage, *freeze, *gate, *stats, *csvDir)
 	if *memProfile != "" {
 		runtime.GC() // settle the heap so the profile shows retained memory
 		if f, ferr := os.Create(*memProfile); ferr != nil {

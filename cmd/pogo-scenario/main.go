@@ -12,16 +12,12 @@ import (
 	"sort"
 	"strings"
 
-	"pogo/internal/experiments"
 	"pogo/internal/scenario"
 )
 
 const defaultDir = "internal/scenario/testdata/scenarios"
 
 func main() {
-	// Scenarios with `procs=N` fork this binary into fleet shard workers; a
-	// forked copy serves the worker protocol here and never runs scenarios.
-	experiments.MaybeFleetWorker()
 	os.Exit(run())
 }
 

@@ -20,24 +20,18 @@ import (
 // FleetConfig drives the parallel-fleet scenario: the chaos workload —
 // phones uploading to collectors through seeded fault injection, collectors
 // commanding phones back, the hardened transport recovering everything —
-// scaled to thousands of phones and executed across fleet.Engine shards,
-// optionally split over multiple worker processes.
+// scaled to thousands of phones and executed across fleet.Engine shards.
 //
 // Determinism is partition-proof by construction: every entity draws its
 // faults from its own RNG seeded by (Seed, name), every payload crosses the
 // fabric with the same fixed latency whether or not sender and receiver
-// share a shard (or a process), and phone→collector assignment depends only
-// on the phone index. The per-seed delivery log is therefore byte-identical
-// at any Shards, any Procs, and any GOMAXPROCS — `make fleet` enforces
-// exactly that.
+// share a shard, and phone→collector assignment depends only on the phone
+// index. The per-seed delivery log is therefore byte-identical at any Shards
+// and any GOMAXPROCS — `pogo-bench -run fleet` enforces exactly that.
 type FleetConfig struct {
 	Seed   int64
 	Phones int // default 2000
 	Shards int // default 4
-	// Procs splits the shard range over this many worker processes (see
-	// FleetMultiproc). Fleet itself ignores it; it rides in the config so
-	// drivers can carry one value and so workers echo it in results.
-	Procs int
 	// Collectors is the size of the collector cluster phones are hashed
 	// across. It must not default from Shards (that would change the
 	// workload's shape with the partitioning); default Phones/128, clamped
@@ -65,9 +59,9 @@ type FleetConfig struct {
 	// simulated fleet, and the hash is computed without it.
 	KeepLog bool
 
-	// Obs is never serialized to worker processes; multi-process runs only
-	// instrument the coordinator side.
-	Obs *obs.Registry `json:"-"`
+	// Obs, when non-nil, instruments the engine, every endpoint and every
+	// fault wrapper, and has its alert rules evaluated at epoch barriers.
+	Obs *obs.Registry
 }
 
 // FleetScenario is the canonical benchmark mix for `pogo-bench -run fleet`:
@@ -82,18 +76,13 @@ func FleetScenario(seed int64, phones, shards int) FleetConfig {
 	}
 }
 
-// fleetNormalize applies the documented defaults in place. Idempotent: the
-// multi-process coordinator normalizes before serializing to workers, and
-// workers normalize again on the already-normalized config.
+// fleetNormalize applies the documented defaults in place.
 func fleetNormalize(cfg *FleetConfig) {
 	if cfg.Phones == 0 {
 		cfg.Phones = 2000
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 4
-	}
-	if cfg.Procs <= 0 {
-		cfg.Procs = 1
 	}
 	if cfg.Collectors == 0 {
 		cfg.Collectors = cfg.Phones / 128
@@ -129,14 +118,12 @@ func fleetNormalize(cfg *FleetConfig) {
 
 // FleetResult reports one fleet run. Lost/Duplicated/OutOfOrder must be zero
 // — the delivery guarantee is unchanged from the chaos suite — and LogSHA256
-// must be identical across shard counts, process counts and GOMAXPROCS for a
-// given seed.
+// must be identical across shard counts and GOMAXPROCS for a given seed.
 type FleetResult struct {
 	Seed           int64 `json:"seed"`
 	Phones         int   `json:"phones"`
 	Collectors     int   `json:"collectors"`
 	Shards         int   `json:"shards"`
-	Procs          int   `json:"procs"`
 	Expected       int   `json:"expected_deliveries"`
 	Delivered      int   `json:"delivered"`
 	Lost           int   `json:"lost"`
@@ -150,24 +137,20 @@ type FleetResult struct {
 
 	SimSeconds  float64 `json:"sim_seconds"`
 	WallSeconds float64 `json:"wall_seconds"`
-	// CPUSeconds is the user+system rusage consumed by the run across every
-	// participating process (workers plus coordinator). On a box with fewer
-	// cores than shards the wall-clock speedup is flat, but cpu_seconds still
-	// attributes the work: wall ≈ cpu / min(cores, parallelism).
-	CPUSeconds       float64   `json:"cpu_seconds"`
-	WorkerCPUSeconds []float64 `json:"worker_cpu_seconds,omitempty"`
-	EventsPerSec     float64   `json:"events_per_wall_second"`
-	DeliveriesPerSec float64   `json:"deliveries_per_wall_second"`
+	// CPUSeconds is the user+system rusage consumed by the run. On a box with
+	// fewer cores than shards the wall-clock speedup is flat, but cpu_seconds
+	// still attributes the work: wall ≈ cpu / min(cores, shards).
+	CPUSeconds       float64 `json:"cpu_seconds"`
+	EventsPerSec     float64 `json:"events_per_wall_second"`
+	DeliveriesPerSec float64 `json:"deliveries_per_wall_second"`
 	// AllocsPerDelivery / BytesPerDelivery are runtime.MemStats deltas over
 	// the simulation run divided by delivered messages — machine-independent,
 	// so they are comparable across baselines in a way wall-clock is not.
-	// Multi-process runs sum the deltas of every participating process.
 	AllocsPerDelivery float64 `json:"allocs_per_delivery"`
 	BytesPerDelivery  float64 `json:"bytes_per_delivery"`
 	// BytesPerPhone is the live-heap cost of building the fleet (post-GC
-	// HeapAlloc delta across world construction, summed over worker
-	// processes) divided by Phones: the per-device memory footprint the
-	// 100k-phone diet is budgeted against.
+	// HeapAlloc delta across world construction) divided by Phones: the
+	// per-device memory footprint the 100k-phone diet is budgeted against.
 	BytesPerPhone float64  `json:"fleet_bytes_per_phone"`
 	LogSHA256     string   `json:"log_sha256"`
 	Log           []string `json:"-"`
@@ -178,7 +161,7 @@ func fleetCollectorName(i int) string { return fmt.Sprintf("collector%02d", i) }
 
 // fleetEntitySeed derives a per-entity RNG seed from the world seed, so an
 // entity's fault schedule depends only on its own name and traffic — never
-// on which shard or process it landed in or who shares that shard.
+// on which shard it landed in or who shares that shard.
 func fleetEntitySeed(seed int64, name string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -200,8 +183,7 @@ func fleetCollectorOf(i, collectors int) int {
 // lexicographic rank of each name (so the compact log sorts exactly like the
 // old string log did — note "phone10000" < "phone9999"), the reverse name →
 // index map used on the delivery path, and each phone's collector. One table
-// serves the whole run; worker processes rebuild it identically from the
-// config.
+// serves the whole run.
 type fleetNames struct {
 	phones, collectors, shards int
 	names                      []string
@@ -284,22 +266,14 @@ func (g *fleetGen) run() {
 	}
 }
 
-// fleetWorld is a built (but not yet run) fleet partition: the engine owning
-// global shards [lo, hi), the entities living on them, and the per-shard
-// compact delivery logs. The in-process Fleet builds the full range; each
-// multi-process worker builds only its own slice, so a worker's heap holds
-// only the devices it simulates.
+// fleetWorld is a built (but not yet run) fleet: the engine, the entities
+// living on its shards, and the per-shard compact delivery logs.
 type fleetWorld struct {
-	cfg         *FleetConfig
-	names       *fleetNames
-	eng         *fleet.Engine
-	start       time.Time
-	lo, hi      int
-	logs        []*fleetLog  // indexed by local shard (global - lo)
-	rings       []*fleetRing // per-shard diagnostic rings; nil unless requested
-	endpoints   []*transport.Endpoint
-	gens        []fleetGen
-	ownedPhones int
+	eng       *fleet.Engine
+	start     time.Time
+	logs      []*fleetLog // indexed by shard
+	endpoints []*transport.Endpoint
+	gens      []fleetGen
 }
 
 func (w *fleetWorld) delivered() int {
@@ -318,35 +292,22 @@ func (w *fleetWorld) pending() int {
 	return n
 }
 
-// buildFleetWorld wires every entity whose shard falls in [lo, hi). The
-// construction order — collectors, then phones, then generator arming — is
-// the same global program order at any partitioning; a worker merely skips
-// entities it does not own, so the relative order of any two insertions into
-// the same shard's clock (the only order that matters for same-instant
-// tiebreaks) is partition-invariant.
-func buildFleetWorld(cfg *FleetConfig, names *fleetNames, lo, hi int, withRings bool) *fleetWorld {
-	w := &fleetWorld{cfg: cfg, names: names, lo: lo, hi: hi}
+// buildFleetWorld wires every entity. The construction order — collectors,
+// then phones, then generator arming — fixes the relative order of any two
+// insertions into the same shard's clock (the only order that matters for
+// same-instant tiebreaks) independently of the shard count.
+func buildFleetWorld(cfg *FleetConfig, names *fleetNames) *fleetWorld {
+	w := &fleetWorld{}
 	w.eng = fleet.NewEngine(fleet.Config{
-		Shards:    hi - lo,
-		ShardBase: lo,
+		Shards:    cfg.Shards,
 		Lookahead: cfg.Latency,
-		Remote:    hi-lo < cfg.Shards,
 		Obs:       cfg.Obs,
 	})
 	w.start = w.eng.Shard(0).Clock().Now()
-	w.logs = make([]*fleetLog, hi-lo)
+	w.logs = make([]*fleetLog, cfg.Shards)
 	for i := range w.logs {
 		w.logs[i] = &fleetLog{}
 	}
-	if withRings {
-		// One ring per shard: delivery handlers run on the shard's own
-		// goroutine, so rings (like logs) must never be shared across shards.
-		w.rings = make([]*fleetRing, hi-lo)
-		for i := range w.rings {
-			w.rings[i] = newFleetRing(32)
-		}
-	}
-	owned := func(g int) bool { return g >= lo && g < hi }
 
 	// build wires one entity: port → per-entity seeded fault wrapper (lean
 	// RNG: 8 bytes of state instead of math/rand's ~5 KB table) → reliable
@@ -354,7 +315,7 @@ func buildFleetWorld(cfg *FleetConfig, names *fleetNames, lo, hi int, withRings 
 	// the pooled Schedule path.
 	build := func(g int, idx int32, tickPhase time.Duration) *transport.Endpoint {
 		name := names.entityName(idx)
-		sh := w.eng.Shard(g - lo)
+		sh := w.eng.Shard(g)
 		clk := sh.Clock()
 		net := faultnet.New(clk, faultnet.Config{
 			Seed: fleetEntitySeed(cfg.Seed, name),
@@ -368,11 +329,7 @@ func buildFleetWorld(cfg *FleetConfig, names *fleetNames, lo, hi int, withRings 
 			RetryAfter: cfg.RetryAfter, BootID: "fleet-" + name, Obs: cfg.Obs,
 			TraceSeed: cfg.Seed,
 		})
-		log := w.logs[g-lo]
-		var ring *fleetRing
-		if w.rings != nil {
-			ring = w.rings[g-lo]
-		}
+		log := w.logs[g]
 		ep.OnMessage(func(from, channel string, payload msg.Value) {
 			n := int32(-1)
 			if m, ok := payload.(msg.Map); ok {
@@ -380,15 +337,11 @@ func buildFleetWorld(cfg *FleetConfig, names *fleetNames, lo, hi int, withRings 
 					n = int32(f)
 				}
 			}
-			e := fleetEntryC{
+			log.add(fleetEntryC{
 				atMs: int32(clk.Now().Sub(w.start) / time.Millisecond),
 				recv: idx, send: names.lookup(from),
 				n: n, ch: fleetChanCode(channel),
-			}
-			log.add(e)
-			if ring != nil {
-				ring.add(e)
-			}
+			})
 		})
 		var tick func()
 		tick = func() {
@@ -403,46 +356,30 @@ func buildFleetWorld(cfg *FleetConfig, names *fleetNames, lo, hi int, withRings 
 
 	collectors := make([]*transport.Endpoint, cfg.Collectors)
 	for c := 0; c < cfg.Collectors; c++ {
-		if owned(names.collShard(c)) {
-			collectors[c] = build(names.collShard(c), names.collIndex(c),
-				cfg.Step*time.Duration(1+c%16)/16)
-		}
+		collectors[c] = build(names.collShard(c), names.collIndex(c),
+			cfg.Step*time.Duration(1+c%16)/16)
 	}
 
-	ng := 0
-	for i := 0; i < cfg.Phones; i++ {
-		if owned(names.phoneShard(i)) {
-			ng++
-		}
-		if owned(names.collShard(int(names.collOf[i]))) {
-			ng++
-		}
-	}
-	w.gens = make([]fleetGen, 0, ng)
+	w.gens = make([]fleetGen, 0, 2*cfg.Phones)
 	msgGap := cfg.Window / time.Duration(cfg.MessagesPerPhone)
 	cmdGap := cfg.Window / time.Duration(cfg.CommandsPerPhone)
 	for i := 0; i < cfg.Phones; i++ {
 		ci := int(names.collOf[i])
-		if owned(names.phoneShard(i)) {
-			w.ownedPhones++
-			ep := build(names.phoneShard(i), int32(i), cfg.Step*time.Duration(1+i%64)/64)
-			// Stagger each phone inside the per-message slot by a hash of its
-			// index — same spread at any shard count.
-			phase := time.Duration(int64(i)*7919%997) * msgGap / 997
-			w.gens = append(w.gens, fleetGen{
-				ep: ep, clk: w.eng.Shard(names.phoneShard(i) - lo).Clock(),
-				to: names.collName(ci), ch: "upload",
-				first: phase, gap: msgGap, total: int32(cfg.MessagesPerPhone),
-			})
-		}
-		if owned(names.collShard(ci)) {
-			cphase := time.Duration(int64(i)*104729%997) * cmdGap / 997
-			w.gens = append(w.gens, fleetGen{
-				ep: collectors[ci], clk: w.eng.Shard(names.collShard(ci) - lo).Clock(),
-				to: names.phoneName(i), ch: "cmd",
-				first: cphase, gap: cmdGap, total: int32(cfg.CommandsPerPhone),
-			})
-		}
+		ep := build(names.phoneShard(i), int32(i), cfg.Step*time.Duration(1+i%64)/64)
+		// Stagger each phone inside the per-message slot by a hash of its
+		// index — same spread at any shard count.
+		phase := time.Duration(int64(i)*7919%997) * msgGap / 997
+		w.gens = append(w.gens, fleetGen{
+			ep: ep, clk: w.eng.Shard(names.phoneShard(i)).Clock(),
+			to: names.collName(ci), ch: "upload",
+			first: phase, gap: msgGap, total: int32(cfg.MessagesPerPhone),
+		})
+		cphase := time.Duration(int64(i)*104729%997) * cmdGap / 997
+		w.gens = append(w.gens, fleetGen{
+			ep: collectors[ci], clk: w.eng.Shard(names.collShard(ci)).Clock(),
+			to: names.phoneName(i), ch: "cmd",
+			first: cphase, gap: cmdGap, total: int32(cfg.CommandsPerPhone),
+		})
 	}
 	// Arm the generators only after the slice stopped growing: fire closures
 	// hold pointers into it.
@@ -454,9 +391,8 @@ func buildFleetWorld(cfg *FleetConfig, names *fleetNames, lo, hi int, withRings 
 	return w
 }
 
-// Fleet runs the sharded parallel fleet scenario in this process. See
-// FleetConfig for the knobs; zero-valued fields take the documented defaults.
-// For a multi-process split, see FleetMultiproc.
+// Fleet runs the sharded parallel fleet scenario. See FleetConfig for the
+// knobs; zero-valued fields take the documented defaults.
 func Fleet(cfg FleetConfig) FleetResult {
 	fleetNormalize(&cfg)
 	if cfg.Obs != nil {
@@ -470,7 +406,7 @@ func Fleet(cfg FleetConfig) FleetResult {
 	}
 	heap0 := obs.HeapLiveBytes()
 	names := newFleetNames(&cfg)
-	w := buildFleetWorld(&cfg, names, 0, cfg.Shards, false)
+	w := buildFleetWorld(&cfg, names)
 	buildBytes := heapDelta(heap0)
 
 	expected := cfg.Phones * (cfg.MessagesPerPhone + cfg.CommandsPerPhone)
@@ -501,8 +437,7 @@ func Fleet(cfg FleetConfig) FleetResult {
 
 	seal := fleetSealLog(&cfg, names, w.logs, cfg.KeepLog)
 	res := FleetResult{
-		Seed: cfg.Seed, Phones: cfg.Phones, Collectors: cfg.Collectors,
-		Shards: cfg.Shards, Procs: 1,
+		Seed: cfg.Seed, Phones: cfg.Phones, Collectors: cfg.Collectors, Shards: cfg.Shards,
 		Expected: expected, Delivered: seal.delivered,
 		Lost: seal.lost, Duplicated: seal.dup, OutOfOrder: seal.ooo,
 		Undrained: w.pending(),

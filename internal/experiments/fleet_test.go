@@ -72,3 +72,21 @@ func TestFleetObsInstrumentation(t *testing.T) {
 		t.Errorf("fleet_cross_shard_messages_total = %d, result says %d", got, res.CrossShard)
 	}
 }
+
+// TestFleetBytesPerPhone: the per-device footprint measurement must be
+// populated and, at this scale, comfortably under the 100k-phone budget of
+// 4 KB/phone the bench gate enforces.
+func TestFleetBytesPerPhone(t *testing.T) {
+	res := Fleet(smallFleet(1, 256, 4))
+	if res.BytesPerPhone <= 0 {
+		t.Fatalf("fleet_bytes_per_phone not measured: %v", res.BytesPerPhone)
+	}
+	// Small worlds amortize fixed costs poorly, so allow generous headroom
+	// over the 4 KB budget enforced at 100k phones.
+	if res.BytesPerPhone > 64<<10 {
+		t.Errorf("fleet_bytes_per_phone = %.0f, absurdly high", res.BytesPerPhone)
+	}
+	if res.CPUSeconds <= 0 {
+		t.Errorf("cpu_seconds not measured: %v", res.CPUSeconds)
+	}
+}

@@ -14,9 +14,8 @@ import (
 // more than the simulated devices. The compact form below stores a delivery
 // in 20 bytes — entity names become indexes into fleetNames, channels become
 // one-byte codes, instants become milliseconds-since-start — and the log is
-// chunked so growth never copies, and so a worker process can stream chunks
-// to the coordinator without materializing text. Lines are only formatted
-// when a caller asks for the log (KeepLog) or while hashing.
+// chunked so growth never copies. Lines are only formatted when a caller asks
+// for the log (KeepLog) or while hashing.
 
 // fleetEntryC is one application-level delivery in compact form. recv/send
 // index fleetNames; -1 means unknown (never produced by the fleet workload,
@@ -100,33 +99,6 @@ func (l *fleetLog) each(fn func(fleetEntryC)) {
 			fn(e)
 		}
 	}
-}
-
-// fleetRing is a fixed-size ring of the most recent deliveries. Multi-process
-// workers keep one so a protocol failure can be reported with the worker's
-// recent delivery context without retaining an unbounded log copy.
-type fleetRing struct {
-	buf []fleetEntryC
-	n   int // total entries ever added
-}
-
-func newFleetRing(size int) *fleetRing { return &fleetRing{buf: make([]fleetEntryC, size)} }
-
-func (r *fleetRing) add(e fleetEntryC) {
-	r.buf[r.n%len(r.buf)] = e
-	r.n++
-}
-
-// tail returns the retained entries, oldest first.
-func (r *fleetRing) tail() []fleetEntryC {
-	if r.n <= len(r.buf) {
-		return r.buf[:r.n]
-	}
-	out := make([]fleetEntryC, 0, len(r.buf))
-	for i := r.n - len(r.buf); i < r.n; i++ {
-		out = append(out, r.buf[i%len(r.buf)])
-	}
-	return out
 }
 
 // appendEntry formats one compact entry exactly like the historical log line:
@@ -246,13 +218,12 @@ type fleetSeal struct {
 	log            []string
 }
 
-// fleetSealLog merges the per-shard logs (global shard order), audits them,
+// fleetSealLog merges the per-shard logs (shard order), audits them,
 // sorts by the shard-layout-independent content key and hashes the formatted
 // lines through a streaming SHA-256. The sort key — (ms, receiver, sender,
 // channel, n), names compared lexicographically via the precomputed rank
 // table — is unique because delivery is exactly-once per stream, so the
-// sealed log is a pure function of the seed at any (shards × processes)
-// split.
+// sealed log is a pure function of the seed at any shard count.
 func fleetSealLog(cfg *FleetConfig, fn *fleetNames, logs []*fleetLog, keep bool) fleetSeal {
 	var s fleetSeal
 	s.lost, s.dup, s.ooo = fleetAudit(cfg, fn, logs)

@@ -9,8 +9,8 @@ import (
 
 // cpuSeconds returns this process's cumulative user+system CPU time. Deltas
 // around a run attribute the work wall-clock cannot: on a box with fewer
-// cores than shards the speedup is flat while cpu_seconds still shows every
-// process burning its share.
+// cores than shards the speedup is flat while cpu_seconds still shows the
+// work done.
 func cpuSeconds() float64 {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

@@ -53,15 +53,6 @@ type Config struct {
 	// Start is the initial instant of every shard clock. Default
 	// vclock.SimEpoch.
 	Start time.Time
-	// ShardBase offsets the shard IDs this engine reports (Shard.ID, obs
-	// labels). A multi-process fleet gives each worker engine the first
-	// global index of its contiguous shard range, so logs and metrics from
-	// different processes name disjoint shards. Default 0.
-	ShardBase int
-	// Remote marks this engine as one partition of a larger fleet: staged
-	// messages whose destination is not registered locally are handed to the
-	// RunExchanged exchange callback instead of being counted as dropped.
-	Remote bool
 	// Obs, when non-nil, receives the engine's instruments: epoch count,
 	// fabric/cross-shard traffic, per-epoch shard occupancy, and wall-clock
 	// barrier stalls.
@@ -84,8 +75,7 @@ type Engine struct {
 
 	// Barrier-merge scratch, reused across epochs so merging allocates only
 	// when an epoch stages more traffic than any epoch before it.
-	mergeScratch  []Staged
-	remoteScratch []Staged
+	mergeScratch []stagedMsg
 
 	obsEpochs    *obs.Counter
 	obsFabric    *obs.Counter
@@ -110,7 +100,7 @@ func NewEngine(cfg Config) *Engine {
 	for i := 0; i < cfg.Shards; i++ {
 		e.shards = append(e.shards, &Shard{
 			eng: e,
-			id:  cfg.ShardBase + i,
+			id:  i,
 			clk: vclock.NewSimAt(cfg.Start),
 		})
 	}
@@ -139,11 +129,9 @@ func (e *Engine) Lookahead() time.Duration { return e.cfg.Lookahead }
 // or from a barrier callback — never from another shard's code.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 
-// Staged is one staged cross-fabric payload: the unit the barrier merge
-// orders by (At, From, Seq). It is exported so a multi-process coordinator
-// can carry staged traffic between worker engines; within one process it
-// never escapes the engine.
-type Staged struct {
+// stagedMsg is one staged cross-fabric payload: the unit the barrier merge
+// orders by (At, From, Seq).
+type stagedMsg struct {
 	At       time.Time // delivery instant: send time + Lookahead
 	From, To string
 	Seq      uint64 // per-sender send counter: the deterministic tiebreak
@@ -156,8 +144,8 @@ type Shard struct {
 	id  int
 	clk *vclock.Sim
 
-	staged    []Staged // written by this shard's worker, drained at barriers
-	arena     []byte   // current payload slab; see copyPayload
+	staged    []stagedMsg // written by this shard's worker, drained at barriers
+	arena     []byte      // current payload slab; see copyPayload
 	events    int64
 	obsEvents *obs.Counter
 
@@ -240,7 +228,7 @@ func (s *Shard) copyPayload(p []byte) []byte {
 // ordering are independent of how entities are partitioned.
 func (p *Port) Send(to string, payload []byte) error {
 	s := p.shard
-	m := Staged{
+	m := stagedMsg{
 		At:      s.clk.Now().Add(s.eng.cfg.Lookahead),
 		From:    p.id,
 		To:      to,
@@ -286,35 +274,12 @@ type RunStats struct {
 	Dropped    int64 // payloads to unknown destinations
 }
 
-// ExchangeFunc is the cross-process hook of RunExchanged. It runs at every
-// epoch barrier with the workers parked: outbound holds this engine's staged
-// messages whose destination is not registered locally (always empty unless
-// Config.Remote), sorted by (From, Seq) so its wire encoding is
-// deterministic. It returns the staged messages other engines addressed to
-// this one — all due in (now, now+Lookahead], like any staged traffic — and
-// whether the whole fleet should stop after this barrier. The outbound slice
-// is only valid until the next barrier; the engine retains inbound payload
-// bytes until their delivery instant.
-type ExchangeFunc func(now time.Time, outbound []Staged) (inbound []Staged, stop bool)
-
 // Run advances all shards in lockstep epochs of Lookahead until the barrier
 // callback reports done or maxSim simulated time has elapsed (whichever is
 // first; maxSim <= 0 means no cap). The done callback runs on the Run caller
 // while every worker is parked at the barrier, so it may safely inspect any
 // shard's state; it receives the barrier instant.
 func (e *Engine) Run(maxSim time.Duration, done func(now time.Time) bool) RunStats {
-	return e.RunExchanged(maxSim, nil, done)
-}
-
-// RunExchanged is Run for an engine that owns one contiguous shard range of
-// a larger, multi-process fleet: at every barrier it trades staged traffic
-// with the other partitions through exchange (which may be nil — then the
-// engine is the whole fleet and behaves exactly like Run). Determinism is
-// preserved because each engine merges sorted(local ∪ inbound) with the same
-// content key a single-process engine sorts the global staged set by: the
-// per-destination insertion order — and therefore every same-instant
-// tiebreak — is identical at any (shards × processes) split.
-func (e *Engine) RunExchanged(maxSim time.Duration, exchange ExchangeFunc, done func(now time.Time) bool) RunStats {
 	for _, s := range e.shards {
 		s.req = make(chan time.Time)
 		s.done = make(chan epochReport)
@@ -356,17 +321,8 @@ func (e *Engine) RunExchanged(maxSim time.Duration, exchange ExchangeFunc, done 
 		now = deadline
 		e.epochs++
 		e.obsEpochs.Inc()
-		local, outbound := e.drainStaged()
-		var inbound []Staged
-		stop := false
-		if exchange != nil {
-			inbound, stop = exchange(now, outbound)
-		}
-		e.merge(now, local, inbound)
+		e.merge(now, e.drainStaged())
 		if done != nil && done(now) {
-			break
-		}
-		if stop {
 			break
 		}
 		if !end.IsZero() && !now.Before(end) {
@@ -392,50 +348,24 @@ func (s *Shard) work() {
 }
 
 // drainStaged empties every shard's mailbox into the engine's reusable merge
-// scratch. With Config.Remote, messages addressed outside the local
-// directory are split into the second slice — sorted by (From, Seq) so the
-// coordinator wire bytes are deterministic — for the exchange callback.
-func (e *Engine) drainStaged() (local, remote []Staged) {
-	local = e.mergeScratch[:0]
-	remote = e.remoteScratch[:0]
+// scratch.
+func (e *Engine) drainStaged() []stagedMsg {
+	all := e.mergeScratch[:0]
 	for _, s := range e.shards {
-		if !e.cfg.Remote {
-			local = append(local, s.staged...)
-		} else {
-			for _, m := range s.staged {
-				if _, ok := e.dir[m.To]; ok {
-					local = append(local, m)
-				} else {
-					remote = append(remote, m)
-				}
-			}
-		}
+		all = append(all, s.staged...)
 		s.staged = s.staged[:0]
 	}
-	sort.Slice(remote, func(i, j int) bool {
-		a, b := remote[i], remote[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.Seq < b.Seq
-	})
-	e.mergeScratch, e.remoteScratch = local, remote
-	return local, remote
+	e.mergeScratch = all
+	return all
 }
 
-// merge schedules the barrier's staged deliveries — local traffic plus
-// whatever other processes sent us — onto the destination shards in
-// (deliver-at, sender, sender-seq) order. The sort key never mentions shards
-// or processes, so the destination clocks see an identical insertion
-// sequence — and therefore identical same-instant tiebreaks — whatever the
-// partitioning. Runs at the barrier: every worker is parked, so touching all
-// shard state is safe.
-func (e *Engine) merge(now time.Time, local, inbound []Staged) {
-	all := local
-	if len(inbound) > 0 {
-		all = append(all, inbound...)
-		e.mergeScratch = all
-	}
+// merge schedules the barrier's staged deliveries onto the destination shards
+// in (deliver-at, sender, sender-seq) order. The sort key never mentions
+// shards, so the destination clocks see an identical insertion sequence — and
+// therefore identical same-instant tiebreaks — whatever the partitioning.
+// Runs at the barrier: every worker is parked, so touching all shard state is
+// safe.
+func (e *Engine) merge(now time.Time, all []stagedMsg) {
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if !a.At.Equal(b.At) {
@@ -455,9 +385,7 @@ func (e *Engine) merge(now time.Time, local, inbound []Staged) {
 		}
 		e.fabricMsgs++
 		e.obsFabric.Inc()
-		// A sender with no local port is another process's entity: always a
-		// cross-shard hop from this engine's point of view.
-		if src, ok := e.dir[m.From]; !ok || src.shard != dst.shard {
+		if e.dir[m.From].shard != dst.shard {
 			e.crossMsgs++
 			e.obsCross.Inc()
 		}

@@ -258,7 +258,7 @@ func (st *state) cmdWorldUp(c Command) error {
 	if st.mode != modeNone {
 		return c.Errf("world already up (mode %s)", st.mode)
 	}
-	pos, kv, err := kvArgs(c, 2, "seed", "shards", "procs", "msgs", "cmds", "window", "step",
+	pos, kv, err := kvArgs(c, 2, "seed", "shards", "msgs", "cmds", "window", "step",
 		"drop", "dup", "corrupt", "delay", "mean_up", "mean_down",
 		"partition_frac", "retry", "drain_iters")
 	if err != nil {
@@ -277,10 +277,6 @@ func (st *state) cmdWorldUp(c Command) error {
 		return err
 	}
 	shards, err := kvInt(c, kv, "shards", 0)
-	if err != nil {
-		return err
-	}
-	procs, err := kvInt(c, kv, "procs", 0)
 	if err != nil {
 		return err
 	}
@@ -340,7 +336,6 @@ func (st *state) cmdWorldUp(c Command) error {
 	if shards > 0 {
 		cfg := experiments.FleetConfig{
 			Seed: int64(seedN), Phones: phones, Collectors: collectors, Shards: shards,
-			Procs:            procs,
 			MessagesPerPhone: msgs, CommandsPerPhone: cmdsPer,
 			Window: window, Step: step,
 			Drop: drop, Duplicate: dup, Corrupt: corrupt, MaxDelay: delay,
@@ -353,18 +348,10 @@ func (st *state) cmdWorldUp(c Command) error {
 		if meanUp > 0 || meanDown > 0 || partFrac > 0 || drainIters != 0 {
 			return c.Errf("churn/partition/drain options are chaos-only (fleet faults are per-entity)")
 		}
-		if procs > shards {
-			return c.Errf("procs=%d exceeds shards=%d", procs, shards)
-		}
 		st.fleetCfg = &cfg
 		st.mode = modeFleet
-		if procs > 1 {
-			st.printf("world: fleet phones=%d collectors=%d shards=%d procs=%d seed=%d\n",
-				phones, collectors, shards, procs, seedN)
-		} else {
-			st.printf("world: fleet phones=%d collectors=%d shards=%d seed=%d\n",
-				phones, collectors, shards, seedN)
-		}
+		st.printf("world: fleet phones=%d collectors=%d shards=%d seed=%d\n",
+			phones, collectors, shards, seedN)
 		return nil
 	}
 	if collectors != 1 {
@@ -455,17 +442,7 @@ func (st *state) cmdRun(c Command) error {
 		if st.fleetRes != nil {
 			return c.Errf("fleet already ran")
 		}
-		var res experiments.FleetResult
-		if st.fleetCfg.Procs > 1 {
-			// Split over real worker processes (re-exec of this binary; both
-			// cmd/pogo-scenario and the test binary install the worker hook).
-			var err error
-			if res, err = experiments.FleetMultiproc(*st.fleetCfg, nil); err != nil {
-				return c.Errf("fleet procs=%d: %v", st.fleetCfg.Procs, err)
-			}
-		} else {
-			res = experiments.Fleet(*st.fleetCfg)
-		}
+		res := experiments.Fleet(*st.fleetCfg)
 		st.fleetRes = &res
 		// Wall-clock and allocation figures are real-time measurements —
 		// deliberately left out of the transcript, which must be

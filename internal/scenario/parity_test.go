@@ -87,7 +87,6 @@ func TestFleetTxtarParity(t *testing.T) {
 		Runs []struct {
 			Phones    int    `json:"phones"`
 			Shards    int    `json:"shards"`
-			Procs     int    `json:"procs"`
 			LogSHA256 string `json:"log_sha256"`
 		} `json:"runs"`
 	}
@@ -99,8 +98,8 @@ func TestFleetTxtarParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The baseline also carries -fleet-scale rows at other fleet sizes; the
-	// txtar pin covers the canonical 2000-phone workload at every
-	// (shards x procs) split.
+	// txtar pin covers the canonical 2000-phone workload at every shard
+	// count.
 	matched := 0
 	for _, run := range bench.Runs {
 		if run.Phones != 2000 {
@@ -108,8 +107,8 @@ func TestFleetTxtarParity(t *testing.T) {
 		}
 		matched++
 		if run.LogSHA256 != pinned[0] {
-			t.Errorf("fleet.txtar pins %s, BENCH_fleet.json shards=%d procs=%d records %s",
-				pinned[0], run.Shards, run.Procs, run.LogSHA256)
+			t.Errorf("fleet.txtar pins %s, BENCH_fleet.json shards=%d records %s",
+				pinned[0], run.Shards, run.LogSHA256)
 		}
 	}
 	if matched == 0 {

@@ -91,6 +91,15 @@ func TestUnknownCommandFailsAtDispatch(t *testing.T) {
 	}
 }
 
+// world_up validates its option keys: a fleet is partitioned by shards= and
+// nothing else.
+func TestWorldUpRejectsUnknownOption(t *testing.T) {
+	_, err := (&Runner{}).Run("u.txtar", []byte("world_up 8 2 shards=2 procs=2\n"))
+	if err == nil || !strings.Contains(err.Error(), `unknown option "procs"`) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func TestKVArgs(t *testing.T) {
 	mk := func(args ...string) Command {
 		return Command{File: "f", Line: 1, Name: "cmd", Args: args}

@@ -19,7 +19,7 @@ func TestScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const minScenarios = 12
+	const minScenarios = 11
 	if len(files) < minScenarios {
 		t.Fatalf("scenario library has %d archives, want at least %d", len(files), minScenarios)
 	}

@@ -260,7 +260,8 @@ func TestCorruptWrapCountsDropped(t *testing.T) {
 	if _, err := unframe(jsonEnv); err != nil {
 		t.Fatalf("JSON envelope must pass the CRC check to reach the decoder: %v", err)
 	}
-	valid := AppendWireBatch(nil, "evil", []WireItem{{ID: 1, Channel: "x", Body: []byte{0x00}}})
+	valid := frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), "evil", "",
+		[]envelopeItem{{ID: 1, Channel: "x", Body: []byte{0x00}}}, nil, nil, nil))
 	wrapped := "b:" + base64.StdEncoding.EncodeToString(valid)
 	for i, payload := range [][]byte{jsonEnv, []byte(wrapped)} {
 		if err := evil.SendMessageBytes(xmpp.MakeJID("collector"), strconv.Itoa(i), payload, ""); err != nil {

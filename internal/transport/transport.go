@@ -349,7 +349,6 @@ func (c *chanOrder) drainInto(out []envelopeItem) []envelopeItem {
 // peerState is everything the receiver remembers about one sender.
 type peerState struct {
 	boot  string
-	seen  map[uint64]bool // delivered message IDs (dedup)
 	chans map[string]*chanOrder
 }
 
@@ -1042,7 +1041,6 @@ func (e *Endpoint) receive(from string, payload []byte) {
 		// envelope's floors re-anchor the FIFO cursors.
 		ps = &peerState{
 			boot:  env.Boot,
-			seen:  make(map[uint64]bool),
 			chans: make(map[string]*chanOrder),
 		}
 		if e.peers == nil {
@@ -1077,12 +1075,13 @@ func (e *Endpoint) receive(from string, payload []byte) {
 		ackIDs = append(ackIDs, item.ID)
 		c := order(item.Channel)
 		_, held := c.hold[item.Seq]
-		if ps.seen[item.ID] || held || item.Seq < c.next {
+		// The cursor is the dedup state: an item that ever arrived is either
+		// still held or was delivered, which moved next past its Seq.
+		if held || item.Seq < c.next {
 			e.stats.Duplicates++
 			dups++
 			continue
 		}
-		ps.seen[item.ID] = true
 		c.hold[item.Seq] = item // the hold map copies item; scratch-safe
 		if !floorHas(touched, item.Channel) {
 			touched = append(touched, item.Channel)
@@ -1097,19 +1096,6 @@ func (e *Endpoint) receive(from string, payload []byte) {
 	}
 	sc.deliver = deliver
 	e.stats.MessagesReceived += len(deliver)
-	// Bound the dedup memory: forget the oldest half above a cap. A peer
-	// retransmitting something this old is additionally screened by the
-	// per-channel sequence cursor.
-	if len(ps.seen) > 8192 {
-		ids := make([]uint64, 0, len(ps.seen))
-		for id := range ps.seen {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids[:len(ids)/2] {
-			delete(ps.seen, id)
-		}
-	}
 	handler := e.onMessage
 	handlerT := e.onTraced
 	e.mu.Unlock()

@@ -225,6 +225,33 @@ func TestReceiverDeduplicates(t *testing.T) {
 	if dev.Pending() != 0 {
 		t.Errorf("Pending = %d after the ack", dev.Pending())
 	}
+
+	// The per-channel cursor is the whole dedup state, so it never forgets:
+	// 10 000 in-order deliveries later, a retransmission of the oldest
+	// message and of a recent one are both refused.
+	const total = 10000
+	for n := 2; n <= total; n++ {
+		dev.Enqueue("b", "ch", msg.Map{"v": float64(n)})
+		if n%100 == 0 {
+			dev.Flush()
+			clk.Advance(time.Second)
+		}
+	}
+	if len(*got) != total || dev.Pending() != 0 {
+		t.Fatalf("in-order run: delivered %d of %d, Pending = %d", len(*got), total, dev.Pending())
+	}
+	body, err := msg.AppendBinary(nil, msg.Map{"v": 0.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []uint64{1, total - 1} {
+		col.receive("a", frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), "a", dev.cfg.BootID,
+			[]envelopeItem{{ID: n, Seq: n - 1, Channel: "ch", Body: body}}, nil, nil, nil)))
+	}
+	if dup := col.Stats().Duplicates; len(*got) != total || dup != 4 {
+		t.Errorf("after retransmitting messages 1 and %d: delivered %d (want %d), Duplicates = %d (want 2 more, 4)",
+			total-1, len(*got), total, dup)
+	}
 }
 
 func TestTransportCostsEnergyAndMovesCounters(t *testing.T) {

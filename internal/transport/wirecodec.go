@@ -275,58 +275,3 @@ func readUvStr(b []byte) (string, []byte, error) {
 	}
 	return msg.Intern(rest[:n]), rest[n:], nil
 }
-
-// WireItem is one payload inside an exported wire batch: the flattened,
-// public shape of an envelope batch item. The fleet's multi-process
-// coordinator reuses the envelope codec to ship staged cross-shard traffic
-// between worker processes, so inter-process bytes stay on the same audited
-// format as inter-device bytes.
-type WireItem struct {
-	ID      uint64 // sender-relative ordering key (the fleet ships deliver-at offsets here)
-	Seq     uint64
-	Channel string // destination routing key in fleet IPC usage
-	Body    []byte
-}
-
-// AppendWireBatch appends one CRC-framed envelope from `from` carrying items
-// to dst and returns the extended slice. The bytes are exactly what the
-// endpoint flush path would emit for an untraced batch with no acks, floors,
-// or boot ID.
-func AppendWireBatch(dst []byte, from string, items []WireItem) []byte {
-	sc := envScratchPool.Get().(*envScratch)
-	batch := sc.batch[:0]
-	for i := range items {
-		it := &items[i]
-		batch = append(batch, envelopeItem{ID: it.ID, Seq: it.Seq, Channel: it.Channel, Body: it.Body})
-	}
-	off := len(dst)
-	dst = append(dst, frameHeader[:]...)
-	dst = appendEnvelope(dst, from, "", batch, nil, nil, nil)
-	frameInto(dst[off:])
-	sc.batch = batch
-	envScratchPool.Put(sc)
-	return dst
-}
-
-// DecodeWireBatch parses one framed envelope produced by AppendWireBatch (or
-// any endpoint). Items are appended to scratch (pass a recycled slice to
-// amortize); their Body slices alias frame, which the caller must keep alive
-// while items are in use. Channel strings are interned.
-func DecodeWireBatch(frame []byte, scratch []WireItem) (from string, items []WireItem, err error) {
-	body, err := unframe(frame)
-	if err != nil {
-		return "", nil, err
-	}
-	sc := envScratchPool.Get().(*envScratch)
-	defer envScratchPool.Put(sc)
-	env, err := decodeEnvelope(body, sc)
-	if err != nil {
-		return "", nil, err
-	}
-	items = scratch[:0]
-	for i := range env.Batch {
-		it := &env.Batch[i]
-		items = append(items, WireItem{ID: it.ID, Seq: it.Seq, Channel: it.Channel, Body: it.Body})
-	}
-	return env.From, items, nil
-}

@@ -28,6 +28,7 @@ type XMPPMessenger struct {
 	onPresence []func(peer string, online bool)
 	nextID     int
 	wg         sync.WaitGroup
+	closing    chan struct{} // closed by Close: wakes a reconnect backoff
 
 	// Instruments; nil (no-op) until Instrument is called.
 	connects   *obs.Counter
@@ -71,7 +72,8 @@ func DialXMPP(addr, user, pass, resource string) (*XMPPMessenger, error) {
 	m := &XMPPMessenger{
 		addr: addr, user: user, pass: pass, resource: resource,
 		retryBase: 2 * time.Second, retryCap: 30 * time.Second,
-		peers: make(map[string]bool),
+		peers:   make(map[string]bool),
+		closing: make(chan struct{}),
 	}
 	if err := m.connect(); err != nil {
 		return nil, err
@@ -116,6 +118,13 @@ func (m *XMPPMessenger) connect() error {
 	})
 
 	m.mu.Lock()
+	if m.closed {
+		// Close ran while the dial was in flight and has nothing to close
+		// but the previous client: this one is ours to tear down.
+		m.mu.Unlock()
+		c.Close()
+		return ErrOffline
+	}
 	m.client = c
 	wasOnline := m.online
 	m.online = true
@@ -157,7 +166,13 @@ func (m *XMPPMessenger) reconnectLoop() {
 		}
 		// Capped exponential backoff: a dead switchboard must not be
 		// hammered by every phone at once.
-		time.Sleep(delay)
+		wait := time.NewTimer(delay)
+		select {
+		case <-wait.C:
+		case <-m.closing:
+			wait.Stop()
+			return
+		}
 		if delay *= 2; delay > m.retryCap {
 			delay = m.retryCap
 		}
@@ -289,6 +304,7 @@ func (m *XMPPMessenger) Close() {
 		return
 	}
 	m.closed = true
+	close(m.closing)
 	c := m.client
 	m.mu.Unlock()
 	if c != nil {

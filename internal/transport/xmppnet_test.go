@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"io"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -182,6 +185,124 @@ func TestXMPPMessengerReconnects(t *testing.T) {
 	}
 	waitCond(t, "online", func() bool { return m.Online() })
 	waitCond(t, "session live server-side", func() bool { return srv2.Online("device") })
+}
+
+// Close must not sit out the reconnect backoff (2 s at first, 30 s at the
+// cap): it wakes the loop.
+func TestXMPPMessengerCloseDuringBackoff(t *testing.T) {
+	srv := xmpp.NewServer(xmpp.ServerConfig{AllowAutoRegister: true})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := DialXMPP(srv.Addr(), "device", "pw", "phone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	waitCond(t, "offline", func() bool { return !m.Online() })
+	// Not synchronisation: Close is prompt whether the loop is dialing or
+	// waiting. The pause only lets the refused dial fail so that the loop is
+	// in its backoff, the state this test is about.
+	time.Sleep(100 * time.Millisecond)
+	t0 := time.Now()
+	m.Close()
+	if d := time.Since(t0); d > 200*time.Millisecond {
+		t.Errorf("Close took %v with the reconnect loop in backoff, want < 200ms", d)
+	}
+}
+
+// heldProxy forwards TCP connections to target, each only once a token
+// arrives on admit, so a test can keep a dial in flight for as long as it
+// likes. drop severs every forwarded connection.
+type heldProxy struct {
+	ln       net.Listener
+	admit    chan struct{}
+	accepted chan struct{}
+	mu       sync.Mutex
+	conns    []net.Conn
+}
+
+func newHeldProxy(t *testing.T, target string) *heldProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Buffered for the two connections the test makes, so neither the test
+	// nor the accept loop waits on the other.
+	p := &heldProxy{ln: ln, admit: make(chan struct{}, 2), accepted: make(chan struct{}, 2)}
+	t.Cleanup(func() { ln.Close(); p.drop() })
+	go func() {
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.accepted <- struct{}{}
+			<-p.admit
+			server, err := net.Dial("tcp", target)
+			if err != nil {
+				client.Close()
+				continue
+			}
+			p.mu.Lock()
+			p.conns = append(p.conns, client, server)
+			p.mu.Unlock()
+			go func() { io.Copy(server, client); server.Close() }()
+			go func() { io.Copy(client, server); client.Close() }()
+		}
+	}()
+	return p
+}
+
+func (p *heldProxy) drop() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.conns {
+		c.Close()
+	}
+	p.conns = nil
+}
+
+// A reconnect dial that completes after Close must not install its client:
+// nobody would be left to close the socket, its read goroutine or the
+// server-side session.
+func TestXMPPMessengerCloseDuringDial(t *testing.T) {
+	srv := startXMPP(t)
+	proxy := newHeldProxy(t, srv.Addr())
+	baseline := runtime.NumGoroutine()
+
+	proxy.admit <- struct{}{}
+	m, err := DialXMPP(proxy.ln.Addr().String(), "device", "pw", "phone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cameOnline := make(chan struct{}, 1)
+	m.OnOnline(func() { cameOnline <- struct{}{} })
+	<-proxy.accepted
+
+	proxy.drop() // the session dies; the reconnect dial is accepted and held
+	<-proxy.accepted
+	closed := make(chan struct{})
+	go func() { m.Close(); close(closed) }()
+	waitCond(t, "Close under way", func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.closed
+	})
+	proxy.admit <- struct{}{} // the dial completes on a closed messenger
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return once the dial finished")
+	}
+	waitCond(t, "no session left server-side", func() bool { return !srv.Online("device") })
+	waitCond(t, "goroutines back at the baseline", func() bool { return runtime.NumGoroutine() <= baseline })
+	select {
+	case <-cameOnline:
+		t.Error("OnOnline fired on a closed messenger")
+	default:
+	}
 }
 
 func TestXMPPMessengerOfflineSend(t *testing.T) {
