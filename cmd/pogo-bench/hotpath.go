@@ -2,8 +2,9 @@ package main
 
 // The hot-path microbenchmark suite and its regression gate. `pogo-bench
 // -run hotpath` measures the zero-copy message path — broker fanout, the
-// msg codecs, a full transport round trip, the file-backed outbox, and the
-// scheduler hop — with testing.Benchmark and records ns/op, B/op, allocs/op
+// msg codecs, a full transport round trip, the file-backed outbox, the
+// scheduler hop, and the two PogoScript handlers of the scan pipeline — with
+// testing.Benchmark and records ns/op, B/op, allocs/op
 // to BENCH_hotpath.json. With -gate it instead compares a fresh run against
 // the checked-in baseline and fails on regressions (see gateHotpath for the
 // thresholds and their rationale).
@@ -11,6 +12,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -20,6 +22,8 @@ import (
 	"pogo/internal/msg"
 	"pogo/internal/pubsub"
 	"pogo/internal/sched"
+	"pogo/internal/script"
+	"pogo/internal/script/scripts"
 	"pogo/internal/store"
 	"pogo/internal/transport"
 	"pogo/internal/vclock"
@@ -53,6 +57,77 @@ func hotpathPayload() msg.Map {
 			msg.Map{"bssid": "02:1b:77:1f:02:aa", "rssi": -74.0},
 		},
 	}
+}
+
+// hotpathScans generates frozen 20-AP Wi-Fi scans in the shape the wifi-scan
+// sensor publishes and bench/'s scan_pipeline workload sends: each scan draws
+// its access points from a pool of 80, about a tenth of them locally
+// administered (scan.js drops those), integer RSSI.
+func hotpathScans(n int) []msg.Map {
+	const apsPerScan = 20
+	rng := rand.New(rand.NewSource(1))
+	pool := make([]string, 4*apsPerScan)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x",
+			rng.Intn(256)&^2, rng.Intn(256), rng.Intn(256), rng.Intn(256), rng.Intn(256), rng.Intn(256))
+	}
+	out := make([]msg.Map, n)
+	for i := range out {
+		aps := make([]msg.Value, apsPerScan)
+		for j, p := range rng.Perm(len(pool))[:apsPerScan] {
+			aps[j] = msg.Map{
+				"bssid": pool[p],
+				"ssid":  fmt.Sprintf("net-%d", p),
+				"rssi":  float64(-100 + rng.Intn(60)),
+				"local": j > 0 && rng.Intn(10) == 0,
+			}
+		}
+		out[i] = msg.FreezeOwned(msg.Map{"timestamp": float64(i), "aps": aps})
+	}
+	return out
+}
+
+// hotpathSinkJS is the collector script of bench/'s scan_pipeline: one JSON
+// line per sanitised scan.
+const hotpathSinkJS = `subscribe('scans', function (m, origin) {
+  logTo('sink', origin + ' ' + m.t + ' ' + json(m));
+});`
+
+// handlerHost is the script.Host of the handler rows: it keeps the handler
+// a script subscribes and the last message it publishes, and drops the rest.
+type handlerHost struct {
+	handler   func(m msg.Value, origin string)
+	published msg.Map
+	err       error
+}
+
+func (h *handlerHost) Publish(_ string, m msg.Value) error {
+	h.published, _ = m.(msg.Map)
+	return nil
+}
+func (h *handlerHost) Subscribe(_ string, _ msg.Map, handler func(msg.Value, string)) (func(), func(), error) {
+	h.handler = handler
+	return func() {}, func() {}, nil
+}
+func (h *handlerHost) Print(string, string)             {}
+func (h *handlerHost) Log(string, string, string)       {}
+func (h *handlerHost) Freeze(string, msg.Value) error   { return nil }
+func (h *handlerHost) Thaw(string) (msg.Value, bool)    { return nil, false }
+func (h *handlerHost) SetTimeout(func(), time.Duration) {}
+func (h *handlerHost) ReportError(_ string, err error)  { h.err = err }
+
+// startHandler runs a script that subscribes to one channel and returns the
+// host holding its handler.
+func startHandler(b *testing.B, name, src string) *handlerHost {
+	h := &handlerHost{}
+	s, err := script.New(name, src, h, script.Config{})
+	if err == nil {
+		err = s.Start()
+	}
+	if err != nil || h.handler == nil {
+		b.Fatalf("%s: err=%v, subscribed=%v", name, err, h.handler != nil)
+	}
+	return h
 }
 
 // hotpathBenchmarks returns the suite in display order. Each entry is a
@@ -241,6 +316,42 @@ func hotpathBenchmarks() []struct {
 			b.StopTimer()
 			if box.Len() != backlog {
 				b.Fatalf("%d buffered, want %d", box.Len(), backlog)
+			}
+		}},
+		{"script_scan_handler", func(b *testing.B) {
+			// scan.js on one frozen 20-AP scan: read through a view, build the
+			// sanitised object, convert it for publish.
+			h := startHandler(b, "scan.js", scripts.MustSource("scan.js"))
+			scans := hotpathScans(64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.handler(scans[i%len(scans)], "")
+			}
+			b.StopTimer()
+			if h.err != nil || h.published == nil {
+				b.Fatalf("scan.js: err=%v, published=%v", h.err, h.published)
+			}
+		}},
+		{"script_sink_handler", func(b *testing.B) {
+			// The collector's logger on what scan.js published: json() of an
+			// untouched view encodes the frozen message itself.
+			scan := startHandler(b, "scan.js", scripts.MustSource("scan.js"))
+			scans := hotpathScans(64)
+			wire := make([]msg.Map, len(scans))
+			for i, m := range scans {
+				scan.handler(m, "")
+				wire[i] = msg.FreezeOwned(scan.published)
+			}
+			h := startHandler(b, "sink.js", hotpathSinkJS)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.handler(wire[i%len(wire)], "phone-0")
+			}
+			b.StopTimer()
+			if h.err != nil {
+				b.Fatal(h.err)
 			}
 		}},
 		{"sched_submit_real", func(b *testing.B) {

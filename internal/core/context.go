@@ -417,7 +417,9 @@ func (h *scriptHost) Publish(channel string, m msg.Value) error {
 	if !ok {
 		mm = msg.Map{"value": m}
 	}
-	h.ctx.broker.Publish(channel, mm)
+	// script.ToMsg built this root for us (or it is a frozen message the
+	// script forwards untouched): no defensive clone.
+	h.ctx.broker.PublishOwned(channel, mm)
 	return nil
 }
 

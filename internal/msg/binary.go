@@ -131,7 +131,7 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 		sp := keysPool.Get().(*[]string)
 		keys := (*sp)[:0]
 		for k, e := range x {
-			if isMarker(k, e) {
+			if IsMarker(k, e) {
 				continue
 			}
 			keys = append(keys, k)

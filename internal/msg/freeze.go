@@ -111,20 +111,25 @@ func Len(m Map) int {
 // marker — the deterministic iteration order used by the codecs and the
 // script-value converter.
 func Keys(m Map) []string {
-	keys := make([]string, 0, len(m))
-	for k, v := range m {
-		if isMarker(k, v) {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return appendKeys(make([]string, 0, len(m)), m)
 }
 
-// isMarker reports whether a map entry is the freeze marker (and must be
-// skipped by every walker).
-func isMarker(k string, v Value) bool {
+// appendKeys appends m's sorted keys (marker excluded) to dst, which must be
+// empty: a caller with a stack buffer sorts a small map without allocating.
+func appendKeys(dst []string, m Map) []string {
+	for k, v := range m {
+		if IsMarker(k, v) {
+			continue
+		}
+		dst = append(dst, k)
+	}
+	sort.Strings(dst)
+	return dst
+}
+
+// IsMarker reports whether a map entry is the freeze marker, which every
+// walker of a message map — in this package or outside it — must skip.
+func IsMarker(k string, v Value) bool {
 	if k != markerKey {
 		return false
 	}

@@ -76,7 +76,7 @@ func Normalize(v any) (Value, error) {
 	case Map:
 		out := make(Map, len(x))
 		for k, e := range x {
-			if isMarker(k, e) {
+			if IsMarker(k, e) {
 				continue // normalized copies are mutable; drop the freeze marker
 			}
 			n, err := Normalize(e)
@@ -130,7 +130,7 @@ func cloneSlice(x []Value, extraCap int) []Value {
 func cloneMap(x Map, extraCap int) Map {
 	out := make(Map, len(x)+extraCap)
 	for k, e := range x {
-		if isMarker(k, e) {
+		if IsMarker(k, e) {
 			continue
 		}
 		out[k] = Clone(e)
@@ -176,7 +176,7 @@ func Equal(a, b Value) bool {
 			return false
 		}
 		for k, v := range x {
-			if isMarker(k, v) {
+			if IsMarker(k, v) {
 				continue // freeze markers are invisible to message content
 			}
 			w, present := y[k]
@@ -194,83 +194,79 @@ func Equal(a, b Value) bool {
 // (keys sorted lexicographically). Deterministic output keeps byte-count
 // accounting in the experiments reproducible.
 func EncodeJSON(v Value) ([]byte, error) {
-	var sb strings.Builder
-	if err := encodeJSON(&sb, v); err != nil {
-		return nil, err
-	}
-	return []byte(sb.String()), nil
+	// Room for a typical sensor reading, so that most calls allocate once.
+	return AppendJSON(make([]byte, 0, 256), v)
 }
 
-func encodeJSON(sb *strings.Builder, v Value) error {
+// AppendJSON appends v's JSON encoding (the bytes EncodeJSON returns) to dst
+// and returns the extended buffer, so a caller that encodes repeatedly can
+// reuse one. On error the returned buffer holds a partial encoding.
+func AppendJSON(dst []byte, v Value) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		sb.WriteString("null")
+		return append(dst, "null"...), nil
 	case bool:
-		sb.WriteString(strconv.FormatBool(x))
+		return strconv.AppendBool(dst, x), nil
 	case float64:
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			// JSON has no NaN/Inf; JavaScript's JSON.stringify emits null.
-			sb.WriteString("null")
-			return nil
+			return append(dst, "null"...), nil
 		}
 		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
-			sb.WriteString(strconv.FormatInt(int64(x), 10))
-			return nil
+			return strconv.AppendInt(dst, int64(x), 10), nil
 		}
-		sb.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
+		return strconv.AppendFloat(dst, x, 'g', -1, 64), nil
 	case string:
-		appendJSONString(sb, x)
+		return appendJSONString(dst, x), nil
 	case []Value:
-		sb.WriteByte('[')
+		dst = append(dst, '[')
 		for i, e := range x {
 			if i > 0 {
-				sb.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			if err := encodeJSON(sb, e); err != nil {
-				return err
+			var err error
+			if dst, err = AppendJSON(dst, e); err != nil {
+				return dst, err
 			}
 		}
-		sb.WriteByte(']')
+		return append(dst, ']'), nil
 	case Map:
-		keys := Keys(x)
-		sb.WriteByte('{')
+		// Few message nodes have more keys than this: sort them in a buffer
+		// on the stack.
+		var buf [32]string
+		keys := appendKeys(buf[:0], x)
+		dst = append(dst, '{')
 		for i, k := range keys {
 			if i > 0 {
-				sb.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			appendJSONString(sb, k)
-			sb.WriteByte(':')
-			if err := encodeJSON(sb, x[k]); err != nil {
-				return err
+			dst = appendJSONString(dst, k)
+			dst = append(dst, ':')
+			var err error
+			if dst, err = AppendJSON(dst, x[k]); err != nil {
+				return dst, err
 			}
 		}
-		sb.WriteByte('}')
+		return append(dst, '}'), nil
 	default:
-		return fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
+		return dst, fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
 	}
-	return nil
 }
 
-// appendJSONString writes a JSON-quoted string. The common case — no
+// appendJSONString appends a JSON-quoted string. The common case — no
 // characters needing escapes — is a single pass; escaping falls back to the
 // slow path. Output matches encoding/json for the characters we emit.
-func appendJSONString(sb *strings.Builder, s string) {
-	clean := true
+func appendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			clean = false
-			break
+			b, _ := json.Marshal(s)
+			return append(dst, b...)
 		}
 	}
-	if clean {
-		sb.WriteByte('"')
-		sb.WriteString(s)
-		sb.WriteByte('"')
-		return
-	}
-	b, _ := json.Marshal(s)
-	sb.Write(b)
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // DecodeJSON parses JSON into a message value: objects decode to Map, arrays

@@ -1,6 +1,8 @@
 package msg
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -162,6 +164,55 @@ func TestEncodeJSONNaNInf(t *testing.T) {
 	}
 	if string(b) != "[null,null,null]" {
 		t.Errorf("EncodeJSON = %s, want [null,null,null]", b)
+	}
+}
+
+// TestAppendJSONBytes pins the encoder's output for the values where a
+// rewrite is most likely to drift: the number formats and their switch-over,
+// the non-finite numbers, negative zero, and strings that need escaping.
+func TestAppendJSONBytes(t *testing.T) {
+	for _, tt := range []struct {
+		v    Value
+		want string
+	}{
+		{math.NaN(), "null"},
+		{math.Inf(1), "null"},
+		{math.Inf(-1), "null"},
+		{math.Copysign(0, -1), "0"},
+		{-3.0, "-3"},
+		{999999999999999.0, "999999999999999"},
+		{1e15, "1e+15"},
+		{-1e15, "-1e+15"},
+		{1e21, "1e+21"},
+		{0.1, "0.1"},
+		{1.5e-7, "1.5e-07"},
+		{"plain", `"plain"`},
+		{"q\"b\\s", `"q\"b\\s"`},
+		{"nl\n\ttab\x01", `"nl\n\ttab\u0001"`},
+		{"<é>\u2028", "\"\\u003cé\\u003e\\u2028\""},
+		{Map{"k\"": []Value{true, false, nil, Map{}}}, `{"k\"":[true,false,null,{}]}`},
+	} {
+		got, err := AppendJSON([]byte("x"), tt.v)
+		if err != nil {
+			t.Errorf("AppendJSON(%v): %v", tt.v, err)
+			continue
+		}
+		if string(got) != "x"+tt.want {
+			t.Errorf("AppendJSON(x, %v) = %s, want x%s", tt.v, got, tt.want)
+		}
+	}
+	if _, err := AppendJSON(nil, Map{"bad": 1}); !errors.Is(err, ErrUnsupportedValue) {
+		t.Errorf("AppendJSON(int) error = %v, want ErrUnsupportedValue", err)
+	}
+	// More keys than the stack buffer holds still come out sorted.
+	wide := Map{}
+	var want []string
+	for i := 0; i < 40; i++ {
+		wide[fmt.Sprintf("k%02d", i)] = float64(i)
+		want = append(want, fmt.Sprintf(`"k%02d":%d`, i, i))
+	}
+	if got, _ := AppendJSON(nil, Freeze(wide)); string(got) != "{"+strings.Join(want, ",")+"}" {
+		t.Errorf("40-key map = %s", got)
 	}
 }
 

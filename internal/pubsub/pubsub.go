@@ -220,6 +220,20 @@ func (b *Broker) PublishFrom(channel string, m msg.Map, origin string) int {
 // publication assigns a fresh deterministic ID (when SetTraceIdentity was
 // called); trace 0 with no identity leaves the event untraced.
 func (b *Broker) PublishTraced(channel string, m msg.Map, origin string, trace obs.TraceID) int {
+	return b.publish(channel, m, origin, trace, false)
+}
+
+// PublishOwned is Publish for a message whose root the caller built and hands
+// over: the broker marks it frozen in place (msg.FreezeOwned) instead of
+// paying Freeze's defensive deep clone. Nested nodes may be shared with other
+// frozen messages, as nobody writes those either. The caller must not touch m
+// again. A root that is already frozen is delivered as it is; neither case
+// counts as a freeze hit, which records publishers that froze ahead of time.
+func (b *Broker) PublishOwned(channel string, m msg.Map) int {
+	return b.publish(channel, m, "", 0, true)
+}
+
+func (b *Broker) publish(channel string, m msg.Map, origin string, trace obs.TraceID, owned bool) int {
 	b.mu.Lock()
 	o := b.obs
 	subs := b.snapshot(channel)
@@ -229,8 +243,13 @@ func (b *Broker) PublishTraced(channel string, m msg.Map, origin string, trace o
 	}
 	b.mu.Unlock()
 
-	wasFrozen := msg.IsFrozen(m)
-	frozen := msg.Freeze(m)
+	wasFrozen := !owned && msg.IsFrozen(m)
+	var frozen msg.Map
+	if owned {
+		frozen = msg.FreezeOwned(m)
+	} else {
+		frozen = msg.Freeze(m)
+	}
 	// Freeze declines to mark a map that hides an ordinary entry under the
 	// marker key; those (wire-crafted) messages fall back to the historical
 	// clone-per-subscriber path rather than lose content or share a mutable

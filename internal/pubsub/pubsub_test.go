@@ -7,8 +7,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pogo/internal/msg"
+	"pogo/internal/obs"
 )
 
 func TestPublishDeliversToSubscribers(t *testing.T) {
@@ -77,6 +79,44 @@ func TestSubscriberCopyOnWrite(t *testing.T) {
 	}
 	if msg.IsFrozen(orig) {
 		t.Error("Publish froze the publisher's own map")
+	}
+}
+
+// TestPublishOwned: a root handed over is frozen in place, not cloned; one
+// that is frozen already is delivered as it is; and neither is booked as a
+// freeze hit, which counts publishers that froze ahead of time.
+func TestPublishOwned(t *testing.T) {
+	b := New()
+	reg := obs.NewRegistry()
+	b.Instrument(reg, time.Now, "n", "n")
+	var got []msg.Map
+	b.Subscribe("c", nil, func(ev Event) { got = append(got, ev.Message) })
+
+	owned := msg.Map{"nested": msg.Map{"x": 1.0}}
+	b.PublishOwned("c", owned)
+	if !msg.IsFrozen(owned) {
+		t.Error("PublishOwned did not freeze the root in place")
+	}
+	if len(got) != 1 || !msg.IsFrozen(got[0]) || !reflect.DeepEqual(got[0], owned) {
+		t.Fatalf("delivered %v", got)
+	}
+	got[0]["nested"].(msg.Map)["probe"] = true // same tree: the write shows through
+	if _, same := owned["nested"].(msg.Map)["probe"]; !same {
+		t.Error("PublishOwned cloned the message")
+	}
+	b.PublishOwned("c", owned) // frozen already, e.g. a message a script forwards
+	if len(got) != 2 || len(got[1]) != len(owned) {
+		t.Fatalf("second delivery %v", got)
+	}
+	if hits := reg.CounterValue("msg_freeze_hits", obs.L("node", "n")); hits != 0 {
+		t.Errorf("PublishOwned booked %d freeze hits", hits)
+	}
+	b.Publish("c", owned)
+	if hits := reg.CounterValue("msg_freeze_hits", obs.L("node", "n")); hits != 1 {
+		t.Errorf("Publish of a frozen message booked %d freeze hits, want 1", hits)
+	}
+	if n := reg.CounterValue("pubsub_publishes_total", obs.L("node", "n")); n != 3 {
+		t.Errorf("publishes = %d, want 3", n)
 	}
 }
 

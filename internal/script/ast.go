@@ -13,7 +13,8 @@ func (b base) pos() (int, int) { return b.line, b.col }
 
 type program struct {
 	base
-	body []node
+	body  []node
+	funcs []*funcDecl // the declarations in body, hoisted when it runs
 }
 
 type varDecl struct {
@@ -73,7 +74,8 @@ type continueStmt struct{ base }
 
 type blockStmt struct {
 	base
-	body []node
+	body  []node
+	funcs []*funcDecl // the declarations in body, hoisted when it runs
 }
 
 type switchStmt struct {
@@ -105,12 +107,12 @@ type tryStmt struct {
 
 type numberLit struct {
 	base
-	value float64
+	value Value // the float64, boxed once by the parser
 }
 
 type stringLit struct {
 	base
-	value string
+	value Value // the string, boxed once by the parser
 }
 
 type boolLit struct {
@@ -138,6 +140,11 @@ type funcLit struct {
 	name   string // for recursion via named function expressions
 	params []string
 	body   *blockStmt
+	// What the parser saw in the body, nested functions excluded: how many
+	// names a call may bind (the size its frame starts at), and whether
+	// `arguments` is named, so only those calls build the array.
+	nlocals  int
+	usesArgs bool
 }
 
 type ident struct {

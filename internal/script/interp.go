@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -27,18 +28,20 @@ var ErrBudget = errors.New("script: execution budget exceeded")
 // scope is one lexical environment frame. PogoScript uses function-level
 // scoping (JavaScript `var` semantics); blocks do not introduce frames.
 type scope struct {
-	vars   map[string]Value
+	table
 	parent *scope
+	// captured is set once a function value closes over the frame; a call's
+	// frame that nothing captured goes back to the interpreter for the next
+	// call.
+	captured bool
 }
 
-func newScope(parent *scope) *scope {
-	return &scope{vars: make(map[string]Value), parent: parent}
-}
+func newScope(parent *scope) *scope { return &scope{parent: parent} }
 
 func (s *scope) lookup(name string) (Value, bool) {
 	for e := s; e != nil; e = e.parent {
-		if v, ok := e.vars[name]; ok {
-			return v, true
+		if i := e.find(name); i >= 0 {
+			return e.ents[i].val, true
 		}
 	}
 	return nil, false
@@ -47,20 +50,20 @@ func (s *scope) lookup(name string) (Value, bool) {
 // set assigns to an existing binding, or creates a global (top frame)
 // binding when none exists — sloppy-mode JavaScript.
 func (s *scope) set(name string, v Value) {
-	for e := s; e != nil; e = e.parent {
-		if _, ok := e.vars[name]; ok {
-			e.vars[name] = v
+	for e := s; ; e = e.parent {
+		if i := e.find(name); i >= 0 {
+			e.ents[i].val = v
 			return
 		}
 		if e.parent == nil {
-			e.vars[name] = v
+			e.put(name, v)
 			return
 		}
 	}
 }
 
 // declare creates a binding in this frame.
-func (s *scope) declare(name string, v Value) { s.vars[name] = v }
+func (s *scope) declare(name string, v Value) { s.put(name, v) }
 
 // control-flow signals travel as errors.
 type breakSignal struct{}
@@ -69,7 +72,9 @@ type continueSignal struct{}
 func (breakSignal) Error() string    { return "break outside loop" }
 func (continueSignal) Error() string { return "continue outside loop" }
 
-type returnSignal struct{ value Value }
+// returnSignal unwinds to the call being returned from; the value travels in
+// interp.ret, so that a return allocates nothing.
+type returnSignal struct{}
 
 func (returnSignal) Error() string { return "return outside function" }
 
@@ -84,12 +89,55 @@ func (t throwSignal) Error() string { return "uncaught: " + ToString(t.value) }
 // clean RuntimeError instead of exhausting the Go stack.
 const maxCallDepth = 2000
 
-// interp evaluates an AST under a step budget.
+// interp evaluates an AST under a step budget. A Script keeps one for all its
+// entries, which run one at a time, so what a call needs only while it runs
+// is taken from the interpreter and handed back.
 type interp struct {
 	name    string
 	globals *scope
 	steps   int // remaining budget for the current entry
 	depth   int // current script call nesting
+
+	ret    Value    // the value a returnSignal carries
+	args   []Value  // argument stack: a call's arguments are its top slots
+	frames []*scope // frames of finished calls, free for the next
+	buf    []byte   // json() output before it becomes a string
+}
+
+// begin readies the interpreter for one entry into script code.
+func (in *interp) begin(budget int) {
+	in.steps, in.depth, in.ret = budget, 0, nil
+	// An entry that failed may have left arguments behind.
+	clear(in.args)
+	in.args = in.args[:0]
+}
+
+// newFrame returns an empty frame for a call that binds up to nlocals names.
+func (in *interp) newFrame(parent *scope, nlocals int) *scope {
+	if n := len(in.frames); n > 0 {
+		f := in.frames[n-1]
+		in.frames = in.frames[:n-1]
+		f.parent = parent
+		return f
+	}
+	return &scope{table: table{ents: make([]entry, 0, nlocals)}, parent: parent}
+}
+
+// releaseFrame takes back the frame of a finished call, unless a closure
+// still refers to it.
+func (in *interp) releaseFrame(f *scope) {
+	if f.captured {
+		return
+	}
+	clear(f.ents)
+	f.ents, f.index, f.parent = f.ents[:0], nil, nil
+	in.frames = append(in.frames, f)
+}
+
+// closure makes a function value of lit that closes over env.
+func closure(lit *funcLit, env *scope) *Function {
+	env.captured = true
+	return &Function{lit: lit, env: env}
 }
 
 func (in *interp) errorf(n node, format string, args ...any) error {
@@ -113,12 +161,12 @@ func (in *interp) charge(n node) error {
 	return nil
 }
 
-// execBlockBody hoists function declarations, then executes statements.
-func (in *interp) execBlockBody(body []node, env *scope) error {
-	for _, stmt := range body {
-		if fd, ok := stmt.(*funcDecl); ok {
-			env.set(fd.name, &Function{name: fd.name, params: fd.fn.params, body: fd.fn.body, env: env})
-		}
+// execBlockBody hoists function declarations into the frame of the function
+// the block belongs to (the global frame at top level), then executes
+// statements.
+func (in *interp) execBlockBody(body []node, funcs []*funcDecl, env *scope) error {
+	for _, fd := range funcs {
+		env.declare(fd.name, closure(fd.fn, env))
 	}
 	for _, stmt := range body {
 		if err := in.exec(stmt, env); err != nil {
@@ -134,9 +182,9 @@ func (in *interp) exec(n node, env *scope) error {
 	}
 	switch s := n.(type) {
 	case *program:
-		return in.execBlockBody(s.body, env)
+		return in.execBlockBody(s.body, s.funcs, env)
 	case *blockStmt:
-		return in.execBlockBody(s.body, env)
+		return in.execBlockBody(s.body, s.funcs, env)
 	case *varDecl:
 		for i, name := range s.names {
 			var v Value = Undefined
@@ -278,7 +326,8 @@ func (in *interp) exec(n node, env *scope) error {
 			}
 			v = ev
 		}
-		return returnSignal{value: v}
+		in.ret = v
+		return returnSignal{}
 	case *breakStmt:
 		return breakSignal{}
 	case *continueStmt:
@@ -339,9 +388,11 @@ func (in *interp) exec(n node, env *scope) error {
 			err = in.exec(s.catchBody, env)
 		}
 		if s.finally != nil {
+			ret := in.ret // of a return the finally block interrupts
 			if ferr := in.exec(s.finally, env); ferr != nil {
 				return ferr
 			}
+			in.ret = ret
 		}
 		return err
 	default:
@@ -370,7 +421,7 @@ func (in *interp) eval(n node, env *scope) (Value, error) {
 		}
 		return nil, in.errorf(e, "%s is not defined", e.name)
 	case *arrayLit:
-		arr := NewArray()
+		arr := &Array{elems: make([]Value, 0, len(e.elems))}
 		for _, el := range e.elems {
 			v, err := in.eval(el, env)
 			if err != nil {
@@ -381,6 +432,9 @@ func (in *interp) eval(n node, env *scope) (Value, error) {
 		return arr, nil
 	case *objectLit:
 		obj := NewObject()
+		if len(e.keys) > 0 {
+			obj.ents = make([]entry, 0, len(e.keys))
+		}
 		for i, k := range e.keys {
 			v, err := in.eval(e.values[i], env)
 			if err != nil {
@@ -390,13 +444,13 @@ func (in *interp) eval(n node, env *scope) (Value, error) {
 		}
 		return obj, nil
 	case *funcLit:
-		fn := &Function{name: e.name, params: e.params, body: e.body, env: env}
-		if e.name != "" {
-			// Named function expressions can refer to themselves.
-			inner := newScope(env)
-			inner.declare(e.name, fn)
-			fn.env = inner
+		if e.name == "" {
+			return closure(e, env), nil
 		}
+		// Named function expressions can refer to themselves.
+		env.captured = true
+		fn := closure(e, newScope(env))
+		fn.env.declare(e.name, fn)
 		return fn, nil
 	case *member:
 		obj, err := in.eval(e.obj, env)
@@ -442,10 +496,10 @@ func (in *interp) eval(n node, env *scope) (Value, error) {
 		if e.op == "--" {
 			delta = -1
 		}
-		if err := in.assignTo(e.operand, n+delta, env); err != nil {
+		if err := in.assignTo(e.operand, boxNum(n+delta), env); err != nil {
 			return nil, err
 		}
-		return n, nil
+		return boxNum(n), nil
 	case *binary:
 		return in.evalBinary(e, env)
 	case *logical:
@@ -531,10 +585,11 @@ func (in *interp) evalUnary(e *unary, env *scope) (Value, error) {
 		} else {
 			n--
 		}
-		if err := in.assignTo(e.operand, n, env); err != nil {
+		v := boxNum(n)
+		if err := in.assignTo(e.operand, v, env); err != nil {
 			return nil, err
 		}
-		return n, nil
+		return v, nil
 	}
 	v, err := in.eval(e.operand, env)
 	if err != nil {
@@ -544,9 +599,9 @@ func (in *interp) evalUnary(e *unary, env *scope) (Value, error) {
 	case "!":
 		return !Truthy(v), nil
 	case "-":
-		return -ToNumber(v), nil
+		return boxNum(-ToNumber(v)), nil
 	case "+":
-		return ToNumber(v), nil
+		return boxNum(ToNumber(v)), nil
 	default:
 		return nil, in.errorf(e, "unsupported unary %q", e.op)
 	}
@@ -574,15 +629,15 @@ func (in *interp) applyBinary(n node, op string, left, right Value) (Value, erro
 		if ls || rs || isComposite(left) || isComposite(right) {
 			return ToString(left) + ToString(right), nil
 		}
-		return ToNumber(left) + ToNumber(right), nil
+		return boxNum(ToNumber(left) + ToNumber(right)), nil
 	case "-":
-		return ToNumber(left) - ToNumber(right), nil
+		return boxNum(ToNumber(left) - ToNumber(right)), nil
 	case "*":
-		return ToNumber(left) * ToNumber(right), nil
+		return boxNum(ToNumber(left) * ToNumber(right)), nil
 	case "/":
-		return ToNumber(left) / ToNumber(right), nil
+		return boxNum(ToNumber(left) / ToNumber(right)), nil
 	case "%":
-		return math.Mod(ToNumber(left), ToNumber(right)), nil
+		return boxNum(math.Mod(ToNumber(left), ToNumber(right))), nil
 	case "==":
 		return looseEquals(left, right), nil
 	case "!=":
@@ -707,6 +762,7 @@ func (in *interp) setProperty(n node, obj Value, name string, v Value) error {
 			if want < 0 {
 				return in.errorf(n, "bad length %v", v)
 			}
+			o.own()
 			for len(o.elems) > want {
 				o.elems = o.elems[:len(o.elems)-1]
 			}
@@ -758,41 +814,59 @@ func (in *interp) evalCall(e *call, env *scope) (Value, error) {
 		}
 		callee = fn
 	}
-	args := make([]Value, len(e.args))
+	// The arguments are the top of the interpreter's stack for as long as the
+	// call runs. Evaluating one may grow the stack, so index it afresh.
+	base := len(in.args)
+	top := base + len(e.args)
+	for range e.args {
+		in.args = append(in.args, nil)
+	}
 	for i, a := range e.args {
 		v, err := in.eval(a, env)
 		if err != nil {
+			clear(in.args[base:top])
+			in.args = in.args[:base]
 			return nil, err
 		}
-		args[i] = v
+		in.args[base+i] = v
 	}
-	return in.invoke(e, callee, this, args)
+	v, err := in.invoke(e, callee, this, in.args[base:top:top])
+	clear(in.args[base:top])
+	in.args = in.args[:base]
+	return v, err
 }
 
-// invoke calls a script or builtin function value.
+// invoke calls a script or builtin function value. args belongs to the caller
+// again once invoke returns: a callee that keeps the arguments copies them.
 func (in *interp) invoke(n node, callee, this Value, args []Value) (Value, error) {
 	switch fn := callee.(type) {
 	case *Function:
-		in.depth++
-		defer func() { in.depth-- }()
-		if in.depth > maxCallDepth {
+		if in.depth >= maxCallDepth {
 			return nil, in.errorf(n, "call stack exceeded (%d nested calls)", maxCallDepth)
 		}
-		frame := newScope(fn.env)
-		for i, p := range fn.params {
+		in.depth++
+		lit := fn.lit
+		frame := in.newFrame(fn.env, lit.nlocals)
+		for i, p := range lit.params {
 			if i < len(args) {
 				frame.declare(p, args[i])
 			} else {
 				frame.declare(p, Undefined)
 			}
 		}
-		frame.declare("arguments", NewArray(args...))
-		err := in.exec(fn.body, frame)
+		if lit.usesArgs {
+			frame.declare("arguments", NewArray(slices.Clone(args)...))
+		}
+		err := in.exec(lit.body, frame)
+		in.depth--
+		in.releaseFrame(frame)
 		if err == nil {
 			return Undefined, nil
 		}
-		if ret, ok := err.(returnSignal); ok {
-			return ret.value, nil
+		if _, ok := err.(returnSignal); ok {
+			v := in.ret
+			in.ret = nil
+			return v, nil
 		}
 		return nil, err
 	case *Builtin:

@@ -12,6 +12,22 @@ type parser struct {
 	toks  []token
 	pos   int
 	depth int
+	fn    *funcLit // the function whose body is being parsed; nil at top level
+}
+
+// named notes an identifier in the enclosing function's body.
+func (p *parser) named(name string) {
+	if p.fn != nil && name == "arguments" {
+		p.fn.usesArgs = true
+	}
+}
+
+// local counts a name the enclosing function's frame may come to hold.
+func (p *parser) local(name string) {
+	if p.fn != nil {
+		p.fn.nlocals++
+	}
+	p.named(name)
 }
 
 // enter guards recursive descent; every recursive production calls it.
@@ -39,6 +55,9 @@ func parse(name, src string) (*program, error) {
 			return nil, err
 		}
 		prog.body = append(prog.body, stmt)
+		if fd, ok := stmt.(*funcDecl); ok {
+			prog.funcs = append(prog.funcs, fd)
+		}
 	}
 	return prog, nil
 }
@@ -179,6 +198,7 @@ func (p *parser) varDecl() (*varDecl, error) {
 			return nil, p.errorf("expected variable name, found %s", p.cur())
 		}
 		d.names = append(d.names, p.advance().text)
+		p.local(d.names[len(d.names)-1])
 		if p.accept("=") {
 			init, err := p.assignment()
 			if err != nil {
@@ -202,6 +222,7 @@ func (p *parser) funcDecl() (node, error) {
 		return nil, p.errorf("expected function name, found %s", p.cur())
 	}
 	name := p.advance().text
+	p.local(name)
 	fn, err := p.funcRest(b, name)
 	if err != nil {
 		return nil, err
@@ -227,11 +248,19 @@ func (p *parser) funcRest(b base, name string) (*funcLit, error) {
 	if err := p.expect(")"); err != nil {
 		return nil, err
 	}
+	fn := &funcLit{base: b, name: name, params: params, nlocals: len(params)}
+	outer := p.fn
+	p.fn = fn
 	body, err := p.block()
+	p.fn = outer
+	fn.body = body
 	if err != nil {
 		return nil, err
 	}
-	return &funcLit{base: b, name: name, params: params, body: body}, nil
+	if fn.usesArgs {
+		fn.nlocals++
+	}
+	return fn, nil
 }
 
 func (p *parser) block() (*blockStmt, error) {
@@ -249,6 +278,9 @@ func (p *parser) block() (*blockStmt, error) {
 			return nil, err
 		}
 		blk.body = append(blk.body, stmt)
+		if fd, ok := stmt.(*funcDecl); ok {
+			blk.funcs = append(blk.funcs, fd)
+		}
 	}
 	p.advance() // }
 	return blk, nil
@@ -338,6 +370,7 @@ func (p *parser) forStmt() (node, error) {
 		p.advance()
 		if p.cur().kind == tokIdent && p.toks[p.pos+1].kind == tokKeyword && p.toks[p.pos+1].text == "in" {
 			name := p.advance().text
+			p.local(name)
 			p.advance() // in
 			obj, err := p.assignment()
 			if err != nil {
@@ -355,6 +388,7 @@ func (p *parser) forStmt() (node, error) {
 		p.pos = save
 	} else if p.cur().kind == tokIdent && p.toks[p.pos+1].kind == tokKeyword && p.toks[p.pos+1].text == "in" {
 		name := p.advance().text
+		p.named(name)
 		p.advance() // in
 		obj, err := p.assignment()
 		if err != nil {
@@ -481,6 +515,7 @@ func (p *parser) tryStmt() (node, error) {
 			return nil, p.errorf("expected catch variable, found %s", p.cur())
 		}
 		st.catchVar = p.advance().text
+		p.local(st.catchVar)
 		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
@@ -870,6 +905,7 @@ func (p *parser) primary() (node, error) {
 		return e, nil
 	case t.kind == tokIdent:
 		p.advance()
+		p.named(t.text)
 		return &ident{base: b, name: t.text}, nil
 	default:
 		return nil, p.errorf("unexpected %s", t)

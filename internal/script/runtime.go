@@ -15,12 +15,17 @@ import (
 // sandbox boundary. The core implements it per script context; tests
 // implement it directly.
 type Host interface {
-	// Publish sends a message on a pub/sub channel.
+	// Publish sends a message on a pub/sub channel. m is the host's from here
+	// on, to read and never to write (see ToMsg): when it is a map it is
+	// either frozen already or a root built for this call, which the host
+	// may therefore mark frozen in place.
 	Publish(channel string, m msg.Value) error
 	// Subscribe registers a handler on a channel with optional parameters.
 	// The returned release/renew functions implement the Subscription
 	// object's methods. The handler receives the message and its origin
-	// (the remote node it came from, or "").
+	// (the remote node it came from, or ""); the script reads the message in
+	// place (see FromMsg), so it must not change after the call — a frozen
+	// message is the intended argument.
 	Subscribe(channel string, params msg.Map, handler func(m msg.Value, origin string)) (release, renew func(), err error)
 	// Print emits a debug message visible on the device UI.
 	Print(script, text string)
@@ -77,6 +82,7 @@ type Script struct {
 
 	mu          sync.Mutex // serializes script execution
 	globals     *scope
+	in          *interp // runs every entry; guarded by mu
 	started     bool
 	stopped     bool
 	description string
@@ -133,6 +139,7 @@ func New(name, source string, host Host, cfg Config) (*Script, error) {
 		autoStart: detectAutoStart(prog),
 	}
 	s.globals = newScope(nil)
+	s.in = &interp{name: name, globals: s.globals}
 	installGlobals(s.globals, s.cfg.Rand)
 	s.installAPI()
 	return s, nil
@@ -168,11 +175,8 @@ func (s *Script) Start() error {
 		return fmt.Errorf("script %s: already started", s.Name)
 	}
 	s.started = true
-	in := &interp{
-		name:    s.Name,
-		globals: s.globals,
-		steps:   s.cfg.StepBudget * s.cfg.StartupBudgetFactor,
-	}
+	in := s.in
+	in.begin(s.cfg.StepBudget * s.cfg.StartupBudgetFactor)
 	s.stats.Entries++
 	startBudget := in.steps
 	defer func() { s.stats.Steps += int64(startBudget - in.steps) }()
@@ -221,7 +225,8 @@ func (s *Script) Call(fnName string, args ...msg.Value) (msg.Value, error) {
 	for i, a := range args {
 		vals[i] = FromMsg(a)
 	}
-	in := &interp{name: s.Name, globals: s.globals, steps: s.cfg.StepBudget}
+	in := s.in
+	in.begin(s.cfg.StepBudget)
 	s.stats.Entries++
 	out, err := in.invoke(nil, fn, Undefined, vals)
 	s.stats.Steps += int64(s.cfg.StepBudget - in.steps)
@@ -234,15 +239,19 @@ func (s *Script) Call(fnName string, args ...msg.Value) (msg.Value, error) {
 
 // enter runs a callback into script code under the lock and budget,
 // reporting errors to the host.
-func (s *Script) enter(fn Value, args []Value) {
+func (s *Script) enter(fn Value, args ...Value) {
 	s.mu.Lock()
 	if s.stopped || !s.started {
 		s.mu.Unlock()
 		return
 	}
-	in := &interp{name: s.Name, globals: s.globals, steps: s.cfg.StepBudget}
+	in := s.in
+	in.begin(s.cfg.StepBudget)
 	s.stats.Entries++
-	_, err := in.invoke(nil, fn, Undefined, args)
+	// The arguments go on the interpreter's stack, so that the caller's
+	// slice need not outlive the call.
+	in.args = append(in.args, args...)
+	_, err := in.invoke(nil, fn, Undefined, in.args[:len(args):len(args)])
 	s.stats.Steps += int64(s.cfg.StepBudget - in.steps)
 	if err != nil {
 		s.noteErrLocked(err)
@@ -274,7 +283,7 @@ func detectAutoStart(prog *program) bool {
 		case *boolLit:
 			return a.value
 		case *numberLit:
-			return a.value != 0
+			return Truthy(a.value)
 		case *nullLit, *undefinedLit:
 			return false
 		}
@@ -372,7 +381,7 @@ func (s *Script) installAPI() {
 			}
 		}
 		release, renew, err := s.host.Subscribe(channel, params, func(m msg.Value, origin string) {
-			s.enter(handler, []Value{FromMsg(m), origin})
+			s.enter(handler, FromMsg(m), origin)
 		})
 		if err != nil {
 			return nil, in.errorf(nil, "subscribe: %v", err)
@@ -408,15 +417,7 @@ func (s *Script) installAPI() {
 		return FromMsg(v), nil
 	}})
 	g.declare("json", &Builtin{name: "json", fn: func(in *interp, _ Value, args []Value) (Value, error) {
-		v, err := ToMsg(argAt(args, 0))
-		if err != nil {
-			return nil, in.errorf(nil, "json: %v", err)
-		}
-		b, err := msg.EncodeJSON(v)
-		if err != nil {
-			return nil, in.errorf(nil, "json: %v", err)
-		}
-		return string(b), nil
+		return in.jsonString("json", argAt(args, 0))
 	}})
 	g.declare("setTimeout", &Builtin{name: "setTimeout", fn: func(in *interp, _ Value, args []Value) (Value, error) {
 		if len(args) < 2 {
@@ -427,9 +428,22 @@ func (s *Script) installAPI() {
 		if delay < 0 {
 			delay = 0
 		}
-		s.host.SetTimeout(func() { s.enter(fn, nil) }, delay)
+		s.host.SetTimeout(func() { s.enter(fn) }, delay)
 		return Undefined, nil
 	}})
+}
+
+// jsonString is the json() and JSON.stringify builtins: v as JSON text. An
+// unwritten view of a message is encoded from the message itself.
+func (in *interp) jsonString(builtin string, v Value) (Value, error) {
+	m, err := toMsgDepth(v, 0)
+	if err == nil {
+		in.buf, err = msg.AppendJSON(in.buf[:0], m)
+	}
+	if err != nil {
+		return nil, in.errorf(nil, "%s: %v", builtin, err)
+	}
+	return string(in.buf), nil
 }
 
 func joinArgs(args []Value) string {

@@ -3,6 +3,7 @@ package script
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,77 +20,265 @@ type UndefinedType struct{}
 // Undefined is JavaScript's `undefined`.
 var Undefined = UndefinedType{}
 
-// Object is a script object with insertion-ordered keys, which keeps for-in
-// iteration deterministic across runs.
-type Object struct {
-	keys  []string
-	props map[string]Value
+// entry is one key/value slot of a table.
+type entry struct {
+	key string
+	val Value
 }
 
-// NewObject returns an empty object.
-func NewObject() *Object {
-	return &Object{props: make(map[string]Value)}
+// linearMax is the largest table find searches by comparing keys one by one;
+// a longer one gets a position index on its first lookup.
+const linearMax = 8
+
+// table is an insertion-ordered set of key/value entries: the properties of
+// an Object and the bindings of a scope.
+type table struct {
+	ents  []entry
+	index map[string]int // key → position in ents; nil until find builds it
 }
 
-// Get returns a property and whether it exists.
-func (o *Object) Get(key string) (Value, bool) {
-	v, ok := o.props[key]
-	return v, ok
-}
-
-// Set stores a property, preserving first-insertion order.
-func (o *Object) Set(key string, v Value) {
-	if _, ok := o.props[key]; !ok {
-		o.keys = append(o.keys, key)
+// find returns the position of key in ents, or -1.
+func (t *table) find(key string) int {
+	if len(t.ents) <= linearMax {
+		for i := range t.ents {
+			if t.ents[i].key == key {
+				return i
+			}
+		}
+		return -1
 	}
-	o.props[key] = v
+	if t.index == nil {
+		t.index = make(map[string]int, 2*len(t.ents))
+		for i := range t.ents {
+			t.index[t.ents[i].key] = i
+		}
+	}
+	if i, ok := t.index[key]; ok {
+		return i
+	}
+	return -1
 }
 
-// Delete removes a property.
-func (o *Object) Delete(key string) {
-	if _, ok := o.props[key]; !ok {
+// put stores v under key: in place when the key exists, at the end otherwise.
+func (t *table) put(key string, v Value) {
+	if i := t.find(key); i >= 0 {
+		t.ents[i].val = v
 		return
 	}
-	delete(o.props, key)
-	for i, k := range o.keys {
-		if k == key {
-			o.keys = append(o.keys[:i], o.keys[i+1:]...)
-			break
+	if t.ents == nil {
+		t.ents = make([]entry, 0, 4)
+	}
+	t.ents = append(t.ents, entry{key, v})
+	if t.index != nil {
+		t.index[key] = len(t.ents) - 1
+	}
+}
+
+// remove deletes key, keeping the order of the other entries.
+func (t *table) remove(key string) {
+	i := t.find(key)
+	if i < 0 {
+		return
+	}
+	last := len(t.ents) - 1
+	copy(t.ents[i:], t.ents[i+1:])
+	t.ents[last] = entry{}
+	t.ents = t.ents[:last]
+	if t.index != nil {
+		delete(t.index, key)
+		for j := i; j < last; j++ {
+			t.index[t.ents[j].key] = j
 		}
 	}
 }
 
-// Keys returns the property names in insertion order.
+// Object is a script object with insertion-ordered keys, which keeps for-in
+// iteration deterministic across runs.
+//
+// An object made by FromMsg is a copy-on-write view: while src is set, src is
+// what the object holds and nothing has been written. Scalar properties are
+// read straight from src; the first access that needs more (a nested node, the
+// key order) fills ents from src in sorted key order, nested nodes wrapped as
+// views of their own, and the first write drops src. src is never written.
+type Object struct {
+	table
+	src msg.Map
+}
+
+// NewObject returns an empty object.
+func NewObject() *Object { return &Object{} }
+
+// fill builds a view's entries from its backing map; a no-op once done.
+func (o *Object) fill() {
+	if o.src == nil || o.ents != nil {
+		return
+	}
+	o.ents = make([]entry, 0, len(o.src))
+	for k, v := range o.src {
+		if !msg.IsMarker(k, v) {
+			o.ents = append(o.ents, entry{k, FromMsg(v)})
+		}
+	}
+	slices.SortFunc(o.ents, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+}
+
+// own makes the entries the object's only content, ahead of a write.
+func (o *Object) own() {
+	o.fill()
+	o.src = nil
+}
+
+// clean reports whether the object is a view that still equals its backing
+// map: nothing written to it or to any node reached through it.
+func (o *Object) clean() bool {
+	if o.src == nil {
+		return false
+	}
+	for i := range o.ents {
+		if !cleanValue(o.ents[i].val) {
+			return false
+		}
+	}
+	return true
+}
+
+func cleanValue(v Value) bool {
+	switch x := v.(type) {
+	case *Object:
+		return x.clean()
+	case *Array:
+		return x.clean()
+	default:
+		return true
+	}
+}
+
+// Get returns a property and whether it exists.
+func (o *Object) Get(key string) (Value, bool) {
+	if o.src != nil && o.ents == nil {
+		v, ok := o.src[key]
+		if !ok {
+			return nil, false
+		}
+		switch v.(type) {
+		case nil, bool, float64, string:
+			return v, true
+		}
+		o.fill() // a nested node, wrapped once so that m.aps === m.aps
+	}
+	if i := o.find(key); i >= 0 {
+		return o.ents[i].val, true
+	}
+	return nil, false
+}
+
+// Set stores a property, preserving first-insertion order.
+func (o *Object) Set(key string, v Value) {
+	o.own()
+	o.put(key, v)
+}
+
+// Delete removes a property.
+func (o *Object) Delete(key string) {
+	o.own()
+	o.remove(key)
+}
+
+// Keys returns the property names in insertion order (sorted order for the
+// properties a message arrived with).
 func (o *Object) Keys() []string {
-	out := make([]string, len(o.keys))
-	copy(out, o.keys)
+	o.fill()
+	out := make([]string, len(o.ents))
+	for i := range o.ents {
+		out[i] = o.ents[i].key
+	}
 	return out
 }
 
 // Len returns the number of properties.
-func (o *Object) Len() int { return len(o.keys) }
+func (o *Object) Len() int {
+	if o.src != nil && o.ents == nil {
+		return msg.Len(o.src)
+	}
+	return len(o.ents)
+}
 
-// Array is a script array.
+// Array is a script array. One made by FromMsg is a copy-on-write view like
+// Object's: elems is filled from src on the first access that needs it, and
+// the first write drops src.
 type Array struct {
 	elems []Value
+	src   []msg.Value
 }
 
 // NewArray returns an array wrapping elems (not copied).
 func NewArray(elems ...Value) *Array { return &Array{elems: elems} }
 
+// fill builds a view's elements from its backing slice; a no-op once done.
+func (a *Array) fill() {
+	if a.src == nil || a.elems != nil {
+		return
+	}
+	a.elems = make([]Value, len(a.src))
+	// An array of records is the usual shape of a sensor message: the views
+	// of all the elements that are maps come from one allocation.
+	maps := 0
+	for _, e := range a.src {
+		if _, ok := e.(msg.Map); ok {
+			maps++
+		}
+	}
+	views := make([]Object, maps)
+	for i, e := range a.src {
+		if m, ok := e.(msg.Map); ok {
+			views[0].src = m
+			a.elems[i] = &views[0]
+			views = views[1:]
+		} else {
+			a.elems[i] = FromMsg(e)
+		}
+	}
+}
+
+// own makes elems the array's only content, ahead of a write.
+func (a *Array) own() {
+	a.fill()
+	a.src = nil
+}
+
+// clean is Object.clean for arrays.
+func (a *Array) clean() bool {
+	if a.src == nil {
+		return false
+	}
+	for _, e := range a.elems {
+		if !cleanValue(e) {
+			return false
+		}
+	}
+	return true
+}
+
 // Len returns the element count.
-func (a *Array) Len() int { return len(a.elems) }
+func (a *Array) Len() int {
+	if a.src != nil && a.elems == nil {
+		return len(a.src)
+	}
+	return len(a.elems)
+}
 
 // At returns element i, or Undefined out of range.
 func (a *Array) At(i int) Value {
-	if i < 0 || i >= len(a.elems) {
+	if i < 0 || i >= a.Len() {
 		return Undefined
 	}
+	a.fill()
 	return a.elems[i]
 }
 
 // SetAt stores element i, growing the array with Undefined as needed.
 func (a *Array) SetAt(i int, v Value) {
+	a.own()
 	for len(a.elems) <= i {
 		a.elems = append(a.elems, Undefined)
 	}
@@ -98,10 +287,8 @@ func (a *Array) SetAt(i int, v Value) {
 
 // Function is a script-defined function closing over its environment.
 type Function struct {
-	name   string
-	params []string
-	body   *blockStmt
-	env    *scope
+	lit *funcLit
+	env *scope
 }
 
 // Builtin is a host-provided function. this is the receiver for method-style
@@ -161,6 +348,7 @@ func ToString(v Value) string {
 	case string:
 		return x
 	case *Array:
+		x.fill()
 		parts := make([]string, len(x.elems))
 		for i, e := range x.elems {
 			if e == nil || e == Value(Undefined) {
@@ -173,7 +361,7 @@ func ToString(v Value) string {
 	case *Object:
 		return "[object Object]"
 	case *Function:
-		return "function " + x.name + "() {...}"
+		return "function " + x.lit.name + "() {...}"
 	case *Builtin:
 		return "function " + x.name + "() {[native]}"
 	default:
@@ -226,10 +414,47 @@ func ToNumber(v Value) float64 {
 	}
 }
 
+// smallNums bounds the numbers boxNum serves from a shared table.
+const smallNums = 1024
+
+var smallNum = func() (t [smallNums]Value) {
+	for i := range t {
+		t[i] = float64(i)
+	}
+	return t
+}()
+
+// boxNum converts a number the evaluator produced into a Value. Loop
+// counters, lengths and indexes — non-negative integers below smallNums —
+// share one boxed copy each instead of allocating a new one every time.
+func boxNum(f float64) Value {
+	if f >= 0 && f < smallNums {
+		// -0 is >= 0 too, and must stay -0: 1/-0 is -Infinity.
+		if i := int(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
+			return smallNum[i]
+		}
+	}
+	return f
+}
+
 // ToMsg converts a script value into the msg domain for publication.
 // Function-valued properties are skipped (like JSON.stringify). Undefined
 // becomes nil.
+//
+// The tree returned is the caller's to keep and must not be written: an
+// unwritten view converts to its backing tree, so a map result is either a
+// frozen message or a root built here, and any node below it may be shared
+// with a frozen message.
 func ToMsg(v Value) (msg.Value, error) {
+	if o, ok := v.(*Object); ok && o.clean() && !msg.IsFrozen(o.src) {
+		// An inner node of a message, about to become a root the broker marks
+		// frozen in place: that mark must not land in the message it came from.
+		root := make(msg.Map, len(o.src)+1)
+		for k, e := range o.src {
+			root[k] = e
+		}
+		return root, nil
+	}
 	return toMsgDepth(v, 0)
 }
 
@@ -243,6 +468,9 @@ func toMsgDepth(v Value, depth int) (msg.Value, error) {
 	case bool, float64, string:
 		return x, nil
 	case *Array:
+		if x.clean() {
+			return x.src, nil
+		}
 		out := make([]msg.Value, 0, len(x.elems))
 		for _, e := range x.elems {
 			switch e.(type) {
@@ -258,9 +486,16 @@ func toMsgDepth(v Value, depth int) (msg.Value, error) {
 		}
 		return out, nil
 	case *Object:
-		out := make(msg.Map, len(x.keys))
-		for _, k := range x.keys {
-			e := x.props[k]
+		if x.clean() {
+			return x.src, nil
+		}
+		size := len(x.ents)
+		if depth == 0 {
+			size++ // room for the broker's freeze marker
+		}
+		out := make(msg.Map, size)
+		for i := range x.ents {
+			e := x.ents[i].val
 			switch e.(type) {
 			case *Function, *Builtin:
 				continue
@@ -269,7 +504,7 @@ func toMsgDepth(v Value, depth int) (msg.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			out[k] = m
+			out[x.ents[i].key] = m
 		}
 		return out, nil
 	case *Function, *Builtin:
@@ -279,8 +514,12 @@ func toMsgDepth(v Value, depth int) (msg.Value, error) {
 	}
 }
 
-// FromMsg converts a msg-domain value into script values. Map keys are
-// materialized in sorted order for determinism.
+// FromMsg brings a msg-domain value into the script domain. Scalars are the
+// same Go values in both; a map or slice becomes a copy-on-write view (see
+// Object) that reads v and never writes it, so v must not change afterwards —
+// the broker's frozen messages do not. Map keys iterate in sorted order for
+// determinism, the freeze marker skipped, so frozen deliveries read exactly
+// like thawed ones.
 func FromMsg(v msg.Value) Value {
 	switch x := v.(type) {
 	case nil:
@@ -288,19 +527,9 @@ func FromMsg(v msg.Value) Value {
 	case bool, float64, string:
 		return x
 	case []msg.Value:
-		elems := make([]Value, len(x))
-		for i, e := range x {
-			elems[i] = FromMsg(e)
-		}
-		return NewArray(elems...)
+		return &Array{src: x}
 	case msg.Map:
-		// msg.Keys sorts and skips the freeze marker, so frozen broker
-		// deliveries convert identically to thawed ones.
-		o := NewObject()
-		for _, k := range msg.Keys(x) {
-			o.Set(k, FromMsg(x[k]))
-		}
-		return o
+		return &Object{src: x}
 	default:
 		return Undefined
 	}
