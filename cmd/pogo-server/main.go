@@ -7,7 +7,9 @@
 //	pogo-server -addr :5222 -associate researcher=dev1,dev2 -auto-register
 //
 // The -associate flag is the administrator's act of assigning devices to
-// researchers (§3.1); it may be repeated.
+// researchers (§3.1); it may be repeated. Stanzas for a user who is offline
+// wait in a per-user queue of xmpp.QueueCap (64; a full queue evicts its
+// oldest) and are replayed when the user next logs in.
 package main
 
 import (
@@ -41,19 +43,18 @@ func main() {
 		autoReg = flag.Bool("auto-register", true, "create accounts on first login (the paper's zero-registration model)")
 		metrics = flag.String("metrics", "", "serve /metrics, /trace, /alerts, /stats on this address (e.g. 127.0.0.1:8622); empty disables")
 		pprofAt = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
-		offline = flag.Int("offline-queue", 64, "stanzas buffered per offline user and replayed on the next session; 0 bounces instead")
 		assoc   associations
 	)
 	flag.Var(&assoc, "associate", "researcher=dev1,dev2 (repeatable)")
 	flag.Parse()
 
-	if err := run(*addr, *autoReg, *metrics, *pprofAt, *offline, assoc); err != nil {
+	if err := run(*addr, *autoReg, *metrics, *pprofAt, assoc); err != nil {
 		fmt.Fprintln(os.Stderr, "pogo-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, autoReg bool, metricsAddr, pprofAddr string, offlineQueue int, assoc associations) error {
+func run(addr string, autoReg bool, metricsAddr, pprofAddr string, assoc associations) error {
 	var reg *obs.Registry
 	if metricsAddr != "" {
 		reg = obs.NewRegistry()
@@ -65,7 +66,7 @@ func run(addr string, autoReg bool, metricsAddr, pprofAddr string, offlineQueue 
 		defer stopRuntime()
 	}
 	srv := xmpp.NewServer(xmpp.ServerConfig{
-		Addr: addr, AllowAutoRegister: autoReg, OfflineQueue: offlineQueue, Obs: reg,
+		Addr: addr, AllowAutoRegister: autoReg, Obs: reg,
 	})
 	for _, a := range assoc {
 		parts := strings.SplitN(a, "=", 2)

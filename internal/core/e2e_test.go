@@ -109,6 +109,53 @@ func TestCoreOverRealXMPP(t *testing.T) {
 	}
 }
 
+// An administrator may assign a phone to a researcher while both are already
+// online (§3.1). The server announces the association both ways, so the
+// collector's roster grows and Deploy reaches the phone.
+func TestLateAssociationDeploysOverRealXMPP(t *testing.T) {
+	srv := xmpp.NewServer(xmpp.ServerConfig{AllowAutoRegister: true})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	node := func(id string, mode Mode) (*Node, *transport.XMPPMessenger) {
+		m, err := transport.DialXMPP(srv.Addr(), id, "pw", "r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		nd, err := NewNode(Config{ID: id, Mode: mode, Clock: vclock.Real{}, Messenger: m, FlushPolicy: FlushImmediate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nd.Close)
+		return nd, m
+	}
+	col, colM := node("researcher", CollectorMode)
+	phone, _ := node("phone", DeviceMode)
+
+	srv.Associate("researcher", "phone")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if peers := colM.Peers(); len(peers) == 1 && peers[0] == "phone" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("collector roster %v after the late association, want [phone]", colM.Peers())
+		}
+	}
+	if err := col.Deploy("late.js", `setDescription('late');`); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if ctx := phone.Contexts()["researcher"]; ctx != nil && ctx.Script("late.js") != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Deploy never reached the late-associated phone")
+		}
+	}
+}
+
 func TestAutoStartOffRequiresManualStart(t *testing.T) {
 	r := newRig(t, "dev1")
 	d := r.dev["dev1"]

@@ -1,76 +1,37 @@
 package transport
 
 import (
-	"sort"
 	"sync"
 	"time"
 
 	"pogo/internal/radio"
 	"pogo/internal/vclock"
+	"pogo/internal/xmpp"
 )
 
-// Switchboard is the in-memory equivalent of the XMPP server, used by the
-// simulated experiments. Routing honours rosters and presence exactly like
-// the real server; deliveries to and from simulated phones traverse their
-// radio links, so transport costs energy and drives the tail detector.
-type Switchboard struct {
-	clk vclock.Clock
+// wireLatency delays every hop from a wired (connectivity-less) port.
+const wireLatency = 5 * time.Millisecond
 
-	mu      sync.Mutex
-	ports   map[string]*Port
-	rosters map[string]map[string]bool
-	dropped int
-	// WireLatency delays deliveries between wired (connectivity-less)
-	// ports; default 5 ms.
-	wireLatency time.Duration
+// Switchboard is the in-memory adapter of the routing core the XMPP server
+// runs (xmpp.Switchboard): rosters, presence, offline queues and the roster
+// rule are the deployed server's own. What it adds is the simulated wire:
+// sends from and deliveries to phones traverse their radio links, so
+// transport costs energy and drives the tail detector, and sends from wired
+// ports take wireLatency. It registers no metrics and records no hops.
+type Switchboard struct {
+	*xmpp.Switchboard
+	clk vclock.Clock
 }
 
 // NewSwitchboard returns an empty switchboard on the given clock.
 func NewSwitchboard(clk vclock.Clock) *Switchboard {
-	return &Switchboard{
-		clk:         clk,
-		ports:       make(map[string]*Port),
-		rosters:     make(map[string]map[string]bool),
-		wireLatency: 5 * time.Millisecond,
-	}
+	return &Switchboard{Switchboard: xmpp.NewSwitchboard(clk, nil), clk: clk}
 }
 
-// Associate links two identities in each other's rosters (the testbed
-// administrator's assignment act).
-func (s *Switchboard) Associate(a, b string) {
-	s.mu.Lock()
-	if s.rosters[a] == nil {
-		s.rosters[a] = make(map[string]bool)
-	}
-	if s.rosters[b] == nil {
-		s.rosters[b] = make(map[string]bool)
-	}
-	s.rosters[a][b] = true
-	s.rosters[b][a] = true
-	pa, pb := s.ports[a], s.ports[b]
-	s.mu.Unlock()
-	// Freshly associated online peers learn about each other.
-	if pa != nil && pb != nil {
-		if pa.Online() {
-			pb.notifyPresence(a, true)
-		}
-		if pb.Online() {
-			pa.notifyPresence(b, true)
-		}
-	}
-}
-
-// Dropped returns how many payloads the switchboard discarded (recipient
-// offline or unknown).
-func (s *Switchboard) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Port creates (and registers) this identity's attachment point. conn may
-// be nil for wired nodes (collectors, always online, no energy modeling).
-// A second Port call for the same id replaces the first (a "reinstall").
+// Port creates this identity's attachment point; it logs in whenever it is
+// online. conn may be nil for wired nodes (collectors, always online, no
+// energy modeling). A second Port call for the same id takes over the login
+// (a "reinstall").
 func (s *Switchboard) Port(id string, conn *radio.Connectivity) *Port {
 	p := &Port{sb: s, id: id, conn: conn}
 	if conn != nil {
@@ -78,44 +39,10 @@ func (s *Switchboard) Port(id string, conn *radio.Connectivity) *Port {
 			p.connectivityChanged(new != radio.InterfaceNone)
 		})
 	}
-	s.mu.Lock()
-	s.ports[id] = p
-	s.mu.Unlock()
 	if p.Online() {
-		s.broadcastPresence(id, true)
+		s.Attach(id, (*portSink)(p))
 	}
 	return p
-}
-
-// broadcastPresence notifies id's online roster peers of its state change.
-func (s *Switchboard) broadcastPresence(id string, online bool) {
-	s.mu.Lock()
-	var peers []*Port
-	for peer := range s.rosters[id] {
-		if pp := s.ports[peer]; pp != nil && pp.Online() {
-			peers = append(peers, pp)
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(peers, func(i, j int) bool { return peers[i].id < peers[j].id })
-	for _, pp := range peers {
-		pp.notifyPresence(id, online)
-	}
-}
-
-// route delivers payload to the recipient, through its radio downlink when
-// it has one. Drops silently when the target is missing or offline.
-func (s *Switchboard) route(from, to string, payload []byte) {
-	s.mu.Lock()
-	target := s.ports[to]
-	allowed := s.rosters[from][to]
-	if target == nil || !allowed || !target.Online() {
-		s.dropped++
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	target.deliver(from, payload)
 }
 
 // Port is one node's attachment to the switchboard, implementing Messenger.
@@ -139,12 +66,8 @@ func (p *Port) LocalID() string { return p.id }
 // Online implements Messenger. Wired ports are always online.
 func (p *Port) Online() bool {
 	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return false
-	}
-	return p.conn == nil || p.conn.Online()
+	defer p.mu.Unlock()
+	return !p.closed && (p.conn == nil || p.conn.Online())
 }
 
 // Send implements Messenger: uplink through the active radio (costing
@@ -154,42 +77,58 @@ func (p *Port) Send(to string, payload []byte) error {
 		return ErrOffline
 	}
 	body := append([]byte(nil), payload...)
+	route := func() { p.sb.Route(p.id, to, xmpp.Stanza{To: to, From: p.id, Body: body}) }
 	if p.conn == nil {
 		// Fire-and-forget: Schedule skips the Timer handle AfterFunc would
 		// allocate for a cancellation we never use.
-		vclock.Schedule(p.sb.clk, p.sb.wireLatency, func() {
-			p.sb.route(p.id, to, body)
-		})
+		vclock.Schedule(p.sb.clk, wireLatency, route)
 		return nil
 	}
 	link := p.conn.Link()
 	if link == nil {
 		return ErrOffline
 	}
-	link.Transfer(int64(len(body)), 0, func() {
-		p.sb.route(p.id, to, body)
-	})
+	link.Transfer(int64(len(body)), 0, route)
 	return nil
 }
 
-// deliver runs the payload through the node's downlink and hands it to the
-// receive handler.
-func (p *Port) deliver(from string, payload []byte) {
+// portSink is the Port as the switchboard's Sink for its session.
+type portSink Port
+
+// Deliver implements xmpp.Sink: the payload runs through the node's downlink
+// and on to the receive handler. A phone whose radio is down is stale.
+func (s *portSink) Deliver(m xmpp.Stanza) error {
+	p := (*Port)(s)
+	from, body := m.From, m.Body
 	if p.conn == nil {
 		// Wired node: hand off synchronously without materializing the
 		// closure the radio path needs.
-		p.handoff(from, payload)
-		return
+		p.handoff(from, body)
+		return nil
 	}
 	link := p.conn.Link()
 	if link == nil {
-		p.sb.mu.Lock()
-		p.sb.dropped++
-		p.sb.mu.Unlock()
-		return
+		return ErrOffline
 	}
-	link.Transfer(0, int64(len(payload)), func() { p.handoff(from, payload) })
+	link.Transfer(0, int64(len(body)), func() { p.handoff(from, body) })
+	return nil
 }
+
+// Presence implements xmpp.Sink.
+func (s *portSink) Presence(user string, available bool) {
+	p := (*Port)(s)
+	p.mu.Lock()
+	handlers := make([]func(string, bool), len(p.onPresence))
+	copy(handlers, p.onPresence)
+	p.mu.Unlock()
+	for _, fn := range handlers {
+		fn(user, available)
+	}
+}
+
+// Bounce implements xmpp.Sink. Messenger has no error callback: a payload
+// for someone off the roster is simply lost.
+func (s *portSink) Bounce(xmpp.Stanza, string) {}
 
 func (p *Port) handoff(from string, payload []byte) {
 	p.mu.Lock()
@@ -223,34 +162,18 @@ func (p *Port) OnPresence(fn func(peer string, online bool)) {
 }
 
 // Peers implements Messenger.
-func (p *Port) Peers() []string {
-	p.sb.mu.Lock()
-	defer p.sb.mu.Unlock()
-	out := make([]string, 0, len(p.sb.rosters[p.id]))
-	for peer := range p.sb.rosters[p.id] {
-		out = append(out, peer)
-	}
-	sort.Strings(out)
-	return out
-}
+func (p *Port) Peers() []string { return p.sb.Roster(p.id) }
 
 // Close detaches the port; peers see it go offline.
 func (p *Port) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
 	p.closed = true
 	p.mu.Unlock()
-	p.sb.mu.Lock()
-	if p.sb.ports[p.id] == p {
-		delete(p.sb.ports, p.id)
-	}
-	p.sb.mu.Unlock()
-	p.sb.broadcastPresence(p.id, false)
+	p.sb.Detach(p.id, (*portSink)(p))
 }
 
+// connectivityChanged logs the port in again on every change to an active
+// interface (phones have no TCP handover, §4.6) and out when the radio goes.
 func (p *Port) connectivityChanged(online bool) {
 	p.mu.Lock()
 	closed := p.closed
@@ -260,24 +183,12 @@ func (p *Port) connectivityChanged(online bool) {
 	if closed {
 		return
 	}
-	p.sb.broadcastPresence(p.id, online)
-	if online {
-		for _, fn := range handlers {
-			fn()
-		}
-	}
-}
-
-func (p *Port) notifyPresence(peer string, online bool) {
-	p.mu.Lock()
-	handlers := make([]func(string, bool), len(p.onPresence))
-	copy(handlers, p.onPresence)
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
+	if !online {
+		p.sb.Detach(p.id, (*portSink)(p))
 		return
 	}
+	p.sb.Attach(p.id, (*portSink)(p))
 	for _, fn := range handlers {
-		fn(peer, online)
+		fn()
 	}
 }

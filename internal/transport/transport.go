@@ -32,10 +32,10 @@
 // at an entry the flush does not send.
 //
 // Two Messenger implementations are provided: a real XMPP client adapter
-// (xmppnet.go) used by the cmd/ binaries, and an in-memory switchboard
-// (memnet.go) whose deliveries traverse the simulated radios — so every
-// byte a simulated device sends or receives costs modem energy and moves
-// the traffic counters the tail detector watches.
+// (xmppnet.go) used by the cmd/ binaries, and an in-memory adapter of the
+// same switchboard core (memnet.go) whose deliveries traverse the simulated
+// radios — so every byte a simulated device sends or receives costs modem
+// energy and moves the traffic counters the tail detector watches.
 package transport
 
 import (
@@ -59,8 +59,8 @@ import (
 var ErrOffline = errors.New("transport: offline")
 
 // Messenger is the unreliable, switchboard-routed datagram layer beneath an
-// Endpoint. Send may silently lose payloads (recipient offline, TCP session
-// gone stale); reliability lives in the Endpoint.
+// Endpoint. Send may silently lose payloads (recipient's offline queue full,
+// recipient off the roster); reliability lives in the Endpoint.
 type Messenger interface {
 	// LocalID returns this node's identity (the XMPP user name).
 	LocalID() string

@@ -164,18 +164,16 @@ func TestMaxAgePurge(t *testing.T) {
 func TestRetransmitUntilAcked(t *testing.T) {
 	clk := vclock.NewSim()
 	sb := NewSwitchboard(clk)
-	sb.Associate("dev1", "col")
 	dev := newSimNode(t, clk, sb, "dev1")
+	col := newWiredNode(t, clk, sb, "col")
+	got := collect(col)
 
-	// Collector not attached yet: switchboard drops the first send.
+	// Not associated yet: the switchboard refuses the first send.
 	dev.ep.Enqueue("col", "clusters", msg.Map{"x": 1.0})
 	dev.ep.Flush()
-	clk.Advance(10 * time.Second) // transfer completes, delivery dropped
-	if dev.ep.Pending() != 1 {
-		t.Fatal("entry lost despite no ack")
-	}
-	if sb.Dropped() == 0 {
-		t.Error("switchboard should have dropped the orphan send")
+	clk.Advance(10 * time.Second) // transfer completes, delivery refused
+	if dev.ep.Pending() != 1 || len(*got) != 0 {
+		t.Fatalf("pending=%d delivered=%d, want the entry kept and undelivered", dev.ep.Pending(), len(*got))
 	}
 
 	// Within RetryAfter (30 s default) the entry is not re-sent.
@@ -184,8 +182,7 @@ func TestRetransmitUntilAcked(t *testing.T) {
 	}
 	// Once RetryAfter elapses the endpoint retransmits on its own — the
 	// self-driven retry timer, not a flush-policy tick, delivers the entry.
-	col := newWiredNode(t, clk, sb, "col")
-	got := collect(col)
+	sb.Associate("dev1", "col")
 	clk.Advance(2 * time.Minute)
 	if len(*got) != 1 || dev.ep.Pending() != 0 {
 		t.Errorf("got=%d pending=%d", len(*got), dev.ep.Pending())
@@ -337,11 +334,11 @@ func TestUnassociatedSendDropped(t *testing.T) {
 	b.OnReceive(func(string, []byte) { got++ })
 	a.Send("b", []byte(`{"from":"a"}`))
 	clk.Advance(time.Second)
+	// Associating later must not release it: a refused payload is not queued.
+	sb.Associate("a", "b")
+	clk.Advance(time.Second)
 	if got != 0 {
 		t.Error("unassociated delivery happened")
-	}
-	if sb.Dropped() != 1 {
-		t.Errorf("Dropped = %d", sb.Dropped())
 	}
 }
 

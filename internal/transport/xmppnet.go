@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -99,6 +100,10 @@ func (m *XMPPMessenger) connect() error {
 	})
 	c.OnPresence(func(peer xmpp.JID, online bool) {
 		m.mu.Lock()
+		if online {
+			// An association made after connect arrives as presence.
+			m.peers[peer.User()] = true
+		}
 		handlers := make([]func(string, bool), len(m.onPresence))
 		copy(handlers, m.onPresence)
 		m.mu.Unlock()
@@ -285,7 +290,8 @@ func (m *XMPPMessenger) OnPresence(fn func(peer string, online bool)) {
 	m.onPresence = append(m.onPresence, fn)
 }
 
-// Peers implements Messenger (the roster fetched at connect time).
+// Peers implements Messenger: the roster fetched at connect time plus every
+// contact seen available since, sorted.
 func (m *XMPPMessenger) Peers() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -293,6 +299,7 @@ func (m *XMPPMessenger) Peers() []string {
 	for p := range m.peers {
 		out = append(out, p)
 	}
+	sort.Strings(out)
 	return out
 }
 

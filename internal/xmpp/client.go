@@ -26,7 +26,7 @@ type Client struct {
 	closed       bool
 	err          error
 	onMessageRaw func(from JID, id string, body []byte)
-	backlog      []message // arrived before OnMessageRaw was registered
+	backlog      []Stanza // arrived before OnMessageRaw was registered
 	onError      func(id, reason string)
 	onPresence   func(peer JID, available bool)
 	onDisconnect func(err error)
@@ -134,8 +134,8 @@ func (c *Client) OnMessageRaw(fn func(from JID, id string, body []byte)) {
 	}
 }
 
-// OnError sets the handler for bounced messages (recipient offline or not on
-// the roster); id is the original message's id.
+// OnError sets the handler for bounced messages (recipient not on the
+// roster); id is the original message's id.
 func (c *Client) OnError(fn func(id, reason string)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -245,7 +245,7 @@ func (c *Client) write(v any) error {
 	return writeStanza(c.conn, v)
 }
 
-func (c *Client) dispatchMessage(m message) {
+func (c *Client) dispatchMessage(m Stanza) {
 	c.mu.Lock()
 	onRaw := c.onMessageRaw
 	if onRaw == nil && len(c.backlog) < 256 {

@@ -71,6 +71,27 @@ func TestServerHandshakeTimeout(t *testing.T) {
 	}
 }
 
+// Close hangs up connections that never finished the handshake too, rather
+// than waiting out their HandshakeTimeout (10 s by default).
+func TestCloseHangsUpSilentClient(t *testing.T) {
+	s := NewServer(ServerConfig{AllowAutoRegister: true})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c := rawConn(t, s)
+	// A half-open handshake: the server's greeting proves it accepted the
+	// connection, and the client then goes quiet before auth.
+	c.Write([]byte(`<stream to="pogo" bin="1">` + "\n"))
+	if _, err := c.Read(make([]byte, 256)); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	s.Close()
+	if d := time.Since(t0); d > 200*time.Millisecond {
+		t.Errorf("Close took %v with a client mid-handshake, want < 200ms", d)
+	}
+}
+
 func TestServerUnknownStanzaSkipped(t *testing.T) {
 	s := startServer(t, ServerConfig{AllowAutoRegister: true})
 	s.Associate("a", "b")
@@ -116,7 +137,7 @@ func collectBodies(c *Client) func() []string {
 // queued and replayed, in order, when the next session authenticates.
 func TestOfflineQueueResumesSession(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := startServer(t, ServerConfig{AllowAutoRegister: true, OfflineQueue: 8, Obs: reg})
+	s := startServer(t, ServerConfig{AllowAutoRegister: true, Obs: reg})
 	s.Associate("r", "d")
 	r := dial(t, s, "r", "pw")
 	bounced := make(chan string, 4)
@@ -150,10 +171,11 @@ func TestOfflineQueueResumesSession(t *testing.T) {
 // The offline queue is bounded: when full, the oldest stanza gives way.
 func TestOfflineQueueBounded(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := startServer(t, ServerConfig{AllowAutoRegister: true, OfflineQueue: 2, Obs: reg})
+	s := startServer(t, ServerConfig{AllowAutoRegister: true, Obs: reg})
 	s.Associate("r", "d")
 	r := dial(t, s, "r", "pw")
-	for _, body := range []string{"m1", "m2", "m3"} {
+	for i := 0; i <= QueueCap; i++ {
+		body := "m" + strconv.Itoa(i)
 		r.SendMessageBytes(MakeJID("d"), body, []byte(body), "")
 	}
 	waitFor(t, "queue overflow accounted", func() bool {
@@ -161,9 +183,9 @@ func TestOfflineQueueBounded(t *testing.T) {
 	})
 	d := dial(t, s, "d", "pw")
 	got := collectBodies(d)
-	waitFor(t, "bounded replay", func() bool { return len(got()) == 2 })
-	if g := got(); g[0] != "m2" || g[1] != "m3" {
-		t.Errorf("replay = %v, want the newest two", g)
+	waitFor(t, "bounded replay", func() bool { return len(got()) == QueueCap })
+	if g := got(); g[0] != "m1" || g[QueueCap-1] != "m"+strconv.Itoa(QueueCap) {
+		t.Errorf("replay runs %s..%s, want the newest %d", g[0], g[QueueCap-1], QueueCap)
 	}
 }
 
@@ -171,27 +193,20 @@ func TestOfflineQueueBounded(t *testing.T) {
 // interface-handover race) must not eat messages: the failed delivery is
 // queued and resumed by the replacement session.
 func TestStaleSessionDeliveryQueues(t *testing.T) {
-	s := startServer(t, ServerConfig{AllowAutoRegister: true, OfflineQueue: 8})
+	s := startServer(t, ServerConfig{AllowAutoRegister: true})
 	s.Associate("r", "d")
 	r := dial(t, s, "r", "pw")
 
-	// Forge d's stale session: registered in the table, but its connection
-	// is already dead.
+	// Forge d's stale session: attached, but its connection is already dead.
 	c1, c2 := net.Pipe()
 	c1.Close()
 	c2.Close()
-	s.mu.Lock()
-	s.sessions["d"] = &session{user: "d", jid: JID("d@pogo/stale"), conn: c1}
-	s.mu.Unlock()
+	s.Attach("d", &tcpSession{jid: JID("d@pogo/stale"), conn: c1})
 
 	if err := r.SendMessageBytes(MakeJID("d"), "m1", []byte("behind-stale"), ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "failed delivery queued", func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.queues["d"]) == 1
-	})
+	waitFor(t, "failed delivery queued", func() bool { return queued(s.Switchboard, "d") == 1 })
 
 	d := dial(t, s, "d", "pw") // displaces the stale session, resumes the queue
 	got := collectBodies(d)
@@ -205,7 +220,7 @@ func TestStaleSessionDeliveryQueues(t *testing.T) {
 // mid-stream by the TCP proxy, traffic sent during the outage is queued, and
 // a reconnect through the same proxy resumes it.
 func TestSessionResumptionAcrossDroppedTCP(t *testing.T) {
-	s := startServer(t, ServerConfig{AllowAutoRegister: true, OfflineQueue: 16})
+	s := startServer(t, ServerConfig{AllowAutoRegister: true})
 	s.Associate("r", "d")
 	proxy, err := faultnet.NewTCPProxy(s.Addr())
 	if err != nil {
@@ -237,11 +252,7 @@ func TestSessionResumptionAcrossDroppedTCP(t *testing.T) {
 
 	r.SendMessageBytes(MakeJID("d"), "q1", []byte("queued-1"), "")
 	r.SendMessageBytes(MakeJID("d"), "q2", []byte("queued-2"), "")
-	waitFor(t, "outage traffic queued", func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.queues["d"]) == 2
-	})
+	waitFor(t, "outage traffic queued", func() bool { return queued(s.Switchboard, "d") == 2 })
 
 	// Fresh session through the same proxy: the queue resumes.
 	d2, err := Dial(proxy.Addr(), "d", "pw", "phone")

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"pogo/internal/obs"
+	"pogo/internal/vclock"
 )
 
 // ServerConfig configures a switchboard server.
@@ -21,60 +21,25 @@ type ServerConfig struct {
 	AllowAutoRegister bool
 	// HandshakeTimeout bounds the stream-open + auth exchange. Default 10 s.
 	HandshakeTimeout time.Duration
-	// OfflineQueue enables session resumption: up to this many message
-	// stanzas per user are buffered while the user has no live session (or
-	// their session proves stale mid-delivery) and replayed when the next
-	// session authenticates. When full, the oldest stanza is dropped. 0
-	// keeps the legacy behavior: messages to offline users bounce
-	// immediately.
-	OfflineQueue int
 	// Obs, when non-nil, receives the switchboard's metrics: live sessions,
 	// stanzas routed, bounces, auth failures, offline-queue activity.
 	Obs *obs.Registry
 }
 
-// Server is the central XMPP switchboard. It only routes: all application
-// semantics live in the Pogo nodes (§3.1, "a central server acting only as a
-// communications switchboard"). The zero value is not usable; construct with
-// NewServer and call Start.
+// Server is the central XMPP switchboard over TCP: the stream header, auth,
+// one reader goroutine per connection, and a frame write per delivery. All
+// routing state and policy is the embedded Switchboard's. It only routes: all
+// application semantics live in the Pogo nodes (§3.1). The zero value is not
+// usable; construct with NewServer and call Start.
 type Server struct {
+	*Switchboard
 	cfg ServerConfig
 
-	mu       sync.Mutex
-	ln       net.Listener
-	accounts map[string]string          // user → password
-	rosters  map[string]map[string]bool // user → contact users
-	sessions map[string]*session        // user → live session (one resource per user)
-	queues   map[string][]message       // user → messages awaiting session resumption
-	closed   bool
-	wg       sync.WaitGroup
-
-	// Instruments; nil (no-op) when cfg.Obs is nil.
-	obsSessions   *obs.Gauge
-	obsRouted     *obs.Counter
-	obsBounced    *obs.Counter
-	obsAuthFails  *obs.Counter
-	obsQueued     *obs.Counter
-	obsResumed    *obs.Counter
-	obsQueueDrops *obs.Counter
-	spans         *obs.SpanStore // nil when cfg.Obs is nil
-}
-
-// switchboardNode is the span node name the server records hops under: the
-// switchboard is a single central entity, not a Pogo node.
-const switchboardNode = "switchboard"
-
-// recordHops records one causal hop per trace ID carried in a frame's trace
-// field. The switchboard serves real clients over TCP and has no
-// simulated clock, so hops are stamped with wall time.
-func (s *Server) recordHops(stage obs.Stage, traceAttr, detail string) {
-	if s.spans == nil || traceAttr == "" {
-		return
-	}
-	at := time.Now()
-	for _, tr := range ParseTraceAttr(traceAttr) {
-		s.spans.Record(at, tr, stage, switchboardNode, "", 0, detail)
-	}
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{} // every accepted connection, handshaking or not
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewServer returns an unstarted server.
@@ -85,78 +50,11 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	s := &Server{
-		cfg:      cfg,
-		accounts: make(map[string]string),
-		rosters:  make(map[string]map[string]bool),
-		sessions: make(map[string]*session),
-		queues:   make(map[string][]message),
+	return &Server{
+		Switchboard: NewSwitchboard(vclock.Real{}, cfg.Obs),
+		cfg:         cfg,
+		conns:       make(map[net.Conn]struct{}),
 	}
-	if reg := cfg.Obs; reg != nil {
-		s.obsSessions = reg.Gauge("xmpp_server_sessions")
-		s.obsRouted = reg.Counter("xmpp_server_stanzas_routed_total")
-		s.obsBounced = reg.Counter("xmpp_server_bounces_total")
-		s.obsAuthFails = reg.Counter("xmpp_server_auth_failures_total")
-		s.obsQueued = reg.Counter("xmpp_server_queued_total")
-		s.obsResumed = reg.Counter("xmpp_server_resumed_total")
-		s.obsQueueDrops = reg.Counter("xmpp_server_queue_drops_total")
-		s.spans = reg.Spans()
-	}
-	return s
-}
-
-// AddAccount registers (or updates) an account.
-func (s *Server) AddAccount(user, password string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.accounts[user] = password
-}
-
-// Associate links a researcher and a device owner in both rosters — the
-// administrator's broker role (§3.1): it decides which devices are assigned
-// to which researchers.
-func (s *Server) Associate(a, b string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.associateLocked(a, b)
-}
-
-func (s *Server) associateLocked(a, b string) {
-	if s.rosters[a] == nil {
-		s.rosters[a] = make(map[string]bool)
-	}
-	if s.rosters[b] == nil {
-		s.rosters[b] = make(map[string]bool)
-	}
-	s.rosters[a][b] = true
-	s.rosters[b][a] = true
-}
-
-// Dissociate removes a researcher↔device association.
-func (s *Server) Dissociate(a, b string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.rosters[a], b)
-	delete(s.rosters[b], a)
-}
-
-// Roster returns a user's contacts, sorted.
-func (s *Server) Roster(user string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.rosters[user]))
-	for c := range s.rosters[user] {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Online reports whether a user has a live session.
-func (s *Server) Online(user string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sessions[user] != nil
 }
 
 // Start begins listening and serving. It returns once the listener is bound.
@@ -172,8 +70,8 @@ func (s *Server) Start() error {
 		return errors.New("xmpp: server closed")
 	}
 	s.ln = ln
-	s.mu.Unlock()
 	s.wg.Add(1)
+	s.mu.Unlock()
 	go s.acceptLoop(ln)
 	return nil
 }
@@ -188,7 +86,8 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops the listener and tears down all sessions.
+// Close stops the listener and hangs up every connection, including ones
+// still in the handshake, then waits for their goroutines.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -196,18 +95,13 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	ln := s.ln
-	var conns []net.Conn
-	for _, sess := range s.sessions {
-		conns = append(conns, sess.conn)
+	if s.ln != nil {
+		s.ln.Close()
 	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
+	for c := range s.conns {
 		c.Close()
 	}
+	s.mu.Unlock()
 	s.wg.Wait()
 }
 
@@ -218,42 +112,86 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.serveConn(conn)
+			conn.Close()
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
 		}()
 	}
 }
 
-// session is one authenticated client connection.
-type session struct {
-	user string
+// tcpSession is one authenticated client connection: the Sink the
+// switchboard writes to.
+type tcpSession struct {
 	jid  JID
 	conn net.Conn
 
 	writeMu sync.Mutex
+	success []byte // the auth reply, until it is out
 }
 
-func (sess *session) send(v any) error {
-	sess.writeMu.Lock()
-	defer sess.writeMu.Unlock()
-	return writeStanza(sess.conn, v)
+// write sends b, behind the auth reply if that has not gone out yet: the
+// session is attached (and announced, and replayed to) before serveConn
+// writes the reply itself, and nothing may overtake the reply the client's
+// handshake waits for.
+func (c *tcpSession) write(b []byte) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	if c.success != nil {
+		b = append(c.success, b...)
+		c.success = nil
+	}
+	if len(b) == 0 {
+		return nil
+	}
+	_, err := c.conn.Write(b)
+	return err
 }
 
-// sendMessage writes a message as a binary frame.
-func (sess *session) sendMessage(m *message) error {
+func (c *tcpSession) send(v any) error {
+	b, err := marshalStanza(v)
+	if err != nil {
+		return err
+	}
+	return c.write(append(b, '\n'))
+}
+
+// Deliver implements Sink: the stanza goes out as one binary frame.
+func (c *tcpSession) Deliver(m Stanza) error {
 	bp := getWireBuf()
 	buf := appendFrame((*bp)[:0], m.To, m.From, m.ID, m.T, m.Body)
-	sess.writeMu.Lock()
-	_, err := sess.conn.Write(buf)
-	sess.writeMu.Unlock()
+	err := c.write(buf)
 	putWireBuf(bp, buf)
 	return err
 }
 
+// Presence implements Sink.
+func (c *tcpSession) Presence(user string, available bool) {
+	typ := "available"
+	if !available {
+		typ = "unavailable"
+	}
+	c.send(presenceStanza{From: MakeJID(user).String(), Type: typ})
+}
+
+// Bounce implements Sink.
+func (c *tcpSession) Bounce(m Stanza, reason string) {
+	c.send(messageStanza{From: Domain, To: c.jid.String(), ID: m.ID, Type: "error", Body: reason})
+}
+
 func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
 	sr := newStanzaReader(conn)
 	conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
 
@@ -284,38 +222,39 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := xml.Unmarshal(line, &auth); err != nil {
 		return
 	}
-	sess, failReason := s.authenticate(&auth, conn)
-	if sess == nil {
-		writeStanza(conn, failureStanza{Reason: failReason})
+	if reason := s.Authenticate(auth.User, auth.Password, s.cfg.AllowAutoRegister); reason != "" {
+		writeStanza(conn, failureStanza{Reason: reason})
 		return
 	}
+	resource := auth.Resource
+	if resource == "" {
+		resource = "pogo"
+	}
+	c := &tcpSession{jid: JID(auth.User + "@" + Domain + "/" + resource), conn: conn}
+	if c.success, err = marshalStanza(successStanza{JID: c.jid.String()}); err != nil {
+		return
+	}
+	c.success = append(c.success, '\n')
 	conn.SetDeadline(time.Time{})
-	// authenticate returned with sess.writeMu held: the session is already
-	// visible to other sessions' presence broadcasts, and none of them may
-	// overtake the success stanza the client's handshake is waiting for.
-	err = writeStanza(conn, successStanza{JID: sess.jid.String()})
-	sess.writeMu.Unlock()
-	if err != nil {
-		s.dropSession(sess)
+	if old, ok := s.Attach(auth.User, c).(*tcpSession); ok {
+		old.conn.Close()
+	}
+	defer s.Detach(auth.User, c)
+	// The auth reply, unless a presence or replayed stanza carried it already.
+	if c.write(nil) != nil {
 		return
 	}
-	s.broadcastPresence(sess.user, true)
-	s.sendInitialPresence(sess)
-	s.replayQueued(sess)
-
-	defer func() {
-		s.dropSession(sess)
-		s.broadcastPresence(sess.user, false)
-	}()
 
 	// Stanza loop.
+	from := c.jid.Bare().String()
 	for {
 		m, isFrame, line, err := sr.next()
 		if err != nil {
 			return
 		}
 		if isFrame {
-			s.routeMessage(sess, m)
+			m.From = from
+			s.Route(auth.User, JID(m.To).User(), m)
 			continue
 		}
 		switch elementName(line) {
@@ -324,7 +263,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			if err := xml.Unmarshal(line, &iq); err != nil {
 				return
 			}
-			s.handleIQ(sess, iq)
+			if iq.Type == "get" && iq.Roster != nil {
+				contacts := s.Roster(auth.User)
+				items := make([]rosterItem, 0, len(contacts))
+				for _, u := range contacts {
+					items = append(items, rosterItem{JID: MakeJID(u).String()})
+				}
+				c.send(iqStanza{Type: "result", ID: iq.ID, Roster: &rosterQuery{Items: items}})
+			}
 		case "presence":
 			var p presenceStanza
 			if err := xml.Unmarshal(line, &p); err != nil {
@@ -341,184 +287,5 @@ func (s *Server) serveConn(conn net.Conn) {
 		default:
 			// Unknown stanza kinds are skipped, as the streaming decoder did.
 		}
-	}
-}
-
-func (s *Server) authenticate(auth *authStanza, conn net.Conn) (*session, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, "server-shutting-down"
-	}
-	pw, ok := s.accounts[auth.User]
-	switch {
-	case !ok && s.cfg.AllowAutoRegister:
-		s.accounts[auth.User] = auth.Password
-	case !ok:
-		s.obsAuthFails.Inc()
-		return nil, "no-such-account"
-	case pw != auth.Password:
-		s.obsAuthFails.Inc()
-		return nil, "bad-credentials"
-	}
-	if old := s.sessions[auth.User]; old != nil {
-		// Resource conflict: newest connection wins (phone reconnecting
-		// after an interface change before the server noticed the old TCP
-		// session died).
-		old.conn.Close()
-	}
-	resource := auth.Resource
-	if resource == "" {
-		resource = "pogo"
-	}
-	sess := &session{
-		user: auth.User,
-		jid:  JID(auth.User + "@" + Domain + "/" + resource),
-		conn: conn,
-	}
-	sess.writeMu.Lock() // released by serveConn once success is written
-	s.sessions[auth.User] = sess
-	s.obsSessions.Set(float64(len(s.sessions)))
-	return sess, ""
-}
-
-func (s *Server) dropSession(sess *session) {
-	s.mu.Lock()
-	if s.sessions[sess.user] == sess {
-		delete(s.sessions, sess.user)
-	}
-	s.obsSessions.Set(float64(len(s.sessions)))
-	s.mu.Unlock()
-}
-
-// routeMessage delivers to the recipient's live session, or bounces an error
-// stanza: XMPP-level delivery is best-effort (Pogo adds end-to-end acks).
-// With OfflineQueue enabled, messages for offline (or stale-session) users
-// are buffered for session resumption instead of bounced.
-func (s *Server) routeMessage(from *session, m message) {
-	toUser := JID(m.To).User()
-	s.mu.Lock()
-	dst := s.sessions[toUser]
-	allowed := s.rosters[from.user][toUser] || from.user == toUser
-	s.mu.Unlock()
-	m.From = from.jid.Bare().String()
-	if !allowed {
-		s.bounce(from, m.ID, "not-on-roster")
-		return
-	}
-	if dst == nil {
-		if s.cfg.OfflineQueue > 0 {
-			s.queueOffline(toUser, m)
-			return
-		}
-		s.bounce(from, m.ID, "recipient-offline")
-		return
-	}
-	if err := dst.sendMessage(&m); err != nil {
-		// The recipient's TCP session went stale underneath us (§4.6's
-		// interface-handover failure).
-		if s.cfg.OfflineQueue > 0 {
-			s.queueOffline(toUser, m)
-			return
-		}
-		s.bounce(from, m.ID, "delivery-failed")
-		return
-	}
-	s.obsRouted.Inc()
-	s.recordHops(obs.StageRoute, m.T, "to="+toUser)
-}
-
-func (s *Server) bounce(from *session, id, reason string) {
-	s.obsBounced.Inc()
-	from.send(messageStanza{
-		From: Domain, To: from.jid.String(), ID: id,
-		Type: "error", Body: reason,
-	})
-}
-
-// queueOffline buffers m for user until their next session, dropping the
-// oldest stanza when the queue is full.
-func (s *Server) queueOffline(user string, m message) {
-	dropped := false
-	s.mu.Lock()
-	q := s.queues[user]
-	if len(q) >= s.cfg.OfflineQueue {
-		q = q[1:]
-		dropped = true
-	}
-	s.queues[user] = append(q, m)
-	s.mu.Unlock()
-	s.obsQueued.Inc()
-	if dropped {
-		s.obsQueueDrops.Inc()
-	}
-	s.recordHops(obs.StageOffline, m.T, "user="+user)
-}
-
-// replayQueued resumes a fresh session: stanzas queued while the user was
-// offline are delivered in arrival order. If the session dies mid-replay the
-// remainder waits for the next one.
-func (s *Server) replayQueued(sess *session) {
-	s.mu.Lock()
-	queued := s.queues[sess.user]
-	delete(s.queues, sess.user)
-	s.mu.Unlock()
-	for i, m := range queued {
-		if err := sess.sendMessage(&m); err != nil {
-			s.mu.Lock()
-			s.queues[sess.user] = append(queued[i:], s.queues[sess.user]...)
-			s.mu.Unlock()
-			return
-		}
-		s.obsResumed.Inc()
-		s.recordHops(obs.StageReplay, m.T, "user="+sess.user)
-	}
-}
-
-func (s *Server) handleIQ(sess *session, iq iqStanza) {
-	if iq.Type != "get" || iq.Roster == nil {
-		return
-	}
-	contacts := s.Roster(sess.user)
-	items := make([]rosterItem, 0, len(contacts))
-	for _, c := range contacts {
-		items = append(items, rosterItem{JID: MakeJID(c).String()})
-	}
-	sess.send(iqStanza{Type: "result", ID: iq.ID, Roster: &rosterQuery{Items: items}})
-}
-
-// broadcastPresence tells every online roster contact about user's change.
-func (s *Server) broadcastPresence(user string, available bool) {
-	typ := "available"
-	if !available {
-		typ = "unavailable"
-	}
-	s.mu.Lock()
-	var peers []*session
-	for contact := range s.rosters[user] {
-		if p := s.sessions[contact]; p != nil {
-			peers = append(peers, p)
-		}
-	}
-	s.mu.Unlock()
-	for _, p := range peers {
-		p.send(presenceStanza{From: MakeJID(user).String(), Type: typ})
-	}
-}
-
-// sendInitialPresence tells a fresh session which roster contacts are
-// already online.
-func (s *Server) sendInitialPresence(sess *session) {
-	s.mu.Lock()
-	var online []string
-	for contact := range s.rosters[sess.user] {
-		if s.sessions[contact] != nil {
-			online = append(online, contact)
-		}
-	}
-	s.mu.Unlock()
-	sort.Strings(online)
-	for _, c := range online {
-		sess.send(presenceStanza{From: MakeJID(c).String(), Type: "available"})
 	}
 }

@@ -5,10 +5,10 @@
 // newline-delimited XML; messages travel as binary frames (see wire.go).
 //
 // The paper runs an off-the-shelf Openfire server; this package is the
-// equivalent switchboard, written from scratch on the standard library. It
-// deliberately keeps XMPP's weak delivery guarantees — messages to offline
-// peers are dropped with an error stanza at best — because Pogo implements
-// its own end-to-end acknowledgements on top (internal/transport).
+// equivalent switchboard from scratch: a socket-free routing core and a TCP
+// server. It keeps XMPP's weak delivery guarantees — a bounded offline queue
+// that evicts its oldest stanza — because Pogo implements its own end-to-end
+// acknowledgements on top (internal/transport).
 package xmpp
 
 import (
@@ -83,18 +83,18 @@ type presenceStanza struct {
 	Type    string   `xml:"type,attr"` // "available" or "unavailable"
 }
 
-// message is one routed message, carried on the wire as a binary frame
+// Stanza is one routed message, carried on the wire as a binary frame
 // (wire.go). Pogo puts its transport envelopes in Body. T optionally carries
 // the causal trace IDs of the enveloped batch (see TraceAttr) so the
 // switchboard can record route/offline/replay hops without parsing the
 // opaque body.
-type message struct {
+type Stanza struct {
 	To, From, ID, T string
 	Body            []byte
 }
 
 // messageStanza is the one XML message left: the server's type="error"
-// bounce of an undeliverable message back to its sender, reason in Body.
+// bounce of a message to someone not on the sender's roster, reason in Body.
 type messageStanza struct {
 	XMLName xml.Name `xml:"message"`
 	From    string   `xml:"from,attr,omitempty"`

@@ -58,7 +58,7 @@ func TestTraceAttrFitsFrameField(t *testing.T) {
 // and checks each leaves its causal hop in the server's span store.
 func TestServerRecordsTraceHops(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := startServer(t, ServerConfig{AllowAutoRegister: true, OfflineQueue: 8, Obs: reg})
+	s := startServer(t, ServerConfig{AllowAutoRegister: true, Obs: reg})
 	alice := dial(t, s, "alice", "pw")
 	bob := dial(t, s, "bob", "pw")
 	s.Associate("alice", "bob")

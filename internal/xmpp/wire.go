@@ -100,11 +100,11 @@ func newStanzaReader(r io.Reader) *stanzaReader {
 // m populated — its body buffer is freshly allocated and owned by the
 // caller) or one XML line (isFrame false; line aliases the reader's buffer
 // and is valid only until the next call).
-func (sr *stanzaReader) next() (m message, isFrame bool, line []byte, err error) {
+func (sr *stanzaReader) next() (m Stanza, isFrame bool, line []byte, err error) {
 	for {
 		b, err := sr.r.Peek(1)
 		if err != nil {
-			return message{}, false, nil, err
+			return Stanza{}, false, nil, err
 		}
 		switch b[0] {
 		case '\n', '\r':
@@ -114,16 +114,16 @@ func (sr *stanzaReader) next() (m message, isFrame bool, line []byte, err error)
 			return m, true, nil, err
 		default:
 			line, err := sr.readLine()
-			return message{}, false, line, err
+			return Stanza{}, false, line, err
 		}
 	}
 }
 
 // readFrame parses one binary message frame (the magic byte is still
 // unconsumed).
-func (sr *stanzaReader) readFrame() (message, error) {
+func (sr *stanzaReader) readFrame() (Stanza, error) {
 	sr.r.Discard(1)
-	var m message
+	var m Stanza
 	var err error
 	if m.To, err = sr.readFrameStr(); err != nil {
 		return m, err

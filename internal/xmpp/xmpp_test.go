@@ -118,27 +118,39 @@ func TestMessageRouting(t *testing.T) {
 	}
 }
 
-func TestMessageToOfflinePeerBounces(t *testing.T) {
+// A message to an offline roster peer is held, not bounced, and reaches the
+// peer's next session with its sender and id intact.
+func TestMessageToOfflinePeerReplays(t *testing.T) {
 	s := startServer(t, ServerConfig{AllowAutoRegister: true})
 	s.Associate("researcher", "device1")
 	res := dial(t, s, "researcher", "pw")
+	bounced := make(chan string, 1)
+	res.OnError(func(id, reason string) { bounced <- id + "|" + reason })
+	res.SendMessageBytes(MakeJID("device1"), "m9", []byte("payload"), "")
+	waitFor(t, "message queued", func() bool { return queued(s.Switchboard, "device1") == 1 })
+
 	var mu sync.Mutex
-	var errs []string
-	res.OnError(func(id, reason string) {
+	var got []string
+	dev := dial(t, s, "device1", "pw")
+	dev.OnMessageRaw(func(from JID, id string, body []byte) {
 		mu.Lock()
-		errs = append(errs, id+"|"+reason)
+		got = append(got, from.String()+"|"+id+"|"+string(body))
 		mu.Unlock()
 	})
-	res.SendMessageBytes(MakeJID("device1"), "m9", []byte("payload"), "")
-	waitFor(t, "error bounce", func() bool {
+	waitFor(t, "replay", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(errs) == 1
+		return len(got) == 1
 	})
 	mu.Lock()
 	defer mu.Unlock()
-	if errs[0] != "m9|recipient-offline" {
-		t.Errorf("bounce = %q", errs[0])
+	if got[0] != "researcher@pogo|m9|payload" {
+		t.Errorf("replayed %q", got[0])
+	}
+	select {
+	case b := <-bounced:
+		t.Errorf("offline peer bounced: %s", b)
+	default:
 	}
 }
 
@@ -363,7 +375,7 @@ func readHexFixture(t *testing.T, name string) []byte {
 // for byte in both directions.
 func TestStanzaFrameFixture(t *testing.T) {
 	want := readHexFixture(t, "stanza_frame.hex")
-	m := message{
+	m := Stanza{
 		To:   "collector@pogo",
 		ID:   "1",
 		T:    TraceAttr([]obs.TraceID{0x0123456789abcdef, 0xfedcba9876543210}),
