@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-gate check chaos determinism fleet fleet-scale fuzz-smoke scenario stdout-guard latency-gate flight-smoke trace-demo doctor-smoke
+.PHONY: build test bench bench-gate check chaos fleet-scale fuzz-smoke scenario stdout-guard flight-smoke trace-demo doctor-smoke
 
 build:
 	$(GO) build ./...
@@ -23,26 +23,29 @@ bench:
 # and commit the new JSON. The fleet gate applies the same policy to the
 # per-device memory diet: fleet_bytes_per_phone or allocs_per_delivery more
 # than 15% worse than the BENCH_fleet.json 2000-phone row fails; wall-clock
-# is advisory. Refresh with `go run ./cmd/pogo-bench -run fleet`.
+# is advisory. Refresh with `go run ./cmd/pogo-bench -run fleet` (it
+# rewrites BENCH_fleet.json in place, and hard-fails if the delivery-log
+# hash varies across the shard-count sweep); an intentional hash change must
+# update testdata/scenarios/fleet.txtar too.
 bench-gate:
 	$(GO) run ./cmd/pogo-bench -run hotpath -gate
 	$(GO) run ./cmd/pogo-bench -run fleet -gate
 
-# check is the tier-1 gate: vet, the full test suite under the race
-# detector, the end-to-end harness's own smoke (bench/ is a nested module
-# `go test ./...` does not descend into: real stack with the audit on, and
-# BENCHMARK.json checked against the harness), the library-stdout guard, a
-# short fuzz smoke of the wire-facing parsers, the determinism diffs, and the
-# allocation regression gate.
+# check is the tier-1 gate, eight steps: the library-stdout guard; vet plus
+# gofmt (any file `gofmt -l` lists fails it); the full test suite under the
+# race detector, which also runs every seeded pin (the scenario archives
+# with their delivery-log hashes and goldens, the latency SLO table); the
+# end-to-end harness's own smoke (bench/ is a nested module `go test ./...`
+# does not descend into: real stack with the audit on, and BENCHMARK.json
+# checked against the harness); a short fuzz smoke of the wire-facing
+# parsers; the allocation regression gate; the flight-recorder smoke; and the
+# alerting smoke. It leaves the tree clean.
 check: stdout-guard
-	$(GO) vet ./...
+	$(GO) vet ./... && f=$$(gofmt -l .) && if [ -n "$$f" ]; then echo "gofmt needed:" $$f; exit 1; fi
 	$(GO) test -race ./...
 	$(GO) -C bench test -short ./...
 	$(MAKE) fuzz-smoke
-	$(MAKE) scenario
-	$(MAKE) determinism
 	$(MAKE) bench-gate
-	$(MAKE) latency-gate
 	$(MAKE) flight-smoke
 	$(MAKE) doctor-smoke
 
@@ -65,28 +68,13 @@ fuzz-smoke:
 
 # chaos replays the seeded fault-injection matrix (drop, duplicate, corrupt,
 # delay, partition, churn at three fault levels) under the race detector,
-# then regenerates the BENCH_chaos.json baseline via pogo-bench. The same
-# matrix is ported to testdata/scenarios/chaos.txtar, which pins the same
-# delivery-log hashes — `make scenario` cross-checks the two.
+# then prints each level's report via pogo-bench: the delivery audit, fault
+# counts, delivery-log hash and per-topic latency quantiles. The hashes are
+# pinned in testdata/scenarios/chaos.txtar and the quantiles in
+# internal/experiments TestLatencyPinned.
 chaos:
 	$(GO) test -race -v -run 'Chaos|Soak' ./internal/experiments ./internal/core
 	$(GO) run -race ./cmd/pogo-bench -run chaos -seed 1
-
-# fleet refreshes the BENCH_fleet.json baseline by hand (it is not part of
-# check, which must leave the tree clean): the sharded fleet benchmark runs
-# twice with the same seed and the merged delivery logs must be
-# byte-identical — the epoch-barrier engine must make shard parallelism
-# invisible to the simulation. Each invocation additionally hard-fails if the
-# log hash varies across the shard-count sweep (1, 2, 4). bench-gate holds
-# every later run to the recorded hash, and testdata/scenarios/fleet.txtar
-# pins the same one, so an intentional refresh must update the archive too.
-fleet:
-	@rm -f /tmp/pogo-fleet-a.log /tmp/pogo-fleet-b.log
-	$(GO) run ./cmd/pogo-bench -run fleet -seed 1 -fleet-log /tmp/pogo-fleet-a.log
-	$(GO) run ./cmd/pogo-bench -run fleet -seed 1 -fleet-log /tmp/pogo-fleet-b.log > /dev/null
-	@cmp /tmp/pogo-fleet-a.log /tmp/pogo-fleet-b.log \
-		&& echo "fleet: delivery logs byte-identical across same-seed runs" \
-		|| (echo "fleet: same-seed runs diverged"; exit 1)
 
 # fleet-scale records the phones-vs-throughput scaling curve (10k and 100k
 # phones, each serial and at 8 shards) into BENCH_fleet.json alongside the
@@ -97,33 +85,14 @@ fleet-scale:
 
 # scenario runs the txtar-scripted testbed suite under the race detector:
 # every archive in internal/scenario/testdata/scenarios executes twice with
-# the same seed and must produce byte-identical transcripts, the ported
-# chaos/fleet archives must reproduce the checked-in bench hashes, and the
-# scenario parsers get their table-driven workout. Then the runner lists the
-# library. Regenerate goldens with `go run ./cmd/pogo-scenario -update`.
+# the same seed and must produce byte-identical transcripts and match its
+# pinned hashes and goldens, and the scenario parsers get their table-driven
+# workout. Then the runner lists the library. Not part of check, whose race
+# suite already covers the package. Regenerate goldens with
+# `go run ./cmd/pogo-scenario -update`.
 scenario:
 	$(GO) test -race ./internal/scenario
 	$(GO) run ./cmd/pogo-scenario -list
-
-# determinism runs the seeded Table 3 benchmark twice and requires the
-# ledger accounting and simulated-time series exports to be byte-identical:
-# attribution that varies between same-seed runs is a bug, not noise.
-determinism:
-	@rm -rf /tmp/pogo-determinism-a /tmp/pogo-determinism-b
-	$(GO) run ./cmd/pogo-bench -run table3 -csv /tmp/pogo-determinism-a > /dev/null
-	$(GO) run ./cmd/pogo-bench -run table3 -csv /tmp/pogo-determinism-b > /dev/null
-	@diff -r /tmp/pogo-determinism-a /tmp/pogo-determinism-b \
-		&& echo "determinism: accounting.csv + timeseries.csv byte-identical" \
-		|| (echo "determinism: same-seed runs diverged (see diff above)"; exit 1)
-
-# latency-gate reruns the trace-span delivery-latency SLO benchmark and
-# compares the per-topic p50/p95/p99 against the checked-in
-# BENCH_latency.json. The figures are simulated-time exact per seed, so the
-# comparison is exact too: any drift means the delivery path's timing
-# changed. After an intentional change, refresh the baseline with
-# `go run ./cmd/pogo-bench -run latency` and commit the new JSON.
-latency-gate:
-	$(GO) run ./cmd/pogo-bench -run latency -seed 1 -gate
 
 # flight-smoke forces a chaos audit failure (the post-window drain is
 # sabotaged, so messages stay genuinely in flight) and asserts the flight

@@ -152,8 +152,8 @@ func BenchmarkFleet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.FleetScenario(1, 200, shards)
 		res = experiments.Fleet(cfg)
-		if res.Lost != 0 || res.Duplicated != 0 || res.OutOfOrder != 0 || res.Undrained != 0 {
-			b.Fatalf("delivery guarantee violated: %+v", res)
+		if err := res.Err(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(res.EventsPerSec, "sim-events/s")

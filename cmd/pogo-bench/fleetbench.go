@@ -87,7 +87,7 @@ func parseFleetScale(s string) ([]int, error) {
 // be invisible to the simulation. Rows merge into BENCH_fleet.json keyed by
 // (phones, shards), so a scale sweep and the default sweep accumulate into
 // one file. With -fleet-log the merged delivery log of the last base-size run
-// is written out so `make fleet` can diff two same-seed invocations.
+// is written out.
 func runFleet(seed int64, phones, maxShards int, fleetScale, logPath, traceOut string) error {
 	if phones == 0 {
 		phones = 2000
@@ -119,9 +119,8 @@ func runFleet(seed int64, phones, maxShards int, fleetScale, logPath, traceOut s
 			cfg.Obs = lastReg
 		}
 		res := experiments.Fleet(cfg)
-		if res.Lost != 0 || res.Duplicated != 0 || res.OutOfOrder != 0 || res.Undrained != 0 {
-			return fmt.Errorf("fleet phones=%d shards=%d violated the delivery guarantee: lost=%d dup=%d ooo=%d undrained=%d",
-				c.phones, c.shards, res.Lost, res.Duplicated, res.OutOfOrder, res.Undrained)
+		if err := res.Err(); err != nil {
+			return fmt.Errorf("fleet phones=%d shards=%d: %w", c.phones, c.shards, err)
 		}
 		if ref, ok := baseHash[c.phones]; !ok {
 			baseHash[c.phones] = res.LogSHA256
@@ -255,9 +254,8 @@ func gateFleetDiet(seed int64) error {
 	}
 
 	res := experiments.Fleet(experiments.FleetScenario(seed, phones, shards))
-	if res.Lost != 0 || res.Duplicated != 0 || res.OutOfOrder != 0 || res.Undrained != 0 {
-		return fmt.Errorf("fleet gate run violated the delivery guarantee: lost=%d dup=%d ooo=%d undrained=%d",
-			res.Lost, res.Duplicated, res.OutOfOrder, res.Undrained)
+	if err := res.Err(); err != nil {
+		return fmt.Errorf("fleet gate run: %w", err)
 	}
 	if res.LogSHA256 != ref.LogSHA256 {
 		return fmt.Errorf("fleet gate: delivery-log hash %s differs from baseline %s (determinism broken; if the workload changed intentionally, refresh %s and the fleet txtar pins)",

@@ -1,137 +1,17 @@
 package main
 
-// Causal-tracing commands: the delivery-latency SLO benchmark and its
-// regression gate (`pogo-bench -run latency [-gate]`, baseline
-// BENCH_latency.json), Perfetto trace export (-traceout), and the
-// flight-recorder verifier (-verify-flight) that reloads a dump written
-// after a failed chaos/fleet audit and reconstructs every span tree.
+// Causal-tracing commands: Perfetto trace export (-traceout), the
+// flight-recorder dump written after a failed chaos audit, and its verifier
+// (-verify-flight), which reloads a dump and reconstructs every span tree.
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"time"
 
-	"pogo/internal/experiments"
 	"pogo/internal/obs"
 )
-
-const latencyFileName = "BENCH_latency.json"
-
-// latencyFile is the BENCH_latency.json schema. Everything in it is measured
-// on the simulated clock, so for a given seed/phones the figures are exact —
-// the gate below compares them exactly, doubling as a determinism check.
-type latencyFile struct {
-	Note      string                      `json:"note"`
-	Seed      int64                       `json:"seed"`
-	Phones    int                         `json:"phones"`
-	Scenarios []experiments.LatencyResult `json:"scenarios"`
-}
-
-// runLatency measures per-topic delivery-latency quantiles across the chaos
-// scenario matrix and either records the baseline or (gate) compares exactly
-// against the checked-in one.
-func runLatency(seed int64, phones int, gate bool) error {
-	if phones == 0 {
-		phones = 50
-	}
-	results, runs := experiments.Latency(seed, phones)
-	for i, res := range results {
-		run := runs[i]
-		if run.Lost != 0 || run.Duplicated != 0 || run.OutOfOrder != 0 || run.Undrained != 0 {
-			return fmt.Errorf("latency %s violated the delivery guarantee: lost=%d dup=%d ooo=%d undrained=%d",
-				run.Scenario, run.Lost, run.Duplicated, run.OutOfOrder, run.Undrained)
-		}
-		fmt.Printf("latency %-6s seed=%d phones=%d: %d deliveries, %d span hops (%d dropped)\n",
-			res.Scenario, res.Seed, res.Phones, run.Delivered, res.SpanHops, res.SpanDrops)
-		for _, t := range res.Topics {
-			fmt.Printf("  %-8s n=%-6d p50=%8.3fs p95=%8.3fs p99=%8.3fs\n",
-				t.Channel, t.Count, t.P50, t.P95, t.P99)
-		}
-	}
-	if gate {
-		return gateLatency(seed, phones, results)
-	}
-	out := latencyFile{
-		Note:      "per-topic delivery-latency SLOs from causal trace spans (simulated time, exact per seed); `pogo-bench -run latency -gate` fails on any drift",
-		Seed:      seed,
-		Phones:    phones,
-		Scenarios: results,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(latencyFileName, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("baseline written to %s\n", latencyFileName)
-	return nil
-}
-
-// gateLatency compares a fresh run against the baseline. The quantiles are
-// pure functions of the seed (simulated clocks, seeded RNGs, IEEE float
-// math), so the comparison is exact up to rounding noise: any real drift
-// means the delivery path's timing behavior changed and the baseline must be
-// regenerated deliberately.
-func gateLatency(seed int64, phones int, fresh []experiments.LatencyResult) error {
-	data, err := os.ReadFile(latencyFileName)
-	if err != nil {
-		return fmt.Errorf("no baseline (%v); run `pogo-bench -run latency` and commit %s", err, latencyFileName)
-	}
-	var base latencyFile
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("corrupt baseline %s: %v", latencyFileName, err)
-	}
-	if base.Seed != seed || base.Phones != phones {
-		return fmt.Errorf("baseline %s was recorded with seed=%d phones=%d; rerun the gate with matching flags",
-			latencyFileName, base.Seed, base.Phones)
-	}
-	baseline := make(map[string][]obs.TopicLatency, len(base.Scenarios))
-	for _, sc := range base.Scenarios {
-		baseline[sc.Scenario] = sc.Topics
-	}
-	same := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
-	failures := 0
-	for _, res := range fresh {
-		want, ok := baseline[res.Scenario]
-		if !ok {
-			fmt.Printf("latency gate: scenario %s missing from baseline\n", res.Scenario)
-			failures++
-			continue
-		}
-		index := make(map[string]obs.TopicLatency, len(want))
-		for _, t := range want {
-			index[t.Channel] = t
-		}
-		for _, got := range res.Topics {
-			w, ok := index[got.Channel]
-			if !ok {
-				fmt.Printf("latency gate: %s/%s missing from baseline\n", res.Scenario, got.Channel)
-				failures++
-				continue
-			}
-			if got.Count != w.Count || !same(got.P50, w.P50) || !same(got.P95, w.P95) || !same(got.P99, w.P99) {
-				fmt.Printf("latency gate: %s/%s drifted: n=%d p50=%.6f p95=%.6f p99=%.6f (baseline n=%d p50=%.6f p95=%.6f p99=%.6f)\n",
-					res.Scenario, got.Channel, got.Count, got.P50, got.P95, got.P99,
-					w.Count, w.P50, w.P95, w.P99)
-				failures++
-			}
-			delete(index, got.Channel)
-		}
-		for ch := range index {
-			fmt.Printf("latency gate: %s/%s in baseline but not measured\n", res.Scenario, ch)
-			failures++
-		}
-	}
-	if failures > 0 {
-		return fmt.Errorf("latency gate: %d drift(s); if intended, regenerate the baseline with `pogo-bench -run latency`", failures)
-	}
-	fmt.Println("latency gate: PASS")
-	return nil
-}
 
 // writeTraceFile exports the registry's span store as Chrome Trace Event
 // JSON loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.

@@ -128,7 +128,7 @@ func (c *Context) deploy(name, source string) error {
 	}
 
 	host := &scriptHost{ctx: c, name: name, scriptTask: "script-" + name, timeoutTask: "timeout-" + name}
-	inst, err := script.New(name, source, host, c.node.cfg.ScriptConfig)
+	inst, err := script.New(name, source, host, script.Config{})
 	if err != nil {
 		return err
 	}

@@ -98,14 +98,9 @@ type Config struct {
 	// FlushEvery is the FlushInterval period (default 1 h — the §4.7
 	// "flush the transmit buffer at long intervals" alternative).
 	FlushEvery time.Duration
-	// MaxMessageAge purges older buffered messages (default 24 h, the
-	// deployment's setting). Negative disables purging.
-	MaxMessageAge time.Duration
 	// Privacy is the device owner's per-channel sharing policy (§3.3);
 	// nil shares everything. Changes apply to running experiments at once.
 	Privacy *Privacy
-	// ScriptConfig tunes the PogoScript runtime.
-	ScriptConfig script.Config
 	// OnPrint observes script print() output (may be nil).
 	OnPrint func(scriptName, text string)
 	// OnScriptError observes script runtime errors (may be nil).
@@ -177,12 +172,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.FlushEvery == 0 {
 		cfg.FlushEvery = time.Hour
 	}
-	if cfg.MaxMessageAge == 0 {
-		cfg.MaxMessageAge = store.DefaultMaxAge
-	}
-	if cfg.MaxMessageAge < 0 {
-		cfg.MaxMessageAge = 0
-	}
 	if cfg.FlushPolicy == FlushTailSync && (cfg.Device == nil || cfg.Modem == nil) {
 		return nil, errors.New("core: FlushTailSync needs Device and Modem")
 	}
@@ -226,7 +215,7 @@ func NewNode(cfg Config) (*Node, error) {
 		return ""
 	})
 	n.ep = transport.NewEndpoint(cfg.Messenger, box, cfg.Clock, transport.EndpointConfig{
-		MaxAge:    cfg.MaxMessageAge,
+		MaxAge:    store.DefaultMaxAge, // the deployment's 24 h purge
 		Obs:       cfg.Obs,
 		Entity:    cfg.ObsEntity,
 		TraceSeed: cfg.TraceSeed,
@@ -400,7 +389,7 @@ func (n *Node) Deploy(name, source string) error {
 	}
 	// Validate before shipping: a syntax error should fail at the
 	// researcher's desk, not on a thousand phones.
-	if _, err := script.New(name, source, nil, n.cfg.ScriptConfig); err != nil {
+	if _, err := script.New(name, source, nil, script.Config{}); err != nil {
 		return fmt.Errorf("core: deploy %s: %w", name, err)
 	}
 	n.mu.Lock()

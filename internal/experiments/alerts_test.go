@@ -14,8 +14,8 @@ func chaosAlertLog(t *testing.T, seed int64) string {
 	cfg := small(ChaosScenarios(seed)[2].Config) // heavy: churn + partitions + all faults
 	cfg.Obs = obs.NewRegistry()
 	res := Chaos("heavy", cfg)
-	if res.Lost != 0 || res.Duplicated != 0 {
-		t.Fatalf("chaos run violated delivery guarantee: %+v", res)
+	if err := res.Err(); err != nil {
+		t.Fatalf("chaos run: %v", err)
 	}
 	return cfg.Obs.Alerts().FormatLog()
 }
@@ -67,8 +67,8 @@ func TestFleetAlertLogShardInvariant(t *testing.T) {
 		cfg := smallFleet(7, 40, shards)
 		cfg.Obs = obs.NewRegistry()
 		res := Fleet(cfg)
-		if res.Lost != 0 || res.Duplicated != 0 {
-			t.Fatalf("shards=%d violated delivery guarantee: %+v", shards, res)
+		if err := res.Err(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		logs = append(logs, cfg.Obs.Alerts().FormatLog())
 	}

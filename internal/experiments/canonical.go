@@ -6,8 +6,7 @@ import "time"
 // unit tests and the scenario DSL's `table4` command: User A reboots halfway
 // through, User B spends half the run offline so part of their backlog ages
 // past the 24 h purge. Keeping the shape in one place means the txtar-scripted
-// run and the direct experiments run are the same experiment by construction,
-// so the parity test can compare their rendered outputs byte for byte.
+// run and the direct experiments run are the same experiment by construction.
 func SmallTable4Config(seed int64, days int) Table4Config {
 	dur := time.Duration(days) * 24 * time.Hour
 	return Table4Config{

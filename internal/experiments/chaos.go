@@ -53,24 +53,16 @@ type ChaosConfig struct {
 	Obs        *obs.Registry
 }
 
-// ChaosResult reports a chaos run. Lost/Duplicated/OutOfOrder are the
-// headline numbers: the hardened delivery path must hold them at zero for
-// every scenario in the matrix. Log is the full delivery log in arrival
-// order (one line per application-level delivery); LogSHA256 fingerprints it
-// so two runs can be compared for bit-for-bit reproducibility without
-// shipping the log itself in BENCH_chaos.json.
+// ChaosResult reports a chaos run. Its Delivery audit is the headline: the
+// hardened delivery path must pass it (Err() == nil) for every scenario in
+// the matrix. The log is in arrival order.
 type ChaosResult struct {
-	Scenario         string  `json:"scenario"`
-	Seed             int64   `json:"seed"`
-	Phones           int     `json:"phones"`
-	MessagesPerPhone int     `json:"messages_per_phone"`
-	CommandsPerPhone int     `json:"commands_per_phone"`
-	Expected         int     `json:"expected_deliveries"`
-	Delivered        int     `json:"delivered"`
-	Lost             int     `json:"lost"`
-	Duplicated       int     `json:"duplicated"`
-	OutOfOrder       int     `json:"out_of_order"`
-	Undrained        int     `json:"undrained"` // outbox entries still pending at the end
+	Scenario         string `json:"scenario"`
+	Seed             int64  `json:"seed"`
+	Phones           int    `json:"phones"`
+	MessagesPerPhone int    `json:"messages_per_phone"`
+	CommandsPerPhone int    `json:"commands_per_phone"`
+	Delivery
 	Retries          int     `json:"retries"`
 	CorruptDropped   int     `json:"corrupt_dropped"`
 	NetSent          int     `json:"net_sent"`
@@ -82,8 +74,6 @@ type ChaosResult struct {
 	Disconnects      int     `json:"disconnects"`
 	SimSeconds       float64 `json:"sim_seconds"`
 	DeliveriesPerSec float64 `json:"deliveries_per_sim_second"`
-	LogSHA256        string  `json:"log_sha256"`
-	Log              []string `json:"-"`
 }
 
 // ChaosScenario pairs a name with its fault mix for the scenario matrix.
@@ -93,8 +83,10 @@ type ChaosScenario struct {
 }
 
 // ChaosScenarios is the benchmark matrix at three fault levels. The same
-// traffic pattern runs under progressively nastier networks; BENCH_chaos.json
-// records how throughput and retry cost degrade while losses stay at zero.
+// traffic pattern runs under progressively nastier networks; `pogo-bench -run
+// chaos` reports how throughput and retry cost degrade while losses stay at
+// zero, and testdata/scenarios/chaos.txtar (internal/scenario) pins each
+// level's delivery-log hash.
 func ChaosScenarios(seed int64) []ChaosScenario {
 	return []ChaosScenario{
 		{Name: "light", Config: ChaosConfig{
@@ -134,17 +126,17 @@ const ChaosCollectorName = chaosCollector
 // bit-identical results for the same call schedule because every step is a
 // method on this world.
 type ChaosWorld struct {
-	cfg    ChaosConfig
-	clk    *vclock.Sim
-	start  time.Time
-	net    *faultnet.Net
-	coll   *transport.Endpoint
-	phones []*transport.Endpoint
-	faults []*faultnet.Fault
-	stops  []func()
-	log    []string
-	iters  int
-	cut    int
+	cfg       ChaosConfig
+	clk       *vclock.Sim
+	start     time.Time
+	net       *faultnet.Net
+	coll      *transport.Endpoint
+	phones    []*transport.Endpoint
+	faults    []*faultnet.Fault
+	stops     []func()
+	log       []string
+	iters     int
+	cut       int
 	undrained int
 
 	// Online exactly-once bookkeeping: the end-of-run audit catches
@@ -157,7 +149,7 @@ type ChaosWorld struct {
 // NewChaosWorld builds the testbed for one seeded scenario. Zero-valued
 // config fields take the documented defaults. Construction order is part of
 // the determinism contract: it must not change, or same-seed delivery logs
-// (and the pinned BENCH_chaos.json hashes) change with it.
+// (and the hashes chaos.txtar pins) change with it.
 func NewChaosWorld(cfg ChaosConfig) *ChaosWorld {
 	if cfg.Phones == 0 {
 		cfg.Phones = 50
@@ -455,10 +447,12 @@ func (w *ChaosWorld) Result(name string) ChaosResult {
 	res := ChaosResult{
 		Scenario: name, Seed: cfg.Seed, Phones: cfg.Phones,
 		MessagesPerPhone: cfg.MessagesPerPhone, CommandsPerPhone: cfg.CommandsPerPhone,
-		Expected:  cfg.Phones * (cfg.MessagesPerPhone + cfg.CommandsPerPhone),
-		Delivered: len(w.log),
-		Undrained: w.undrained,
-		Log:       w.log,
+		Delivery: Delivery{
+			Expected:  cfg.Phones * (cfg.MessagesPerPhone + cfg.CommandsPerPhone),
+			Delivered: len(w.log),
+			Undrained: w.undrained,
+			Log:       w.log,
+		},
 	}
 	for _, ep := range w.phones {
 		st := ep.Stats()

@@ -116,20 +116,16 @@ func fleetNormalize(cfg *FleetConfig) {
 	}
 }
 
-// FleetResult reports one fleet run. Lost/Duplicated/OutOfOrder must be zero
-// — the delivery guarantee is unchanged from the chaos suite — and LogSHA256
-// must be identical across shard counts and GOMAXPROCS for a given seed.
+// FleetResult reports one fleet run. Its Delivery audit must pass — the
+// delivery guarantee is unchanged from the chaos suite — and LogSHA256 must
+// be identical across shard counts and GOMAXPROCS for a given seed. The log
+// is in content order (see fleetSealLog).
 type FleetResult struct {
-	Seed           int64 `json:"seed"`
-	Phones         int   `json:"phones"`
-	Collectors     int   `json:"collectors"`
-	Shards         int   `json:"shards"`
-	Expected       int   `json:"expected_deliveries"`
-	Delivered      int   `json:"delivered"`
-	Lost           int   `json:"lost"`
-	Duplicated     int   `json:"duplicated"`
-	OutOfOrder     int   `json:"out_of_order"`
-	Undrained      int   `json:"undrained"`
+	Seed       int64 `json:"seed"`
+	Phones     int   `json:"phones"`
+	Collectors int   `json:"collectors"`
+	Shards     int   `json:"shards"`
+	Delivery
 	Epochs         int   `json:"epochs"`
 	Events         int64 `json:"events"`
 	FabricMessages int64 `json:"fabric_messages"`
@@ -151,9 +147,7 @@ type FleetResult struct {
 	// BytesPerPhone is the live-heap cost of building the fleet (post-GC
 	// HeapAlloc delta across world construction) divided by Phones: the
 	// per-device memory footprint the 100k-phone diet is budgeted against.
-	BytesPerPhone float64  `json:"fleet_bytes_per_phone"`
-	LogSHA256     string   `json:"log_sha256"`
-	Log           []string `json:"-"`
+	BytesPerPhone float64 `json:"fleet_bytes_per_phone"`
 }
 
 func fleetPhoneName(i int) string     { return fmt.Sprintf("phone%04d", i) }
@@ -409,7 +403,7 @@ func Fleet(cfg FleetConfig) FleetResult {
 	w := buildFleetWorld(&cfg, names)
 	buildBytes := heapDelta(heap0)
 
-	expected := cfg.Phones * (cfg.MessagesPerPhone + cfg.CommandsPerPhone)
+	d := Delivery{Expected: cfg.Phones * (cfg.MessagesPerPhone + cfg.CommandsPerPhone)}
 	var memBefore, memAfter runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
 	cpu0 := cpuSeconds()
@@ -429,21 +423,19 @@ func Fleet(cfg FleetConfig) FleetResult {
 				nextObs = nextObs.Add(obsEvery)
 			}
 		}
-		return delivered >= expected && w.pending() == 0
+		return delivered >= d.Expected && w.pending() == 0
 	})
 	wall := time.Since(wall0)
 	cpu := cpuSeconds() - cpu0
 	runtime.ReadMemStats(&memAfter)
 
-	seal := fleetSealLog(&cfg, names, w.logs, cfg.KeepLog)
+	fleetSealLog(&d, &cfg, names, w.logs, cfg.KeepLog)
+	d.Undrained = w.pending()
 	res := FleetResult{
 		Seed: cfg.Seed, Phones: cfg.Phones, Collectors: cfg.Collectors, Shards: cfg.Shards,
-		Expected: expected, Delivered: seal.delivered,
-		Lost: seal.lost, Duplicated: seal.dup, OutOfOrder: seal.ooo,
-		Undrained: w.pending(),
-		Epochs:    stats.Epochs, Events: stats.Events,
+		Delivery: d,
+		Epochs:   stats.Epochs, Events: stats.Events,
 		FabricMessages: stats.Fabric, CrossShard: stats.CrossShard,
-		LogSHA256: seal.sha, Log: seal.log,
 	}
 	res.SimSeconds = w.eng.Shard(0).Clock().Now().Sub(w.start).Seconds()
 	res.WallSeconds = wall.Seconds()

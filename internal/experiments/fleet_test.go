@@ -25,8 +25,8 @@ func smallFleet(seed int64, phones, shards int) FleetConfig {
 func TestFleetDeterministicAcrossShardsAndProcs(t *testing.T) {
 	const phones = 60
 	ref := Fleet(smallFleet(7, phones, 1))
-	if ref.Lost != 0 || ref.Duplicated != 0 || ref.OutOfOrder != 0 || ref.Undrained != 0 {
-		t.Fatalf("reference run violated delivery guarantee: %+v", ref)
+	if err := ref.Err(); err != nil {
+		t.Fatalf("reference run: %v", err)
 	}
 	if ref.Delivered != ref.Expected || ref.Expected != phones*(5+2) {
 		t.Fatalf("delivered %d of %d expected", ref.Delivered, ref.Expected)
@@ -37,9 +37,8 @@ func TestFleetDeterministicAcrossShardsAndProcs(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{2, 4} {
 			res := Fleet(smallFleet(7, phones, shards))
-			if res.Lost != 0 || res.Duplicated != 0 || res.OutOfOrder != 0 || res.Undrained != 0 {
-				t.Errorf("shards=%d procs=%d violated delivery guarantee: lost=%d dup=%d ooo=%d undrained=%d",
-					shards, procs, res.Lost, res.Duplicated, res.OutOfOrder, res.Undrained)
+			if err := res.Err(); err != nil {
+				t.Errorf("shards=%d procs=%d: %v", shards, procs, err)
 			}
 			if res.LogSHA256 != ref.LogSHA256 {
 				t.Errorf("shards=%d procs=%d: log hash %s != 1-shard hash %s",
@@ -59,8 +58,8 @@ func TestFleetObsInstrumentation(t *testing.T) {
 	cfg := smallFleet(3, 20, 2)
 	cfg.Obs = reg
 	res := Fleet(cfg)
-	if res.Lost != 0 || res.Undrained != 0 {
-		t.Fatalf("run violated delivery guarantee: %+v", res)
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if got := reg.CounterValue("fleet_epochs_total"); got != int64(res.Epochs) || got == 0 {
 		t.Errorf("fleet_epochs_total = %d, result says %d", got, res.Epochs)

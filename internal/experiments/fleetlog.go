@@ -209,29 +209,20 @@ func fleetAudit(cfg *FleetConfig, fn *fleetNames, logs []*fleetLog) (lost, dup, 
 	return lost, dup, ooo
 }
 
-// fleetSeal is the post-run reduction of the per-shard logs: the audit
-// verdict, the content-ordered log hash, and (only if asked) the textual log.
-type fleetSeal struct {
-	delivered      int
-	lost, dup, ooo int
-	sha            string
-	log            []string
-}
-
-// fleetSealLog merges the per-shard logs (shard order), audits them,
-// sorts by the shard-layout-independent content key and hashes the formatted
-// lines through a streaming SHA-256. The sort key — (ms, receiver, sender,
-// channel, n), names compared lexicographically via the precomputed rank
-// table — is unique because delivery is exactly-once per stream, so the
-// sealed log is a pure function of the seed at any shard count.
-func fleetSealLog(cfg *FleetConfig, fn *fleetNames, logs []*fleetLog, keep bool) fleetSeal {
-	var s fleetSeal
-	s.lost, s.dup, s.ooo = fleetAudit(cfg, fn, logs)
+// fleetSealLog reduces the per-shard logs into d: it merges them (shard
+// order), audits them, sorts by the shard-layout-independent content key and
+// hashes the formatted lines through a streaming SHA-256. The sort key — (ms,
+// receiver, sender, channel, n), names compared lexicographically via the
+// precomputed rank table — is unique because delivery is exactly-once per
+// stream, so the sealed log is a pure function of the seed at any shard
+// count. The textual log is kept only if asked.
+func fleetSealLog(d *Delivery, cfg *FleetConfig, fn *fleetNames, logs []*fleetLog, keep bool) {
+	d.Lost, d.Duplicated, d.OutOfOrder = fleetAudit(cfg, fn, logs)
 	total := 0
 	for _, l := range logs {
 		total += l.n
 	}
-	s.delivered = total
+	d.Delivered = total
 	entries := make([]fleetEntryC, 0, total)
 	for _, l := range logs {
 		l.each(func(e fleetEntryC) { entries = append(entries, e) })
@@ -263,7 +254,7 @@ func fleetSealLog(cfg *FleetConfig, fn *fleetNames, logs []*fleetLog, keep bool)
 	h := sha256.New()
 	var buf []byte
 	if keep {
-		s.log = make([]string, 0, total)
+		d.Log = make([]string, 0, total)
 	}
 	for i, e := range entries {
 		buf = fn.appendEntry(buf[:0], e)
@@ -272,9 +263,8 @@ func fleetSealLog(cfg *FleetConfig, fn *fleetNames, logs []*fleetLog, keep bool)
 		}
 		h.Write(buf)
 		if keep {
-			s.log = append(s.log, string(buf))
+			d.Log = append(d.Log, string(buf))
 		}
 	}
-	s.sha = hex.EncodeToString(h.Sum(nil))
-	return s
+	d.LogSHA256 = hex.EncodeToString(h.Sum(nil))
 }

@@ -190,7 +190,7 @@ func TestSeriesRingEvictionAndRate(t *testing.T) {
 }
 
 // Two identically charged registries export byte-identical accounting and
-// time-series CSVs — the property `make determinism` checks end to end.
+// time-series CSVs — the property table3.txtar pins end to end.
 func TestCSVExportDeterministic(t *testing.T) {
 	build := func(flipped bool) *Registry {
 		r := NewRegistry()

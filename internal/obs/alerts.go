@@ -87,10 +87,10 @@ type Rule struct {
 	Severity string        `json:"severity"` // "warn" or "critical"
 	Kind     RuleKind      `json:"kind"`
 	Metric   string        `json:"metric"`
-	Op       string        `json:"op,omitempty"`      // threshold/rate comparison; default ">"
-	Value    float64       `json:"value"`             // threshold, rate/s, or burn factor
-	Window   time.Duration `json:"window,omitempty"`  // rate/absence/burn trailing window
-	For      time.Duration `json:"for,omitempty"`     // condition must hold this long to fire
+	Op       string        `json:"op,omitempty"`       // threshold/rate comparison; default ">"
+	Value    float64       `json:"value"`              // threshold, rate/s, or burn factor
+	Window   time.Duration `json:"window,omitempty"`   // rate/absence/burn trailing window
+	For      time.Duration `json:"for,omitempty"`      // condition must hold this long to fire
 	KeepFor  time.Duration `json:"keep_for,omitempty"` // flap suppression: stay firing until false this long
 	// Burn-rate parameters.
 	Objective float64 `json:"objective,omitempty"` // latency objective in seconds

@@ -114,7 +114,6 @@ type state struct {
 	fleetCfg   *experiments.FleetConfig
 	fleetRes   *experiments.FleetResult
 	pogo       *pogoState
-	crowd      int // size of the last crowd command's cohort
 	updated    bool
 }
 
@@ -431,7 +430,6 @@ func (st *state) cmdRun(c Command) error {
 			cs.w.RunRound(cs.next)
 		}
 		cs.w.Drain()
-		cs.ran = true
 		res := cs.w.Result(st.name)
 		st.printf("run: delivered=%d/%d lost=%d dup=%d ooo=%d undrained=%d retries=%d\n",
 			res.Delivered, res.Expected, res.Lost, res.Duplicated, res.OutOfOrder,
@@ -520,7 +518,6 @@ func (st *state) cmdDrain(c Command) error {
 		return c.Errf("takes no arguments")
 	}
 	undrained := cs.w.Drain()
-	cs.ran = true
 	st.printf("drain: undrained=%d\n", undrained)
 	return nil
 }
@@ -715,7 +712,7 @@ func (st *state) cmdCrowd(c Command) error {
 			}
 		}
 	}
-	st.crowd = len(members)
+	cs.crowd = len(members)
 	st.printf("crowd: %d/%d phones at %s, burst=%d on %q\n", len(members), users, place, burst, channel)
 	return nil
 }
@@ -856,31 +853,31 @@ func (st *state) cmdTable4(c Command) error {
 
 // --- artifacts and assertions ---
 
-// deliveryLog returns the current delivery log of the active world.
-func (st *state) deliveryLog(c Command) ([]string, string, error) {
+// delivery returns the active world's delivery audit: a chaos world's as it
+// stands, a fleet's once it has run.
+func (st *state) delivery(c Command) (experiments.Delivery, error) {
 	switch st.mode {
 	case modeChaos:
-		res := st.chaos.w.Result(st.name)
-		return res.Log, res.LogSHA256, nil
+		return st.chaos.w.Result(st.name).Delivery, nil
 	case modeFleet:
 		if st.fleetRes == nil {
-			return nil, "", c.Errf("fleet has not run yet")
+			return experiments.Delivery{}, c.Errf("fleet has not run yet")
 		}
-		return st.fleetRes.Log, st.fleetRes.LogSHA256, nil
+		return st.fleetRes.Delivery, nil
 	}
-	return nil, "", c.Errf("needs a chaos or fleet world")
+	return experiments.Delivery{}, c.Errf("needs a chaos or fleet world")
 }
 
 func (st *state) cmdSaveLog(c Command) error {
 	if len(c.Args) != 1 {
 		return c.Errf("want: save_log <name>")
 	}
-	log, _, err := st.deliveryLog(c)
+	d, err := st.delivery(c)
 	if err != nil {
 		return err
 	}
-	st.outputs[c.Args[0]] = []byte(strings.Join(log, "\n") + "\n")
-	st.printf("save_log: %s (%d lines)\n", c.Args[0], len(log))
+	st.outputs[c.Args[0]] = []byte(strings.Join(d.Log, "\n") + "\n")
+	st.printf("save_log: %s (%d lines)\n", c.Args[0], len(d.Log))
 	return nil
 }
 
@@ -930,34 +927,22 @@ func firstDiff(got, want []byte) string {
 	return "contents equal after newline normalization"
 }
 
-// stat reads a named scalar from the active world's result.
+// stat reads a named scalar from the active world: a mode-specific field,
+// else one of the delivery audit's counts.
 func (st *state) stat(c Command, field string) (float64, error) {
-	if field == "crowd" {
-		return float64(st.crowd), nil
-	}
 	switch st.mode {
 	case modeChaos:
 		cs := st.chaos
-		if field == "pending" {
+		switch field {
+		case "crowd":
+			return float64(cs.crowd), nil
+		case "pending":
 			return float64(cs.w.Pending()), nil
-		}
-		if field == "rounds" {
+		case "rounds":
 			return float64(cs.w.Rounds()), nil
 		}
 		res := cs.w.Result(st.name)
 		switch field {
-		case "expected":
-			return float64(res.Expected), nil
-		case "delivered":
-			return float64(res.Delivered), nil
-		case "lost":
-			return float64(res.Lost), nil
-		case "duplicated":
-			return float64(res.Duplicated), nil
-		case "out_of_order":
-			return float64(res.OutOfOrder), nil
-		case "undrained":
-			return float64(res.Undrained), nil
 		case "retries":
 			return float64(res.Retries), nil
 		case "corrupt_dropped":
@@ -977,33 +962,41 @@ func (st *state) stat(c Command, field string) (float64, error) {
 		case "disconnects":
 			return float64(res.Disconnects), nil
 		}
+		return deliveryStat(c, res.Delivery, field)
 	case modeFleet:
-		if st.fleetRes == nil {
-			return 0, c.Errf("fleet has not run yet")
+		if res := st.fleetRes; res != nil {
+			switch field {
+			case "shards":
+				return float64(res.Shards), nil
+			case "collectors":
+				return float64(res.Collectors), nil
+			case "epochs":
+				return float64(res.Epochs), nil
+			}
 		}
-		res := st.fleetRes
-		switch field {
-		case "expected":
-			return float64(res.Expected), nil
-		case "delivered":
-			return float64(res.Delivered), nil
-		case "lost":
-			return float64(res.Lost), nil
-		case "duplicated":
-			return float64(res.Duplicated), nil
-		case "out_of_order":
-			return float64(res.OutOfOrder), nil
-		case "undrained":
-			return float64(res.Undrained), nil
-		case "shards":
-			return float64(res.Shards), nil
-		case "collectors":
-			return float64(res.Collectors), nil
-		case "epochs":
-			return float64(res.Epochs), nil
-		}
-	default:
-		return 0, c.Errf("needs a chaos or fleet world")
+	}
+	d, err := st.delivery(c)
+	if err != nil {
+		return 0, err
+	}
+	return deliveryStat(c, d, field)
+}
+
+// deliveryStat reads one of a delivery audit's counts.
+func deliveryStat(c Command, d experiments.Delivery, field string) (float64, error) {
+	switch field {
+	case "expected":
+		return float64(d.Expected), nil
+	case "delivered":
+		return float64(d.Delivered), nil
+	case "lost":
+		return float64(d.Lost), nil
+	case "duplicated":
+		return float64(d.Duplicated), nil
+	case "out_of_order":
+		return float64(d.OutOfOrder), nil
+	case "undrained":
+		return float64(d.Undrained), nil
 	}
 	return 0, c.Errf("unknown stat %q", field)
 }
@@ -1034,21 +1027,13 @@ func (st *state) cmdExpectDelivered(c Command) error {
 	switch len(c.Args) {
 	case 0:
 		// Bare form: every expected message arrived and nothing is pending.
-		delivered, err := st.stat(c, "delivered")
+		d, err := st.delivery(c)
 		if err != nil {
 			return err
 		}
-		expected, err := st.stat(c, "expected")
-		if err != nil {
-			return err
-		}
-		undrained, err := st.stat(c, "undrained")
-		if err != nil {
-			return err
-		}
-		if delivered < expected || undrained != 0 {
-			return c.Errf("delivered %s of %s expected (undrained %s)",
-				formatNum(delivered), formatNum(expected), formatNum(undrained))
+		if d.Delivered < d.Expected || d.Undrained != 0 {
+			return c.Errf("delivered %d of %d expected (undrained %d)",
+				d.Delivered, d.Expected, d.Undrained)
 		}
 		return nil
 	case 2:
@@ -1076,12 +1061,12 @@ func (st *state) cmdExpectLogSHA(c Command) error {
 	if len(c.Args) != 1 {
 		return c.Errf("want: expect_log_sha256 <hex>")
 	}
-	_, have, err := st.deliveryLog(c)
+	d, err := st.delivery(c)
 	if err != nil {
 		return err
 	}
-	if have != c.Args[0] {
-		return c.Errf("log sha256 = %s, want %s", have, c.Args[0])
+	if d.LogSHA256 != c.Args[0] {
+		return c.Errf("log sha256 = %s, want %s", d.LogSHA256, c.Args[0])
 	}
 	return nil
 }
@@ -1106,21 +1091,12 @@ func (st *state) cmdAudit(c Command) error {
 	if len(c.Args) != 0 {
 		return c.Errf("takes no arguments")
 	}
-	lost, err := st.stat(c, "lost")
+	d, err := st.delivery(c)
 	if err != nil {
 		return err
 	}
-	dup, err := st.stat(c, "duplicated")
-	if err != nil {
-		return err
-	}
-	ooo, err := st.stat(c, "out_of_order")
-	if err != nil {
-		return err
-	}
-	if lost != 0 || dup != 0 || ooo != 0 {
-		return c.Errf("exactly-once violated: lost=%s duplicated=%s out_of_order=%s",
-			formatNum(lost), formatNum(dup), formatNum(ooo))
+	if err := d.Err(); err != nil {
+		return c.Errf("%v", err)
 	}
 	st.printf("audit_exactly_once: ok\n")
 	return nil

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -103,5 +104,21 @@ func TestRunnerShortSkip(t *testing.T) {
 	}
 	if !bytes.Contains(res.Transcript, []byte("~ [short] skip")) {
 		t.Errorf("condition-skipped line not echoed with ~:\n%s", res.Transcript)
+	}
+}
+
+// TestCrowdStatEndsWithItsWorld: the crowd cohort belongs to the chaos world
+// that ran the crowd command. After world_down neither an empty stage nor a
+// following fleet world may report it.
+func TestCrowdStatEndsWithItsWorld(t *testing.T) {
+	const chaos = "world_up 20 1 seed=3\ncrowd office 20 at=10h burst=1\nexpect_stat crowd >= 1\nworld_down\n"
+	for _, tc := range []struct{ name, tail, want string }{
+		{"no world", "expect_stat crowd >= 0\n", "needs a chaos or fleet world"},
+		{"fleet world", "world_up 4 1 shards=1 msgs=1 cmds=1\nrun\nexpect_stat crowd >= 0\n", `unknown stat "crowd"`},
+	} {
+		_, err := (&Runner{}).Run("crowd.txtar", []byte(chaos+tc.tail))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: crowd stat after world_down: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

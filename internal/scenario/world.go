@@ -29,12 +29,13 @@ const (
 )
 
 // chaosState wraps the interactive chaos testbed: the world, the round
-// cursor, and the fault mix as last set (ChaosConfig does not track
-// SetFaults, so scripted inject_fault merges against this copy).
+// cursor, the last crowd cohort, and the fault mix as last set (ChaosConfig
+// does not track SetFaults, so scripted inject_fault merges against this
+// copy).
 type chaosState struct {
-	w    *experiments.ChaosWorld
-	next int  // next injection round to run
-	ran  bool // Drain has happened (via run or drain)
+	w     *experiments.ChaosWorld
+	next  int // next injection round to run
+	crowd int // size of the last crowd command's cohort
 
 	drop, dup, corrupt float64
 	delay              time.Duration

@@ -52,9 +52,6 @@ type Config struct {
 	// StartupBudgetFactor multiplies the budget for the initial body run.
 	// Default 10.
 	StartupBudgetFactor int
-	// Rand seeds Math.random; defaults to a fixed-seed source so simulated
-	// runs are reproducible.
-	Rand *rand.Rand
 }
 
 func (c Config) withDefaults() Config {
@@ -63,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StartupBudgetFactor == 0 {
 		c.StartupBudgetFactor = 10
-	}
-	if c.Rand == nil {
-		c.Rand = rand.New(rand.NewSource(1))
 	}
 	return c
 }
@@ -140,7 +134,9 @@ func New(name, source string, host Host, cfg Config) (*Script, error) {
 	}
 	s.globals = newScope(nil)
 	s.in = &interp{name: name, globals: s.globals}
-	installGlobals(s.globals, s.cfg.Rand)
+	// Math.random draws from a fixed-seed source so simulated runs are
+	// reproducible.
+	installGlobals(s.globals, rand.New(rand.NewSource(1)))
 	s.installAPI()
 	return s, nil
 }

@@ -188,11 +188,9 @@ type EndpointConfig struct {
 	// deployment used store.DefaultMaxAge = 24 h).
 	MaxAge time.Duration
 	// RetryAfter is how long a sent-but-unacked entry waits before its first
-	// retransmission; subsequent waits double per attempt. Default 30 s.
+	// retransmission; subsequent waits double per attempt, up to
+	// retryMaxFactor × RetryAfter. Default 30 s.
 	RetryAfter time.Duration
-	// RetryMax caps the exponential retransmission backoff. Default
-	// 8 × RetryAfter.
-	RetryMax time.Duration
 	// BootID identifies this process lifetime; defaults to the clock's
 	// construction instant. After a reboot (new Endpoint, possibly a fresh
 	// outbox with restarting IDs) peers reset their dedup state for us.
@@ -450,9 +448,6 @@ func NewEndpoint(m Messenger, box *store.Outbox, clk vclock.Clock, cfg EndpointC
 	if cfg.RetryAfter == 0 {
 		cfg.RetryAfter = 30 * time.Second
 	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = 8 * cfg.RetryAfter
-	}
 	if cfg.BootID == "" {
 		cfg.BootID = strconv.FormatInt(clk.Now().UnixNano(), 36)
 	}
@@ -586,15 +581,19 @@ func (e *Endpoint) forgetLocked(id uint64) {
 	e.free = append(e.free, st)
 }
 
+// retryMaxFactor caps the exponential retransmission backoff at this many
+// RetryAfters.
+const retryMaxFactor = 8
+
 // retryWait returns the backoff before retransmission attempt attempts+1:
-// RetryAfter doubling per attempt, capped at RetryMax.
+// RetryAfter doubling per attempt, capped at retryMaxFactor × RetryAfter.
 func (e *Endpoint) retryWait(attempts int) time.Duration {
-	wait := e.cfg.RetryAfter
-	for i := 1; i < attempts && wait < e.cfg.RetryMax; i++ {
+	wait, limit := e.cfg.RetryAfter, retryMaxFactor*e.cfg.RetryAfter
+	for i := 1; i < attempts && wait < limit; i++ {
 		wait *= 2
 	}
-	if wait > e.cfg.RetryMax {
-		wait = e.cfg.RetryMax
+	if wait > limit {
+		wait = limit
 	}
 	return wait
 }
