@@ -357,8 +357,8 @@ func hotpathBenchmarks() []struct {
 		{"sched_submit_real", func(b *testing.B) {
 			// Submit → task start on the system clock, one name, its lane
 			// already running: the hop every message takes into a script and
-			// into the flush. The one allocation is the caller's closure,
-			// built per message as core's subscription dispatch builds it.
+			// into the flush. The one allocation is this loop's closure;
+			// core submits tasks it built once.
 			s := sched.New(vclock.Real{}, nil)
 			defer s.Close()
 			started := make(chan int)

@@ -1,0 +1,74 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"pogo/internal/msg"
+	"pogo/internal/transport"
+	"pogo/internal/vclock"
+)
+
+// TestDeliveredMessageAllocations pins what one message's whole journey
+// allocates in a simulated world, the stream_sat path of the end-to-end
+// benchmark on the switchboard every simulated world runs: a publish into the
+// phone's context broker, its proxy subscription, the outbox, the flush and
+// its retransmission timer, the envelope across the switchboard, the
+// collector's receive and ack, its broker, the scheduler hop into the script,
+// and a logTo(origin + ' ' + m.n) like the benchmark's sink. It was 32 per
+// message while the script made a string per + and formatted numbers on
+// their own, boxed the origin for each call, logTo built an argument slice,
+// every dispatch and flush built a closure, and every flush stopped its retry
+// timer and armed a new one.
+func TestDeliveredMessageAllocations(t *testing.T) {
+	clk := vclock.NewSim()
+	sb := transport.NewSwitchboard(clk)
+	sb.Associate("collector", "phone")
+	col, err := NewNode(Config{ID: "collector", Mode: CollectorMode, Clock: clk, Messenger: sb.Port("collector", nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	phone, err := NewNode(Config{ID: "phone", Mode: DeviceMode, Clock: clk, Messenger: sb.Port("phone", nil), FlushPolicy: FlushImmediate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer phone.Close()
+	if err := col.DeployLocal("sink.js", `subscribe('sample', function (m, origin) {
+  logTo('sink', origin + ' ' + m.n);
+});`); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	ctx := phone.Contexts()["collector"]
+	if ctx == nil {
+		t.Fatal("the collector's subscription never reached the phone")
+	}
+	broker := ctx.Broker()
+	m := msg.Map{"n": 0.0, "level": 57.0, "voltage": 3.912, "charging": false}
+	seq := 0
+	deliver := func() {
+		seq++
+		m["n"] = float64(seq)
+		broker.Publish("sample", m)
+		clk.Advance(20 * time.Millisecond)
+	}
+	for i := 0; i < 200; i++ {
+		deliver() // warm the pools, caches and slices
+	}
+	per := testing.AllocsPerRun(1000, deliver)
+	lines := col.Logs().Lines("sink")
+	if len(lines) != seq || lines[seq-1] != fmt.Sprintf("phone %d", seq) || phone.Pending() != 0 {
+		t.Fatalf("%d of %d messages logged, last %q, %d pending", len(lines), seq, lines[len(lines)-1], phone.Pending())
+	}
+	budget := 21.0
+	if raceEnabled {
+		budget += 8 // the wire-buffer pools leak under -race
+	}
+	if per > budget {
+		t.Errorf("a delivered message allocates %v times, want ≤ %v", per, budget)
+	} else {
+		t.Logf("a delivered message allocates %v times", per)
+	}
+}

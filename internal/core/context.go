@@ -128,6 +128,7 @@ func (c *Context) deploy(name, source string) error {
 	}
 
 	host := &scriptHost{ctx: c, name: name, scriptTask: "script-" + name, timeoutTask: "timeout-" + name}
+	host.deliverTask = host.deliverNext
 	inst, err := script.New(name, source, host, script.Config{})
 	if err != nil {
 		return err
@@ -327,7 +328,7 @@ func (c *Context) addProxy(peer string, id int, channel string, params msg.Map) 
 			return
 		}
 		if node.cfg.FlushPolicy == FlushImmediate {
-			node.sch.Submit("flush-now", func() { node.Flush() })
+			node.sch.Submit("flush-now", node.flushTask)
 		}
 	})
 	// The device owner's privacy policy gates outbound data (§3.3): a
@@ -403,6 +404,44 @@ type scriptHost struct {
 	// Scheduler task names, built once: the scheduler runs each name's tasks
 	// in order, so these are also what keeps a script's messages in order.
 	scriptTask, timeoutTask string
+
+	// Deliveries waiting for their handler, oldest at head. Every delivery
+	// queues here and submits deliverTask, which runs the oldest one, so
+	// dispatch takes one prebuilt task instead of a closure per message.
+	mu          sync.Mutex
+	pending     []delivery
+	head        int
+	deliverTask func()
+}
+
+// delivery is one message on its way to a script's subscription handler.
+type delivery struct {
+	handler func(msg.Value, string)
+	m       msg.Value
+	origin  string
+}
+
+// queue appends a delivery. Handed-out slots are reclaimed once they
+// outnumber the waiting ones, so the slice stays proportional to the backlog.
+func (h *scriptHost) queue(d delivery) {
+	h.mu.Lock()
+	if h.head > len(h.pending)/2 {
+		n := copy(h.pending, h.pending[h.head:])
+		clear(h.pending[n:])
+		h.pending, h.head = h.pending[:n], 0
+	}
+	h.pending = append(h.pending, d)
+	h.mu.Unlock()
+}
+
+// deliverNext runs the oldest queued delivery: one per submitted task.
+func (h *scriptHost) deliverNext() {
+	h.mu.Lock()
+	d := h.pending[h.head]
+	h.pending[h.head] = delivery{}
+	h.head++
+	h.mu.Unlock()
+	d.handler(d.m, d.origin)
 }
 
 var _ script.Host = (*scriptHost)(nil)
@@ -432,8 +471,8 @@ func (h *scriptHost) Subscribe(channel string, params msg.Map, handler func(msg.
 	}
 	node := h.ctx.node
 	sub := h.ctx.broker.Subscribe(channel, params, func(ev pubsub.Event) {
-		m, origin := ev.Message, ev.Origin
-		node.sch.Submit(h.scriptTask, func() { handler(m, origin) })
+		h.queue(delivery{handler, ev.Message, ev.Origin})
+		node.sch.Submit(h.scriptTask, h.deliverTask)
 	})
 	ls := h.ctx.registerLocalSub(channel, params, sub)
 	return func() { h.ctx.releaseLocalSub(ls) },

@@ -141,6 +141,10 @@ type Node struct {
 	stopFlush func()
 	closed    bool
 
+	// flushTask is Flush as a scheduler task, built once: the immediate
+	// policy submits it for every message.
+	flushTask func()
+
 	obsCancel    func()               // unregisters the usage collect hook; nil without Obs
 	usageAnchors map[string]lastUsage // previously ledger-charged usage per script
 }
@@ -199,6 +203,7 @@ func NewNode(cfg Config) (*Node, error) {
 		contexts: make(map[string]*Context),
 		deploys:  make(map[string]string),
 	}
+	n.flushTask = func() { n.Flush() }
 	n.smgr = sensors.NewManager(n.sch)
 	n.sch.Instrument(cfg.Obs, cfg.ID, cfg.ObsEntity)
 	// Task names follow the conventions in this package: "script-<name>"
@@ -221,7 +226,7 @@ func NewNode(cfg Config) (*Node, error) {
 		TraceSeed: cfg.TraceSeed,
 	})
 	n.ep.OnMessageTraced(n.handleMessage)
-	cfg.Messenger.OnOnline(func() { n.sch.Submit("reconnect-flush", func() { n.Flush() }) })
+	cfg.Messenger.OnOnline(func() { n.sch.Submit("reconnect-flush", n.flushTask) })
 	cfg.Messenger.OnPresence(n.handlePresence)
 	if cfg.Privacy != nil {
 		cfg.Privacy.OnChange(func(channel string, shared bool) {
@@ -443,7 +448,7 @@ func (n *Node) sendControl(peer, channel string, payload msg.Map) {
 		n.cfg.OnScriptError("(core)", err)
 	}
 	if n.cfg.FlushPolicy == FlushImmediate {
-		n.sch.Submit("flush-control", func() { n.Flush() })
+		n.sch.Submit("flush-control", n.flushTask)
 	}
 }
 

@@ -7,7 +7,7 @@
 // the same handful of keys ("level", "voltage", "bssid", ...) and a small
 // working set of numeric readings arrive millions of times — so both costs
 // are cacheable. The interner keeps one canonical copy of each key seen on
-// the wire (bounded, copy-on-write, lock-free reads); the float cache keeps
+// the wire (bounded, append-only, lock-free reads); the float cache keeps
 // one boxed interface per recently seen bit pattern. Neither cache is ever
 // invalidated: strings and boxed floats are immutable, so a stale entry is
 // merely unused, never wrong.
@@ -15,6 +15,7 @@ package msg
 
 import (
 	"bytes"
+	"hash/maphash"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -25,20 +26,28 @@ import (
 // unaffected, only dedup stops.
 const internCap = 8192
 
-// internTable is a copy-on-write string set: readers Load an immutable map
-// and do one allocation-free lookup (the compiler elides the []byte→string
-// conversion in `m[string(b)]`); writers buffer new entries in a pending map
-// under a mutex and publish a merged clone only when pending has grown to a
-// fraction of the published size. Cloning on every miss would cost O(n) per
-// insert — O(n²) to fill the table, which a fleet of fresh node names does in
-// one burst — whereas geometric publication keeps the total clone work linear
-// while the read path stays lock-free. Entries parked in pending are still
-// deduplicated (miss checks pending before inserting); they just pay the
-// mutex until the next publish.
+// internTable is a string set that readers search without a lock or an
+// allocation: an open-addressing hash table of pointers to the canonical
+// strings, only ever added to. An insert takes the mutex, searches again, and
+// stores the new entry's pointer into an empty slot atomically, so a reader
+// sees either nothing — and takes the insert path, which finds the entry — or
+// the whole entry: a key is lock-free and allocation-free from the lookup
+// after the one that added it. When half the slots are taken the writer
+// builds a table twice the size and publishes it with one atomic store;
+// readers still holding the old one find every entry it had. Each entry is
+// copied O(1) times amortized, so filling the table — which a fleet's burst of
+// fresh node names does at once — costs linear work.
 type internTable struct {
-	mu      sync.Mutex
-	m       atomic.Pointer[map[string]string]
-	pending map[string]string
+	mu  sync.Mutex
+	tab atomic.Pointer[internSlots]
+	n   int // entries; guarded by mu
+}
+
+// internSlots is one published generation of an internTable. The seed keeps
+// hostile keys from being chosen to collide.
+type internSlots struct {
+	seed  maphash.Seed
+	slots []atomic.Pointer[string] // a power of two, at most half full
 }
 
 var interner internTable
@@ -46,79 +55,89 @@ var interner internTable
 // Intern returns a canonical string equal to string(b). The canonical copy
 // is shared across all callers, so repeated wire keys cost zero allocations
 // after first sight. Safe for concurrent use.
-func Intern(b []byte) string {
-	if m := interner.m.Load(); m != nil {
-		if s, ok := (*m)[string(b)]; ok {
-			return s
-		}
-	}
-	return interner.miss(string(b))
-}
+func Intern(b []byte) string { return interner.intern(b) }
 
 // InternString is Intern for input already held as a string.
 func InternString(s string) string {
-	if m := interner.m.Load(); m != nil {
-		if hit, ok := (*m)[s]; ok {
+	if tab := interner.tab.Load(); tab != nil {
+		if hit, ok := find(tab, s, maphash.String(tab.seed, s)); ok {
 			return hit
 		}
 	}
 	return interner.miss(s)
 }
 
+func (t *internTable) intern(b []byte) string {
+	if tab := t.tab.Load(); tab != nil {
+		if hit, ok := find(tab, b, maphash.Bytes(tab.seed, b)); ok {
+			return hit
+		}
+	}
+	return t.miss(string(b))
+}
+
+// find looks key up in tab; h is its hash under tab.seed.
+func find[K string | []byte](tab *internSlots, key K, h uint64) (string, bool) {
+	mask := uint64(len(tab.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		p := tab.slots[i].Load()
+		if p == nil {
+			return "", false
+		}
+		if *p == string(key) {
+			return *p, true
+		}
+	}
+}
+
+// miss adds s unless it is there already or the table is full, and returns
+// the canonical string.
 func (t *internTable) miss(s string) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := t.m.Load()
-	published := 0
-	if old != nil {
-		if hit, ok := (*old)[s]; ok {
+	tab := t.tab.Load()
+	if tab != nil {
+		if hit, ok := find(tab, s, maphash.String(tab.seed, s)); ok {
 			return hit
 		}
-		published = len(*old)
 	}
-	if hit, ok := t.pending[s]; ok {
-		return hit
-	}
-	if published+len(t.pending) >= internCap {
+	if t.n >= internCap {
 		return s
 	}
-	if t.pending == nil {
-		t.pending = make(map[string]string, 64)
+	if tab == nil || 2*(t.n+1) > len(tab.slots) {
+		tab = t.grow(tab)
 	}
-	t.pending[s] = s
-	// Publish once pending reaches an eighth of the published size: small
-	// tables publish every miss (so steady-state keys reach the lock-free map
-	// immediately), while a burst of fresh strings — a fleet's worth of new
-	// node names — batches up. Each publish clones published+pending entries,
-	// so the geometric threshold bounds total clone work at O(cap) instead of
-	// the O(cap²) a clone-per-miss table costs.
-	if len(t.pending)*8 < published {
-		return s
-	}
-	next := make(map[string]string, published+len(t.pending))
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	for k, v := range t.pending {
-		next[k] = v
-	}
-	t.m.Store(&next)
-	t.pending = nil
+	tab.put(&s)
+	t.n++
 	return s
 }
 
-// internLen reports the current table size, counting entries not yet
-// published to the lock-free map (tests only).
-func internLen() int {
-	interner.mu.Lock()
-	defer interner.mu.Unlock()
-	n := len(interner.pending)
-	if m := interner.m.Load(); m != nil {
-		n += len(*m)
+// grow publishes a table twice the size of old (or a first one) holding
+// old's entries. Caller holds t.mu.
+func (t *internTable) grow(old *internSlots) *internSlots {
+	next := &internSlots{seed: maphash.MakeSeed(), slots: make([]atomic.Pointer[string], 64)}
+	if old != nil {
+		next.seed = old.seed
+		next.slots = make([]atomic.Pointer[string], 2*len(old.slots))
+		for i := range old.slots {
+			if p := old.slots[i].Load(); p != nil {
+				next.put(p)
+			}
+		}
 	}
-	return n
+	t.tab.Store(next)
+	return next
+}
+
+// put stores p in the first free slot of its probe sequence.
+func (tab *internSlots) put(p *string) {
+	mask := uint64(len(tab.slots) - 1)
+	for i := maphash.String(tab.seed, *p) & mask; ; i = (i + 1) & mask {
+		if tab.slots[i].Load() == nil {
+			tab.slots[i].Store(p)
+			return
+		}
+	}
 }
 
 // floatBoxes is a direct-mapped cache of boxed float64 interface values,

@@ -102,6 +102,8 @@ type interp struct {
 	args   []Value  // argument stack: a call's arguments are its top slots
 	frames []*scope // frames of finished calls, free for the next
 	buf    []byte   // json() output before it becomes a string
+	cat    []byte   // the text of the + chains being evaluated, innermost last
+	spine  []*binary
 }
 
 // begin readies the interpreter for one entry into script code.
@@ -110,6 +112,7 @@ func (in *interp) begin(budget int) {
 	// An entry that failed may have left arguments behind.
 	clear(in.args)
 	in.args = in.args[:0]
+	in.cat, in.spine = in.cat[:0], in.spine[:0]
 }
 
 // newFrame returns an empty frame for a call that binds up to nlocals names.
@@ -608,6 +611,9 @@ func (in *interp) evalUnary(e *unary, env *scope) (Value, error) {
 }
 
 func (in *interp) evalBinary(e *binary, env *scope) (Value, error) {
+	if b, ok := e.left.(*binary); ok && e.op == "+" && b.op == "+" {
+		return in.evalChain(e, env)
+	}
 	left, err := in.eval(e.left, env)
 	if err != nil {
 		return nil, err
@@ -619,15 +625,134 @@ func (in *interp) evalBinary(e *binary, env *scope) (Value, error) {
 	return in.applyBinary(e, e.op, left, right)
 }
 
+// evalChain evaluates a + and the + nodes down its left side as one chain:
+// a + b + c parses as (a + b) + c; a lone + is the chain of one in concat.
+// Every node is charged and every operand evaluated in the order the tree
+// walk would, and each + decides between addition and concatenation as
+// applyBinary does, on the same operands: the sum stays a number until a
+// string or composite operand turns the chain into text. From then on each
+// operand's string form goes into in.cat as soon as the operand is
+// evaluated, and the chain's result is made once, at its exact length.
+// Chains nested in operands use in.cat and in.spine beyond this chain's share
+// and cut them back when done.
+func (in *interp) evalChain(e *binary, env *scope) (Value, error) {
+	base := len(in.spine)
+	c := chain{base: len(in.cat)}
+	v, err := in.runChain(e, env, base, &c)
+	in.spine, in.cat = in.spine[:base], in.cat[:c.base]
+	return v, err
+}
+
+func (in *interp) runChain(e *binary, env *scope, base int, c *chain) (Value, error) {
+	// The + nodes below e, outermost first, each charged as evaluating it as
+	// its parent's left operand would; e itself was charged by eval.
+	leaf := e.left
+	for b, ok := leaf.(*binary); ok && b.op == "+"; b, ok = leaf.(*binary) {
+		if err := in.charge(b); err != nil {
+			return nil, err
+		}
+		in.spine = append(in.spine, b)
+		leaf = b.left
+	}
+	var err error
+	if c.left, err = in.eval(leaf, env); err != nil {
+		return nil, err
+	}
+	for i := len(in.spine) - 1; i >= base; i-- {
+		right, err := in.eval(in.spine[i].right, env)
+		if err != nil {
+			return nil, err
+		}
+		in.plus(c, right)
+	}
+	right, err := in.eval(e.right, env)
+	if err != nil {
+		return nil, err
+	}
+	in.plus(c, right)
+	return in.chainValue(c), nil
+}
+
+// concat is a lone + whose operands make text (and +=): a chain of one.
+func (in *interp) concat(left, right Value) Value {
+	c := chain{left: left, base: len(in.cat)}
+	in.plus(&c, right)
+	v := in.chainValue(&c)
+	in.cat = in.cat[:c.base]
+	return v
+}
+
+// chainValue is what an evaluated chain comes to.
+func (in *interp) chainValue(c *chain) Value {
+	switch {
+	case !c.text:
+		return boxNum(c.sum)
+	case c.pieces == 1 && c.only != nil:
+		return c.only // the operand itself: nothing to copy
+	default:
+		return string(in.cat[c.base:])
+	}
+}
+
+// chain is the state of a + chain under evaluation.
+type chain struct {
+	left    Value   // the first operand, until the chain is numeric or text
+	sum     float64 // the value so far, once numeric
+	numeric bool
+	text    bool  // the value so far is the string in.cat[base:]
+	base    int   // where the chain's text starts in in.cat
+	pieces  int   // non-empty operand strings in the text
+	only    Value // the text's one piece, when that is a string operand
+}
+
+// plus applies the chain's next + to its right operand.
+func (in *interp) plus(c *chain, right Value) {
+	switch {
+	case c.text:
+		in.appendPiece(c, right)
+	case (!c.numeric && isText(c.left)) || isText(right):
+		c.text = true
+		if c.numeric {
+			in.cat = appendNumber(in.cat, c.sum)
+			c.pieces++
+		} else {
+			in.appendPiece(c, c.left)
+		}
+		in.appendPiece(c, right)
+	default:
+		if !c.numeric {
+			c.sum, c.numeric = ToNumber(c.left), true
+		}
+		c.sum += ToNumber(right)
+	}
+}
+
+// appendPiece appends v's string form to the chain's text.
+func (in *interp) appendPiece(c *chain, v Value) {
+	n := len(in.cat)
+	if in.cat = appendString(in.cat, v); len(in.cat) == n {
+		return
+	}
+	c.pieces++
+	c.only = nil
+	if _, ok := v.(string); ok {
+		c.only = v
+	}
+}
+
+// isText reports whether v makes + concatenate: a string or a composite.
+func isText(v Value) bool {
+	_, s := v.(string)
+	return s || isComposite(v)
+}
+
 func (in *interp) applyBinary(n node, op string, left, right Value) (Value, error) {
 	switch op {
 	case ",":
 		return right, nil
 	case "+":
-		_, ls := left.(string)
-		_, rs := right.(string)
-		if ls || rs || isComposite(left) || isComposite(right) {
-			return ToString(left) + ToString(right), nil
+		if isText(left) || isText(right) {
+			return in.concat(left, right), nil
 		}
 		return boxNum(ToNumber(left) + ToNumber(right)), nil
 	case "-":

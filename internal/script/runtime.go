@@ -83,7 +83,13 @@ type Script struct {
 	autoStart   bool
 	releases    []func()
 	stats       Stats
+	// origins holds each recently seen delivery origin boxed as a Value, so
+	// a handler's origin argument is boxed once per peer, not per message.
+	origins map[string]Value
 }
+
+// maxOrigins bounds Script.origins; a full cache starts over.
+const maxOrigins = 64
 
 // Stats counts a script's activity; the per-script resource accounting of
 // the paper's future work (§6) builds on these counters.
@@ -237,9 +243,33 @@ func (s *Script) Call(fnName string, args ...msg.Value) (msg.Value, error) {
 // reporting errors to the host.
 func (s *Script) enter(fn Value, args ...Value) {
 	s.mu.Lock()
+	err := s.enterLocked(fn, args)
+	s.mu.Unlock()
+	s.report(err)
+}
+
+// deliver is enter for a subscription handler: the message as a view and its
+// origin, boxed once per distinct origin.
+func (s *Script) deliver(fn Value, m msg.Value, origin string) {
+	s.mu.Lock()
+	o, ok := s.origins[origin]
+	if !ok {
+		if len(s.origins) >= maxOrigins || s.origins == nil {
+			s.origins = make(map[string]Value)
+		}
+		o = origin
+		s.origins[origin] = o
+	}
+	err := s.enterLocked(fn, []Value{FromMsg(m), o})
+	s.mu.Unlock()
+	s.report(err)
+}
+
+// enterLocked is enter's body; it does nothing once the script has stopped
+// or before it has started. Caller holds s.mu.
+func (s *Script) enterLocked(fn Value, args []Value) error {
 	if s.stopped || !s.started {
-		s.mu.Unlock()
-		return
+		return nil
 	}
 	in := s.in
 	in.begin(s.cfg.StepBudget)
@@ -252,10 +282,13 @@ func (s *Script) enter(fn Value, args ...Value) {
 	if err != nil {
 		s.noteErrLocked(err)
 	}
-	host := s.host
-	s.mu.Unlock()
-	if err != nil && host != nil {
-		host.ReportError(s.Name, normalizeErr(s.Name, err))
+	return err
+}
+
+// report hands an entry's error to the host.
+func (s *Script) report(err error) {
+	if err != nil && s.host != nil {
+		s.host.ReportError(s.Name, normalizeErr(s.Name, err))
 	}
 }
 
@@ -377,7 +410,7 @@ func (s *Script) installAPI() {
 			}
 		}
 		release, renew, err := s.host.Subscribe(channel, params, func(m msg.Value, origin string) {
-			s.enter(handler, FromMsg(m), origin)
+			s.deliver(handler, m, origin)
 		})
 		if err != nil {
 			return nil, in.errorf(nil, "subscribe: %v", err)
@@ -443,6 +476,9 @@ func (in *interp) jsonString(builtin string, v Value) (Value, error) {
 }
 
 func joinArgs(args []Value) string {
+	if len(args) == 1 {
+		return ToString(args[0])
+	}
 	parts := make([]string, len(args))
 	for i, a := range args {
 		parts[i] = ToString(a)

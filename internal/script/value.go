@@ -371,17 +371,37 @@ func ToString(v Value) string {
 
 // formatNumber renders a float64 the way JavaScript does for common cases.
 func formatNumber(f float64) string {
+	var b [32]byte
+	return string(appendNumber(b[:0], f))
+}
+
+// appendNumber appends formatNumber(f) to b.
+func appendNumber(b []byte, f float64) []byte {
 	switch {
 	case math.IsNaN(f):
-		return "NaN"
+		return append(b, "NaN"...)
 	case math.IsInf(f, 1):
-		return "Infinity"
+		return append(b, "Infinity"...)
 	case math.IsInf(f, -1):
-		return "-Infinity"
+		return append(b, "-Infinity"...)
 	case f == math.Trunc(f) && math.Abs(f) < 1e21:
-		return strconv.FormatFloat(f, 'f', -1, 64)
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
 	default:
-		return strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.AppendFloat(b, f, 'g', -1, 64)
+	}
+}
+
+// appendString appends ToString(v) to b, formatting scalars in place.
+func appendString(b []byte, v Value) []byte {
+	switch x := v.(type) {
+	case string:
+		return append(b, x...)
+	case float64:
+		return appendNumber(b, x)
+	case bool:
+		return strconv.AppendBool(b, x)
+	default:
+		return append(b, ToString(v)...)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestWireFixtures(t *testing.T) {
 		env  envelope
 	}{
 		{"data_envelope.hex", envelope{
-			From: "phone-1", Boot: "boot-7",
+			From: "phone-1", Boot: []byte("boot-7"),
 			Batch: []envelopeItem{
 				{ID: 41, Seq: 7, Channel: "battery", Trace: 0x0123456789abcdef,
 					Body: body(msg.Map{"level": 0.5, "charging": true})},
@@ -56,7 +56,7 @@ func TestWireFixtures(t *testing.T) {
 			},
 			Floors: map[string]uint64{"battery": 7, "wifi-scan": 3},
 		}},
-		{"ack_envelope.hex", envelope{From: "collector", Boot: "boot-c", Ack: []uint64{41, 42}}},
+		{"ack_envelope.hex", envelope{From: "collector", Boot: []byte("boot-c"), Ack: []uint64{41, 42}}},
 	} {
 		want := readHexFixture(t, tc.file)
 		got := frameInto(append(frameHeader[:], encodeEnvelope(&tc.env)...))

@@ -120,8 +120,9 @@ type envelope struct {
 	From string
 	// Boot identifies the sender's process lifetime. Message IDs restart
 	// after a reboot (fresh outbox), so the receiver resets its dedup state
-	// for the sender whenever Boot changes.
-	Boot  string
+	// for the sender whenever Boot changes. It aliases the input: unique per
+	// node start, it is compared with the stored boot, not interned.
+	Boot  []byte
 	Batch []envelopeItem
 	Ack   []uint64
 	// Floors maps channel → the lowest sequence number still live in the
@@ -656,24 +657,24 @@ func (e *Endpoint) Flush() int { return e.flush(false) }
 // retransmit a lost batch: backoff would be computed but nothing would ever
 // fire it. The timer drives retransmissions only — first transmission stays
 // with the flush policy, which owns the energy trade-off (§4.7). It is
-// stopped and re-armed after every flush, at the exact head of the deadline
-// queue: simulated runs order same-instant events by arming order, so a
-// timer that merely fired "no later than" the deadline would change them.
+// re-armed after every flush, at the exact head of the deadline queue:
+// simulated runs order same-instant events by arming order, so a timer that
+// merely fired "no later than" the deadline would change them. Re-arming
+// moves the one timer (vclock.Rearm) rather than making a new one per flush.
 func (e *Endpoint) scheduleRetry(now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.retryTimer != nil {
-		e.retryTimer.Stop()
-		e.retryTimer = nil
-	}
 	if len(e.retryq) == 0 {
+		if e.retryTimer != nil {
+			e.retryTimer.Stop()
+		}
 		return
 	}
 	delay := e.retryq[0].due.Sub(now)
 	if delay < time.Millisecond {
 		delay = time.Millisecond
 	}
-	e.retryTimer = e.clk.AfterFunc(delay, e.retryFn)
+	e.retryTimer = vclock.Rearm(e.clk, e.retryTimer, delay, e.retryFn)
 }
 
 // purgeExpired applies the max-age policy and forgets everything the
@@ -1034,12 +1035,12 @@ func (e *Endpoint) receive(from string, payload []byte) {
 
 	e.mu.Lock()
 	ps := e.peers[sender]
-	if ps == nil || (env.Boot != "" && ps.boot != env.Boot) {
+	if ps == nil || (len(env.Boot) > 0 && ps.boot != string(env.Boot)) {
 		// First contact, or the peer rebooted: its IDs and sequences may
 		// have restarted, so any previous state for it is stale. The
 		// envelope's floors re-anchor the FIFO cursors.
 		ps = &peerState{
-			boot:  env.Boot,
+			boot:  string(env.Boot),
 			chans: make(map[string]*chanOrder),
 		}
 		if e.peers == nil {

@@ -33,7 +33,7 @@ import (
 // transport_corrupt_dropped_total; the sender retransmits.
 //
 // Decode mirrors encode's pooling: an envScratch carries the batch, ack, and
-// floor storage from envelope to envelope, and the envelope's From/Boot/
+// floor storage from envelope to envelope, and the envelope's From and
 // Channel strings are interned — sensor fleets repeat the same few
 // identifiers forever, so in steady state decoding an envelope allocates
 // nothing beyond what its payload bodies need.
@@ -150,8 +150,9 @@ var envScratchPool = sync.Pool{
 // decodeEnvelope parses an unframed envelope into sc's recycled storage. Item
 // bodies alias the input buffer (zero-copy): the buffer is GC-owned by the
 // receive path, never pooled, so held-back items keep it alive exactly as
-// long as needed. Envelope strings (from, boot, channels) are interned — a
-// fleet repeats the same identifiers forever. Claimed counts and lengths are
+// long as needed. From and the channels are interned — a fleet repeats the
+// same identifiers forever; the boot ID, new with every node start, aliases
+// the input like the bodies. Claimed counts and lengths are
 // validated against the remaining bytes before any allocation.
 func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 	if len(b) == 0 || b[0] != envMagic {
@@ -163,7 +164,7 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 	if env.From, b, err = readUvStr(b); err != nil {
 		return envelope{}, err
 	}
-	if env.Boot, b, err = readUvStr(b); err != nil {
+	if env.Boot, b, err = readUvBytes(b); err != nil {
 		return envelope{}, err
 	}
 	n, b, err := readCount(b, 5) // id+seq+chlen+trace+bodylen ≥ 5 bytes per item
@@ -266,12 +267,21 @@ func readCount(b []byte, minElemSize uint64) (uint64, []byte, error) {
 // readUvStr reads a length-prefixed string, interning the copy: envelope
 // strings are drawn from a fleet's small, endlessly repeated identifier set.
 func readUvStr(b []byte) (string, []byte, error) {
-	n, rest, err := readUv(b)
+	s, rest, err := readUvBytes(b)
 	if err != nil {
 		return "", nil, err
 	}
-	if n > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("%w: string length %d exceeds input", errEnvelope, n)
+	return msg.Intern(s), rest, nil
+}
+
+// readUvBytes reads a length-prefixed byte string, aliasing the input.
+func readUvBytes(b []byte) ([]byte, []byte, error) {
+	n, rest, err := readUv(b)
+	if err != nil {
+		return nil, nil, err
 	}
-	return msg.Intern(rest[:n]), rest[n:], nil
+	if n > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("%w: string length %d exceeds input", errEnvelope, n)
+	}
+	return rest[:n], rest[n:], nil
 }

@@ -10,7 +10,7 @@ import (
 func traceTestEnvelope() *envelope {
 	return &envelope{
 		From: "phone01",
-		Boot: "boot-1",
+		Boot: []byte("boot-1"),
 		Batch: []envelopeItem{
 			{ID: 1, Seq: 1, Channel: "upload", Body: []byte{0x07, 0x00}},
 			{ID: 2, Seq: 2, Channel: "upload", Body: []byte{0x04, 0x02}},
@@ -32,7 +32,7 @@ func encodeEnvelope(env *envelope) []byte {
 	for i, ch := range floorCh {
 		floorSeq[i] = env.Floors[ch]
 	}
-	return appendEnvelope(nil, env.From, env.Boot, env.Batch, env.Ack, floorCh, floorSeq)
+	return appendEnvelope(nil, env.From, string(env.Boot), env.Batch, env.Ack, floorCh, floorSeq)
 }
 
 // TestBinaryEnvelopeUntracedUnchanged: an envelope whose items carry no trace

@@ -140,6 +140,49 @@ func Schedule(clk Clock, d time.Duration, f func()) {
 	clk.AfterFunc(d, f)
 }
 
+// Rearm moves timer t, armed with clk.AfterFunc(_, f), to run f after d, and
+// returns the Timer to keep in its place. The outcome is exactly that of
+// t.Stop() followed by clk.AfterFunc(d, f) — on a simulated clock the same
+// instant and the same place among the callbacks due then — but while t's
+// callback has not yet been taken to run, no timer is made: a real timer is
+// Reset, and a simulated event, pending or stopped, gets the due time and
+// arming sequence number a fresh AfterFunc would have had and moves within
+// the queue. t may be nil (nothing armed yet).
+func Rearm(clk Clock, t Timer, d time.Duration, f func()) Timer {
+	switch tm := t.(type) {
+	case realTimer:
+		if _, ok := clk.(Real); ok {
+			tm.t.Reset(d) // an AfterFunc timer keeps its f
+			return t
+		}
+	case *simTimer:
+		if clk == Clock(tm.sim) && tm.sim.rearm(tm.ev, d, f) {
+			return t
+		}
+	}
+	if t != nil {
+		t.Stop()
+	}
+	return clk.AfterFunc(d, f)
+}
+
+// rearm is Rearm for an event of s still in its queue; it reports false for
+// one that has left it (fired, or stopped and discarded).
+func (s *Sim) rearm(ev *event, d time.Duration, f func()) bool {
+	if d < 0 {
+		d = 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ev.index < 0 {
+		return false
+	}
+	ev.at, ev.seq, ev.fn, ev.stopped = s.now.Add(d), s.seq, f, false
+	s.seq++
+	heap.Fix(&s.queue, ev.index)
+	return true
+}
+
 // Advance moves simulated time forward by d, running every due callback in
 // order. It returns the number of callbacks run.
 func (s *Sim) Advance(d time.Duration) int {
@@ -267,7 +310,7 @@ type event struct {
 	stopped bool
 	fired   bool // left the heap for execution; Stop can no longer prevent it
 	pooled  bool // created by Schedule (no Timer handle); recycled after firing
-	index   int
+	index   int  // position in the queue; -1 once popped
 }
 
 type simTimer struct {
@@ -314,6 +357,7 @@ func (q *eventQueue) Pop() any {
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
+	ev.index = -1
 	*q = old[:n-1]
 	return ev
 }
