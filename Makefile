@@ -51,17 +51,20 @@ check: stdout-guard
 
 # fuzz-smoke gives the coverage-guided fuzzers a brief shake on every check:
 # the stanza reader that faces raw TCP bytes and the switchboard core against
-# its reference model (xmpp), the frozen and plain binary body decoders
-# (msg), the scenario parser, and the outbox log's replay, which faces
-# whatever a crash or a bad disk left (store). Run e.g.
-# `go test -fuzz 'FuzzDecode$' -fuzztime 5m ./internal/msg` for a real
-# session. internal/xmpp and internal/msg have two fuzz targets each, and
-# `go test -fuzz` only accepts a pattern matching exactly one, so each is
-# named explicitly.
+# its reference model (xmpp); in msg, the receive path's body decode
+# (FuzzDecode), reading a message from its bytes against reading its decoded
+# tree — validation, JSON, paths, a script's view (FuzzRaw) — and the plain
+# binary codec's round trip (FuzzBinaryRoundTrip); the scenario parser; and
+# the outbox log's replay, which faces whatever a crash or a bad disk left
+# (store). Run e.g. `go test -fuzz 'FuzzRaw$' -fuzztime 5m ./internal/msg`
+# for a real session. internal/xmpp and internal/msg have several fuzz
+# targets each, and `go test -fuzz` only accepts a pattern matching exactly
+# one, so each is named explicitly.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseStanza$$' -fuzztime 10s ./internal/xmpp
 	$(GO) test -run '^$$' -fuzz 'FuzzSwitchboard$$' -fuzztime 10s ./internal/xmpp
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/msg
+	$(GO) test -run '^$$' -fuzz 'FuzzRaw$$' -fuzztime 10s ./internal/msg
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryRoundTrip$$' -fuzztime 10s ./internal/msg
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioParse$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay$$' -fuzztime 10s ./internal/store

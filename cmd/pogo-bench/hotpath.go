@@ -59,11 +59,11 @@ func hotpathPayload() msg.Map {
 	}
 }
 
-// hotpathScans generates frozen 20-AP Wi-Fi scans in the shape the wifi-scan
-// sensor publishes and bench/'s scan_pipeline workload sends: each scan draws
+// hotpathScans generates encoded 20-AP Wi-Fi scans, as the broker hands them
+// to subscribers, in the shape the wifi-scan sensor publishes and bench/'s scan_pipeline workload sends: each scan draws
 // its access points from a pool of 80, about a tenth of them locally
 // administered (scan.js drops those), integer RSSI.
-func hotpathScans(n int) []msg.Map {
+func hotpathScans(n int) []msg.Raw {
 	const apsPerScan = 20
 	rng := rand.New(rand.NewSource(1))
 	pool := make([]string, 4*apsPerScan)
@@ -71,7 +71,7 @@ func hotpathScans(n int) []msg.Map {
 		pool[i] = fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x",
 			rng.Intn(256)&^2, rng.Intn(256), rng.Intn(256), rng.Intn(256), rng.Intn(256), rng.Intn(256))
 	}
-	out := make([]msg.Map, n)
+	out := make([]msg.Raw, n)
 	for i := range out {
 		aps := make([]msg.Value, apsPerScan)
 		for j, p := range rng.Perm(len(pool))[:apsPerScan] {
@@ -82,9 +82,18 @@ func hotpathScans(n int) []msg.Map {
 				"local": j > 0 && rng.Intn(10) == 0,
 			}
 		}
-		out[i] = msg.FreezeOwned(msg.Map{"timestamp": float64(i), "aps": aps})
+		out[i] = mustEncode(msg.Map{"timestamp": float64(i), "aps": aps})
 	}
 	return out
+}
+
+// mustEncode encodes a message the generators built, which always encodes.
+func mustEncode(m msg.Map) msg.Raw {
+	r, err := msg.Encode(m)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // hotpathSinkJS is the collector script of bench/'s scan_pipeline: one JSON
@@ -153,15 +162,17 @@ func hotpathBenchmarks() []struct {
 			}
 		}},
 		{"publish_fanout_1k_prefrozen", func(b *testing.B) {
+			// A message published encoded already, as a script forwards what
+			// it received: delivered as it is.
 			br := pubsub.New()
 			for i := 0; i < 1000; i++ {
 				br.Subscribe("bench", nil, func(pubsub.Event) {})
 			}
-			payload := msg.Freeze(hotpathPayload())
+			payload := mustEncode(hotpathPayload())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				br.Publish("bench", payload)
+				br.PublishRaw("bench", payload)
 			}
 		}},
 		{"msg_encode_binary", func(b *testing.B) {
@@ -177,6 +188,8 @@ func hotpathBenchmarks() []struct {
 			}
 		}},
 		{"msg_decode_binary", func(b *testing.B) {
+			// What the receive path does with a body: validate it and hand
+			// it on as the message, building no tree.
 			wire, err := msg.AppendBinary(nil, hotpathPayload())
 			if err != nil {
 				b.Fatal(err)
@@ -184,7 +197,7 @@ func hotpathBenchmarks() []struct {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := msg.DecodeBinary(wire); err != nil {
+				if _, err := msg.ParseRaw(wire); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -276,8 +289,8 @@ func hotpathBenchmarks() []struct {
 		{"store_add_ack_file", func(b *testing.B) {
 			// The file-backed outbox as a stream drives it: one Add and the
 			// Ack of the oldest entry, 64 outstanding. Each is one record
-			// built in the outbox's buffer and one write; the one allocation
-			// is the outbox's own copy of the payload.
+			// built in the outbox's buffer and one write; the entry keeps
+			// the payload it is handed.
 			dir, err := os.MkdirTemp("", "pogo-hotpath-")
 			if err != nil {
 				b.Fatal(err)
@@ -319,8 +332,8 @@ func hotpathBenchmarks() []struct {
 			}
 		}},
 		{"script_scan_handler", func(b *testing.B) {
-			// scan.js on one frozen 20-AP scan: read through a view, build the
-			// sanitised object, convert it for publish.
+			// scan.js on one encoded 20-AP scan: read through a view, build
+			// the sanitised object, convert it for publish.
 			h := startHandler(b, "scan.js", scripts.MustSource("scan.js"))
 			scans := hotpathScans(64)
 			b.ReportAllocs()
@@ -334,14 +347,15 @@ func hotpathBenchmarks() []struct {
 			}
 		}},
 		{"script_sink_handler", func(b *testing.B) {
-			// The collector's logger on what scan.js published: json() of an
-			// untouched view encodes the frozen message itself.
+			// The collector's logger on what scan.js published, as the
+			// wire delivers it: json() of an untouched view transcodes the
+			// message's bytes.
 			scan := startHandler(b, "scan.js", scripts.MustSource("scan.js"))
 			scans := hotpathScans(64)
-			wire := make([]msg.Map, len(scans))
+			wire := make([]msg.Raw, len(scans))
 			for i, m := range scans {
 				scan.handler(m, "")
-				wire[i] = msg.FreezeOwned(scan.published)
+				wire[i] = mustEncode(scan.published)
 			}
 			h := startHandler(b, "sink.js", hotpathSinkJS)
 			b.ReportAllocs()

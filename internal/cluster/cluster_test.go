@@ -280,7 +280,11 @@ func (h *jsHost) Publish(channel string, m msg.Value) error {
 	if channel != "clusters" {
 		return nil
 	}
-	mm := m.(msg.Map)
+	r, err := msg.Encode(m) // one tree, whatever encoded nodes the script kept
+	if err != nil {
+		return err
+	}
+	mm := r.Map()
 	aps := make(map[string]float64)
 	for k, v := range mm["aps"].(msg.Map) {
 		aps[k] = v.(float64)

@@ -452,13 +452,18 @@ func (h *scriptHost) Publish(channel string, m msg.Value) error {
 	if len(channel) > 0 && channel[0] == '@' {
 		return fmt.Errorf("core: channel %q is reserved", channel)
 	}
-	mm, ok := m.(msg.Map)
-	if !ok {
-		mm = msg.Map{"value": m}
+	switch x := m.(type) {
+	case msg.Raw:
+		if x.IsMap() {
+			// A message the script forwards untouched: no re-encode.
+			h.ctx.broker.PublishRaw(channel, x)
+			return nil
+		}
+	case msg.Map:
+		h.ctx.broker.Publish(channel, x)
+		return nil
 	}
-	// script.ToMsg built this root for us (or it is a frozen message the
-	// script forwards untouched): no defensive clone.
-	h.ctx.broker.PublishOwned(channel, mm)
+	h.ctx.broker.Publish(channel, msg.Map{"value": m})
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -461,7 +462,7 @@ func TestPublishNonMapWrapped(t *testing.T) {
 	r := newRig(t, "dev1")
 	var got []msg.Map
 	r.col.LocalContext().Broker().Subscribe("nums", nil, func(ev pubsub.Event) {
-		got = append(got, ev.Message)
+		got = append(got, ev.Message.Map())
 	})
 	_ = got
 	// Scripts may publish scalars; the host wraps them as {value: v}.
@@ -471,5 +472,50 @@ func TestPublishNonMapWrapped(t *testing.T) {
 	r.clk.Advance(10 * time.Second)
 	if len(got) != 1 || got[0]["value"].(float64) != 42 {
 		t.Errorf("got = %v", got)
+	}
+}
+
+// TestLocalAndRemoteSubscribersAgree: a script on the phone and one on the
+// collector, subscribed to the same channel, read every publication the same
+// way — json(m), the type, 1/v and the string form of the odd value — for
+// NaN, the infinities, -0, 1e21 and invalid UTF-8. A map that does not encode
+// reaches neither: Publish refuses it.
+func TestLocalAndRemoteSubscribersAgree(t *testing.T) {
+	r := newRig(t, "dev1")
+	const probe = `subscribe('odd', function (m) {
+  logTo('seen', json(m) + ' ' + typeof m.v + ' ' + (1 / m.v) + ' ' + m.v);
+});`
+	if err := r.col.Deploy("local.js", probe); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.col.DeployLocal("remote.js", probe); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(10 * time.Second)
+	phone := r.dev["dev1"].node
+	ctx := phone.Contexts()["collector"]
+	if ctx == nil {
+		t.Fatal("no collector context on the phone")
+	}
+	values := []any{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e21, "bad\xffutf8", make(chan int)}
+	for _, v := range values {
+		want := 2 // the local script and the proxy
+		if _, isChan := v.(chan int); isChan {
+			want = 0
+		}
+		if got := ctx.Broker().Publish("odd", msg.Map{"v": v}); got != want {
+			t.Errorf("Publish({v: %v}) reached %d subscribers, want %d", v, got, want)
+		}
+		r.clk.Advance(10 * time.Second)
+	}
+	local, remote := phone.Logs().Lines("seen"), r.col.Logs().Lines("seen")
+	if len(local) != len(values)-1 || strings.Join(local, "\n") != strings.Join(remote, "\n") {
+		t.Fatalf("subscribers disagree:\n local %q\nremote %q", local, remote)
+	}
+	if want := `{"v":"bad�utf8"} string NaN bad` + "�" + `utf8`; local[5] != want {
+		t.Errorf("invalid UTF-8 read as %q, want %q", local[5], want)
+	}
+	if want := `{"v":0} number Infinity 0`; local[3] != want {
+		t.Errorf("-0 read as %q, want %q", local[3], want)
 	}
 }

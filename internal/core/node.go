@@ -456,8 +456,7 @@ func (n *Node) sendControl(peer, channel string, payload msg.Map) {
 // wire-propagated trace ID (0 from an untraced peer); application data
 // re-publishes under it so the receiving fanout joins the sender's span
 // tree.
-func (n *Node) handleMessage(from, channel string, payload msg.Value, trace obs.TraceID) {
-	body, _ := payload.(msg.Map)
+func (n *Node) handleMessage(from, channel string, body msg.Raw, trace obs.TraceID) {
 	switch channel {
 	case chanHello:
 		n.handleHello(from)
@@ -484,7 +483,12 @@ func (n *Node) handleMessage(from, channel string, payload msg.Value, trace obs.
 			return
 		}
 		id, _ := msg.GetNumber(body, "id")
-		params, _ := body["params"].(msg.Map)
+		var params msg.Map
+		if p, ok := body.Field("params"); ok {
+			if r, ok := p.(msg.Raw); ok {
+				params = r.Map()
+			}
+		}
 		ctx.addProxy(from, int(id), msg.GetString(body, "channel"), params)
 	case chanUnsubscribe:
 		ctx := n.contextForInbound(from)
@@ -495,14 +499,12 @@ func (n *Node) handleMessage(from, channel string, payload msg.Value, trace obs.
 		ctx.removeProxy(from, int(id))
 	default:
 		// Application data: publish into the paired context with origin. The
-		// body was decoded from the wire just for this call, so it can be
-		// frozen in place — the broker then shares it with every subscriber
-		// without taking its own defensive clone.
+		// broker hands every subscriber the validated wire body itself.
 		ctx := n.contextForInbound(from)
 		if ctx == nil {
 			return
 		}
-		ctx.broker.PublishTraced(channel, msg.FreezeOwned(body), from, trace)
+		ctx.broker.PublishTraced(channel, body, from, trace)
 	}
 }
 

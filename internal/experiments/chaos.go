@@ -197,8 +197,8 @@ func NewChaosWorld(cfg ChaosConfig) *ChaosWorld {
 	record := func(at string) func(from, channel string, payload msg.Value) {
 		return func(from, channel string, payload msg.Value) {
 			n := -1
-			if m, ok := payload.(msg.Map); ok {
-				if f, ok := m["n"].(float64); ok {
+			if m, ok := payload.(msg.Raw); ok {
+				if f, ok := msg.GetNumber(m, "n"); ok {
 					n = int(f)
 				}
 			}

@@ -326,8 +326,8 @@ func buildFleetWorld(cfg *FleetConfig, names *fleetNames) *fleetWorld {
 		log := w.logs[g]
 		ep.OnMessage(func(from, channel string, payload msg.Value) {
 			n := int32(-1)
-			if m, ok := payload.(msg.Map); ok {
-				if f, ok := m["n"].(float64); ok {
+			if m, ok := payload.(msg.Raw); ok {
+				if f, ok := msg.GetNumber(m, "n"); ok {
 					n = int32(f)
 				}
 			}

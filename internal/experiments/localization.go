@@ -224,7 +224,7 @@ func runSession(world *env.World, sess SessionConfig, cfg Table4Config) (Session
 		if ev.Origin == "" {
 			return
 		}
-		c, ok := clusterFromMsg(ev.Message)
+		c, ok := clusterFromMsg(ev.Message.Map())
 		if !ok {
 			return
 		}

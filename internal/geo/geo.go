@@ -94,8 +94,9 @@ func NewService(db *DB, broker *pubsub.Broker) *Service {
 		s.mu.Lock()
 		s.lookups++
 		s.mu.Unlock()
-		id, _ := ev.Message["id"]
-		apsRaw, _ := ev.Message["aps"].(msg.Map)
+		m := ev.Message.Map()
+		id := m["id"]
+		apsRaw, _ := m["aps"].(msg.Map)
 		aps := make(map[string]float64, len(apsRaw))
 		for k, v := range apsRaw {
 			if f, ok := v.(float64); ok {

@@ -56,7 +56,7 @@ func TestServiceAnswersLookups(t *testing.T) {
 
 	var results []msg.Map
 	broker.Subscribe(ChannelResult, nil, func(ev pubsub.Event) {
-		results = append(results, ev.Message)
+		results = append(results, ev.Message.Map())
 	})
 
 	broker.Publish(ChannelLookup, msg.Map{"id": "r1", "aps": msg.Map{"a": 0.8}})

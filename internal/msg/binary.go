@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"unicode/utf8"
-	"unsafe"
 )
 
 // Compact binary message codec: the one wire format for message bodies
@@ -25,14 +24,17 @@ import (
 //	tag 0x02  true
 //	tag 0x03  float64     8 bytes IEEE 754, big-endian
 //	tag 0x04  integer     zigzag varint (integral floats, |x| < 1e15)
-//	tag 0x05  string      uvarint byte length + UTF-8 bytes
+//	tag 0x05  string      uvarint byte length + UTF-8 bytes (invalid UTF-8 is
+//	                      written as U+FFFD)
 //	tag 0x06  array       uvarint count + count values
 //	tag 0x07  map         uvarint count + count × (uvarint key len + key bytes + value),
 //	                      keys sorted lexicographically (deterministic bytes)
 //
-// Decoding is zero-copy over the input buffer except for retained strings
-// (map keys and string values must outlive the frame, so they are copied
-// out); structure (slices, maps) is allocated, scalars are not. Hostile
+// Lengths and counts are minimal uvarints. What the encoder writes is the
+// canonical form a Raw holds (raw.go); ParseRaw accepts nothing else.
+//
+// DecodeBinary builds a tree and copies the strings it keeps out of the
+// input; Raw.Map builds one that shares the Raw's immutable bytes. Hostile
 // input cannot over-allocate: every claimed length and count is bounded by
 // the bytes actually remaining in the buffer before anything is allocated,
 // and nesting depth is capped at maxDepth.
@@ -109,6 +111,9 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 		dst = append(dst, tagFloat)
 		return binary.BigEndian.AppendUint64(dst, math.Float64bits(x)), nil
 	case string:
+		if !utf8.ValidString(x) {
+			x = fixUTF8([]byte(x))
+		}
 		dst = append(dst, tagString)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		return append(dst, x...), nil
@@ -123,33 +128,40 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 		}
 		return dst, nil
 	case Map:
-		dst = append(dst, tagMap)
-		dst = binary.AppendUvarint(dst, uint64(Len(x)))
 		// Sorted-key scratch comes from a pool and is held until the
 		// iteration finishes — nested maps Get their own scratch because
 		// this one isn't Put back yet.
 		sp := keysPool.Get().(*[]string)
 		keys := (*sp)[:0]
-		for k, e := range x {
-			if IsMarker(k, e) {
-				continue
-			}
+		repair := false
+		for k := range x {
 			keys = append(keys, k)
+			repair = repair || !utf8.ValidString(k)
+		}
+		*sp = keys[:0]
+		if repair {
+			keysPool.Put(sp)
+			return appendRepairedMap(dst, x)
 		}
 		sort.Strings(keys)
+		dst = append(dst, tagMap)
+		dst = binary.AppendUvarint(dst, uint64(len(keys)))
 		var err error
 		for _, k := range keys {
 			dst = binary.AppendUvarint(dst, uint64(len(k)))
 			dst = append(dst, k...)
 			if dst, err = AppendBinary(dst, x[k]); err != nil {
-				*sp = keys[:0]
-				keysPool.Put(sp)
-				return nil, err
+				break
 			}
 		}
-		*sp = keys[:0]
+		clear(keys)
 		keysPool.Put(sp)
+		if err != nil {
+			return nil, err
+		}
 		return dst, nil
+	case Raw:
+		return append(dst, x.Bytes()...), nil
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
 	}
@@ -165,7 +177,7 @@ var keysPool = sync.Pool{
 // beyond maxDepth, and any length or count exceeding the bytes that
 // remain — malformed or hostile input errors out before large allocations.
 func DecodeBinary(data []byte) (Value, error) {
-	v, rest, err := decodeBinary(data, 0, false)
+	v, rest, err := decodeBinary(data, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -175,41 +187,35 @@ func DecodeBinary(data []byte) (Value, error) {
 	return v, nil
 }
 
-// DecodeFrozen parses a binary-codec value for the delivery hot path:
-// map keys are interned, string values alias the input buffer instead of
-// being copied out, and a map root is frozen in place, ready to share across
-// subscribers. The returned value RETAINS data — the caller must not modify
-// the buffer after the call (hand the decoder its own copy, as the transport
-// receive path does).
+// DecodeFrozen is ParseRaw for callers that want a Value: it validates data
+// as the receive path does and returns it as a Raw, building no tree. The
+// Raw RETAINS data — the caller must not modify the buffer after the call.
 func DecodeFrozen(data []byte) (Value, error) {
-	// Byte-identical bodies decode to the same immutable tree; a memo hit
-	// skips the whole decode. Retransmissions and unchanged periodic
-	// readings make exact duplicates common.
-	if v, ok := cachedFrozen(data); ok {
-		return v, nil
-	}
-	v, rest, err := decodeBinary(data, 0, true)
+	r, err := ParseRaw(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes of trailing data", ErrBinary, len(rest))
-	}
-	if m, ok := v.(Map); ok {
-		// FreezeOwned refuses (returns the map unfrozen) when hostile input
-		// already carries an ordinary entry under the marker key — content
-		// always wins over the optimization.
-		fm := FreezeOwned(m)
-		if IsFrozen(fm) {
-			// Only genuinely frozen (immutable, shareable) roots are memoized.
-			storeFrozen(data, fm)
-		}
-		return fm, nil
-	}
-	return v, nil
+	return r, nil
 }
 
-func decodeBinary(data []byte, depth int, alias bool) (Value, []byte, error) {
+// appendRepairedMap encodes a map holding keys that are not valid UTF-8,
+// each replaced as the string encoder replaces it. Two keys that become
+// equal cannot both be kept, so such a map does not encode.
+func appendRepairedMap(dst []byte, x Map) ([]byte, error) {
+	fixed := make(Map, len(x))
+	for k, v := range x {
+		if !utf8.ValidString(k) {
+			k = fixUTF8([]byte(k))
+		}
+		if _, dup := fixed[k]; dup {
+			return nil, fmt.Errorf("%w: keys equal after UTF-8 repair: %q", ErrUnsupportedValue, k)
+		}
+		fixed[k] = v
+	}
+	return AppendBinary(dst, fixed)
+}
+
+func decodeBinary(data []byte, depth int) (Value, []byte, error) {
 	if depth > maxDepth {
 		return nil, nil, fmt.Errorf("%w: nesting too deep", ErrBinary)
 	}
@@ -243,7 +249,7 @@ func decodeBinary(data []byte, depth int, alias bool) (Value, []byte, error) {
 		}
 		return boxFloat(float64(n)), data[sz:], nil
 	case tagString:
-		s, rest, err := decodeBinaryStr(data, alias)
+		s, rest, err := decodeBinaryStr(data)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -265,7 +271,7 @@ func decodeBinary(data []byte, depth int, alias bool) (Value, []byte, error) {
 				e   Value
 				err error
 			)
-			e, data, err = decodeBinary(data, depth+1, alias)
+			e, data, err = decodeBinary(data, depth+1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -282,24 +288,18 @@ func decodeBinary(data []byte, depth int, alias bool) (Value, []byte, error) {
 		if n > uint64(len(data))/2 {
 			return nil, nil, fmt.Errorf("%w: map count %d exceeds input", ErrBinary, n)
 		}
-		// Alias mode over-hints by one so the root map can absorb the freeze
-		// marker without a rehash.
-		hint := n
-		if alias {
-			hint++
-		}
-		out := make(Map, hint)
+		out := make(Map, n)
 		for i := uint64(0); i < n; i++ {
 			var (
 				k   string
 				v   Value
 				err error
 			)
-			k, data, err = decodeBinaryKey(data, alias)
+			k, data, err = decodeBinaryStr(data)
 			if err != nil {
 				return nil, nil, err
 			}
-			v, data, err = decodeBinary(data, depth+1, alias)
+			v, data, err = decodeBinary(data, depth+1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -311,40 +311,17 @@ func decodeBinary(data []byte, depth int, alias bool) (Value, []byte, error) {
 	}
 }
 
-// decodeBinaryStr reads uvarint length + bytes. In copy mode the string is
-// the one copy the decoder makes: it must outlive the frame buffer. In alias
-// mode the string shares the input buffer's backing array (the caller
-// guaranteed the buffer is retained and immutable). Invalid UTF-8 is coerced
-// to U+FFFD exactly like encoding/json, so the binary and JSON codecs can
-// never disagree about string content.
-func decodeBinaryStr(data []byte, alias bool) (string, []byte, error) {
+// decodeBinaryStr reads uvarint length + bytes: a string value or a map key,
+// the one copy the decoder makes, since it must outlive the input buffer.
+// Invalid UTF-8 is coerced to U+FFFD exactly like encoding/json, so the
+// binary and JSON codecs can never disagree about string content.
+func decodeBinaryStr(data []byte) (string, []byte, error) {
 	raw, rest, err := decodeBinaryRaw(data)
 	if err != nil {
 		return "", nil, err
 	}
 	if !utf8.Valid(raw) {
 		return fixUTF8(raw), rest, nil
-	}
-	if alias {
-		return aliasString(raw), rest, nil
-	}
-	return string(raw), rest, nil
-}
-
-// decodeBinaryKey reads a map key. In alias mode keys are interned: sensor
-// payloads repeat the same few keys forever, so after first sight a key
-// costs no allocation at all and every frozen message shares one canonical
-// copy.
-func decodeBinaryKey(data []byte, alias bool) (string, []byte, error) {
-	raw, rest, err := decodeBinaryRaw(data)
-	if err != nil {
-		return "", nil, err
-	}
-	if !utf8.Valid(raw) {
-		return fixUTF8(raw), rest, nil
-	}
-	if alias {
-		return Intern(raw), rest, nil
 	}
 	return string(raw), rest, nil
 }
@@ -361,16 +338,6 @@ func decodeBinaryRaw(data []byte) (raw, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: string length %d exceeds input", ErrBinary, n)
 	}
 	return data[:n], data[n:], nil
-}
-
-// aliasString reinterprets b as a string without copying. Callers must
-// guarantee b's backing array is never written again — the alias-decode
-// contract.
-func aliasString(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
 }
 
 // fixUTF8 copies s replacing invalid UTF-8 sequences with U+FFFD, matching

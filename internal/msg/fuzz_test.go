@@ -1,15 +1,15 @@
 package msg
 
 import (
+	"bytes"
 	"testing"
 )
 
-// FuzzDecode drives arbitrary bytes through DecodeFrozen, the decoder the
-// transport calls on every delivered wire body (aliased strings, interned
-// keys, in-place freeze, memo cache). It must accept exactly what the plain
-// DecodeBinary accepts, produce an Equal value, hand back map roots frozen
-// (or unfrozen only on a hostile marker-key collision), and be stable when the
-// same bytes arrive again through the memo.
+// FuzzDecode drives arbitrary bytes through DecodeFrozen, the decode the
+// transport applies to every delivered wire body. It must accept exactly the
+// canonical bodies — those DecodeBinary accepts and re-encodes to the same
+// bytes — and hand back a Raw Equal to DecodeBinary's tree. FuzzRaw checks
+// everything read from that Raw against the tree.
 func FuzzDecode(f *testing.F) {
 	seeds := []Value{
 		nil,
@@ -33,31 +33,30 @@ func FuzzDecode(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte(`{"json":"is not a wire format"}`))
-	f.Add([]byte{tagMap, 1, byte(len(markerKey)), 0, 'f', 'r', 'o', 'z', 'e', 'n', tagTrue})
+	f.Add([]byte{tagMap, 1, 7, 0, 'f', 'r', 'o', 'z', 'e', 'n', tagTrue})
 	f.Add([]byte{tagString, 2, 0xff, 0xfe})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// DecodeFrozen retains its input; the fuzzer reuses its buffers.
 		own := append([]byte(nil), data...)
-		want, wantErr := DecodeBinary(data)
+		tree, treeErr := DecodeBinary(data)
+		canonical := treeErr == nil
+		if canonical {
+			again, err := EncodeBinary(tree)
+			canonical = err == nil && bytes.Equal(again, data)
+		}
 		got, err := DecodeFrozen(own)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("acceptance differs on %x: frozen %v, plain %v", data, err, wantErr)
+		if (err == nil) != canonical {
+			t.Fatalf("acceptance differs on %x: DecodeFrozen %v, canonical %v (tree error %v)", data, err, canonical, treeErr)
 		}
 		if err != nil {
 			return // rejecting garbage is fine; crashing is not
 		}
-		if !Equal(got, want) {
-			t.Fatalf("frozen decode diverged on %x:\nfrozen: %#v\n plain: %#v", data, got, want)
+		if r, ok := got.(Raw); !ok || !bytes.Equal(r.Bytes(), data) {
+			t.Fatalf("DecodeFrozen(%x) = %#v, want a Raw of the input", data, got)
 		}
-		if m, ok := got.(Map); ok && !IsFrozen(m) {
-			if _, collides := m[markerKey]; !collides {
-				t.Fatalf("map root not frozen: %#v", m)
-			}
-		}
-		again, err := DecodeFrozen(append([]byte(nil), data...))
-		if err != nil || !Equal(again, want) {
-			t.Fatalf("second decode of %x diverged: %#v, %v", data, again, err)
+		if !Equal(got, tree) {
+			t.Fatalf("DecodeFrozen diverged on %x from the tree %#v", data, tree)
 		}
 	})
 }

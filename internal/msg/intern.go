@@ -1,5 +1,4 @@
-// Bounded string interning and boxed-float caching for the frozen decode
-// path.
+// Bounded string interning and boxed-float caching for the wire read path.
 //
 // Wire decoding is dominated by small heap objects: every map key is copied
 // out of the frame buffer, and every numeric value boxes a fresh float64
@@ -14,9 +13,9 @@
 package msg
 
 import (
-	"bytes"
 	"hash/maphash"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -162,54 +161,30 @@ func boxFloat(f float64) Value {
 	return v
 }
 
-// frozenBody memoizes one decoded frozen tree keyed by its exact wire bytes.
-// Frozen trees are deeply immutable and shareable by contract (the broker
-// already hands one tree to every subscriber), so two byte-identical bodies
-// may legally decode to the same tree. Duplicate bodies are common in
-// practice — retransmissions after a cut connection, fleet-wide identical
-// config pushes, and periodic sensors whose readings have not changed — and
-// a hit skips the decode entirely: zero allocations, zero copies.
-type frozenBody struct {
-	data []byte
-	v    Value
-}
+// stringBoxes is floatBoxes for short strings read out of encodings: the
+// same few identifiers (BSSIDs, names, states) are read from message after
+// message, and a hit hands back the one boxed copy. Longer strings are boxed
+// as they are, sharing the encoding's bytes.
+var stringBoxes [4096]atomic.Value
 
-// frozenBodyMax bounds how large a body the cache will retain; each slot
-// pins its bytes (DecodeFrozen callers hand over the buffer), so huge blobs
-// stay out.
-const frozenBodyMax = 4096
+var stringBoxSeed = maphash.MakeSeed()
 
-var bodyCache [512]atomic.Pointer[frozenBody]
+// stringBoxMax is the longest string stringBoxes keeps.
+const stringBoxMax = 32
 
-func bodySlot(b []byte) *atomic.Pointer[frozenBody] {
-	// FNV-1a over the body; bodies are small (frozenBodyMax caps retention
-	// and lookups bail on oversized input before hashing).
-	h := uint64(1469598103934665603)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+// boxString returns s, which shares a Raw's bytes, as an interface value:
+// from stringBoxes when it is short, boxed as it is otherwise.
+func boxString(s string) Value {
+	if len(s) > stringBoxMax {
+		return s
 	}
-	return &bodyCache[h&511]
-}
-
-// cachedFrozen returns the memoized frozen tree for these exact bytes, if
-// one is present.
-func cachedFrozen(data []byte) (Value, bool) {
-	if len(data) > frozenBodyMax {
-		return nil, false
+	slot := &stringBoxes[maphash.String(stringBoxSeed, s)>>52]
+	if v := slot.Load(); v != nil {
+		if c, ok := v.(string); ok && c == s {
+			return v
+		}
 	}
-	if p := bodySlot(data).Load(); p != nil && bytes.Equal(p.data, data) {
-		return p.v, true
-	}
-	return nil, false
-}
-
-// storeFrozen memoizes a frozen tree under its wire bytes. Callers must only
-// pass trees that are actually frozen (sharing a mutable tree would be
-// unsound) and data the caller owns per the DecodeFrozen contract.
-func storeFrozen(data []byte, v Value) {
-	if len(data) > frozenBodyMax {
-		return
-	}
-	bodySlot(data).Store(&frozenBody{data: data, v: v})
+	var v Value = strings.Clone(s) // a copy, and its box
+	slot.Store(v)
+	return v
 }

@@ -4,12 +4,13 @@
 // Messages are trees of key/value pairs (§4.3 of the paper) that map directly
 // onto PogoScript objects so they can cross the Java↔JavaScript boundary —
 // here the Go↔PogoScript boundary — without translation glue. Messages are
-// serialized with the binary codec (binary.go) when delivered to a remote
-// node; JSON is the human-facing interchange format.
+// serialized with the binary codec (binary.go), and a published message
+// travels as its encoding, a Raw (raw.go); JSON is the human-facing
+// interchange format.
 //
 // The value domain is deliberately small: nil, bool, float64, string,
-// []Value, and Map. Integers are represented as float64, matching
-// JavaScript's single number type.
+// []Value, Map, and Raw (any of the others, encoded). Integers are
+// represented as float64, matching JavaScript's single number type.
 package msg
 
 import (
@@ -17,12 +18,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Value is any value that may appear in a message tree: nil, bool, float64,
-// string, []Value, or Map.
+// string, []Value, Map, or Raw.
 type Value = any
 
 // Map is a message object node: string keys to Values.
@@ -39,7 +42,7 @@ func Normalize(v any) (Value, error) {
 	switch x := v.(type) {
 	case nil:
 		return nil, nil
-	case bool, float64, string:
+	case bool, float64, string, Raw:
 		return x, nil
 	case float32:
 		return float64(x), nil
@@ -76,9 +79,6 @@ func Normalize(v any) (Value, error) {
 	case Map:
 		out := make(Map, len(x))
 		for k, e := range x {
-			if IsMarker(k, e) {
-				continue // normalized copies are mutable; drop the freeze marker
-			}
 			n, err := Normalize(e)
 			if err != nil {
 				return nil, err
@@ -101,46 +101,51 @@ func MustNormalize(v any) Value {
 	return n
 }
 
-// Clone deep-copies a message value. Maps and slices are copied; scalars are
-// returned as-is. Clones are always mutable: cloning a frozen map drops the
-// freeze marker. Cloning at ownership boundaries keeps subscribers from
-// mutating each other's view of a published message; the broker now freezes
-// instead (see freeze.go), so Clone is the slow path writers pay via Thaw.
+// Clone deep-copies a message value. Maps and slices are copied; scalars
+// and Raws, which are immutable, are returned as-is.
 func Clone(v Value) Value {
 	switch x := v.(type) {
 	case []Value:
-		return cloneSlice(x, 0)
+		out := make([]Value, len(x))
+		for i, e := range x {
+			out[i] = Clone(e)
+		}
+		return out
 	case Map:
-		return cloneMap(x, 0)
+		out := make(Map, len(x))
+		for k, e := range x {
+			out[k] = Clone(e)
+		}
+		return out
 	default:
 		return x
 	}
 }
 
-func cloneSlice(x []Value, extraCap int) []Value {
-	out := make([]Value, len(x), len(x)+extraCap)
-	for i, e := range x {
-		out[i] = Clone(e)
+// Freeze returns a deep copy of m to be shared read-only: a snapshot the
+// caller's later writes to m do not reach. Freeze(nil) is nil.
+func Freeze(m Map) Map {
+	if m == nil {
+		return nil
 	}
-	return out
-}
-
-// cloneMap deep-copies a map, skipping the freeze marker. extraCap reserves
-// room so Freeze can add the marker to the clone without a rehash.
-func cloneMap(x Map, extraCap int) Map {
-	out := make(Map, len(x)+extraCap)
-	for k, e := range x {
-		if IsMarker(k, e) {
-			continue
-		}
-		out[k] = Clone(e)
-	}
-	return out
+	c, _ := Clone(m).(Map)
+	return c
 }
 
 // Equal reports deep equality of two message values. NaN compares equal to
-// NaN so that round-tripped messages containing NaN still match.
+// NaN so that round-tripped messages containing NaN still match. A Raw equals
+// a tree holding the same message; two Raws are equal when their bytes are,
+// which canonical encoding makes the same thing.
 func Equal(a, b Value) bool {
+	if ra, ok := a.(Raw); ok {
+		if rb, ok := b.(Raw); ok {
+			return string(ra.Bytes()) == string(rb.Bytes())
+		}
+		a = ra.Value()
+	}
+	if rb, ok := b.(Raw); ok {
+		b = rb.Value()
+	}
 	switch x := a.(type) {
 	case nil:
 		return b == nil
@@ -172,13 +177,10 @@ func Equal(a, b Value) bool {
 		return true
 	case Map:
 		y, ok := b.(Map)
-		if !ok || Len(x) != Len(y) {
+		if !ok || len(x) != len(y) {
 			return false
 		}
 		for k, v := range x {
-			if IsMarker(k, v) {
-				continue // freeze markers are invisible to message content
-			}
 			w, present := y[k]
 			if !present || !Equal(v, w) {
 				return false
@@ -208,14 +210,7 @@ func AppendJSON(dst []byte, v Value) ([]byte, error) {
 	case bool:
 		return strconv.AppendBool(dst, x), nil
 	case float64:
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			// JSON has no NaN/Inf; JavaScript's JSON.stringify emits null.
-			return append(dst, "null"...), nil
-		}
-		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
-			return strconv.AppendInt(dst, int64(x), 10), nil
-		}
-		return strconv.AppendFloat(dst, x, 'g', -1, 64), nil
+		return appendJSONNumber(dst, x), nil
 	case string:
 		return appendJSONString(dst, x), nil
 	case []Value:
@@ -234,7 +229,11 @@ func AppendJSON(dst []byte, v Value) ([]byte, error) {
 		// Few message nodes have more keys than this: sort them in a buffer
 		// on the stack.
 		var buf [32]string
-		keys := appendKeys(buf[:0], x)
+		keys := buf[:0]
+		for k := range x {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
 		dst = append(dst, '{')
 		for i, k := range keys {
 			if i > 0 {
@@ -248,24 +247,83 @@ func AppendJSON(dst []byte, v Value) ([]byte, error) {
 			}
 		}
 		return append(dst, '}'), nil
+	case Raw:
+		if x.IsZero() {
+			return append(dst, "null"...), nil
+		}
+		w := x.walk()
+		return w.appendJSON(dst), nil
 	default:
 		return dst, fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
 	}
 }
 
-// appendJSONString appends a JSON-quoted string. The common case — no
-// characters needing escapes — is a single pass; escaping falls back to the
-// slow path. Output matches encoding/json for the characters we emit.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			b, _ := json.Marshal(s)
-			return append(dst, b...)
-		}
+// appendJSONNumber appends f's JSON form.
+func appendJSONNumber(dst []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		// JSON has no NaN/Inf; JavaScript's JSON.stringify emits null.
+		return append(dst, "null"...)
 	}
+	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+		return strconv.AppendInt(dst, int64(f), 10)
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendJSONString appends s JSON-quoted by encoding/json's rule: '"' and
+// '\\' escaped, \b \f \n \r \t in short form, other control characters,
+// '<', '>' and '&' as \u00XX, U+2028 and U+2029 as \u2028 and \u2029, and
+// invalid UTF-8 as \ufffd. Runs needing no escape are copied whole.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
-	dst = append(dst, s...)
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			i++
+			start = i
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xf])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
 	return append(dst, '"')
 }
 
@@ -281,29 +339,48 @@ func DecodeJSON(data []byte) (Value, error) {
 	return v, nil
 }
 
-// Get walks a dotted path ("wifi.rssi") through nested Maps and returns the
-// value at the leaf, or (nil, false) when any step is missing.
-func Get(m Map, path string) (Value, bool) {
-	cur := Value(m)
-	for _, part := range strings.Split(path, ".") {
-		obj, ok := cur.(Map)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = obj[part]
-		if !ok {
-			return nil, false
-		}
+// Get walks a dotted path ("wifi.rssi") through nested maps — trees, Raws, or
+// a tree holding Raws — and returns the value at the leaf, or (nil, false)
+// when any step is missing. A leaf read from a Raw comes back as Raw.Field
+// returns it.
+func Get[M Map | Raw](m M, path string) (Value, bool) {
+	v, span, ok := get(m, path)
+	if span != nil {
+		return spanValue(span), true
 	}
-	return cur, true
+	return v, ok
+}
+
+// get walks path. A leaf inside an encoding comes back as its span, which
+// the typed accessors read without boxing; any other leaf as v.
+func get(m Value, path string) (v Value, span []byte, ok bool) {
+	cur := m
+	for {
+		if r, isRaw := cur.(Raw); isRaw {
+			span, ok = r.path(path)
+			return nil, span, ok
+		}
+		obj, isMap := cur.(Map)
+		if !isMap {
+			return nil, nil, false
+		}
+		part, rest, more := strings.Cut(path, ".")
+		if cur, ok = obj[part]; !ok {
+			return nil, nil, false
+		}
+		if !more {
+			return cur, nil, true
+		}
+		path = rest
+	}
 }
 
 // GetString returns the string at a dotted path, or "" when absent or not a
 // string.
-func GetString(m Map, path string) string {
-	v, ok := Get(m, path)
-	if !ok {
-		return ""
+func GetString[M Map | Raw](m M, path string) string {
+	v, span, _ := get(m, path)
+	if span != nil && span[0] == tagString {
+		return spanString(span)
 	}
 	s, _ := v.(string)
 	return s
@@ -311,9 +388,12 @@ func GetString(m Map, path string) string {
 
 // GetNumber returns the float64 at a dotted path and whether it was present
 // and numeric.
-func GetNumber(m Map, path string) (float64, bool) {
-	v, ok := Get(m, path)
-	if !ok {
+func GetNumber[M Map | Raw](m M, path string) (float64, bool) {
+	v, span, _ := get(m, path)
+	if span != nil {
+		if span[0] == tagFloat || span[0] == tagInt {
+			return spanNumber(span), true
+		}
 		return 0, false
 	}
 	f, ok := v.(float64)

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -190,6 +191,16 @@ func TestAppendJSONBytes(t *testing.T) {
 		{"q\"b\\s", `"q\"b\\s"`},
 		{"nl\n\ttab\x01", `"nl\n\ttab\u0001"`},
 		{"<é>\u2028", "\"\\u003cé\\u003e\\u2028\""},
+		// <, > and & are escaped whether or not anything else in the
+		// string needs it.
+		{"a<b", `"a\u003cb"`},
+		{"a>b", `"a\u003eb"`},
+		{"a&b", `"a\u0026b"`},
+		{"a<b\n", `"a\u003cb\n"`},
+		{"a&b\"", `"a\u0026b\""`},
+		{"\b\f\x1f\x7f", "\"\\b\\f\\u001f\x7f\""},
+		{"x\u2029y", `"x\u2029y"`},
+		{"bad\xffutf8\xc3", `"bad\ufffdutf8\ufffd"`},
 		{Map{"k\"": []Value{true, false, nil, Map{}}}, `{"k\"":[true,false,null,{}]}`},
 	} {
 		got, err := AppendJSON([]byte("x"), tt.v)
@@ -200,6 +211,17 @@ func TestAppendJSONBytes(t *testing.T) {
 		if string(got) != "x"+tt.want {
 			t.Errorf("AppendJSON(x, %v) = %s, want x%s", tt.v, got, tt.want)
 		}
+	}
+	// Strings follow encoding/json's rule exactly, allocating nothing.
+	for _, str := range []string{"", "plain", "<&>", "\u00e9\u2028\u2029\U0001F600", "\x00\x1f\x7f\b\f\n\r\t\"\\", "\xff\xfe", "\xe2\x80", "a\xe2\x80\xa8"} {
+		want, _ := json.Marshal(str)
+		if got, _ := AppendJSON(nil, str); string(got) != string(want) {
+			t.Errorf("AppendJSON(%q) = %s, encoding/json %s", str, got, want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendJSON(buf[:0], "a<b\n\xff\u2028") }); n != 0 {
+		t.Errorf("escaping a string: %v allocs, want 0", n)
 	}
 	if _, err := AppendJSON(nil, Map{"bad": 1}); !errors.Is(err, ErrUnsupportedValue) {
 		t.Errorf("AppendJSON(int) error = %v, want ErrUnsupportedValue", err)

@@ -1,0 +1,7 @@
+//go:build race
+
+package msg
+
+// raceEnabled is true when the test binary was built with -race, under which
+// sync.Pool drops items at random and allocation counts stop being exact.
+const raceEnabled = true

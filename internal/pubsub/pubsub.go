@@ -31,14 +31,13 @@ import (
 type Event struct {
 	// Channel the message was published on.
 	Channel string
-	// Message payload. The broker freezes a published message once and hands
-	// every subscriber the SAME frozen tree (msg.IsFrozen reports true), so
-	// fanout costs one copy regardless of subscriber count. Treat it as
-	// read-only; a handler that wants to mutate calls MutableMessage and
-	// pays for its own private clone.
-	Message msg.Map
-	// Params of the subscription the event is being delivered to. Frozen and
-	// shared with the subscription: read-only.
+	// Message payload: the publication's canonical encoding, the SAME bytes
+	// for every subscriber and for the wire, so fanout copies nothing. Read
+	// it in place (msg.Get, msg.GetNumber, Raw.Field); a handler that wants
+	// a tree to write calls MutableMessage.
+	Message msg.Raw
+	// Params of the subscription the event is being delivered to. Shared
+	// with the subscription: read-only.
 	Params msg.Map
 	// Origin identifies the remote node the message came from, or "" for a
 	// local publication. The core fills this in for messages that crossed
@@ -50,22 +49,16 @@ type Event struct {
 	// it into the transport so the trace survives the hop.
 	Trace obs.TraceID
 
-	// cow counts lazy copy-on-write clones for the owning broker's metrics
+	// cow counts trees built for writers for the owning broker's metrics
 	// (msg_cow_clones); nil-safe.
 	cow *obs.Counter
 }
 
-// MutableMessage returns a privately owned, mutable version of the event's
-// message, cloning lazily on first call (the "write" half of copy-on-write).
-// Subsequent calls — and direct reads of e.Message afterwards — see the same
-// private copy.
+// MutableMessage returns a privately owned tree of the event's message for a
+// handler that writes: each call builds a fresh one (msg.Raw.Map).
 func (e *Event) MutableMessage() msg.Map {
-	if e.Message == nil || !msg.IsFrozen(e.Message) {
-		return e.Message
-	}
-	e.Message = msg.Thaw(e.Message)
 	e.cow.Inc()
-	return e.Message
+	return e.Message.Map()
 }
 
 // Handler consumes events for one subscription.
@@ -149,7 +142,7 @@ func New() *Broker {
 
 // snapshot returns the cached publish-order view of a channel's
 // subscriptions, building it on the first publish after a membership change.
-// The returned slice is immutable (rebuilt, never patched), so PublishFrom
+// The returned slice is immutable (rebuilt, never patched), so publish
 // can iterate it outside the lock — activity is re-checked per delivery via
 // the atomic active flag, which keeps Release/Renew out of the invalidation
 // story entirely. Caller holds b.mu.
@@ -187,12 +180,22 @@ func (b *Broker) Subscribe(channel string, params msg.Map, h Handler) *Subscript
 }
 
 // Publish delivers a message to every active subscription on the channel.
-// The message is frozen once (msg.Freeze) and the same immutable tree is
-// handed to every subscriber — fanout is zero-copy; handlers clone lazily
-// through Event.MutableMessage. Publish returns the number of subscriptions
-// the message was delivered to.
+// The message is encoded once (msg.Encode) and every subscriber — local
+// handlers and the proxies that forward it — reads the same bytes. A map
+// that does not encode reaches nobody. Publish returns the number of
+// subscriptions the message was delivered to.
 func (b *Broker) Publish(channel string, m msg.Map) int {
-	return b.PublishFrom(channel, m, "")
+	r, err := msg.Encode(m)
+	if err != nil {
+		return 0
+	}
+	return b.publish(channel, r, "", 0, false)
+}
+
+// PublishRaw is Publish for a message that is encoded already — a script
+// forwarding what it received — and is delivered as it is: a freeze hit.
+func (b *Broker) PublishRaw(channel string, r msg.Raw) int {
+	return b.publish(channel, r, "", 0, true)
 }
 
 // SetTraceIdentity enables deterministic trace-ID assignment for local
@@ -208,32 +211,19 @@ func (b *Broker) SetTraceIdentity(node string, seed int64) {
 	b.mu.Unlock()
 }
 
-// PublishFrom is Publish with an origin annotation; the core uses it for
-// messages arriving from remote nodes.
-func (b *Broker) PublishFrom(channel string, m msg.Map, origin string) int {
-	return b.PublishTraced(channel, m, origin, 0)
+// PublishTraced is PublishRaw with an origin and explicit trace context: the
+// core passes a message arriving from a remote node with its wire-propagated
+// trace ID, so the receiving fanout joins the sender's span tree. trace 0 on
+// a local publication assigns a fresh deterministic ID (when
+// SetTraceIdentity was called); trace 0 with no identity leaves the event
+// untraced.
+func (b *Broker) PublishTraced(channel string, r msg.Raw, origin string, trace obs.TraceID) int {
+	return b.publish(channel, r, origin, trace, true)
 }
 
-// PublishTraced is PublishFrom with explicit trace context: the core passes
-// the wire-propagated trace ID of a remote-originated message so the
-// receiving fanout joins the sender's span tree. trace 0 on a local
-// publication assigns a fresh deterministic ID (when SetTraceIdentity was
-// called); trace 0 with no identity leaves the event untraced.
-func (b *Broker) PublishTraced(channel string, m msg.Map, origin string, trace obs.TraceID) int {
-	return b.publish(channel, m, origin, trace, false)
-}
-
-// PublishOwned is Publish for a message whose root the caller built and hands
-// over: the broker marks it frozen in place (msg.FreezeOwned) instead of
-// paying Freeze's defensive deep clone. Nested nodes may be shared with other
-// frozen messages, as nobody writes those either. The caller must not touch m
-// again. A root that is already frozen is delivered as it is; neither case
-// counts as a freeze hit, which records publishers that froze ahead of time.
-func (b *Broker) PublishOwned(channel string, m msg.Map) int {
-	return b.publish(channel, m, "", 0, true)
-}
-
-func (b *Broker) publish(channel string, m msg.Map, origin string, trace obs.TraceID, owned bool) int {
+// publish fans r out. asIs marks a message that arrived encoded, which the
+// freeze-hit counter records.
+func (b *Broker) publish(channel string, r msg.Raw, origin string, trace obs.TraceID, asIs bool) int {
 	b.mu.Lock()
 	o := b.obs
 	subs := b.snapshot(channel)
@@ -243,27 +233,15 @@ func (b *Broker) publish(channel string, m msg.Map, origin string, trace obs.Tra
 	}
 	b.mu.Unlock()
 
-	wasFrozen := !owned && msg.IsFrozen(m)
-	var frozen msg.Map
-	if owned {
-		frozen = msg.FreezeOwned(m)
-	} else {
-		frozen = msg.Freeze(m)
-	}
-	// Freeze declines to mark a map that hides an ordinary entry under the
-	// marker key; those (wire-crafted) messages fall back to the historical
-	// clone-per-subscriber path rather than lose content or share a mutable
-	// map.
-	shared := msg.IsFrozen(frozen)
-
 	delivered := 0
 	for _, s := range subs {
 		if s.handler != nil && s.active.Load() {
 			delivered++
 		}
 	}
+	var cow *obs.Counter
 	if o != nil {
-		if wasFrozen {
+		if asIs {
 			o.freezeHits.Inc()
 		}
 		o.publishes.Inc()
@@ -284,22 +262,15 @@ func (b *Broker) publish(channel string, m msg.Map, origin string, trace obs.Tra
 		if o.ledger != nil {
 			o.ledger.Meter(o.entity, "", channel).AddMessages(1)
 		}
-	}
-	var cow *obs.Counter
-	if o != nil {
 		cow = o.cowClones
 	}
 	for _, s := range subs {
 		if s.handler == nil || !s.active.Load() {
 			continue
 		}
-		delivery := frozen
-		if !shared && delivery != nil {
-			delivery, _ = msg.Clone(frozen).(msg.Map)
-		}
 		s.handler(Event{
 			Channel: channel,
-			Message: delivery,
+			Message: r,
 			Params:  s.params,
 			Origin:  origin,
 			Trace:   trace,
@@ -310,7 +281,7 @@ func (b *Broker) publish(channel string, m msg.Map, origin string, trace obs.Tra
 }
 
 // Subscriptions returns the active subscriptions on a channel. The param
-// maps are frozen (shared, read-only) snapshots.
+// maps are shared, read-only snapshots.
 func (b *Broker) Subscriptions(channel string) []SubscriptionInfo {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -435,9 +406,9 @@ type Subscription struct {
 func (s *Subscription) Channel() string { return s.channel }
 
 // Params returns the subscription's parameter object (nil when the
-// subscription has none). The map is frozen at Subscribe time and shared:
-// read-only for all callers, no per-call copy. A caller that needs a mutable
-// version thaws it (msg.Thaw) and pays for its own clone.
+// subscription has none). The map is a snapshot taken at Subscribe time
+// (msg.Freeze) and shared: read-only for all callers, no per-call copy. A
+// caller that needs a mutable version clones it (msg.Clone).
 func (s *Subscription) Params() msg.Map {
 	return s.params
 }

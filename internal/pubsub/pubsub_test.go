@@ -15,13 +15,13 @@ import (
 
 func TestPublishDeliversToSubscribers(t *testing.T) {
 	b := New()
-	var got []msg.Map
+	var got []msg.Raw
 	b.Subscribe("battery", nil, func(ev Event) { got = append(got, ev.Message) })
 	n := b.Publish("battery", msg.Map{"voltage": 3.9})
 	if n != 1 {
 		t.Errorf("Publish delivered to %d, want 1", n)
 	}
-	if len(got) != 1 || got[0]["voltage"].(float64) != 3.9 {
+	if v, _ := msg.GetNumber(got[0], "voltage"); len(got) != 1 || v != 3.9 {
 		t.Errorf("got %v", got)
 	}
 }
@@ -36,93 +36,112 @@ func TestPublishOnlyMatchingChannel(t *testing.T) {
 	}
 }
 
-// TestSubscriberCopyOnWrite pins the zero-copy delivery contract: events
-// carry a shared frozen message, and MutableMessage gives each handler a
-// private clone whose mutations leak neither to other subscribers nor back
-// to the publisher.
+// TestSubscriberCopyOnWrite pins the delivery contract: every subscriber
+// reads the same encoded message, and MutableMessage gives a handler a
+// private tree whose writes leak neither to other subscribers nor back to
+// the publisher.
 func TestSubscriberCopyOnWrite(t *testing.T) {
 	b := New()
-	var second msg.Map
+	reg := obs.NewRegistry()
+	b.Instrument(reg, time.Now, "n", "n")
+	var seen []msg.Raw
 	first := true
 	b.Subscribe("c", nil, func(ev Event) {
-		if !msg.IsFrozen(ev.Message) {
-			t.Error("delivered message is not frozen")
-		}
+		seen = append(seen, ev.Message)
 		if first {
 			first = false
 			m := ev.MutableMessage()
 			m["mutated"] = true
 			m["nested"].(msg.Map)["x"] = 99.0
-			if !msg.Equal(m, ev.Message) {
-				t.Error("MutableMessage and Message diverged within the event")
-			}
-		} else {
-			second = ev.Message
 		}
 	})
 	b.Subscribe("c", nil, func(ev Event) {
-		if _, ok := ev.Message["mutated"]; ok {
+		seen = append(seen, ev.Message)
+		if _, ok := msg.Get(ev.Message, "mutated"); ok {
 			t.Error("first subscriber's mutation leaked to a peer in the same fanout")
 		}
 	})
 	orig := msg.Map{"nested": msg.Map{"x": 1.0}}
 	b.Publish("c", orig)
 	b.Publish("c", orig)
-	if _, ok := second["mutated"]; ok {
-		t.Error("mutation by first delivery leaked into second")
+	if len(seen) != 4 || seen[0] != seen[1] || seen[2] != seen[3] {
+		t.Fatalf("subscribers of one publish saw different messages: %v", seen)
 	}
-	if second["nested"].(msg.Map)["x"].(float64) != 1.0 {
-		t.Error("nested mutation leaked into published original")
+	for _, r := range seen {
+		if !msg.Equal(r, msg.Map{"nested": msg.Map{"x": 1.0}}) {
+			t.Errorf("delivered %v", r.Map())
+		}
 	}
 	if _, ok := orig["mutated"]; ok {
 		t.Error("subscriber mutated publisher's message")
 	}
-	if msg.IsFrozen(orig) {
-		t.Error("Publish froze the publisher's own map")
+	if n := reg.CounterValue("msg_cow_clones", obs.L("node", "n")); n != 1 {
+		t.Errorf("msg_cow_clones = %d, want 1", n)
 	}
 }
 
-// TestPublishOwned: a root handed over is frozen in place, not cloned; one
-// that is frozen already is delivered as it is; and neither is booked as a
-// freeze hit, which counts publishers that froze ahead of time.
-func TestPublishOwned(t *testing.T) {
+// TestPublishRaw: an encoded message is delivered as it is — the same bytes,
+// no copy — and booked as a freeze hit; Publish encodes a map and is not.
+func TestPublishRaw(t *testing.T) {
 	b := New()
 	reg := obs.NewRegistry()
 	b.Instrument(reg, time.Now, "n", "n")
-	var got []msg.Map
+	var got []msg.Raw
 	b.Subscribe("c", nil, func(ev Event) { got = append(got, ev.Message) })
 
-	owned := msg.Map{"nested": msg.Map{"x": 1.0}}
-	b.PublishOwned("c", owned)
-	if !msg.IsFrozen(owned) {
-		t.Error("PublishOwned did not freeze the root in place")
+	r, err := msg.Encode(msg.Map{"nested": msg.Map{"x": 1.0}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != 1 || !msg.IsFrozen(got[0]) || !reflect.DeepEqual(got[0], owned) {
-		t.Fatalf("delivered %v", got)
+	b.PublishRaw("c", r)
+	if len(got) != 1 || got[0] != r {
+		t.Fatalf("delivered %v, want the published Raw itself", got)
 	}
-	got[0]["nested"].(msg.Map)["probe"] = true // same tree: the write shows through
-	if _, same := owned["nested"].(msg.Map)["probe"]; !same {
-		t.Error("PublishOwned cloned the message")
-	}
-	b.PublishOwned("c", owned) // frozen already, e.g. a message a script forwards
-	if len(got) != 2 || len(got[1]) != len(owned) {
-		t.Fatalf("second delivery %v", got)
-	}
-	if hits := reg.CounterValue("msg_freeze_hits", obs.L("node", "n")); hits != 0 {
-		t.Errorf("PublishOwned booked %d freeze hits", hits)
-	}
-	b.Publish("c", owned)
 	if hits := reg.CounterValue("msg_freeze_hits", obs.L("node", "n")); hits != 1 {
-		t.Errorf("Publish of a frozen message booked %d freeze hits, want 1", hits)
+		t.Errorf("PublishRaw booked %d freeze hits, want 1", hits)
 	}
-	if n := reg.CounterValue("pubsub_publishes_total", obs.L("node", "n")); n != 3 {
-		t.Errorf("publishes = %d, want 3", n)
+	b.Publish("c", msg.Map{"n": 1.0})
+	if hits := reg.CounterValue("msg_freeze_hits", obs.L("node", "n")); hits != 1 {
+		t.Errorf("Publish of a map booked a freeze hit (%d)", hits)
+	}
+	if n := reg.CounterValue("pubsub_publishes_total", obs.L("node", "n")); n != 2 {
+		t.Errorf("publishes = %d, want 2", n)
 	}
 }
 
-// TestFrozenSharingNoRaces: many subscribers reading the same frozen tree
-// while half of them mutate through MutableMessage — run under -race (make
-// check does) this proves sharing is race-free and COW isolates writers.
+// TestPublishRefusesWhatDoesNotEncode: a map outside the message domain
+// reaches no subscriber, local or proxy, and Publish says so.
+func TestPublishRefusesWhatDoesNotEncode(t *testing.T) {
+	b := New()
+	hits := 0
+	b.Subscribe("c", nil, func(Event) { hits++ })
+	if n := b.Publish("c", msg.Map{"bad": make(chan int)}); n != 0 || hits != 0 {
+		t.Errorf("Publish of a non-encodable map = %d, %d deliveries", n, hits)
+	}
+}
+
+// TestPublishAllocations: publishing a map costs its one encoding however
+// many subscribers read it; an encoded message costs nothing.
+func TestPublishAllocations(t *testing.T) {
+	b := New()
+	for i := 0; i < 16; i++ {
+		b.Subscribe("c", nil, func(ev Event) { _, _ = msg.GetNumber(ev.Message, "level") })
+	}
+	m := msg.Map{"level": 80.0, "voltage": 3.9}
+	// Under -race, sync.Pool drops what it is given now and then.
+	if n := testing.AllocsPerRun(100, func() { b.Publish("c", m) }); n != 1 && !raceEnabled {
+		t.Errorf("Publish: %v allocs, want 1", n)
+	}
+	r, _ := msg.Encode(m)
+	if n := testing.AllocsPerRun(100, func() { b.PublishRaw("c", r) }); n != 0 {
+		t.Errorf("PublishRaw: %v allocs, want 0", n)
+	}
+}
+
+// TestFrozenSharingNoRaces: many subscribers reading the same encoded
+// message on their own goroutines while half of them build and write trees
+// — run under -race (make check does) this proves sharing is race-free and
+// writers are isolated.
 func TestFrozenSharingNoRaces(t *testing.T) {
 	b := New()
 	const subscribers = 16
@@ -137,11 +156,8 @@ func TestFrozenSharingNoRaces(t *testing.T) {
 					m := ev.MutableMessage()
 					m["private"] = true
 					m["nested"].(msg.Map)["x"] = 2.0
-				} else {
-					// Pure readers walk the shared frozen tree.
-					if ev.Message["nested"].(msg.Map)["x"].(float64) != 1.0 {
-						t.Error("reader saw a writer's private mutation")
-					}
+				} else if x, _ := msg.GetNumber(ev.Message, "nested.x"); x != 1.0 {
+					t.Error("reader saw a writer's private mutation")
 				}
 			}()
 		})
@@ -205,14 +221,14 @@ func TestSubscriptionParams(t *testing.T) {
 	if got["interval"].(float64) != 60000.0 {
 		t.Error("params not snapshotted on subscribe")
 	}
-	// Params is frozen and shared — no per-call copy. Writers thaw.
-	if !msg.IsFrozen(got) {
-		t.Error("Params not frozen")
+	// Params is shared — no per-call copy. Writers clone.
+	if reflect.ValueOf(sub.Params()).Pointer() != reflect.ValueOf(got).Pointer() {
+		t.Error("Params copied per call")
 	}
-	mine := msg.Thaw(got)
+	mine := msg.Clone(got).(msg.Map)
 	mine["provider"] = "NETWORK"
 	if sub.Params()["provider"].(string) != "GPS" {
-		t.Error("thawed copy aliased internal state")
+		t.Error("cloned copy aliased internal state")
 	}
 
 	infos := b.Subscriptions("location")
@@ -233,7 +249,8 @@ func TestEventFields(t *testing.T) {
 	b := New()
 	var ev Event
 	b.Subscribe("wifi-scan", msg.Map{"interval": 5.0}, func(e Event) { ev = e })
-	b.PublishFrom("wifi-scan", msg.Map{"aps": []msg.Value{}}, "device-3")
+	r, _ := msg.Encode(msg.Map{"aps": []msg.Value{}})
+	b.PublishTraced("wifi-scan", r, "device-3", 0)
 	if ev.Channel != "wifi-scan" {
 		t.Errorf("Channel = %q", ev.Channel)
 	}

@@ -79,7 +79,7 @@ func TestScanJSSanitizes(t *testing.T) {
 	if len(h.published) != 1 {
 		t.Fatalf("published = %v", h.published)
 	}
-	out := h.published[0].payload.(msg.Map)
+	out := tree(t, h.published[0].payload)
 	aps := out["aps"].(msg.Map)
 	if _, hasTether := aps["tether"]; hasTether {
 		t.Error("locally administered AP not removed")
@@ -130,7 +130,7 @@ func TestClusteringJSFindsDwell(t *testing.T) {
 	if len(h.published) != 1 {
 		t.Fatalf("published = %d, want 1 closed cluster", len(h.published))
 	}
-	c := h.published[0].payload.(msg.Map)
+	c := tree(t, h.published[0].payload)
 	if c["enter"].(float64) != 1000 {
 		t.Errorf("enter = %v", c["enter"])
 	}
@@ -189,7 +189,7 @@ func TestClusteringJSFreezeRestoresState(t *testing.T) {
 	if len(h.published) != 1 {
 		t.Fatalf("published = %d", len(h.published))
 	}
-	c := h.published[0].payload.(msg.Map)
+	c := tree(t, h.published[0].payload)
 	if c["enter"].(float64) != 1000 {
 		t.Errorf("enter = %v, want 1000 (state survived restart)", c["enter"])
 	}
@@ -220,7 +220,7 @@ func TestCollectJSGeocodesAndLogs(t *testing.T) {
 	if len(h.published) != 1 || h.published[0].channel != "geo-lookup" {
 		t.Fatalf("published = %+v", h.published)
 	}
-	req := h.published[0].payload.(msg.Map)
+	req := tree(t, h.published[0].payload)
 	id := req["id"].(string)
 
 	geoIn(msg.Map{"id": id, "lat": 52.0, "lon": 4.35}, "")
@@ -285,7 +285,7 @@ func TestBatteryScripts(t *testing.T) {
 	if len(h.published) != 1 || h.published[0].channel != "battery-report" {
 		t.Fatalf("published = %+v", h.published)
 	}
-	rep := h.published[0].payload.(msg.Map)
+	rep := tree(t, h.published[0].payload)
 	if rep["voltage"].(float64) != 4.0 || rep["t"].(float64) != 123 {
 		t.Errorf("report = %v", rep)
 	}
@@ -295,4 +295,11 @@ func TestBatteryScripts(t *testing.T) {
 	if len(hc.logs) != 1 || !strings.Contains(hc.logs[0], "dev3") {
 		t.Errorf("collector logs = %v", hc.logs)
 	}
+}
+
+// tree is a published message as a subscriber's writer gets it: one plain
+// tree, whatever mix of trees and encoded nodes the script handed over.
+func tree(t *testing.T, v msg.Value) msg.Map {
+	t.Helper()
+	return mustRaw(t, v).Map()
 }

@@ -104,6 +104,7 @@ type interp struct {
 	buf    []byte   // json() output before it becomes a string
 	cat    []byte   // the text of the + chains being evaluated, innermost last
 	spine  []*binary
+	piece  *call // a chain operand whose builtin may write into cat (operand)
 }
 
 // begin readies the interpreter for one entry into script code.
@@ -112,7 +113,7 @@ func (in *interp) begin(budget int) {
 	// An entry that failed may have left arguments behind.
 	clear(in.args)
 	in.args = in.args[:0]
-	in.cat, in.spine = in.cat[:0], in.spine[:0]
+	in.cat, in.spine, in.piece = in.cat[:0], in.spine[:0], nil
 }
 
 // newFrame returns an empty frame for a call that binds up to nlocals names.
@@ -659,19 +660,41 @@ func (in *interp) runChain(e *binary, env *scope, base int, c *chain) (Value, er
 		return nil, err
 	}
 	for i := len(in.spine) - 1; i >= base; i-- {
-		right, err := in.eval(in.spine[i].right, env)
-		if err != nil {
+		if err := in.operand(in.spine[i].right, env, c); err != nil {
 			return nil, err
 		}
-		in.plus(c, right)
 	}
-	right, err := in.eval(e.right, env)
-	if err != nil {
+	if err := in.operand(e.right, env, c); err != nil {
 		return nil, err
 	}
-	in.plus(c, right)
 	return in.chainValue(c), nil
 }
+
+// operand evaluates a chain's right operand and applies its +. Once the
+// chain is text, a call to a builtin that can write its result as text
+// (json) writes it straight into in.cat: the string it would return is never
+// made. Charges and evaluation order are the call's as ever.
+func (in *interp) operand(n node, env *scope, c *chain) error {
+	in.piece = nil
+	if call, ok := n.(*call); ok && c.text {
+		in.piece = call
+	}
+	right, err := in.eval(n, env)
+	if err != nil {
+		return err
+	}
+	if _, ok := right.(wroteText); ok {
+		c.pieces++
+		c.only = nil
+		return nil
+	}
+	in.plus(c, right)
+	return nil
+}
+
+// wroteText is what a call made by operand returns when its builtin wrote
+// its text into in.cat itself. It never reaches script code.
+type wroteText struct{}
 
 // concat is a lone + whose operands make text (and +=): a chain of one.
 func (in *interp) concat(left, right Value) Value {
@@ -903,6 +926,8 @@ func (in *interp) setProperty(n node, obj Value, name string, v Value) error {
 }
 
 func (in *interp) evalCall(e *call, env *scope) (Value, error) {
+	piece := in.piece == e
+	in.piece = nil
 	var this Value = Undefined
 	var callee Value
 	switch c := e.callee.(type) {
@@ -955,7 +980,16 @@ func (in *interp) evalCall(e *call, env *scope) (Value, error) {
 		}
 		in.args[base+i] = v
 	}
-	v, err := in.invoke(e, callee, this, in.args[base:top:top])
+	var v Value
+	var err error
+	if b, ok := callee.(*Builtin); ok && piece && b.text != nil {
+		var cat []byte
+		if cat, err = b.text(in, in.cat, in.args[base:top:top]); err == nil {
+			in.cat, v = cat, wroteText{}
+		}
+	} else {
+		v, err = in.invoke(e, callee, this, in.args[base:top:top])
+	}
 	clear(in.args[base:top])
 	in.args = in.args[:base]
 	return v, err

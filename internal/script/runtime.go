@@ -16,16 +16,16 @@ import (
 // implement it directly.
 type Host interface {
 	// Publish sends a message on a pub/sub channel. m is the host's from here
-	// on, to read and never to write (see ToMsg): when it is a map it is
-	// either frozen already or a root built for this call, which the host
-	// may therefore mark frozen in place.
+	// on (see ToMsg): a msg.Raw when the script republishes a message it
+	// received untouched, otherwise a tree built for this call — a msg.Map
+	// for an object — whose nodes may be msg.Raws.
 	Publish(channel string, m msg.Value) error
 	// Subscribe registers a handler on a channel with optional parameters.
 	// The returned release/renew functions implement the Subscription
 	// object's methods. The handler receives the message and its origin
-	// (the remote node it came from, or ""); the script reads the message in
-	// place (see FromMsg), so it must not change after the call — a frozen
-	// message is the intended argument.
+	// (the remote node it came from, or ""); the script reads a msg.Raw in
+	// place (see FromMsg), which is what a host hands it; a tree is encoded
+	// first.
 	Subscribe(channel string, params msg.Map, handler func(m msg.Value, origin string)) (release, renew func(), err error)
 	// Print emits a debug message visible on the device UI.
 	Print(script, text string)
@@ -405,8 +405,11 @@ func (s *Script) installAPI() {
 			if err != nil {
 				return nil, in.errorf(nil, "subscribe: bad parameters: %v", err)
 			}
-			if pm, ok := pv.(msg.Map); ok {
+			switch pm := pv.(type) {
+			case msg.Map:
 				params = pm
+			case msg.Raw:
+				params = pm.Map()
 			}
 		}
 		release, renew, err := s.host.Subscribe(channel, params, func(m msg.Value, origin string) {
@@ -447,6 +450,8 @@ func (s *Script) installAPI() {
 	}})
 	g.declare("json", &Builtin{name: "json", fn: func(in *interp, _ Value, args []Value) (Value, error) {
 		return in.jsonString("json", argAt(args, 0))
+	}, text: func(in *interp, dst []byte, args []Value) ([]byte, error) {
+		return in.appendJSON("json", dst, argAt(args, 0))
 	}})
 	g.declare("setTimeout", &Builtin{name: "setTimeout", fn: func(in *interp, _ Value, args []Value) (Value, error) {
 		if len(args) < 2 {
@@ -462,17 +467,27 @@ func (s *Script) installAPI() {
 	}})
 }
 
-// jsonString is the json() and JSON.stringify builtins: v as JSON text. An
-// unwritten view of a message is encoded from the message itself.
+// jsonString is the json() and JSON.stringify builtins: v as JSON text.
 func (in *interp) jsonString(builtin string, v Value) (Value, error) {
+	buf, err := in.appendJSON(builtin, in.buf[:0], v)
+	if err != nil {
+		return nil, err
+	}
+	in.buf = buf
+	return string(buf), nil
+}
+
+// appendJSON appends v's JSON text to dst. An unwritten view of a message is
+// transcoded from the message's bytes.
+func (in *interp) appendJSON(builtin string, dst []byte, v Value) ([]byte, error) {
 	m, err := toMsgDepth(v, 0)
 	if err == nil {
-		in.buf, err = msg.AppendJSON(in.buf[:0], m)
+		dst, err = msg.AppendJSON(dst, m)
 	}
 	if err != nil {
 		return nil, in.errorf(nil, "%s: %v", builtin, err)
 	}
-	return string(in.buf), nil
+	return dst, nil
 }
 
 func joinArgs(args []Value) string {

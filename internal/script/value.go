@@ -3,7 +3,6 @@ package script
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -95,43 +94,44 @@ func (t *table) remove(key string) {
 // Object is a script object with insertion-ordered keys, which keeps for-in
 // iteration deterministic across runs.
 //
-// An object made by FromMsg is a copy-on-write view: while src is set, src is
-// what the object holds and nothing has been written. Scalar properties are
-// read straight from src; the first access that needs more (a nested node, the
-// key order) fills ents from src in sorted key order, nested nodes wrapped as
-// views of their own, and the first write drops src. src is never written.
+// An object made by FromMsg is a copy-on-write view of a message's encoding:
+// while src is set, src is what the object holds and nothing has been
+// written. Scalar properties of a small map are read straight from the bytes;
+// the first access that needs more (a nested node, the key order, a lookup in
+// a map past linearMax entries) fills ents from src in key order, nested
+// nodes wrapped as views of their own, and the first write drops src.
 type Object struct {
 	table
-	src msg.Map
+	src msg.Raw
 }
 
 // NewObject returns an empty object.
 func NewObject() *Object { return &Object{} }
 
-// fill builds a view's entries from its backing map; a no-op once done.
+// viewing reports whether the object is a view not yet filled.
+func (o *Object) viewing() bool { return !o.src.IsZero() && o.ents == nil }
+
+// fill builds a view's entries from its message; a no-op once done.
 func (o *Object) fill() {
-	if o.src == nil || o.ents != nil {
+	if !o.viewing() {
 		return
 	}
-	o.ents = make([]entry, 0, len(o.src))
-	for k, v := range o.src {
-		if !msg.IsMarker(k, v) {
-			o.ents = append(o.ents, entry{k, FromMsg(v)})
-		}
-	}
-	slices.SortFunc(o.ents, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+	o.ents = make([]entry, 0, o.src.Len())
+	o.src.Range(func(k string, v msg.Value) {
+		o.ents = append(o.ents, entry{k, FromMsg(v)})
+	})
 }
 
 // own makes the entries the object's only content, ahead of a write.
 func (o *Object) own() {
 	o.fill()
-	o.src = nil
+	o.src = msg.Raw{}
 }
 
-// clean reports whether the object is a view that still equals its backing
-// map: nothing written to it or to any node reached through it.
+// clean reports whether the object is a view that still equals its message:
+// nothing written to it or to any node reached through it.
 func (o *Object) clean() bool {
-	if o.src == nil {
+	if o.src.IsZero() {
 		return false
 	}
 	for i := range o.ents {
@@ -155,8 +155,8 @@ func cleanValue(v Value) bool {
 
 // Get returns a property and whether it exists.
 func (o *Object) Get(key string) (Value, bool) {
-	if o.src != nil && o.ents == nil {
-		v, ok := o.src[key]
+	if o.viewing() && o.src.Len() <= linearMax {
+		v, ok := o.src.Field(key)
 		if !ok {
 			return nil, false
 		}
@@ -164,8 +164,10 @@ func (o *Object) Get(key string) (Value, bool) {
 		case nil, bool, float64, string:
 			return v, true
 		}
-		o.fill() // a nested node, wrapped once so that m.aps === m.aps
 	}
+	// A nested node is wrapped once, so that m.aps === m.aps; a wide map
+	// gets the table's index.
+	o.fill()
 	if i := o.find(key); i >= 0 {
 		return o.ents[i].val, true
 	}
@@ -197,8 +199,8 @@ func (o *Object) Keys() []string {
 
 // Len returns the number of properties.
 func (o *Object) Len() int {
-	if o.src != nil && o.ents == nil {
-		return msg.Len(o.src)
+	if o.viewing() {
+		return o.src.Len()
 	}
 	return len(o.ents)
 }
@@ -208,30 +210,34 @@ func (o *Object) Len() int {
 // the first write drops src.
 type Array struct {
 	elems []Value
-	src   []msg.Value
+	src   msg.Raw
 }
 
 // NewArray returns an array wrapping elems (not copied).
 func NewArray(elems ...Value) *Array { return &Array{elems: elems} }
 
-// fill builds a view's elements from its backing slice; a no-op once done.
+// viewing reports whether the array is a view not yet filled.
+func (a *Array) viewing() bool { return !a.src.IsZero() && a.elems == nil }
+
+// fill builds a view's elements from its message; a no-op once done.
 func (a *Array) fill() {
-	if a.src == nil || a.elems != nil {
+	if !a.viewing() {
 		return
 	}
-	a.elems = make([]Value, len(a.src))
+	a.elems = make([]Value, 0, a.src.Len())
 	// An array of records is the usual shape of a sensor message: the views
 	// of all the elements that are maps come from one allocation.
 	maps := 0
-	for _, e := range a.src {
-		if _, ok := e.(msg.Map); ok {
+	a.src.Range(func(_ string, e msg.Value) {
+		if r, ok := e.(msg.Raw); ok && r.IsMap() {
 			maps++
 		}
-	}
+		a.elems = append(a.elems, e)
+	})
 	views := make([]Object, maps)
-	for i, e := range a.src {
-		if m, ok := e.(msg.Map); ok {
-			views[0].src = m
+	for i, e := range a.elems {
+		if r, ok := e.(msg.Raw); ok && r.IsMap() {
+			views[0].src = r
 			a.elems[i] = &views[0]
 			views = views[1:]
 		} else {
@@ -243,12 +249,12 @@ func (a *Array) fill() {
 // own makes elems the array's only content, ahead of a write.
 func (a *Array) own() {
 	a.fill()
-	a.src = nil
+	a.src = msg.Raw{}
 }
 
 // clean is Object.clean for arrays.
 func (a *Array) clean() bool {
-	if a.src == nil {
+	if a.src.IsZero() {
 		return false
 	}
 	for _, e := range a.elems {
@@ -261,8 +267,8 @@ func (a *Array) clean() bool {
 
 // Len returns the element count.
 func (a *Array) Len() int {
-	if a.src != nil && a.elems == nil {
-		return len(a.src)
+	if a.viewing() {
+		return a.src.Len()
 	}
 	return len(a.elems)
 }
@@ -296,6 +302,9 @@ type Function struct {
 type Builtin struct {
 	name string
 	fn   func(in *interp, this Value, args []Value) (Value, error)
+	// text, when set, appends to dst the string form of what fn returns; a
+	// + chain uses it to take the text without the string (see operand).
+	text func(in *interp, dst []byte, args []Value) ([]byte, error)
 }
 
 // TypeOf implements the typeof operator.
@@ -459,22 +468,11 @@ func boxNum(f float64) Value {
 
 // ToMsg converts a script value into the msg domain for publication.
 // Function-valued properties are skipped (like JSON.stringify). Undefined
-// becomes nil.
-//
-// The tree returned is the caller's to keep and must not be written: an
-// unwritten view converts to its backing tree, so a map result is either a
-// frozen message or a root built here, and any node below it may be shared
-// with a frozen message.
+// becomes nil. An unwritten view converts to the message it views, so a
+// script that republishes what it received hands the host the same bytes,
+// and a tree built here may hold such messages as nodes. Nothing returned is
+// shared with the script: the caller may keep it.
 func ToMsg(v Value) (msg.Value, error) {
-	if o, ok := v.(*Object); ok && o.clean() && !msg.IsFrozen(o.src) {
-		// An inner node of a message, about to become a root the broker marks
-		// frozen in place: that mark must not land in the message it came from.
-		root := make(msg.Map, len(o.src)+1)
-		for k, e := range o.src {
-			root[k] = e
-		}
-		return root, nil
-	}
 	return toMsgDepth(v, 0)
 }
 
@@ -509,11 +507,7 @@ func toMsgDepth(v Value, depth int) (msg.Value, error) {
 		if x.clean() {
 			return x.src, nil
 		}
-		size := len(x.ents)
-		if depth == 0 {
-			size++ // room for the broker's freeze marker
-		}
-		out := make(msg.Map, size)
+		out := make(msg.Map, len(x.ents))
 		for i := range x.ents {
 			e := x.ents[i].val
 			switch e.(type) {
@@ -535,21 +529,31 @@ func toMsgDepth(v Value, depth int) (msg.Value, error) {
 }
 
 // FromMsg brings a msg-domain value into the script domain. Scalars are the
-// same Go values in both; a map or slice becomes a copy-on-write view (see
-// Object) that reads v and never writes it, so v must not change afterwards —
-// the broker's frozen messages do not. Map keys iterate in sorted order for
-// determinism, the freeze marker skipped, so frozen deliveries read exactly
-// like thawed ones.
+// same Go values in both; an encoded map or array becomes a copy-on-write
+// view of its bytes (see Object), keys in sorted order. A tree (a Map or a
+// []Value) is encoded first, so the script reads what a subscriber of it
+// would: NaN and infinities as null, invalid UTF-8 repaired. A value outside
+// the message domain is undefined.
 func FromMsg(v msg.Value) Value {
 	switch x := v.(type) {
 	case nil:
 		return nil
 	case bool, float64, string:
 		return x
-	case []msg.Value:
-		return &Array{src: x}
-	case msg.Map:
-		return &Object{src: x}
+	case msg.Raw:
+		switch {
+		case x.IsMap():
+			return &Object{src: x}
+		case x.IsArray():
+			return &Array{src: x}
+		}
+		return FromMsg(x.Value())
+	case msg.Map, []msg.Value:
+		r, err := msg.Encode(x)
+		if err != nil {
+			return Undefined
+		}
+		return FromMsg(r)
 	default:
 		return Undefined
 	}

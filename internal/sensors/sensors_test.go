@@ -39,7 +39,7 @@ func TestBatterySensorSamplesOnDemand(t *testing.T) {
 	f.mgr.Register(NewBatterySensor(f.mgr, f.dev))
 
 	var got []msg.Map
-	f.b.Subscribe(ChannelBattery, nil, func(ev pubsub.Event) { got = append(got, ev.Message) })
+	f.b.Subscribe(ChannelBattery, nil, func(ev pubsub.Event) { got = append(got, ev.Message.Map()) })
 	f.clk.Advance(5*time.Minute + time.Second)
 	if len(got) != 5 {
 		t.Fatalf("samples = %d, want 5 at default 1/min", len(got))
@@ -169,7 +169,7 @@ func TestWifiScanSensorPublishesAndDrawsPower(t *testing.T) {
 	f.mgr.Register(s)
 	var scans []msg.Map
 	f.b.Subscribe(ChannelWifiScan, msg.Map{"interval": 60000.0}, func(ev pubsub.Event) {
-		scans = append(scans, ev.Message)
+		scans = append(scans, ev.Message.Map())
 	})
 	before := f.meter.Energy()
 	f.clk.Advance(2*time.Minute + 5*time.Second)
@@ -211,7 +211,7 @@ func TestLocationSensorProviderParameter(t *testing.T) {
 	f.mgr.Register(NewLocationSensor(f.mgr, stubLocation{}))
 	var got []msg.Map
 	f.b.Subscribe(ChannelLocation, msg.Map{"provider": "GPS", "interval": 60000.0}, func(ev pubsub.Event) {
-		got = append(got, ev.Message)
+		got = append(got, ev.Message.Map())
 	})
 	f.clk.Advance(time.Minute + time.Second)
 	if len(got) != 1 {
@@ -226,7 +226,7 @@ func TestLocationSensorDefaultProvider(t *testing.T) {
 	f := newFixture(t, true)
 	f.mgr.Register(NewLocationSensor(f.mgr, stubLocation{}))
 	var got []msg.Map
-	f.b.Subscribe(ChannelLocation, nil, func(ev pubsub.Event) { got = append(got, ev.Message) })
+	f.b.Subscribe(ChannelLocation, nil, func(ev pubsub.Event) { got = append(got, ev.Message.Map()) })
 	f.clk.Advance(time.Minute + time.Second)
 	if len(got) != 1 || got[0]["provider"].(string) != "NETWORK" {
 		t.Errorf("got = %v", got)

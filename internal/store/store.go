@@ -510,7 +510,10 @@ func (o *Outbox) findLocked(id uint64) int {
 
 // Add buffers a message addressed to peer `to`, returning its ID. seq is the
 // sender's per-(to,channel) FIFO sequence number; at is the enqueue instant
-// (the node's clock, so simulated runs age messages in simulated time).
+// (the node's clock, so simulated runs age messages in simulated time). The
+// entry keeps payload itself, not a copy: the caller hands it over and must
+// not write to it again (the transport passes a message's immutable
+// encoding).
 func (o *Outbox) Add(to, channel string, seq uint64, payload []byte, at time.Time) (uint64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -522,7 +525,7 @@ func (o *Outbox) Add(to, channel string, seq uint64, payload []byte, at time.Tim
 		To:         to,
 		Channel:    channel,
 		Seq:        seq,
-		Payload:    append([]byte(nil), payload...),
+		Payload:    payload,
 		EnqueuedAt: at.UnixMilli(),
 	}
 	var act *segment

@@ -82,7 +82,7 @@ func TestBatchCutRetransmitsWithoutDuplicates(t *testing.T) {
 				d := d
 				cols[i] = NewEndpoint(sb.Port(d, nil), store.OpenMemory(), clk, EndpointConfig{})
 				cols[i].OnMessage(func(_, _ string, payload msg.Value) {
-					n, _ := msg.GetNumber(payload.(msg.Map), "n")
+					n, _ := msg.GetNumber(payload.(msg.Raw), "n")
 					got[d] = append(got[d], n)
 				})
 			}
@@ -182,7 +182,7 @@ func TestPropertyBatchedFlushExactlyOnce(t *testing.T) {
 		epB := NewEndpoint(fb, store.OpenMemory(), clk, EndpointConfig{RetryAfter: 2 * time.Second})
 		got := map[string][]float64{}
 		epB.OnMessage(func(_, ch string, payload msg.Value) {
-			n, _ := msg.GetNumber(payload.(msg.Map), "n")
+			n, _ := msg.GetNumber(payload.(msg.Raw), "n")
 			got[ch] = append(got[ch], n)
 		})
 		for i := 0; i < perChan; i++ {
@@ -313,7 +313,7 @@ func TestLargeFlushDrainsOnceOverRealXMPP(t *testing.T) {
 	var mu sync.Mutex
 	var got []float64
 	colEp.OnMessage(func(_, _ string, payload msg.Value) {
-		n, _ := msg.GetNumber(payload.(msg.Map), "n")
+		n, _ := msg.GetNumber(payload.(msg.Raw), "n")
 		mu.Lock()
 		got = append(got, n)
 		mu.Unlock()

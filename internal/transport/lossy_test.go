@@ -56,7 +56,7 @@ func TestPropertyExactlyOncePerChannelFIFO(t *testing.T) {
 		epB := NewEndpoint(fb, store.OpenMemory(), clk, EndpointConfig{RetryAfter: 2 * time.Second})
 		got := map[string][]float64{}
 		epB.OnMessage(func(_, ch string, payload msg.Value) {
-			n, _ := msg.GetNumber(payload.(msg.Map), "n")
+			n, _ := msg.GetNumber(payload.(msg.Raw), "n")
 			got[ch] = append(got[ch], n)
 		})
 		for i := 0; i < perChan; i++ {
@@ -143,7 +143,7 @@ func TestAsymmetricPartitionAndHeal(t *testing.T) {
 	epB := NewEndpoint(fb, store.OpenMemory(), clk, EndpointConfig{RetryAfter: 2 * time.Second})
 	var atA []float64
 	epA.OnMessage(func(_, _ string, payload msg.Value) {
-		n, _ := msg.GetNumber(payload.(msg.Map), "n")
+		n, _ := msg.GetNumber(payload.(msg.Raw), "n")
 		atA = append(atA, n)
 	})
 
@@ -208,7 +208,7 @@ func TestEndpointRebootReplaysOutboxInOrder(t *testing.T) {
 	col := NewEndpoint(sb.Port("col", nil), store.OpenMemory(), clk, EndpointConfig{})
 	var got []float64
 	col.OnMessage(func(_, _ string, payload msg.Value) {
-		n, _ := msg.GetNumber(payload.(msg.Map), "n")
+		n, _ := msg.GetNumber(payload.(msg.Raw), "n")
 		got = append(got, n)
 	})
 
@@ -315,7 +315,7 @@ func ExampleEndpoint() {
 	collector := NewEndpoint(sb.Port("collector", nil), store.OpenMemory(), clk, EndpointConfig{})
 
 	collector.OnMessage(func(from, channel string, payload msg.Value) {
-		v, _ := msg.GetNumber(payload.(msg.Map), "voltage")
+		v, _ := msg.GetNumber(payload.(msg.Raw), "voltage")
 		fmt.Printf("%s/%s: %.1f V\n", from, channel, v)
 	})
 	phone.Enqueue("collector", "battery", msg.Map{"voltage": 4.1})

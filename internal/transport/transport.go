@@ -178,7 +178,7 @@ type Stats struct {
 	MessagesReceived int // deduplicated deliveries to the application
 	Duplicates       int
 	Retries          int // retransmissions of previously sent entries
-	CorruptDropped   int // inbound payloads rejected by the CRC32 frame check
+	CorruptDropped   int // inbound payloads failing the CRC32 frame check, bodies no encoder wrote
 	BytesSent        int64
 	Flushes          int
 }
@@ -361,7 +361,7 @@ type Endpoint struct {
 
 	mu         sync.Mutex
 	onMessage  func(from, channel string, payload msg.Value)
-	onTraced   func(from, channel string, payload msg.Value, trace obs.TraceID)
+	onTraced   func(from, channel string, payload msg.Raw, trace obs.TraceID)
 	onWire     func(sentBytes, recvBytes int64)
 	peers      map[string]*peerState
 	nextSeq    map[string]map[string]uint64 // dest → channel → next FIFO sequence
@@ -489,7 +489,7 @@ func (e *Endpoint) OnMessage(fn func(from, channel string, payload msg.Value)) {
 // OnMessageTraced sets a delivery handler that additionally receives the
 // message's wire-propagated trace ID (0 from an untraced peer). When set it
 // takes precedence over OnMessage.
-func (e *Endpoint) OnMessageTraced(fn func(from, channel string, payload msg.Value, trace obs.TraceID)) {
+func (e *Endpoint) OnMessageTraced(fn func(from, channel string, payload msg.Raw, trace obs.TraceID)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.onTraced = fn
@@ -601,29 +601,32 @@ func (e *Endpoint) retryWait(attempts int) time.Duration {
 
 // Enqueue buffers a message for peer `to` on the given channel. The message
 // is durable (subject to MaxAge) until acknowledged; call Flush — or attach
-// a flush policy in core — to move it. The body is encoded into pooled
-// scratch (the outbox keeps its own copy), so steady-state enqueues generate
-// no wire-encoding garbage.
+// a flush policy in core — to move it. A msg.Raw is kept as it is; any other
+// value is encoded first (msg.Encode).
 func (e *Endpoint) Enqueue(to, channel string, payload msg.Value) error {
-	return e.EnqueueTraced(to, channel, payload, 0)
+	r, ok := payload.(msg.Raw)
+	if !ok {
+		var err error
+		if r, err = msg.Encode(payload); err != nil {
+			return fmt.Errorf("transport: encode: %w", err)
+		}
+	}
+	return e.EnqueueTraced(to, channel, r, 0)
 }
 
-// EnqueueTraced is Enqueue for a message that continues an existing causal
-// trace (a relayed publication): the inherited trace ID travels in this
-// entry's wire envelope instead of a freshly derived root. trace 0 means
-// "originates here" and derives the root ID.
-func (e *Endpoint) EnqueueTraced(to, channel string, payload msg.Value, trace obs.TraceID) error {
-	bp := getWireBuf()
-	b, err := msg.AppendBinary((*bp)[:0], payload)
-	if err != nil {
-		putWireBuf(bp, nil)
-		return fmt.Errorf("transport: encode: %w", err)
+// EnqueueTraced is Enqueue for an encoded message that continues an existing
+// causal trace (a relayed publication): the inherited trace ID travels in
+// this entry's wire envelope instead of a freshly derived root. trace 0
+// means "originates here" and derives the root ID. The outbox keeps the
+// message's bytes themselves: enqueueing copies nothing.
+func (e *Endpoint) EnqueueTraced(to, channel string, r msg.Raw, trace obs.TraceID) error {
+	if r.IsZero() {
+		return errors.New("transport: enqueue: no message")
 	}
 	now := e.clk.Now()
 	e.mu.Lock()
 	seq := e.nextSeq[to][channel]
-	id, err := e.box.Add(to, channel, seq, b, now) // Add copies the payload
-	putWireBuf(bp, b)
+	id, err := e.box.Add(to, channel, seq, r.Bytes(), now)
 	if err != nil {
 		e.mu.Unlock()
 		return fmt.Errorf("transport: enqueue: %w", err)
@@ -1128,18 +1131,27 @@ func (e *Endpoint) receive(from string, payload []byte) {
 	if handler == nil && handlerT == nil {
 		return
 	}
+	bad := 0
 	for _, item := range deliver {
-		// DecodeFrozen hands the application a pre-frozen map whose strings
-		// alias the receive buffer: the broker's zero-copy fanout starts at
-		// the wire, with no defensive clone in between.
-		v, err := msg.DecodeFrozen(item.Body)
+		// The application reads the receive buffer itself, with no decode
+		// and no copy, once the body proves to be what an encoder writes. One
+		// that is not is dropped like a corrupt frame; it was acked and is
+		// not retransmitted, and its channel's order moves past it.
+		r, err := msg.ParseRaw(item.Body)
 		if err != nil {
+			bad++
 			continue
 		}
 		if handlerT != nil {
-			handlerT(sender, item.Channel, v, obs.TraceID(item.Trace))
+			handlerT(sender, item.Channel, r, obs.TraceID(item.Trace))
 		} else {
-			handler(sender, item.Channel, v)
+			handler(sender, item.Channel, r)
 		}
+	}
+	if bad > 0 {
+		e.mu.Lock()
+		e.stats.CorruptDropped += bad
+		e.mu.Unlock()
+		e.obs.corruptDropped.Add(int64(bad))
 	}
 }

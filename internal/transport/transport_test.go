@@ -382,3 +382,26 @@ func TestWiredLatency(t *testing.T) {
 		t.Errorf("delivered %d after latency", len(*got))
 	}
 }
+
+// TestNonCanonicalBodyDropped: a body no encoder writes (here, map keys out of
+// order) is acknowledged but not delivered, and counted as corrupt; the
+// channel's order moves past it, so the message behind it arrives.
+func TestNonCanonicalBodyDropped(t *testing.T) {
+	clk := vclock.NewSim()
+	sb := NewSwitchboard(clk)
+	sb.Associate("dev", "col")
+	col := newWiredNode(t, clk, sb, "col")
+	got := collect(col)
+	good, _ := msg.EncodeBinary(msg.Map{"n": 1.0})
+	env := &envelope{From: "dev", Boot: []byte("b"), Batch: []envelopeItem{
+		{ID: 1, Seq: 0, Channel: "ch", Body: []byte{0x07, 2, 1, 'b', 0x00, 1, 'a', 0x00}},
+		{ID: 2, Seq: 1, Channel: "ch", Body: good},
+	}}
+	col.receive("dev", frameInto(append(frameHeader[:], encodeEnvelope(env)...)))
+	if len(*got) != 1 || !msg.Equal((*got)[0].payload, msg.Map{"n": 1.0}) {
+		t.Fatalf("delivered %v, want only the good message", *got)
+	}
+	if st := col.Stats(); st.CorruptDropped != 1 || st.MessagesReceived != 2 {
+		t.Errorf("stats %+v, want 1 corrupt of 2 received", st)
+	}
+}

@@ -43,9 +43,9 @@ const envMagic = 0xB2
 
 var errEnvelope = errors.New("transport: malformed envelope")
 
-// wireBufPool recycles encode scratch for envelopes, acks, and enqueued
-// bodies. Every consumer (messenger Send, store.Outbox.Add) copies the bytes
-// it keeps, so buffers can be returned as soon as the call chain returns.
+// wireBufPool recycles encode scratch for envelopes and acks. Every consumer
+// (messenger Send) copies the bytes it keeps, so buffers can be returned as
+// soon as the call chain returns.
 // Discipline: take with getWireBuf, release with putWireBuf on EVERY path —
 // including errors — so a slot never leaks or gets clobbered with nil.
 var wireBufPool = sync.Pool{

@@ -82,7 +82,7 @@ func TestEndpointOverRealXMPP(t *testing.T) {
 	if got[0].from != "device" || got[0].channel != "battery" {
 		t.Errorf("got[0] = %+v", got[0])
 	}
-	v, _ := msg.GetNumber(got[0].payload.(msg.Map), "voltage")
+	v, _ := msg.GetNumber(got[0].payload.(msg.Raw), "voltage")
 	if v != 4.1 {
 		t.Errorf("voltage = %v", v)
 	}

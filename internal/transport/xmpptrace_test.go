@@ -44,7 +44,7 @@ func TestTraceContextOverRealXMPP(t *testing.T) {
 
 	var delivered atomic.Int32
 	var gotTrace atomic.Uint64
-	colEp.OnMessageTraced(func(from, channel string, payload msg.Value, trace obs.TraceID) {
+	colEp.OnMessageTraced(func(from, channel string, payload msg.Raw, trace obs.TraceID) {
 		gotTrace.Store(uint64(trace))
 		delivered.Add(1)
 	})
