@@ -54,12 +54,15 @@ check: stdout-guard
 # its reference model (xmpp); in msg, the receive path's body decode
 # (FuzzDecode), reading a message from its bytes against reading its decoded
 # tree — validation, JSON, paths, a script's view (FuzzRaw) — and the plain
-# binary codec's round trip (FuzzBinaryRoundTrip); the scenario parser; and
-# the outbox log's replay, which faces whatever a crash or a bad disk left
-# (store). Run e.g. `go test -fuzz 'FuzzRaw$' -fuzztime 5m ./internal/msg`
-# for a real session. internal/xmpp and internal/msg have several fuzz
-# targets each, and `go test -fuzz` only accepts a pattern matching exactly
-# one, so each is named explicitly.
+# binary codec's round trip (FuzzBinaryRoundTrip); the scenario parser; the
+# outbox log's replay, which faces whatever a crash or a bad disk left
+# (store); and PogoScript (FuzzScript: bytes as a program, which must lex,
+# parse and compile or fail cleanly, and run twice under a small budget
+# without a panic, doing the same both times and failing with the budget
+# error exactly when it runs past it). Run e.g. `go test -fuzz 'FuzzRaw$'
+# -fuzztime 5m ./internal/msg` for a real session. internal/xmpp and
+# internal/msg have several fuzz targets each, and `go test -fuzz` only
+# accepts a pattern matching exactly one, so each is named explicitly.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseStanza$$' -fuzztime 10s ./internal/xmpp
 	$(GO) test -run '^$$' -fuzz 'FuzzSwitchboard$$' -fuzztime 10s ./internal/xmpp
@@ -68,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryRoundTrip$$' -fuzztime 10s ./internal/msg
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioParse$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz 'FuzzScript$$' -fuzztime 10s ./internal/script
 
 # chaos replays the seeded fault-injection matrix (drop, duplicate, corrupt,
 # delay, partition, churn at three fault levels) under the race detector,

@@ -264,10 +264,34 @@ func appendJSONNumber(dst []byte, f float64) []byte {
 		// JSON has no NaN/Inf; JavaScript's JSON.stringify emits null.
 		return append(dst, "null"...)
 	}
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return strconv.AppendInt(dst, int64(f), 10)
+	return AppendNumber(dst, f)
+}
+
+// AppendNumber appends f as ECMAScript's Number::toString writes it, which
+// is also encoding/json's rule for a float: the shortest digits that read
+// back as f, in fixed notation for 1e-6 <= |f| < 1e21 and otherwise as an
+// exponent without zero padding (1e-7, 1.5e+300); -0 is "0", NaN "NaN" and
+// the infinities "Infinity" and "-Infinity".
+func AppendNumber(dst []byte, f float64) []byte {
+	switch abs := math.Abs(f); {
+	case f == math.Trunc(f) && abs < 1e15:
+		return strconv.AppendInt(dst, int64(f), 10) // -0 too
+	case math.IsNaN(f):
+		return append(dst, "NaN"...)
+	case math.IsInf(f, 1):
+		return append(dst, "Infinity"...)
+	case math.IsInf(f, -1):
+		return append(dst, "-Infinity"...)
+	case abs >= 1e-6 && abs < 1e21:
+		return strconv.AppendFloat(dst, f, 'f', -1, 64)
 	}
-	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+	dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+	// e-07 → e-7: the exponent is at least two digits; ECMAScript pads none.
+	if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // appendJSONString appends s JSON-quoted by encoding/json's rule: '"' and

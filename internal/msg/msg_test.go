@@ -169,7 +169,8 @@ func TestEncodeJSONNaNInf(t *testing.T) {
 }
 
 // TestAppendJSONBytes pins the encoder's output for the values where a
-// rewrite is most likely to drift: the number formats and their switch-over,
+// rewrite is most likely to drift: the number formats and their switch-overs
+// (ECMAScript's Number::toString, see AppendNumber),
 // the non-finite numbers, negative zero, and strings that need escaping.
 func TestAppendJSONBytes(t *testing.T) {
 	for _, tt := range []struct {
@@ -182,11 +183,17 @@ func TestAppendJSONBytes(t *testing.T) {
 		{math.Copysign(0, -1), "0"},
 		{-3.0, "-3"},
 		{999999999999999.0, "999999999999999"},
-		{1e15, "1e+15"},
-		{-1e15, "-1e+15"},
+		{1e15, "1000000000000000"},
+		{-1e15, "-1000000000000000"},
+		{1e20, "100000000000000000000"},
 		{1e21, "1e+21"},
 		{0.1, "0.1"},
-		{1.5e-7, "1.5e-07"},
+		{1234567.5, "1234567.5"},
+		{0.00001, "0.00001"},
+		{1e-6, "0.000001"},
+		{1.5e-7, "1.5e-7"},
+		{5e-324, "5e-324"},
+		{-1.5e300, "-1.5e+300"},
 		{"plain", `"plain"`},
 		{"q\"b\\s", `"q\"b\\s"`},
 		{"nl\n\ttab\x01", `"nl\n\ttab\u0001"`},
@@ -397,5 +404,40 @@ func TestPropertyEncodeDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAppendNumberIsJSONFloat: AppendNumber writes every finite number but
+// -0 as encoding/json does, whose float rule is ECMAScript's; -0 is "0".
+func TestAppendNumberIsJSONFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(f float64) {
+		if math.IsNaN(f) || math.IsInf(f, 0) || (f == 0 && math.Signbit(f)) {
+			return
+		}
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendNumber(nil, f); string(got) != string(want) {
+			t.Errorf("AppendNumber(%v) = %s, want %s", f, got, want)
+		}
+	}
+	for _, f := range []float64{0, 1, -1, 0.5, 1e-7, 1e-6, 9.99e-7, 1e15, 1e20, 1e21, 123e300, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		check(f)
+		check(-f)
+	}
+	for i := 0; i < 20000; i++ {
+		check(math.Float64frombits(rng.Uint64()))            // any exponent
+		check(math.Ldexp(rng.Float64(), rng.Intn(160)-80))   // around the switch-overs
+		check(float64(rng.Int63n(1<<53)) * math.Pow(10, -6)) // fixed with a fraction
+	}
+	if got := AppendNumber(nil, math.Copysign(0, -1)); string(got) != "0" {
+		t.Errorf("AppendNumber(-0) = %s", got)
+	}
+	for f, want := range map[float64]string{math.NaN(): "NaN", math.Inf(1): "Infinity", math.Inf(-1): "-Infinity"} {
+		if got := AppendNumber(nil, f); string(got) != want {
+			t.Errorf("AppendNumber(%v) = %s, want %s", f, got, want)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // getProperty resolves obj.name for every supported receiver type.
-func (in *interp) getProperty(n node, obj Value, name string) (Value, error) {
+func (in *interp) getProperty(line int, obj Value, name string) (Value, error) {
 	switch o := obj.(type) {
 	case *Object:
 		if v, ok := o.Get(name); ok {
@@ -37,9 +37,9 @@ func (in *interp) getProperty(n node, obj Value, name string) (Value, error) {
 		}
 		return Undefined, nil
 	case nil:
-		return nil, in.errorf(n, "cannot read %q of null", name)
+		return nil, in.errorf(line, "cannot read %q of null", name)
 	case UndefinedType:
-		return nil, in.errorf(n, "cannot read %q of undefined", name)
+		return nil, in.errorf(line, "cannot read %q of undefined", name)
 	default:
 		return Undefined, nil
 	}
@@ -191,7 +191,7 @@ func init() {
 				if sortErr != nil {
 					return false
 				}
-				r, err := in.invoke(nil, cmp, Undefined, []Value{a.elems[i], a.elems[j]})
+				r, err := in.invoke(0, cmp, Undefined, []Value{a.elems[i], a.elems[j]})
 				if err != nil {
 					sortErr = err
 					return false
@@ -211,7 +211,7 @@ func init() {
 	reads("forEach", func(in *interp, a *Array, args []Value) (Value, error) {
 		cb := argAt(args, 0)
 		for i, e := range a.elems {
-			if _, err := in.invoke(nil, cb, Undefined, []Value{e, boxNum(float64(i)), a}); err != nil {
+			if _, err := in.invoke(0, cb, Undefined, []Value{e, boxNum(float64(i)), a}); err != nil {
 				return nil, err
 			}
 		}
@@ -221,7 +221,7 @@ func init() {
 		cb := argAt(args, 0)
 		out := make([]Value, a.Len())
 		for i, e := range a.elems {
-			v, err := in.invoke(nil, cb, Undefined, []Value{e, boxNum(float64(i)), a})
+			v, err := in.invoke(0, cb, Undefined, []Value{e, boxNum(float64(i)), a})
 			if err != nil {
 				return nil, err
 			}
@@ -233,7 +233,7 @@ func init() {
 		cb := argAt(args, 0)
 		var out []Value
 		for i, e := range a.elems {
-			keep, err := in.invoke(nil, cb, Undefined, []Value{e, boxNum(float64(i)), a})
+			keep, err := in.invoke(0, cb, Undefined, []Value{e, boxNum(float64(i)), a})
 			if err != nil {
 				return nil, err
 			}
@@ -251,13 +251,13 @@ func init() {
 			acc = args[1]
 		} else {
 			if a.Len() == 0 {
-				return nil, in.errorf(nil, "reduce of empty array with no initial value")
+				return nil, in.errorf(0, "reduce of empty array with no initial value")
 			}
 			acc = a.elems[0]
 			start = 1
 		}
 		for i := start; i < a.Len(); i++ {
-			v, err := in.invoke(nil, cb, Undefined, []Value{acc, a.elems[i], boxNum(float64(i)), a})
+			v, err := in.invoke(0, cb, Undefined, []Value{acc, a.elems[i], boxNum(float64(i)), a})
 			if err != nil {
 				return nil, err
 			}
@@ -378,10 +378,10 @@ func init() {
 	})
 }
 
-// installGlobals populates the global scope with the standard library
+// installGlobals populates the global table with the standard library
 // objects available to every script. rng seeds Math.random so simulated
 // runs are reproducible.
-func installGlobals(g *scope, rng *rand.Rand) {
+func installGlobals(g *table, rng *rand.Rand) {
 	mathObj := NewObject()
 	unaryMath := map[string]func(float64) float64{
 		"abs": math.Abs, "floor": math.Floor, "ceil": math.Ceil,
@@ -420,9 +420,9 @@ func installGlobals(g *scope, rng *rand.Rand) {
 	}})
 	mathObj.Set("PI", math.Pi)
 	mathObj.Set("E", math.E)
-	g.declare("Math", mathObj)
+	g.put("Math", mathObj)
 
-	g.declare("parseInt", &Builtin{name: "parseInt", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("parseInt", &Builtin{name: "parseInt", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
 		s := strings.TrimSpace(ToString(argAt(args, 0)))
 		end := 0
 		if strings.HasPrefix(s, "-") || strings.HasPrefix(s, "+") {
@@ -436,7 +436,7 @@ func installGlobals(g *scope, rng *rand.Rand) {
 		}
 		return boxNum(ToNumber(s[:end])), nil
 	}})
-	g.declare("parseFloat", &Builtin{name: "parseFloat", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("parseFloat", &Builtin{name: "parseFloat", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
 		s := strings.TrimSpace(ToString(argAt(args, 0)))
 		// Longest valid numeric prefix, JS-style.
 		end, seenDot, seenExp := 0, false, false
@@ -468,17 +468,17 @@ func installGlobals(g *scope, rng *rand.Rand) {
 		}
 		return math.NaN(), nil
 	}})
-	g.declare("isNaN", &Builtin{name: "isNaN", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("isNaN", &Builtin{name: "isNaN", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
 		return math.IsNaN(ToNumber(argAt(args, 0))), nil
 	}})
-	g.declare("String", &Builtin{name: "String", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("String", &Builtin{name: "String", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
 		return ToString(argAt(args, 0)), nil
 	}})
-	g.declare("Number", &Builtin{name: "Number", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("Number", &Builtin{name: "Number", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
 		return boxNum(ToNumber(argAt(args, 0))), nil
 	}})
-	g.declare("NaN", math.NaN())
-	g.declare("Infinity", math.Inf(1))
+	g.put("NaN", math.NaN())
+	g.put("Infinity", math.Inf(1))
 
 	objectObj := NewObject()
 	objectObj.Set("keys", &Builtin{name: "keys", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
@@ -493,14 +493,14 @@ func installGlobals(g *scope, rng *rand.Rand) {
 		}
 		return NewArray(elems...), nil
 	}})
-	g.declare("Object", objectObj)
+	g.put("Object", objectObj)
 
 	arrayObj := NewObject()
 	arrayObj.Set("isArray", &Builtin{name: "isArray", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
 		_, ok := argAt(args, 0).(*Array)
 		return ok, nil
 	}})
-	g.declare("Array", arrayObj)
+	g.put("Array", arrayObj)
 
 	jsonObj := NewObject()
 	jsonObj.Set("stringify", &Builtin{name: "stringify", fn: func(in *interp, _ Value, args []Value) (Value, error) {
@@ -514,5 +514,5 @@ func installGlobals(g *scope, rng *rand.Rand) {
 		}
 		return FromMsg(v), nil
 	}})
-	g.declare("JSON", jsonObj)
+	g.put("JSON", jsonObj)
 }

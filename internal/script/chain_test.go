@@ -31,12 +31,12 @@ func TestChains(t *testing.T) {
 		{"'x' + ('y' + ('z' + 1))", "xyz1", 36},
 		{"'' + nan + ' ' + inf + ' ' + ninf", "NaN Infinity -Infinity", 40},
 		{"nan + 1", "NaN", 32},
-		{"'' + nz", "-0", 32},
+		{"'' + nz", "0", 32},
 		{"nz + 0 + ''", "0", 34},
 		{"'' + big + ' ' + 1e20", "1e+21 100000000000000000000", 36},
 		{"'' + 0.1 + 0.2", "0.10.2", 34},
 		{"0.1 + 0.2 + ''", "0.30000000000000004", 34},
-		{"'' + -1.5 + -2 + ' ' + 1e-7", "-1.5-2 1e-07", 40},
+		{"'' + -1.5 + -2 + ' ' + 1e-7", "-1.5-2 1e-7", 40},
 		{"null + 1 + 'a'", "1a", 34},
 		{"null + 'a' + undefined", "nullaundefined", 34},
 		{"undefined + 1", "NaN", 32},

@@ -433,6 +433,18 @@ func TestSyntaxErrors(t *testing.T) {
 	}
 }
 
+// TestNonASCIIOutsideStringsIsSyntaxError: a character beyond ASCII that is
+// not a letter fails to lex. The lexer used to read its first byte as a
+// Latin-1 letter, lex an empty identifier and never advance.
+func TestNonASCIIOutsideStringsIsSyntaxError(t *testing.T) {
+	for _, src := range []string{"var a = 1 — 2;", "a → b", "x = “q”;", "var é = 1; print(é);"} {
+		_, err := New("t.js", src, newTestHost(), Config{})
+		if letters := strings.Contains(src, "é"); (err == nil) != letters {
+			t.Errorf("%q: err = %v", src, err)
+		}
+	}
+}
+
 func TestBudgetStopsInfiniteLoop(t *testing.T) {
 	h := newTestHost()
 	s, err := New("spin.js", "while (true) {}", h, Config{StepBudget: 10_000, StartupBudgetFactor: 1})
@@ -711,6 +723,43 @@ func TestNumberFormatting(t *testing.T) {
 		if got := evalExpr(t, tt.expr); got != tt.want {
 			t.Errorf("%s = %q, want %q", tt.expr, got, tt.want)
 		}
+	}
+}
+
+// TestNumbersPrintAsJavaScript: a number's string form, in a script and in
+// json(), is ECMAScript's Number::toString — not Go's %g.
+func TestNumbersPrintAsJavaScript(t *testing.T) {
+	for _, tt := range []struct{ expr, want string }{
+		{"'' + 1234567.5", "1234567.5"},
+		{"'' + 0.00001", "0.00001"},
+		{"1e-7", "1e-7"},
+		{"'' + (-0)", "0"},
+		{"String(-0)", "0"},
+		{"json({n: 1e15})", `{"n":1000000000000000}`},
+		{"json([1234567.5, 0.00001, 1e-7, -0])", "[1234567.5,0.00001,1e-7,0]"},
+		{"[1e-7, -0, 1e21].join()", "1e-7,0,1e+21"},
+	} {
+		if got := evalExpr(t, tt.expr); got != tt.want {
+			t.Errorf("%s = %q, want %q", tt.expr, got, tt.want)
+		}
+	}
+}
+
+// TestCallIndexedElement: calling through an index reads the element as
+// reading it does — an array element is callable, not only a property.
+func TestCallIndexedElement(t *testing.T) {
+	h, _ := run(t, `
+		var a = [function () { return 7; }];
+		print(typeof a[0], a[0]());
+		function f(x) { return 'f' + x; }
+		a[1] = f;
+		print(a[1](2), a[1 + 0]('i'));
+		var o = {m: f};
+		print(o['m'](3), 'abc'['toUpperCase'](), [1, 2]['join']('+'));
+	`)
+	want := []string{"function 7", "f2 fi", "f3 ABC 1+2"}
+	if len(h.errs) != 0 || strings.Join(h.prints, "|") != strings.Join(want, "|") {
+		t.Errorf("prints %q errs %v, want %q", h.prints, h.errs, want)
 	}
 }
 

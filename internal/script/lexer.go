@@ -104,7 +104,7 @@ func (l *lexer) run() {
 			l.lexNumber()
 		case c == '\'' || c == '"':
 			l.lexString(c)
-		case isIdentStart(rune(c)):
+		case isIdentStart(l.rune()):
 			l.lexIdent()
 		default:
 			l.lexPunct()
@@ -256,6 +256,13 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isHex(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+}
+
+// rune returns the character at the current position: a byte beyond ASCII
+// starts a multi-byte one, which is not the Latin-1 letter the byte is.
+func (l *lexer) rune() rune {
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
 }
 
 func isIdentStart(r rune) bool {

@@ -72,10 +72,10 @@ type Script struct {
 
 	host Host
 	cfg  Config
-	prog *program
+	main stmt // the compiled body
 
 	mu          sync.Mutex // serializes script execution
-	globals     *scope
+	globals     *table
 	in          *interp // runs every entry; guarded by mu
 	started     bool
 	stopped     bool
@@ -132,13 +132,13 @@ func New(name, source string, host Host, cfg Config) (*Script, error) {
 		Name: name,
 		host: host,
 		cfg:  cfg.withDefaults(),
-		prog: prog,
+		main: compile(prog),
 		// Scripts run on deployment unless the body opts out with a
 		// top-level setAutoStart(false) — detected statically, since the
 		// body has not run yet when the deployer asks (§4.4).
 		autoStart: detectAutoStart(prog),
 	}
-	s.globals = newScope(nil)
+	s.globals = &table{}
 	s.in = &interp{name: name, globals: s.globals}
 	// Math.random draws from a fixed-seed source so simulated runs are
 	// reproducible.
@@ -182,13 +182,17 @@ func (s *Script) Start() error {
 	s.stats.Entries++
 	startBudget := in.steps
 	defer func() { s.stats.Steps += int64(startBudget - in.steps) }()
-	if err := in.exec(s.prog, s.globals); err != nil {
+	done, err := s.main(in, nil)
+	if err == nil && done != normal {
+		err = &RuntimeError{Script: s.Name, Msg: escapeMsg[done]}
+	}
+	if err != nil {
 		s.noteErrLocked(err)
 		return normalizeErr(s.Name, err)
 	}
-	if fn, ok := s.globals.lookup("start"); ok {
-		if _, isFn := fn.(*Function); isFn {
-			if _, err := in.invoke(nil, fn, Undefined, nil); err != nil {
+	if fn, ok := s.globals.get("start"); ok {
+		if fn, isFn := fn.(*Function); isFn {
+			if _, err := in.call(0, fn, nil); err != nil {
 				s.noteErrLocked(err)
 				return normalizeErr(s.Name, err)
 			}
@@ -219,7 +223,7 @@ func (s *Script) Stop() {
 func (s *Script) Call(fnName string, args ...msg.Value) (msg.Value, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fn, ok := s.globals.lookup(fnName)
+	fn, ok := s.globals.get(fnName)
 	if !ok {
 		return nil, fmt.Errorf("script %s: no function %q", s.Name, fnName)
 	}
@@ -230,7 +234,7 @@ func (s *Script) Call(fnName string, args ...msg.Value) (msg.Value, error) {
 	in := s.in
 	in.begin(s.cfg.StepBudget)
 	s.stats.Entries++
-	out, err := in.invoke(nil, fn, Undefined, vals)
+	out, err := in.invoke(0, fn, Undefined, vals)
 	s.stats.Steps += int64(s.cfg.StepBudget - in.steps)
 	if err != nil {
 		s.noteErrLocked(err)
@@ -277,7 +281,7 @@ func (s *Script) enterLocked(fn Value, args []Value) error {
 	// The arguments go on the interpreter's stack, so that the caller's
 	// slice need not outlive the call.
 	in.args = append(in.args, args...)
-	_, err := in.invoke(nil, fn, Undefined, in.args[:len(args):len(args)])
+	_, err := in.invoke(0, fn, Undefined, in.args[:len(args):len(args)])
 	s.stats.Steps += int64(s.cfg.StepBudget - in.steps)
 	if err != nil {
 		s.noteErrLocked(err)
@@ -320,48 +324,44 @@ func detectAutoStart(prog *program) bool {
 	return true
 }
 
-// normalizeErr converts escaped control-flow signals into RuntimeErrors.
+// normalizeErr converts an escaped throw into a RuntimeError.
 func normalizeErr(name string, err error) error {
-	switch e := err.(type) {
-	case throwSignal:
+	if e, ok := err.(throwSignal); ok {
 		return &RuntimeError{Script: name, Line: e.line, Msg: "uncaught " + ToString(e.value), Thrown: e.value}
-	case returnSignal, breakSignal, continueSignal:
-		return &RuntimeError{Script: name, Msg: err.Error()}
-	default:
-		return err
 	}
+	return err
 }
 
 // installAPI binds the 11-method Pogo API of Table 1 into the globals.
 func (s *Script) installAPI() {
 	g := s.globals
 
-	g.declare("setDescription", &Builtin{name: "setDescription", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("setDescription", &Builtin{name: "setDescription", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
 		s.description = ToString(argAt(args, 0))
 		return Undefined, nil
 	}})
-	g.declare("setAutoStart", &Builtin{name: "setAutoStart", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("setAutoStart", &Builtin{name: "setAutoStart", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
 		s.autoStart = Truthy(argAt(args, 0))
 		return Undefined, nil
 	}})
-	g.declare("print", &Builtin{name: "print", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("print", &Builtin{name: "print", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
 		s.host.Print(s.Name, joinArgs(args))
 		return Undefined, nil
 	}})
-	g.declare("log", &Builtin{name: "log", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("log", &Builtin{name: "log", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
 		s.host.Log(s.Name, "", joinArgs(args))
 		return Undefined, nil
 	}})
-	g.declare("logTo", &Builtin{name: "logTo", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("logTo", &Builtin{name: "logTo", fn: func(in *interp, _ Value, args []Value) (Value, error) {
 		if len(args) < 1 {
-			return nil, in.errorf(nil, "logTo needs a log name")
+			return nil, in.errorf(0, "logTo needs a log name")
 		}
 		s.host.Log(s.Name, ToString(args[0]), joinArgs(args[1:]))
 		return Undefined, nil
 	}})
-	g.declare("publish", &Builtin{name: "publish", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("publish", &Builtin{name: "publish", fn: func(in *interp, _ Value, args []Value) (Value, error) {
 		if len(args) < 2 {
-			return nil, in.errorf(nil, "publish needs (channel, message)")
+			return nil, in.errorf(0, "publish needs (channel, message)")
 		}
 		// Table 1 says publish(channel, message) but Listing 2 writes
 		// publish(msg, 'filtered-scans'); accept both orders.
@@ -373,37 +373,37 @@ func (s *Script) installAPI() {
 		}
 		channel, ok := chArg.(string)
 		if !ok {
-			return nil, in.errorf(nil, "publish: channel must be a string")
+			return nil, in.errorf(0, "publish: channel must be a string")
 		}
 		payload, err := ToMsg(msgArg)
 		if err != nil {
-			return nil, in.errorf(nil, "publish: %v", err)
+			return nil, in.errorf(0, "publish: %v", err)
 		}
 		s.stats.Publishes++
 		if err := s.host.Publish(channel, payload); err != nil {
-			return nil, in.errorf(nil, "publish: %v", err)
+			return nil, in.errorf(0, "publish: %v", err)
 		}
 		return Undefined, nil
 	}})
-	g.declare("subscribe", &Builtin{name: "subscribe", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("subscribe", &Builtin{name: "subscribe", fn: func(in *interp, _ Value, args []Value) (Value, error) {
 		if len(args) < 2 {
-			return nil, in.errorf(nil, "subscribe needs (channel, function)")
+			return nil, in.errorf(0, "subscribe needs (channel, function)")
 		}
 		channel, ok := args[0].(string)
 		if !ok {
-			return nil, in.errorf(nil, "subscribe: channel must be a string")
+			return nil, in.errorf(0, "subscribe: channel must be a string")
 		}
 		handler := args[1]
 		if _, isFn := handler.(*Function); !isFn {
 			if _, isB := handler.(*Builtin); !isB {
-				return nil, in.errorf(nil, "subscribe: second argument must be a function")
+				return nil, in.errorf(0, "subscribe: second argument must be a function")
 			}
 		}
 		var params msg.Map
 		if len(args) > 2 {
 			pv, err := ToMsg(args[2])
 			if err != nil {
-				return nil, in.errorf(nil, "subscribe: bad parameters: %v", err)
+				return nil, in.errorf(0, "subscribe: bad parameters: %v", err)
 			}
 			switch pm := pv.(type) {
 			case msg.Map:
@@ -416,7 +416,7 @@ func (s *Script) installAPI() {
 			s.deliver(handler, m, origin)
 		})
 		if err != nil {
-			return nil, in.errorf(nil, "subscribe: %v", err)
+			return nil, in.errorf(0, "subscribe: %v", err)
 		}
 		s.releases = append(s.releases, release)
 		sub := NewObject()
@@ -431,31 +431,31 @@ func (s *Script) installAPI() {
 		}})
 		return sub, nil
 	}})
-	g.declare("freeze", &Builtin{name: "freeze", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("freeze", &Builtin{name: "freeze", fn: func(in *interp, _ Value, args []Value) (Value, error) {
 		v, err := ToMsg(argAt(args, 0))
 		if err != nil {
-			return nil, in.errorf(nil, "freeze: %v", err)
+			return nil, in.errorf(0, "freeze: %v", err)
 		}
 		if err := s.host.Freeze(s.Name, v); err != nil {
-			return nil, in.errorf(nil, "freeze: %v", err)
+			return nil, in.errorf(0, "freeze: %v", err)
 		}
 		return Undefined, nil
 	}})
-	g.declare("thaw", &Builtin{name: "thaw", fn: func(_ *interp, _ Value, _ []Value) (Value, error) {
+	g.put("thaw", &Builtin{name: "thaw", fn: func(_ *interp, _ Value, _ []Value) (Value, error) {
 		v, ok := s.host.Thaw(s.Name)
 		if !ok {
 			return nil, nil // null when nothing frozen
 		}
 		return FromMsg(v), nil
 	}})
-	g.declare("json", &Builtin{name: "json", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("json", &Builtin{name: "json", fn: func(in *interp, _ Value, args []Value) (Value, error) {
 		return in.jsonString("json", argAt(args, 0))
 	}, text: func(in *interp, dst []byte, args []Value) ([]byte, error) {
 		return in.appendJSON("json", dst, argAt(args, 0))
 	}})
-	g.declare("setTimeout", &Builtin{name: "setTimeout", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("setTimeout", &Builtin{name: "setTimeout", fn: func(in *interp, _ Value, args []Value) (Value, error) {
 		if len(args) < 2 {
-			return nil, in.errorf(nil, "setTimeout needs (function, delay)")
+			return nil, in.errorf(0, "setTimeout needs (function, delay)")
 		}
 		fn := args[0]
 		delay := time.Duration(ToNumber(args[1])) * time.Millisecond
@@ -485,7 +485,7 @@ func (in *interp) appendJSON(builtin string, dst []byte, v Value) ([]byte, error
 		dst, err = msg.AppendJSON(dst, m)
 	}
 	if err != nil {
-		return nil, in.errorf(nil, "%s: %v", builtin, err)
+		return nil, in.errorf(0, "%s: %v", builtin, err)
 	}
 	return dst, nil
 }

@@ -2,13 +2,14 @@
 // JavaScript subset Pogo experiments are written in (§4.4 of the paper).
 //
 // The paper embeds Rhino, a JavaScript runtime for the JVM; this package is
-// the equivalent substrate in pure Go: a lexer, recursive-descent parser,
-// and tree-walking evaluator for the language features the paper's scripts
-// use (closures, objects, arrays, for/for-in, the usual operators), plus the
-// 11-method host API of Table 1 (runtime.go). Sandboxing falls out of the
-// design: a script can only touch what the host API exposes, and every entry
-// into script code runs under a step budget so buggy or malicious code
-// cannot lock up the node (§4.5: the default call timeout is 100 ms).
+// the equivalent substrate in pure Go: a lexer, a recursive-descent parser,
+// and a compiler from the syntax tree to Go closures (compile.go) for the
+// language features the paper's scripts use (closures, objects, arrays,
+// for/for-in, the usual operators), plus the 11-method host API of Table 1
+// (runtime.go). Sandboxing falls out of the design: a script can only touch
+// what the host API exposes, and every entry into script code runs under a
+// step budget so buggy or malicious code cannot lock up the node (§4.5: the
+// default call timeout is 100 ms).
 package script
 
 import "fmt"

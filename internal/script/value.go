@@ -30,7 +30,7 @@ type entry struct {
 const linearMax = 8
 
 // table is an insertion-ordered set of key/value entries: the properties of
-// an Object and the bindings of a scope.
+// an Object and the script's globals.
 type table struct {
 	ents  []entry
 	index map[string]int // key → position in ents; nil until find builds it
@@ -56,6 +56,14 @@ func (t *table) find(key string) int {
 		return i
 	}
 	return -1
+}
+
+// get returns the value under key and whether there is one.
+func (t *table) get(key string) (Value, bool) {
+	if i := t.find(key); i >= 0 {
+		return t.ents[i].val, true
+	}
+	return nil, false
 }
 
 // put stores v under key: in place when the key exists, at the end otherwise.
@@ -291,10 +299,11 @@ func (a *Array) SetAt(i int, v Value) {
 	a.elems[i] = v
 }
 
-// Function is a script-defined function closing over its environment.
+// Function is a script-defined function: compiled code and the frame of
+// the enclosing function it closes over (nil when it closes over nothing).
 type Function struct {
-	lit *funcLit
-	env *scope
+	code *code
+	env  *frame
 }
 
 // Builtin is a host-provided function. this is the receiver for method-style
@@ -370,7 +379,7 @@ func ToString(v Value) string {
 	case *Object:
 		return "[object Object]"
 	case *Function:
-		return "function " + x.lit.name + "() {...}"
+		return "function " + x.code.lit.name + "() {...}"
 	case *Builtin:
 		return "function " + x.name + "() {[native]}"
 	default:
@@ -378,27 +387,14 @@ func ToString(v Value) string {
 	}
 }
 
-// formatNumber renders a float64 the way JavaScript does for common cases.
+// formatNumber renders a float64 as JavaScript does (msg.AppendNumber).
 func formatNumber(f float64) string {
 	var b [32]byte
 	return string(appendNumber(b[:0], f))
 }
 
 // appendNumber appends formatNumber(f) to b.
-func appendNumber(b []byte, f float64) []byte {
-	switch {
-	case math.IsNaN(f):
-		return append(b, "NaN"...)
-	case math.IsInf(f, 1):
-		return append(b, "Infinity"...)
-	case math.IsInf(f, -1):
-		return append(b, "-Infinity"...)
-	case f == math.Trunc(f) && math.Abs(f) < 1e21:
-		return strconv.AppendFloat(b, f, 'f', -1, 64)
-	default:
-		return strconv.AppendFloat(b, f, 'g', -1, 64)
-	}
-}
+func appendNumber(b []byte, f float64) []byte { return msg.AppendNumber(b, f) }
 
 // appendString appends ToString(v) to b, formatting scalars in place.
 func appendString(b []byte, v Value) []byte {

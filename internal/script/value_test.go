@@ -103,11 +103,11 @@ func TestArgumentsOnlyWhereNamed(t *testing.T) {
 		t.Errorf("arguments: %q", h.prints[0])
 	}
 	lit := func(name string) *funcLit {
-		v, ok := s.globals.lookup(name)
+		v, ok := s.globals.get(name)
 		if !ok {
 			t.Fatalf("no %s", name)
 		}
-		return v.(*Function).lit
+		return v.(*Function).code.lit
 	}
 	if !lit("named").usesArgs {
 		t.Error("named: arguments not switched on")
@@ -130,11 +130,11 @@ func TestArgumentsOnlyWhereNamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := s.in
-	plain, _ := s.globals.lookup("plain")
+	plain, _ := s.globals.get("plain")
 	args := []Value{1.0, 2.0}
 	if n := testing.AllocsPerRun(100, func() {
 		in.begin(1000)
-		if _, err := in.invoke(nil, plain, Undefined, args); err != nil {
+		if _, err := in.invoke(0, plain, Undefined, args); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
