@@ -59,10 +59,13 @@ check: stdout-guard
 # (store); and PogoScript (FuzzScript: bytes as a program, which must lex,
 # parse and compile or fail cleanly, and run twice under a small budget
 # without a panic, doing the same both times and failing with the budget
-# error exactly when it runs past it). Run e.g. `go test -fuzz 'FuzzRaw$'
-# -fuzztime 5m ./internal/msg` for a real session. internal/xmpp and
-# internal/msg have several fuzz targets each, and `go test -fuzz` only
-# accepts a pattern matching exactly one, so each is named explicitly.
+# error exactly when it runs past it) and the script encoder against the
+# tree builder it replaced (FuzzToMsg: a graph of script values must encode,
+# and print as json(), exactly as the reference tree does). Run e.g.
+# `go test -fuzz 'FuzzRaw$' -fuzztime 5m ./internal/msg` for a real session.
+# internal/xmpp, internal/msg and internal/script have several fuzz targets
+# each, and `go test -fuzz` only accepts a pattern matching exactly one, so
+# each is named explicitly.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseStanza$$' -fuzztime 10s ./internal/xmpp
 	$(GO) test -run '^$$' -fuzz 'FuzzSwitchboard$$' -fuzztime 10s ./internal/xmpp
@@ -72,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioParse$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz 'FuzzScript$$' -fuzztime 10s ./internal/script
+	$(GO) test -run '^$$' -fuzz 'FuzzToMsg$$' -fuzztime 10s ./internal/script
 
 # chaos replays the seeded fault-injection matrix (drop, duplicate, corrupt,
 # delay, partition, churn at three fault levels) under the race detector,

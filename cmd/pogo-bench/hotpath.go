@@ -103,15 +103,17 @@ const hotpathSinkJS = `subscribe('scans', function (m, origin) {
 });`
 
 // handlerHost is the script.Host of the handler rows: it keeps the handler
-// a script subscribes and the last message it publishes, and drops the rest.
+// a script subscribes and the last object it publishes, which it takes
+// encoded as the core does, and drops the rest.
 type handlerHost struct {
 	handler   func(m msg.Value, origin string)
-	published msg.Map
+	published msg.Raw
 	err       error
 }
 
-func (h *handlerHost) Publish(_ string, m msg.Value) error {
-	h.published, _ = m.(msg.Map)
+func (h *handlerHost) Publish(string, msg.Value) error { return nil }
+func (h *handlerHost) PublishRaw(_ string, r msg.Raw, _ bool) error {
+	h.published = r
 	return nil
 }
 func (h *handlerHost) Subscribe(_ string, _ msg.Map, handler func(msg.Value, string)) (func(), func(), error) {
@@ -172,7 +174,7 @@ func hotpathBenchmarks() []struct {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				br.PublishRaw("bench", payload)
+				br.PublishRaw("bench", payload, true)
 			}
 		}},
 		{"msg_encode_binary", func(b *testing.B) {
@@ -342,7 +344,7 @@ func hotpathBenchmarks() []struct {
 				h.handler(scans[i%len(scans)], "")
 			}
 			b.StopTimer()
-			if h.err != nil || h.published == nil {
+			if h.err != nil || h.published.IsZero() {
 				b.Fatalf("scan.js: err=%v, published=%v", h.err, h.published)
 			}
 		}},
@@ -355,7 +357,7 @@ func hotpathBenchmarks() []struct {
 			wire := make([]msg.Raw, len(scans))
 			for i, m := range scans {
 				scan.handler(m, "")
-				wire[i] = mustEncode(scan.published)
+				wire[i] = scan.published
 			}
 			h := startHandler(b, "sink.js", hotpathSinkJS)
 			b.ReportAllocs()

@@ -444,26 +444,41 @@ func (h *scriptHost) deliverNext() {
 	d.handler(d.m, d.origin)
 }
 
-var _ script.Host = (*scriptHost)(nil)
+var (
+	_ script.Host         = (*scriptHost)(nil)
+	_ script.RawPublisher = (*scriptHost)(nil)
+)
 
-// Publish implements script.Host: local publication; proxies forward it to
-// remote subscribers.
+// PublishRaw implements script.RawPublisher: local publication of an object
+// as the script encoded it, or forwards it, with no re-encode; proxies
+// forward it to remote subscribers. An array is published as Publish
+// publishes any other value.
+func (h *scriptHost) PublishRaw(channel string, r msg.Raw, forwarded bool) error {
+	if !r.IsMap() {
+		return h.Publish(channel, r)
+	}
+	if err := reserved(channel); err != nil {
+		return err
+	}
+	h.ctx.broker.PublishRaw(channel, r, forwarded)
+	return nil
+}
+
+// Publish implements script.Host: a value that is not an object is published
+// as {value: m}.
 func (h *scriptHost) Publish(channel string, m msg.Value) error {
+	if err := reserved(channel); err != nil {
+		return err
+	}
+	h.ctx.broker.Publish(channel, msg.Map{"value": m})
+	return nil
+}
+
+// reserved refuses the channels the core keeps for itself.
+func reserved(channel string) error {
 	if len(channel) > 0 && channel[0] == '@' {
 		return fmt.Errorf("core: channel %q is reserved", channel)
 	}
-	switch x := m.(type) {
-	case msg.Raw:
-		if x.IsMap() {
-			// A message the script forwards untouched: no re-encode.
-			h.ctx.broker.PublishRaw(channel, x)
-			return nil
-		}
-	case msg.Map:
-		h.ctx.broker.Publish(channel, x)
-		return nil
-	}
-	h.ctx.broker.Publish(channel, msg.Map{"value": m})
 	return nil
 }
 
@@ -471,8 +486,8 @@ func (h *scriptHost) Publish(channel string, m msg.Value) error {
 // so a publish in script A never re-enters script B synchronously (§4.5
 // serialization without deadlock), and so handling holds a wake lock.
 func (h *scriptHost) Subscribe(channel string, params msg.Map, handler func(msg.Value, string)) (func(), func(), error) {
-	if len(channel) > 0 && channel[0] == '@' {
-		return nil, nil, fmt.Errorf("core: channel %q is reserved", channel)
+	if err := reserved(channel); err != nil {
+		return nil, nil, err
 	}
 	node := h.ctx.node
 	sub := h.ctx.broker.Subscribe(channel, params, func(ev pubsub.Event) {

@@ -118,8 +118,7 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		return append(dst, x...), nil
 	case []Value:
-		dst = append(dst, tagArray)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
+		dst = AppendArrayHeader(dst, len(x))
 		var err error
 		for _, e := range x {
 			if dst, err = AppendBinary(dst, e); err != nil {
@@ -144,12 +143,10 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 			return appendRepairedMap(dst, x)
 		}
 		sort.Strings(keys)
-		dst = append(dst, tagMap)
-		dst = binary.AppendUvarint(dst, uint64(len(keys)))
+		dst = AppendMapHeader(dst, len(keys))
 		var err error
 		for _, k := range keys {
-			dst = binary.AppendUvarint(dst, uint64(len(k)))
-			dst = append(dst, k...)
+			dst = AppendKey(dst, k)
 			if dst, err = AppendBinary(dst, x[k]); err != nil {
 				break
 			}
@@ -165,6 +162,37 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
 	}
+}
+
+// AppendMapHeader appends the head of a map of n entries. What follows it
+// must be n keys, each written with AppendKey and followed by its value, in
+// increasing byte order of the keys and none repeated. With AppendArrayHeader,
+// AppendKey and AppendBinary for the scalars, it lets a caller that holds a
+// message in a form of its own write the canonical encoding without building
+// a tree; ParseRaw makes a message of what it wrote.
+func AppendMapHeader(dst []byte, n int) []byte {
+	return binary.AppendUvarint(append(dst, tagMap), uint64(n))
+}
+
+// AppendArrayHeader appends the head of an array of n elements, which must
+// follow it.
+func AppendArrayHeader(dst []byte, n int) []byte {
+	return binary.AppendUvarint(append(dst, tagArray), uint64(n))
+}
+
+// AppendKey appends a map key. k must be a CanonicalKey.
+func AppendKey(dst []byte, k string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(k))), k...)
+}
+
+// CanonicalKey returns k as a map key is encoded: with invalid UTF-8
+// replaced by U+FFFD, as in a string, and k itself when it is valid. Two keys
+// of one map with the same canonical key cannot both be encoded.
+func CanonicalKey(k string) string {
+	if utf8.ValidString(k) {
+		return k
+	}
+	return fixUTF8([]byte(k))
 }
 
 // keysPool recycles the sorted-key scratch slices map encoding needs, so a
@@ -204,9 +232,7 @@ func DecodeFrozen(data []byte) (Value, error) {
 func appendRepairedMap(dst []byte, x Map) ([]byte, error) {
 	fixed := make(Map, len(x))
 	for k, v := range x {
-		if !utf8.ValidString(k) {
-			k = fixUTF8([]byte(k))
-		}
+		k = CanonicalKey(k)
 		if _, dup := fixed[k]; dup {
 			return nil, fmt.Errorf("%w: keys equal after UTF-8 repair: %q", ErrUnsupportedValue, k)
 		}
@@ -241,13 +267,13 @@ func decodeBinary(data []byte, depth int) (Value, []byte, error) {
 			// null); hostile bits get the same treatment on the way in.
 			return nil, data[8:], nil
 		}
-		return boxFloat(f), data[8:], nil
+		return BoxFloat(f), data[8:], nil
 	case tagInt:
 		n, sz := binary.Varint(data)
 		if sz <= 0 {
 			return nil, nil, fmt.Errorf("%w: bad varint", ErrBinary)
 		}
-		return boxFloat(float64(n)), data[sz:], nil
+		return BoxFloat(float64(n)), data[sz:], nil
 	case tagString:
 		s, rest, err := decodeBinaryStr(data)
 		if err != nil {

@@ -146,9 +146,10 @@ func (tab *internSlots) put(p *string) {
 // is safe.
 var floatBoxes [4096]atomic.Value
 
-// boxFloat returns f as an interface value, reusing a cached box when the
-// same bit pattern was seen recently.
-func boxFloat(f float64) Value {
+// BoxFloat returns f as an interface value, reusing a cached box when the
+// same bit pattern was seen recently: the one cache of boxed numbers, which
+// the decoder, a Raw's readers and the script evaluator share.
+func BoxFloat(f float64) Value {
 	bits := math.Float64bits(f)
 	idx := (bits * 0x9e3779b97f4a7c15) >> 52 // top 12 bits of a Fibonacci hash
 	if v := floatBoxes[idx].Load(); v != nil {

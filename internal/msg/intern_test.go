@@ -3,6 +3,7 @@ package msg
 import (
 	"fmt"
 	"hash/maphash"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -126,5 +127,28 @@ func TestInternCapBounded(t *testing.T) {
 	}
 	if n := len(table.tab.Load().slots); n > 4*internCap {
 		t.Errorf("table has %d slots for at most %d entries", n, internCap)
+	}
+}
+
+// TestStringBoxReuse: a short string read again from an encoding is the box
+// the first read made — no copy, no box — while a long one is boxed as it
+// is, sharing the encoding's bytes.
+func TestStringBoxReuse(t *testing.T) {
+	long := strings.Repeat("x", stringBoxMax+1)
+	r := mustEncode(t, Map{"bssid": "02:1a:2b:3c:4d:5e", "long": long})
+	first, _ := r.Field("bssid")
+	if n := testing.AllocsPerRun(100, func() {
+		if v, _ := r.Field("bssid"); v != first {
+			t.Fatalf("read %v, want %v", v, first)
+		}
+	}); n != 0 {
+		t.Errorf("repeated short-string read: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if v, _ := r.Field("long"); v != long {
+			t.Fatalf("read %v", v)
+		}
+	}); n != 1 {
+		t.Errorf("long-string read: %v allocs, want 1 (its box)", n)
 	}
 }

@@ -53,14 +53,19 @@ func Encode(v Value) (Raw, error) {
 // again (the transport passes slices of frames it does not reuse). Anything
 // the encoder would not have produced is rejected with ErrBinary.
 func ParseRaw(b []byte) (Raw, error) {
-	rest, err := validate(b, 0)
-	if err != nil {
+	if err := validateAll(b); err != nil {
 		return Raw{}, err
 	}
-	if len(rest) != 0 {
-		return Raw{}, fmt.Errorf("%w: %d bytes of trailing data", ErrBinary, len(rest))
-	}
 	return Raw{&b[0]}, nil
+}
+
+// validateAll checks that b is exactly one canonical encoding.
+func validateAll(b []byte) error {
+	rest, err := validate(b, 0)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: %d bytes of trailing data", ErrBinary, len(rest))
+	}
+	return err
 }
 
 // IsZero reports whether r holds no message.
@@ -299,6 +304,18 @@ func (w *walker) appendJSON(dst []byte) []byte {
 	}
 }
 
+// TranscodeJSON appends to dst the JSON text of enc, a canonical encoding:
+// what AppendJSON writes for the Raw ParseRaw(enc) would return. enc is
+// validated and not retained, so a caller may write it in a scratch buffer
+// it reuses.
+func TranscodeJSON(dst, enc []byte) ([]byte, error) {
+	if err := validateAll(enc); err != nil {
+		return dst, err
+	}
+	w := walker{base: unsafe.Pointer(&enc[0])}
+	return w.appendJSON(dst), nil
+}
+
 // spanString reads the string encoded in span.
 func spanString(span []byte) string {
 	w := walker{base: unsafe.Pointer(&span[0]), off: 1}
@@ -317,7 +334,7 @@ func spanValue(span []byte) Value {
 	case tagTrue:
 		return true
 	case tagFloat, tagInt:
-		return boxFloat(spanNumber(span))
+		return BoxFloat(spanNumber(span))
 	case tagString:
 		return boxString(spanString(span))
 	default:

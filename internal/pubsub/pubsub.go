@@ -192,10 +192,12 @@ func (b *Broker) Publish(channel string, m msg.Map) int {
 	return b.publish(channel, r, "", 0, false)
 }
 
-// PublishRaw is Publish for a message that is encoded already — a script
-// forwarding what it received — and is delivered as it is: a freeze hit.
-func (b *Broker) PublishRaw(channel string, r msg.Raw) int {
-	return b.publish(channel, r, "", 0, true)
+// PublishRaw is Publish for a message that is encoded already, which is
+// delivered as it is. forwarded marks a message published as it arrived — a
+// script forwarding what it received — which the freeze-hit counter books;
+// a script's fresh encoding of an object it built is not one.
+func (b *Broker) PublishRaw(channel string, r msg.Raw, forwarded bool) int {
+	return b.publish(channel, r, "", 0, forwarded)
 }
 
 // SetTraceIdentity enables deterministic trace-ID assignment for local
@@ -221,9 +223,9 @@ func (b *Broker) PublishTraced(channel string, r msg.Raw, origin string, trace o
 	return b.publish(channel, r, origin, trace, true)
 }
 
-// publish fans r out. asIs marks a message that arrived encoded, which the
-// freeze-hit counter records.
-func (b *Broker) publish(channel string, r msg.Raw, origin string, trace obs.TraceID, asIs bool) int {
+// publish fans r out. forwarded marks a message published as it arrived,
+// which the freeze-hit counter records.
+func (b *Broker) publish(channel string, r msg.Raw, origin string, trace obs.TraceID, forwarded bool) int {
 	b.mu.Lock()
 	o := b.obs
 	subs := b.snapshot(channel)
@@ -241,7 +243,7 @@ func (b *Broker) publish(channel string, r msg.Raw, origin string, trace obs.Tra
 	}
 	var cow *obs.Counter
 	if o != nil {
-		if asIs {
+		if forwarded {
 			o.freezeHits.Inc()
 		}
 		o.publishes.Inc()

@@ -81,7 +81,8 @@ func TestSubscriberCopyOnWrite(t *testing.T) {
 }
 
 // TestPublishRaw: an encoded message is delivered as it is — the same bytes,
-// no copy — and booked as a freeze hit; Publish encodes a map and is not.
+// no copy — and booked as a freeze hit when it is forwarded; Publish encodes
+// a map and is not, nor is a fresh encoding.
 func TestPublishRaw(t *testing.T) {
 	b := New()
 	reg := obs.NewRegistry()
@@ -93,7 +94,7 @@ func TestPublishRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.PublishRaw("c", r)
+	b.PublishRaw("c", r, true)
 	if len(got) != 1 || got[0] != r {
 		t.Fatalf("delivered %v, want the published Raw itself", got)
 	}
@@ -104,8 +105,15 @@ func TestPublishRaw(t *testing.T) {
 	if hits := reg.CounterValue("msg_freeze_hits", obs.L("node", "n")); hits != 1 {
 		t.Errorf("Publish of a map booked a freeze hit (%d)", hits)
 	}
-	if n := reg.CounterValue("pubsub_publishes_total", obs.L("node", "n")); n != 2 {
-		t.Errorf("publishes = %d, want 2", n)
+	b.PublishRaw("c", r, false)
+	if len(got) != 3 || got[2] != r {
+		t.Fatalf("a fresh encoding was delivered as %v", got[2:])
+	}
+	if hits := reg.CounterValue("msg_freeze_hits", obs.L("node", "n")); hits != 1 {
+		t.Errorf("PublishRaw of a fresh encoding booked a freeze hit (%d)", hits)
+	}
+	if n := reg.CounterValue("pubsub_publishes_total", obs.L("node", "n")); n != 3 {
+		t.Errorf("publishes = %d, want 3", n)
 	}
 }
 
@@ -133,7 +141,7 @@ func TestPublishAllocations(t *testing.T) {
 		t.Errorf("Publish: %v allocs, want 1", n)
 	}
 	r, _ := msg.Encode(m)
-	if n := testing.AllocsPerRun(100, func() { b.PublishRaw("c", r) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { b.PublishRaw("c", r, true) }); n != 0 {
 		t.Errorf("PublishRaw: %v allocs, want 0", n)
 	}
 }

@@ -3,6 +3,8 @@ package script
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,16 +18,17 @@ import (
 //
 //	go test -run '^$' -bench 'Handler$' -count 10 ./internal/script
 
-// benchHost keeps the handler a script subscribes and the last message it
-// publishes, and drops the rest.
+// benchHost keeps the handler a script subscribes and the last object it
+// publishes, which it takes encoded as the core does, and drops the rest.
 type benchHost struct {
 	handler   func(m msg.Value, origin string)
-	published msg.Value
+	published msg.Raw
 	err       error
 }
 
-func (h *benchHost) Publish(_ string, m msg.Value) error {
-	h.published = m
+func (h *benchHost) Publish(string, msg.Value) error { return nil }
+func (h *benchHost) PublishRaw(_ string, r msg.Raw, _ bool) error {
+	h.published = r
 	return nil
 }
 func (h *benchHost) Subscribe(_ string, _ msg.Map, handler func(msg.Value, string)) (func(), func(), error) {
@@ -93,7 +96,7 @@ func BenchmarkScanHandler(b *testing.B) {
 		h.handler(scans[i%len(scans)], "")
 	}
 	b.StopTimer()
-	if h.err != nil || h.published == nil {
+	if h.err != nil || h.published.IsZero() {
 		b.Fatalf("scan.js: err=%v, published=%v", h.err, h.published)
 	}
 }
@@ -106,11 +109,7 @@ func BenchmarkSinkHandler(b *testing.B) {
 	wire := make([]msg.Raw, len(scans))
 	for i, m := range scans {
 		scan.handler(m, "")
-		r, err := msg.Encode(scan.published)
-		if err != nil {
-			b.Fatal(err)
-		}
-		wire[i] = r
+		wire[i] = scan.published
 	}
 	h := startBench(b, "sink.js", benchSinkJS)
 	b.ReportAllocs()
@@ -122,4 +121,65 @@ func BenchmarkSinkHandler(b *testing.B) {
 	if h.err != nil {
 		b.Fatal(h.err)
 	}
+}
+
+// BenchmarkClusteringHandler and BenchmarkRunningSum time handlers whose
+// numbers mostly miss msg's cache of boxed numbers, where scan.js's mostly
+// hit. clustering.js measures each sample against a window of sixty with
+// cosine distances, fractions most of which it has not made before; the
+// running sums make three new ones at every step. Each runs one script per
+// goroutine, so -cpu 1 times one script and -cpu 2 two that share the cache.
+func BenchmarkClusteringHandler(b *testing.B) {
+	scan := startBench(b, "scan.js", scripts.MustSource("scan.js"))
+	var samples []msg.Raw
+	for _, m := range benchScans(b, 64) {
+		scan.handler(m, "")
+		r, err := msg.Encode(scan.published)
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples = append(samples, r)
+	}
+	benchParallel(b, func(k int) func() {
+		h := startBench(b, "clustering.js", scripts.MustSource("clustering.js"))
+		i := 17 * k
+		return func() {
+			h.handler(samples[i%len(samples)], "")
+			i++
+		}
+	})
+}
+
+func BenchmarkRunningSum(b *testing.B) {
+	const src = `var acc = 0.5, sq = 0;
+subscribe('ch', function (m) {
+  for (var i = 0; i < 100; i++) { acc = acc + m.v / 7; sq = sq + acc * acc; }
+});`
+	benchParallel(b, func(k int) func() {
+		h := startBench(b, "sum.js", src)
+		m, err := msg.Encode(msg.Map{"v": float64(3 + k)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return func() { h.handler(m, "") }
+	})
+}
+
+// benchParallel runs the steps start makes, one per goroutine of
+// b.RunParallel; the kth goroutine's starts at its own place, so that no two
+// make the same numbers.
+func benchParallel(b *testing.B, start func(k int) func()) {
+	steps := make([]func(), runtime.GOMAXPROCS(0))
+	for k := range steps {
+		steps[k] = start(k)
+	}
+	var next atomic.Int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		step := steps[next.Add(1)-1]
+		for pb.Next() {
+			step()
+		}
+	})
 }

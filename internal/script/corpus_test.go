@@ -626,6 +626,22 @@ function inside(loc, poly) {
 }
 var poly = [{x: 1, y: 1}, {x: 2, y: 2}, {x: 3, y: 0}];
 print(inside({x: 2, y: 1}, poly), inside({x: 10, y: 10}, poly));`},
+
+	// ---- appended cases ----
+	// New cases go here, after every other, so that the seed numbers
+	// FuzzScript gives the cases above stay as they are.
+	{name: "api/publish-keys-equal-after-repair", src: `
+var o = {};
+o['é'.slice(0, 1)] = 1;
+o['Ā'.slice(0, 1)] = 2;
+print(Object.keys(o).length);
+publish('x', o);`},
+	{name: "api/json-keys-equal-after-repair", src: `
+var o = {};
+o['é'.slice(0, 1)] = 1;
+o['Ā'.slice(0, 1)] = 2;
+print(json({ok: true}));
+print(json(o));`},
 }
 
 // runCorpusCase runs one corpus program and renders its transcript.

@@ -87,6 +87,7 @@ type interp struct {
 	frames []*frame // frames of finished calls, free for the next
 	buf    []byte   // json() output before it becomes a string
 	cat    []byte   // the text of the + chains being evaluated, innermost last
+	enc    encoder  // what becomes a message or JSON text, encoded
 }
 
 // begin readies the interpreter for one entry into script code.

@@ -10,7 +10,9 @@ import (
 	"pogo/internal/msg"
 )
 
-// testHost is a Host that records everything.
+// testHost is a Host that records everything. It is a RawPublisher, as the
+// core is: what a script builds reaches it encoded, and forwarded holds the
+// flag of each encoding published.
 type testHost struct {
 	prints    []string
 	logs      []string
@@ -18,7 +20,8 @@ type testHost struct {
 		channel string
 		payload msg.Value
 	}
-	subs []*testSub
+	forwarded []bool
+	subs      []*testSub
 	// frozen per script name
 	frozen map[string]msg.Value
 	timers []struct {
@@ -49,6 +52,11 @@ func (h *testHost) Publish(channel string, m msg.Value) error {
 	return nil
 }
 
+func (h *testHost) PublishRaw(channel string, r msg.Raw, forwarded bool) error {
+	h.forwarded = append(h.forwarded, forwarded)
+	return h.Publish(channel, r)
+}
+
 func (h *testHost) Subscribe(channel string, params msg.Map, handler func(msg.Value, string)) (func(), func(), error) {
 	sub := &testSub{channel: channel, params: params, handler: handler, active: true}
 	h.subs = append(h.subs, sub)
@@ -76,10 +84,26 @@ func (h *testHost) SetTimeout(fn func(), delay time.Duration) {
 }
 func (h *testHost) ReportError(script string, err error) { h.errs = append(h.errs, err) }
 
+// plainHost hides testHost's PublishRaw: a Host that is not a
+// RawPublisher, handed a tree for what a script builds.
+type plainHost struct{ Host }
+
 // run compiles and starts a script, returning the host.
 func run(t *testing.T, source string) (*testHost, *Script) {
 	t.Helper()
 	h := newTestHost()
+	return h, startOn(t, h, source)
+}
+
+// runPlain is run on a host that is not a RawPublisher.
+func runPlain(t *testing.T, source string) (*testHost, *Script) {
+	t.Helper()
+	h := newTestHost()
+	return h, startOn(t, plainHost{h}, source)
+}
+
+func startOn(t *testing.T, h Host, source string) *Script {
+	t.Helper()
 	s, err := New("test.js", source, h, Config{})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -87,7 +111,7 @@ func run(t *testing.T, source string) (*testHost, *Script) {
 	if err := s.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	return h, s
+	return s
 }
 
 // evalExpr evaluates one expression via print().
@@ -768,10 +792,7 @@ func TestToMsgRoundTrip(t *testing.T) {
 	if len(h.published) != 1 {
 		t.Fatalf("published = %v", h.published)
 	}
-	m, ok := h.published[0].payload.(msg.Map)
-	if !ok {
-		t.Fatalf("payload = %T", h.published[0].payload)
-	}
+	m := tree(t, h.published[0].payload)
 	want := msg.Map{
 		"n": 1.5, "s": "x", "b": true, "nil": nil,
 		"arr": []msg.Value{1.0, "two"},

@@ -17,8 +17,10 @@ import (
 type Host interface {
 	// Publish sends a message on a pub/sub channel. m is the host's from here
 	// on (see ToMsg): a msg.Raw when the script republishes a message it
-	// received untouched, otherwise a tree built for this call — a msg.Map
-	// for an object — whose nodes may be msg.Raws.
+	// received untouched, a tree decoded from the script's encoding of an
+	// object or array it built — a msg.Map for an object — and the value
+	// itself otherwise. A host that is a RawPublisher is handed an object or
+	// array there instead.
 	Publish(channel string, m msg.Value) error
 	// Subscribe registers a handler on a channel with optional parameters.
 	// The returned release/renew functions implement the Subscription
@@ -41,6 +43,15 @@ type Host interface {
 	SetTimeout(fn func(), delay time.Duration)
 	// ReportError is told about runtime errors in script callbacks.
 	ReportError(script string, err error)
+}
+
+// RawPublisher is a Host that takes what a script publishes as it is
+// encoded, as the core does: no tree is built.
+type RawPublisher interface {
+	// PublishRaw publishes r, the encoding of an object or array. forwarded
+	// reports a message the script received and republishes untouched, as
+	// against one it built, which the script package encoded for this call.
+	PublishRaw(channel string, r msg.Raw, forwarded bool) error
 }
 
 // Config tunes script execution.
@@ -375,12 +386,12 @@ func (s *Script) installAPI() {
 		if !ok {
 			return nil, in.errorf(0, "publish: channel must be a string")
 		}
-		payload, err := ToMsg(msgArg)
+		payload, forwarded, err := in.enc.toMsg(msgArg)
 		if err != nil {
 			return nil, in.errorf(0, "publish: %v", err)
 		}
 		s.stats.Publishes++
-		if err := s.host.Publish(channel, payload); err != nil {
+		if err := s.publish(channel, payload, forwarded); err != nil {
 			return nil, in.errorf(0, "publish: %v", err)
 		}
 		return Undefined, nil
@@ -401,15 +412,12 @@ func (s *Script) installAPI() {
 		}
 		var params msg.Map
 		if len(args) > 2 {
-			pv, err := ToMsg(args[2])
+			pv, _, err := in.enc.toMsg(args[2])
 			if err != nil {
 				return nil, in.errorf(0, "subscribe: bad parameters: %v", err)
 			}
-			switch pm := pv.(type) {
-			case msg.Map:
-				params = pm
-			case msg.Raw:
-				params = pm.Map()
+			if r, ok := pv.(msg.Raw); ok {
+				params = r.Map()
 			}
 		}
 		release, renew, err := s.host.Subscribe(channel, params, func(m msg.Value, origin string) {
@@ -432,7 +440,7 @@ func (s *Script) installAPI() {
 		return sub, nil
 	}})
 	g.put("freeze", &Builtin{name: "freeze", fn: func(in *interp, _ Value, args []Value) (Value, error) {
-		v, err := ToMsg(argAt(args, 0))
+		v, _, err := in.enc.toMsg(argAt(args, 0))
 		if err != nil {
 			return nil, in.errorf(0, "freeze: %v", err)
 		}
@@ -477,17 +485,35 @@ func (in *interp) jsonString(builtin string, v Value) (Value, error) {
 	return string(buf), nil
 }
 
-// appendJSON appends v's JSON text to dst. An unwritten view of a message is
-// transcoded from the message's bytes.
+// appendJSON appends v's JSON text to dst, transcoded from its encoding: the
+// message's own bytes for a view nothing was written to.
 func (in *interp) appendJSON(builtin string, dst []byte, v Value) ([]byte, error) {
-	m, err := toMsgDepth(v, 0)
-	if err == nil {
-		dst, err = msg.AppendJSON(dst, m)
+	r, err := in.enc.encode(v)
+	switch {
+	case err != nil:
+	case r.IsZero():
+		dst, err = msg.TranscodeJSON(dst, in.enc.buf)
+	default:
+		dst, err = msg.AppendJSON(dst, r)
 	}
 	if err != nil {
 		return nil, in.errorf(0, "%s: %v", builtin, err)
 	}
 	return dst, nil
+}
+
+// publish hands the host a message the script publishes: its encoding, when
+// the host takes one, and otherwise a tree decoded from it.
+func (s *Script) publish(channel string, m msg.Value, forwarded bool) error {
+	if r, ok := m.(msg.Raw); ok {
+		if p, ok := s.host.(RawPublisher); ok {
+			return p.PublishRaw(channel, r, forwarded)
+		}
+		if !forwarded {
+			m = r.Value()
+		}
+	}
+	return s.host.Publish(channel, m)
 }
 
 func joinArgs(args []Value) string {

@@ -2,9 +2,11 @@ package script
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"pogo/internal/msg"
 )
@@ -31,10 +33,26 @@ const linearMax = 8
 
 // table is an insertion-ordered set of key/value entries: the properties of
 // an Object and the script's globals.
+//
+// Past linearMax entries find uses an index, built on its first lookup: an
+// open-addressed hash table of positions in ents, mask+1 int32 slots from
+// index on. Slot i holds position+1 of a key whose probe sequence (linear,
+// from its hash) passes i, and 0 when free. Its size is a power of two; put
+// keeps it at most half full, doubling it when it would be more, and remove,
+// which moves the entries behind the hole, rebuilds it. A pointer and a mask
+// rather than a slice keep an Object — every message's view is one — within
+// 48 bytes.
 type table struct {
 	ents  []entry
-	index map[string]int // key → position in ents; nil until find builds it
+	index *int32 // nil until built
+	mask  int
 }
+
+// tableSeed seeds every table's hash.
+var tableSeed = maphash.MakeSeed()
+
+// slots returns the index.
+func (t *table) slots() []int32 { return unsafe.Slice(t.index, t.mask+1) }
 
 // find returns the position of key in ents, or -1.
 func (t *table) find(key string) int {
@@ -47,15 +65,44 @@ func (t *table) find(key string) int {
 		return -1
 	}
 	if t.index == nil {
-		t.index = make(map[string]int, 2*len(t.ents))
-		for i := range t.ents {
-			t.index[t.ents[i].key] = i
+		size := 16
+		for size < 4*len(t.ents) {
+			size *= 2
+		}
+		t.reindex(size)
+	}
+	slots := t.slots()
+	for i := int(maphash.String(tableSeed, key)) & t.mask; ; i = (i + 1) & t.mask {
+		p := slots[i]
+		if p == 0 {
+			return -1
+		}
+		if t.ents[p-1].key == key {
+			return int(p - 1)
 		}
 	}
-	if i, ok := t.index[key]; ok {
-		return i
+}
+
+// reindex rebuilds the index at size slots.
+func (t *table) reindex(size int) {
+	if t.index != nil && t.mask+1 == size {
+		clear(t.slots())
+	} else {
+		t.index, t.mask = &make([]int32, size)[0], size-1
 	}
-	return -1
+	for i := range t.ents {
+		t.slot(i)
+	}
+}
+
+// slot enters ents[i] in the index.
+func (t *table) slot(i int) {
+	slots := t.slots()
+	j := int(maphash.String(tableSeed, t.ents[i].key)) & t.mask
+	for slots[j] != 0 {
+		j = (j + 1) & t.mask
+	}
+	slots[j] = int32(i + 1)
 }
 
 // get returns the value under key and whether there is one.
@@ -76,8 +123,12 @@ func (t *table) put(key string, v Value) {
 		t.ents = make([]entry, 0, 4)
 	}
 	t.ents = append(t.ents, entry{key, v})
-	if t.index != nil {
-		t.index[key] = len(t.ents) - 1
+	switch {
+	case t.index == nil:
+	case 2*len(t.ents) > t.mask+1:
+		t.reindex(2 * (t.mask + 1))
+	default:
+		t.slot(len(t.ents) - 1)
 	}
 }
 
@@ -92,10 +143,7 @@ func (t *table) remove(key string) {
 	t.ents[last] = entry{}
 	t.ents = t.ents[:last]
 	if t.index != nil {
-		delete(t.index, key)
-		for j := i; j < last; j++ {
-			t.index[t.ents[j].key] = j
-		}
+		t.reindex(t.mask + 1)
 	}
 }
 
@@ -451,7 +499,9 @@ var smallNum = func() (t [smallNums]Value) {
 
 // boxNum converts a number the evaluator produced into a Value. Loop
 // counters, lengths and indexes — non-negative integers below smallNums —
-// share one boxed copy each instead of allocating a new one every time.
+// share one boxed copy each; any other number comes from msg's cache of
+// recently boxed numbers, which a handler that computes the same values
+// message after message (a normalised signal strength) mostly hits.
 func boxNum(f float64) Value {
 	if f >= 0 && f < smallNums {
 		// -0 is >= 0 too, and must stay -0: 1/-0 is -Infinity.
@@ -459,69 +509,7 @@ func boxNum(f float64) Value {
 			return smallNum[i]
 		}
 	}
-	return f
-}
-
-// ToMsg converts a script value into the msg domain for publication.
-// Function-valued properties are skipped (like JSON.stringify). Undefined
-// becomes nil. An unwritten view converts to the message it views, so a
-// script that republishes what it received hands the host the same bytes,
-// and a tree built here may hold such messages as nodes. Nothing returned is
-// shared with the script: the caller may keep it.
-func ToMsg(v Value) (msg.Value, error) {
-	return toMsgDepth(v, 0)
-}
-
-func toMsgDepth(v Value, depth int) (msg.Value, error) {
-	if depth > 64 {
-		return nil, fmt.Errorf("script: value nesting too deep (cycle?)")
-	}
-	switch x := v.(type) {
-	case nil, UndefinedType:
-		return nil, nil
-	case bool, float64, string:
-		return x, nil
-	case *Array:
-		if x.clean() {
-			return x.src, nil
-		}
-		out := make([]msg.Value, 0, len(x.elems))
-		for _, e := range x.elems {
-			switch e.(type) {
-			case *Function, *Builtin:
-				out = append(out, nil)
-				continue
-			}
-			m, err := toMsgDepth(e, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-		}
-		return out, nil
-	case *Object:
-		if x.clean() {
-			return x.src, nil
-		}
-		out := make(msg.Map, len(x.ents))
-		for i := range x.ents {
-			e := x.ents[i].val
-			switch e.(type) {
-			case *Function, *Builtin:
-				continue
-			}
-			m, err := toMsgDepth(e, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			out[x.ents[i].key] = m
-		}
-		return out, nil
-	case *Function, *Builtin:
-		return nil, fmt.Errorf("script: cannot serialize a function")
-	default:
-		return nil, fmt.Errorf("script: cannot serialize %T", v)
-	}
+	return msg.BoxFloat(f)
 }
 
 // FromMsg brings a msg-domain value into the script domain. Scalars are the

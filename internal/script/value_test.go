@@ -3,8 +3,11 @@ package script
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pogo/internal/msg"
 	"pogo/internal/script/scripts"
@@ -68,6 +71,113 @@ func TestObjectOrderAcrossIndexThreshold(t *testing.T) {
 	}
 	if o.Len() != 0 || o.find(want[0]) != -1 {
 		t.Errorf("after deleting all: len %d", o.Len())
+	}
+}
+
+// TestTableMatchesModel runs seeded streams of put, get, remove and re-put
+// over 0 to 200 keys against a Go map and a slice of the keys in insertion
+// order. Each stream grows the table past linearMax, shrinks it below and
+// grows it again, so the index is built, kept, rebuilt on removes and
+// doubled; every lookup must agree with the model and the entries, which
+// for-in walks, must stay in the model's order.
+func TestTableMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nkeys := rng.Intn(201)
+		key := func() string { return fmt.Sprintf("key%d", rng.Intn(nkeys+1)) }
+		var tb table
+		model := map[string]float64{}
+		var order []string
+		drop := func(k string) {
+			delete(model, k)
+			order = slices.DeleteFunc(order, func(o string) bool { return o == k })
+		}
+		up, down := 0, 0 // crossings of linearMax
+		for op := 0; op < 3000; op++ {
+			// Three phases: mostly puts, mostly removes, mostly puts.
+			puts, removes := 6, 1
+			if op >= 1000 && op < 2000 {
+				puts, removes = 1, 6
+			}
+			k, v := key(), float64(op)
+			before := len(tb.ents)
+			switch r := rng.Intn(10); {
+			case r < puts:
+				if _, ok := model[k]; !ok {
+					order = append(order, k)
+				}
+				model[k] = v
+				tb.put(k, v)
+			case r < puts+removes:
+				if len(order) > 0 && rng.Intn(2) == 0 {
+					k = order[rng.Intn(len(order))]
+				}
+				drop(k)
+				tb.remove(k)
+			case r < 9:
+				got, ok := tb.get(k)
+				if want, has := model[k]; ok != has || (ok && got != want) {
+					t.Fatalf("seed %d op %d: get(%s) = %v, %v; want %v, %v", seed, op, k, got, ok, want, has)
+				}
+			default: // set again after a delete: to the end
+				drop(k)
+				tb.remove(k)
+				order = append(order, k)
+				model[k] = v
+				tb.put(k, v)
+			}
+			switch after := len(tb.ents); {
+			case before <= linearMax && after > linearMax:
+				up++
+			case before > linearMax && after <= linearMax:
+				down++
+			}
+			if len(tb.ents) != len(order) {
+				t.Fatalf("seed %d op %d: %d entries, model %d", seed, op, len(tb.ents), len(order))
+			}
+			if op%97 == 0 || op == 2999 {
+				for i, k := range order {
+					if tb.ents[i].key != k || tb.ents[i].val != model[k] || tb.find(k) != i {
+						t.Fatalf("seed %d op %d: entry %d is %s=%v (find %d), model %s=%v",
+							seed, op, i, tb.ents[i].key, tb.ents[i].val, tb.find(k), k, model[k])
+					}
+				}
+				if tb.find("absent") != -1 {
+					t.Fatalf("seed %d op %d: found a key never put", seed, op)
+				}
+			}
+		}
+		if nkeys > 4*linearMax && (up < 2 || down < 1) {
+			t.Errorf("seed %d: %d keys crossed linearMax %d times up and %d down", seed, nkeys, up, down)
+		}
+	}
+}
+
+// TestBuildObjectAllocations pins building an object of 18 keys, as scan.js
+// builds one per scan: the object, its entries grown from 4 to 8, 16 and 32,
+// and the index, made once past linearMax with room for 18. An Object, which
+// every delivered message's view is, stays within the 48-byte size class.
+func TestBuildObjectAllocations(t *testing.T) {
+	if n := unsafe.Sizeof(Object{}); n > 48 {
+		t.Errorf("an Object is %d bytes", n)
+	}
+	keys := make([]string, 18)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("00:11:22:33:44:%02x", i)
+	}
+	var o *Object
+	if n := testing.AllocsPerRun(100, func() {
+		o = NewObject()
+		for i, k := range keys {
+			o.Set(k, smallNum[i])
+		}
+	}); n != 6 {
+		t.Errorf("an 18-key object: %v allocs, want 6", n)
+	}
+	for i, k := range keys {
+		if v, _ := o.Get(k); v != smallNum[i] {
+			t.Errorf("%s = %v", k, v)
+		}
 	}
 }
 
@@ -298,8 +408,15 @@ const benchSinkJS = `subscribe('scans', function (m, origin) {
   logTo('sink', origin + ' ' + m.t + ' ' + json(m));
 });`
 
-// The scan ceiling is the measured count (38) plus a little room for a Go
-// release that counts differently. The sink's is its measured count, fed an
+// The scan ceiling is its measured count, on a host that takes the published
+// object encoded as the core does: the view of the scan and the entries it
+// fills to reach aps, the array's view, elements and one block of element
+// views, the object the handler builds with its entries grown four times and
+// its index made once, the published literal and its entries, and the one
+// buffer the object is encoded into. It was 38 while publish built a
+// msg.Map tree for the broker to encode, a table past linearMax had a Go map
+// for its index and every non-integer result was boxed on its own. The
+// sink's is its measured count, fed an
 // encoded message as production feeds it: the view of the message, the one
 // string the fused chain makes — json() writes its text straight into it —
 // and its box, and the test host's log line. It was 6 while json() made a
@@ -307,9 +424,15 @@ const benchSinkJS = `subscribe('scans', function (m, origin) {
 // numbers were formatted on their own, the origin was boxed per call and
 // logTo built an argument slice. With map-backed objects and frames, boxed
 // numbers and messages copied in and out, the same handlers cost 460 and 77.
+//
+// boxCollisionCeiling is what two pairs of the scan's BSSIDs sharing slots of
+// msg's string box cache cost, a copy and a box per read of each: one pair
+// comes in about one process in twenty-five, two in one in 1 500, three in
+// one in 100 000. A cache that kept nothing would cost 36.
 const (
-	scanHandlerAllocCeiling = 45
+	scanHandlerAllocCeiling = 14
 	sinkHandlerAllocCeiling = 4
+	boxCollisionCeiling     = 8
 )
 
 func TestHandlerAllocationCeilings(t *testing.T) {
@@ -320,18 +443,35 @@ func TestHandlerAllocationCeilings(t *testing.T) {
 	if len(h.published) != 1 {
 		t.Fatalf("scan.js published %d messages", len(h.published))
 	}
-	wire := mustRaw(t, h.published[0].payload)
+	wire := h.published[0].payload.(msg.Raw)
 	if aps, _ := wire.Field("aps"); aps.(msg.Raw).Len() != 18 {
 		n := aps.(msg.Raw).Len()
 		t.Fatalf("scan.js kept %d access points, want 18", n)
 	}
+	// msg's cache of short strings read from encodings is seeded per
+	// process: in about one process in twenty-five, two of the scan's BSSIDs
+	// share a slot, and every read of either boxes it again. That cost is
+	// the cache's, so it is measured on its own, by reading the BSSIDs the
+	// handler reads, and taken off — up to boxCollisionCeiling, so that a
+	// cache that stopped keeping what it boxed still fails here.
+	apsRaw, _ := scan.Field("aps")
+	boxes := testing.AllocsPerRun(200, func() {
+		apsRaw.(msg.Raw).Range(func(_ string, ap msg.Value) {
+			if local, _ := ap.(msg.Raw).Field("local"); local != true {
+				ap.(msg.Raw).Field("bssid")
+			}
+		})
+	})
+	if boxes > boxCollisionCeiling {
+		t.Errorf("reading the scan's BSSIDs: %v allocs, ceiling %d", boxes, boxCollisionCeiling)
+	}
 	if n := testing.AllocsPerRun(200, func() {
 		h.published = h.published[:0]
 		scanHandler(scan, "")
-	}); n > scanHandlerAllocCeiling {
+	}) - boxes; n > scanHandlerAllocCeiling {
 		t.Errorf("scan.js handler: %v allocs per 20-AP scan, ceiling %d", n, scanHandlerAllocCeiling)
 	} else {
-		t.Logf("scan.js handler: %v allocs per 20-AP scan", n)
+		t.Logf("scan.js handler: %v allocs per 20-AP scan (and %v by the string box cache)", n, boxes)
 	}
 
 	hs, _ := run(t, benchSinkJS)
