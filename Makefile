@@ -56,7 +56,9 @@ check: stdout-guard
 # tree — validation, JSON, paths, a script's view (FuzzRaw) — and the plain
 # binary codec's round trip (FuzzBinaryRoundTrip); the scenario parser; the
 # outbox log's replay, which faces whatever a crash or a bad disk left
-# (store); and PogoScript (FuzzScript: bytes as a program, which must lex,
+# (store); the transport's delivery core against its reference model, with
+# the fuzzer's bytes also fed to the envelope decoder as inbound payloads
+# (FuzzLink); and PogoScript (FuzzScript: bytes as a program, which must lex,
 # parse and compile or fail cleanly, and run twice under a small budget
 # without a panic, doing the same both times and failing with the budget
 # error exactly when it runs past it) and the script encoder against the
@@ -74,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryRoundTrip$$' -fuzztime 10s ./internal/msg
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioParse$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz 'FuzzLink$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz 'FuzzScript$$' -fuzztime 10s ./internal/script
 	$(GO) test -run '^$$' -fuzz 'FuzzToMsg$$' -fuzztime 10s ./internal/script
 

@@ -566,6 +566,31 @@ func (o *Outbox) Ack(ids ...uint64) error {
 	return o.settleLocked(&del)
 }
 
+// AckTo is Ack for acknowledgements from peer to: it skips the IDs of
+// entries addressed to another peer and returns the IDs it took, filtering
+// ids in place.
+func (o *Outbox) AckTo(to string, ids []uint64) ([]uint64, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
+		return ids[:0], ErrClosed
+	}
+	keep := ids[:0]
+	var del runs
+	for _, id := range ids {
+		i := o.findLocked(id)
+		if i >= 0 && o.slots[i].To != to {
+			continue
+		}
+		keep = append(keep, id)
+		if i >= 0 {
+			o.killLocked(i)
+			del.add(id)
+		}
+	}
+	return keep, o.settleLocked(&del)
+}
+
 // killLocked marks slot i dead and moves its channel's head to the next live
 // entry of the same channel. The forward scan only ever moves a channel's
 // head up the slice, so over a channel's life it visits each slot once.

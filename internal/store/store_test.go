@@ -77,6 +77,32 @@ func TestAckUnknownIDIgnored(t *testing.T) {
 	}
 }
 
+// TestAckToSkipsOtherPeers: an acknowledgement from one peer removes its
+// own entries and IDs the outbox does not know, never an entry addressed to
+// another peer, and the deletion survives a reopen.
+func TestAckToSkipsOtherPeers(t *testing.T) {
+	o, path := openTemp(t)
+	now := vclock.SimEpoch
+	a1, _ := o.Add("a", "ch", 0, []byte("1"), now)
+	b1, _ := o.Add("b", "ch", 0, []byte("2"), now)
+	a2, _ := o.Add("a", "ch", 1, []byte("3"), now)
+	took, err := o.AckTo("a", []uint64{a1, b1, 999, a2})
+	if err != nil || !reflect.DeepEqual(took, []uint64{a1, 999, a2}) {
+		t.Fatalf("AckTo took %v (%v), want [%d 999 %d]", took, err, a1, a2)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	o, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if p := o.Pending(); len(p) != 1 || p[0].ID != b1 {
+		t.Errorf("after reopen %+v buffered, want b's entry %d alone", p, b1)
+	}
+}
+
 // TestPayloadRetained: the outbox keeps the payload it is handed, without
 // a copy, in memory and behind a file alike.
 func TestPayloadRetained(t *testing.T) {

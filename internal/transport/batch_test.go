@@ -387,11 +387,14 @@ func TestRoundTripSteadyStateAllocs(t *testing.T) {
 		roundtrip()
 	}
 	allocs := testing.AllocsPerRun(200, roundtrip)
-	// The tentpole budget is 20 allocs/op (measured ~9); leave headroom for
-	// runtime jitter but catch any pool-churn regression well before the
-	// bench gate does.
-	if allocs > 20 {
-		t.Errorf("steady-state round trip = %.1f allocs, budget 20", allocs)
+	// Measured: 5.00 — the enqueue's encoding, memnet's copy and its hop in
+	// each direction, and the collector's view of the message.
+	budget := 5.0
+	if raceEnabled {
+		budget = 20 // the pools drop items at random under -race (11–13 measured)
+	}
+	if allocs > budget {
+		t.Errorf("steady-state round trip = %.2f allocs, budget %.0f", allocs, budget)
 	}
 	if delivered == 0 {
 		t.Fatal("nothing delivered")

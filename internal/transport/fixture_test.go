@@ -54,7 +54,7 @@ func TestWireFixtures(t *testing.T) {
 				{ID: 42, Seq: 3, Channel: "wifi-scan", Trace: 0xfedcba9876543210,
 					Body: body(msg.Map{"aps": []msg.Value{"aa:01", "aa:02"}, "n": 2.0})},
 			},
-			Floors: map[string]uint64{"battery": 7, "wifi-scan": 3},
+			FloorCh: []string{"battery", "wifi-scan"}, FloorSeq: []uint64{7, 3},
 		}},
 		{"ack_envelope.hex", envelope{From: "collector", Boot: []byte("boot-c"), Ack: []uint64{41, 42}}},
 	} {

@@ -276,7 +276,7 @@ func TestFlushCostIndependentOfInflight(t *testing.T) {
 		t.Errorf("enqueue + flush + ack with 1000 inflight: %.1f allocs/op, want ≤ %.0f (the outbox's payload copy)", allocs, budget)
 	}
 	phone.mu.Lock()
-	inflight, queued := len(phone.inflight), len(phone.retryq)
+	inflight, queued := len(phone.core.inflight), len(phone.core.retryq)
 	phone.mu.Unlock()
 	if inflight != 1000 || queued != 1000 || phone.Pending() != 1000 {
 		t.Errorf("inflight records %d, queued deadlines %d, pending %d; want the 1000 unacked in each",

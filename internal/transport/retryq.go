@@ -1,9 +1,12 @@
 package transport
 
-import "time"
+import (
+	"container/heap"
+	"time"
+)
 
 // sendState tracks one inflight entry: picked up by a flush and not yet
-// acknowledged. Records are recycled through Endpoint.free, so steady-state
+// acknowledged. Records are recycled through link.free, so steady-state
 // sending allocates none.
 type sendState struct {
 	id uint64
@@ -21,64 +24,38 @@ type sendState struct {
 // deadline, each record knowing its own position so an ack removes it in
 // O(log n) — no stale items, no rebuilds. It answers the two questions every
 // flush asks of the inflight set, "which entries are due" and "when is the
-// next one due", without visiting the entries that are not.
+// next one due", without visiting the entries that are not. Len, Less, Swap,
+// Push and Pop serve container/heap; the queue's own methods are push,
+// remove and popDue.
 type deadlineQueue []*sendState
 
-func (q deadlineQueue) less(i, j int) bool { return q[i].due.Before(q[j].due) }
+func (q deadlineQueue) Len() int           { return len(q) }
+func (q deadlineQueue) Less(i, j int) bool { return q[i].due.Before(q[j].due) }
 
-func (q deadlineQueue) swap(i, j int) {
+func (q deadlineQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].pos, q[j].pos = i, j
 }
 
-func (q deadlineQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			return
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-func (q deadlineQueue) down(i int) {
-	for {
-		least := i
-		if l := 2*i + 1; l < len(q) && q.less(l, least) {
-			least = l
-		}
-		if r := 2*i + 2; r < len(q) && q.less(r, least) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		q.swap(i, least)
-		i = least
-	}
-}
-
-func (q *deadlineQueue) push(st *sendState) {
+func (q *deadlineQueue) Push(x any) {
+	st := x.(*sendState)
 	st.pos = len(*q)
 	*q = append(*q, st)
-	q.up(st.pos)
 }
 
-// remove takes st out of the queue; st must be queued (pos ≥ 0).
-func (q *deadlineQueue) remove(st *sendState) {
-	i, last := st.pos, len(*q)-1
-	if i != last {
-		q.swap(i, last)
-	}
-	(*q)[last] = nil
-	*q = (*q)[:last]
+func (q *deadlineQueue) Pop() any {
+	n := len(*q) - 1
+	st := (*q)[n]
+	(*q)[n] = nil
+	*q = (*q)[:n]
 	st.pos = -1
-	if i != last {
-		q.down(i)
-		q.up(i)
-	}
+	return st
 }
+
+func (q *deadlineQueue) push(st *sendState) { heap.Push(q, st) }
+
+// remove takes st out of the queue; st must be queued (pos ≥ 0).
+func (q *deadlineQueue) remove(st *sendState) { heap.Remove(q, st.pos) }
 
 // popDue removes and returns the entry with the earliest deadline if that
 // deadline has been reached at now, nil otherwise.
@@ -86,7 +63,5 @@ func (q *deadlineQueue) popDue(now time.Time) *sendState {
 	if len(*q) == 0 || (*q)[0].due.After(now) {
 		return nil
 	}
-	st := (*q)[0]
-	q.remove(st)
-	return st
+	return heap.Pop(q).(*sendState)
 }

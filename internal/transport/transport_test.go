@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -242,7 +245,7 @@ func TestReceiverDeduplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []uint64{1, total - 1} {
-		col.receive("a", frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), "a", dev.cfg.BootID,
+		col.receive("a", frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), "a", dev.core.boot,
 			[]envelopeItem{{ID: n, Seq: n - 1, Channel: "ch", Body: body}}, nil, nil, nil)))
 	}
 	if dup := col.Stats().Duplicates; len(*got) != total || dup != 4 {
@@ -403,5 +406,110 @@ func TestNonCanonicalBodyDropped(t *testing.T) {
 	}
 	if st := col.Stats(); st.CorruptDropped != 1 || st.MessagesReceived != 2 {
 		t.Errorf("stats %+v, want 1 corrupt of 2 received", st)
+	}
+}
+
+// TestForgedSenderDropped: the switchboard stamps every stanza with the
+// sender it authenticated, and that is who an envelope is from. Phone a
+// claims to be b, under a boot of its own: the collector must neither
+// deliver a's message as b's nor let the forged boot reset b's FIFO state.
+func TestForgedSenderDropped(t *testing.T) {
+	clk := vclock.NewSim()
+	sb := NewSwitchboard(clk)
+	sb.Associate("a", "col")
+	sb.Associate("b", "col")
+	a := sb.Port("a", nil)
+	b := NewEndpoint(sb.Port("b", nil), store.OpenMemory(), clk, EndpointConfig{BootID: "b1"})
+	col := newWiredNode(t, clk, sb, "col")
+	got := collect(col)
+	send := func(n float64) {
+		b.Enqueue("col", "ch", msg.Map{"n": n})
+		b.Flush()
+		clk.Advance(time.Second)
+	}
+	send(0)
+	send(1)
+	body, err := msg.EncodeBinary(msg.Map{"n": 99.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), "b", "forged",
+		[]envelopeItem{{ID: 1, Seq: 0, Channel: "ch", Body: body}}, nil, []string{"ch"}, []uint64{0}))
+	a.Send("col", forged)
+	clk.Advance(time.Second)
+	send(2)
+	var ns []float64
+	for _, r := range *got {
+		n, _ := msg.GetNumber(r.payload.(msg.Raw), "n")
+		if r.from != "b" {
+			t.Errorf("delivered n=%v from %q", n, r.from)
+		}
+		ns = append(ns, n)
+	}
+	if !reflect.DeepEqual(ns, []float64{0, 1, 2}) {
+		t.Errorf("delivered %v from b, want [0 1 2]", ns)
+	}
+	if st := col.Stats(); st.CorruptDropped != 1 || st.Duplicates != 0 {
+		t.Errorf("CorruptDropped = %d, Duplicates = %d; want the forgery dropped as corrupt (1) and no duplicate",
+			st.CorruptDropped, st.Duplicates)
+	}
+}
+
+// TestAckFromAnotherPeerIgnored: an ack settles an entry only when it comes
+// from the peer the entry is addressed to. Collector c1 acking ID 1, which
+// waits for c2, must leave it buffered, and c2 must still get it.
+func TestAckFromAnotherPeerIgnored(t *testing.T) {
+	clk := vclock.NewSim()
+	sb := NewSwitchboard(clk)
+	sb.Associate("phone", "c1")
+	sb.Associate("phone", "c2")
+	phone := newWiredNode(t, clk, sb, "phone")
+	c1 := sb.Port("c1", nil)
+	if err := phone.Enqueue("c2", "ch", msg.Map{"n": 1.0}); err != nil {
+		t.Fatal(err)
+	}
+	ack := frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), "c1", "c1-boot", nil, []uint64{1}, nil, nil))
+	c1.Send("phone", ack)
+	clk.Advance(time.Second)
+	if n := phone.Pending(); n != 1 {
+		t.Fatalf("Pending = %d after c1 acked c2's message, want 1", n)
+	}
+	c2 := newWiredNode(t, clk, sb, "c2")
+	got := collect(c2)
+	phone.Flush()
+	clk.Advance(time.Second)
+	if len(*got) != 1 || phone.Pending() != 0 {
+		t.Errorf("c2 got %d messages, phone Pending = %d; want 1 and 0", len(*got), phone.Pending())
+	}
+	if st := phone.Stats(); st.MessagesAcked != 1 {
+		t.Errorf("MessagesAcked = %d, want c2's ack alone (1)", st.MessagesAcked)
+	}
+}
+
+// TestNewEndpointFootprint pins what constructing an endpoint costs — the
+// endpoint itself, its timer callback and its two messenger registrations —
+// since fleet experiments hold a hundred thousand of them.
+func TestNewEndpointFootprint(t *testing.T) {
+	const n = 1000
+	clk := vclock.NewSim()
+	sb := NewSwitchboard(clk)
+	ports := make([]*Port, n)
+	boxes := make([]*store.Outbox, n)
+	eps := make([]*Endpoint, n)
+	for i := range ports {
+		ports[i] = sb.Port("p"+strconv.Itoa(i), nil)
+		boxes[i] = store.OpenMemory()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range eps {
+		eps[i] = NewEndpoint(ports[i], boxes[i], clk, EndpointConfig{BootID: "b"})
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(eps)
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	if allocs > 5*n || bytes > 696*n {
+		t.Errorf("%d endpoints: %d allocs, %d B; want ≤ %d and ≤ %d", n, allocs, bytes, 5*n, 696*n)
 	}
 }

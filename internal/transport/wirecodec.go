@@ -2,15 +2,15 @@ package transport
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 
 	"pogo/internal/msg"
 )
 
-// Envelope codec and pooled framing: the zero-garbage half of the wire path.
+// Envelope codec and framing: the zero-garbage half of the wire path.
 // There is one envelope format, and both ends of every connection speak it.
 //
 // A switchboard payload is a 9-byte frame header — the CRC32 (IEEE) of
@@ -32,7 +32,7 @@ import (
 // overruns the input, trailing bytes — is rejected and counted in
 // transport_corrupt_dropped_total; the sender retransmits.
 //
-// Decode mirrors encode's pooling: an envScratch carries the batch, ack, and
+// Decode recycles its storage: an envScratch carries the batch, ack, and
 // floor storage from envelope to envelope, and the envelope's From and
 // Channel strings are interned — sensor fleets repeat the same few
 // identifiers forever, so in steady state decoding an envelope allocates
@@ -43,49 +43,23 @@ const envMagic = 0xB2
 
 var errEnvelope = errors.New("transport: malformed envelope")
 
-// wireBufPool recycles encode scratch for envelopes and acks. Every consumer
-// (messenger Send) copies the bytes it keeps, so buffers can be returned as
-// soon as the call chain returns.
-// Discipline: take with getWireBuf, release with putWireBuf on EVERY path —
-// including errors — so a slot never leaks or gets clobbered with nil.
-var wireBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
-
-// getWireBuf takes a pooled buffer handle. Use (*bp)[:0] as the working
-// slice and hand both back to putWireBuf when done.
-func getWireBuf() *[]byte { return wireBufPool.Get().(*[]byte) }
-
-// putWireBuf returns a pooled buffer, keeping whatever capacity the working
-// slice grew to. A nil buf (an encode error path) keeps the handle's
-// original backing array instead of clobbering the slot.
-func putWireBuf(bp *[]byte, buf []byte) {
-	if buf != nil {
-		*bp = buf[:0]
-	}
-	wireBufPool.Put(bp)
-}
-
 // frameHeader is the placeholder the encoder reserves at the front of a
-// pooled buffer; frameInto overwrites it with the real CRC32 header.
+// buffer; frameInto overwrites it with the real CRC32 header.
 var frameHeader = [9]byte{'0', '0', '0', '0', '0', '0', '0', '0', ':'}
 
 // frameInto fills the reserved 9-byte header of buf ("%08x:" CRC32 of the
 // body at buf[9:]) in place.
 func frameInto(buf []byte) []byte {
-	const hexdigits = "0123456789abcdef"
-	crc := crc32.ChecksumIEEE(buf[9:])
-	for i := 7; i >= 0; i-- {
-		buf[i] = hexdigits[crc&0xf]
-		crc >>= 4
-	}
+	var crc [4]byte
+	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf[9:]))
+	hex.Encode(buf[:8], crc[:])
 	buf[8] = ':'
 	return buf
 }
 
 // appendEnvelope appends the encoding of one envelope to dst. Floors travel
-// as parallel (channel, seq) slices — the flush path keeps them that way to
-// stay allocation-free — and floorCh must already be sorted.
+// as parallel (channel, seq) slices, as both ends keep them, and floorCh
+// must already be sorted.
 func appendEnvelope(dst []byte, from, boot string, batch []envelopeItem, ack []uint64, floorCh []string, floorSeq []uint64) []byte {
 	dst = append(dst, envMagic)
 	dst = appendUvStr(dst, from)
@@ -117,34 +91,68 @@ func appendUvStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// sortStrings is an allocation-free insertion sort for the short channel
-// lists envelopes carry (sort.Strings boxes its argument).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+// envelope is one decoded switchboard payload: a batch of data messages
+// and/or a set of acknowledgements.
+type envelope struct {
+	From string
+	// Boot identifies the sender's process lifetime. Message IDs restart
+	// after a reboot (fresh outbox), so the receiver resets its dedup state
+	// for the sender whenever Boot changes. It aliases the input: unique per
+	// node start, it is compared with the stored boot, not interned.
+	Boot  []byte
+	Batch []envelopeItem
+	Ack   []uint64
+	// FloorCh[i] → FloorSeq[i]: per channel, the lowest sequence number
+	// still live in the sender's outbox (or the next sequence to be assigned
+	// when the channel drained). The receiver uses them to skip sequence
+	// gaps left by the max-age purge or by acks that predate its own reboot.
+	FloorCh  []string
+	FloorSeq []uint64
 }
 
-// envScratch is the reusable decode + receive-side storage for one envelope:
-// batch, ack, and floor entries land in recycled slices/maps instead of
-// per-envelope allocations. Scratch contents are only valid until the next
-// decode with the same scratch; receive copies anything it retains (held
-// items are copied by value into the hold map).
-type envScratch struct {
-	batch  []envelopeItem
-	ack    []uint64
-	floors map[string]uint64
+type envelopeItem struct {
+	ID      uint64
+	Seq     uint64
+	Channel string
+	Trace   uint64 // the message's causal trace ID (obs.TraceID), 0 when untraced
+	Body    []byte // msg binary codec
+}
 
-	// receive-side working sets, recycled for the same reason.
+// unframe verifies and strips the CRC32 header.
+func unframe(b []byte) ([]byte, error) {
+	var want [4]byte
+	if len(b) < 9 || b[8] != ':' {
+		return nil, errors.New("transport: malformed frame")
+	}
+	if _, err := hex.Decode(want[:], b[:8]); err != nil {
+		return nil, errors.New("transport: bad frame header")
+	}
+	if crc32.ChecksumIEEE(b[9:]) != binary.BigEndian.Uint32(want[:]) {
+		return nil, errors.New("transport: checksum mismatch")
+	}
+	return b[9:], nil
+}
+
+// envScratch is the reusable decode and receive storage for one inbound
+// payload: the decoded batch, acks and floors land in recycled slices, and
+// link.unpack and link.receive leave their outputs here. Contents are only valid until the
+// next receive with the same scratch; the core copies anything it retains
+// (held items are copied by value into the hold map).
+type envScratch struct {
+	batch    []envelopeItem
+	ack      []uint64
+	floorCh  []string
+	floorSeq []uint64
+
+	env     envelope // what link.unpack decoded
+	bad     bool     // corrupt or forged: nothing to apply
 	ackIDs  []uint64
 	touched []string
-	deliver []envelopeItem
-}
 
-var envScratchPool = sync.Pool{
-	New: func() any { return new(envScratch) },
+	// Outputs of link.receive.
+	deliver []envelopeItem // in order
+	msgs    []msg.Raw      // parallel to deliver; zero for a body no encoder wrote
+	wire    []byte         // the framed ack envelope; empty when nothing is acked
 }
 
 // decodeEnvelope parses an unframed envelope into sc's recycled storage. Item
@@ -220,10 +228,7 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 		return envelope{}, err
 	}
 	if n > 0 {
-		if sc.floors == nil {
-			sc.floors = make(map[string]uint64, 8)
-		}
-		clear(sc.floors)
+		floorCh, floorSeq := sc.floorCh[:0], sc.floorSeq[:0]
 		for i := uint64(0); i < n; i++ {
 			var ch string
 			var f uint64
@@ -233,9 +238,10 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 			if f, b, err = readUv(b); err != nil {
 				return envelope{}, err
 			}
-			sc.floors[ch] = f
+			floorCh, floorSeq = append(floorCh, ch), append(floorSeq, f)
 		}
-		env.Floors = sc.floors
+		sc.floorCh, sc.floorSeq = floorCh, floorSeq
+		env.FloorCh, env.FloorSeq = floorCh, floorSeq
 	}
 	if len(b) != 0 {
 		return envelope{}, fmt.Errorf("%w: %d bytes of trailing data", errEnvelope, len(b))

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -15,24 +14,15 @@ func traceTestEnvelope() *envelope {
 			{ID: 1, Seq: 1, Channel: "upload", Body: []byte{0x07, 0x00}},
 			{ID: 2, Seq: 2, Channel: "upload", Body: []byte{0x04, 0x02}},
 		},
-		Ack:    []uint64{7},
-		Floors: map[string]uint64{"upload": 1},
+		Ack:      []uint64{7},
+		FloorCh:  []string{"upload"},
+		FloorSeq: []uint64{1},
 	}
 }
 
-// encodeEnvelope flattens env's floors into the sorted parallel slices the
-// encoder takes.
+// encodeEnvelope encodes env unframed; its floor channels must be sorted.
 func encodeEnvelope(env *envelope) []byte {
-	var floorCh []string
-	for ch := range env.Floors {
-		floorCh = append(floorCh, ch)
-	}
-	slices.Sort(floorCh)
-	floorSeq := make([]uint64, len(floorCh))
-	for i, ch := range floorCh {
-		floorSeq[i] = env.Floors[ch]
-	}
-	return appendEnvelope(nil, env.From, string(env.Boot), env.Batch, env.Ack, floorCh, floorSeq)
+	return appendEnvelope(nil, env.From, string(env.Boot), env.Batch, env.Ack, env.FloorCh, env.FloorSeq)
 }
 
 // TestBinaryEnvelopeUntracedUnchanged: an envelope whose items carry no trace
