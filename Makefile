@@ -58,16 +58,18 @@ check: stdout-guard
 # outbox log's replay, which faces whatever a crash or a bad disk left
 # (store); the transport's delivery core against its reference model, with
 # the fuzzer's bytes also fed to the envelope decoder as inbound payloads
-# (FuzzLink); and PogoScript (FuzzScript: bytes as a program, which must lex,
-# parse and compile or fail cleanly, and run twice under a small budget
+# (FuzzLink), and the envelope codec itself: whatever decodes re-encodes to
+# itself, and whatever encodes decodes to itself (FuzzEnvelope); and
+# PogoScript (FuzzScript: bytes as a program, which must lex, parse and
+# compile or fail cleanly, and run twice under a small budget
 # without a panic, doing the same both times and failing with the budget
 # error exactly when it runs past it) and the script encoder against the
 # tree builder it replaced (FuzzToMsg: a graph of script values must encode,
 # and print as json(), exactly as the reference tree does). Run e.g.
 # `go test -fuzz 'FuzzRaw$' -fuzztime 5m ./internal/msg` for a real session.
-# internal/xmpp, internal/msg and internal/script have several fuzz targets
-# each, and `go test -fuzz` only accepts a pattern matching exactly one, so
-# each is named explicitly.
+# internal/xmpp, internal/msg, internal/transport and internal/script have
+# several fuzz targets each, and `go test -fuzz` only accepts a pattern
+# matching exactly one, so each is named explicitly.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseStanza$$' -fuzztime 10s ./internal/xmpp
 	$(GO) test -run '^$$' -fuzz 'FuzzSwitchboard$$' -fuzztime 10s ./internal/xmpp
@@ -77,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioParse$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz 'FuzzLink$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz 'FuzzEnvelope$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz 'FuzzScript$$' -fuzztime 10s ./internal/script
 	$(GO) test -run '^$$' -fuzz 'FuzzToMsg$$' -fuzztime 10s ./internal/script
 

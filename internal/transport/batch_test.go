@@ -260,7 +260,7 @@ func TestCorruptWrapCountsDropped(t *testing.T) {
 	if _, err := unframe(jsonEnv); err != nil {
 		t.Fatalf("JSON envelope must pass the CRC check to reach the decoder: %v", err)
 	}
-	valid := frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), "evil", "",
+	valid := frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), new(chanTable), "evil", "",
 		[]envelopeItem{{ID: 1, Channel: "x", Body: []byte{0x00}}}, nil, nil, nil))
 	wrapped := "b:" + base64.StdEncoding.EncodeToString(valid)
 	for i, payload := range [][]byte{jsonEnv, []byte(wrapped)} {

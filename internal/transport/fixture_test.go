@@ -27,13 +27,12 @@ func readHexFixture(t *testing.T, name string) []byte {
 	return b
 }
 
-// The checked-in frames pin the one wire format byte for byte. The data
-// envelope (two items on two channels, nonzero traces, floors) was generated
-// by the commit before the 0xB1/0xB2 split was removed: matching it proves
-// every data envelope an endpoint emits did not move. The ack-only envelope
-// differs from that commit's only in its magic byte (and hence its CRC).
-// testdata/stanza_frame.hex, the same data envelope inside a 0xB3 stanza
-// frame, is asserted by internal/xmpp.
+// The checked-in frames pin the one wire format, envelope v3 (magic 0xB3:
+// a channel table, delta IDs and sequences, fixed-width traces, a binary
+// CRC-32C frame check), byte for byte. The data envelope carries two items
+// on two channels with nonzero traces and floors; the ack-only envelope two
+// ack IDs. testdata/stanza_frame.hex, the same data envelope inside a 0xB3
+// stanza frame with its binary trace field, is asserted by internal/xmpp.
 func TestWireFixtures(t *testing.T) {
 	body := func(v msg.Value) []byte {
 		b, err := msg.EncodeBinary(v)

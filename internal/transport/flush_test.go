@@ -256,8 +256,9 @@ func TestFlushCostIndependentOfInflight(t *testing.T) {
 	// process-wide, stays out of the count).
 	next := [1]uint64{1001}
 	var ack []byte
+	var tab chanTable
 	port.onSend = func([]byte) {
-		ack = frameInto(appendEnvelope(append(ack[:0], frameHeader[:]...), "", "", nil, next[:], nil, nil))
+		ack = frameInto(appendEnvelope(append(ack[:0], frameHeader[:]...), &tab, "", "", nil, next[:], nil, nil))
 		next[0]++
 		port.recv("collector", ack)
 	}

@@ -237,6 +237,7 @@ type flushScratch struct {
 	dests    []destMeta // destinations ascending
 	out      []Outgoing // the staged envelopes, parallel to dests
 	wire     []byte     // their framed bytes, end to end
+	tab      chanTable  // the envelope being encoded's channel table
 }
 
 // sortFloorPairs orders a destination's floor entries by channel in place —
@@ -300,7 +301,7 @@ func (l *link) encode() []Outgoing {
 	for i := range sc.dests {
 		dm := &sc.dests[i]
 		start := len(buf)
-		buf = appendEnvelope(append(buf, frameHeader[:]...), l.local, l.boot, sc.items[dm.elig0:dm.elig1], nil,
+		buf = appendEnvelope(append(buf, frameHeader[:]...), &sc.tab, l.local, l.boot, sc.items[dm.elig0:dm.elig1], nil,
 			sc.floorCh[dm.fl0:dm.fl1], sc.floorSeq[dm.fl0:dm.fl1])
 		frameInto(buf[start:])
 		dm.end = len(buf)
@@ -579,6 +580,6 @@ func (l *link) receive(from string, sc *envScratch) {
 	// retransmission, which dedup absorbs). Held items are acked too — the
 	// sender's job is done once they arrive; ordering is receiver-local.
 	if len(ackIDs) > 0 {
-		sc.wire = frameInto(appendEnvelope(append(sc.wire, frameHeader[:]...), l.local, l.boot, nil, ackIDs, nil, nil))
+		sc.wire = frameInto(appendEnvelope(append(sc.wire, frameHeader[:]...), &sc.tab, l.local, l.boot, nil, ackIDs, nil, nil))
 	}
 }

@@ -295,7 +295,7 @@ func TestStaleAckAfterRebootLeavesNewEntryPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := append([]byte(nil), frameHeader[:]...)
-	stale = frameInto(appendEnvelope(stale, "col", "", nil, []uint64{1}, nil, nil))
+	stale = frameInto(appendEnvelope(stale, new(chanTable), "col", "", nil, []uint64{1}, nil, nil))
 	ep2.receive("col", stale)
 	if p := box2.Pending(); len(p) != 1 || p[0].ID != 101 {
 		t.Fatalf("after a stale ack for ID 1: %+v buffered, want the new message alone, as ID 101", p)

@@ -11,7 +11,7 @@
 // On top of the paper's ack scheme the endpoint hardens delivery against the
 // faults internal/faultnet injects:
 //
-//   - every payload is CRC32-framed, so a byte flipped in flight is detected
+//   - every payload is CRC-32C-framed, so a byte flipped in flight is detected
 //     even when the corrupted bytes still parse as an envelope;
 //   - unacked entries retransmit with capped exponential backoff, and a
 //     reconnect resets the backoff and replays the outbox immediately;
@@ -94,8 +94,8 @@ type Messenger interface {
 }
 
 // TraceSender is implemented by messengers that can carry trace context
-// outside the opaque payload (the XMPP adapter stamps the stanza's t
-// attribute so the switchboard can record route/offline/replay hops without
+// outside the opaque payload (the XMPP adapter stamps the stanza's trace
+// field so the switchboard can record route/offline/replay hops without
 // parsing envelopes). traces holds the batch's trace IDs in item order; zero
 // entries are untraced. The endpoint does not call it: every such messenger
 // is a BatchSender too, and Outgoing carries the same traces.

@@ -245,7 +245,7 @@ func TestReceiverDeduplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []uint64{1, total - 1} {
-		col.receive("a", frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), "a", dev.core.boot,
+		col.receive("a", frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), new(chanTable), "a", dev.core.boot,
 			[]envelopeItem{{ID: n, Seq: n - 1, Channel: "ch", Body: body}}, nil, nil, nil)))
 	}
 	if dup := col.Stats().Duplicates; len(*got) != total || dup != 4 {
@@ -433,7 +433,7 @@ func TestForgedSenderDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), "b", "forged",
+	forged := frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), new(chanTable), "b", "forged",
 		[]envelopeItem{{ID: 1, Seq: 0, Channel: "ch", Body: body}}, nil, []string{"ch"}, []uint64{0}))
 	a.Send("col", forged)
 	clk.Advance(time.Second)
@@ -468,7 +468,7 @@ func TestAckFromAnotherPeerIgnored(t *testing.T) {
 	if err := phone.Enqueue("c2", "ch", msg.Map{"n": 1.0}); err != nil {
 		t.Fatal(err)
 	}
-	ack := frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), "c1", "c1-boot", nil, []uint64{1}, nil, nil))
+	ack := frameInto(appendEnvelope(append([]byte(nil), frameHeader[:]...), new(chanTable), "c1", "c1-boot", nil, []uint64{1}, nil, nil))
 	c1.Send("phone", ack)
 	clk.Advance(time.Second)
 	if n := phone.Pending(); n != 1 {

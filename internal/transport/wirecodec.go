@@ -2,7 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,74 +12,132 @@ import (
 // Envelope codec and framing: the zero-garbage half of the wire path.
 // There is one envelope format, and both ends of every connection speak it.
 //
-// A switchboard payload is a 9-byte frame header — the CRC32 (IEEE) of
-// everything after it as 8 lowercase hex digits, then ':' — followed by the
-// envelope:
+// A switchboard payload is a 4-byte frame check — the CRC-32C (Castagnoli)
+// of everything after it, little-endian — followed by the envelope:
 //
 //	magic     1 byte, envMagic
 //	from      uvarint length + bytes
 //	boot      uvarint length + bytes
+//	channels  uvarint count, then count × (uvarint length + bytes): every
+//	            channel the items and floors name, once, in order of first use
 //	batch     uvarint count, then per item:
-//	            id uvarint · seq uvarint · channel (uvarint len + bytes)
-//	            · trace uvarint (obs.TraceID, 0 = untraced)
-//	            · body (uvarint len + bytes, msg binary codec)
-//	acks      uvarint count + count uvarints
-//	floors    uvarint count + count × (channel uvarint len + bytes,
-//	            floor uvarint), channels sorted (deterministic bytes)
+//	            id      uvarint, ID − the previous item's ID (the first: − 0)
+//	            channel uvarint index into the channel table
+//	            seq     zigzag varint, Seq − the previous Seq on the same
+//	                      channel in this envelope (the channel's first: − 0)
+//	            trace   8 bytes little-endian (obs.TraceID, 0 = untraced)
+//	            body    uvarint length + bytes (msg binary codec)
+//	acks      uvarint count, then count zigzag varints, each ID − the
+//	            previous ack ID (the first: − 0)
+//	floors    uvarint count + count × (channel index uvarint, floor uvarint),
+//	            channels sorted by name (deterministic bytes)
+//
+// A flush's IDs ascend within one destination's envelope and its channels
+// are few, so an item with a body under 128 bytes costs the body plus 12
+// bytes. Deltas wrap modulo 2⁶⁴: any ID and Seq order encodes, an
+// unusual one only in more bytes.
 //
 // Anything else — a bad checksum, another first byte, a length or count that
-// overruns the input, trailing bytes — is rejected and counted in
-// transport_corrupt_dropped_total; the sender retransmits.
+// overruns the input, a channel index past the table, a truncated trace,
+// trailing bytes — is rejected and counted in transport_corrupt_dropped_total;
+// the sender retransmits.
 //
-// Decode recycles its storage: an envScratch carries the batch, ack, and
-// floor storage from envelope to envelope, and the envelope's From and
-// Channel strings are interned — sensor fleets repeat the same few
-// identifiers forever, so in steady state decoding an envelope allocates
-// nothing beyond what its payload bodies need.
+// Encode and decode recycle their storage: the channel table lives in the
+// flush's and the receive's scratch, an envScratch carries the batch, ack,
+// and floor storage from envelope to envelope, and the envelope's From and
+// channel strings are interned — sensor fleets repeat the same few
+// identifiers forever, so in steady state encoding an envelope allocates
+// nothing and decoding one allocates nothing beyond what its payload bodies
+// need.
 
 // envMagic is the first byte of every envelope: 0xB0 | format version.
-const envMagic = 0xB2
+const envMagic = 0xB3
+
+// minItemSize is the fewest bytes an item can take: one byte each for the ID
+// delta, the channel index, the Seq delta and the body length, and the trace.
+const minItemSize = 12
 
 var errEnvelope = errors.New("transport: malformed envelope")
 
-// frameHeader is the placeholder the encoder reserves at the front of a
-// buffer; frameInto overwrites it with the real CRC32 header.
-var frameHeader = [9]byte{'0', '0', '0', '0', '0', '0', '0', '0', ':'}
+// castagnoli is the frame check's polynomial, the outbox log's: hash/crc32
+// computes it with the CPU's CRC instruction where there is one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameInto fills the reserved 9-byte header of buf ("%08x:" CRC32 of the
-// body at buf[9:]) in place.
+// frameHeader is the placeholder the encoder reserves at the front of a
+// buffer; frameInto overwrites it with the frame check.
+var frameHeader [4]byte
+
+// frameInto fills the reserved frame check of buf (the CRC-32C of the
+// envelope at buf[4:]) in place.
 func frameInto(buf []byte) []byte {
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf[9:]))
-	hex.Encode(buf[:8], crc[:])
-	buf[8] = ':'
+	binary.LittleEndian.PutUint32(buf, crc32.Checksum(buf[len(frameHeader):], castagnoli))
 	return buf
 }
 
-// appendEnvelope appends the encoding of one envelope to dst. Floors travel
-// as parallel (channel, seq) slices, as both ends keep them, and floorCh
-// must already be sorted.
-func appendEnvelope(dst []byte, from, boot string, batch []envelopeItem, ack []uint64, floorCh []string, floorSeq []uint64) []byte {
+// chanTable is an envelope's channel table, as the encoder builds it and the
+// decoder reads it: the channels in table order, each with the Seq of the
+// last item on it so far, the base of the next item's delta. It lives in
+// recycled scratch, so it costs nothing in steady state.
+type chanTable []chanEntry
+
+type chanEntry struct {
+	name string
+	seq  uint64
+}
+
+// index returns ch's position in the table, adding it when it is new. A
+// flush's envelope names a handful of channels: a scan beats a map.
+func (t *chanTable) index(ch string) int {
+	for i := range *t {
+		if (*t)[i].name == ch {
+			return i
+		}
+	}
+	*t = append(*t, chanEntry{name: ch})
+	return len(*t) - 1
+}
+
+// appendEnvelope appends the encoding of one envelope to dst, building its
+// channel table in tab. Floors travel as parallel (channel, seq) slices, as
+// both ends keep them, and floorCh must already be sorted.
+func appendEnvelope(dst []byte, tab *chanTable, from, boot string, batch []envelopeItem, ack []uint64, floorCh []string, floorSeq []uint64) []byte {
+	*tab = (*tab)[:0]
+	for i := range batch {
+		tab.index(batch[i].Channel)
+	}
+	for _, ch := range floorCh {
+		tab.index(ch)
+	}
 	dst = append(dst, envMagic)
 	dst = appendUvStr(dst, from)
 	dst = appendUvStr(dst, boot)
+	dst = binary.AppendUvarint(dst, uint64(len(*tab)))
+	for _, e := range *tab {
+		dst = appendUvStr(dst, e.name)
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
+	var prevID uint64
 	for i := range batch {
 		it := &batch[i]
-		dst = binary.AppendUvarint(dst, it.ID)
-		dst = binary.AppendUvarint(dst, it.Seq)
-		dst = appendUvStr(dst, it.Channel)
-		dst = binary.AppendUvarint(dst, it.Trace)
+		c := tab.index(it.Channel)
+		ch := &(*tab)[c]
+		dst = binary.AppendUvarint(dst, it.ID-prevID)
+		dst = binary.AppendUvarint(dst, uint64(c))
+		dst = binary.AppendVarint(dst, int64(it.Seq-ch.seq))
+		dst = binary.LittleEndian.AppendUint64(dst, it.Trace)
 		dst = binary.AppendUvarint(dst, uint64(len(it.Body)))
 		dst = append(dst, it.Body...)
+		prevID, ch.seq = it.ID, it.Seq
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(ack)))
+	prevID = 0
 	for _, id := range ack {
-		dst = binary.AppendUvarint(dst, id)
+		dst = binary.AppendVarint(dst, int64(id-prevID))
+		prevID = id
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(floorCh)))
 	for i, ch := range floorCh {
-		dst = appendUvStr(dst, ch)
+		dst = binary.AppendUvarint(dst, uint64(tab.index(ch)))
 		dst = binary.AppendUvarint(dst, floorSeq[i])
 	}
 	return dst
@@ -118,19 +175,16 @@ type envelopeItem struct {
 	Body    []byte // msg binary codec
 }
 
-// unframe verifies and strips the CRC32 header.
+// unframe verifies and strips the frame check.
 func unframe(b []byte) ([]byte, error) {
-	var want [4]byte
-	if len(b) < 9 || b[8] != ':' {
+	if len(b) < len(frameHeader) {
 		return nil, errors.New("transport: malformed frame")
 	}
-	if _, err := hex.Decode(want[:], b[:8]); err != nil {
-		return nil, errors.New("transport: bad frame header")
-	}
-	if crc32.ChecksumIEEE(b[9:]) != binary.BigEndian.Uint32(want[:]) {
+	body := b[len(frameHeader):]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b) {
 		return nil, errors.New("transport: checksum mismatch")
 	}
-	return b[9:], nil
+	return body, nil
 }
 
 // envScratch is the reusable decode and receive storage for one inbound
@@ -139,6 +193,7 @@ func unframe(b []byte) ([]byte, error) {
 // next receive with the same scratch; the core copies anything it retains
 // (held items are copied by value into the hold map).
 type envScratch struct {
+	tab      chanTable
 	batch    []envelopeItem
 	ack      []uint64
 	floorCh  []string
@@ -175,35 +230,52 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 	if env.Boot, b, err = readUvBytes(b); err != nil {
 		return envelope{}, err
 	}
-	n, b, err := readCount(b, 5) // id+seq+chlen+trace+bodylen ≥ 5 bytes per item
+	tab := sc.tab[:0]
+	n, b, err := readCount(b, 1)
 	if err != nil {
+		return envelope{}, err
+	}
+	for i := uint64(0); i < n; i++ {
+		var name string
+		if name, b, err = readUvStr(b); err != nil {
+			return envelope{}, err
+		}
+		tab = append(tab, chanEntry{name: name})
+	}
+	sc.tab = tab
+	if n, b, err = readCount(b, minItemSize); err != nil {
 		return envelope{}, err
 	}
 	if n > 0 {
 		batch := sc.batch[:0]
+		var id uint64
 		for i := uint64(0); i < n; i++ {
 			var it envelopeItem
-			if it.ID, b, err = readUv(b); err != nil {
+			var delta uint64
+			if delta, b, err = readUv(b); err != nil {
 				return envelope{}, err
 			}
-			if it.Seq, b, err = readUv(b); err != nil {
+			id += delta
+			it.ID = id
+			var c int
+			if c, b, err = readIndex(b, tab); err != nil {
 				return envelope{}, err
 			}
-			if it.Channel, b, err = readUvStr(b); err != nil {
+			ch := &tab[c]
+			it.Channel = ch.name
+			var seqDelta int64
+			if seqDelta, b, err = readV(b); err != nil {
 				return envelope{}, err
 			}
-			if it.Trace, b, err = readUv(b); err != nil {
+			it.Seq = ch.seq + uint64(seqDelta)
+			ch.seq = it.Seq
+			if len(b) < 8 {
+				return envelope{}, fmt.Errorf("%w: truncated trace", errEnvelope)
+			}
+			it.Trace = binary.LittleEndian.Uint64(b)
+			if it.Body, b, err = readUvBytes(b[8:]); err != nil {
 				return envelope{}, err
 			}
-			var bl uint64
-			if bl, b, err = readUv(b); err != nil {
-				return envelope{}, err
-			}
-			if bl > uint64(len(b)) {
-				return envelope{}, fmt.Errorf("%w: body length %d exceeds input", errEnvelope, bl)
-			}
-			it.Body = b[:bl]
-			b = b[bl:]
 			batch = append(batch, it)
 		}
 		sc.batch = batch
@@ -214,11 +286,13 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 	}
 	if n > 0 {
 		ack := sc.ack[:0]
+		var id uint64
 		for i := uint64(0); i < n; i++ {
-			var id uint64
-			if id, b, err = readUv(b); err != nil {
+			var delta int64
+			if delta, b, err = readV(b); err != nil {
 				return envelope{}, err
 			}
+			id += uint64(delta)
 			ack = append(ack, id)
 		}
 		sc.ack = ack
@@ -230,15 +304,15 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 	if n > 0 {
 		floorCh, floorSeq := sc.floorCh[:0], sc.floorSeq[:0]
 		for i := uint64(0); i < n; i++ {
-			var ch string
+			var c int
 			var f uint64
-			if ch, b, err = readUvStr(b); err != nil {
+			if c, b, err = readIndex(b, tab); err != nil {
 				return envelope{}, err
 			}
 			if f, b, err = readUv(b); err != nil {
 				return envelope{}, err
 			}
-			floorCh, floorSeq = append(floorCh, ch), append(floorSeq, f)
+			floorCh, floorSeq = append(floorCh, tab[c].name), append(floorSeq, f)
 		}
 		sc.floorCh, sc.floorSeq = floorCh, floorSeq
 		env.FloorCh, env.FloorSeq = floorCh, floorSeq
@@ -255,6 +329,26 @@ func readUv(b []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: bad varint", errEnvelope)
 	}
 	return v, b[sz:], nil
+}
+
+func readV(b []byte) (int64, []byte, error) {
+	v, sz := binary.Varint(b)
+	if sz <= 0 {
+		return 0, nil, fmt.Errorf("%w: bad varint", errEnvelope)
+	}
+	return v, b[sz:], nil
+}
+
+// readIndex reads a channel index and rejects one past the table.
+func readIndex(b []byte, tab chanTable) (int, []byte, error) {
+	c, rest, err := readUv(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if c >= uint64(len(tab)) {
+		return 0, nil, fmt.Errorf("%w: channel index %d past a table of %d", errEnvelope, c, len(tab))
+	}
+	return int(c), rest, nil
 }
 
 // readCount reads a uvarint element count and rejects it when even

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -28,6 +27,8 @@ type XMPPMessenger struct {
 	onOnline   []func()
 	onPresence []func(peer string, online bool)
 	nextID     int
+	batchMu    sync.Mutex        // serializes SendBatch over batch
+	batch      []xmpp.RawMessage // SendBatch's frames, recycled
 	wg         sync.WaitGroup
 	closing    chan struct{} // closed by Close: wakes a reconnect backoff
 
@@ -197,29 +198,30 @@ func (m *XMPPMessenger) Online() bool {
 // Send implements Messenger. Payloads travel verbatim in binary message
 // frames.
 func (m *XMPPMessenger) Send(to string, payload []byte) error {
-	return m.send(to, payload, "")
+	return m.send(to, payload, nil)
 }
 
 // SendTraced implements TraceSender: the batch's trace IDs are stamped on the
-// stanza's t attribute so the switchboard can record route/offline/replay
+// stanza's trace field so the switchboard can record route/offline/replay
 // hops without parsing the opaque envelope.
 func (m *XMPPMessenger) SendTraced(to string, payload []byte, traces []obs.TraceID) error {
-	return m.send(to, payload, xmpp.TraceAttr(traces))
+	return m.send(to, payload, traces)
 }
 
-func (m *XMPPMessenger) send(to string, payload []byte, trace string) error {
+func (m *XMPPMessenger) send(to string, payload []byte, traces []obs.TraceID) error {
 	m.mu.Lock()
 	c := m.client
 	online := m.online && !m.closed
 	m.nextID++
-	id := strconv.Itoa(m.nextID)
+	id := uint64(m.nextID)
 	sends, sendErrs, sentBytes := m.sends, m.sendErrs, m.sentBytes
 	m.mu.Unlock()
 	if !online || c == nil {
 		sendErrs.Inc()
 		return ErrOffline
 	}
-	if err := c.SendMessageBytes(xmpp.MakeJID(to), id, payload, trace); err != nil {
+	one := [1]xmpp.RawMessage{{To: to, ID: id, Body: payload, Traces: traces}}
+	if _, err := c.SendMessages(one[:]); err != nil {
 		sendErrs.Inc()
 		return err
 	}
@@ -233,30 +235,26 @@ func (m *XMPPMessenger) send(to string, payload []byte, trace string) error {
 // flush's per-destination syscalls (and, under the paper's 3G traffic model,
 // radio wake-ups) into one. Returns the accepted prefix on a short write.
 func (m *XMPPMessenger) SendBatch(batch []Outgoing) (int, error) {
+	m.batchMu.Lock()
+	defer m.batchMu.Unlock()
 	m.mu.Lock()
 	c := m.client
 	online := m.online && !m.closed
-	ids := make([]string, len(batch))
-	for i := range batch {
-		m.nextID++
-		ids[i] = strconv.Itoa(m.nextID)
-	}
+	firstID := uint64(m.nextID) + 1
+	m.nextID += len(batch)
 	sends, sendErrs, sentBytes := m.sends, m.sendErrs, m.sentBytes
 	m.mu.Unlock()
 	if !online || c == nil {
 		sendErrs.Add(int64(len(batch)))
 		return 0, ErrOffline
 	}
-	msgs := make([]xmpp.RawMessage, len(batch))
+	msgs := m.batch[:0]
 	for i, o := range batch {
-		msgs[i] = xmpp.RawMessage{
-			To:    xmpp.MakeJID(o.To),
-			ID:    ids[i],
-			Body:  o.Payload,
-			Trace: xmpp.TraceAttr(o.Traces),
-		}
+		msgs = append(msgs, xmpp.RawMessage{To: o.To, ID: firstID + uint64(i), Body: o.Payload, Traces: o.Traces})
 	}
 	n, err := c.SendMessages(msgs)
+	clear(msgs) // the payloads are the flush's: hold none of them
+	m.batch = msgs
 	sends.Add(int64(n))
 	var acceptedBytes int64
 	for _, o := range batch[:n] {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"io"
 	"net"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"pogo/internal/msg"
+	"pogo/internal/obs"
 	"pogo/internal/store"
 	"pogo/internal/vclock"
 	"pogo/internal/xmpp"
@@ -317,5 +319,67 @@ func TestXMPPMessengerOfflineSend(t *testing.T) {
 	}
 	if m.Online() {
 		t.Error("Online after Close")
+	}
+}
+
+// sinkSwitchboard is a switchboard that accepts one client and then reads
+// and drops everything it sends: the handshake, a roster answer, and no
+// stanza ever routed, so the client side of a send is all that allocates.
+func sinkSwitchboard(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		for _, reply := range []string{
+			`<stream from="pogo" bin="2">`,                     // to the client's stream header
+			`<success jid="device@pogo/phone"></success>`,      // to its auth
+			`<iq type="result" id="iq-1"><query></query></iq>`, // to its roster query
+		} {
+			if _, err := br.ReadString('\n'); err != nil {
+				return
+			}
+			if _, err := io.WriteString(conn, reply+"\n"); err != nil {
+				return
+			}
+		}
+		io.Copy(io.Discard, br)
+	}()
+	return ln.Addr().String()
+}
+
+// TestSendBatchAllocatesNothing: in steady state a flush's hand-over to the
+// switchboard connection — stanza ids, recipient JIDs, trace fields, frames,
+// the accepted-prefix bookkeeping — allocates nothing.
+func TestSendBatchAllocatesNothing(t *testing.T) {
+	m, err := DialXMPP(sinkSwitchboard(t), "device", "pw", "phone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	payload := make([]byte, 60)
+	batch := []Outgoing{
+		{To: "collector", Payload: payload, Traces: []obs.TraceID{1, 2, 3}},
+		{To: "other", Payload: payload, Traces: []obs.TraceID{0}},
+	}
+	for i := 0; i < 100; i++ {
+		if n, err := m.SendBatch(batch); n != len(batch) || err != nil {
+			t.Fatalf("SendBatch = %d, %v", n, err)
+		}
+	}
+	budget := 0.0
+	if raceEnabled {
+		budget = 2 // the wire-buffer pool drops its buffer at random under -race
+	}
+	if allocs := testing.AllocsPerRun(200, func() { m.SendBatch(batch) }); allocs > budget {
+		t.Errorf("SendBatch of 2 envelopes: %.1f allocs/op, want ≤ %.0f", allocs, budget)
 	}
 }

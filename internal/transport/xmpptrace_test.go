@@ -15,7 +15,7 @@ import (
 // boundaries: the sender's endpoint, the switchboard server, and the
 // receiver's endpoint each have their OWN registry (as separate processes
 // would), and all three must record hops under the same wire-carried trace
-// ID — sender via its outbox, server via the stanza's t attribute, receiver
+// ID — sender via its outbox, server via the stanza's trace field, receiver
 // via the envelope's trace field.
 func TestTraceContextOverRealXMPP(t *testing.T) {
 	srvReg := obs.NewRegistry()

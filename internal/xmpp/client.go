@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"pogo/internal/obs"
 )
 
 // Client is a Pogo node's connection to the switchboard server. The zero
@@ -21,6 +23,7 @@ type Client struct {
 	sr *stanzaReader
 
 	writeMu sync.Mutex
+	ends    []int // SendMessages' frame ends, under writeMu
 
 	mu           sync.Mutex
 	closed       bool
@@ -36,12 +39,15 @@ type Client struct {
 	done chan struct{}
 }
 
-// RawMessage is one message in a coalesced SendMessages batch.
+// RawMessage is one message in a coalesced SendMessages batch, in the form
+// its frame is rendered from without allocating: the recipient's user name
+// (the frame addresses MakeJID(To)), a numeric stanza id, and the batch's
+// trace IDs (the frame's trace field, as TraceAttr renders them).
 type RawMessage struct {
-	To    JID
-	ID    string
-	Body  []byte
-	Trace string
+	To     string
+	ID     uint64
+	Body   []byte
+	Traces []obs.TraceID
 }
 
 // Dial connects, authenticates, and starts the reader. resource defaults to
@@ -158,7 +164,8 @@ func (c *Client) OnDisconnect(fn func(err error)) {
 
 // SendMessageBytes sends a message with an arbitrary byte body, which travels
 // verbatim in a binary frame; delivery is best-effort at this layer. A
-// non-empty trace (TraceAttr form) lets the switchboard record causal hops.
+// non-empty trace (TraceAttr's binary form) lets the switchboard record
+// causal hops.
 func (c *Client) SendMessageBytes(to JID, id string, body []byte, trace string) error {
 	bp := getWireBuf()
 	buf := appendFrame((*bp)[:0], to.String(), "", id, trace, body)
@@ -180,14 +187,15 @@ func (c *Client) SendMessages(msgs []RawMessage) (int, error) {
 	}
 	bp := getWireBuf()
 	buf := (*bp)[:0]
-	ends := make([]int, len(msgs))
-	for i := range msgs {
-		buf = appendFrame(buf, msgs[i].To.String(), "", msgs[i].ID, msgs[i].Trace, msgs[i].Body)
-		ends[i] = len(buf)
-	}
 	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	ends := c.ends[:0]
+	for i := range msgs {
+		buf = appendRawFrame(buf, &msgs[i])
+		ends = append(ends, len(buf))
+	}
+	c.ends = ends
 	n, err := c.conn.Write(buf)
-	c.writeMu.Unlock()
 	putWireBuf(bp, buf)
 	if err == nil {
 		return len(msgs), nil

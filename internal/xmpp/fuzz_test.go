@@ -40,7 +40,7 @@ func FuzzParseStanza(f *testing.F) {
 	f.Add(binary.AppendUvarint([]byte{frameMagic, 0, 0, 0, 0}, maxFrameBody+1)) // forged body length
 	f.Add(binary.AppendUvarint([]byte{frameMagic, 0, 0, 0, 0}, maxFrameBody))   // in-bound claim, no body
 	f.Add([]byte("<presence from='" + strings.Repeat("y", 5000) + "'/>\n"))     // longer than the read buffer
-	f.Add([]byte(`<stream to="pogo" bin='1' to="&amp;&#x41;">` + "\n<weird/>\n\x00\x01\xff<"))
+	f.Add([]byte(`<stream to="pogo" bin='2' to="&amp;&#x41;">` + "\n<weird/>\n\x00\x01\xff<"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Pass 1, measured: a stanza is only accepted when its bytes are

@@ -56,7 +56,7 @@ func TestServerHandshakeTimeout(t *testing.T) {
 	s := startServer(t, ServerConfig{AllowAutoRegister: true, HandshakeTimeout: 100 * time.Millisecond})
 	c := rawConn(t, s)
 	// Open the stream and then stall before auth: the server must hang up.
-	c.Write([]byte(`<stream to="pogo" bin="1">` + "\n"))
+	c.Write(streamOpenLine("to", Domain))
 	buf := make([]byte, 256)
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	closed := false
@@ -81,7 +81,7 @@ func TestCloseHangsUpSilentClient(t *testing.T) {
 	c := rawConn(t, s)
 	// A half-open handshake: the server's greeting proves it accepted the
 	// connection, and the client then goes quiet before auth.
-	c.Write([]byte(`<stream to="pogo" bin="1">` + "\n"))
+	c.Write(streamOpenLine("to", Domain))
 	if _, err := c.Read(make([]byte, 256)); err != nil {
 		t.Fatal(err)
 	}
@@ -267,57 +267,62 @@ func TestSessionResumptionAcrossDroppedTCP(t *testing.T) {
 	}
 }
 
-// Version check, server side: a stream header without bin="1" gets the
-// server's own header, an explicit failure stanza, and a closed connection —
-// before any credentials are looked at.
+// Version check, server side: a stream header without bin="2" — none at
+// all, or the previous version's bin="1" — gets the server's own header, an
+// explicit failure stanza, and a closed connection, before any credentials
+// are looked at.
 func TestServerRefusesStreamWithoutBin(t *testing.T) {
 	s := startServer(t, ServerConfig{AllowAutoRegister: true})
-	c := rawConn(t, s)
-	c.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Write([]byte(`<stream to="pogo">` + "\n" + `<auth user="old" password="pw" resource="r"></auth>` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	all, err := io.ReadAll(c) // returns only once the server hangs up
-	if err != nil {
-		t.Fatalf("connection not closed cleanly: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(all)), "\n")
-	if len(lines) != 2 || elementName([]byte(lines[0])) != "stream" {
-		t.Fatalf("server answered %q, want its stream header then a failure", all)
-	}
-	var f failureStanza
-	if err := xml.Unmarshal([]byte(lines[1]), &f); err != nil || f.Reason != reasonWireVersion {
-		t.Fatalf("refusal = %q (%v), want failure reason %q", lines[1], err, reasonWireVersion)
-	}
-	if s.Online("old") {
-		t.Error("refused peer was given a session")
+	for _, hdr := range []string{`<stream to="pogo">`, `<stream to="pogo" bin="1">`} {
+		c := rawConn(t, s)
+		c.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Write([]byte(hdr + "\n" + `<auth user="old" password="pw" resource="r"></auth>` + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		all, err := io.ReadAll(c) // returns only once the server hangs up
+		if err != nil {
+			t.Fatalf("%s: connection not closed cleanly: %v", hdr, err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(all)), "\n")
+		if len(lines) != 2 || elementName([]byte(lines[0])) != "stream" {
+			t.Fatalf("%s: server answered %q, want its stream header then a failure", hdr, all)
+		}
+		var f failureStanza
+		if err := xml.Unmarshal([]byte(lines[1]), &f); err != nil || f.Reason != reasonWireVersion {
+			t.Fatalf("%s: refusal = %q (%v), want failure reason %q", hdr, lines[1], err, reasonWireVersion)
+		}
+		if s.Online("old") {
+			t.Errorf("%s: refused peer was given a session", hdr)
+		}
 	}
 }
 
-// Version check, client side: a server whose greeting lacks bin="1" is an
+// Version check, client side: a server whose greeting lacks bin="2" is an
 // error from Dial, not a silent downgrade to some other message encoding.
 func TestDialRefusesServerWithoutBin(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
+	for _, greeting := range []string{`<stream from="` + Domain + `">`, `<stream from="` + Domain + `" bin="1">`} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		defer conn.Close()
-		conn.Write([]byte(`<stream from="` + Domain + `">` + "\n"))
-		io.Copy(io.Discard, conn)
-	}()
-	c, err := Dial(ln.Addr().String(), "alice", "pw", "r")
-	if err == nil {
-		c.Close()
-		t.Fatal("Dial accepted a server that does not announce the wire version")
-	}
-	if !strings.Contains(err.Error(), reasonWireVersion) {
-		t.Errorf("Dial error %q does not name the version mismatch", err)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			conn.Write([]byte(greeting + "\n"))
+			io.Copy(io.Discard, conn)
+		}()
+		c, err := Dial(ln.Addr().String(), "alice", "pw", "r")
+		ln.Close()
+		if err == nil {
+			c.Close()
+			t.Fatalf("%s: Dial accepted a server that does not announce the wire version", greeting)
+		}
+		if !strings.Contains(err.Error(), reasonWireVersion) {
+			t.Errorf("%s: Dial error %q does not name the version mismatch", greeting, err)
+		}
 	}
 }
 

@@ -12,10 +12,10 @@
 package xmpp
 
 import (
+	"encoding/binary"
 	"encoding/xml"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"pogo/internal/obs"
@@ -104,53 +104,46 @@ type messageStanza struct {
 	Body    string   `xml:"body"`
 }
 
-// maxTraceAttrIDs is how many 16-hex-digit IDs plus separating commas fit in
-// one frame field (17n − 1 ≤ maxFrameField).
-const maxTraceAttrIDs = (maxFrameField + 1) / 17
+// maxTraceAttrIDs is how many 8-byte trace IDs fit in one frame field.
+const maxTraceAttrIDs = maxFrameField / 8
 
-// TraceAttr renders a batch's trace IDs as the frame's trace field:
-// fixed-width lowercase hex, comma-joined, empty when every ID is zero. Only
-// the first maxTraceAttrIDs are rendered — switchboard hop tracing is
+// TraceAttr renders a batch's trace IDs as the frame's trace field: each ID
+// as 8 bytes little-endian, in batch order, empty when every ID is zero.
+// Only the first maxTraceAttrIDs are rendered — switchboard hop tracing is
 // best-effort, and an over-long field would make the server drop the stream
 // (and with it the batch, on every retransmission).
 func TraceAttr(traces []obs.TraceID) string {
-	if len(traces) > maxTraceAttrIDs {
-		traces = traces[:maxTraceAttrIDs]
-	}
-	any := false
-	for _, t := range traces {
-		if t != 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return ""
-	}
-	var sb strings.Builder
-	for i, t := range traces {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(t.String())
-	}
-	return sb.String()
+	return string(appendTraceWords(nil, traceWords(traces)))
 }
 
-// ParseTraceAttr parses a trace field back into trace IDs; malformed
-// segments decode as 0 (untraced) rather than failing the stanza.
+// traceWords returns the trace IDs a trace field carries: the first
+// maxTraceAttrIDs of traces, or none when all of them are zero.
+func traceWords(traces []obs.TraceID) []obs.TraceID {
+	traces = traces[:min(len(traces), maxTraceAttrIDs)]
+	for _, t := range traces {
+		if t != 0 {
+			return traces
+		}
+	}
+	return nil
+}
+
+func appendTraceWords(dst []byte, traces []obs.TraceID) []byte {
+	for _, t := range traces {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(t))
+	}
+	return dst
+}
+
+// ParseTraceAttr reads a trace field back into trace IDs, ignoring a
+// trailing partial word rather than failing the stanza.
 func ParseTraceAttr(s string) []obs.TraceID {
-	if s == "" {
+	if len(s) < 8 {
 		return nil
 	}
-	parts := strings.Split(s, ",")
-	out := make([]obs.TraceID, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseUint(p, 16, 64)
-		if err != nil {
-			v = 0
-		}
-		out = append(out, obs.TraceID(v))
+	out := make([]obs.TraceID, 0, len(s)/8)
+	for ; len(s) >= 8; s = s[8:] {
+		out = append(out, obs.TraceID(binary.LittleEndian.Uint64([]byte(s[:8]))))
 	}
 	return out
 }

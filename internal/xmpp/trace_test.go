@@ -25,22 +25,28 @@ func TestTraceAttrRoundTrip(t *testing.T) {
 	if ParseTraceAttr("") != nil {
 		t.Fatal("empty attribute must parse to nil")
 	}
-	// Malformed segments degrade to untraced, not to a dropped stanza.
-	if got := ParseTraceAttr("zzz,0000000000000001"); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("malformed segment parse = %v", got)
+	if len(attr) != 8*len(traces) {
+		t.Fatalf("%d IDs render %d bytes, want 8 each", len(traces), len(attr))
+	}
+	// A trailing partial word is ignored, not a dropped stanza.
+	if got := ParseTraceAttr(attr + "\x01\x02\x03"); len(got) != len(traces) || got[2] != traces[2] {
+		t.Fatalf("trailing partial word parse = %v", got)
+	}
+	if got := ParseTraceAttr(attr[:7]); got != nil {
+		t.Fatalf("a lone partial word parsed to %v", got)
 	}
 }
 
 // A batch with more IDs than fit one frame field renders only the prefix that
 // fits: the switchboard loses hop tracing for the tail, never the batch.
 func TestTraceAttrFitsFrameField(t *testing.T) {
-	traces := make([]obs.TraceID, 300)
+	traces := make([]obs.TraceID, 600)
 	for i := range traces {
 		traces[i] = obs.NewTraceID(1, "a", uint64(i+1))
 	}
 	attr := TraceAttr(traces)
 	if len(attr) > maxFrameField {
-		t.Fatalf("300 IDs render %d bytes, over the %d-byte field bound", len(attr), maxFrameField)
+		t.Fatalf("600 IDs render %d bytes, over the %d-byte field bound", len(attr), maxFrameField)
 	}
 	got := ParseTraceAttr(attr)
 	if len(got) != maxTraceAttrIDs || len(TraceAttr(traces[:maxTraceAttrIDs+1])) != len(attr) {

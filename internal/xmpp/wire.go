@@ -9,11 +9,12 @@
 //	0xB3  a binary message frame. Every message travels this way, body bytes
 //	      verbatim:
 //
-//	        uvarint len + bytes  × 4:  to, from, id, trace field (TraceAttr)
+//	        uvarint len + bytes  × 4:  to, from, id, trace field (TraceAttr:
+//	                                   8 bytes little-endian per trace ID)
 //	        uvarint len + bytes:       body (arbitrary bytes)
 //	        '\n'                       terminator (framing self-check)
 //
-// Version check: both stream headers carry bin="1", and a peer whose header
+// Version check: both stream headers carry bin="2", and a peer whose header
 // lacks it is refused — the server answers with a failure stanza and closes,
 // the client's Dial returns an error. There is no other message encoding to
 // fall back to.
@@ -27,7 +28,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"sync"
+	"unsafe"
+
+	"pogo/internal/msg"
 )
 
 // frameMagic is the first byte of a binary message frame. It is deliberately
@@ -36,7 +42,7 @@ const frameMagic = 0xB3
 
 // streamBinAttr is the value of the stream header's bin attribute: the wire
 // version both ends must announce.
-const streamBinAttr = "1"
+const streamBinAttr = "2"
 
 // reasonWireVersion is the failure reason (server) and Dial error (client)
 // for a peer whose stream header does not announce streamBinAttr.
@@ -75,12 +81,28 @@ func appendFrame(dst []byte, to, from, id, trace string, body []byte) []byte {
 	dst = appendFrameStr(dst, from)
 	dst = appendFrameStr(dst, id)
 	dst = appendFrameStr(dst, trace)
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	dst = append(dst, body...)
+	dst = appendFrameStr(dst, body)
 	return append(dst, '\n')
 }
 
-func appendFrameStr(dst []byte, s string) []byte {
+// appendRawFrame appends m's frame to dst, rendering the recipient's JID,
+// the id and the trace field (TraceAttr's bytes) straight into the buffer.
+// The from field is empty: the server stamps the session's own.
+func appendRawFrame(dst []byte, m *RawMessage) []byte {
+	dst = append(dst, frameMagic)
+	dst = binary.AppendUvarint(dst, uint64(len(m.To)+1+len(Domain)))
+	dst = append(append(append(dst, m.To...), '@'), Domain...)
+	dst = append(dst, 0)
+	var id [20]byte
+	dst = appendFrameStr(dst, strconv.AppendUint(id[:0], m.ID, 10))
+	traces := traceWords(m.Traces)
+	dst = binary.AppendUvarint(dst, uint64(8*len(traces)))
+	dst = appendTraceWords(dst, traces)
+	dst = appendFrameStr(dst, m.Body)
+	return append(dst, '\n')
+}
+
+func appendFrameStr[S string | []byte](dst []byte, s S) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -90,6 +112,9 @@ func appendFrameStr(dst []byte, s string) []byte {
 // the connection (nothing else may read concurrently).
 type stanzaReader struct {
 	r *bufio.Reader
+	// fields holds a frame's id and trace fields until its body length is
+	// known, when the three move into one allocation.
+	fields []byte
 }
 
 func newStanzaReader(r io.Reader) *stanzaReader {
@@ -120,21 +145,24 @@ func (sr *stanzaReader) next() (m Stanza, isFrame bool, line []byte, err error) 
 }
 
 // readFrame parses one binary message frame (the magic byte is still
-// unconsumed).
+// unconsumed). A frame costs one allocation: to and from are interned — a
+// switchboard's few users, over and over — and the id and trace fields share
+// the body's allocation, ahead of it.
 func (sr *stanzaReader) readFrame() (Stanza, error) {
 	sr.r.Discard(1)
 	var m Stanza
 	var err error
-	if m.To, err = sr.readFrameStr(); err != nil {
+	if m.To, err = sr.readInterned(); err != nil {
 		return m, err
 	}
-	if m.From, err = sr.readFrameStr(); err != nil {
+	if m.From, err = sr.readInterned(); err != nil {
 		return m, err
 	}
-	if m.ID, err = sr.readFrameStr(); err != nil {
+	if sr.fields, err = sr.appendField(sr.fields[:0]); err != nil {
 		return m, err
 	}
-	if m.T, err = sr.readFrameStr(); err != nil {
+	idLen := len(sr.fields)
+	if sr.fields, err = sr.appendField(sr.fields); err != nil {
 		return m, err
 	}
 	n, err := binary.ReadUvarint(sr.r)
@@ -146,8 +174,12 @@ func (sr *stanzaReader) readFrame() (Stanza, error) {
 	}
 	// The body is the one deliberate copy on this path: it outlives the read
 	// buffer (the transport aliases decoded values straight into it), so it
-	// must be a fresh GC-owned allocation handed to the consumer.
-	body := make([]byte, n)
+	// must be a fresh GC-owned allocation handed to the consumer. The id and
+	// trace strings view the bytes before it, which the body cannot reach.
+	k := len(sr.fields)
+	buf := make([]byte, k+int(n))
+	copy(buf, sr.fields)
+	body := buf[k:]
 	if _, err := io.ReadFull(sr.r, body); err != nil {
 		return m, err
 	}
@@ -158,33 +190,53 @@ func (sr *stanzaReader) readFrame() (Stanza, error) {
 	if nl != '\n' {
 		return m, errors.New("xmpp: unterminated frame")
 	}
+	if idLen > 0 {
+		m.ID = unsafe.String(&buf[0], idLen)
+	}
+	if k > idLen {
+		m.T = unsafe.String(&buf[idLen], k-idLen)
+	}
 	m.Body = body
 	return m, nil
 }
 
-func (sr *stanzaReader) readFrameStr() (string, error) {
+// fieldLen reads a frame field's length prefix and bounds it.
+func (sr *stanzaReader) fieldLen() (int, error) {
 	n, err := binary.ReadUvarint(sr.r)
+	if err != nil {
+		return 0, err
+	}
+	if n > maxFrameField {
+		return 0, errFrameTooBig
+	}
+	return int(n), nil
+}
+
+// readInterned reads a frame field as an interned string.
+func (sr *stanzaReader) readInterned() (string, error) {
+	n, err := sr.fieldLen()
+	if err != nil || n == 0 {
+		return "", err
+	}
+	// A field fits the read buffer: intern it where it lies.
+	b, err := sr.r.Peek(n)
 	if err != nil {
 		return "", err
 	}
-	if n > maxFrameField {
-		return "", errFrameTooBig
+	s := msg.Intern(b)
+	sr.r.Discard(n)
+	return s, nil
+}
+
+// appendField appends a frame field's bytes to dst.
+func (sr *stanzaReader) appendField(dst []byte) ([]byte, error) {
+	n, err := sr.fieldLen()
+	if err != nil {
+		return dst, err
 	}
-	if n == 0 {
-		return "", nil
-	}
-	// Small fields fit the read buffer: Peek + copy-to-string is one
-	// allocation, with no intermediate []byte.
-	if b, err := sr.r.Peek(int(n)); err == nil {
-		s := string(b)
-		sr.r.Discard(int(n))
-		return s, nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	dst = slices.Grow(dst, n)
+	_, err = io.ReadFull(sr.r, dst[len(dst):len(dst)+n])
+	return dst[:len(dst)+n], err
 }
 
 // readLine reads one newline-terminated stanza line, tolerating lines larger

@@ -372,7 +372,7 @@ func readHexFixture(t *testing.T, name string) []byte {
 
 // The checked-in 0xB3 frame — a client's send of the fixture data envelope
 // with both items' trace IDs in the trace field — pins the frame layout byte
-// for byte in both directions.
+// for byte in both directions, and the batch path renders the same bytes.
 func TestStanzaFrameFixture(t *testing.T) {
 	want := readHexFixture(t, "stanza_frame.hex")
 	m := Stanza{
@@ -384,6 +384,10 @@ func TestStanzaFrameFixture(t *testing.T) {
 	if got := appendFrame(nil, m.To, m.From, m.ID, m.T, m.Body); !bytes.Equal(got, want) {
 		t.Fatalf("frame encoding moved:\n got %x\nwant %x", got, want)
 	}
+	raw := RawMessage{To: "collector", ID: 1, Body: m.Body, Traces: []obs.TraceID{0x0123456789abcdef, 0xfedcba9876543210}}
+	if got := appendRawFrame(nil, &raw); !bytes.Equal(got, want) {
+		t.Fatalf("batch frame differs:\n got %x\nwant %x", got, want)
+	}
 	sr := newStanzaReader(bytes.NewReader(want))
 	got, isFrame, _, err := sr.next()
 	if err != nil || !isFrame {
@@ -394,5 +398,38 @@ func TestStanzaFrameFixture(t *testing.T) {
 	}
 	if _, _, _, err := sr.next(); err != io.EOF {
 		t.Fatalf("bytes after the fixture frame: %v", err)
+	}
+}
+
+// cycleReader yields b over and over, forever.
+type cycleReader struct {
+	b   []byte
+	off int
+}
+
+func (r *cycleReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// TestReadFrameAllocatesOnce: a received data frame costs one allocation,
+// the body's — to and from are interned, and the id and trace fields share
+// the body's allocation.
+func TestReadFrameAllocatesOnce(t *testing.T) {
+	frame := appendFrame(nil, "collector@pogo", "phone-1@pogo", "1234",
+		TraceAttr([]obs.TraceID{0x0123456789abcdef, 0xfedcba9876543210}), make([]byte, 90))
+	sr := newStanzaReader(&cycleReader{b: frame})
+	read := func() {
+		m, isFrame, _, err := sr.next()
+		if err != nil || !isFrame || m.ID != "1234" || len(m.T) != 16 || len(m.Body) != 90 {
+			t.Fatalf("read %+v (frame %v, %v)", m, isFrame, err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		read()
+	}
+	if allocs := testing.AllocsPerRun(500, read); allocs != 1 {
+		t.Errorf("reading a data frame: %.1f allocs, want 1", allocs)
 	}
 }
