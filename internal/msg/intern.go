@@ -162,10 +162,10 @@ func BoxFloat(f float64) Value {
 	return v
 }
 
-// stringBoxes is floatBoxes for short strings read out of encodings: the
-// same few identifiers (BSSIDs, names, states) are read from message after
-// message, and a hit hands back the one boxed copy. Longer strings are boxed
-// as they are, sharing the encoding's bytes.
+// stringBoxes is floatBoxes for short strings: the same few identifiers
+// (BSSIDs, names, states) are read from message after message, or walked
+// by a script's for-in loop after loop, and a hit hands back the one boxed
+// copy. Longer strings are boxed as they are.
 var stringBoxes [4096]atomic.Value
 
 var stringBoxSeed = maphash.MakeSeed()
@@ -173,9 +173,12 @@ var stringBoxSeed = maphash.MakeSeed()
 // stringBoxMax is the longest string stringBoxes keeps.
 const stringBoxMax = 32
 
-// boxString returns s, which shares a Raw's bytes, as an interface value:
-// from stringBoxes when it is short, boxed as it is otherwise.
-func boxString(s string) Value {
+// BoxString returns s as an interface value: from stringBoxes when it is
+// short, boxed as it is otherwise. A miss keeps a copy of s, so s may share
+// bytes that change later (a Raw's, a read buffer's); a long s is boxed
+// without a copy and must not. The one cache of boxed strings, which a
+// Raw's readers and the script evaluator's for-in share.
+func BoxString(s string) Value {
 	if len(s) > stringBoxMax {
 		return s
 	}

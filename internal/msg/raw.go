@@ -336,7 +336,7 @@ func spanValue(span []byte) Value {
 	case tagFloat, tagInt:
 		return BoxFloat(spanNumber(span))
 	case tagString:
-		return boxString(spanString(span))
+		return BoxString(spanString(span))
 	default:
 		return Raw{&span[0]}
 	}

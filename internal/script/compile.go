@@ -606,6 +606,22 @@ func (c *compiler) forStmt(s *forStmt) stmt {
 	}
 }
 
+// literalSizeMax caps the entries an object literal makes room for, so that
+// one huge object does not size every later one from its site.
+const literalSizeMax = 256
+
+// literalSize is how many entries an object literal with keys keys makes
+// room for when the object its site made last (nil at first) reached
+// len(last.ents): that many and a quarter more, up to literalSizeMax, and
+// never fewer than the literal's own keys.
+func literalSize(keys int, last *Object) int {
+	if last == nil {
+		return keys
+	}
+	n := len(last.ents)
+	return max(keys, min(n+n/4, literalSizeMax))
+}
+
 func (c *compiler) forInStmt(s *forInStmt) stmt {
 	line := s.line
 	obj := c.expr(s.obj)
@@ -641,7 +657,7 @@ func (c *compiler) forInStmt(s *forInStmt) stmt {
 			declare(in, fr, Undefined)
 		}
 		for _, k := range keys {
-			in.assign(n, fr, k)
+			in.assign(n, fr, msg.BoxString(k))
 			if stop, done, err := loopBody(body, in, fr); stop {
 				return done, err
 			}
@@ -792,14 +808,18 @@ func (c *compiler) expr(n node) expr {
 			keys[i] = msg.InternString(k)
 		}
 		values := c.exprs(e.values)
+		// last is the object this site made most recently: the entries it
+		// reached size the next one's, which are then allocated once.
+		var last *Object
 		return func(in *interp, fr *frame) (Value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
 			obj := NewObject()
-			if len(keys) > 0 {
-				obj.ents = make([]entry, 0, len(keys))
+			if n := literalSize(len(keys), last); n > 0 {
+				obj.ents = make([]entry, 0, n)
 			}
+			last = obj
 			for i, k := range keys {
 				v, err := values[i](in, fr)
 				if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -178,6 +179,95 @@ func TestBuildObjectAllocations(t *testing.T) {
 		if v, _ := o.Get(k); v != smallNum[i] {
 			t.Errorf("%s = %v", k, v)
 		}
+	}
+}
+
+// TestLiteralSiteSizesItsObjects pins the same object built by a script: an
+// object literal filled key by key makes its entries once from the second
+// call on, sized from the entries its site's previous object reached, so an
+// 18-key object costs its entries and its index over what an empty one
+// costs, where growing from 4 entries made them four times. A site whose
+// last object passed literalSizeMax makes room for literalSizeMax entries.
+func TestLiteralSiteSizesItsObjects(t *testing.T) {
+	h, s := run(t, `
+		var keys = [];
+		for (var i = 0; i < 300; i++) { keys.push('00:11:22:33:44:' + i); }
+		var last;
+		function build(n) {
+			var o = {};
+			for (var i = 0; i < n; i++) { o[keys[i]] = i; }
+			last = o;
+		}
+		subscribe('full', function () { build(18); });
+		subscribe('empty', function () { build(0); });
+		subscribe('huge', function () { build(300); });
+		subscribe('one', function () { build(1); });
+	`)
+	full, empty, huge, one := h.subs[0].handler, h.subs[1].handler, h.subs[2].handler, h.subs[3].handler
+	capOfLast := func() int {
+		v, _ := s.globals.get("last")
+		return cap(v.(*Object).ents)
+	}
+	full(nil, "")
+	perCall := func(handler func(msg.Value, string)) float64 {
+		return testing.AllocsPerRun(100, func() { handler(nil, "") })
+	}
+	if n := perCall(full) - perCall(empty); n != 2 {
+		t.Errorf("an 18-key object from a literal: %v allocs more than an empty one, want 2 (its entries and its index)", n)
+	}
+	full(nil, "") // after the empty one: grown from 4 entries
+	full(nil, "")
+	if c := capOfLast(); c != 18+18/4 {
+		t.Errorf("after an 18-key object the site made room for %d entries, want %d", c, 18+18/4)
+	}
+	huge(nil, "")
+	one(nil, "")
+	if c := capOfLast(); c != literalSizeMax {
+		t.Errorf("after a 300-key object the site made room for %d entries, want %d", c, literalSizeMax)
+	}
+	one(nil, "")
+	if c := capOfLast(); c != 1 {
+		t.Errorf("after a 1-key object the site made room for %d entries, want 1", c)
+	}
+	if len(h.errs) != 0 {
+		t.Fatal(h.errs)
+	}
+}
+
+// A script's entries run one at a time under its lock, so the object a
+// literal site keeps is read and replaced by one entry at a time, however
+// many goroutines deliver at once (run under -race).
+func TestLiteralSiteUnderConcurrentDeliveries(t *testing.T) {
+	_, s := run(t, `
+		var built = 0, wrong = 0;
+		subscribe('ch', function (m) {
+			var o = {};
+			for (var i = 0; i < m.k; i++) { o['k' + i] = i; }
+			if (Object.keys(o).length !== m.k) { wrong++; }
+			built++;
+		});
+	`)
+	handler := s.host.(*testHost).subs[0].handler
+	const goroutines, each = 4, 200
+	sizes := make([]msg.Raw, 40)
+	for k := range sizes {
+		sizes[k] = mustRaw(t, msg.Map{"k": float64(k)})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				handler(sizes[(g*7+i)%len(sizes)], "")
+			}
+		}()
+	}
+	wg.Wait()
+	built, _ := s.globals.get("built")
+	wrong, _ := s.globals.get("wrong")
+	if built != float64(goroutines*each) || wrong != 0.0 {
+		t.Errorf("built %v objects, %v of the wrong size; want %d and 0", built, wrong, goroutines*each)
 	}
 }
 
@@ -411,11 +501,13 @@ const benchSinkJS = `subscribe('scans', function (m, origin) {
 // The scan ceiling is its measured count, on a host that takes the published
 // object encoded as the core does: the view of the scan and the entries it
 // fills to reach aps, the array's view, elements and one block of element
-// views, the object the handler builds with its entries grown four times and
-// its index made once, the published literal and its entries, and the one
-// buffer the object is encoded into. It was 38 while publish built a
-// msg.Map tree for the broker to encode, a table past linearMax had a Go map
-// for its index and every non-integer result was boxed on its own. The
+// views, the object the handler builds with its entries made once, sized
+// from the last object its literal made, and its index made once, the
+// published literal and its entries, and the one buffer the object is
+// encoded into. It was 14 while the handler's object grew its entries four
+// times, and 38 while publish built a msg.Map tree for the broker to encode,
+// a table past linearMax had a Go map for its index and every non-integer
+// result was boxed on its own. The
 // sink's is its measured count, fed an
 // encoded message as production feeds it: the view of the message, the one
 // string the fused chain makes — json() writes its text straight into it —
@@ -425,14 +517,20 @@ const benchSinkJS = `subscribe('scans', function (m, origin) {
 // logTo built an argument slice. With map-backed objects and frames, boxed
 // numbers and messages copied in and out, the same handlers cost 460 and 77.
 //
+// The clustering ceiling is its measured count per sample, 159.3, rounded
+// up: the key slice of each for-in walk and the numbers msg's cache of boxed
+// numbers misses, most of them cosine distances. It was 509 while for-in
+// boxed every key on its own.
+//
 // boxCollisionCeiling is what two pairs of the scan's BSSIDs sharing slots of
 // msg's string box cache cost, a copy and a box per read of each: one pair
 // comes in about one process in twenty-five, two in one in 1 500, three in
 // one in 100 000. A cache that kept nothing would cost 36.
 const (
-	scanHandlerAllocCeiling = 14
-	sinkHandlerAllocCeiling = 4
-	boxCollisionCeiling     = 8
+	scanHandlerAllocCeiling       = 11
+	sinkHandlerAllocCeiling       = 4
+	clusteringHandlerAllocCeiling = 160
+	boxCollisionCeiling           = 8
 )
 
 func TestHandlerAllocationCeilings(t *testing.T) {
@@ -489,4 +587,53 @@ func TestHandlerAllocationCeilings(t *testing.T) {
 	} else {
 		t.Logf("json() sink handler: %v allocs per message", n)
 	}
+
+	// clustering.js walks the keys of its samples with for-in, measuring each
+	// new sample against its window. The walk is run over three namings of
+	// the same access points, each on a fresh script, and the least count
+	// is the handler's: two of a naming's 20 BSSIDs share a slot of msg's
+	// string box cache in about one process in twenty, all three namings in
+	// about one in 10 000.
+	var counts []float64
+	for naming := 0; naming < 3; naming++ {
+		hc, _ := run(t, scripts.MustSource("clustering.js"))
+		handler := hc.subs[0].handler
+		samples := clusteringSamples(t, naming)
+		cycle := func() {
+			for _, m := range samples {
+				handler(m, "")
+			}
+		}
+		cycle()
+		if len(hc.errs) != 0 || len(hc.published) == 0 {
+			t.Fatalf("clustering.js: errors %v, %d clusters published", hc.errs, len(hc.published))
+		}
+		counts = append(counts, testing.AllocsPerRun(4, cycle)/float64(len(samples)))
+	}
+	if n := slices.Min(counts); n > clusteringHandlerAllocCeiling {
+		t.Errorf("clustering.js handler: %v allocs per sample (namings: %v), ceiling %d", n, counts, clusteringHandlerAllocCeiling)
+	} else {
+		t.Logf("clustering.js handler: %v allocs per sample (namings: %v)", n, counts)
+	}
+}
+
+// clusteringSamples returns one cycle of what scan.js publishes for
+// clustering.js: a walk past four places, 15 samples at each — a cycle as
+// long as the script's window — every place seeing 12 of 20 access points
+// at RSSIs that drift from sample to sample. naming names the access points:
+// every naming is the same walk.
+func clusteringSamples(t *testing.T, naming int) []msg.Raw {
+	rng := rand.New(rand.NewSource(1))
+	out := make([]msg.Raw, 60)
+	for i := range out {
+		place := i / 15
+		aps := msg.Map{}
+		for j := 0; j < 12; j++ {
+			ap := (5*place + j) % 20
+			rssi := -95 + (7*ap+11*place)%40 + rng.Intn(5)
+			aps[fmt.Sprintf("%02x:11:22:33:44:%02x", naming, ap)] = float64(rssi+100) / 45
+		}
+		out[i] = mustRaw(t, msg.Map{"t": float64(i), "aps": aps})
+	}
+	return out
 }

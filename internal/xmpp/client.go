@@ -253,7 +253,11 @@ func (c *Client) write(v any) error {
 	return writeStanza(c.conn, v)
 }
 
+// dispatchMessage hands a frame to the message handler, or holds it for
+// one. The frame views the reader's buffer, so it is made the handler's own
+// first: its one allocation.
 func (c *Client) dispatchMessage(m Stanza) {
+	m = m.owned()
 	c.mu.Lock()
 	onRaw := c.onMessageRaw
 	if onRaw == nil && len(c.backlog) < 256 {

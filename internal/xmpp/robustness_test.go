@@ -1,6 +1,7 @@
 package xmpp
 
 import (
+	"bytes"
 	"encoding/xml"
 	"io"
 	"net"
@@ -165,6 +166,83 @@ func TestOfflineQueueResumesSession(t *testing.T) {
 	}
 	if reg.CounterValue("xmpp_server_resumed_total") != 3 {
 		t.Errorf("resumed counter = %d", reg.CounterValue("xmpp_server_resumed_total"))
+	}
+}
+
+// rawLogin logs user in over a connection the test reads itself, and
+// returns the reader the user's stanzas arrive on.
+func rawLogin(t *testing.T, s *Server, user string) *stanzaReader {
+	t.Helper()
+	c := rawConn(t, s)
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	auth := `<auth user="` + user + `" password="pw" resource="raw"></auth>` + "\n"
+	if _, err := c.Write(append(streamOpenLine("to", Domain), auth...)); err != nil {
+		t.Fatal(err)
+	}
+	sr := newStanzaReader(c)
+	for _, want := range []string{"stream", "success"} {
+		if _, isFrame, line, err := sr.next(); err != nil || isFrame || elementName(line) != want {
+			t.Fatalf("login of %s: read %q (frame %v, %v), want <%s>", user, line, isFrame, err, want)
+		}
+	}
+	return sr
+}
+
+// The server reads every frame of a connection into one buffer, so the
+// offline queue must keep copies: a queued stanza still viewing the buffer
+// would be overwritten by the frames read after it. Stanzas of several sizes
+// — one larger than frameKeep — are queued for an offline user, more frames
+// follow on the same connection to a live one, and the offline user's next
+// session gets the queued ids, trace fields and bodies byte for byte.
+func TestOfflineQueueSurvivesReaderReuse(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := startServer(t, ServerConfig{AllowAutoRegister: true, Obs: reg})
+	s.Associate("r", "d")
+	s.Associate("r", "e")
+	r := dial(t, s, "r", "pw")
+	var queuedStanzas []Stanza
+	for i := 0; i < 6; i++ {
+		n := 10 + 100*i
+		if i == 3 {
+			n = 2 * frameKeep
+		}
+		m := Stanza{
+			ID:   strconv.Itoa(1000 + 7*i),
+			T:    TraceAttr([]obs.TraceID{obs.TraceID(0x1111 * (i + 1)), obs.TraceID(i + 1)}),
+			Body: []byte(strings.Repeat(string(rune('a'+i)), n)),
+		}
+		if err := r.SendMessageBytes(MakeJID("d"), m.ID, m.Body, m.T); err != nil {
+			t.Fatal(err)
+		}
+		queuedStanzas = append(queuedStanzas, m)
+	}
+	waitFor(t, "stanzas queued", func() bool {
+		return reg.CounterValue("xmpp_server_queued_total") == int64(len(queuedStanzas))
+	})
+
+	e := dial(t, s, "e", "pw")
+	live := collectBodies(e)
+	for i := 0; i < 6; i++ {
+		body := []byte(strings.Repeat("z", 5+300*i))
+		if err := r.SendMessageBytes(MakeJID("e"), "9", body, TraceAttr([]obs.TraceID{99})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "live frames routed over the queued ones", func() bool { return len(live()) == 6 })
+
+	sr := rawLogin(t, s, "d")
+	for i, want := range queuedStanzas {
+		m, isFrame, _, err := sr.next()
+		for err == nil && !isFrame {
+			m, isFrame, _, err = sr.next()
+		}
+		if err != nil {
+			t.Fatalf("replayed stanza %d: %v", i, err)
+		}
+		if m.From != "r@pogo" || m.ID != want.ID || m.T != want.T || !bytes.Equal(m.Body, want.Body) {
+			t.Fatalf("replayed stanza %d: from %q id %q trace %x, %d body bytes; want id %q trace %x, %d body bytes",
+				i, m.From, m.ID, m.T, len(m.Body), want.ID, want.T, len(want.Body))
+		}
 	}
 }
 

@@ -168,7 +168,8 @@ func (c *tcpSession) send(v any) error {
 	return c.write(append(b, '\n'))
 }
 
-// Deliver implements Sink: the stanza goes out as one binary frame.
+// Deliver implements Sink: the stanza is copied into one binary frame and
+// written before Deliver returns, so m need not outlive the call.
 func (c *tcpSession) Deliver(m Stanza) error {
 	bp := getWireBuf()
 	buf := appendFrame((*bp)[:0], m.To, m.From, m.ID, m.T, m.Body)

@@ -17,6 +17,11 @@ const QueueCap = 64
 // writes to, and what identifies the session, so it must be comparable (a
 // pointer, typically). An adapter serializes calls on one sink itself; the
 // switchboard calls sinks without holding its own lock.
+//
+// A stanza handed to a sink is valid only during the call: the TCP server's
+// are views of a connection's read buffer, which the next frame overwrites.
+// A sink that keeps one longer may do so only when its own adapter's
+// producers route stanzas they own (memnet's Port.Send copies the payload).
 type Sink interface {
 	// Deliver hands over one routed stanza. An error marks the session stale:
 	// the switchboard detaches it and queues the stanza for the next one.
@@ -189,8 +194,10 @@ func (s *Switchboard) Detach(user string, sink Sink) {
 
 // Route delivers m from one user to another: to the recipient's live
 // session, else into its offline queue. A sender may only reach its roster
-// contacts (and itself); anything else bounces. The live path takes the lock
-// once and allocates nothing.
+// contacts (and itself); anything else bounces. m is the caller's and is
+// used only during the call: the switchboard keeps it only by copying it
+// into the offline queue. The live path takes the lock once and allocates
+// nothing.
 func (s *Switchboard) Route(from, to string, m Stanza) {
 	s.mu.Lock()
 	if from != to && !s.rosters[from][to] {
@@ -252,14 +259,15 @@ func (s *Switchboard) drainLocked(user string) {
 }
 
 // enqueueLocked holds m for user's next session: at the back for a routed
-// stanza, at the front for one a replay failed to hand over. A queue over
-// QueueCap loses its oldest stanza.
+// stanza, which the queue keeps a copy of (Route's m is the caller's), at
+// the front for one a replay failed to hand over, which is the queue's
+// already. A queue over QueueCap loses its oldest stanza.
 func (s *Switchboard) enqueueLocked(user string, m Stanza, front bool) {
 	q := s.queues[user]
 	if front {
 		q = append(append(make([]Stanza, 0, len(q)+1), m), q...)
 	} else {
-		q = append(q, m)
+		q = append(q, m.owned())
 		s.obsQueued.Inc()
 		s.hop(obs.StageOffline, m.T, "user=", user)
 	}

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"sync"
 	"unsafe"
@@ -107,14 +106,20 @@ func appendFrameStr[S string | []byte](dst []byte, s S) []byte {
 	return append(dst, s...)
 }
 
+// frameKeep is the largest frame buffer a stanzaReader keeps from one frame
+// to the next. A frame that needs more is read into a buffer of its own,
+// which goes with that frame, so one huge frame does not pin its size to the
+// connection.
+const frameKeep = 64 << 10
+
 // stanzaReader reads one stanza at a time off a connection, sniffing each
 // stanza's representation from its first byte. It owns all read buffering on
 // the connection (nothing else may read concurrently).
 type stanzaReader struct {
 	r *bufio.Reader
-	// fields holds a frame's id and trace fields until its body length is
-	// known, when the three move into one allocation.
-	fields []byte
+	// buf holds the last frame's id, trace field and body, in that order;
+	// the next frame is read over them.
+	buf []byte
 }
 
 func newStanzaReader(r io.Reader) *stanzaReader {
@@ -122,9 +127,10 @@ func newStanzaReader(r io.Reader) *stanzaReader {
 }
 
 // next returns the next stanza: either a binary message frame (isFrame true,
-// m populated — its body buffer is freshly allocated and owned by the
-// caller) or one XML line (isFrame false; line aliases the reader's buffer
-// and is valid only until the next call).
+// m populated) or one XML line (isFrame false). Either way the stanza views
+// the reader's buffers and is valid only until the next call: a frame's id,
+// trace field and body, and a line. A caller that keeps a frame longer keeps
+// m.owned().
 func (sr *stanzaReader) next() (m Stanza, isFrame bool, line []byte, err error) {
 	for {
 		b, err := sr.r.Peek(1)
@@ -145,9 +151,10 @@ func (sr *stanzaReader) next() (m Stanza, isFrame bool, line []byte, err error) 
 }
 
 // readFrame parses one binary message frame (the magic byte is still
-// unconsumed). A frame costs one allocation: to and from are interned — a
-// switchboard's few users, over and over — and the id and trace fields share
-// the body's allocation, ahead of it.
+// unconsumed). A frame up to frameKeep bytes costs no allocation once the
+// reader's buffer has grown to it: to and from are interned — a
+// switchboard's few users, over and over — and the id, trace field and body
+// are read into the buffer, one after the other.
 func (sr *stanzaReader) readFrame() (Stanza, error) {
 	sr.r.Discard(1)
 	var m Stanza
@@ -158,13 +165,15 @@ func (sr *stanzaReader) readFrame() (Stanza, error) {
 	if m.From, err = sr.readInterned(); err != nil {
 		return m, err
 	}
-	if sr.fields, err = sr.appendField(sr.fields[:0]); err != nil {
+	buf, err := sr.appendField(sr.buf[:0])
+	if err != nil {
 		return m, err
 	}
-	idLen := len(sr.fields)
-	if sr.fields, err = sr.appendField(sr.fields); err != nil {
+	idLen := len(buf)
+	if buf, err = sr.appendField(buf); err != nil {
 		return m, err
 	}
+	k := len(buf)
 	n, err := binary.ReadUvarint(sr.r)
 	if err != nil {
 		return m, err
@@ -172,14 +181,8 @@ func (sr *stanzaReader) readFrame() (Stanza, error) {
 	if n > maxFrameBody {
 		return m, errFrameTooBig
 	}
-	// The body is the one deliberate copy on this path: it outlives the read
-	// buffer (the transport aliases decoded values straight into it), so it
-	// must be a fresh GC-owned allocation handed to the consumer. The id and
-	// trace strings view the bytes before it, which the body cannot reach.
-	k := len(sr.fields)
-	buf := make([]byte, k+int(n))
-	copy(buf, sr.fields)
-	body := buf[k:]
+	buf = sr.room(buf, int(n))
+	body := buf[k : k+int(n) : k+int(n)]
 	if _, err := io.ReadFull(sr.r, body); err != nil {
 		return m, err
 	}
@@ -190,14 +193,45 @@ func (sr *stanzaReader) readFrame() (Stanza, error) {
 	if nl != '\n' {
 		return m, errors.New("xmpp: unterminated frame")
 	}
-	if idLen > 0 {
-		m.ID = unsafe.String(&buf[0], idLen)
-	}
-	if k > idLen {
-		m.T = unsafe.String(&buf[idLen], k-idLen)
-	}
+	m.ID, m.T = fieldViews(buf, idLen, k)
 	m.Body = body
 	return m, nil
+}
+
+// fieldViews returns the id and trace field at the front of a frame's
+// buffer: buf[:idLen] and buf[idLen:k], as strings viewing those bytes.
+func fieldViews(buf []byte, idLen, k int) (id, trace string) {
+	return unsafe.String(unsafe.SliceData(buf), idLen), unsafe.String(unsafe.SliceData(buf[idLen:]), k-idLen)
+}
+
+// room returns buf, the frame read so far, with room for n more bytes: in
+// the reader's own buffer while the frame fits frameKeep, else in a buffer
+// of the frame's own.
+func (sr *stanzaReader) room(buf []byte, n int) []byte {
+	need := len(buf) + n
+	if need <= cap(buf) {
+		return buf
+	}
+	if need > frameKeep {
+		return append(make([]byte, 0, need), buf...)
+	}
+	grown := append(make([]byte, 0, min(max(need, 2*cap(buf)), frameKeep)), buf...)
+	sr.buf = grown
+	return grown
+}
+
+// owned returns m with its id, trace field and body copied into one
+// allocation of their own, out of the reader's buffer they view: what a
+// caller keeps of a stanza past the call that handed it over.
+func (m Stanza) owned() Stanza {
+	idLen, k := len(m.ID), len(m.ID)+len(m.T)
+	buf := make([]byte, k+len(m.Body))
+	copy(buf, m.ID)
+	copy(buf[idLen:], m.T)
+	copy(buf[k:], m.Body)
+	m.ID, m.T = fieldViews(buf, idLen, k)
+	m.Body = buf[k:]
+	return m
 }
 
 // fieldLen reads a frame field's length prefix and bounds it.
@@ -228,15 +262,15 @@ func (sr *stanzaReader) readInterned() (string, error) {
 	return s, nil
 }
 
-// appendField appends a frame field's bytes to dst.
-func (sr *stanzaReader) appendField(dst []byte) ([]byte, error) {
+// appendField appends a frame field's bytes to buf, the frame read so far.
+func (sr *stanzaReader) appendField(buf []byte) ([]byte, error) {
 	n, err := sr.fieldLen()
 	if err != nil {
-		return dst, err
+		return buf, err
 	}
-	dst = slices.Grow(dst, n)
-	_, err = io.ReadFull(sr.r, dst[len(dst):len(dst)+n])
-	return dst[:len(dst)+n], err
+	buf = sr.room(buf, n)
+	_, err = io.ReadFull(sr.r, buf[len(buf):len(buf)+n])
+	return buf[:len(buf)+n], err
 }
 
 // readLine reads one newline-terminated stanza line, tolerating lines larger

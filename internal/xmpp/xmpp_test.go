@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -413,23 +414,89 @@ func (r *cycleReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestReadFrameAllocatesOnce: a received data frame costs one allocation,
-// the body's — to and from are interned, and the id and trace fields share
-// the body's allocation.
+// TestReadFrameAllocatesOnce: a data frame a client receives costs one
+// allocation, the copy its handler owns — to and from are interned, the
+// frame is read into the reader's buffer, and the id, trace field and body
+// are copied out of it together.
 func TestReadFrameAllocatesOnce(t *testing.T) {
 	frame := appendFrame(nil, "collector@pogo", "phone-1@pogo", "1234",
 		TraceAttr([]obs.TraceID{0x0123456789abcdef, 0xfedcba9876543210}), make([]byte, 90))
 	sr := newStanzaReader(&cycleReader{b: frame})
+	c := &Client{}
+	c.OnMessageRaw(func(_ JID, id string, body []byte) {
+		if id != "1234" || len(body) != 90 {
+			t.Fatalf("handler got id %q and %d body bytes", id, len(body))
+		}
+	})
 	read := func() {
 		m, isFrame, _, err := sr.next()
 		if err != nil || !isFrame || m.ID != "1234" || len(m.T) != 16 || len(m.Body) != 90 {
 			t.Fatalf("read %+v (frame %v, %v)", m, isFrame, err)
 		}
+		c.dispatchMessage(m)
 	}
 	for i := 0; i < 10; i++ {
 		read()
 	}
 	if allocs := testing.AllocsPerRun(500, read); allocs != 1 {
-		t.Errorf("reading a data frame: %.1f allocs, want 1", allocs)
+		t.Errorf("receiving a data frame: %.1f allocs, want 1", allocs)
+	}
+}
+
+// discardConn is a connection whose writes all succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestRoutedFrameAllocatesNothing: a data frame the server reads and routes
+// to a live session costs nothing — it is read into the connection's buffer,
+// as serveConn's loop reads it, and written out of it by the recipient's
+// Deliver.
+func TestRoutedFrameAllocatesNothing(t *testing.T) {
+	s := NewServer(ServerConfig{})
+	s.Associate("phone-1", "collector")
+	s.Attach("collector", &tcpSession{jid: "collector@pogo/pogo", conn: discardConn{}})
+	frame := appendFrame(nil, "collector@pogo", "", "1234",
+		TraceAttr([]obs.TraceID{0x0123456789abcdef}), make([]byte, 400))
+	sr := newStanzaReader(&cycleReader{b: frame})
+	route := func() {
+		m, isFrame, _, err := sr.next()
+		if err != nil || !isFrame {
+			t.Fatalf("read %+v (frame %v, %v)", m, isFrame, err)
+		}
+		m.From = "phone-1@pogo"
+		s.Route("phone-1", JID(m.To).User(), m)
+	}
+	for i := 0; i < 10; i++ {
+		route()
+	}
+	budget := 0.0
+	if raceEnabled {
+		budget = 1 // the wire-buffer pool drops its buffer at random under -race
+	}
+	if allocs := testing.AllocsPerRun(500, route); allocs > budget {
+		t.Errorf("reading and routing a data frame: %.1f allocs, want %v", allocs, budget)
+	}
+}
+
+// A frame larger than frameKeep is read into a buffer of its own: the
+// reader keeps at most frameKeep bytes, and the frames either side of the
+// large one read whole.
+func TestReaderKeepsAtMostFrameKeep(t *testing.T) {
+	small := bytes.Repeat([]byte("s"), 300)
+	large := bytes.Repeat([]byte("L"), 3*frameKeep)
+	var wire []byte
+	for _, body := range [][]byte{small, large, small} {
+		wire = appendFrame(wire, "collector@pogo", "phone-1@pogo", "7", "", body)
+	}
+	sr := newStanzaReader(bytes.NewReader(wire))
+	for i, want := range [][]byte{small, large, small} {
+		m, isFrame, _, err := sr.next()
+		if err != nil || !isFrame || m.ID != "7" || !bytes.Equal(m.Body, want) {
+			t.Fatalf("frame %d: %d body bytes, id %q (frame %v, %v)", i, len(m.Body), m.ID, isFrame, err)
+		}
+		if cap(sr.buf) > frameKeep {
+			t.Fatalf("after frame %d the reader keeps %d bytes, want at most %d", i, cap(sr.buf), frameKeep)
+		}
 	}
 }
