@@ -1,13 +1,12 @@
 package main
 
-// The fleet scaling benchmark and its memory-diet regression gate.
-// `pogo-bench -run fleet` sweeps the sharded fleet simulation over shard
-// counts, hard-fails unless every split of a given (seed, phones) preserves
-// the exactly-once audit AND the same delivery-log SHA-256, and merges the
-// rows into BENCH_fleet.json. `-fleet-scale 10000,100000` appends the
-// phones-vs-throughput scaling curve. With -gate it instead replays the
-// canonical 2000-phone row and fails on fleet_bytes_per_phone or
-// allocs_per_delivery regressions (see gateFleetDiet).
+// The fleet scaling benchmark. `pogo-bench -run fleet` sweeps the sharded
+// fleet simulation over shard counts, hard-fails unless every split of a
+// given (seed, phones) preserves the exactly-once audit AND the same
+// delivery-log SHA-256, and merges the rows into BENCH_fleet.json.
+// `-fleet-scale 10000,100000` appends the phones-vs-throughput scaling curve.
+// The memory diet of the canonical 2000-phone row is pinned by
+// TestFleetBytesPerPhone (internal/experiments), not by this file.
 
 import (
 	"encoding/json"
@@ -208,89 +207,4 @@ func mergeFleetRows(seed int64, fresh []fleetBenchRun) error {
 		return err
 	}
 	return os.WriteFile(fleetFileName, append(b, '\n'), 0o644)
-}
-
-// Memory-diet gate slacks, in the spirit of the hotpath gate's: a change must
-// exceed both the 15% threshold and an absolute floor to fail. The live-heap
-// measurement jitters a couple hundred bytes per phone with GC timing, so the
-// bytes floor is half a kilobyte — a genuine diet regression (reverting any
-// one of the pooled structures) costs kilobytes per phone and still trips it.
-// allocs_per_delivery is exact per seed; its floor only absorbs rounding.
-const (
-	gateSlackBytesPerPhone     = 512.0
-	gateSlackAllocsPerDelivery = 2.0
-)
-
-// gateFleetDiet replays the canonical 2000-phone, 4-shard row and compares
-// the two machine-independent memory metrics against the checked-in baseline:
-// fleet_bytes_per_phone (the per-device footprint the 100k diet is budgeted
-// against) and allocs_per_delivery. Either worse by >15% (past its slack)
-// fails the build; wall-clock deltas are printed but advisory, same policy as
-// the hotpath gate. The delivery-log hash must match the baseline exactly —
-// a hash drift is a determinism break, not a perf regression.
-func gateFleetDiet(seed int64) error {
-	data, err := os.ReadFile(fleetFileName)
-	if err != nil {
-		return fmt.Errorf("no baseline (%v); run `pogo-bench -run fleet` and commit %s", err, fleetFileName)
-	}
-	var base fleetBench
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("corrupt baseline %s: %v", fleetFileName, err)
-	}
-	if base.Seed != seed {
-		return fmt.Errorf("baseline %s was recorded with seed %d, gate run with seed %d", fleetFileName, base.Seed, seed)
-	}
-	const phones, shards = 2000, 4
-	var ref *fleetBenchRun
-	for i := range base.Runs {
-		r := &base.Runs[i]
-		if r.Phones == phones && r.Shards == shards {
-			ref = r
-			break
-		}
-	}
-	if ref == nil {
-		return fmt.Errorf("baseline %s has no phones=%d shards=%d row; run `pogo-bench -run fleet` to record it", fleetFileName, phones, shards)
-	}
-
-	res := experiments.Fleet(experiments.FleetScenario(seed, phones, shards))
-	if err := res.Err(); err != nil {
-		return fmt.Errorf("fleet gate run: %w", err)
-	}
-	if res.LogSHA256 != ref.LogSHA256 {
-		return fmt.Errorf("fleet gate: delivery-log hash %s differs from baseline %s (determinism broken; if the workload changed intentionally, refresh %s and the fleet txtar pins)",
-			res.LogSHA256, ref.LogSHA256, fleetFileName)
-	}
-
-	pct := func(old, new float64) float64 {
-		if old == 0 {
-			if new == 0 {
-				return 0
-			}
-			return 100
-		}
-		return 100 * (new - old) / old
-	}
-	dBytes := pct(ref.BytesPerPhone, res.BytesPerPhone)
-	dAllocs := pct(ref.AllocsPerDelivery, res.AllocsPerDelivery)
-	dWall := pct(ref.WallSeconds, res.WallSeconds)
-	fmt.Printf("fleet gate vs %s (phones=%d shards=%d; fail: B/phone or allocs/delivery worse by >%.0f%%; wall advisory)\n",
-		fleetFileName, phones, shards, gateThresholdPct)
-	fmt.Printf("  %-22s %10.0f -> %10.0f  %+.1f%%\n", "fleet_bytes_per_phone", ref.BytesPerPhone, res.BytesPerPhone, dBytes)
-	fmt.Printf("  %-22s %10.1f -> %10.1f  %+.1f%%\n", "allocs_per_delivery", ref.AllocsPerDelivery, res.AllocsPerDelivery, dAllocs)
-	fmt.Printf("  %-22s %10.2f -> %10.2f  %+.1f%% (advisory)\n", "wall_seconds", ref.WallSeconds, res.WallSeconds, dWall)
-	failures := 0
-	if dBytes > gateThresholdPct && res.BytesPerPhone-ref.BytesPerPhone > gateSlackBytesPerPhone {
-		fmt.Println("  FAIL fleet_bytes_per_phone")
-		failures++
-	}
-	if dAllocs > gateThresholdPct && res.AllocsPerDelivery-ref.AllocsPerDelivery > gateSlackAllocsPerDelivery {
-		fmt.Println("  FAIL allocs_per_delivery")
-		failures++
-	}
-	if failures > 0 {
-		return fmt.Errorf("fleet gate: %d memory regression(s); if intended, regenerate the baseline with `pogo-bench -run fleet`", failures)
-	}
-	fmt.Println("fleet gate: PASS")
-	return nil
 }

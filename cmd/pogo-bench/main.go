@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		run        = flag.String("run", "all", "experiment: table2|table3|table4|figure3|figure4|ablations|all, or chaos / fleet / hotpath (benchmarks, not part of all)")
+		run        = flag.String("run", "all", "experiment: table2|table3|table4|figure3|figure4|ablations|all, or chaos / fleet (benchmarks, not part of all)")
 		days       = flag.Int("days", 24, "table4: experiment length in days")
 		seed       = flag.Int64("seed", 1, "table4 / chaos / fleet: world seed")
 		phones     = flag.Int("phones", 0, "chaos / fleet: testbed size (0 = per-benchmark default: 50 chaos, 2000 fleet)")
@@ -38,7 +38,6 @@ func main() {
 		freeze     = flag.Bool("freeze", false, "table4: enable freeze/thaw state persistence (the post-paper fix)")
 		stats      = flag.Bool("stats", false, "dump the full metrics registry after the experiments")
 		csvDir     = flag.String("csv", "", "write accounting.csv, timeseries.csv, and ledger-derived table3.csv/table4.csv into this directory")
-		gate       = flag.Bool("gate", false, "fleet / hotpath: compare against the checked-in baseline instead of rewriting it; exit 1 on regression")
 		traceOut   = flag.String("traceout", "", "chaos / fleet: write the last run's causal spans as Chrome/Perfetto trace JSON to this file")
 		flightOut  = flag.String("flightout", "pogo-flight.json", "chaos: flight-recorder dump path, written when the delivery audit fails")
 		sabotage   = flag.Bool("sabotage-drain", false, "chaos: disable the post-window drain so the audit genuinely fails — exercises the flight recorder")
@@ -66,7 +65,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	err := runExperiments(*run, *days, *seed, *phones, *shards, *fleetLog, *fleetScale, *traceOut, *flightOut, *sabotage, *freeze, *gate, *stats, *csvDir)
+	err := runExperiments(*run, *days, *seed, *phones, *shards, *fleetLog, *fleetScale, *traceOut, *flightOut, *sabotage, *freeze, *stats, *csvDir)
 	if *memProfile != "" {
 		runtime.GC() // settle the heap so the profile shows retained memory
 		if f, ferr := os.Create(*memProfile); ferr != nil {
@@ -87,7 +86,7 @@ func main() {
 	}
 }
 
-func runExperiments(which string, days int, seed int64, phones, shards int, fleetLog, fleetScale, traceOut, flightOut string, sabotage, freeze, gate, stats bool, csvDir string) error {
+func runExperiments(which string, days int, seed int64, phones, shards int, fleetLog, fleetScale, traceOut, flightOut string, sabotage, freeze, stats bool, csvDir string) error {
 	want := func(name string) bool { return which == "all" || which == name }
 	ran := false
 	reg := obs.NewRegistry()
@@ -99,13 +98,7 @@ func runExperiments(which string, days int, seed int64, phones, shards int, flee
 		return runChaos(seed, phones, traceOut, flightOut, sabotage)
 	}
 	if which == "fleet" {
-		if gate {
-			return gateFleetDiet(seed)
-		}
 		return runFleet(seed, phones, shards, fleetScale, fleetLog, traceOut)
-	}
-	if which == "hotpath" {
-		return runHotpath(gate)
 	}
 
 	if want("table2") {
@@ -171,7 +164,7 @@ func runExperiments(which string, days int, seed int64, phones, shards int, flee
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (want %s)", which,
-			strings.Join([]string{"table2", "table3", "table4", "figure3", "figure4", "ablations", "all", "chaos", "fleet", "hotpath"}, "|"))
+			strings.Join([]string{"table2", "table3", "table4", "figure3", "figure4", "ablations", "all", "chaos", "fleet"}, "|"))
 	}
 	if stats {
 		fmt.Println("metrics registry:")

@@ -12,14 +12,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
-	"time"
 
 	"pogo/internal/core"
 	"pogo/internal/geo"
@@ -52,12 +50,6 @@ func run(server, id, password, scriptDir, metricsAddr, pprofAddr string) error {
 	var reg *obs.Registry
 	if metricsAddr != "" {
 		reg = obs.NewRegistry()
-		// Live collector: the full rule pack (RealTime rules included)
-		// evaluates on every real-clock sampling tick, and the runtime
-		// sampler contributes goroutine/heap/GC gauges.
-		reg.Alerts().EnsureDefaultRules()
-		stopRuntime := obs.StartRuntimeSampler(reg)
-		defer stopRuntime()
 	}
 	messenger, err := transport.DialXMPP(server, id, password, "pc")
 	if err != nil {
@@ -91,24 +83,18 @@ func run(server, id, password, scriptDir, metricsAddr, pprofAddr string) error {
 		fmt.Printf("%s << %s\n", logName, line)
 	})
 
+	// Live collector: the full rule pack (RealTime rules included) evaluates
+	// on every real-clock sampling tick, and the runtime sampler contributes
+	// goroutine/heap/GC gauges.
+	stopObs, err := obs.ServeNode(reg, id, metricsAddr, pprofAddr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pogo-collector:", err)
+	}
+	defer stopObs()
 	if metricsAddr != "" {
-		// Sample the registry so /timeseries carries history for pogo-top
-		// and windowed rate queries.
-		stopSampling := obs.StartSampling(vclock.Real{}, reg, 5*time.Second, id)
-		defer stopSampling()
-		go func() {
-			if err := http.ListenAndServe(metricsAddr, obs.Handler(reg)); err != nil {
-				fmt.Fprintln(os.Stderr, "pogo-collector: metrics:", err)
-			}
-		}()
 		fmt.Printf("pogo-collector: metrics on http://%s/metrics (accounting on /accounting, series on /timeseries, alerts on /alerts)\n", metricsAddr)
 	}
 	if pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(pprofAddr, obs.PprofHandler()); err != nil {
-				fmt.Fprintln(os.Stderr, "pogo-collector: pprof:", err)
-			}
-		}()
 		fmt.Printf("pogo-collector: pprof on http://%s/debug/pprof/\n", pprofAddr)
 	}
 

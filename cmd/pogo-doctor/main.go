@@ -14,7 +14,8 @@
 // -selftest needs no running node: it builds a short in-process chaos world
 // with a rigged duplicate delivery, serves its registry over loopback HTTP,
 // and runs the battery against that — verifying end to end that the doctor
-// detects the faults the -expect rules describe. make doctor-smoke uses it.
+// detects the faults the -expect rules describe. TestSelftestDetectsRiggedWorld
+// runs it.
 package main
 
 import (

@@ -15,16 +15,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
-	"time"
-
 	"pogo/internal/obs"
-	"pogo/internal/vclock"
 	"pogo/internal/xmpp"
 )
 
@@ -58,12 +54,6 @@ func run(addr string, autoReg bool, metricsAddr, pprofAddr string, assoc associa
 	var reg *obs.Registry
 	if metricsAddr != "" {
 		reg = obs.NewRegistry()
-		// Live server: rules evaluate on the real clock (every sampling
-		// tick), including the RealTime ones deterministic runs mute; the
-		// runtime sampler adds goroutine/heap/GC gauges to every snapshot.
-		reg.Alerts().EnsureDefaultRules()
-		stopRuntime := obs.StartRuntimeSampler(reg)
-		defer stopRuntime()
 	}
 	srv := xmpp.NewServer(xmpp.ServerConfig{
 		Addr: addr, AllowAutoRegister: autoReg, Obs: reg,
@@ -85,24 +75,18 @@ func run(addr string, autoReg bool, metricsAddr, pprofAddr string, assoc associa
 	}
 	defer srv.Close()
 	fmt.Printf("pogo-server: switchboard listening on %s (auto-register=%v)\n", srv.Addr(), autoReg)
+	// Live server: rules evaluate on the real clock (every sampling tick),
+	// including the RealTime ones deterministic runs mute, and the runtime
+	// sampler adds goroutine/heap/GC gauges to every snapshot.
+	stopObs, err := obs.ServeNode(reg, "server", metricsAddr, pprofAddr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pogo-server:", err)
+	}
+	defer stopObs()
 	if metricsAddr != "" {
-		// Feed /timeseries: sample the registry on a real-time cadence so
-		// pogo-top and windowed rate queries have history to work with.
-		stopSampling := obs.StartSampling(vclock.Real{}, reg, 5*time.Second, "server")
-		defer stopSampling()
-		go func() {
-			if err := http.ListenAndServe(metricsAddr, obs.Handler(reg)); err != nil {
-				fmt.Fprintln(os.Stderr, "pogo-server: metrics:", err)
-			}
-		}()
 		fmt.Printf("pogo-server: metrics on http://%s/metrics (accounting on /accounting, series on /timeseries, alerts on /alerts)\n", metricsAddr)
 	}
 	if pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(pprofAddr, obs.PprofHandler()); err != nil {
-				fmt.Fprintln(os.Stderr, "pogo-server: pprof:", err)
-			}
-		}()
 		fmt.Printf("pogo-server: pprof on http://%s/debug/pprof/\n", pprofAddr)
 	}
 

@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -56,17 +55,16 @@ func run(server, id, password, stateDir string, seed int64, verbose bool, hide s
 	var reg *obs.Registry
 	if stats {
 		reg = obs.NewRegistry()
-		// The shutdown dump should cover the process itself, not just the
-		// middleware: fold goroutine/heap/GC gauges into the registry.
-		stopRuntime := obs.StartRuntimeSampler(reg)
-		defer stopRuntime()
 	}
+	// The shutdown dump should cover the process itself, not just the
+	// middleware: the runtime sampler folds goroutine/heap/GC gauges into
+	// the registry.
+	stopObs, err := obs.ServeNode(reg, id, "", pprofAddr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pogod:", err)
+	}
+	defer stopObs()
 	if pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(pprofAddr, obs.PprofHandler()); err != nil {
-				fmt.Fprintln(os.Stderr, "pogod: pprof:", err)
-			}
-		}()
 		fmt.Printf("pogod: pprof on http://%s/debug/pprof/\n", pprofAddr)
 	}
 	privacy := core.NewPrivacy()

@@ -10,13 +10,28 @@ func benchPayload() Map {
 	return Map{"t": 1338508800000.0, "aps": aps, "samples": 42.0}
 }
 
+// BenchmarkEncodeBinary, BenchmarkDecodeBinary and BenchmarkEncodeJSON time
+// the codec ops TestRawAllocations pins, on a sensor reading.
+func BenchmarkEncodeBinary(b *testing.B) {
+	encodeBinary, _, _ := codecOps(sensorReading())
+	benchOp(b, encodeBinary)
+}
+
+func BenchmarkDecodeBinary(b *testing.B) {
+	_, decodeBinary, _ := codecOps(sensorReading())
+	benchOp(b, decodeBinary)
+}
+
 func BenchmarkEncodeJSON(b *testing.B) {
-	m := benchPayload()
+	_, _, encodeJSON := codecOps(sensorReading())
+	benchOp(b, encodeJSON)
+}
+
+func benchOp(b *testing.B, op func()) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeJSON(m); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }
 

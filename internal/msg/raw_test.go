@@ -7,6 +7,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"pogo/internal/alloctest"
 )
 
 func TestFreezeBasics(t *testing.T) {
@@ -231,7 +233,67 @@ func TestRawAllocations(t *testing.T) {
 	if n != 0 {
 		t.Errorf("reads: %v allocs, want 0", n)
 	}
+
+	// The codec's hot-path rows, on a tree: encoding into a reused buffer
+	// and validating the bytes allocate nothing; EncodeJSON allocates the
+	// buffer it returns. Under -race, the key-order pool drops what it is
+	// given now and then.
+	encodeBinary, decodeBinary, encodeJSON := codecOps(sensorReading())
+	for _, op := range []struct {
+		name string
+		f    func()
+		want float64
+	}{{"AppendBinary", encodeBinary, 0}, {"ParseRaw", decodeBinary, 0}, {"EncodeJSON", encodeJSON, 1}} {
+		if n := testing.AllocsPerRun(100, op.f); n != op.want && !raceEnabled {
+			t.Errorf("%s of a tree: %v allocs, want %v", op.name, n, op.want)
+		}
+	}
+	if b := alloctest.BytesPerRun(100, encodeJSON); b > encodeJSONBytesCeiling {
+		t.Errorf("EncodeJSON of a tree: %v B, ceiling %d", b, encodeJSONBytesCeiling)
+	}
 }
+
+// encodeJSONBytesCeiling is EncodeJSON's 256-byte buffer plus 64 B: a bytes
+// figure fails only when it grows by more than 15 % and more than 64 B.
+const encodeJSONBytesCeiling = 256 + 64
+
+// sensorReading is what a phone's battery or wifi script publishes every few
+// seconds.
+func sensorReading() Map {
+	return Map{
+		"voltage":   4.1,
+		"level":     0.93,
+		"plugged":   false,
+		"timestamp": 1.7e12,
+		"aps": []Value{
+			Map{"bssid": "02:1b:77:49:54:fd", "rssi": -61.0},
+			Map{"bssid": "02:1b:77:1f:02:aa", "rssi": -74.0},
+		},
+	}
+}
+
+// codecOps returns the codec calls that TestRawAllocations pins and the
+// codec benchmarks time, on m: its binary encoding into a reused buffer, the
+// receive path's validation of those bytes, which builds no tree, and its
+// JSON encoding, kept as a caller keeps it.
+func codecOps(m Map) (encodeBinary, decodeBinary, encodeJSON func()) {
+	wire, err := AppendBinary(nil, m)
+	if err != nil {
+		panic(err)
+	}
+	var buf []byte
+	check := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	return func() { buf, err = AppendBinary(buf[:0], m); check(err) },
+		func() { _, err = ParseRaw(wire); check(err) },
+		func() { keptJSON, err = EncodeJSON(m); check(err) }
+}
+
+// keptJSON holds what the EncodeJSON op returns, as a caller would.
+var keptJSON []byte
 
 func mustEncode(t *testing.T, v Value) Raw {
 	t.Helper()

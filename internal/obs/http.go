@@ -2,12 +2,18 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strconv"
+	"sync"
+	"time"
+
+	"pogo/internal/vclock"
 )
 
 // Handler returns an http.Handler exposing the registry:
@@ -129,6 +135,46 @@ func PprofHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// ServeNode wires a live node's observability. reg, which may be nil, gets
+// the runtime sampler. With metricsAddr set it also gets the default rule
+// pack, which live nodes evaluate on the real clock, and a sample every five
+// seconds tagged tag, so that /timeseries has history; Handler(reg) serves
+// on metricsAddr. With pprofAddr set, PprofHandler serves on it. ServeNode
+// prints nothing. A listener that cannot bind is reported in err, joined
+// with the other's, and the rest runs without it. stop ends the samplers,
+// closes the listeners and returns once their servers have.
+func ServeNode(reg *Registry, tag, metricsAddr, pprofAddr string) (stop func(), err error) {
+	stops := []func(){StartRuntimeSampler(reg)}
+	var serving sync.WaitGroup
+	serve := func(what, addr string, h http.Handler) {
+		ln, lerr := net.Listen("tcp", addr)
+		if lerr != nil {
+			err = errors.Join(err, fmt.Errorf("%s: %w", what, lerr))
+			return
+		}
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			http.Serve(ln, h) // returns when stop closes ln
+		}()
+		stops = append(stops, func() { ln.Close() })
+	}
+	if metricsAddr != "" {
+		reg.Alerts().EnsureDefaultRules()
+		stops = append(stops, StartSampling(vclock.Real{}, reg, 5*time.Second, tag))
+		serve("metrics", metricsAddr, Handler(reg))
+	}
+	if pprofAddr != "" {
+		serve("pprof", pprofAddr, PprofHandler())
+	}
+	return func() {
+		for _, stop := range stops {
+			stop()
+		}
+		serving.Wait()
+	}, err
 }
 
 // WriteText renders the registry as a sorted, aligned text report — the

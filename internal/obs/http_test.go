@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -94,4 +95,28 @@ func TestAlertsEndpointBody(t *testing.T) {
 	if !strings.Contains(string(body), `ALERTS{alertname="backlog",severity="warn",alertstate="firing"} 1`) {
 		t.Fatalf("prom payload:\n%s", body)
 	}
+}
+
+// TestServeNodeReportsBusyPort: a live node's listener that cannot bind is
+// reported and the rest of its observability still starts — the rule pack,
+// the runtime gauges, the other listener — and stop returns once the
+// servers it started have.
+func TestServeNodeReportsBusyPort(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	reg := NewRegistry()
+	stop, err := ServeNode(reg, "t", busy.Addr().String(), "127.0.0.1:0")
+	if err == nil || !strings.HasPrefix(err.Error(), "metrics: ") {
+		t.Errorf("busy metrics port: err = %v", err)
+	}
+	if len(reg.Alerts().Rules()) == 0 {
+		t.Error("no default rules installed")
+	}
+	if _, ok := reg.Snapshot().Gauges["runtime_goroutines"]; !ok {
+		t.Error("runtime sampler not started")
+	}
+	stop()
 }

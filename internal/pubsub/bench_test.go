@@ -40,19 +40,23 @@ func BenchmarkSubscribeRelease(b *testing.B) {
 	}
 }
 
-// BenchmarkPublishFanOut1k exercises the broker at the paper's deployment
-// scale: a collector-side channel with ~1000 device proxies subscribed. The
-// per-subscriber cost is dominated by the defensive payload clone each
-// subscriber receives.
+// BenchmarkPublishFanOut1k and BenchmarkPublishFanOut1kPrefrozen time the
+// broker at the paper's deployment scale, a collector-side channel with
+// ~1000 device proxies subscribed: the ops TestPublishAllocations pins.
 func BenchmarkPublishFanOut1k(b *testing.B) {
-	br := New()
-	for i := 0; i < 1000; i++ {
-		br.Subscribe("ch", nil, func(Event) {})
-	}
-	payload := msg.Map{"voltage": 4.1, "level": 0.9, "timestamp": 1.0}
+	publish, _ := fanout(1000)
+	benchOp(b, publish)
+}
+
+func BenchmarkPublishFanOut1kPrefrozen(b *testing.B) {
+	_, publishRaw := fanout(1000)
+	benchOp(b, publishRaw)
+}
+
+func benchOp(b *testing.B, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		br.Publish("ch", payload)
+		op()
 	}
 }

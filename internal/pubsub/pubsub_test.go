@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"pogo/internal/alloctest"
 	"pogo/internal/msg"
 	"pogo/internal/obs"
 )
@@ -129,21 +130,57 @@ func TestPublishRefusesWhatDoesNotEncode(t *testing.T) {
 }
 
 // TestPublishAllocations: publishing a map costs its one encoding however
-// many subscribers read it; an encoded message costs nothing.
+// many subscribers read it, up to the 1 000 of a collector-side channel; an
+// encoded message costs nothing. The encoding of the sensor reading
+// measured 144 B; a bytes figure fails only when it grows by more than 15 %
+// and more than 64 B.
 func TestPublishAllocations(t *testing.T) {
+	const fanout1kBytesCeiling = 144 + 64
+	for _, subscribers := range []int{16, 1000} {
+		publish, publishRaw := fanout(subscribers)
+		// Under -race, sync.Pool drops what it is given now and then.
+		if n := testing.AllocsPerRun(100, publish); n != 1 && !raceEnabled {
+			t.Errorf("%d subscribers: Publish: %v allocs, want 1", subscribers, n)
+		}
+		if b := alloctest.BytesPerRun(100, publish); b > fanout1kBytesCeiling && !raceEnabled {
+			t.Errorf("%d subscribers: Publish: %v B, ceiling %d", subscribers, b, fanout1kBytesCeiling)
+		}
+		if n := testing.AllocsPerRun(100, publishRaw); n != 0 {
+			t.Errorf("%d subscribers: PublishRaw: %v allocs, want 0", subscribers, n)
+		}
+	}
+}
+
+// sensorReading is what a phone's battery or wifi script publishes every few
+// seconds.
+func sensorReading() msg.Map {
+	return msg.Map{
+		"voltage":   4.1,
+		"level":     0.93,
+		"plugged":   false,
+		"timestamp": 1.7e12,
+		"aps": []msg.Value{
+			msg.Map{"bssid": "02:1b:77:49:54:fd", "rssi": -61.0},
+			msg.Map{"bssid": "02:1b:77:1f:02:aa", "rssi": -74.0},
+		},
+	}
+}
+
+// fanout subscribes n readers of the level to one channel and returns the
+// two publishes of the sensor reading that the allocation test pins and the
+// fan-out benchmarks time: as a map, and already encoded, as a script
+// forwards what it received.
+func fanout(n int) (publish, publishRaw func()) {
 	b := New()
-	for i := 0; i < 16; i++ {
+	for i := 0; i < n; i++ {
 		b.Subscribe("c", nil, func(ev Event) { _, _ = msg.GetNumber(ev.Message, "level") })
 	}
-	m := msg.Map{"level": 80.0, "voltage": 3.9}
-	// Under -race, sync.Pool drops what it is given now and then.
-	if n := testing.AllocsPerRun(100, func() { b.Publish("c", m) }); n != 1 && !raceEnabled {
-		t.Errorf("Publish: %v allocs, want 1", n)
+	m := sensorReading()
+	r, err := msg.Encode(m)
+	if err != nil {
+		panic(err)
 	}
-	r, _ := msg.Encode(m)
-	if n := testing.AllocsPerRun(100, func() { b.PublishRaw("c", r, true) }); n != 0 {
-		t.Errorf("PublishRaw: %v allocs, want 0", n)
-	}
+	return func() { b.Publish("c", m) }, func() { b.PublishRaw("c", r, true) }
 }
 
 // TestFrozenSharingNoRaces: many subscribers reading the same encoded

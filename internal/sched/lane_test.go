@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pogo/internal/alloctest"
 	"pogo/internal/android"
 	"pogo/internal/vclock"
 )
@@ -98,6 +99,51 @@ func TestLaneRunsOneNameInSubmissionOrder(t *testing.T) {
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("task %d ran in position %d", got, i)
+		}
+	}
+}
+
+// TestSubmitHopAllocatesOnlyItsTask: on the system clock, submitting to a
+// lane that is already running and waiting for the task to start costs the
+// task — here the op's closure, 1 alloc and 24 B — and nothing of the
+// scheduler's; core submits tasks it built once. A bytes figure fails only
+// when it grows by more than 15 % and more than 64 B.
+func TestSubmitHopAllocatesOnlyItsTask(t *testing.T) {
+	op := submitHop(t, newReal(t, nil))
+	if n := testing.AllocsPerRun(1000, op); n != 1 {
+		t.Errorf("Submit to a running lane: %v allocs, want 1 (the task)", n)
+	}
+	if b := alloctest.BytesPerRun(1000, op); b > 24+64 {
+		t.Errorf("Submit to a running lane: %v B, ceiling %d", b, 24+64)
+	}
+}
+
+func BenchmarkSubmitHop(b *testing.B) {
+	s := New(vclock.Real{}, nil)
+	defer s.Close()
+	op := submitHop(b, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// submitHop starts one name's lane on s and returns the op that
+// TestSubmitHopAllocatesOnlyItsTask pins and BenchmarkSubmitHop times: the
+// hop every message takes into a script and into the flush, Submit to that
+// name and wait for the task to start.
+func submitHop(tb testing.TB, s *Scheduler) func() {
+	started := make(chan int)
+	s.Submit("bench", func() { started <- 0 })
+	<-started
+	i := 0
+	return func() {
+		i++
+		n := i
+		s.Submit("bench", func() { started <- n })
+		if got := <-started; got != n {
+			tb.Fatalf("task %d started when %d was submitted", got, n)
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"pogo/internal/script/scripts"
 )
 
-// BenchmarkScanHandler and BenchmarkSinkHandler are the script rows of
-// `pogo-bench -run hotpath` (script_scan_handler, script_sink_handler) on the
-// same inputs, so that the two can be timed in-package with -count:
+// BenchmarkScanHandler and BenchmarkSinkHandler time the two handlers of
+// bench/'s scan_pipeline, scan.js on the phone and a json() logger on the
+// collector, through the ops TestHandlerAllocationCeilings pins:
 //
 //	go test -run '^$' -bench 'Handler$' -count 10 ./internal/script
 
@@ -42,22 +42,22 @@ func (h *benchHost) Thaw(string) (msg.Value, bool)    { return nil, false }
 func (h *benchHost) SetTimeout(func(), time.Duration) {}
 func (h *benchHost) ReportError(_ string, err error)  { h.err = err }
 
-func startBench(b *testing.B, name, src string) *benchHost {
+func startBench(tb testing.TB, name, src string) *benchHost {
 	h := &benchHost{}
 	s, err := New(name, src, h, Config{})
 	if err == nil {
 		err = s.Start()
 	}
 	if err != nil || h.handler == nil {
-		b.Fatalf("%s: err=%v, subscribed=%v", name, err, h.handler != nil)
+		tb.Fatalf("%s: err=%v, subscribed=%v", name, err, h.handler != nil)
 	}
 	return h
 }
 
-// benchScans returns n encoded 20-AP wifi-scan messages drawn as the hotpath
-// suite draws them: BSSIDs from a seeded pool of 80, integer RSSI, a tenth
-// of the access points after the first locally administered.
-func benchScans(b *testing.B, n int) []msg.Raw {
+// benchScans returns n encoded 20-AP wifi-scan messages in the shape
+// bench/'s scan_pipeline sends: BSSIDs from a seeded pool of 80, integer
+// RSSI, a tenth of the access points after the first locally administered.
+func benchScans(tb testing.TB, n int) []msg.Raw {
 	const apsPerScan = 20
 	rng := rand.New(rand.NewSource(1))
 	pool := make([]string, 4*apsPerScan)
@@ -78,7 +78,7 @@ func benchScans(b *testing.B, n int) []msg.Raw {
 		}
 		r, err := msg.Encode(msg.Map{"timestamp": float64(i), "aps": aps})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		out[i] = r
 	}
@@ -88,14 +88,8 @@ func benchScans(b *testing.B, n int) []msg.Raw {
 // BenchmarkScanHandler: scan.js on one encoded 20-AP scan — read through a
 // view, build the sanitised object, convert it for publish.
 func BenchmarkScanHandler(b *testing.B) {
-	h := startBench(b, "scan.js", scripts.MustSource("scan.js"))
-	scans := benchScans(b, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.handler(scans[i%len(scans)], "")
-	}
-	b.StopTimer()
+	op, h := scanHandler(b, benchScans(b, 64))
+	benchOp(b, op)
 	if h.err != nil || h.published.IsZero() {
 		b.Fatalf("scan.js: err=%v, published=%v", h.err, h.published)
 	}
@@ -104,23 +98,50 @@ func BenchmarkScanHandler(b *testing.B) {
 // BenchmarkSinkHandler: the collector's logger on what scan.js published, as
 // the wire delivers it — json() of an untouched view transcodes the bytes.
 func BenchmarkSinkHandler(b *testing.B) {
-	scan := startBench(b, "scan.js", scripts.MustSource("scan.js"))
-	scans := benchScans(b, 64)
-	wire := make([]msg.Raw, len(scans))
-	for i, m := range scans {
-		scan.handler(m, "")
-		wire[i] = scan.published
+	scan, h := scanHandler(b, benchScans(b, 64))
+	wire := make([]msg.Raw, 64)
+	for i := range wire {
+		scan()
+		wire[i] = h.published
 	}
-	h := startBench(b, "sink.js", benchSinkJS)
+	op, hs := sinkHandler(b, wire)
+	benchOp(b, op)
+	if hs.err != nil {
+		b.Fatal(hs.err)
+	}
+}
+
+func benchOp(b *testing.B, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.handler(wire[i%len(wire)], "phone-0")
+		op()
 	}
 	b.StopTimer()
-	if h.err != nil {
-		b.Fatal(h.err)
-	}
+}
+
+// scanHandler starts scan.js on a benchHost and returns the op that
+// TestHandlerAllocationCeilings pins and BenchmarkScanHandler times: the
+// handler on the next of scans.
+func scanHandler(tb testing.TB, scans []msg.Raw) (op func(), h *benchHost) {
+	h = startBench(tb, "scan.js", scripts.MustSource("scan.js"))
+	i := 0
+	return func() {
+		h.handler(scans[i%len(scans)], "")
+		i++
+	}, h
+}
+
+// sinkHandler starts the json() logger on a benchHost and returns the op that
+// TestHandlerAllocationCeilings pins and BenchmarkSinkHandler times: the
+// handler on the next of wire, from phone-0.
+func sinkHandler(tb testing.TB, wire []msg.Raw) (op func(), h *benchHost) {
+	h = startBench(tb, "sink.js", benchSinkJS)
+	i := 0
+	return func() {
+		h.handler(wire[i%len(wire)], "phone-0")
+		i++
+	}, h
 }
 
 // BenchmarkClusteringHandler and BenchmarkRunningSum time handlers whose

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"pogo/internal/alloctest"
 	"pogo/internal/msg"
 	"pogo/internal/script/scripts"
 )
@@ -498,8 +499,10 @@ const benchSinkJS = `subscribe('scans', function (m, origin) {
   logTo('sink', origin + ' ' + m.t + ' ' + json(m));
 });`
 
-// The scan ceiling is its measured count, on a host that takes the published
-// object encoded as the core does: the view of the scan and the entries it
+// The two handlers of bench/'s scan_pipeline are measured through the ops
+// their benchmarks time, on a host that takes the published object encoded
+// as the core does and drops log lines. The scan ceiling is its measured
+// count: the view of the scan and the entries it
 // fills to reach aps, the array's view, elements and one block of element
 // views, the object the handler builds with its entries made once, sized
 // from the last object its literal made, and its index made once, the
@@ -507,15 +510,17 @@ const benchSinkJS = `subscribe('scans', function (m, origin) {
 // encoded into. It was 14 while the handler's object grew its entries four
 // times, and 38 while publish built a msg.Map tree for the broker to encode,
 // a table past linearMax had a Go map for its index and every non-integer
-// result was boxed on its own. The
-// sink's is its measured count, fed an
+// result was boxed on its own. The sink's is its measured count, fed an
 // encoded message as production feeds it: the view of the message, the one
 // string the fused chain makes — json() writes its text straight into it —
-// and its box, and the test host's log line. It was 6 while json() made a
+// and its box. It was 4 while it was measured on a host that built a log
+// line of its own, 6 while json() made a
 // string and boxed it, 16 while each + made (and boxed) its own string,
 // numbers were formatted on their own, the origin was boxed per call and
 // logTo built an argument slice. With map-backed objects and frames, boxed
 // numbers and messages copied in and out, the same handlers cost 460 and 77.
+// Their bytes ceilings are 15 % over the 3 165 B and 744 B they measured
+// with 64 scans (3 152 B and 704 B on this test's one).
 //
 // The clustering ceiling is its measured count per sample, 159.3, rounded
 // up: the key slice of each for-in walk and the numbers msg's cache of boxed
@@ -528,7 +533,9 @@ const benchSinkJS = `subscribe('scans', function (m, origin) {
 // one in 100 000. A cache that kept nothing would cost 36.
 const (
 	scanHandlerAllocCeiling       = 11
-	sinkHandlerAllocCeiling       = 4
+	scanHandlerBytesCeiling       = 3165 * 115 / 100
+	sinkHandlerAllocCeiling       = 3
+	sinkHandlerBytesCeiling       = 744 * 115 / 100
 	clusteringHandlerAllocCeiling = 160
 	boxCollisionCeiling           = 8
 )
@@ -536,8 +543,7 @@ const (
 func TestHandlerAllocationCeilings(t *testing.T) {
 	h, _ := run(t, scripts.MustSource("scan.js"))
 	scan := benchScan(t)
-	scanHandler := h.subs[0].handler
-	scanHandler(scan, "")
+	h.subs[0].handler(scan, "")
 	if len(h.published) != 1 {
 		t.Fatalf("scan.js published %d messages", len(h.published))
 	}
@@ -553,39 +559,45 @@ func TestHandlerAllocationCeilings(t *testing.T) {
 	// handler reads, and taken off — up to boxCollisionCeiling, so that a
 	// cache that stopped keeping what it boxed still fails here.
 	apsRaw, _ := scan.Field("aps")
-	boxes := testing.AllocsPerRun(200, func() {
+	readBSSIDs := func() {
 		apsRaw.(msg.Raw).Range(func(_ string, ap msg.Value) {
 			if local, _ := ap.(msg.Raw).Field("local"); local != true {
 				ap.(msg.Raw).Field("bssid")
 			}
 		})
-	})
+	}
+	boxes, boxBytes := testing.AllocsPerRun(200, readBSSIDs), alloctest.BytesPerRun(200, readBSSIDs)
 	if boxes > boxCollisionCeiling {
 		t.Errorf("reading the scan's BSSIDs: %v allocs, ceiling %d", boxes, boxCollisionCeiling)
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		h.published = h.published[:0]
-		scanHandler(scan, "")
-	}) - boxes; n > scanHandlerAllocCeiling {
+	scanOp, _ := scanHandler(t, []msg.Raw{scan})
+	if n := testing.AllocsPerRun(200, scanOp) - boxes; n > scanHandlerAllocCeiling {
 		t.Errorf("scan.js handler: %v allocs per 20-AP scan, ceiling %d", n, scanHandlerAllocCeiling)
 	} else {
 		t.Logf("scan.js handler: %v allocs per 20-AP scan (and %v by the string box cache)", n, boxes)
 	}
+	if b := alloctest.BytesPerRun(200, scanOp) - boxBytes; b > scanHandlerBytesCeiling {
+		t.Errorf("scan.js handler: %v B per 20-AP scan, ceiling %d", b, scanHandlerBytesCeiling)
+	} else {
+		t.Logf("scan.js handler: %v B per 20-AP scan", b)
+	}
 
 	hs, _ := run(t, benchSinkJS)
-	sinkHandler := hs.subs[0].handler
-	sinkHandler(wire, "phone-0")
+	hs.subs[0].handler(wire, "phone-0")
 	want, _ := msg.EncodeJSON(wire)
 	if len(hs.logs) != 1 || hs.logs[0] != "sink|phone-0 12345 "+string(want) {
 		t.Fatalf("sink logged %q", hs.logs)
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		hs.logs = hs.logs[:0]
-		sinkHandler(wire, "phone-0")
-	}); n > sinkHandlerAllocCeiling {
+	sinkOp, _ := sinkHandler(t, []msg.Raw{wire})
+	if n := testing.AllocsPerRun(200, sinkOp); n > sinkHandlerAllocCeiling {
 		t.Errorf("json() sink handler: %v allocs per message, ceiling %d", n, sinkHandlerAllocCeiling)
 	} else {
 		t.Logf("json() sink handler: %v allocs per message", n)
+	}
+	if b := alloctest.BytesPerRun(200, sinkOp); b > sinkHandlerBytesCeiling {
+		t.Errorf("json() sink handler: %v B per message, ceiling %d", b, sinkHandlerBytesCeiling)
+	} else {
+		t.Logf("json() sink handler: %v B per message", b)
 	}
 
 	// clustering.js walks the keys of its samples with for-in, measuring each

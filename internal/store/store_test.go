@@ -69,6 +69,65 @@ func TestAddPendingAckFIFO(t *testing.T) {
 	}
 }
 
+// TestAddAckAllocatesNothing: the file outbox as a stream drives it, one
+// Add and the Ack of the oldest entry with 64 outstanding, allocates
+// nothing. Each is one record built in the outbox's buffer and one write,
+// and the entry keeps the payload it is handed.
+func TestAddAckAllocatesNothing(t *testing.T) {
+	o, _ := openTemp(t)
+	defer o.Close()
+	op := addAck(t, o)
+	if n := testing.AllocsPerRun(1000, op); n != 0 {
+		t.Errorf("Add + Ack on a file outbox: %v allocs, want 0", n)
+	}
+	if o.Len() != addAckBacklog {
+		t.Errorf("%d buffered, want %d", o.Len(), addAckBacklog)
+	}
+}
+
+func BenchmarkAddAckFile(b *testing.B) {
+	o, err := Open(filepath.Join(b.TempDir(), "outbox.log"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer o.Close()
+	op := addAck(b, o)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+const addAckBacklog = 64
+
+// addAck fills o with addAckBacklog entries of a sensor reading's size and
+// returns the op that TestAddAckAllocatesNothing pins and BenchmarkAddAckFile
+// times: Add one more, then Ack the oldest.
+func addAck(tb testing.TB, o *Outbox) func() {
+	payload := bytes.Repeat([]byte{0x5a}, 128)
+	var ring [addAckBacklog]uint64
+	i := 0
+	add := func() {
+		id, err := o.Add("collector", "bench", uint64(i), payload, vclock.SimEpoch)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ring[i%addAckBacklog] = id
+		i++
+	}
+	for i < addAckBacklog {
+		add()
+	}
+	return func() {
+		oldest := ring[i%addAckBacklog]
+		add()
+		if err := o.Ack(oldest); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 func TestAckUnknownIDIgnored(t *testing.T) {
 	o, _ := openTemp(t)
 	defer o.Close()

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"pogo/internal/alloctest"
 	"pogo/internal/faultnet"
 	"pogo/internal/msg"
 	"pogo/internal/obs"
@@ -358,46 +359,100 @@ func TestLargeFlushDrainsOnceOverRealXMPP(t *testing.T) {
 
 // TestRoundTripSteadyStateAllocs is the pool-churn regression guard: after
 // warm-up, one enqueue→flush→deliver→ack round trip must stay within the
-// hot-path allocation budget. A leaked pooled buffer (error path dropping a
-// wire buffer, decode scratch not returned) shows up here as steady-state
-// allocations creeping up.
+// hot-path allocation budget, with one phone on the switchboard and with a
+// thousand. A leaked pooled buffer (error path dropping a wire buffer,
+// decode scratch not returned) shows up here as steady-state allocations
+// creeping up; per-phone state that grows with the fleet (rosters, dedup
+// cursors, sequence maps) as the 1 000-phone row costing more.
+//
+// Measured: 5 allocs — the enqueue's encoding, memnet's copy and its hop in
+// each direction, and the collector's view of the message — and 504 B with
+// one phone, 496 B with a thousand. A bytes figure fails only when it grows
+// by more than 15 % and more than 64 B.
 func TestRoundTripSteadyStateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		phones       int
+		bytesCeiling float64
+	}{{1, 504 * 1.15}, {1000, 496 * 1.15}} {
+		roundtrip, delivered := roundTrip(t, tc.phones)
+		for i := 0; i < 100; i++ { // warm pools, interning, frozen-body cache
+			roundtrip()
+		}
+		allocs := testing.AllocsPerRun(200, roundtrip)
+		budget := 5.0
+		if raceEnabled {
+			budget = 20 // the pools drop items at random under -race (11–13 measured)
+		}
+		if allocs > budget {
+			t.Errorf("%d phones: steady-state round trip = %.2f allocs, budget %.0f", tc.phones, allocs, budget)
+		}
+		if b := alloctest.BytesPerRun(200, roundtrip); b > tc.bytesCeiling && !raceEnabled {
+			t.Errorf("%d phones: steady-state round trip = %.0f B, ceiling %.0f", tc.phones, b, tc.bytesCeiling)
+		}
+		if want := tc.phones + 100 + 1 + 200 + 1 + 200; *delivered != want {
+			t.Errorf("%d phones: delivered %d of %d", tc.phones, *delivered, want)
+		}
+	}
+}
+
+func BenchmarkRoundTrip(b *testing.B)         { benchRoundTrip(b, 1) }
+func BenchmarkRoundTrip1kPhones(b *testing.B) { benchRoundTrip(b, 1000) }
+
+func benchRoundTrip(b *testing.B, phones int) {
+	roundtrip, _ := roundTrip(b, phones)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundtrip()
+	}
+}
+
+// roundTrip associates n phones with a collector on the simulated
+// switchboard, delivers one message from each so that what follows is
+// steady state, not first-touch map growth, and returns the op that the
+// round-trip test pins and benchmark times: the next phone in turn enqueues
+// a sensor reading and flushes, and the clock advances past the wire
+// latency and the ack. delivered counts the collector's deliveries.
+func roundTrip(tb testing.TB, n int) (op func(), delivered *int) {
 	clk := vclock.NewSim()
 	sw := NewSwitchboard(clk)
-	sw.Associate("phone", "collector")
-	phone := NewEndpoint(sw.Port("phone", nil), store.OpenMemory(), clk, EndpointConfig{BootID: "t"})
 	collector := NewEndpoint(sw.Port("collector", nil), store.OpenMemory(), clk, EndpointConfig{BootID: "t"})
-	delivered := 0
-	collector.OnMessage(func(string, string, msg.Value) { delivered++ })
-	payload := msg.Map{
+	delivered = new(int)
+	collector.OnMessage(func(string, string, msg.Value) { *delivered++ })
+	phones := make([]*Endpoint, n)
+	for i := range phones {
+		name := "d" + strconv.Itoa(i)
+		sw.Associate(name, "collector")
+		phones[i] = NewEndpoint(sw.Port(name, nil), store.OpenMemory(), clk, EndpointConfig{BootID: "t"})
+	}
+	payload := sensorReading()
+	send := func(p *Endpoint) {
+		if err := p.Enqueue("collector", "bench", payload); err != nil {
+			tb.Fatal(err)
+		}
+		p.Flush()
+	}
+	for _, p := range phones {
+		send(p)
+	}
+	clk.Advance(20 * time.Millisecond)
+	next := 0
+	return func() {
+		send(phones[next%n])
+		next++
+		clk.Advance(20 * time.Millisecond)
+	}, delivered
+}
+
+// sensorReading is what a phone's battery or wifi script publishes every few
+// seconds.
+func sensorReading() msg.Map {
+	return msg.Map{
 		"voltage": 4.1, "level": 0.93, "plugged": false, "timestamp": 1.7e12,
 		"aps": []msg.Value{
 			msg.Map{"bssid": "02:1b:77:49:54:fd", "rssi": -61.0},
 			msg.Map{"bssid": "02:1b:77:1f:02:aa", "rssi": -74.0},
 		},
-	}
-	roundtrip := func() {
-		if err := phone.Enqueue("collector", "bench", payload); err != nil {
-			t.Fatal(err)
-		}
-		phone.Flush()
-		clk.Advance(20 * time.Millisecond)
-	}
-	for i := 0; i < 100; i++ { // warm pools, interning, frozen-body cache
-		roundtrip()
-	}
-	allocs := testing.AllocsPerRun(200, roundtrip)
-	// Measured: 5.00 — the enqueue's encoding, memnet's copy and its hop in
-	// each direction, and the collector's view of the message.
-	budget := 5.0
-	if raceEnabled {
-		budget = 20 // the pools drop items at random under -race (11–13 measured)
-	}
-	if allocs > budget {
-		t.Errorf("steady-state round trip = %.2f allocs, budget %.0f", allocs, budget)
-	}
-	if delivered == 0 {
-		t.Fatal("nothing delivered")
 	}
 }
 

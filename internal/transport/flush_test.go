@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pogo/internal/alloctest"
 	"pogo/internal/msg"
 	"pogo/internal/store"
 	"pogo/internal/vclock"
@@ -237,16 +238,104 @@ type idleTimer struct{}
 
 func (idleTimer) Stop() bool { return true }
 
-// TestFlushCostIndependentOfInflight: with a thousand entries sent and
-// unacknowledged, enqueueing one message and flushing it allocates only the
-// outbox's copy of the payload — the flush builds no per-backlog scratch and
-// its inflight records are recycled — and an ack that returns inside Send
-// leaves no inflight record behind to be retransmitted later.
+// TestFlushCostIndependentOfInflight: with ten and with a thousand entries
+// sent and unacknowledged, enqueueing one message and flushing it allocates
+// only the outbox's copy of the payload — the flush builds no per-backlog
+// scratch and its inflight records are recycled — and an ack that returns
+// inside Send leaves no inflight record behind to be retransmitted later.
+// The copy of the sensor reading measured 144 B; a bytes figure fails only
+// when it grows by more than 15 % and more than 64 B.
 func TestFlushCostIndependentOfInflight(t *testing.T) {
+	const bytesCeiling = 144 + 64
+	for _, inflight := range []int{10, 1000} {
+		op, phone := flushOneNew(t, inflight)
+		for i := 0; i < 100; i++ {
+			op() // warm the buffer pools
+		}
+		budget := 1.0
+		if raceEnabled {
+			budget = 8 // the wire-buffer pools leak under -race
+		}
+		if allocs := testing.AllocsPerRun(500, op); allocs > budget {
+			t.Errorf("enqueue + flush + ack with %d inflight: %.1f allocs/op, want ≤ %.0f (the outbox's payload copy)", inflight, allocs, budget)
+		}
+		if b := alloctest.BytesPerRun(500, op); b > bytesCeiling && !raceEnabled {
+			t.Errorf("enqueue + flush + ack with %d inflight: %.0f B/op, ceiling %d", inflight, b, bytesCeiling)
+		}
+		phone.mu.Lock()
+		records, queued := len(phone.core.inflight), len(phone.core.retryq)
+		phone.mu.Unlock()
+		if records != inflight || queued != inflight || phone.Pending() != inflight {
+			t.Errorf("inflight records %d, queued deadlines %d, pending %d; want the %d unacked in each",
+				records, queued, phone.Pending(), inflight)
+		}
+		if st := phone.Stats(); st.Retries != 0 || st.MessagesSent != st.MessagesEnqueued || st.MessagesAcked != 1102 {
+			t.Errorf("retries %d, sent %d of %d enqueued, acked %d of 1102", st.Retries, st.MessagesSent, st.MessagesEnqueued, st.MessagesAcked)
+		}
+	}
+}
+
+// TestFlushTimeIndependentOfInflight is the flush's one wall-clock check:
+// with a thousand entries in flight, a flush must cost at most twice what it
+// costs with ten. Both are timed in this process on this machine, in
+// alternating rounds of a fixed number of ops whatever -benchtime says, and
+// each keeps its fastest round, so their ratio is a property of the code: a
+// flush that looks at the whole backlog reads two orders of magnitude here,
+// one that does not reads 1.0, so 2 leaves room for noise and none for a
+// scan.
+func TestFlushTimeIndependentOfInflight(t *testing.T) {
+	few, _ := flushOneNew(t, 10)
+	many, _ := flushOneNew(t, 1000)
+	const rounds, ops = 3, 20000
+	fastest := func(op func(), best time.Duration) time.Duration {
+		start := time.Now()
+		for i := 0; i < ops; i++ {
+			op()
+		}
+		if d := time.Since(start); best == 0 || d < best {
+			return d
+		}
+		return best
+	}
+	var fewBest, manyBest time.Duration
+	for r := 0; r < rounds; r++ {
+		fewBest, manyBest = fastest(few, fewBest), fastest(many, manyBest)
+	}
+	ratio := float64(manyBest) / float64(fewBest)
+	if ratio > 2 {
+		t.Errorf("flush at 1k inflight / at 10 inflight: %.2fx (%v vs %v per op), want ≤ 2x", ratio, manyBest/ops, fewBest/ops)
+	} else {
+		t.Logf("flush at 1k inflight / at 10 inflight: %.2fx (%v vs %v per op)", ratio, manyBest/ops, fewBest/ops)
+	}
+}
+
+func BenchmarkFlushOneNew10Inflight(b *testing.B) { benchFlushOneNew(b, 10) }
+func BenchmarkFlushOneNew1kInflight(b *testing.B) { benchFlushOneNew(b, 1000) }
+
+func benchFlushOneNew(b *testing.B, inflight int) {
+	op, phone := flushOneNew(b, inflight)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if st := phone.Stats(); phone.Pending() != inflight || st.Retries != 0 || st.MessagesSent != inflight+b.N {
+		b.Fatalf("pending %d (want %d), retries %d, sent %d of %d",
+			phone.Pending(), inflight, st.Retries, st.MessagesSent, inflight+b.N)
+	}
+}
+
+// flushOneNew builds a phone with inflight entries sent and unacknowledged,
+// on another channel with their backoff an hour away, and a peer that acks
+// each envelope before Send returns. It returns the op that the flush test
+// pins and the flush benchmarks time: enqueue one sensor reading and flush
+// it.
+func flushOneNew(tb testing.TB, inflight int) (op func(), phone *Endpoint) {
 	port := &ackPort{id: "phone"}
-	phone := NewEndpoint(port, store.OpenMemory(), idleClock{}, EndpointConfig{RetryAfter: time.Hour})
-	payload := msg.Map{"level": 0.93}
-	for i := 0; i < 1000; i++ {
+	phone = NewEndpoint(port, store.OpenMemory(), idleClock{}, EndpointConfig{RetryAfter: time.Hour})
+	payload := sensorReading()
+	for i := 0; i < inflight; i++ {
 		phone.Enqueue("collector", "stuck", payload)
 		phone.Flush()
 	}
@@ -254,7 +343,7 @@ func TestFlushCostIndependentOfInflight(t *testing.T) {
 	// consecutive, so the ack is built without decoding anything (and names
 	// no sender or boot: the receive path's string interning, whose state is
 	// process-wide, stays out of the count).
-	next := [1]uint64{1001}
+	next := [1]uint64{uint64(inflight) + 1}
 	var ack []byte
 	var tab chanTable
 	port.onSend = func([]byte) {
@@ -262,30 +351,12 @@ func TestFlushCostIndependentOfInflight(t *testing.T) {
 		next[0]++
 		port.recv("collector", ack)
 	}
-	op := func() {
-		phone.Enqueue("collector", "ch", payload)
+	return func() {
+		if err := phone.Enqueue("collector", "ch", payload); err != nil {
+			tb.Fatal(err)
+		}
 		phone.Flush()
-	}
-	for i := 0; i < 100; i++ {
-		op() // warm the buffer pools
-	}
-	budget := 1.0
-	if raceEnabled {
-		budget = 8 // the wire-buffer pools leak under -race
-	}
-	if allocs := testing.AllocsPerRun(500, op); allocs > budget {
-		t.Errorf("enqueue + flush + ack with 1000 inflight: %.1f allocs/op, want ≤ %.0f (the outbox's payload copy)", allocs, budget)
-	}
-	phone.mu.Lock()
-	inflight, queued := len(phone.core.inflight), len(phone.core.retryq)
-	phone.mu.Unlock()
-	if inflight != 1000 || queued != 1000 || phone.Pending() != 1000 {
-		t.Errorf("inflight records %d, queued deadlines %d, pending %d; want the 1000 unacked in each",
-			inflight, queued, phone.Pending())
-	}
-	if st := phone.Stats(); st.Retries != 0 || st.MessagesSent != st.MessagesEnqueued || st.MessagesAcked != 601 {
-		t.Errorf("retries %d, sent %d of %d enqueued, acked %d of 601", st.Retries, st.MessagesSent, st.MessagesEnqueued, st.MessagesAcked)
-	}
+	}, phone
 }
 
 // TestDeadlineQueue drives the queue against a plain slice: pops come out in
