@@ -15,7 +15,7 @@ bench:
 # lists fails it); the full test suite under the race detector, which also
 # runs every pin — the seeded ones (the scenario archives with their
 # delivery-log hashes and goldens, the latency SLO table), the hot path's
-# allocation counts and bytes and the flush's cost at 1k inflight against
+# allocation counts and bytes and the flush's cost at 10k inflight against
 # 10, each in the package whose code it guards, the fleet's memory diet, the
 # library-stdout guard, the flight-recorder drill and the doctor's selftest;
 # the end-to-end harness's own smoke (bench/ is a nested module `go test

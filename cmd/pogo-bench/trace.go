@@ -60,6 +60,11 @@ func runVerifyFlight(path string) error {
 	}
 	fmt.Printf("flight dump %s: reason=%q traces=%d dropped_hops=%d\n",
 		path, d.Reason, len(d.Traces), d.DroppedHops)
+	if len(d.Traces) == 0 {
+		// A dump is written because an audit failed with messages in
+		// flight: one that holds no trace has lost what it was to explain.
+		return fmt.Errorf("verify-flight: %s holds no trace", path)
+	}
 	bad := 0
 	for _, tr := range d.Traces {
 		tree := d.Tree(tr.Trace)

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"pogo/internal/obs"
 )
@@ -35,6 +36,20 @@ func TestFlightRecorderExplainsASabotagedRun(t *testing.T) {
 	}
 	if len(d.Incomplete()) == 0 {
 		t.Errorf("dump of %d traces holds no in-flight trace", len(d.Traces))
+	}
+}
+
+// TestVerifyFlightRejectsAnEmptyDump: every dump is written after a failed
+// audit, so one that holds no trace cannot verify.
+func TestVerifyFlightRejectsAnEmptyDump(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.json")
+	if err := obs.BuildFlightDump(obs.NewRegistry(), "audit failed", time.Unix(0, 0)).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	out := stdoutOf(t, func() { err = runVerifyFlight(path) })
+	if err == nil {
+		t.Errorf("a dump with no trace verified; it printed:\n%s", out)
 	}
 }
 

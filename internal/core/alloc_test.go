@@ -58,19 +58,15 @@ func TestDeliveredMessageAllocations(t *testing.T) {
 		clk.Advance(20 * time.Millisecond)
 	}
 	for i := 0; i < 200; i++ {
-		deliver() // warm the pools, caches and slices
+		deliver() // warm the caches and grow the buffers and slices
 	}
 	per := testing.AllocsPerRun(1000, deliver)
 	lines := col.Logs().Lines("sink")
 	if len(lines) != seq || lines[seq-1] != fmt.Sprintf("phone %d", seq) || phone.Pending() != 0 {
 		t.Fatalf("%d of %d messages logged, last %q, %d pending", len(lines), seq, lines[len(lines)-1], phone.Pending())
 	}
-	budget := 16.0
-	if raceEnabled {
-		budget += 8 // the wire-buffer pools leak under -race
-	}
-	if per > budget {
-		t.Errorf("a delivered message allocates %v times, want ≤ %v", per, budget)
+	if per > 16 {
+		t.Errorf("a delivered message allocates %v times, want ≤ 16", per)
 	} else {
 		t.Logf("a delivered message allocates %v times", per)
 	}
@@ -131,12 +127,8 @@ func TestPublishAllocations(t *testing.T) {
 	if pending := phone.Pending(); pending != n {
 		t.Fatalf("%d of %d scans in the outbox", pending, n)
 	}
-	budget := 2.0
-	if raceEnabled {
-		budget += 16 // sync.Pool drops what it is given now and then under -race
-	}
-	if per > budget {
-		t.Errorf("publishing a 20-AP scan allocates %v times, want ≤ %v", per, budget)
+	if per > 2 {
+		t.Errorf("publishing a 20-AP scan allocates %v times, want ≤ 2", per)
 	} else {
 		t.Logf("publishing a 20-AP scan allocates %v times", per)
 	}

@@ -77,14 +77,11 @@ func TestFleetObsInstrumentation(t *testing.T) {
 // of 2 725 B per phone and 23.1 allocations per delivery: 2 213 B per phone
 // measured plus 512 B, because the live-heap figure jitters a couple of
 // hundred bytes with GC timing, and 20.09 allocations measured plus 15 %.
-// Reverting any one of the pooled structures costs kilobytes per phone. The
-// run's delivery-log hash is pinned in fleet.txtar.
+// Reverting any one of the recycled structures costs kilobytes per phone.
+// The run's delivery-log hash is pinned in fleet.txtar.
 func TestFleetBytesPerPhone(t *testing.T) {
 	const bytesPerPhoneCeiling = 2725
-	allocsPerDeliveryCeiling := 23.1
-	if raceEnabled {
-		allocsPerDeliveryCeiling = 30 // the pools drop items at random under -race (25.8 measured)
-	}
+	const allocsPerDeliveryCeiling = 23.1
 	res := Fleet(FleetScenario(1, 2000, 4))
 	if err := res.Err(); err != nil {
 		t.Fatal(err)

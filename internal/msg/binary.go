@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
-	"sync"
 	"unicode/utf8"
 )
 
@@ -57,38 +57,58 @@ const maxDepth = 10000
 // ErrBinary reports malformed binary codec input.
 var ErrBinary = errors.New("msg: binary decode")
 
-// encBufPool recycles encode buffers so steady-state encoding is
-// allocation-free. Buffers are returned by EncodeBinary before copying out;
-// external callers that want pooling should use AppendBinary with their own
-// buffer discipline (the transport does).
-var encBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 1024); return &b },
-}
-
 // EncodeBinary serializes a message value to the binary codec. The returned
 // slice is freshly allocated and owned by the caller; hot paths that reuse
-// buffers should call AppendBinary instead.
+// buffers should call AppendBinary instead. It is the one allocation:
+// binarySize measures the encoding first, so the buffer is made at its
+// exact size.
 func EncodeBinary(v Value) ([]byte, error) {
-	bp := encBufPool.Get().(*[]byte)
-	buf, err := AppendBinary((*bp)[:0], v)
-	if err != nil {
-		// AppendBinary returns a nil slice on error: keep the buffer the
-		// pool slot already had instead of clobbering it with nil, which
-		// would silently re-allocate on every future Get.
-		encBufPool.Put(bp)
-		return nil, err
-	}
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	*bp = buf[:0]
-	encBufPool.Put(bp)
-	return out, nil
+	return AppendBinary(make([]byte, 0, binarySize(v)), v)
 }
+
+// binarySize returns the length of v's binary encoding, walking v as
+// AppendBinary does but writing nothing. The figure for a value AppendBinary
+// refuses means nothing.
+func binarySize(v Value) int {
+	switch x := v.(type) {
+	case float64:
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 1
+		}
+		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
+			i := int64(x)
+			return 1 + uvarintLen(uint64(i<<1)^uint64(i>>63))
+		}
+		return 9
+	case string:
+		n := len(CanonicalKey(x))
+		return 1 + uvarintLen(uint64(n)) + n
+	case []Value:
+		n := 1 + uvarintLen(uint64(len(x)))
+		for _, e := range x {
+			n += binarySize(e)
+		}
+		return n
+	case Map:
+		n := 1 + uvarintLen(uint64(len(x)))
+		for k, e := range x {
+			k = CanonicalKey(k)
+			n += uvarintLen(uint64(len(k))) + len(k) + binarySize(e)
+		}
+		return n
+	case Raw:
+		return len(x.Bytes())
+	}
+	return 1 // nil and bool
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of u.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // AppendBinary appends the binary encoding of v to dst and returns the
 // extended slice. This is the allocation-free primitive under EncodeBinary:
-// with a pre-sized dst it performs no heap allocation for scalar payloads
-// and only the sorted-key scratch for maps.
+// with a pre-sized dst it performs no heap allocation, for maps of up to 16
+// keys too (their sorted-key scratch is a stack array).
 func AppendBinary(dst []byte, v Value) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -127,19 +147,16 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 		}
 		return dst, nil
 	case Map:
-		// Sorted-key scratch comes from a pool and is held until the
-		// iteration finishes — nested maps Get their own scratch because
-		// this one isn't Put back yet.
-		sp := keysPool.Get().(*[]string)
-		keys := (*sp)[:0]
+		// The sorted-key scratch lives on this call's stack; a map of more
+		// keys than it holds grows it on the heap.
+		var stack [16]string
+		keys := stack[:0]
 		repair := false
 		for k := range x {
 			keys = append(keys, k)
 			repair = repair || !utf8.ValidString(k)
 		}
-		*sp = keys[:0]
 		if repair {
-			keysPool.Put(sp)
 			return appendRepairedMap(dst, x)
 		}
 		sort.Strings(keys)
@@ -148,13 +165,8 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 		for _, k := range keys {
 			dst = AppendKey(dst, k)
 			if dst, err = AppendBinary(dst, x[k]); err != nil {
-				break
+				return nil, err
 			}
-		}
-		clear(keys)
-		keysPool.Put(sp)
-		if err != nil {
-			return nil, err
 		}
 		return dst, nil
 	case Raw:
@@ -193,12 +205,6 @@ func CanonicalKey(k string) string {
 		return k
 	}
 	return fixUTF8([]byte(k))
-}
-
-// keysPool recycles the sorted-key scratch slices map encoding needs, so a
-// steady-state encode of nested maps allocates nothing.
-var keysPool = sync.Pool{
-	New: func() any { s := make([]string, 0, 16); return &s },
 }
 
 // DecodeBinary parses a binary-codec value. It rejects trailing data, depth

@@ -50,6 +50,9 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded value does not re-encode: %v (input %q)", err, data)
 		}
+		if cap(b) != len(b) {
+			t.Errorf("EncodeBinary made %d bytes for a %d-byte encoding", cap(b), len(b))
+		}
 		v2, err := DecodeBinary(b)
 		if err != nil {
 			t.Fatalf("own encoding does not decode: %v", err)

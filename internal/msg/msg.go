@@ -91,16 +91,6 @@ func Normalize(v any) (Value, error) {
 	}
 }
 
-// MustNormalize is Normalize for statically well-formed literals; it panics
-// on unsupported values and is intended for tests and package literals.
-func MustNormalize(v any) Value {
-	n, err := Normalize(v)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Clone deep-copies a message value. Maps and slices are copied; scalars
 // and Raws, which are immutable, are returned as-is.
 func Clone(v Value) Value {

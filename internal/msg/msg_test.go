@@ -73,15 +73,6 @@ func TestNormalizeUnsupported(t *testing.T) {
 	}
 }
 
-func TestMustNormalizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNormalize(chan) did not panic")
-		}
-	}()
-	MustNormalize(make(chan int))
-}
-
 func TestCloneIndependence(t *testing.T) {
 	orig := Map{"list": []Value{1.0, Map{"x": "y"}}, "n": 2.0}
 	clone, ok := Clone(orig).(Map)

@@ -150,10 +150,14 @@ func TestParseRawRejectsNonCanonical(t *testing.T) {
 // seen — NaN and infinities as null, -0 as 0, invalid UTF-8 as U+FFFD — and
 // a map whose keys collide once repaired does not encode.
 func TestEncodeCoerces(t *testing.T) {
-	r := mustEncode(t, Map{"nan": math.NaN(), "inf": math.Inf(-1), "z": math.Copysign(0, -1), "s\xff": "a\xffb"})
+	m := Map{"nan": math.NaN(), "inf": math.Inf(-1), "z": math.Copysign(0, -1), "s\xff": "a\xffb"}
+	r := mustEncode(t, m)
 	want := Map{"nan": nil, "inf": nil, "z": 0.0, "s�": "a�b"}
 	if got := r.Map(); !reflect.DeepEqual(got, want) || math.Signbit(got["z"].(float64)) {
 		t.Errorf("Encode coerced to %#v, want %#v", got, want)
+	}
+	if b, _ := EncodeBinary(m); cap(b) != len(b) {
+		t.Errorf("EncodeBinary made %d bytes for a %d-byte encoding", cap(b), len(b))
 	}
 	if _, err := Encode(Map{"\xff": 1.0, "\xfe": 2.0}); !errors.Is(err, ErrUnsupportedValue) {
 		t.Errorf("colliding repaired keys: %v, want ErrUnsupportedValue", err)
@@ -215,8 +219,7 @@ func TestRawAccessors(t *testing.T) {
 // the cache has not seen, and Encode allocates exactly its buffer.
 func TestRawAllocations(t *testing.T) {
 	m := Map{"n": 7.0, "level": 80.0, "voltage": 3.9, "charging": true}
-	// Under -race, sync.Pool drops what it is given now and then.
-	if n := testing.AllocsPerRun(100, func() { _, _ = Encode(m) }); n != 1 && !raceEnabled {
+	if n := testing.AllocsPerRun(100, func() { _, _ = Encode(m) }); n != 1 {
 		t.Errorf("Encode: %v allocs, want 1", n)
 	}
 	r := mustEncode(t, m)
@@ -236,15 +239,14 @@ func TestRawAllocations(t *testing.T) {
 
 	// The codec's hot-path rows, on a tree: encoding into a reused buffer
 	// and validating the bytes allocate nothing; EncodeJSON allocates the
-	// buffer it returns. Under -race, the key-order pool drops what it is
-	// given now and then.
+	// buffer it returns.
 	encodeBinary, decodeBinary, encodeJSON := codecOps(sensorReading())
 	for _, op := range []struct {
 		name string
 		f    func()
 		want float64
 	}{{"AppendBinary", encodeBinary, 0}, {"ParseRaw", decodeBinary, 0}, {"EncodeJSON", encodeJSON, 1}} {
-		if n := testing.AllocsPerRun(100, op.f); n != op.want && !raceEnabled {
+		if n := testing.AllocsPerRun(100, op.f); n != op.want {
 			t.Errorf("%s of a tree: %v allocs, want %v", op.name, n, op.want)
 		}
 	}

@@ -260,21 +260,6 @@ func (e *AlertEngine) Rules() []Rule {
 	return append([]Rule(nil), e.rules...)
 }
 
-// Rule returns the named rule and whether it is installed.
-func (e *AlertEngine) Rule(name string) (Rule, bool) {
-	if e == nil {
-		return Rule{}, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, r := range e.rules {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Rule{}, false
-}
-
 // State returns the named rule's current alert state (AlertInactive and
 // false when the rule is not installed).
 func (e *AlertEngine) State(name string) (AlertState, bool) {
@@ -308,17 +293,6 @@ func (e *AlertEngine) Snapshot() []AlertSnapshot {
 			snap.Since = st.firingSince
 		}
 		out = append(out, snap)
-	}
-	return out
-}
-
-// Firing returns the currently firing rules in evaluation order.
-func (e *AlertEngine) Firing() []AlertSnapshot {
-	var out []AlertSnapshot
-	for _, s := range e.Snapshot() {
-		if s.State == AlertFiring {
-			out = append(out, s)
-		}
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -93,68 +92,6 @@ func (s *SeriesStore) Dropped() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// Window returns samples with from <= At <= to, oldest first.
-func (s *SeriesStore) Window(from, to time.Time) []SeriesSample {
-	all := s.Samples()
-	out := make([]SeriesSample, 0, len(all))
-	for _, sm := range all {
-		if !sm.At.Before(from) && !sm.At.After(to) {
-			out = append(out, sm)
-		}
-	}
-	return out
-}
-
-// Rate returns the per-second increase of the counter with canonical key k
-// over the trailing window, measured from the newest sample backwards.
-// Returns 0 with fewer than two samples in the window.
-func (s *SeriesStore) Rate(k string, window time.Duration) float64 {
-	all := s.Samples()
-	if len(all) == 0 {
-		return 0
-	}
-	newest := all[len(all)-1]
-	var oldest *SeriesSample
-	for i := range all {
-		if !all[i].At.Before(newest.At.Add(-window)) {
-			oldest = &all[i]
-			break
-		}
-	}
-	if oldest == nil || !newest.At.After(oldest.At) {
-		return 0
-	}
-	dv := newest.Counters[k] - oldest.Counters[k]
-	dt := newest.At.Sub(oldest.At).Seconds()
-	return float64(dv) / dt
-}
-
-// QuantileOver returns the q-quantile of observations of histogram k made
-// inside the trailing window (the newest cumulative snapshot minus the
-// oldest in-window one). NaN when the window holds no observations.
-func (s *SeriesStore) QuantileOver(k string, window time.Duration, q float64) float64 {
-	all := s.Samples()
-	if len(all) == 0 {
-		return math.NaN()
-	}
-	newest := all[len(all)-1]
-	var oldest *SeriesSample
-	for i := range all {
-		if !all[i].At.Before(newest.At.Add(-window)) {
-			oldest = &all[i]
-			break
-		}
-	}
-	h, ok := newest.Histograms[k]
-	if !ok || oldest == nil {
-		return math.NaN()
-	}
-	if prev, ok := oldest.Histograms[k]; ok && !newest.At.Equal(oldest.At) {
-		h = h.Sub(prev)
-	}
-	return h.Quantile(q)
 }
 
 // StartSampling snapshots the registry every interval on clk, appending to

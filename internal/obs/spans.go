@@ -422,25 +422,6 @@ func (s *SpanStore) HopsFor(trace TraceID) []Hop {
 	return sortDedup(hops)
 }
 
-// Traces lists the distinct trace IDs with retained hops, ascending.
-func (s *SpanStore) Traces() []TraceID {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	seen := make(map[TraceID]struct{})
-	for i := 0; i < len(s.buf); i++ {
-		seen[s.buf[i].Trace] = struct{}{}
-	}
-	s.mu.Unlock()
-	out := make([]TraceID, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SpanNode is one hop with its causal children: the span tree of a trace.
 type SpanNode struct {
 	Hop      Hop         `json:"hop"`

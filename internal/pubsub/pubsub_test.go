@@ -138,11 +138,10 @@ func TestPublishAllocations(t *testing.T) {
 	const fanout1kBytesCeiling = 144 + 64
 	for _, subscribers := range []int{16, 1000} {
 		publish, publishRaw := fanout(subscribers)
-		// Under -race, sync.Pool drops what it is given now and then.
-		if n := testing.AllocsPerRun(100, publish); n != 1 && !raceEnabled {
+		if n := testing.AllocsPerRun(100, publish); n != 1 {
 			t.Errorf("%d subscribers: Publish: %v allocs, want 1", subscribers, n)
 		}
-		if b := alloctest.BytesPerRun(100, publish); b > fanout1kBytesCeiling && !raceEnabled {
+		if b := alloctest.BytesPerRun(100, publish); b > fanout1kBytesCeiling {
 			t.Errorf("%d subscribers: Publish: %v B, ceiling %d", subscribers, b, fanout1kBytesCeiling)
 		}
 		if n := testing.AllocsPerRun(100, publishRaw); n != 0 {

@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pogo/internal/msg"
@@ -286,16 +287,12 @@ func (o *endpointObs) count(before, after Stats) {
 	add(o.flushes, int64(after.Flushes-before.Flushes))
 }
 
-// envScratchPool holds the scratch the driver lends the core for an inbound
-// payload: receives may run concurrently.
-var envScratchPool = sync.Pool{New: func() any { return new(envScratch) }}
-
 // Endpoint is the reliable batching layer of one node: a driver around the
 // delivery core (link). It owns what the core does not — the lock that
 // guards it, the one flusher, the messenger, the retransmission timer, the
-// handlers and every instrument — and records each instrument in one place,
-// from the core's outputs. The zero value is not usable; construct with
-// NewEndpoint. All methods are goroutine-safe.
+// handlers, the receive scratch and every instrument — and records each
+// instrument in one place, from the core's outputs. The zero value is not
+// usable; construct with NewEndpoint. All methods are goroutine-safe.
 type Endpoint struct {
 	m   Messenger
 	clk vclock.Clock
@@ -312,6 +309,12 @@ type Endpoint struct {
 	// re-armed once per flush. It is always taken before mu, never while
 	// holding it.
 	flushMu sync.Mutex
+
+	// rsc holds the receive scratch between receives. A receive takes it
+	// out and puts it back when it returns, so the scratch has one user and
+	// no lock is held across unpack, the ack's send or the handler. The
+	// first receive, and one that overlaps another, makes its own.
+	rsc atomic.Pointer[envScratch]
 
 	obs *endpointObs // never nil; instruments are nil when cfg.Obs is nil
 }
@@ -506,6 +509,13 @@ func (e *Endpoint) flush(retryOnly bool) int {
 	return sent
 }
 
+// putScratch returns a receive's scratch to the endpoint, with no view of
+// the payload it held.
+func (e *Endpoint) putScratch(sc *envScratch) {
+	sc.release()
+	e.rsc.Store(sc)
+}
+
 // recordSent instruments staged envelope i, which the messenger accepted:
 // the wire observer, ledger charges, histograms, and a send span per entry.
 // It returns the number of data entries the envelope carried.
@@ -540,10 +550,14 @@ func (e *Endpoint) recordSent(now time.Time, i int, onWire func(int64, int64)) i
 // receive handles an inbound payload: the core unpacks it (outside mu, like
 // a flush's purge and encoding: it touches no core state), then orders and
 // acks it, and the driver instruments the outcome, sends the ack and hands
-// each deliverable message to the handler.
+// each deliverable message to the handler. The scratch keeps no view of the
+// payload past the call.
 func (e *Endpoint) receive(from string, payload []byte) {
-	sc := envScratchPool.Get().(*envScratch)
-	defer envScratchPool.Put(sc)
+	sc := e.rsc.Swap(nil)
+	if sc == nil {
+		sc = new(envScratch)
+	}
+	defer e.putScratch(sc)
 	e.core.unpack(from, payload, sc)
 	e.mu.Lock()
 	before := e.core.stats

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -489,6 +490,65 @@ func TestAckFromAnotherPeerIgnored(t *testing.T) {
 // TestNewEndpointFootprint pins what constructing an endpoint costs — the
 // endpoint itself, its timer callback and its two messenger registrations —
 // since fleet experiments hold a hundred thousand of them.
+// TestOverlappingReceivesDeliverOnce: receives that run at once on one
+// endpoint each get a scratch of their own — one takes the endpoint's, the
+// others make theirs — and every message is delivered once, whichever
+// receive carried it first. The scratch the endpoint keeps holds no view of
+// a payload: item bodies, boot ID and messages go when a receive returns.
+func TestOverlappingReceivesDeliverOnce(t *testing.T) {
+	var payloads [][]byte
+	phone := NewEndpoint(&ackPort{id: "phone", onSend: func(p []byte) {
+		payloads = append(payloads, append([]byte(nil), p...))
+	}}, store.OpenMemory(), idleClock{}, EndpointConfig{RetryAfter: time.Hour})
+	const channels = 8
+	for i := 0; i < channels; i++ { // one channel each, so no envelope waits for another
+		phone.Enqueue("collector", "c"+strconv.Itoa(i), sensorReading())
+		phone.Flush()
+	}
+	port := &ackPort{id: "collector"}
+	col := NewEndpoint(port, store.OpenMemory(), idleClock{}, EndpointConfig{})
+	var mu sync.Mutex
+	got := map[string]int{}
+	col.OnMessage(func(_, channel string, _ msg.Value) {
+		mu.Lock()
+		got[channel]++
+		mu.Unlock()
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range payloads {
+				port.recv("phone", payloads[(i+g)%len(payloads)])
+			}
+		}()
+	}
+	wg.Wait()
+	if len(got) != channels {
+		t.Errorf("delivered on %d of %d channels", len(got), channels)
+	}
+	for ch, n := range got {
+		if n != 1 {
+			t.Errorf("channel %s delivered %d times", ch, n)
+		}
+	}
+	sc := col.rsc.Load()
+	if sc == nil {
+		t.Fatal("no receive scratch after a receive")
+	}
+	kept := sc.env.Boot != nil || sc.env.Batch != nil
+	for _, it := range append(sc.batch[:cap(sc.batch)], sc.deliver[:cap(sc.deliver)]...) {
+		kept = kept || it.Body != nil
+	}
+	for _, r := range sc.msgs[:cap(sc.msgs)] {
+		kept = kept || !r.IsZero()
+	}
+	if kept {
+		t.Error("the endpoint's receive scratch keeps a view of a payload")
+	}
+}
+
 func TestNewEndpointFootprint(t *testing.T) {
 	const n = 1000
 	clk := vclock.NewSim()

@@ -189,9 +189,9 @@ func unframe(b []byte) ([]byte, error) {
 
 // envScratch is the reusable decode and receive storage for one inbound
 // payload: the decoded batch, acks and floors land in recycled slices, and
-// link.unpack and link.receive leave their outputs here. Contents are only valid until the
-// next receive with the same scratch; the core copies anything it retains
-// (held items are copied by value into the hold map).
+// link.unpack and link.receive leave their outputs here. Contents are only
+// valid until release; the core copies anything it retains (held items are
+// copied by value into the hold map).
 type envScratch struct {
 	tab      chanTable
 	batch    []envelopeItem
@@ -210,9 +210,20 @@ type envScratch struct {
 	wire    []byte         // the framed ack envelope; empty when nothing is acked
 }
 
+// release drops what views the payload the scratch last held — the item
+// bodies, the boot ID, the messages — so a kept scratch does not keep that
+// payload alive. The batch is cleared to its capacity: a decode that failed
+// part-way wrote items past the length it left.
+func (sc *envScratch) release() {
+	clear(sc.batch[:cap(sc.batch)])
+	clear(sc.deliver)
+	clear(sc.msgs)
+	sc.env = envelope{}
+}
+
 // decodeEnvelope parses an unframed envelope into sc's recycled storage. Item
 // bodies alias the input buffer (zero-copy): the buffer is GC-owned by the
-// receive path, never pooled, so held-back items keep it alive exactly as
+// receive path, never recycled, so held-back items keep it alive exactly as
 // long as needed. From and the channels are interned — a fleet repeats the
 // same identifiers forever; the boot ID, new with every node start, aliases
 // the input like the bodies. Claimed counts and lengths are

@@ -231,7 +231,7 @@ func (m *XMPPMessenger) send(to string, payload []byte, traces []obs.TraceID) er
 }
 
 // SendBatch implements BatchSender: every destination's envelope is framed
-// into one pooled buffer and written with a single conn.Write, collapsing a
+// into the connection's write buffer and written with a single conn.Write, collapsing a
 // flush's per-destination syscalls (and, under the paper's 3G traffic model,
 // radio wake-ups) into one. Returns the accepted prefix on a short write.
 func (m *XMPPMessenger) SendBatch(batch []Outgoing) (int, error) {

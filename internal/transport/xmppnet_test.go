@@ -375,11 +375,7 @@ func TestSendBatchAllocatesNothing(t *testing.T) {
 			t.Fatalf("SendBatch = %d, %v", n, err)
 		}
 	}
-	budget := 0.0
-	if raceEnabled {
-		budget = 2 // the wire-buffer pool drops its buffer at random under -race
-	}
-	if allocs := testing.AllocsPerRun(200, func() { m.SendBatch(batch) }); allocs > budget {
-		t.Errorf("SendBatch of 2 envelopes: %.1f allocs/op, want ≤ %.0f", allocs, budget)
+	if allocs := testing.AllocsPerRun(200, func() { m.SendBatch(batch) }); allocs != 0 {
+		t.Errorf("SendBatch of 2 envelopes: %.1f allocs/op, want 0", allocs)
 	}
 }

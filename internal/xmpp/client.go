@@ -22,8 +22,11 @@ type Client struct {
 	// touches it.
 	sr *stanzaReader
 
+	// writeMu serializes writes to conn. Under it, wbuf is the frame
+	// buffer the sends render into and ends SendMessages' frame ends.
 	writeMu sync.Mutex
-	ends    []int // SendMessages' frame ends, under writeMu
+	wbuf    []byte
+	ends    []int
 
 	mu           sync.Mutex
 	closed       bool
@@ -167,12 +170,11 @@ func (c *Client) OnDisconnect(fn func(err error)) {
 // non-empty trace (TraceAttr's binary form) lets the switchboard record
 // causal hops.
 func (c *Client) SendMessageBytes(to JID, id string, body []byte, trace string) error {
-	bp := getWireBuf()
-	buf := appendFrame((*bp)[:0], to.String(), "", id, trace, body)
 	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	buf := appendFrame(c.wbuf[:0], to.String(), "", id, trace, body)
 	_, err := c.conn.Write(buf)
-	c.writeMu.Unlock()
-	putWireBuf(bp, buf)
+	c.wbuf = keepWriteBuf(buf)
 	return err
 }
 
@@ -185,18 +187,16 @@ func (c *Client) SendMessages(msgs []RawMessage) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
 	}
-	bp := getWireBuf()
-	buf := (*bp)[:0]
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	ends := c.ends[:0]
+	buf, ends := c.wbuf[:0], c.ends[:0]
 	for i := range msgs {
 		buf = appendRawFrame(buf, &msgs[i])
 		ends = append(ends, len(buf))
 	}
 	c.ends = ends
 	n, err := c.conn.Write(buf)
-	putWireBuf(bp, buf)
+	c.wbuf = keepWriteBuf(buf)
 	if err == nil {
 		return len(msgs), nil
 	}

@@ -138,8 +138,10 @@ type tcpSession struct {
 	jid  JID
 	conn net.Conn
 
+	// writeMu serializes writes to conn and guards what follows it.
 	writeMu sync.Mutex
 	success []byte // the auth reply, until it is out
+	wbuf    []byte // the frame buffer Deliver renders into
 }
 
 // write sends b, behind the auth reply if that has not gone out yet: the
@@ -149,6 +151,11 @@ type tcpSession struct {
 func (c *tcpSession) write(b []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
+	return c.writeLocked(b)
+}
+
+// writeLocked is write for a caller that holds writeMu.
+func (c *tcpSession) writeLocked(b []byte) error {
 	if c.success != nil {
 		b = append(c.success, b...)
 		c.success = nil
@@ -168,13 +175,15 @@ func (c *tcpSession) send(v any) error {
 	return c.write(append(b, '\n'))
 }
 
-// Deliver implements Sink: the stanza is copied into one binary frame and
-// written before Deliver returns, so m need not outlive the call.
+// Deliver implements Sink: the stanza is copied into one binary frame in
+// the session's buffer and written before Deliver returns, so m need not
+// outlive the call.
 func (c *tcpSession) Deliver(m Stanza) error {
-	bp := getWireBuf()
-	buf := appendFrame((*bp)[:0], m.To, m.From, m.ID, m.T, m.Body)
-	err := c.write(buf)
-	putWireBuf(bp, buf)
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	buf := appendFrame(c.wbuf[:0], m.To, m.From, m.ID, m.T, m.Body)
+	err := c.writeLocked(buf)
+	c.wbuf = keepWriteBuf(buf)
 	return err
 }
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 	"unsafe"
 
 	"pogo/internal/msg"
@@ -56,22 +55,6 @@ const (
 )
 
 var errFrameTooBig = errors.New("xmpp: frame field exceeds limit")
-
-// wireBufPool recycles stanza write buffers (XML lines, binary frames, and
-// coalesced batch writes), so steady-state sends allocate nothing for
-// framing.
-var wireBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 2048); return &b },
-}
-
-func getWireBuf() *[]byte { return wireBufPool.Get().(*[]byte) }
-
-func putWireBuf(bp *[]byte, buf []byte) {
-	if buf != nil {
-		*bp = buf[:0]
-	}
-	wireBufPool.Put(bp)
-}
 
 // appendFrame appends one binary message frame to dst.
 func appendFrame(dst []byte, to, from, id, trace string, body []byte) []byte {
@@ -106,11 +89,21 @@ func appendFrameStr[S string | []byte](dst []byte, s S) []byte {
 	return append(dst, s...)
 }
 
-// frameKeep is the largest frame buffer a stanzaReader keeps from one frame
-// to the next. A frame that needs more is read into a buffer of its own,
-// which goes with that frame, so one huge frame does not pin its size to the
-// connection.
+// frameKeep is the largest frame buffer a connection keeps from one frame
+// to the next, on either side. A frame that needs more is read into a
+// buffer of its own, which goes with that frame, and a write that needs
+// more drops its buffer once it is out (keepWriteBuf), so one huge frame
+// does not pin its size to the connection.
 const frameKeep = 64 << 10
+
+// keepWriteBuf returns buf, a write that has gone out, emptied for the
+// connection's next one, or nil when it grew past frameKeep.
+func keepWriteBuf(buf []byte) []byte {
+	if cap(buf) > frameKeep {
+		return nil
+	}
+	return buf[:0]
+}
 
 // stanzaReader reads one stanza at a time off a connection, sniffing each
 // stanza's representation from its first byte. It owns all read buffering on

@@ -470,12 +470,8 @@ func TestRoutedFrameAllocatesNothing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		route()
 	}
-	budget := 0.0
-	if raceEnabled {
-		budget = 1 // the wire-buffer pool drops its buffer at random under -race
-	}
-	if allocs := testing.AllocsPerRun(500, route); allocs > budget {
-		t.Errorf("reading and routing a data frame: %.1f allocs, want %v", allocs, budget)
+	if allocs := testing.AllocsPerRun(500, route); allocs != 0 {
+		t.Errorf("reading and routing a data frame: %.1f allocs, want 0", allocs)
 	}
 }
 
@@ -497,6 +493,21 @@ func TestReaderKeepsAtMostFrameKeep(t *testing.T) {
 		}
 		if cap(sr.buf) > frameKeep {
 			t.Fatalf("after frame %d the reader keeps %d bytes, want at most %d", i, cap(sr.buf), frameKeep)
+		}
+	}
+}
+
+// The write side keeps the same bound: a session that delivered a frame
+// larger than frameKeep drops that buffer once it is out, and keeps the
+// buffer of the small frame after it.
+func TestWriterKeepsAtMostFrameKeep(t *testing.T) {
+	c := &tcpSession{jid: "collector@pogo/pogo", conn: discardConn{}}
+	for i, n := range []int{300, 3 * frameKeep, 300} {
+		if err := c.Deliver(Stanza{To: "collector@pogo", From: "phone-1@pogo", ID: "7", Body: make([]byte, n)}); err != nil {
+			t.Fatal(err)
+		}
+		if kept := cap(c.wbuf); kept > frameKeep || n <= frameKeep && kept == 0 {
+			t.Fatalf("after frame %d (%d body bytes) the session keeps %d bytes, want 1..%d", i, n, kept, frameKeep)
 		}
 	}
 }
