@@ -123,9 +123,12 @@ func runExperiments(which string, days int, seed int64, phones, shards int, flee
 		rows := experiments.Table3Obs(reg)
 		fmt.Println(experiments.RenderTable3(rows))
 		fmt.Printf("(simulated 6 device-hours in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		printTable3Metrics(reg, rows)
+		printTable3Metrics(reg)
+		lt, err := experiments.CrossCheckLedger(reg, rows, nil)
+		fmt.Printf("uplink bytes: counter=%d reported=%d\n", lt.UplinkCounter, lt.UplinkReported)
+		fmt.Printf("table3 from ledger vs experiment meters (1%% energy tolerance, bytes exact): %s\n\n", verdict(err))
 		if csvDir != "" {
-			if err := writeTable3CSV(csvDir, reg, rows); err != nil {
+			if err := writeTable3CSV(csvDir, lt); err != nil {
 				return err
 			}
 		}
@@ -141,8 +144,11 @@ func runExperiments(which string, days int, seed int64, phones, shards int, flee
 		}
 		fmt.Println(experiments.RenderTable4(res))
 		fmt.Printf("(simulated %d days x 9 sessions in %v)\n\n", days, time.Since(start).Round(time.Second))
+		lt, err := experiments.CrossCheckLedger(reg, nil, &res)
+		fmt.Printf("table4 from ledger: reduction=%.1f%% (experiment reported %.1f%%) %s\n",
+			lt.ReductionPct, res.ReductionPct, verdict(err))
 		if csvDir != "" {
-			if err := writeTable4CSV(csvDir, reg, res); err != nil {
+			if err := writeTable4CSV(csvDir, lt); err != nil {
 				return err
 			}
 		}
@@ -196,92 +202,45 @@ func writeLedgerCSVs(dir string, reg *obs.Registry) error {
 	return os.WriteFile(filepath.Join(dir, "timeseries.csv"), []byte(buf.String()), 0o644)
 }
 
-// accountFor finds one ledger row in a snapshot.
-func accountFor(snap []obs.AccountSnapshot, device, script, topic string) obs.AccountSnapshot {
-	for _, a := range snap {
-		if a.Device == device && a.Script == script && a.Topic == topic {
-			return a
-		}
+// verdict renders a CrossCheckLedger result: MATCH, or MISMATCH and what
+// differs.
+func verdict(err error) string {
+	if err != nil {
+		return "MISMATCH: " + err.Error()
 	}
-	return obs.AccountSnapshot{}
+	return "MATCH"
 }
 
-// closeEnough allows 1% relative drift between the ledger's energy figure and
-// the experiment's own meter reading (they are integrated by independent code
-// paths from the same simulated events).
-func closeEnough(a, b float64) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	tol := 0.01 * b
-	if tol < 0.01 {
-		tol = 0.01
-	}
-	return diff <= tol
-}
-
-// writeTable3CSV regenerates the Table 3 rows purely from the per-entity
-// ledger (entities "<carrier>/base" and "<carrier>/pogo") and cross-checks
-// them against the rows the experiment computed from its own meters.
-func writeTable3CSV(dir string, reg *obs.Registry, rows []experiments.Table3Row) error {
+// writeTable3CSV writes the Table 3 rows as the ledger books them.
+func writeTable3CSV(dir string, lt experiments.LedgerTables) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	snap := reg.Ledger().Snapshot()
 	var sb strings.Builder
 	sb.WriteString("carrier,without_pogo_j,with_pogo_j,increase_pct,uplink_bytes,tail_hits,tail_misses\n")
-	match := "MATCH"
-	for _, r := range rows {
-		tag := strings.ToLower(r.Carrier)
-		base := accountFor(snap, tag+"/base", "", "")
-		with := accountFor(snap, tag+"/pogo", "", "")
+	for _, c := range lt.Table3 {
+		base, with := c.Base, c.Pogo
 		inc := 0.0
 		if base.EnergyTotal > 0 {
 			inc = 100 * (with.EnergyTotal - base.EnergyTotal) / base.EnergyTotal
 		}
-		fmt.Fprintf(&sb, "%s,%.3f,%.3f,%.2f,%d,%d,%d\n", r.Carrier,
+		fmt.Fprintf(&sb, "%s,%.3f,%.3f,%.2f,%d,%d,%d\n", c.Carrier,
 			base.EnergyTotal, with.EnergyTotal, inc,
 			with.UplinkBytes, with.TailHits, with.TailMisses)
-		if !closeEnough(base.EnergyTotal, r.WithoutPogo) ||
-			!closeEnough(with.EnergyTotal, r.WithPogo) ||
-			with.UplinkBytes != r.UplinkBytes {
-			match = "MISMATCH"
-		}
 	}
-	fmt.Printf("table3 from ledger: %s vs experiment meters (1%% energy tolerance)\n", match)
 	return os.WriteFile(filepath.Join(dir, "table3.csv"), []byte(sb.String()), 0o644)
 }
 
-// writeTable4CSV regenerates the §5.3 uplink-reduction row from the ledger:
-// the counterfactual (dev, scan.js, wifi-scan-raw) uplink rows against the
-// collector's actually-delivered "clusters" downlink bytes.
-func writeTable4CSV(dir string, reg *obs.Registry, res experiments.Table4Result) error {
+// writeTable4CSV writes the §5.3 uplink-reduction row as the ledger books
+// it: the counterfactual (dev, scan.js, wifi-scan-raw) uplink rows against
+// the collector's actually-delivered "clusters" downlink bytes.
+func writeTable4CSV(dir string, lt experiments.LedgerTables) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	var raw, clustered int64
-	for _, a := range reg.Ledger().Snapshot() {
-		if a.Script == "scan.js" && a.Topic == "wifi-scan-raw" {
-			raw += a.UplinkBytes
-		}
-		if a.Device == "collector" && a.Script == "" && a.Topic == "clusters" {
-			clustered += a.DownlinkBytes
-		}
-	}
-	reduction := 0.0
-	if raw > 0 {
-		reduction = 100 * (1 - float64(clustered)/float64(raw))
-	}
-	match := "MATCH"
-	if !closeEnough(reduction, res.ReductionPct) {
-		match = "MISMATCH"
-	}
-	fmt.Printf("table4 from ledger: reduction=%.1f%% (experiment reported %.1f%%) %s\n",
-		reduction, res.ReductionPct, match)
 	var sb strings.Builder
 	sb.WriteString("raw_uplink_bytes,cluster_downlink_bytes,reduction_pct\n")
-	fmt.Fprintf(&sb, "%d,%d,%.2f\n", raw, clustered, reduction)
+	fmt.Fprintf(&sb, "%d,%d,%.2f\n", lt.RawUplink, lt.ClusterDownlink, lt.ReductionPct)
 	return os.WriteFile(filepath.Join(dir, "table4.csv"), []byte(sb.String()), 0o644)
 }
 
@@ -340,14 +299,8 @@ func runChaos(seed int64, phones int, traceOut, flightOut string, sabotage bool)
 }
 
 // printTable3Metrics summarizes the observability registry after the Table 3
-// runs and cross-checks the phone's uplink-bytes counter against the totals
-// the experiment reported through its own, independent code path.
-func printTable3Metrics(reg *obs.Registry, rows []experiments.Table3Row) {
-	var reported int64
-	for _, r := range rows {
-		reported += r.UplinkBytes
-	}
-	counted := reg.CounterValue("transport_bytes_sent_total", obs.L("node", "phone"))
+// runs.
+func printTable3Metrics(reg *obs.Registry) {
 	fmt.Println("end-of-run metrics (with-Pogo trials, all carriers):")
 	for _, name := range []string{
 		"pubsub_publishes_total",
@@ -359,9 +312,4 @@ func printTable3Metrics(reg *obs.Registry, rows []experiments.Table3Row) {
 	} {
 		fmt.Printf("  %-36s %d\n", name+"{node=phone}", reg.CounterValue(name, obs.L("node", "phone")))
 	}
-	match := "MATCH"
-	if counted != reported {
-		match = "MISMATCH"
-	}
-	fmt.Printf("uplink bytes: counter=%d reported=%d %s\n\n", counted, reported, match)
 }

@@ -222,7 +222,8 @@ func runSelftest(expect string) int {
 		w.RunRound(k)
 	}
 	// Re-send phone00's first upload: the transport delivers both copies, the
-	// online tracker charges a duplicate, and exactly_once_violation fires.
+	// delivery auditor judges the second a duplicate as it arrives and
+	// charges delivery_violations_total, and exactly_once_violation fires.
 	if err := w.Enqueue(experiments.ChaosPhoneName(0), experiments.ChaosCollectorName, "upload", 0); err != nil {
 		fmt.Fprintln(os.Stderr, "pogo-doctor: selftest rig:", err)
 		return 2

@@ -66,7 +66,7 @@ func newContext(n *Node, owner string) *Context {
 	if owner != "" {
 		ident += "/" + owner
 	}
-	ctx.broker.SetTraceIdentity(ident, n.cfg.TraceSeed)
+	ctx.broker.SetTraceIdentity(ident, 0)
 	ctx.broker.Instrument(n.cfg.Obs, n.clk.Now, n.cfg.ID, n.cfg.ObsEntity)
 	n.smgr.AddBroker(ctx.broker)
 	return ctx

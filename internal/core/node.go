@@ -115,11 +115,6 @@ type Config struct {
 	// harnesses use it to keep trials apart (e.g. "kpn/pogo") while metric
 	// node labels stay stable.
 	ObsEntity string
-	// TraceSeed seeds deterministic causal trace-ID assignment (broker
-	// publications and transport roots). Independent of Obs: traces ride
-	// the wire whether or not a registry is attached, so enabling
-	// observability never changes a seeded run's bytes.
-	TraceSeed int64
 }
 
 // Node is a running Pogo middleware instance.
@@ -220,10 +215,9 @@ func NewNode(cfg Config) (*Node, error) {
 		return ""
 	})
 	n.ep = transport.NewEndpoint(cfg.Messenger, box, cfg.Clock, transport.EndpointConfig{
-		MaxAge:    store.DefaultMaxAge, // the deployment's 24 h purge
-		Obs:       cfg.Obs,
-		Entity:    cfg.ObsEntity,
-		TraceSeed: cfg.TraceSeed,
+		MaxAge: store.DefaultMaxAge, // the deployment's 24 h purge
+		Obs:    cfg.Obs,
+		Entity: cfg.ObsEntity,
 	})
 	n.ep.OnMessageTraced(n.handleMessage)
 	cfg.Messenger.OnOnline(func() { n.sch.Submit("reconnect-flush", n.flushTask) })

@@ -77,8 +77,8 @@ func TestFleetAlertLogShardInvariant(t *testing.T) {
 	}
 }
 
-// TestChaosViolationCounterTracksScriptedDuplicate: the online exactly-once
-// tracker must flag a duplicate delivery the moment it is recorded, so the
+// TestChaosViolationCounterTracksScriptedDuplicate: the delivery auditor
+// must flag a duplicate delivery the moment it is recorded, so the
 // exactly_once_violation rule can fire mid-run rather than at audit time.
 func TestChaosViolationCounterTracksScriptedDuplicate(t *testing.T) {
 	cfg := small(ChaosScenarios(3)[0].Config) // light faults: everything delivers
@@ -105,6 +105,6 @@ func TestChaosViolationCounterTracksScriptedDuplicate(t *testing.T) {
 	}
 	res := w.Result("dup")
 	if res.Duplicated != 1 {
-		t.Fatalf("audit duplicated = %d, want 1 (online tracker and audit disagree)", res.Duplicated)
+		t.Fatalf("audit duplicated = %d, want 1 (the counter and the audit's count disagree)", res.Duplicated)
 	}
 }

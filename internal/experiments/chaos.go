@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
 	"pogo/internal/faultnet"
@@ -107,16 +105,12 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 	}
 }
 
-const chaosCollector = "collector"
-
-func chaosPhoneName(i int) string { return fmt.Sprintf("phone%02d", i) }
-
 // ChaosPhoneName is the canonical name of the i-th phone in a chaos world.
 // The scenario DSL uses it to address entities (`kill phone03`).
-func ChaosPhoneName(i int) string { return chaosPhoneName(i) }
+func ChaosPhoneName(i int) string { return fmt.Sprintf("phone%02d", i) }
 
 // ChaosCollectorName is the chaos world's single collector entity.
-const ChaosCollectorName = chaosCollector
+const ChaosCollectorName = "collector"
 
 // ChaosWorld is a constructed-but-not-yet-run chaos testbed: the phones,
 // collector, faultnet, and simulated clock of one scenario, exposed so the
@@ -125,25 +119,23 @@ const ChaosCollectorName = chaosCollector
 // — partitions, kills, extra publishes — between rounds. Both produce
 // bit-identical results for the same call schedule because every step is a
 // method on this world.
+//
+// Entity index 0 is the collector and 1+i is phone i; the delivery log, the
+// auditor and every by-name lookup share that one table.
 type ChaosWorld struct {
 	cfg       ChaosConfig
 	clk       *vclock.Sim
 	start     time.Time
 	net       *faultnet.Net
-	coll      *transport.Endpoint
-	phones    []*transport.Endpoint
-	faults    []*faultnet.Fault
+	names     entityTable
+	eps       []*transport.Endpoint // by entity index
+	faults    []*faultnet.Fault     // by entity index; nil for the collector
 	stops     []func()
-	log       []string
+	log       []deliveryEntry // arrival order
+	audit     *deliveryAudit
 	iters     int
 	cut       int
 	undrained int
-
-	// Online exactly-once bookkeeping: the end-of-run audit catches
-	// violations after the fact, but alert rules need them as they happen.
-	// Keyed like auditChaosLog streams (receiver|sender|channel).
-	seenSeqs map[string]map[int]bool
-	lastSeq  map[string]int
 }
 
 // NewChaosWorld builds the testbed for one seeded scenario. Zero-valued
@@ -151,29 +143,22 @@ type ChaosWorld struct {
 // the determinism contract: it must not change, or same-seed delivery logs
 // (and the hashes chaos.txtar pins) change with it.
 func NewChaosWorld(cfg ChaosConfig) *ChaosWorld {
-	if cfg.Phones == 0 {
-		cfg.Phones = 50
-	}
-	if cfg.MessagesPerPhone == 0 {
-		cfg.MessagesPerPhone = 20
-	}
-	if cfg.CommandsPerPhone == 0 {
-		cfg.CommandsPerPhone = 3
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 10 * time.Minute
-	}
-	if cfg.Step == 0 {
-		cfg.Step = 5 * time.Second
-	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = 15 * time.Second
-	}
-	if cfg.DrainIters == 0 {
-		cfg.DrainIters = 600
-	}
+	cfg.Phones = cmp.Or(cfg.Phones, 50)
+	cfg.MessagesPerPhone = cmp.Or(cfg.MessagesPerPhone, 20)
+	cfg.CommandsPerPhone = cmp.Or(cfg.CommandsPerPhone, 3)
+	cfg.Window = cmp.Or(cfg.Window, 10*time.Minute)
+	cfg.Step = cmp.Or(cfg.Step, 5*time.Second)
+	cfg.RetryAfter = cmp.Or(cfg.RetryAfter, 15*time.Second)
+	cfg.DrainIters = cmp.Or(cfg.DrainIters, 600)
 
-	w := &ChaosWorld{cfg: cfg, seenSeqs: make(map[string]map[int]bool), lastSeq: make(map[string]int)}
+	names := make([]string, 1+cfg.Phones)
+	names[0] = ChaosCollectorName
+	for i := 0; i < cfg.Phones; i++ {
+		names[1+i] = ChaosPhoneName(i)
+	}
+	w := &ChaosWorld{cfg: cfg, names: newEntityTable(names)}
+	// Every phone uploads to the one collector, entity 0.
+	w.audit = newDeliveryAudit(1, 0, make([]int32, cfg.Phones), cfg.MessagesPerPhone, cfg.CommandsPerPhone)
 	w.clk = vclock.NewSim()
 	if cfg.Obs != nil {
 		// Health evaluation rides the sampling path: observe() is called at
@@ -194,44 +179,45 @@ func NewChaosWorld(cfg ChaosConfig) *ChaosWorld {
 		Obs:      cfg.Obs,
 	})
 
-	record := func(at string) func(from, channel string, payload msg.Value) {
+	// record logs one delivery to entity recv and charges the auditor's
+	// verdict on it to delivery_violations_total the moment it arrives, so
+	// alert rules see a violation mid-run.
+	record := func(recv int32) func(from, channel string, payload msg.Value) {
 		return func(from, channel string, payload msg.Value) {
-			n := -1
-			if m, ok := payload.(msg.Raw); ok {
-				if f, ok := msg.GetNumber(m, "n"); ok {
-					n = int(f)
-				}
+			e := deliveryEntry{
+				atMs: int32(w.clk.Now().Sub(w.start) / time.Millisecond),
+				recv: recv, send: w.names.lookup(from),
+				n: payloadSeq(payload), ch: w.names.chanCode(channel, true),
 			}
-			w.log = append(w.log, fmt.Sprintf("%s <- %s %s %d", at, from, channel, n))
-			w.trackDelivery(at, from, channel, n)
+			w.log = append(w.log, e)
+			switch w.audit.add(e) {
+			case duplicate:
+				w.cfg.Obs.Counter("delivery_violations_total", obs.L("kind", "duplicate")).Inc()
+			case outOfOrder:
+				w.cfg.Obs.Counter("delivery_violations_total", obs.L("kind", "out_of_order")).Inc()
+			}
 		}
 	}
 
-	// The collector: a plain (never-churned) port behind the same faultnet,
-	// so its acks and commands suffer the fault mix too.
-	collFault := w.net.Wrap(sb.Port(chaosCollector, nil))
-	w.coll = transport.NewEndpoint(collFault, store.OpenMemory(), w.clk, transport.EndpointConfig{
-		RetryAfter: cfg.RetryAfter, BootID: "chaos-" + chaosCollector, Obs: cfg.Obs,
-		TraceSeed: cfg.Seed,
-	})
-	w.coll.OnMessage(record(chaosCollector))
-
-	w.phones = make([]*transport.Endpoint, cfg.Phones)
-	w.faults = make([]*faultnet.Fault, cfg.Phones)
-	w.stops = make([]func(), 0, cfg.Phones)
-	for i := 0; i < cfg.Phones; i++ {
-		id := chaosPhoneName(i)
-		sb.Associate(id, chaosCollector)
+	// Every entity sits behind the same faultnet. The collector's port is
+	// never churned, but its acks and commands suffer the fault mix too.
+	w.eps = make([]*transport.Endpoint, len(names))
+	w.faults = make([]*faultnet.Fault, len(names))
+	for i, id := range names {
+		if i > 0 {
+			sb.Associate(id, ChaosCollectorName)
+		}
 		f := w.net.Wrap(sb.Port(id, nil))
-		w.faults[i] = f
-		ep := transport.NewEndpoint(f, store.OpenMemory(), w.clk, transport.EndpointConfig{
+		w.eps[i] = transport.NewEndpoint(f, store.OpenMemory(), w.clk, transport.EndpointConfig{
 			RetryAfter: cfg.RetryAfter, BootID: "chaos-" + id, Obs: cfg.Obs,
 			TraceSeed: cfg.Seed,
 		})
-		ep.OnMessage(record(id))
-		w.phones[i] = ep
-		if cfg.MeanUp > 0 && cfg.MeanDown > 0 {
-			w.stops = append(w.stops, w.net.Churn(f, cfg.MeanUp, cfg.MeanDown))
+		w.eps[i].OnMessage(record(int32(i)))
+		if i > 0 {
+			w.faults[i] = f
+			if cfg.MeanUp > 0 && cfg.MeanDown > 0 {
+				w.stops = append(w.stops, w.net.Churn(f, cfg.MeanUp, cfg.MeanDown))
+			}
 		}
 	}
 
@@ -258,35 +244,21 @@ func (w *ChaosWorld) Config() ChaosConfig { return w.cfg }
 
 // EntityNames lists every entity in the world: the collector first, then the
 // phones in index order.
-func (w *ChaosWorld) EntityNames() []string {
-	out := make([]string, 0, len(w.phones)+1)
-	out = append(out, chaosCollector)
-	for i := range w.phones {
-		out = append(out, chaosPhoneName(i))
-	}
-	return out
-}
+func (w *ChaosWorld) EntityNames() []string { return slices.Clone(w.names.names) }
 
 // Endpoint returns the named entity's transport endpoint, or nil.
 func (w *ChaosWorld) Endpoint(name string) *transport.Endpoint {
-	if name == chaosCollector {
-		return w.coll
-	}
-	for i := range w.phones {
-		if chaosPhoneName(i) == name {
-			return w.phones[i]
-		}
+	if i := w.names.lookup(name); i >= 0 {
+		return w.eps[i]
 	}
 	return nil
 }
 
-// Fault returns the named entity's fault wrapper (phones only have churnable
-// faults; the collector's wrapper is returned too), or nil.
+// Fault returns the named phone's churnable fault wrapper, or nil (the
+// collector has none).
 func (w *ChaosWorld) Fault(name string) *faultnet.Fault {
-	for i := range w.phones {
-		if chaosPhoneName(i) == name {
-			return w.faults[i]
-		}
+	if i := w.names.lookup(name); i >= 0 {
+		return w.faults[i]
 	}
 	return nil
 }
@@ -306,47 +278,21 @@ func (w *ChaosWorld) Enqueue(from, to, channel string, n int) error {
 // and returns the total still-pending outbox entries.
 func (w *ChaosWorld) FlushAll() int {
 	pending := 0
-	for _, ep := range w.phones {
+	for _, ep := range w.eps[1:] {
 		ep.Flush()
 		pending += ep.Pending()
 	}
-	w.coll.Flush()
-	pending += w.coll.Pending()
-	return pending
+	w.eps[0].Flush()
+	return pending + w.eps[0].Pending()
 }
 
 // Pending is the total outbox entries across all endpoints, without flushing.
 func (w *ChaosWorld) Pending() int {
 	pending := 0
-	for _, ep := range w.phones {
+	for _, ep := range w.eps {
 		pending += ep.Pending()
 	}
-	return pending + w.coll.Pending()
-}
-
-// trackDelivery updates the online exactly-once bookkeeping for one recorded
-// delivery and charges violations to the delivery_violations_total counters.
-// Pure bookkeeping: it never touches the clock, the net, or the log.
-func (w *ChaosWorld) trackDelivery(at, from, channel string, n int) {
-	if n < 0 {
-		return
-	}
-	key := at + "|" + from + "|" + channel
-	seen := w.seenSeqs[key]
-	if seen == nil {
-		seen = make(map[int]bool)
-		w.seenSeqs[key] = seen
-		w.lastSeq[key] = -1
-	}
-	if seen[n] {
-		w.cfg.Obs.Counter("delivery_violations_total", obs.L("kind", "duplicate")).Inc()
-	} else if n < w.lastSeq[key] {
-		w.cfg.Obs.Counter("delivery_violations_total", obs.L("kind", "out_of_order")).Inc()
-	}
-	seen[n] = true
-	if n > w.lastSeq[key] {
-		w.lastSeq[key] = n
-	}
+	return pending
 }
 
 // observe publishes the world's health gauges and takes one registry sample
@@ -369,26 +315,26 @@ func (w *ChaosWorld) RunRound(k int) {
 	cfg := w.cfg
 	if w.cut > 0 && k == w.iters/3 {
 		for i := 0; i < w.cut; i++ {
-			w.net.PartitionPair(chaosPhoneName(i), chaosCollector)
+			w.net.PartitionPair(w.names.names[1+i], ChaosCollectorName)
 		}
 	}
 	if w.cut > 0 && k == 2*w.iters/3 {
 		w.net.HealAll()
 	}
 	for i := 0; i < cfg.Phones; i++ {
-		id := chaosPhoneName(i)
+		id := w.names.names[1+i]
 		for j := 0; j < cfg.MessagesPerPhone; j++ {
 			at := (j*w.iters)/cfg.MessagesPerPhone + i%5 // staggered across phones
 			if at >= w.iters {
 				at = w.iters - 1
 			}
 			if at == k {
-				w.phones[i].Enqueue(chaosCollector, "upload", msg.Map{"n": float64(j)})
+				w.eps[1+i].Enqueue(ChaosCollectorName, "upload", msg.Map{"n": float64(j)})
 			}
 		}
 		for j := 0; j < cfg.CommandsPerPhone; j++ {
 			if (j*w.iters)/cfg.CommandsPerPhone == k {
-				w.coll.Enqueue(id, "cmd", msg.Map{"n": float64(j)})
+				w.eps[0].Enqueue(id, "cmd", msg.Map{"n": float64(j)})
 			}
 		}
 	}
@@ -421,10 +367,7 @@ func (w *ChaosWorld) Drain() int {
 	undrained := 0
 	if cfg.DrainIters < 0 {
 		// Drain disabled: count what is still in flight without flushing.
-		for _, ep := range w.phones {
-			undrained += ep.Pending()
-		}
-		undrained += w.coll.Pending()
+		undrained = w.Pending()
 	}
 	for k := 0; k < cfg.DrainIters; k++ {
 		undrained = w.FlushAll()
@@ -440,8 +383,9 @@ func (w *ChaosWorld) Drain() int {
 	return undrained
 }
 
-// Result audits the delivery log as it stands and summarizes the run. It can
-// be called repeatedly (after each scripted phase) — it only reads state.
+// Result reads the audit as it stands and summarizes the run, with the log
+// in arrival order. It can be called repeatedly (after each scripted phase)
+// — it only reads state.
 func (w *ChaosWorld) Result(name string) ChaosResult {
 	cfg := w.cfg
 	res := ChaosResult{
@@ -451,31 +395,26 @@ func (w *ChaosWorld) Result(name string) ChaosResult {
 			Expected:  cfg.Phones * (cfg.MessagesPerPhone + cfg.CommandsPerPhone),
 			Delivered: len(w.log),
 			Undrained: w.undrained,
-			Log:       w.log,
 		},
 	}
-	for _, ep := range w.phones {
+	for _, ep := range w.eps {
 		st := ep.Stats()
 		res.Retries += st.Retries
 		res.CorruptDropped += st.CorruptDropped
 	}
-	cst := w.coll.Stats()
-	res.Retries += cst.Retries
-	res.CorruptDropped += cst.CorruptDropped
 	ns := w.net.Stats()
 	res.NetSent, res.NetDropped, res.NetDuplicated = ns.Sent, ns.Dropped, ns.Duplicated
 	res.NetCorrupted, res.NetDelayed = ns.Corrupted, ns.Delayed
 	res.PartitionDrops = ns.PartitionDrops
 	res.Disconnects = ns.Disconnects
 
-	res.Lost, res.Duplicated, res.OutOfOrder = auditChaosLog(w.log, cfg)
+	res.Lost, res.Duplicated, res.OutOfOrder = w.audit.counts()
 
 	res.SimSeconds = w.clk.Now().Sub(w.start).Seconds()
 	if res.SimSeconds > 0 {
 		res.DeliveriesPerSec = float64(res.Delivered) / res.SimSeconds
 	}
-	sum := sha256.Sum256([]byte(strings.Join(w.log, "\n")))
-	res.LogSHA256 = hex.EncodeToString(sum[:])
+	w.names.seal(&res.Delivery, w.log, false, true)
 	return res
 }
 
@@ -488,42 +427,4 @@ func Chaos(name string, cfg ChaosConfig) ChaosResult {
 	}
 	w.Drain()
 	return w.Result(name)
-}
-
-// auditChaosLog checks every (receiver, sender, channel) stream for
-// exactly-once FIFO delivery of sequences 0..n-1.
-func auditChaosLog(log []string, cfg ChaosConfig) (lost, dup, ooo int) {
-	streams := make(map[string][]int)
-	for _, line := range log {
-		var at, from, channel string
-		var n int
-		if _, err := fmt.Sscanf(line, "%s <- %s %s %d", &at, &from, &channel, &n); err != nil {
-			continue
-		}
-		key := at + "|" + from + "|" + channel
-		streams[key] = append(streams[key], n)
-	}
-	audit := func(got []int, want int) {
-		counts := make(map[int]int)
-		for _, s := range got {
-			counts[s]++
-		}
-		for s := 0; s < want; s++ {
-			switch c := counts[s]; {
-			case c == 0:
-				lost++
-			case c > 1:
-				dup += c - 1
-			}
-		}
-		if !sort.IntsAreSorted(got) {
-			ooo++
-		}
-	}
-	for i := 0; i < cfg.Phones; i++ {
-		id := chaosPhoneName(i)
-		audit(streams[chaosCollector+"|"+id+"|upload"], cfg.MessagesPerPhone)
-		audit(streams[id+"|"+chaosCollector+"|cmd"], cfg.CommandsPerPhone)
-	}
-	return lost, dup, ooo
 }

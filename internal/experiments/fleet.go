@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -78,42 +79,16 @@ func FleetScenario(seed int64, phones, shards int) FleetConfig {
 
 // fleetNormalize applies the documented defaults in place.
 func fleetNormalize(cfg *FleetConfig) {
-	if cfg.Phones == 0 {
-		cfg.Phones = 2000
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 4
-	}
-	if cfg.Collectors == 0 {
-		cfg.Collectors = cfg.Phones / 128
-		if cfg.Collectors < 1 {
-			cfg.Collectors = 1
-		}
-		if cfg.Collectors > 16 {
-			cfg.Collectors = 16
-		}
-	}
-	if cfg.MessagesPerPhone == 0 {
-		cfg.MessagesPerPhone = 20
-	}
-	if cfg.CommandsPerPhone == 0 {
-		cfg.CommandsPerPhone = 3
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 5 * time.Minute
-	}
-	if cfg.Step == 0 {
-		cfg.Step = 5 * time.Second
-	}
-	if cfg.Latency == 0 {
-		cfg.Latency = 100 * time.Millisecond
-	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = 15 * time.Second
-	}
-	if cfg.DrainLimit == 0 {
-		cfg.DrainLimit = 15 * time.Minute
-	}
+	cfg.Phones = cmp.Or(cfg.Phones, 2000)
+	cfg.Shards = cmp.Or(cfg.Shards, 4)
+	cfg.Collectors = cmp.Or(cfg.Collectors, min(max(cfg.Phones/128, 1), 16))
+	cfg.MessagesPerPhone = cmp.Or(cfg.MessagesPerPhone, 20)
+	cfg.CommandsPerPhone = cmp.Or(cfg.CommandsPerPhone, 3)
+	cfg.Window = cmp.Or(cfg.Window, 5*time.Minute)
+	cfg.Step = cmp.Or(cfg.Step, 5*time.Second)
+	cfg.Latency = cmp.Or(cfg.Latency, 100*time.Millisecond)
+	cfg.RetryAfter = cmp.Or(cfg.RetryAfter, 15*time.Second)
+	cfg.DrainLimit = cmp.Or(cfg.DrainLimit, 15*time.Minute)
 }
 
 // FleetResult reports one fleet run. Its Delivery audit must pass — the
@@ -173,38 +148,33 @@ func fleetCollectorOf(i, collectors int) int {
 }
 
 // fleetNames precomputes the naming and placement tables every part of a run
-// agrees on: entity index → name (phones first, then collectors), the
+// agrees on: the entity table (phones first, then collectors), the
 // lexicographic rank of each name (so the compact log sorts exactly like the
-// old string log did — note "phone10000" < "phone9999"), the reverse name →
-// index map used on the delivery path, and each phone's collector. One table
-// serves the whole run.
+// old string log did — note "phone10000" < "phone9999"), and each phone's
+// collector. One table serves the whole run; the shards only read it.
 type fleetNames struct {
-	phones, collectors, shards int
-	names                      []string
-	rank                       []int32
-	index                      map[string]int32
-	collOf                     []int32
+	entityTable
+	phones, shards int
+	rank           []int32
+	collOf         []int32
 }
 
 func newFleetNames(cfg *FleetConfig) *fleetNames {
-	fn := &fleetNames{phones: cfg.Phones, collectors: cfg.Collectors, shards: cfg.Shards}
-	fn.names = make([]string, cfg.Phones+cfg.Collectors)
+	names := make([]string, cfg.Phones+cfg.Collectors)
 	for i := 0; i < cfg.Phones; i++ {
-		fn.names[i] = fleetPhoneName(i)
+		names[i] = fleetPhoneName(i)
 	}
 	for c := 0; c < cfg.Collectors; c++ {
-		fn.names[cfg.Phones+c] = fleetCollectorName(c)
+		names[cfg.Phones+c] = fleetCollectorName(c)
 	}
-	fn.index = make(map[string]int32, len(fn.names))
-	for i, s := range fn.names {
-		fn.index[s] = int32(i)
-	}
-	ord := make([]int32, len(fn.names))
+	fn := &fleetNames{entityTable: newEntityTable(names),
+		phones: cfg.Phones, shards: cfg.Shards}
+	ord := make([]int32, len(names))
 	for i := range ord {
 		ord[i] = int32(i)
 	}
-	slices.SortFunc(ord, func(a, b int32) int { return strings.Compare(fn.names[a], fn.names[b]) })
-	fn.rank = make([]int32, len(fn.names))
+	slices.SortFunc(ord, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	fn.rank = make([]int32, len(names))
 	for r, i := range ord {
 		fn.rank[i] = int32(r)
 	}
@@ -215,13 +185,6 @@ func newFleetNames(cfg *FleetConfig) *fleetNames {
 	return fn
 }
 
-func (fn *fleetNames) lookup(name string) int32 {
-	if i, ok := fn.index[name]; ok {
-		return i
-	}
-	return -1
-}
-
 func (fn *fleetNames) rankOf(i int32) int32 {
 	if i >= 0 && int(i) < len(fn.rank) {
 		return fn.rank[i]
@@ -229,12 +192,11 @@ func (fn *fleetNames) rankOf(i int32) int32 {
 	return -1
 }
 
-func (fn *fleetNames) phoneShard(i int) int      { return i % fn.shards }
-func (fn *fleetNames) collShard(c int) int       { return c % fn.shards }
-func (fn *fleetNames) collIndex(c int) int32     { return int32(fn.phones + c) }
-func (fn *fleetNames) collName(c int) string     { return fn.names[fn.phones+c] }
-func (fn *fleetNames) phoneName(i int) string    { return fn.names[i] }
-func (fn *fleetNames) entityName(i int32) string { return fn.names[i] }
+func (fn *fleetNames) phoneShard(i int) int   { return i % fn.shards }
+func (fn *fleetNames) collShard(c int) int    { return c % fn.shards }
+func (fn *fleetNames) collIndex(c int) int32  { return int32(fn.phones + c) }
+func (fn *fleetNames) collName(c int) string  { return fn.names[fn.phones+c] }
+func (fn *fleetNames) phoneName(i int) string { return fn.names[i] }
 
 // fleetGen is one self-rescheduling traffic stream: phone i's uploads, or
 // the command stream a collector sends phone i. The old builder scheduled
@@ -265,7 +227,7 @@ func (g *fleetGen) run() {
 type fleetWorld struct {
 	eng       *fleet.Engine
 	start     time.Time
-	logs      []*fleetLog // indexed by shard
+	logs      []*deliveryLog // indexed by shard
 	endpoints []*transport.Endpoint
 	gens      []fleetGen
 }
@@ -298,9 +260,9 @@ func buildFleetWorld(cfg *FleetConfig, names *fleetNames) *fleetWorld {
 		Obs:       cfg.Obs,
 	})
 	w.start = w.eng.Shard(0).Clock().Now()
-	w.logs = make([]*fleetLog, cfg.Shards)
+	w.logs = make([]*deliveryLog, cfg.Shards)
 	for i := range w.logs {
-		w.logs[i] = &fleetLog{}
+		w.logs[i] = &deliveryLog{}
 	}
 
 	// build wires one entity: port → per-entity seeded fault wrapper (lean
@@ -308,7 +270,7 @@ func buildFleetWorld(cfg *FleetConfig, names *fleetNames) *fleetWorld {
 	// endpoint, plus its periodic flush tick and end-of-window calm, all on
 	// the pooled Schedule path.
 	build := func(g int, idx int32, tickPhase time.Duration) *transport.Endpoint {
-		name := names.entityName(idx)
+		name := names.names[idx]
 		sh := w.eng.Shard(g)
 		clk := sh.Clock()
 		net := faultnet.New(clk, faultnet.Config{
@@ -325,16 +287,10 @@ func buildFleetWorld(cfg *FleetConfig, names *fleetNames) *fleetWorld {
 		})
 		log := w.logs[g]
 		ep.OnMessage(func(from, channel string, payload msg.Value) {
-			n := int32(-1)
-			if m, ok := payload.(msg.Raw); ok {
-				if f, ok := msg.GetNumber(m, "n"); ok {
-					n = int32(f)
-				}
-			}
-			log.add(fleetEntryC{
+			log.add(deliveryEntry{
 				atMs: int32(clk.Now().Sub(w.start) / time.Millisecond),
 				recv: idx, send: names.lookup(from),
-				n: n, ch: fleetChanCode(channel),
+				n: payloadSeq(payload), ch: names.chanCode(channel, false),
 			})
 		})
 		var tick func()
@@ -454,6 +410,47 @@ func Fleet(cfg FleetConfig) FleetResult {
 		cfg.Obs.Gauge("fleet_bytes_per_phone").Set(res.BytesPerPhone)
 	}
 	return res
+}
+
+// fleetSealLog reduces the per-shard logs into d. The auditor reads them in
+// shard order: each stream's receiver lives on one shard, so shard order
+// keeps every stream's arrival order. The entries are then sorted by the
+// shard-layout-independent content key and hashed as "t=<ms> …" lines. The
+// key — (ms, receiver, sender, channel, n), names compared lexicographically
+// via the precomputed rank table — is unique because delivery is
+// exactly-once per stream, so the sealed log is a pure function of the seed
+// at any shard count. The textual log is kept only if asked.
+func fleetSealLog(d *Delivery, cfg *FleetConfig, fn *fleetNames, logs []*deliveryLog, keep bool) {
+	audit := newDeliveryAudit(0, int32(fn.phones), fn.collOf, cfg.MessagesPerPhone, cfg.CommandsPerPhone)
+	total := 0
+	for _, l := range logs {
+		total += l.n
+	}
+	entries := make([]deliveryEntry, 0, total)
+	for _, l := range logs {
+		l.each(func(e deliveryEntry) {
+			audit.add(e)
+			entries = append(entries, e)
+		})
+	}
+	d.Delivered = total
+	d.Lost, d.Duplicated, d.OutOfOrder = audit.counts()
+	slices.SortFunc(entries, func(a, b deliveryEntry) int {
+		if a.atMs != b.atMs {
+			return cmp.Compare(a.atMs, b.atMs)
+		}
+		if ra, rb := fn.rankOf(a.recv), fn.rankOf(b.recv); ra != rb {
+			return cmp.Compare(ra, rb)
+		}
+		if ra, rb := fn.rankOf(a.send), fn.rankOf(b.send); ra != rb {
+			return cmp.Compare(ra, rb)
+		}
+		if a.ch != b.ch {
+			return strings.Compare(fn.chanName(a.ch), fn.chanName(b.ch))
+		}
+		return cmp.Compare(a.n, b.n)
+	})
+	fn.seal(d, entries, true, keep)
 }
 
 // heapDelta returns the live-heap growth since the before measurement,

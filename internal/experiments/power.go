@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -251,8 +252,8 @@ func parseReportTimestamp(line string) (time.Time, bool) {
 	if end < 0 {
 		return time.Time{}, false
 	}
-	var ms float64
-	if _, err := fmt.Sscanf(strings.TrimSpace(rest[:end]), "%f", &ms); err != nil {
+	ms, err := strconv.ParseFloat(strings.TrimSpace(rest[:end]), 64)
+	if err != nil {
 		return time.Time{}, false
 	}
 	return time.UnixMilli(int64(ms)).UTC(), true

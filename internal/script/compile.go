@@ -639,30 +639,37 @@ func (c *compiler) forInStmt(s *forInStmt) stmt {
 		if err != nil {
 			return normal, err
 		}
-		var keys []string
+		// The keys are fixed at loop start, copied into in.keys above the
+		// walks already in progress; a walk nested in the body works above
+		// this one's and cuts the scratch back to its base when it exits.
+		base := len(in.keys)
 		switch o := o.(type) {
 		case *Object:
-			keys = o.Keys()
+			in.keys = o.appendKeys(in.keys)
 		case *Array:
-			keys = make([]string, o.Len())
-			for i := range keys {
-				keys[i] = strconv.Itoa(i)
+			for i := range o.Len() {
+				in.keys = append(in.keys, strconv.Itoa(i))
 			}
 		case nil, UndefinedType:
 			return normal, nil
 		default:
 			return normal, in.errorf(line, "for-in over %s", TypeOf(o))
 		}
+		top := len(in.keys)
 		if declare != nil {
 			declare(in, fr, Undefined)
 		}
-		for _, k := range keys {
-			in.assign(n, fr, msg.BoxString(k))
-			if stop, done, err := loopBody(body, in, fr); stop {
-				return done, err
+		done, err := normal, error(nil)
+		for i := base; i < top; i++ {
+			in.assign(n, fr, msg.BoxString(in.keys[i]))
+			if stop, d, e := loopBody(body, in, fr); stop {
+				done, err = d, e
+				break
 			}
 		}
-		return normal, nil
+		clear(in.keys[base:])
+		in.keys = in.keys[:base]
+		return done, err
 	}
 }
 

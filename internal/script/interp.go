@@ -87,6 +87,7 @@ type interp struct {
 	frames []*frame // frames of finished calls, free for the next
 	buf    []byte   // json() output before it becomes a string
 	cat    []byte   // the text of the + chains being evaluated, innermost last
+	keys   []string // the keys of the for-in walks in progress, innermost last
 	enc    encoder  // what becomes a message or JSON text, encoded
 }
 
@@ -97,6 +98,8 @@ func (in *interp) begin(budget int) {
 	clear(in.args)
 	in.args = in.args[:0]
 	in.cat = in.cat[:0]
+	clear(in.keys)
+	in.keys = in.keys[:0]
 }
 
 // newFrame returns the frame of a call to c, every slot unbound. A frame

@@ -301,6 +301,40 @@ func TestObjectsAndArrays(t *testing.T) {
 	}
 }
 
+// TestForInNestedWalks: walks share the interpreter's key scratch, so a
+// walk nested in a body, one re-entered through recursion, and one left by
+// break, return or a throw must each see only their own keys, fixed at loop
+// start, and leave the enclosing walk's keys intact.
+func TestForInNestedWalks(t *testing.T) {
+	h, _ := run(t, `
+		var o = { a: 1, b: 2 }, s = '';
+		for (var x in o) { for (var y in o) { s += x + y; } s += ';'; }
+		print(s);
+		function walk(v) {
+			var out = '';
+			for (var k in v) { out += k + (typeof v[k] === 'object' ? '(' + walk(v[k]) + ')' : ''); }
+			return out;
+		}
+		print(walk({ p: { q: 1, r: { s: 2 } }, t: [9, 8] }));
+		function first(v) { for (var k in v) { return k; } }
+		s = '';
+		for (var x in o) { s += x + first({ z: 1, w: 2 }); for (var y in [1, 2, 3]) { if (y === '1') break; s += y; } }
+		print(s);
+		s = '';
+		for (var x in o) { try { for (var y in { m: 1 }) { throw y; } } catch (e) { s += x + e; } }
+		print(s);
+		s = '';
+		for (var x in o) { s += x; o['n' + x] = 1; }
+		print(s);
+	`)
+	want := []string{"aaab;babb;", "p(qr(s))t(01)", "az0bz0", "ambm", "ab"}
+	for i, w := range want {
+		if h.prints[i] != w {
+			t.Errorf("prints[%d] = %q, want %q", i, h.prints[i], w)
+		}
+	}
+}
+
 func TestArrayHigherOrder(t *testing.T) {
 	h, _ := run(t, `
 		var a = [3, 1, 2];

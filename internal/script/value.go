@@ -246,11 +246,16 @@ func (o *Object) Delete(key string) {
 // properties a message arrived with).
 func (o *Object) Keys() []string {
 	o.fill()
-	out := make([]string, len(o.ents))
+	return o.appendKeys(make([]string, 0, len(o.ents)))
+}
+
+// appendKeys appends the property names, in Keys order, to dst.
+func (o *Object) appendKeys(dst []string) []string {
+	o.fill()
 	for i := range o.ents {
-		out[i] = o.ents[i].key
+		dst = append(dst, o.ents[i].key)
 	}
-	return out
+	return dst
 }
 
 // Len returns the number of properties.

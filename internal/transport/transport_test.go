@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -549,26 +550,33 @@ func TestOverlappingReceivesDeliverOnce(t *testing.T) {
 	}
 }
 
+// TestNewEndpointFootprint bounds what building an endpoint allocates. The
+// counts are process-wide, so a stray allocation by another goroutine lands
+// in them too: the test measures three batches and keeps the least.
 func TestNewEndpointFootprint(t *testing.T) {
 	const n = 1000
 	clk := vclock.NewSim()
 	sb := NewSwitchboard(clk)
-	ports := make([]*Port, n)
-	boxes := make([]*store.Outbox, n)
-	eps := make([]*Endpoint, n)
-	for i := range ports {
-		ports[i] = sb.Port("p"+strconv.Itoa(i), nil)
-		boxes[i] = store.OpenMemory()
+	allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for round := 0; round < 3; round++ {
+		ports := make([]*Port, n)
+		boxes := make([]*store.Outbox, n)
+		eps := make([]*Endpoint, n)
+		for i := range ports {
+			ports[i] = sb.Port("p"+strconv.Itoa(round)+"-"+strconv.Itoa(i), nil)
+			boxes[i] = store.OpenMemory()
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range eps {
+			eps[i] = NewEndpoint(ports[i], boxes[i], clk, EndpointConfig{BootID: "b"})
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(eps)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := range eps {
-		eps[i] = NewEndpoint(ports[i], boxes[i], clk, EndpointConfig{BootID: "b"})
-	}
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(eps)
-	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	if allocs > 5*n || bytes > 696*n {
 		t.Errorf("%d endpoints: %d allocs, %d B; want ≤ %d and ≤ %d", n, allocs, bytes, 5*n, 696*n)
 	}
