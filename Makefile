@@ -17,7 +17,9 @@ bench:
 # delivery-log hashes and goldens, the latency SLO table), the hot path's
 # allocation counts and bytes and the flush's cost at 10k inflight against
 # 10, each in the package whose code it guards, the fleet's memory diet, the
-# library-stdout guard, the flight-recorder drill and the doctor's selftest;
+# library-stdout guard, the exported-name guard (TestExportsHaveCallers: every
+# name under internal/ has a caller), the flight-recorder drill and the
+# doctor's selftest;
 # the end-to-end harness's own smoke (bench/ is a nested module `go test
 # ./...` does not descend into: real stack with the audit on, and
 # BENCHMARK.json checked against the harness); and a short fuzz smoke of the

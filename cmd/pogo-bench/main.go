@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -90,6 +91,9 @@ func runExperiments(which string, days int, seed int64, phones, shards int, flee
 	want := func(name string) bool { return which == "all" || which == name }
 	ran := false
 	reg := obs.NewRegistry()
+	// A table whose ledger does not match still prints, and so do the
+	// tables after it; the run then fails with every mismatch.
+	var ledgerErr error
 
 	if which == "chaos" {
 		if phones == 0 {
@@ -124,9 +128,8 @@ func runExperiments(which string, days int, seed int64, phones, shards int, flee
 		fmt.Println(experiments.RenderTable3(rows))
 		fmt.Printf("(simulated 6 device-hours in %v)\n\n", time.Since(start).Round(time.Millisecond))
 		printTable3Metrics(reg)
-		lt, err := experiments.CrossCheckLedger(reg, rows, nil)
-		fmt.Printf("uplink bytes: counter=%d reported=%d\n", lt.UplinkCounter, lt.UplinkReported)
-		fmt.Printf("table3 from ledger vs experiment meters (1%% energy tolerance, bytes exact): %s\n\n", verdict(err))
+		lt, err := checkTable3Ledger(reg, rows)
+		ledgerErr = errors.Join(ledgerErr, err)
 		if csvDir != "" {
 			if err := writeTable3CSV(csvDir, lt); err != nil {
 				return err
@@ -147,6 +150,7 @@ func runExperiments(which string, days int, seed int64, phones, shards int, flee
 		lt, err := experiments.CrossCheckLedger(reg, nil, &res)
 		fmt.Printf("table4 from ledger: reduction=%.1f%% (experiment reported %.1f%%) %s\n",
 			lt.ReductionPct, res.ReductionPct, verdict(err))
+		ledgerErr = errors.Join(ledgerErr, err)
 		if csvDir != "" {
 			if err := writeTable4CSV(csvDir, lt); err != nil {
 				return err
@@ -182,7 +186,16 @@ func runExperiments(which string, days int, seed int64, phones, shards int, flee
 		}
 		fmt.Printf("ledger CSVs written to %s\n", csvDir)
 	}
-	return nil
+	return ledgerErr
+}
+
+// checkTable3Ledger cross-checks Table 3's rows against the ledger in reg,
+// prints the uplink byte counts and the verdict, and returns the mismatch.
+func checkTable3Ledger(reg *obs.Registry, rows []experiments.Table3Row) (experiments.LedgerTables, error) {
+	lt, err := experiments.CrossCheckLedger(reg, rows, nil)
+	fmt.Printf("uplink bytes: counter=%d reported=%d\n", lt.UplinkCounter, lt.UplinkReported)
+	fmt.Printf("table3 from ledger vs experiment meters (1%% energy tolerance, bytes exact): %s\n\n", verdict(err))
+	return lt, err
 }
 
 // writeLedgerCSVs dumps the full per-entity accounting and the simulated-time

@@ -8,8 +8,8 @@
 //
 // The -associate flag is the administrator's act of assigning devices to
 // researchers (§3.1); it may be repeated. Stanzas for a user who is offline
-// wait in a per-user queue of xmpp.QueueCap (64; a full queue evicts its
-// oldest) and are replayed when the user next logs in.
+// wait in a per-user queue of 64 stanzas (a full queue evicts its oldest)
+// and are replayed when the user next logs in.
 package main
 
 import (

@@ -48,32 +48,12 @@ func (l *ActivityLog) End(name string, at time.Time) {
 	l.spans = append(l.spans, Span{Name: name, Start: start, End: at})
 }
 
-// Mark records an instantaneous event as a zero-length span.
-func (l *ActivityLog) Mark(name string, at time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.spans = append(l.spans, Span{Name: name, Start: at, End: at})
-}
-
 // Spans returns a copy of the closed spans in recording order.
 func (l *ActivityLog) Spans() []Span {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Span, len(l.spans))
 	copy(out, l.spans)
-	return out
-}
-
-// SpansFor returns the closed spans with the given name.
-func (l *ActivityLog) SpansFor(name string) []Span {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Span
-	for _, s := range l.spans {
-		if s.Name == name {
-			out = append(out, s)
-		}
-	}
 	return out
 }
 

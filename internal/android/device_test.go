@@ -290,16 +290,12 @@ func TestActivityLog(t *testing.T) {
 	l.Begin("x", t0)
 	l.End("x", t0.Add(time.Second))
 	l.End("y", t0) // no begin: no-op
-	l.Mark("z", t0.Add(2*time.Second))
 	spans := l.Spans()
-	if len(spans) != 2 {
+	if len(spans) != 1 {
 		t.Fatalf("spans = %+v", spans)
 	}
 	if spans[0].Name != "x" || spans[0].End.Sub(spans[0].Start) != time.Second {
 		t.Errorf("span 0 = %+v", spans[0])
-	}
-	if spans[1].Name != "z" || spans[1].Start != spans[1].End {
-		t.Errorf("mark span = %+v", spans[1])
 	}
 	if got := l.SpansFor("x"); len(got) != 1 {
 		t.Errorf("SpansFor(x) = %+v", got)

@@ -46,6 +46,6 @@ func BenchmarkDistanceSparse(b *testing.B) {
 	x := map[string]float64{"a": 0.9, "b": 0.7, "c": 0.5, "d": 0.3}
 	y := map[string]float64{"b": 0.8, "c": 0.6, "e": 0.4}
 	for i := 0; i < b.N; i++ {
-		Distance(x, y)
+		distance(x, y)
 	}
 }

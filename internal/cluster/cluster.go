@@ -15,7 +15,6 @@ package cluster
 
 import (
 	"math"
-	"sort"
 )
 
 // Sample is one sanitized Wi-Fi scan: timestamp (Unix milliseconds, as the
@@ -47,9 +46,9 @@ func DefaultParams() Params {
 	return Params{Window: 60, Eps: 0.35, MinPts: 4, MinCluster: 5}
 }
 
-// Distance is the cosine-coefficient distance between two sparse vectors:
+// distance is the cosine-coefficient distance between two sparse vectors:
 // 0 = identical AP environment, 1 = disjoint.
-func Distance(a, b map[string]float64) float64 {
+func distance(a, b map[string]float64) float64 {
 	na, nb := norm(a), norm(b)
 	if na == 0 || nb == 0 {
 		return 1
@@ -82,9 +81,9 @@ func norm(a map[string]float64) float64 {
 	return math.Sqrt(sum)
 }
 
-// Clusterer consumes a stream of samples and emits closed clusters. The
-// zero value is not usable; construct with New.
-type Clusterer struct {
+// clusterer consumes a stream of samples and emits closed clusters. The
+// zero value is not usable; construct with newClusterer.
+type clusterer struct {
 	params Params
 	window []Sample
 	open   []Sample
@@ -92,17 +91,17 @@ type Clusterer struct {
 	emit   func(Cluster)
 }
 
-// New returns a streaming clusterer. emit (may be nil) is called for every
+// newClusterer returns a streaming clusterer. emit (may be nil) is called for every
 // closed cluster in addition to it being recorded.
-func New(params Params, emit func(Cluster)) *Clusterer {
+func newClusterer(params Params, emit func(Cluster)) *clusterer {
 	if params.Window <= 0 {
 		params = DefaultParams()
 	}
-	return &Clusterer{params: params, emit: emit}
+	return &clusterer{params: params, emit: emit}
 }
 
-// Add feeds one sample through the algorithm.
-func (c *Clusterer) Add(s Sample) {
+// add feeds one sample through the algorithm.
+func (c *clusterer) add(s Sample) {
 	c.window = append(c.window, s)
 	if len(c.window) > c.params.Window {
 		c.window = c.window[1:]
@@ -119,46 +118,27 @@ func (c *Clusterer) Add(s Sample) {
 	}
 }
 
-// Flush closes any open cluster (end of trace). The paper's script does NOT
+// flush closes any open cluster (end of trace). The paper's script does NOT
 // do this — a dwell in progress at the end of the experiment is simply cut
-// off — so Table 4 post-processing calls Flush only on the ground truth
+// off — so Table 4 post-processing calls flush only on the ground truth
 // when explicitly requested.
-func (c *Clusterer) Flush() {
+func (c *clusterer) flush() {
 	if c.open != nil {
 		c.closeOpen()
 	}
 }
 
-// Clusters returns the closed clusters so far.
-func (c *Clusterer) Clusters() []Cluster {
+// clusters returns the closed clusters so far.
+func (c *clusterer) clusters() []Cluster {
 	out := make([]Cluster, len(c.closed))
 	copy(out, c.closed)
 	return out
 }
 
-// Open reports whether a dwell is currently in progress.
-func (c *Clusterer) Open() bool { return c.open != nil }
-
-// State exports the clusterer's internal state (window + open cluster) for
-// freeze/thaw-style persistence; Restore rebuilds from it.
-func (c *Clusterer) State() (window, open []Sample) {
-	return append([]Sample(nil), c.window...), append([]Sample(nil), c.open...)
-}
-
-// Restore replaces the internal state; pass open == nil for "no dwell".
-func (c *Clusterer) Restore(window, open []Sample) {
-	c.window = append([]Sample(nil), window...)
-	if len(open) == 0 {
-		c.open = nil
-	} else {
-		c.open = append([]Sample(nil), open...)
-	}
-}
-
-func (c *Clusterer) isCore(s Sample) bool {
+func (c *clusterer) isCore(s Sample) bool {
 	neighbours := 0
 	for i := range c.window {
-		if Distance(s.APs, c.window[i].APs) <= c.params.Eps {
+		if distance(s.APs, c.window[i].APs) <= c.params.Eps {
 			neighbours++
 			if neighbours >= c.params.MinPts {
 				return true
@@ -168,32 +148,32 @@ func (c *Clusterer) isCore(s Sample) bool {
 	return false
 }
 
-func (c *Clusterer) reachable(s Sample) bool {
+func (c *clusterer) reachable(s Sample) bool {
 	for i := len(c.open) - 1; i >= 0; i-- {
-		if Distance(s.APs, c.open[i].APs) <= c.params.Eps {
+		if distance(s.APs, c.open[i].APs) <= c.params.Eps {
 			return true
 		}
 	}
 	return false
 }
 
-func (c *Clusterer) openCluster(core Sample) {
+func (c *clusterer) openCluster(core Sample) {
 	var members []Sample
 	for i := range c.window {
-		if Distance(core.APs, c.window[i].APs) <= c.params.Eps {
+		if distance(core.APs, c.window[i].APs) <= c.params.Eps {
 			members = append(members, c.window[i])
 		}
 	}
 	c.open = members
 }
 
-func (c *Clusterer) closeOpen() {
+func (c *clusterer) closeOpen() {
 	open := c.open
 	c.open = nil
 	if len(open) < c.params.MinCluster {
 		return
 	}
-	rep := Characterize(open)
+	rep := characterize(open)
 	cl := Cluster{
 		Enter:   open[0].T,
 		Exit:    open[len(open)-1].T,
@@ -206,14 +186,14 @@ func (c *Clusterer) closeOpen() {
 	}
 }
 
-// Characterize selects the sample nearest to the mean of all samples — the
+// characterize selects the sample nearest to the mean of all samples — the
 // paper's footnote 6.
-func Characterize(samples []Sample) Sample {
-	mean := Mean(samples)
+func characterize(samples []Sample) Sample {
+	mean := mean(samples)
 	best := samples[0]
 	bestDist := 2.0
 	for _, s := range samples {
-		if d := Distance(s.APs, mean); d < bestDist {
+		if d := distance(s.APs, mean); d < bestDist {
 			bestDist = d
 			best = s
 		}
@@ -221,8 +201,8 @@ func Characterize(samples []Sample) Sample {
 	return best
 }
 
-// Mean computes the element-wise mean AP vector of a set of samples.
-func Mean(samples []Sample) map[string]float64 {
+// mean computes the element-wise mean AP vector of a set of samples.
+func mean(samples []Sample) map[string]float64 {
 	mean := make(map[string]float64)
 	n := float64(len(samples))
 	for _, s := range samples {
@@ -236,14 +216,14 @@ func Mean(samples []Sample) map[string]float64 {
 // Run executes the algorithm over a full trace and returns the closed
 // clusters; flush controls whether a trailing open dwell is emitted.
 func Run(params Params, trace []Sample, flush bool) []Cluster {
-	c := New(params, nil)
+	c := newClusterer(params, nil)
 	for _, s := range trace {
-		c.Add(s)
+		c.add(s)
 	}
 	if flush {
-		c.Flush()
+		c.flush()
 	}
-	return c.Clusters()
+	return c.clusters()
 }
 
 // MatchKind classifies how a reported cluster relates to a ground-truth one
@@ -252,9 +232,9 @@ type MatchKind int
 
 // Match classifications.
 const (
-	NoMatch MatchKind = iota + 1
-	Exact             // same enter and exit times, same place
-	Partial           // same place, overlapping interval, truncated ends
+	matchNone    MatchKind = iota + 1
+	matchExact             // same enter and exit times, same place
+	matchPartial           // same place, overlapping interval, truncated ends
 )
 
 // MatchClusters compares reported clusters against ground truth. A report
@@ -265,28 +245,28 @@ func MatchClusters(truth, reported []Cluster, eps, slack float64) []MatchKind {
 	used := make([]bool, len(reported))
 	out := make([]MatchKind, len(truth))
 	for i, tc := range truth {
-		out[i] = NoMatch
+		out[i] = matchNone
 		bestIdx := -1
-		best := NoMatch
+		best := matchNone
 		for j, rc := range reported {
 			if used[j] {
 				continue
 			}
-			if Distance(tc.APs, rc.APs) > eps {
+			if distance(tc.APs, rc.APs) > eps {
 				continue
 			}
 			overlap := math.Min(tc.Exit, rc.Exit) - math.Max(tc.Enter, rc.Enter)
 			if overlap <= 0 {
 				continue
 			}
-			kind := Partial
+			kind := matchPartial
 			if math.Abs(tc.Enter-rc.Enter) <= slack && math.Abs(tc.Exit-rc.Exit) <= slack {
-				kind = Exact
+				kind = matchExact
 			}
-			if bestIdx == -1 || kind == Exact && best == Partial {
+			if bestIdx == -1 || kind == matchExact && best == matchPartial {
 				bestIdx, best = j, kind
 			}
-			if best == Exact {
+			if best == matchExact {
 				break
 			}
 		}
@@ -307,18 +287,13 @@ func MatchStats(kinds []MatchKind) (matchPct, partialPct float64) {
 	exact, partial := 0, 0
 	for _, k := range kinds {
 		switch k {
-		case Exact:
+		case matchExact:
 			exact++
 			partial++
-		case Partial:
+		case matchPartial:
 			partial++
 		}
 	}
 	n := float64(len(kinds))
 	return 100 * float64(exact) / n, 100 * float64(partial) / n
-}
-
-// SortClusters orders clusters by entry time (stable helper for reports).
-func SortClusters(cs []Cluster) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Enter < cs[j].Enter })
 }

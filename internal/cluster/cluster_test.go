@@ -33,20 +33,20 @@ func dwell(t0 float64, n int, aps map[string]float64) []Sample {
 func TestDistance(t *testing.T) {
 	a := map[string]float64{"x": 1}
 	b := map[string]float64{"x": 1}
-	if d := Distance(a, b); d > 1e-12 {
+	if d := distance(a, b); d > 1e-12 {
 		t.Errorf("identical distance = %v", d)
 	}
 	c := map[string]float64{"y": 1}
-	if d := Distance(a, c); d != 1 {
+	if d := distance(a, c); d != 1 {
 		t.Errorf("disjoint distance = %v", d)
 	}
-	if d := Distance(a, map[string]float64{}); d != 1 {
+	if d := distance(a, map[string]float64{}); d != 1 {
 		t.Errorf("empty distance = %v", d)
 	}
 	// Scale invariance of cosine distance.
 	big := map[string]float64{"x": 10, "y": 5}
 	small := map[string]float64{"x": 2, "y": 1}
-	if d := Distance(big, small); d > 1e-12 {
+	if d := distance(big, small); d > 1e-12 {
 		t.Errorf("scaled distance = %v", d)
 	}
 }
@@ -142,46 +142,6 @@ func TestNoisyRSSIStillClusters(t *testing.T) {
 	}
 }
 
-func TestStateRestore(t *testing.T) {
-	home := place("h1", "h2")
-	c1 := New(DefaultParams(), nil)
-	for _, s := range dwell(0, 10, home) {
-		c1.Add(s)
-	}
-	if !c1.Open() {
-		t.Fatal("no open dwell")
-	}
-	win, open := c1.State()
-
-	// "Reboot with freeze/thaw".
-	c2 := New(DefaultParams(), nil)
-	c2.Restore(win, open)
-	for _, s := range dwell(2e6, 6, place("x1")) {
-		c2.Add(s)
-	}
-	got := c2.Clusters()
-	if len(got) != 1 || got[0].Enter != 0 {
-		t.Fatalf("restored run = %+v", got)
-	}
-
-	// Reboot WITHOUT freeze/thaw: the dwell's first half is lost, exactly
-	// the §5.3 failure mode (later start time).
-	c3 := New(DefaultParams(), nil)
-	for _, s := range dwell(10*60000, 10, home) { // second half only
-		c3.Add(s)
-	}
-	for _, s := range dwell(2e6, 6, place("x1")) {
-		c3.Add(s)
-	}
-	got3 := c3.Clusters()
-	if len(got3) != 1 || got3[0].Enter <= 0 {
-		t.Fatalf("lossy run = %+v", got3)
-	}
-	if got3[0].Enter != 10*60000 {
-		t.Errorf("Enter = %v, want the truncated start", got3[0].Enter)
-	}
-}
-
 func TestMatchClusters(t *testing.T) {
 	home := place("h1", "h2")
 	office := place("o1")
@@ -195,7 +155,7 @@ func TestMatchClusters(t *testing.T) {
 		{Enter: 250, Exit: 300, APs: office}, // partial (late start)
 	}
 	kinds := MatchClusters(truth, reported, 0.35, 1)
-	want := []MatchKind{Exact, Partial, NoMatch}
+	want := []MatchKind{matchExact, matchPartial, matchNone}
 	if !reflect.DeepEqual(kinds, want) {
 		t.Errorf("kinds = %v, want %v", kinds, want)
 	}
@@ -205,14 +165,6 @@ func TestMatchClusters(t *testing.T) {
 	}
 	if m, p := MatchStats(nil); m != 100 || p != 100 {
 		t.Error("empty MatchStats")
-	}
-}
-
-func TestSortClusters(t *testing.T) {
-	cs := []Cluster{{Enter: 5}, {Enter: 1}, {Enter: 3}}
-	SortClusters(cs)
-	if cs[0].Enter != 1 || cs[2].Enter != 5 {
-		t.Errorf("sorted = %+v", cs)
 	}
 }
 
@@ -262,7 +214,7 @@ func TestAgreementWithClusteringJS(t *testing.T) {
 		if g.Enter != j.Enter || g.Exit != j.Exit || g.Samples != j.Samples {
 			t.Errorf("cluster %d: go=%+v js=%+v", i, g, j)
 		}
-		if Distance(g.APs, j.APs) > 1e-9 {
+		if distance(g.APs, j.APs) > 1e-9 {
 			t.Errorf("cluster %d characterization differs", i)
 		}
 	}

@@ -76,26 +76,6 @@ func newContext(n *Node, owner string) *Context {
 // attach here).
 func (c *Context) Broker() *pubsub.Broker { return c.broker }
 
-// Owner returns the collector owning this context ("" on collectors).
-func (c *Context) Owner() string { return c.owner }
-
-// ScriptNames lists deployed scripts in deployment order.
-func (c *Context) ScriptNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
-}
-
-// Script returns a deployed script instance by name, or nil.
-func (c *Context) Script(name string) *script.Script {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.scripts[name]; ok {
-		return d.inst
-	}
-	return nil
-}
-
 // deploy installs (or updates) a script. Identical source is a no-op, so
 // redeployments after @hello are idempotent.
 func (c *Context) deploy(name, source string) error {
@@ -148,19 +128,6 @@ func (c *Context) deploy(name, source string) error {
 		return err
 	}
 	return nil
-}
-
-// StartScript manually starts a deployed script that opted out of
-// autostart (§4.4: "it will not run until the user explicitly starts it
-// through the UI" — this is that UI action).
-func (c *Context) StartScript(name string) error {
-	c.mu.Lock()
-	d, ok := c.scripts[name]
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("core: no script %q", name)
-	}
-	return d.inst.Start()
 }
 
 // undeploy stops and removes a script.
@@ -222,7 +189,7 @@ func (c *Context) registerLocalSub(channel string, params msg.Map, sub *pubsub.S
 	c.mu.Unlock()
 	// The owner's privacy policy gates the broker subscription (but not the
 	// remote announcement — the collector may know the script asked).
-	if !c.node.cfg.Privacy.Shared(channel) {
+	if !c.node.cfg.Privacy.shared(channel) {
 		sub.Release()
 	}
 	c.announceSub(ls, "")
@@ -268,7 +235,7 @@ func (c *Context) renewLocalSub(ls *localSub) {
 	wasActive := ls.active
 	ls.active = true
 	c.mu.Unlock()
-	if c.node.cfg.Privacy.Shared(ls.channel) {
+	if c.node.cfg.Privacy.shared(ls.channel) {
 		ls.sub.Renew()
 	}
 	if wasActive {
@@ -334,7 +301,7 @@ func (c *Context) addProxy(peer string, id int, channel string, params msg.Map) 
 	// The device owner's privacy policy gates outbound data (§3.3): a
 	// hidden channel's proxy is created released, so no demand reaches the
 	// sensor and nothing leaves the phone.
-	if !node.cfg.Privacy.Shared(channel) {
+	if !node.cfg.Privacy.shared(channel) {
 		sub.Release()
 	}
 	c.mu.Lock()
@@ -501,7 +468,7 @@ func (h *scriptHost) Subscribe(channel string, params msg.Map, handler func(msg.
 
 // Print implements script.Host.
 func (h *scriptHost) Print(scriptName, text string) {
-	h.ctx.node.logs.Print(scriptName, text)
+	h.ctx.node.logs.print(scriptName, text)
 	if h.ctx.node.cfg.OnPrint != nil {
 		h.ctx.node.cfg.OnPrint(scriptName, text)
 	}
@@ -512,7 +479,7 @@ func (h *scriptHost) Log(scriptName, logName, text string) {
 	if logName == "" {
 		logName = scriptName + ".log"
 	}
-	h.ctx.node.logs.Append(logName, text)
+	h.ctx.node.logs.append(logName, text)
 }
 
 // Freeze implements script.Host: one durable object per script (§4.4).
@@ -550,7 +517,7 @@ func (h *scriptHost) SetTimeout(fn func(), delay time.Duration) {
 
 // ReportError implements script.Host.
 func (h *scriptHost) ReportError(scriptName string, err error) {
-	h.ctx.node.logs.Append("errors", scriptName+": "+err.Error())
+	h.ctx.node.logs.append("errors", scriptName+": "+err.Error())
 	if h.ctx.node.cfg.OnScriptError != nil {
 		h.ctx.node.cfg.OnScriptError(scriptName, err)
 	}

@@ -435,12 +435,12 @@ func TestNewNodeValidation(t *testing.T) {
 }
 
 func TestLogStore(t *testing.T) {
-	l := NewLogStore()
+	l := newLogStore()
 	var hooked []string
 	l.SetOnAppend(func(log, line string) { hooked = append(hooked, log+":"+line) })
-	l.Append("a", "1")
-	l.Append("a", "2")
-	l.Append("b", "3")
+	l.append("a", "1")
+	l.append("a", "2")
+	l.append("b", "3")
 	if got := l.Lines("a"); len(got) != 2 || got[1] != "2" {
 		t.Errorf("Lines(a) = %v", got)
 	}
@@ -451,7 +451,7 @@ func TestLogStore(t *testing.T) {
 		t.Errorf("hooked = %v", hooked)
 	}
 	for i := 0; i < 1100; i++ {
-		l.Print("s", "x")
+		l.print("s", "x")
 	}
 	if got := len(l.Prints()); got != 1000 {
 		t.Errorf("Prints = %d, want capped at 1000", got)

@@ -8,18 +8,18 @@ import "sync"
 type LogStore struct {
 	mu       sync.Mutex
 	logs     map[string][]string
-	prints   []PrintLine
+	prints   []printLine
 	onAppend func(logName, line string)
 }
 
-// PrintLine is one script debug print.
-type PrintLine struct {
+// printLine is one script debug print.
+type printLine struct {
 	Script string
 	Text   string
 }
 
-// NewLogStore returns empty storage.
-func NewLogStore() *LogStore {
+// newLogStore returns empty storage.
+func newLogStore() *LogStore {
 	return &LogStore{logs: make(map[string][]string)}
 }
 
@@ -27,7 +27,7 @@ func NewLogStore() *LogStore {
 //
 // Contract: fn is called synchronously on the appending goroutine, after the
 // line is stored, outside the store's mutex — so fn may safely call back
-// into the LogStore (Lines, Append) but must be quick and must not block,
+// into the LogStore (Lines, append) but must be quick and must not block,
 // or it stalls the script that logged. At most one observer is held; a
 // later call replaces the previous one, and nil removes it. Set it before
 // scripts run: lines appended concurrently with SetOnAppend may or may not
@@ -38,8 +38,8 @@ func (l *LogStore) SetOnAppend(fn func(logName, line string)) {
 	l.onAppend = fn
 }
 
-// Append adds a line to the named log.
-func (l *LogStore) Append(logName, line string) {
+// append adds a line to the named log.
+func (l *LogStore) append(logName, line string) {
 	l.mu.Lock()
 	l.logs[logName] = append(l.logs[logName], line)
 	fn := l.onAppend
@@ -58,32 +58,12 @@ func (l *LogStore) Lines(logName string) []string {
 	return out
 }
 
-// Names lists the logs that have content.
-func (l *LogStore) Names() []string {
+// print records a script debug print (bounded to the most recent 1000).
+func (l *LogStore) print(script, text string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.logs))
-	for name := range l.logs {
-		out = append(out, name)
-	}
-	return out
-}
-
-// Print records a script debug print (bounded to the most recent 1000).
-func (l *LogStore) Print(script, text string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.prints = append(l.prints, PrintLine{Script: script, Text: text})
+	l.prints = append(l.prints, printLine{Script: script, Text: text})
 	if len(l.prints) > 1000 {
 		l.prints = l.prints[len(l.prints)-1000:]
 	}
-}
-
-// Prints returns a copy of the recent print lines.
-func (l *LogStore) Prints() []PrintLine {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]PrintLine, len(l.prints))
-	copy(out, l.prints)
-	return out
 }

@@ -194,7 +194,7 @@ func NewNode(cfg Config) (*Node, error) {
 		clk:      cfg.Clock,
 		sch:      sched.New(cfg.Clock, cfg.Device),
 		box:      box,
-		logs:     NewLogStore(),
+		logs:     newLogStore(),
 		contexts: make(map[string]*Context),
 		deploys:  make(map[string]string),
 	}
@@ -223,7 +223,7 @@ func NewNode(cfg Config) (*Node, error) {
 	cfg.Messenger.OnOnline(func() { n.sch.Submit("reconnect-flush", n.flushTask) })
 	cfg.Messenger.OnPresence(n.handlePresence)
 	if cfg.Privacy != nil {
-		cfg.Privacy.OnChange(func(channel string, shared bool) {
+		cfg.Privacy.onChange(func(channel string, shared bool) {
 			n.mu.Lock()
 			ctxs := make([]*Context, 0, len(n.contexts)+1)
 			for _, c := range n.contexts {
@@ -296,12 +296,6 @@ func NewNode(cfg Config) (*Node, error) {
 
 // ID returns the node identity.
 func (n *Node) ID() string { return n.cfg.ID }
-
-// Mode returns the node's role.
-func (n *Node) Mode() Mode { return n.cfg.Mode }
-
-// Scheduler exposes the node's scheduler (sensor registration needs it).
-func (n *Node) Scheduler() *sched.Scheduler { return n.sch }
 
 // Sensors returns the node's sensor manager; callers register the device's
 // sensors here.
@@ -399,27 +393,6 @@ func (n *Node) Deploy(name, source string) error {
 	n.mu.Unlock()
 	for _, peer := range n.cfg.Messenger.Peers() {
 		n.sendControl(peer, chanDeploy, msg.Map{"name": name, "source": source})
-	}
-	n.Flush()
-	return nil
-}
-
-// Undeploy removes a script from every device.
-func (n *Node) Undeploy(name string) error {
-	if n.cfg.Mode != CollectorMode {
-		return errors.New("core: Undeploy requires collector mode")
-	}
-	n.mu.Lock()
-	delete(n.deploys, name)
-	for i, d := range n.deploySeq {
-		if d == name {
-			n.deploySeq = append(n.deploySeq[:i], n.deploySeq[i+1:]...)
-			break
-		}
-	}
-	n.mu.Unlock()
-	for _, peer := range n.cfg.Messenger.Peers() {
-		n.sendControl(peer, chanUndeploy, msg.Map{"name": name})
 	}
 	n.Flush()
 	return nil

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Privacy is the device owner's fine-grained sharing control (§3.3 of the
 // paper: "users are given fine-grained control over what sensor information
@@ -53,9 +50,9 @@ func (p *Privacy) SetShared(channel string, share bool) {
 	}
 }
 
-// Shared reports whether a channel may be used and shared. A nil Privacy
+// shared reports whether a channel may be used and shared. A nil Privacy
 // shares everything.
-func (p *Privacy) Shared(channel string) bool {
+func (p *Privacy) shared(channel string) bool {
 	if p == nil {
 		return true
 	}
@@ -64,21 +61,9 @@ func (p *Privacy) Shared(channel string) bool {
 	return !p.hidden[channel]
 }
 
-// Hidden lists the currently hidden channels, sorted.
-func (p *Privacy) Hidden() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.hidden))
-	for ch := range p.hidden {
-		out = append(out, ch)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// OnChange registers a listener for sharing changes; the node uses it to
+// onChange registers a listener for sharing changes; the node uses it to
 // re-gate live subscriptions.
-func (p *Privacy) OnChange(fn func(channel string, shared bool)) {
+func (p *Privacy) onChange(fn func(channel string, shared bool)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.listeners = append(p.listeners, fn)

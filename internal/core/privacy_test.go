@@ -113,11 +113,11 @@ func TestPrivacyToggleAtRuntime(t *testing.T) {
 
 func TestPrivacyDefaultsShareEverything(t *testing.T) {
 	var p *Privacy
-	if !p.Shared("anything") {
+	if !p.shared("anything") {
 		t.Error("nil policy must share")
 	}
 	p2 := NewPrivacy()
-	if !p2.Shared("battery") {
+	if !p2.shared("battery") {
 		t.Error("fresh policy must share")
 	}
 	p2.SetShared("a", false)
@@ -127,7 +127,7 @@ func TestPrivacyDefaultsShareEverything(t *testing.T) {
 		t.Errorf("Hidden = %v", got)
 	}
 	changes := 0
-	p2.OnChange(func(string, bool) { changes++ })
+	p2.onChange(func(string, bool) { changes++ })
 	p2.SetShared("a", false) // still hidden: no event
 	p2.SetShared("a", true)
 	if changes != 1 {
@@ -178,13 +178,13 @@ func TestScriptUsageAccounting(t *testing.T) {
 
 func TestPowerModelEstimate(t *testing.T) {
 	m := DefaultPowerModel()
-	if m.Estimate(0, 0) != 0 {
+	if m.estimate(0, 0) != 0 {
 		t.Error("zero usage, nonzero estimate")
 	}
-	if m.Estimate(2e6, 10) <= m.Estimate(1e6, 10) {
+	if m.estimate(2e6, 10) <= m.estimate(1e6, 10) {
 		t.Error("steps not monotone")
 	}
-	if m.Estimate(1e6, 11) <= m.Estimate(1e6, 10) {
+	if m.estimate(1e6, 11) <= m.estimate(1e6, 10) {
 		t.Error("publishes not monotone")
 	}
 }

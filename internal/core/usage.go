@@ -42,8 +42,8 @@ func DefaultPowerModel() PowerModel {
 	return PowerModel{JoulesPerMegaStep: 0.015, JoulesPerPublish: 0.3}
 }
 
-// Estimate applies the model.
-func (m PowerModel) Estimate(steps int64, publishes int) float64 {
+// estimate applies the model.
+func (m PowerModel) estimate(steps int64, publishes int) float64 {
 	return float64(steps)/1e6*m.JoulesPerMegaStep + float64(publishes)*m.JoulesPerPublish
 }
 
@@ -86,7 +86,7 @@ func (n *Node) ScriptUsages(model PowerModel) []ScriptUsage {
 				DeadlineExceeded: st.DeadlineExceeded,
 				Publishes:        st.Publishes,
 				Steps:            st.Steps,
-				EstimatedJoules:  model.Estimate(st.Steps, st.Publishes),
+				EstimatedJoules:  model.estimate(st.Steps, st.Publishes),
 			})
 		}
 	}

@@ -19,7 +19,7 @@ func TestPowerModelEstimateArithmetic(t *testing.T) {
 		{500_000, 4, 8.25},
 	}
 	for _, c := range cases {
-		if got := m.Estimate(c.steps, c.publishes); math.Abs(got-c.want) > 1e-9 {
+		if got := m.estimate(c.steps, c.publishes); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("Estimate(%d, %d) = %v, want %v", c.steps, c.publishes, got, c.want)
 		}
 	}
@@ -73,7 +73,7 @@ func TestScriptUsagesAggregationAndOrder(t *testing.T) {
 	if chatty.Entries < 1 || chatty.Steps <= 0 {
 		t.Errorf("chatty entries/steps = %d/%d, want positive", chatty.Entries, chatty.Steps)
 	}
-	wantJ := DefaultPowerModel().Estimate(chatty.Steps, chatty.Publishes)
+	wantJ := DefaultPowerModel().estimate(chatty.Steps, chatty.Publishes)
 	if math.Abs(chatty.EstimatedJoules-wantJ) > 1e-9 {
 		t.Errorf("chatty joules = %v, want %v (model applied to its counters)", chatty.EstimatedJoules, wantJ)
 	}

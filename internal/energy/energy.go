@@ -135,15 +135,6 @@ func (m *Meter) StopTrace() []Sample {
 	return out
 }
 
-// Trace returns a copy of the samples recorded so far without stopping.
-func (m *Meter) Trace() []Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Sample, len(m.trace))
-	copy(out, m.trace)
-	return out
-}
-
 // accumulate folds the energy since lastAt into total. Caller holds mu.
 func (m *Meter) accumulate() {
 	now := m.clk.Now()
@@ -155,15 +146,6 @@ func (m *Meter) accumulate() {
 		}
 		m.lastAt = now
 	}
-}
-
-// ComponentEnergy returns one component's joules since construction or the
-// last Reset.
-func (m *Meter) ComponentEnergy(component string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.accumulate()
-	return m.perComp[component]
 }
 
 // EnergyBreakdown returns per-component joules, sorted by name.
@@ -277,44 +259,4 @@ func Resample(trace []Sample, t0, t1 time.Time, interval time.Duration) []Sample
 		out = append(out, Sample{At: bs, Watts: joules / interval.Seconds()})
 	}
 	return out
-}
-
-// Breakdown summarizes per-component energy between explicit marks; the
-// experiments use it to attribute joules to cpu vs modem.
-type Breakdown struct {
-	mu     sync.Mutex
-	meters map[string]*Meter
-}
-
-// NewBreakdown returns an empty per-component energy breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{meters: make(map[string]*Meter)}
-}
-
-// Meter returns (creating if needed) a sub-meter for a component class.
-func (b *Breakdown) Meter(name string, clk vclock.Clock) *Meter {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	m, ok := b.meters[name]
-	if !ok {
-		m = NewMeter(clk)
-		b.meters[name] = m
-	}
-	return m
-}
-
-// Report returns "name=J" pairs sorted by name.
-func (b *Breakdown) Report() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.meters))
-	for n := range b.meters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s=%.2fJ", n, b.meters[n].Energy()))
-	}
-	return strings.Join(parts, " ")
 }

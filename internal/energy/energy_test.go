@@ -168,21 +168,6 @@ func TestRenderTrace(t *testing.T) {
 	}
 }
 
-func TestBreakdown(t *testing.T) {
-	clk := vclock.NewSim()
-	b := NewBreakdown()
-	b.Meter("cpu", clk).Set("cpu", 0.2)
-	b.Meter("modem", clk).Set("m", 0.8)
-	clk.Advance(10 * time.Second)
-	rep := b.Report()
-	if !strings.Contains(rep, "cpu=2.00J") || !strings.Contains(rep, "modem=8.00J") {
-		t.Errorf("Report = %q", rep)
-	}
-	if b.Meter("cpu", clk) != b.Meter("cpu", clk) {
-		t.Error("Meter not memoized")
-	}
-}
-
 // Property: energy accumulated over a random schedule of Set calls equals
 // the sum over the step function computed independently.
 func TestPropertyMeterMatchesManualIntegration(t *testing.T) {

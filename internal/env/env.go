@@ -62,18 +62,6 @@ func (s *Schedule) At(t time.Time) *Place {
 	return nil
 }
 
-// Dwells returns the legs at real places lasting at least minDur — the
-// ground-truth sessions of §5.3.
-func (s *Schedule) Dwells(minDur time.Duration) []Leg {
-	var out []Leg
-	for _, l := range s.Legs {
-		if l.Place != nil && l.End.Sub(l.Start) >= minDur {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // World holds the shared geography of one experiment.
 type World struct {
 	SharedPlaces []*Place // office, café, gym, supermarket
@@ -109,8 +97,8 @@ func (w *World) newPlace(name string, lat, lon float64, n int) *Place {
 	return p
 }
 
-// Home returns (creating on first use) a user's home place.
-func (w *World) Home(user string) *Place {
+// home returns (creating on first use) a user's home place.
+func (w *World) home(user string) *Place {
 	if p, ok := w.homes[user]; ok {
 		return p
 	}
@@ -121,8 +109,8 @@ func (w *World) Home(user string) *Place {
 	return p
 }
 
-// AllPlaces returns the shared places plus every home created so far.
-func (w *World) AllPlaces() []*Place {
+// allPlaces returns the shared places plus every home created so far.
+func (w *World) allPlaces() []*Place {
 	out := append([]*Place(nil), w.SharedPlaces...)
 	for _, p := range w.homes {
 		out = append(out, p)
@@ -133,7 +121,7 @@ func (w *World) AllPlaces() []*Place {
 // SurveyInto registers every AP of every place in a geolocation database,
 // simulating the wardriving survey behind the Google geolocation API.
 func (w *World) SurveyInto(db *geo.DB) {
-	for _, p := range w.AllPlaces() {
+	for _, p := range w.allPlaces() {
 		for _, ap := range p.APs {
 			db.Add(ap.BSSID, geo.Coord{Lat: p.Lat, Lon: p.Lon})
 		}
@@ -152,7 +140,7 @@ type ScheduleConfig struct {
 // excursions. Gaps between dwells are transit legs.
 func (w *World) GenerateSchedule(user string, cfg ScheduleConfig) *Schedule {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	home := w.Home(user)
+	home := w.home(user)
 	office := w.SharedPlaces[0]
 	cafe := w.SharedPlaces[1]
 	gym := w.SharedPlaces[2]

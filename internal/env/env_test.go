@@ -38,7 +38,7 @@ func TestScheduleCoversEveryInstant(t *testing.T) {
 
 func TestScheduleShape(t *testing.T) {
 	w, s := testWorldAndSchedule(t, 14)
-	home := w.Home("user1")
+	home := w.home("user1")
 	office := w.SharedPlaces[0]
 
 	timeAt := map[*Place]time.Duration{}
@@ -106,7 +106,7 @@ func TestDeviceViewScans(t *testing.T) {
 	v.OnScan = func(time.Time, []sensors.AccessPoint) { rawCount++ }
 
 	aps := v.ScanWifi()
-	home := w.Home("user1")
+	home := w.home("user1")
 	// All home APs present (DropProb 0) + one tether.
 	if len(aps) != len(home.APs)+1 {
 		t.Fatalf("aps = %d, want %d", len(aps), len(home.APs)+1)
@@ -153,7 +153,7 @@ func TestDeviceViewLocation(t *testing.T) {
 	w, s := testWorldAndSchedule(t, 1)
 	clk := vclock.NewSim()
 	v := NewDeviceView(clk, s, 5)
-	home := w.Home("user1")
+	home := w.home("user1")
 
 	gps, ok := v.Location("GPS")
 	if !ok {
@@ -182,14 +182,14 @@ func TestSurveyInto(t *testing.T) {
 	db := geo.NewDB()
 	w.SurveyInto(db)
 	total := 0
-	for _, p := range w.AllPlaces() {
+	for _, p := range w.allPlaces() {
 		total += len(p.APs)
 	}
 	if db.Len() != total {
 		t.Errorf("surveyed %d, want %d", db.Len(), total)
 	}
 	// Locating a home scan lands near home.
-	home := w.Home("user1")
+	home := w.home("user1")
 	aps := map[string]float64{}
 	for _, ap := range home.APs {
 		aps[ap.BSSID] = 0.8
@@ -202,13 +202,13 @@ func TestSurveyInto(t *testing.T) {
 
 func TestHomeMemoized(t *testing.T) {
 	w := NewWorld(1)
-	if w.Home("a") != w.Home("a") {
+	if w.home("a") != w.home("a") {
 		t.Error("Home not memoized")
 	}
-	if w.Home("a") == w.Home("b") {
+	if w.home("a") == w.home("b") {
 		t.Error("distinct users share a home")
 	}
-	if n := len(w.AllPlaces()); n != 7 {
+	if n := len(w.allPlaces()); n != 7 {
 		t.Errorf("AllPlaces = %d", n)
 	}
 }
@@ -216,10 +216,10 @@ func TestHomeMemoized(t *testing.T) {
 func TestBSSIDsUnique(t *testing.T) {
 	w := NewWorld(1)
 	for i := 0; i < 8; i++ {
-		w.Home(string(rune('a' + i)))
+		w.home(string(rune('a' + i)))
 	}
 	seen := map[string]bool{}
-	for _, p := range w.AllPlaces() {
+	for _, p := range w.allPlaces() {
 		for _, ap := range p.APs {
 			if seen[ap.BSSID] {
 				t.Fatalf("duplicate BSSID %s", ap.BSSID)

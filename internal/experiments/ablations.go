@@ -31,7 +31,7 @@ type FlushPolicyRow struct {
 // AblationFlushPolicies measures the energy/latency trade-off of each flush
 // policy on the KPN profile.
 func AblationFlushPolicies() []FlushPolicyRow {
-	base := RunPowerTrial(PowerTrialConfig{Carrier: radio.KPN})
+	base := runPowerTrial(powerTrialConfig{Carrier: radio.KPN})
 	cases := []struct {
 		name   string
 		policy core.FlushPolicy
@@ -46,7 +46,7 @@ func AblationFlushPolicies() []FlushPolicyRow {
 	}
 	rows := make([]FlushPolicyRow, 0, len(cases))
 	for _, c := range cases {
-		r := RunPowerTrial(PowerTrialConfig{
+		r := runPowerTrial(powerTrialConfig{
 			Carrier: radio.KPN, WithPogo: true, Policy: c.policy, FlushEvery: c.every,
 		})
 		rows = append(rows, FlushPolicyRow{
@@ -233,7 +233,7 @@ func AblationFreezeThaw(days int) ([]FreezeThawRow, error) {
 		Faults: []Fault{
 			{Kind: FaultReboot, At: time.Duration(days) * 24 * time.Hour / 4},
 			{Kind: FaultReboot, At: time.Duration(days) * 24 * time.Hour * 2 / 4},
-			{Kind: FaultScriptUpdate, At: time.Duration(days) * 24 * time.Hour * 3 / 4},
+			{Kind: faultScriptUpdate, At: time.Duration(days) * 24 * time.Hour * 3 / 4},
 		},
 	}}
 	var out []FreezeThawRow

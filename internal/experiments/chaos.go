@@ -232,9 +232,6 @@ func NewChaosWorld(cfg ChaosConfig) *ChaosWorld {
 // Rounds is the number of injection rounds in the traffic window.
 func (w *ChaosWorld) Rounds() int { return w.iters }
 
-// Clock exposes the world's simulated clock.
-func (w *ChaosWorld) Clock() *vclock.Sim { return w.clk }
-
 // Net exposes the world's fault domain (for scripted partitions and
 // mid-run fault-mix changes).
 func (w *ChaosWorld) Net() *faultnet.Net { return w.net }
@@ -246,8 +243,8 @@ func (w *ChaosWorld) Config() ChaosConfig { return w.cfg }
 // phones in index order.
 func (w *ChaosWorld) EntityNames() []string { return slices.Clone(w.names.names) }
 
-// Endpoint returns the named entity's transport endpoint, or nil.
-func (w *ChaosWorld) Endpoint(name string) *transport.Endpoint {
+// endpoint returns the named entity's transport endpoint, or nil.
+func (w *ChaosWorld) endpoint(name string) *transport.Endpoint {
 	if i := w.names.lookup(name); i >= 0 {
 		return w.eps[i]
 	}
@@ -266,7 +263,7 @@ func (w *ChaosWorld) Fault(name string) *faultnet.Fault {
 // Enqueue queues one numbered message from one entity to another; it is
 // recorded in the delivery log like scheduled traffic.
 func (w *ChaosWorld) Enqueue(from, to, channel string, n int) error {
-	ep := w.Endpoint(from)
+	ep := w.endpoint(from)
 	if ep == nil {
 		return fmt.Errorf("chaos: unknown entity %q", from)
 	}

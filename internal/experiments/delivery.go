@@ -93,7 +93,7 @@ type entityTable struct {
 }
 
 func newEntityTable(names []string) entityTable {
-	t := entityTable{names: names, index: make(map[string]int32, len(names)), chans: []string{"upload", "cmd"}}
+	t := entityTable{names: names, index: make(map[string]int32, len(names)), chans: []string{chanUpload: "upload", chanCmd: "cmd"}}
 	for i, s := range names {
 		t.index[s] = int32(i)
 	}

@@ -154,7 +154,7 @@ func TestFigure4Synchronization(t *testing.T) {
 }
 
 func TestPowerTrialDeliversEverything(t *testing.T) {
-	r := RunPowerTrial(PowerTrialConfig{Carrier: radio.KPN, WithPogo: true, Duration: 20 * time.Minute})
+	r := runPowerTrial(powerTrialConfig{Carrier: radio.KPN, WithPogo: true, Duration: 20 * time.Minute})
 	if r.ReportsDelivered < 18 {
 		t.Errorf("delivered %d of ~20 reports", r.ReportsDelivered)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -38,10 +37,10 @@ const (
 	// 2a's roaming trip, user 3's broken 3G) — scanning continues, messages
 	// buffer and age out after 24 h.
 	FaultOffline
-	// FaultScriptUpdate redeploys clustering.js with a new version marker,
+	// faultScriptUpdate redeploys clustering.js with a new version marker,
 	// restarting it mid-dwell (the paper's "when we uploaded a new version
 	// of the script").
-	FaultScriptUpdate
+	faultScriptUpdate
 )
 
 // Fault is one scheduled incident.
@@ -88,9 +87,9 @@ type Table4Config struct {
 	Obs *obs.Registry
 }
 
-// DefaultSessions builds the paper's 9 sessions (8 users; user 2 split into
+// defaultSessions builds the paper's 9 sessions (8 users; user 2 split into
 // 2a/2b when the phone was swapped).
-func DefaultSessions(days int) []SessionConfig {
+func defaultSessions(days int) []SessionConfig {
 	d := 24 * time.Hour
 	full := time.Duration(days) * d
 	frac := func(num, den int) time.Duration {
@@ -98,7 +97,7 @@ func DefaultSessions(days int) []SessionConfig {
 	}
 	return []SessionConfig{
 		{User: "User 1", DeviceID: "dev1", Duration: full, Seed: 101,
-			Faults: []Fault{{Kind: FaultReboot, At: frac(1, 3)}, {Kind: FaultScriptUpdate, At: frac(1, 2)}}},
+			Faults: []Fault{{Kind: FaultReboot, At: frac(1, 3)}, {Kind: faultScriptUpdate, At: frac(1, 2)}}},
 		// User 2a: own phone, trip abroad with data roaming off; session
 		// ends when the phone is replaced.
 		{User: "User 2a", DeviceID: "dev2a", Duration: frac(8, 24), Seed: 102,
@@ -110,20 +109,20 @@ func DefaultSessions(days int) []SessionConfig {
 			Faults: []Fault{
 				{Kind: FaultOffline, At: frac(10, 24), Until: frac(12, 24)},
 				{Kind: FaultReboot, At: frac(5, 24)}, {Kind: FaultReboot, At: frac(15, 24)},
-				{Kind: FaultReboot, At: frac(20, 24)}, {Kind: FaultScriptUpdate, At: frac(1, 2)},
+				{Kind: FaultReboot, At: frac(20, 24)}, {Kind: faultScriptUpdate, At: frac(1, 2)},
 			}},
 		{User: "User 4", DeviceID: "dev4", Duration: full, Seed: 104,
-			Faults: []Fault{{Kind: FaultReboot, At: frac(2, 5)}, {Kind: FaultScriptUpdate, At: frac(1, 2)}}},
+			Faults: []Fault{{Kind: FaultReboot, At: frac(2, 5)}, {Kind: faultScriptUpdate, At: frac(1, 2)}}},
 		{User: "User 5", DeviceID: "dev5", Duration: full, Seed: 105,
-			Faults: []Fault{{Kind: FaultScriptUpdate, At: frac(1, 2)}}},
+			Faults: []Fault{{Kind: faultScriptUpdate, At: frac(1, 2)}}},
 		{User: "User 6", DeviceID: "dev6", Duration: full, Seed: 106,
 			Faults: []Fault{{Kind: FaultReboot, At: frac(1, 4)}, {Kind: FaultReboot, At: frac(3, 4)},
-				{Kind: FaultScriptUpdate, At: frac(1, 2)}}},
+				{Kind: faultScriptUpdate, At: frac(1, 2)}}},
 		// User 7: Wi-Fi offload only.
 		{User: "User 7", DeviceID: "dev7", Duration: full, Seed: 107, WifiOnly: true,
-			Faults: []Fault{{Kind: FaultScriptUpdate, At: frac(1, 2)}}},
+			Faults: []Fault{{Kind: faultScriptUpdate, At: frac(1, 2)}}},
 		{User: "User 8", DeviceID: "dev8", Duration: full, Seed: 108,
-			Faults: []Fault{{Kind: FaultReboot, At: frac(3, 5)}, {Kind: FaultScriptUpdate, At: frac(1, 2)}}},
+			Faults: []Fault{{Kind: FaultReboot, At: frac(3, 5)}, {Kind: faultScriptUpdate, At: frac(1, 2)}}},
 	}
 }
 
@@ -154,7 +153,7 @@ func Table4(cfg Table4Config) (Table4Result, error) {
 		cfg.Days = 24
 	}
 	if cfg.Sessions == nil {
-		cfg.Sessions = DefaultSessions(cfg.Days)
+		cfg.Sessions = defaultSessions(cfg.Days)
 	}
 	if cfg.WorkDir == "" {
 		dir, err := os.MkdirTemp("", "pogo-table4-")
@@ -301,7 +300,7 @@ func runSession(world *env.World, sess SessionConfig, cfg Table4Config) (Session
 				until = f.At + time.Hour
 			}
 			clk.AfterFunc(until, func() { dev.forceOffline(false) })
-		case FaultScriptUpdate:
+		case faultScriptUpdate:
 			clk.AfterFunc(f.At, func() {
 				col.Deploy("clustering.js",
 					"// field update v2\n"+scripts.MustSource("clustering.js"))
@@ -508,9 +507,4 @@ func RenderTable4(res Table4Result) string {
 	fmt.Fprintf(&sb, "total: %d scans, %d locations; data reduced by %.1f%% via on-line clustering\n",
 		res.TotalScans, res.TotalPlaces, res.ReductionPct)
 	return sb.String()
-}
-
-// sortSessionRows keeps row order stable by user label (helper for tests).
-func sortSessionRows(rows []SessionResult) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].User < rows[j].User })
 }

@@ -22,10 +22,10 @@ import (
 	"pogo/internal/vclock"
 )
 
-// PowerTrialConfig describes one §5.2 power measurement run: a device with
+// powerTrialConfig describes one §5.2 power measurement run: a device with
 // an e-mail application checking every EmailInterval, with or without Pogo
 // reporting battery voltage alongside it.
-type PowerTrialConfig struct {
+type powerTrialConfig struct {
 	Carrier       radio.CarrierProfile
 	Duration      time.Duration // default 1 h (the paper's trace length)
 	EmailInterval time.Duration // default 5 min
@@ -47,7 +47,7 @@ type PowerTrialConfig struct {
 	ObsDevice string
 }
 
-func (c PowerTrialConfig) withDefaults() PowerTrialConfig {
+func (c powerTrialConfig) withDefaults() powerTrialConfig {
 	if c.Carrier.Name == "" {
 		c.Carrier = radio.KPN
 	}
@@ -69,9 +69,9 @@ func (c PowerTrialConfig) withDefaults() PowerTrialConfig {
 	return c
 }
 
-// PowerTrialResult reports one run's energy accounting.
-type PowerTrialResult struct {
-	Config      PowerTrialConfig
+// powerTrialResult reports one run's energy accounting.
+type powerTrialResult struct {
+	Config      powerTrialConfig
 	Joules      float64
 	EmailChecks int
 	// RampUps counts modem activations; PogoTails is how many were NOT
@@ -96,8 +96,8 @@ type PowerTrialResult struct {
 	TraceStart time.Time
 }
 
-// RunPowerTrial executes one power measurement in simulated time.
-func RunPowerTrial(cfg PowerTrialConfig) PowerTrialResult {
+// runPowerTrial executes one power measurement in simulated time.
+func runPowerTrial(cfg powerTrialConfig) powerTrialResult {
 	cfg = cfg.withDefaults()
 	clk := vclock.NewSim()
 	sb := transport.NewSwitchboard(clk)
@@ -118,7 +118,7 @@ func RunPowerTrial(cfg PowerTrialConfig) PowerTrialResult {
 	email.Interval = cfg.EmailInterval
 	email.Start()
 
-	res := PowerTrialResult{Config: cfg}
+	res := powerTrialResult{Config: cfg}
 
 	var devNode, colNode *core.Node
 	var delays []time.Duration
@@ -282,9 +282,9 @@ func Table3Obs(reg *obs.Registry) []Table3Row {
 	rows := make([]Table3Row, 0, 3)
 	for _, carrier := range radio.Carriers() {
 		tag := strings.ToLower(carrier.Name)
-		base := RunPowerTrial(PowerTrialConfig{Carrier: carrier, Obs: reg,
+		base := runPowerTrial(powerTrialConfig{Carrier: carrier, Obs: reg,
 			ObsDevice: tag + "/base"})
-		with := RunPowerTrial(PowerTrialConfig{Carrier: carrier, WithPogo: true, Obs: reg,
+		with := runPowerTrial(powerTrialConfig{Carrier: carrier, WithPogo: true, Obs: reg,
 			ObsDevice: tag + "/pogo"})
 		rows = append(rows, Table3Row{
 			Carrier:     carrier.Name,
@@ -397,10 +397,10 @@ type Figure4Result struct {
 // CPU, the e-mail app, and Pogo were active.
 func Figure4(duration time.Duration) Figure4Result {
 	log := android.NewActivityLog()
-	cfg := PowerTrialConfig{
+	cfg := powerTrialConfig{
 		Carrier: radio.KPN, Duration: duration, WithPogo: true, Log: log,
 	}
-	res := RunPowerTrial(cfg)
+	res := runPowerTrial(cfg)
 	return Figure4Result{
 		Start: res.TraceStart,
 		End:   res.TraceStart.Add(duration),

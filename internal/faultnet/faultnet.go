@@ -39,9 +39,9 @@ import (
 	"pogo/internal/vclock"
 )
 
-// ErrOffline reports a send attempted while the fault wrapper is churned
+// errOffline reports a send attempted while the fault wrapper is churned
 // offline (mirrors transport.ErrOffline semantics).
-var ErrOffline = errors.New("faultnet: offline")
+var errOffline = errors.New("faultnet: offline")
 
 // Messenger is the structural mirror of transport.Messenger — the unreliable
 // datagram layer faultnet wraps and re-exposes.
@@ -120,7 +120,7 @@ type Net struct {
 func New(clk vclock.Clock, cfg Config) *Net {
 	src := rand.NewSource(cfg.Seed)
 	if cfg.Lean {
-		src = LeanSource(cfg.Seed)
+		src = newLeanSource(cfg.Seed)
 	}
 	n := &Net{
 		clk:     clk,
@@ -267,7 +267,7 @@ func (n *Net) Churn(f *Fault, meanUp, meanDown time.Duration) (stop func()) {
 		st.Lock()
 		st.stopped = true
 		st.Unlock()
-		if f.Down() {
+		if f.isDown() {
 			f.Reconnect()
 		}
 	}
@@ -288,9 +288,6 @@ type Fault struct {
 
 var _ Messenger = (*Fault)(nil)
 
-// Inner returns the wrapped messenger.
-func (f *Fault) Inner() Messenger { return f.inner }
-
 // LocalID implements Messenger.
 func (f *Fault) LocalID() string { return f.inner.LocalID() }
 
@@ -302,14 +299,14 @@ func (f *Fault) Online() bool {
 	return !down && f.inner.Online()
 }
 
-// Down reports whether the fault is currently churned offline.
-func (f *Fault) Down() bool {
+// isDown reports whether the fault is currently churned offline.
+func (f *Fault) isDown() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.down
 }
 
-// Disconnect churns the node offline: sends fail with ErrOffline and inbound
+// Disconnect churns the node offline: sends fail with errOffline and inbound
 // payloads are discarded, exactly like a session whose TCP connection went
 // stale underneath it.
 func (f *Fault) Disconnect() {
@@ -354,7 +351,7 @@ func (f *Fault) Reconnect() {
 // the RNG stream is stable for a given schedule.
 func (f *Fault) Send(to string, payload []byte) error {
 	if !f.Online() {
-		return ErrOffline
+		return errOffline
 	}
 	n := f.net
 	n.mu.Lock()

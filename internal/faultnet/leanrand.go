@@ -12,10 +12,10 @@ import "math/rand"
 // contract the default source satisfies, with a different stream.
 type leanSource struct{ s uint64 }
 
-// LeanSource returns a compact deterministic rand.Source64 for the given
+// newLeanSource returns a compact deterministic rand.Source64 for the given
 // seed. Intended for workloads that create one RNG per entity; the chaos
 // suite keeps the default source so its pinned baselines stay valid.
-func LeanSource(seed int64) rand.Source64 {
+func newLeanSource(seed int64) rand.Source64 {
 	// Pre-mix the seed once so adjacent seeds (entity seeds differ in a few
 	// bits) don't start in correlated states.
 	s := &leanSource{s: uint64(seed)}

@@ -6,8 +6,8 @@ import (
 )
 
 func TestLeanSourceDeterministic(t *testing.T) {
-	a := rand.New(LeanSource(42))
-	b := rand.New(LeanSource(42))
+	a := rand.New(newLeanSource(42))
+	b := rand.New(newLeanSource(42))
 	for i := 0; i < 1000; i++ {
 		if av, bv := a.Uint64(), b.Uint64(); av != bv {
 			t.Fatalf("draw %d diverged: %x vs %x", i, av, bv)
@@ -18,8 +18,8 @@ func TestLeanSourceDeterministic(t *testing.T) {
 func TestLeanSourceSeedsDecorrelated(t *testing.T) {
 	// Adjacent seeds must not produce overlapping prefixes: the fleet derives
 	// per-entity seeds that can differ in only a few bits.
-	a := rand.New(LeanSource(1))
-	b := rand.New(LeanSource(2))
+	a := rand.New(newLeanSource(1))
+	b := rand.New(newLeanSource(2))
 	same := 0
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() == b.Uint64() {
@@ -38,7 +38,7 @@ func TestLeanConfigUsesLeanStream(t *testing.T) {
 	draw := func(lean bool) []float64 {
 		src := rand.NewSource(7)
 		if lean {
-			src = LeanSource(7)
+			src = newLeanSource(7)
 		}
 		r := rand.New(src)
 		out := make([]float64, 8)

@@ -18,7 +18,6 @@ type TCPProxy struct {
 	ln     net.Listener
 
 	mu     sync.Mutex
-	refuse bool
 	conns  map[net.Conn]bool
 	closed bool
 	wg     sync.WaitGroup
@@ -40,14 +39,6 @@ func NewTCPProxy(target string) (*TCPProxy, error) {
 // Addr returns the proxy's listen address; point clients here.
 func (p *TCPProxy) Addr() string { return p.ln.Addr().String() }
 
-// SetRefuse makes the proxy hang up new connections immediately (true) or
-// resume forwarding them (false) — a server that is reachable but rejecting.
-func (p *TCPProxy) SetRefuse(refuse bool) {
-	p.mu.Lock()
-	p.refuse = refuse
-	p.mu.Unlock()
-}
-
 // DropConns severs every live proxied connection without touching the
 // listener: both sides see their established session die mid-stream.
 func (p *TCPProxy) DropConns() {
@@ -60,13 +51,6 @@ func (p *TCPProxy) DropConns() {
 	for _, c := range conns {
 		c.Close()
 	}
-}
-
-// Active returns the number of live proxied connections (client side).
-func (p *TCPProxy) Active() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.conns) / 2
 }
 
 // Close shuts the proxy down, severing all connections.
@@ -91,9 +75,9 @@ func (p *TCPProxy) accept() {
 			return // listener closed
 		}
 		p.mu.Lock()
-		refuse, closed := p.refuse, p.closed
+		closed := p.closed
 		p.mu.Unlock()
-		if refuse || closed {
+		if closed {
 			client.Close()
 			continue
 		}

@@ -118,12 +118,6 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// Shards returns the configured shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
-
-// Lookahead returns the epoch length / fabric latency.
-func (e *Engine) Lookahead() time.Duration { return e.cfg.Lookahead }
-
 // Shard returns partition i. Shard state (its clock, the stacks built on its
 // ports) must only be touched during setup, from that shard's own callbacks,
 // or from a barrier callback — never from another shard's code.
@@ -146,7 +140,6 @@ type Shard struct {
 
 	staged    []stagedMsg // written by this shard's worker, drained at barriers
 	arena     []byte      // current payload slab; see copyPayload
-	events    int64
 	obsEvents *obs.Counter
 
 	req  chan time.Time
@@ -158,15 +151,9 @@ type epochReport struct {
 	wall   time.Duration
 }
 
-// ID returns the shard index.
-func (s *Shard) ID() int { return s.id }
-
 // Clock returns the shard's simulated clock. Schedule workload callbacks on
 // it during setup; during Run it advances in lockstep with the other shards.
 func (s *Shard) Clock() *vclock.Sim { return s.clk }
-
-// Events returns the number of callbacks this shard has executed.
-func (s *Shard) Events() int64 { return s.events }
 
 // Port creates this shard's attachment point for identity id and registers
 // it in the engine-wide directory. IDs must be unique across the engine.
@@ -185,7 +172,6 @@ type Port struct {
 	shard *Shard
 	id    string
 	seq   uint64
-	peers []string
 
 	onReceive  func(from string, payload []byte)
 	onOnline   []func()
@@ -253,11 +239,9 @@ func (p *Port) OnPresence(fn func(peer string, online bool)) {
 	p.onPresence = append(p.onPresence, fn)
 }
 
-// SetPeers installs the static roster returned by Peers.
-func (p *Port) SetPeers(peers []string) { p.peers = append([]string(nil), peers...) }
-
-// Peers implements Messenger.
-func (p *Port) Peers() []string { return append([]string(nil), p.peers...) }
+// Peers implements Messenger. A fleet port has no roster: its workload
+// addresses peers by ID.
+func (p *Port) Peers() []string { return nil }
 
 func (p *Port) deliver(from string, payload []byte) {
 	if p.onReceive != nil {
@@ -304,7 +288,6 @@ func (e *Engine) Run(maxSim time.Duration, done func(now time.Time) bool) RunSta
 		minWall, maxWall := time.Duration(-1), time.Duration(0)
 		for _, s := range e.shards {
 			rep := <-s.done
-			s.events += int64(rep.events)
 			s.obsEvents.Add(int64(rep.events))
 			e.events.Add(int64(rep.events))
 			e.obsOccupancy.Observe(float64(rep.events))

@@ -21,12 +21,12 @@ import (
 // goroutine, so identical runs must produce identical logs.
 func pingPong(shards, ports, pings int) []string {
 	e := NewEngine(Config{Shards: shards, Lookahead: 50 * time.Millisecond})
-	logs := make([][]string, e.Shards())
+	logs := make([][]string, len(e.shards))
 	for i := 0; i < ports; i++ {
-		sh := e.Shard(i % e.Shards())
+		sh := e.Shard(i % len(e.shards))
 		p := sh.Port(fmt.Sprintf("port%03d", i))
 		next := fmt.Sprintf("port%03d", (i+1)%ports)
-		shardIdx := sh.ID()
+		shardIdx := sh.id
 		me := p
 		p.OnReceive(func(from string, payload []byte) {
 			logs[shardIdx] = append(logs[shardIdx], fmt.Sprintf("%d %s <- %s %s",

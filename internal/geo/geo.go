@@ -72,8 +72,8 @@ func (d *DB) Locate(aps map[string]float64) (Coord, bool) {
 
 // Channel names of the lookup service.
 const (
-	ChannelLookup = "geo-lookup"
-	ChannelResult = "geo-result"
+	channelLookup = "geo-lookup"
+	channelResult = "geo-result"
 )
 
 // Service answers geo-lookup requests on a broker. Construct with
@@ -90,7 +90,7 @@ type Service struct {
 // NewService attaches a lookup responder to the broker.
 func NewService(db *DB, broker *pubsub.Broker) *Service {
 	s := &Service{db: db}
-	s.sub = broker.Subscribe(ChannelLookup, nil, func(ev pubsub.Event) {
+	s.sub = broker.Subscribe(channelLookup, nil, func(ev pubsub.Event) {
 		s.mu.Lock()
 		s.lookups++
 		s.mu.Unlock()
@@ -108,21 +108,14 @@ func NewService(db *DB, broker *pubsub.Broker) *Service {
 			s.mu.Lock()
 			s.misses++
 			s.mu.Unlock()
-			broker.Publish(ChannelResult, msg.Map{"id": id, "error": "not-found"})
+			broker.Publish(channelResult, msg.Map{"id": id, "error": "not-found"})
 			return
 		}
-		broker.Publish(ChannelResult, msg.Map{
+		broker.Publish(channelResult, msg.Map{
 			"id": id, "lat": c.Lat, "lon": c.Lon, "accuracy": 30.0,
 		})
 	})
 	return s
-}
-
-// Stats returns (lookups, misses).
-func (s *Service) Stats() (int, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lookups, s.misses
 }
 
 // Close detaches the service from its broker.

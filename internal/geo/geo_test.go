@@ -55,11 +55,11 @@ func TestServiceAnswersLookups(t *testing.T) {
 	defer svc.Close()
 
 	var results []msg.Map
-	broker.Subscribe(ChannelResult, nil, func(ev pubsub.Event) {
+	broker.Subscribe(channelResult, nil, func(ev pubsub.Event) {
 		results = append(results, ev.Message.Map())
 	})
 
-	broker.Publish(ChannelLookup, msg.Map{"id": "r1", "aps": msg.Map{"a": 0.8}})
+	broker.Publish(channelLookup, msg.Map{"id": "r1", "aps": msg.Map{"a": 0.8}})
 	if len(results) != 1 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -68,7 +68,7 @@ func TestServiceAnswersLookups(t *testing.T) {
 	}
 
 	// A miss still answers, with an error marker.
-	broker.Publish(ChannelLookup, msg.Map{"id": "r2", "aps": msg.Map{"nope": 0.5}})
+	broker.Publish(channelLookup, msg.Map{"id": "r2", "aps": msg.Map{"nope": 0.5}})
 	if len(results) != 2 || results[1]["error"].(string) != "not-found" {
 		t.Errorf("miss result = %v", results)
 	}
@@ -83,7 +83,7 @@ func TestServiceClose(t *testing.T) {
 	broker := pubsub.New()
 	svc := NewService(db, broker)
 	svc.Close()
-	broker.Publish(ChannelLookup, msg.Map{"id": "r1", "aps": msg.Map{}})
+	broker.Publish(channelLookup, msg.Map{"id": "r1", "aps": msg.Map{}})
 	if lookups, _ := svc.Stats(); lookups != 0 {
 		t.Error("closed service handled a lookup")
 	}

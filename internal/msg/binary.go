@@ -33,7 +33,7 @@ import (
 // Lengths and counts are minimal uvarints. What the encoder writes is the
 // canonical form a Raw holds (raw.go); ParseRaw accepts nothing else.
 //
-// DecodeBinary builds a tree and copies the strings it keeps out of the
+// decodeBinary builds a tree and copies the strings it keeps out of the
 // input; Raw.Map builds one that shares the Raw's immutable bytes. Hostile
 // input cannot over-allocate: every claimed length and count is bounded by
 // the bytes actually remaining in the buffer before anything is allocated,
@@ -54,8 +54,8 @@ const (
 // exhaust the stack (encoding/json draws the same line for DecodeJSON).
 const maxDepth = 10000
 
-// ErrBinary reports malformed binary codec input.
-var ErrBinary = errors.New("msg: binary decode")
+// errBinary reports malformed binary codec input.
+var errBinary = errors.New("msg: binary decode")
 
 // EncodeBinary serializes a message value to the binary codec. The returned
 // slice is freshly allocated and owned by the caller; hot paths that reuse
@@ -207,20 +207,6 @@ func CanonicalKey(k string) string {
 	return fixUTF8([]byte(k))
 }
 
-// DecodeBinary parses a binary-codec value. It rejects trailing data, depth
-// beyond maxDepth, and any length or count exceeding the bytes that
-// remain — malformed or hostile input errors out before large allocations.
-func DecodeBinary(data []byte) (Value, error) {
-	v, rest, err := decodeBinary(data, 0)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes of trailing data", ErrBinary, len(rest))
-	}
-	return v, nil
-}
-
 // DecodeFrozen is ParseRaw for callers that want a Value: it validates data
 // as the receive path does and returns it as a Raw, building no tree. The
 // Raw RETAINS data — the caller must not modify the buffer after the call.
@@ -249,10 +235,10 @@ func appendRepairedMap(dst []byte, x Map) ([]byte, error) {
 
 func decodeBinary(data []byte, depth int) (Value, []byte, error) {
 	if depth > maxDepth {
-		return nil, nil, fmt.Errorf("%w: nesting too deep", ErrBinary)
+		return nil, nil, fmt.Errorf("%w: nesting too deep", errBinary)
 	}
 	if len(data) == 0 {
-		return nil, nil, fmt.Errorf("%w: unexpected end of input", ErrBinary)
+		return nil, nil, fmt.Errorf("%w: unexpected end of input", errBinary)
 	}
 	tag := data[0]
 	data = data[1:]
@@ -265,7 +251,7 @@ func decodeBinary(data []byte, depth int) (Value, []byte, error) {
 		return true, data, nil
 	case tagFloat:
 		if len(data) < 8 {
-			return nil, nil, fmt.Errorf("%w: truncated float", ErrBinary)
+			return nil, nil, fmt.Errorf("%w: truncated float", errBinary)
 		}
 		f := math.Float64frombits(binary.BigEndian.Uint64(data))
 		if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -277,7 +263,7 @@ func decodeBinary(data []byte, depth int) (Value, []byte, error) {
 	case tagInt:
 		n, sz := binary.Varint(data)
 		if sz <= 0 {
-			return nil, nil, fmt.Errorf("%w: bad varint", ErrBinary)
+			return nil, nil, fmt.Errorf("%w: bad varint", errBinary)
 		}
 		return BoxFloat(float64(n)), data[sz:], nil
 	case tagString:
@@ -289,13 +275,13 @@ func decodeBinary(data []byte, depth int) (Value, []byte, error) {
 	case tagArray:
 		n, sz := binary.Uvarint(data)
 		if sz <= 0 {
-			return nil, nil, fmt.Errorf("%w: bad array count", ErrBinary)
+			return nil, nil, fmt.Errorf("%w: bad array count", errBinary)
 		}
 		data = data[sz:]
 		// Every element takes at least one byte: a count beyond the bytes
 		// remaining is a lie, reject before allocating.
 		if n > uint64(len(data)) {
-			return nil, nil, fmt.Errorf("%w: array count %d exceeds input", ErrBinary, n)
+			return nil, nil, fmt.Errorf("%w: array count %d exceeds input", errBinary, n)
 		}
 		out := make([]Value, 0, n)
 		for i := uint64(0); i < n; i++ {
@@ -313,12 +299,12 @@ func decodeBinary(data []byte, depth int) (Value, []byte, error) {
 	case tagMap:
 		n, sz := binary.Uvarint(data)
 		if sz <= 0 {
-			return nil, nil, fmt.Errorf("%w: bad map count", ErrBinary)
+			return nil, nil, fmt.Errorf("%w: bad map count", errBinary)
 		}
 		data = data[sz:]
 		// Every entry takes at least two bytes (key length + value tag).
 		if n > uint64(len(data))/2 {
-			return nil, nil, fmt.Errorf("%w: map count %d exceeds input", ErrBinary, n)
+			return nil, nil, fmt.Errorf("%w: map count %d exceeds input", errBinary, n)
 		}
 		out := make(Map, n)
 		for i := uint64(0); i < n; i++ {
@@ -339,7 +325,7 @@ func decodeBinary(data []byte, depth int) (Value, []byte, error) {
 		}
 		return out, data, nil
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown tag 0x%02x", ErrBinary, tag)
+		return nil, nil, fmt.Errorf("%w: unknown tag 0x%02x", errBinary, tag)
 	}
 }
 
@@ -363,11 +349,11 @@ func decodeBinaryStr(data []byte) (string, []byte, error) {
 func decodeBinaryRaw(data []byte) (raw, rest []byte, err error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, nil, fmt.Errorf("%w: bad string length", ErrBinary)
+		return nil, nil, fmt.Errorf("%w: bad string length", errBinary)
 	}
 	data = data[sz:]
 	if n > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("%w: string length %d exceeds input", ErrBinary, n)
+		return nil, nil, fmt.Errorf("%w: string length %d exceeds input", errBinary, n)
 	}
 	return data[:n], data[n:], nil
 }

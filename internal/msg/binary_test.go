@@ -100,10 +100,10 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 // malformed input, not a second codec.
 func TestDecodeRejectsJSON(t *testing.T) {
 	for _, in := range []string{`{"a":1}`, `[1]`, `1`, `-2.5`, `"s"`, `true`, `null`, ` {"a":1}`, ``} {
-		if _, err := DecodeBinary([]byte(in)); !errors.Is(err, ErrBinary) {
+		if _, err := DecodeBinary([]byte(in)); !errors.Is(err, errBinary) {
 			t.Errorf("DecodeBinary(%q) = %v, want ErrBinary", in, err)
 		}
-		if _, err := DecodeFrozen([]byte(in)); !errors.Is(err, ErrBinary) {
+		if _, err := DecodeFrozen([]byte(in)); !errors.Is(err, errBinary) {
 			t.Errorf("DecodeFrozen(%q) = %v, want ErrBinary", in, err)
 		}
 	}

@@ -34,63 +34,6 @@ type Map = map[string]Value
 // ErrUnsupportedValue reports a Go value outside the message value domain.
 var ErrUnsupportedValue = errors.New("msg: unsupported value type")
 
-// Normalize converts an arbitrary Go value into the canonical message value
-// domain. It accepts all Go integer and float types (converted to float64),
-// strings, bools, nil, slices, and maps with string keys. It returns
-// ErrUnsupportedValue for anything else (channels, funcs, structs, ...).
-func Normalize(v any) (Value, error) {
-	switch x := v.(type) {
-	case nil:
-		return nil, nil
-	case bool, float64, string, Raw:
-		return x, nil
-	case float32:
-		return float64(x), nil
-	case int:
-		return float64(x), nil
-	case int8:
-		return float64(x), nil
-	case int16:
-		return float64(x), nil
-	case int32:
-		return float64(x), nil
-	case int64:
-		return float64(x), nil
-	case uint:
-		return float64(x), nil
-	case uint8:
-		return float64(x), nil
-	case uint16:
-		return float64(x), nil
-	case uint32:
-		return float64(x), nil
-	case uint64:
-		return float64(x), nil
-	case []Value:
-		out := make([]Value, len(x))
-		for i, e := range x {
-			n, err := Normalize(e)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = n
-		}
-		return out, nil
-	case Map:
-		out := make(Map, len(x))
-		for k, e := range x {
-			n, err := Normalize(e)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = n
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
-	}
-}
-
 // Clone deep-copies a message value. Maps and slices are copied; scalars
 // and Raws, which are immutable, are returned as-is.
 func Clone(v Value) Value {

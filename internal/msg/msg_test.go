@@ -12,67 +12,6 @@ import (
 	"testing/quick"
 )
 
-func TestNormalizeScalars(t *testing.T) {
-	tests := []struct {
-		name string
-		in   any
-		want Value
-	}{
-		{"nil", nil, nil},
-		{"bool", true, true},
-		{"string", "hi", "hi"},
-		{"float64", 3.5, 3.5},
-		{"float32", float32(2), 2.0},
-		{"int", 7, 7.0},
-		{"int8", int8(-3), -3.0},
-		{"int16", int16(300), 300.0},
-		{"int32", int32(-9), -9.0},
-		{"int64", int64(1 << 40), float64(1 << 40)},
-		{"uint", uint(5), 5.0},
-		{"uint8", uint8(255), 255.0},
-		{"uint16", uint16(9), 9.0},
-		{"uint32", uint32(12), 12.0},
-		{"uint64", uint64(99), 99.0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := Normalize(tt.in)
-			if err != nil {
-				t.Fatalf("Normalize(%v): %v", tt.in, err)
-			}
-			if !Equal(got, tt.want) {
-				t.Errorf("Normalize(%v) = %v, want %v", tt.in, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestNormalizeNested(t *testing.T) {
-	in := Map{"a": 1, "b": []Value{int32(2), "x", Map{"c": uint8(3)}}}
-	got, err := Normalize(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Map{"a": 1.0, "b": []Value{2.0, "x", Map{"c": 3.0}}}
-	if !Equal(got, want) {
-		t.Errorf("Normalize = %#v, want %#v", got, want)
-	}
-}
-
-func TestNormalizeUnsupported(t *testing.T) {
-	for _, in := range []any{make(chan int), func() {}, struct{ X int }{1}} {
-		if _, err := Normalize(in); err == nil {
-			t.Errorf("Normalize(%T) succeeded, want error", in)
-		}
-	}
-	if _, err := Normalize(Map{"k": make(chan int)}); err == nil {
-		t.Error("Normalize(nested chan) succeeded, want error")
-	}
-	if _, err := Normalize([]Value{func() {}}); err == nil {
-		t.Error("Normalize(slice of func) succeeded, want error")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	orig := Map{"list": []Value{1.0, Map{"x": "y"}}, "n": 2.0}
 	clone, ok := Clone(orig).(Map)

@@ -51,7 +51,7 @@ func Encode(v Value) (Raw, error) {
 // ParseRaw validates b as a canonical encoding and returns it as a Raw. The
 // Raw RETAINS b: the caller hands the buffer over and must never write to it
 // again (the transport passes slices of frames it does not reuse). Anything
-// the encoder would not have produced is rejected with ErrBinary.
+// the encoder would not have produced is rejected with errBinary.
 func ParseRaw(b []byte) (Raw, error) {
 	if err := validateAll(b); err != nil {
 		return Raw{}, err
@@ -63,7 +63,7 @@ func ParseRaw(b []byte) (Raw, error) {
 func validateAll(b []byte) error {
 	rest, err := validate(b, 0)
 	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("%w: %d bytes of trailing data", ErrBinary, len(rest))
+		err = fmt.Errorf("%w: %d bytes of trailing data", errBinary, len(rest))
 	}
 	return err
 }
@@ -355,10 +355,10 @@ func spanNumber(span []byte) float64 {
 // encoder writes, and returns the bytes after it.
 func validate(b []byte, depth int) ([]byte, error) {
 	if depth > maxDepth {
-		return nil, fmt.Errorf("%w: nesting too deep", ErrBinary)
+		return nil, fmt.Errorf("%w: nesting too deep", errBinary)
 	}
 	if len(b) == 0 {
-		return nil, fmt.Errorf("%w: unexpected end of input", ErrBinary)
+		return nil, fmt.Errorf("%w: unexpected end of input", errBinary)
 	}
 	tag := b[0]
 	b = b[1:]
@@ -367,17 +367,17 @@ func validate(b []byte, depth int) ([]byte, error) {
 		return b, nil
 	case tagFloat:
 		if len(b) < 8 {
-			return nil, fmt.Errorf("%w: truncated float", ErrBinary)
+			return nil, fmt.Errorf("%w: truncated float", errBinary)
 		}
 		f := math.Float64frombits(binary.BigEndian.Uint64(b))
 		if math.IsNaN(f) || math.IsInf(f, 0) || (f == math.Trunc(f) && math.Abs(f) < 1e15) {
-			return nil, fmt.Errorf("%w: non-canonical float", ErrBinary)
+			return nil, fmt.Errorf("%w: non-canonical float", errBinary)
 		}
 		return b[8:], nil
 	case tagInt:
 		n, sz := binary.Varint(b)
 		if sz <= 0 || !minimal(b, sz) || n <= -1e15 || n >= 1e15 {
-			return nil, fmt.Errorf("%w: non-canonical integer", ErrBinary)
+			return nil, fmt.Errorf("%w: non-canonical integer", errBinary)
 		}
 		return b[sz:], nil
 	case tagString:
@@ -406,7 +406,7 @@ func validate(b []byte, depth int) ([]byte, error) {
 				return nil, err
 			}
 			if i > 0 && bytes.Compare(prev, k) >= 0 {
-				return nil, fmt.Errorf("%w: map keys not sorted and unique", ErrBinary)
+				return nil, fmt.Errorf("%w: map keys not sorted and unique", errBinary)
 			}
 			prev = k
 			if rest, err = validate(rest, depth+1); err != nil {
@@ -415,7 +415,7 @@ func validate(b []byte, depth int) ([]byte, error) {
 		}
 		return rest, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown tag 0x%02x", ErrBinary, tag)
+		return nil, fmt.Errorf("%w: unknown tag 0x%02x", errBinary, tag)
 	}
 }
 
@@ -428,11 +428,11 @@ func minimal(b []byte, sz int) bool { return sz == 1 || b[sz-1] != 0 }
 func validCount(b []byte, minSize int) (int, []byte, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || !minimal(b, sz) {
-		return 0, nil, fmt.Errorf("%w: bad count", ErrBinary)
+		return 0, nil, fmt.Errorf("%w: bad count", errBinary)
 	}
 	b = b[sz:]
 	if n > uint64(len(b)/minSize) {
-		return 0, nil, fmt.Errorf("%w: count %d exceeds input", ErrBinary, n)
+		return 0, nil, fmt.Errorf("%w: count %d exceeds input", errBinary, n)
 	}
 	return int(n), b, nil
 }
@@ -441,14 +441,14 @@ func validCount(b []byte, minSize int) (int, []byte, error) {
 func validStr(b []byte) ([]byte, []byte, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || !minimal(b, sz) {
-		return nil, nil, fmt.Errorf("%w: bad string length", ErrBinary)
+		return nil, nil, fmt.Errorf("%w: bad string length", errBinary)
 	}
 	b = b[sz:]
 	if n > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("%w: string length %d exceeds input", ErrBinary, n)
+		return nil, nil, fmt.Errorf("%w: string length %d exceeds input", errBinary, n)
 	}
 	if !utf8.Valid(b[:n]) {
-		return nil, nil, fmt.Errorf("%w: invalid UTF-8", ErrBinary)
+		return nil, nil, fmt.Errorf("%w: invalid UTF-8", errBinary)
 	}
 	return b[:n], b[n:], nil
 }

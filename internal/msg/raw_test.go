@@ -71,9 +71,6 @@ func TestFreezeInvisibleToContent(t *testing.T) {
 	if c := Clone(r); c != Value(r) {
 		t.Error("Clone copied an immutable Raw")
 	}
-	if n, err := Normalize(r); err != nil || n != Value(r) {
-		t.Errorf("Normalize(Raw) = %v, %v", n, err)
-	}
 	wrapped := Map{"inner": r}
 	for _, pair := range [][2]Value{{orig, r}, {Map{"inner": orig}, wrapped}} {
 		j1, err1 := EncodeJSON(pair[0])
@@ -135,7 +132,7 @@ func TestParseRawRejectsNonCanonical(t *testing.T) {
 		"unknown tag":       {0x7f},
 	}
 	for name, in := range cases {
-		if _, err := ParseRaw(in); !errors.Is(err, ErrBinary) {
+		if _, err := ParseRaw(in); !errors.Is(err, errBinary) {
 			t.Errorf("%s: ParseRaw(%x) = %v, want ErrBinary", name, in, err)
 		}
 	}

@@ -29,8 +29,8 @@ func TestPromSnapshotOrderingDeterministic(t *testing.T) {
 		return r
 	}
 	var a, b strings.Builder
-	WriteProm(&a, build(false))
-	WriteProm(&b, build(true))
+	writeProm(&a, build(false))
+	writeProm(&b, build(true))
 	if a.String() != b.String() {
 		t.Fatalf("registration/label order changed prom output:\n--- a ---\n%s\n--- b ---\n%s", a.String(), b.String())
 	}
@@ -66,8 +66,8 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	// Empty histogram: every quantile is NaN.
 	var empty HistogramSnapshot
 	for _, q := range []float64{0, 0.5, 1} {
-		if !math.IsNaN(empty.Quantile(q)) {
-			t.Fatalf("empty.Quantile(%v) = %v, want NaN", q, empty.Quantile(q))
+		if !math.IsNaN(empty.quantile(q)) {
+			t.Fatalf("empty.Quantile(%v) = %v, want NaN", q, empty.quantile(q))
 		}
 	}
 
@@ -84,17 +84,17 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	// and q=1 reaches the bucket's upper edge.
 	h.Observe(1.5)
 	s := r.Snapshot().Histograms["lat_seconds"]
-	if got := s.Quantile(0.5); got <= 1 || got > 2 {
+	if got := s.quantile(0.5); got <= 1 || got > 2 {
 		t.Fatalf("single-sample Quantile(0.5) = %v, want in (1, 2]", got)
 	}
-	if got := s.Quantile(1); got != 2 {
+	if got := s.quantile(1); got != 2 {
 		t.Fatalf("single-sample Quantile(1) = %v, want 2", got)
 	}
 
 	// q outside [0,1] and q=NaN are invalid.
 	for _, q := range []float64{-0.1, 1.1, math.NaN()} {
-		if !math.IsNaN(s.Quantile(q)) {
-			t.Fatalf("Quantile(%v) = %v, want NaN", q, s.Quantile(q))
+		if !math.IsNaN(s.quantile(q)) {
+			t.Fatalf("Quantile(%v) = %v, want NaN", q, s.quantile(q))
 		}
 	}
 
@@ -102,14 +102,14 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	// bound — there is no upper edge to interpolate toward.
 	h.Observe(100)
 	s = r.Snapshot().Histograms["lat_seconds"]
-	if got := s.Quantile(1); got != 4 {
+	if got := s.quantile(1); got != 4 {
 		t.Fatalf("+Inf-bucket Quantile(1) = %v, want largest finite bound 4", got)
 	}
 
 	// No finite bounds at all: nothing to clamp to.
 	noBounds := HistogramSnapshot{Count: 1, Counts: []int64{1}}
-	if !math.IsNaN(noBounds.Quantile(0.5)) {
-		t.Fatalf("bound-less Quantile(0.5) = %v, want NaN", noBounds.Quantile(0.5))
+	if !math.IsNaN(noBounds.quantile(0.5)) {
+		t.Fatalf("bound-less Quantile(0.5) = %v, want NaN", noBounds.quantile(0.5))
 	}
 }
 
@@ -117,7 +117,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 // order, and every Meter method tolerates a nil receiver so call sites
 // never branch on whether accounting is enabled.
 func TestLedgerSnapshotSortedAndNilSafe(t *testing.T) {
-	l := NewLedger()
+	l := newLedger()
 	l.Meter("dev2", "b.js", "").AddSteps(1)
 	l.Meter("dev1", "", "chan").AddUplink(10)
 	l.Meter("dev1", "a.js", "").AddEnergy("cpu", 0.5)
@@ -156,18 +156,18 @@ func TestLedgerSnapshotSortedAndNilSafe(t *testing.T) {
 
 // The series ring evicts oldest-first and counts what it dropped.
 func TestSeriesRingEvictionAndRate(t *testing.T) {
-	s := NewSeriesStore(3)
+	s := newSeriesStore(3)
 	base := time.Unix(1000, 0).UTC()
 	for i := 0; i < 5; i++ {
-		s.Append(SeriesSample{
+		s.append(seriesSample{
 			At:       base.Add(time.Duration(i) * time.Second),
 			Counters: map[string]int64{"c": int64(i * 10)},
 		})
 	}
-	if s.Len() != 3 || s.Dropped() != 2 {
-		t.Fatalf("len=%d dropped=%d, want 3 and 2", s.Len(), s.Dropped())
+	if s.Len() != 3 || s.droppedSamples() != 2 {
+		t.Fatalf("len=%d dropped=%d, want 3 and 2", s.Len(), s.droppedSamples())
 	}
-	all := s.Samples()
+	all := s.samples()
 	if !all[0].At.Equal(base.Add(2*time.Second)) || !all[2].At.Equal(base.Add(4*time.Second)) {
 		t.Fatalf("ring did not evict oldest-first: %v .. %v", all[0].At, all[2].At)
 	}

@@ -63,19 +63,19 @@ func (s AlertState) String() string {
 type RuleKind string
 
 const (
-	// RuleThreshold compares the family's current value against Value.
-	RuleThreshold RuleKind = "threshold"
-	// RuleRate compares the family's per-second increase over the trailing
+	// ruleThreshold compares the family's current value against Value.
+	ruleThreshold RuleKind = "threshold"
+	// ruleRate compares the family's per-second increase over the trailing
 	// Window against Value.
-	RuleRate RuleKind = "rate"
-	// RuleAbsence holds when the family is missing from the registry, or when
+	ruleRate RuleKind = "rate"
+	// ruleAbsence holds when the family is missing from the registry, or when
 	// its value has not changed across a fully covered trailing Window
 	// (staleness — the "data stopped flowing" detector).
-	RuleAbsence RuleKind = "absence"
-	// RuleBurnRate holds when the SLO error-budget burn rate of a latency
+	ruleAbsence RuleKind = "absence"
+	// ruleBurnRate holds when the SLO error-budget burn rate of a latency
 	// histogram family exceeds Value: over the trailing Window, the fraction
 	// of observations above Objective seconds, divided by Budget.
-	RuleBurnRate RuleKind = "burn_rate"
+	ruleBurnRate RuleKind = "burn_rate"
 )
 
 // Rule is one declarative health check. Metric names a family (all label
@@ -100,8 +100,8 @@ type Rule struct {
 	RealTime bool `json:"real_time,omitempty"`
 }
 
-// AlertEvent is one state transition in the alert log.
-type AlertEvent struct {
+// alertEvent is one state transition in the alert log.
+type alertEvent struct {
 	At       time.Time  `json:"at"`
 	Rule     string     `json:"rule"`
 	Severity string     `json:"severity"`
@@ -110,17 +110,17 @@ type AlertEvent struct {
 }
 
 // MarshalState is the JSON face of State.
-func (e AlertEvent) stateString() string {
+func (e alertEvent) stateString() string {
 	if e.State == AlertInactive {
 		return "resolved"
 	}
 	return e.State.String()
 }
 
-// Line renders the event as one deterministic log line. Timestamps are the
+// line renders the event as one deterministic log line. Timestamps are the
 // simulated instants evaluation ran at, so two same-seed runs render
 // byte-identical lines.
-func (e AlertEvent) Line() string {
+func (e alertEvent) line() string {
 	return fmt.Sprintf("%s %s %s severity=%s value=%s",
 		e.At.UTC().Format(time.RFC3339Nano), e.stateString(), e.Rule,
 		e.Severity, formatAlertNum(e.Value))
@@ -174,7 +174,7 @@ type AlertEngine struct {
 	reg           *Registry
 	rules         []Rule
 	status        map[string]*ruleStatus
-	log           []AlertEvent
+	log           []alertEvent
 	deterministic bool
 	defaultLoaded bool
 }
@@ -204,10 +204,10 @@ func (e *AlertEngine) SetDeterministic(v bool) {
 	e.mu.Unlock()
 }
 
-// AddRules installs rules. A rule whose name is already installed replaces
+// addRules installs rules. A rule whose name is already installed replaces
 // the definition but keeps the alert state (so re-wiring a shared registry is
 // idempotent). Evaluation order is installation order — deterministic.
-func (e *AlertEngine) AddRules(rules ...Rule) {
+func (e *AlertEngine) addRules(rules ...Rule) {
 	if e == nil {
 		return
 	}
@@ -218,7 +218,7 @@ func (e *AlertEngine) AddRules(rules ...Rule) {
 			r.Op = ">"
 		}
 		if r.Kind == "" {
-			r.Kind = RuleThreshold
+			r.Kind = ruleThreshold
 		}
 		replaced := false
 		for i := range e.rules {
@@ -246,18 +246,8 @@ func (e *AlertEngine) EnsureDefaultRules() {
 	e.defaultLoaded = true
 	e.mu.Unlock()
 	if !loaded {
-		e.AddRules(DefaultRules()...)
+		e.addRules(defaultRules()...)
 	}
-}
-
-// Rules returns a copy of the installed rules in evaluation order.
-func (e *AlertEngine) Rules() []Rule {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Rule(nil), e.rules...)
 }
 
 // State returns the named rule's current alert state (AlertInactive and
@@ -275,8 +265,8 @@ func (e *AlertEngine) State(name string) (AlertState, bool) {
 	return st.state, true
 }
 
-// Snapshot returns every rule's current state in evaluation order.
-func (e *AlertEngine) Snapshot() []AlertSnapshot {
+// snapshot returns every rule's current state in evaluation order.
+func (e *AlertEngine) snapshot() []AlertSnapshot {
 	if e == nil {
 		return nil
 	}
@@ -297,36 +287,25 @@ func (e *AlertEngine) Snapshot() []AlertSnapshot {
 	return out
 }
 
-// Log returns a copy of the transition log in emission order.
-func (e *AlertEngine) Log() []AlertEvent {
+// eventLog returns a copy of the transition log in emission order.
+func (e *AlertEngine) eventLog() []alertEvent {
 	if e == nil {
 		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]AlertEvent(nil), e.log...)
+	return append([]alertEvent(nil), e.log...)
 }
 
 // FormatLog renders the transition log as newline-terminated lines — the
 // byte-identical-per-seed artifact scenario archives pin.
 func (e *AlertEngine) FormatLog() string {
 	var sb strings.Builder
-	for _, ev := range e.Log() {
-		sb.WriteString(ev.Line())
+	for _, ev := range e.eventLog() {
+		sb.WriteString(ev.line())
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// Evaluate runs every rule against the registry at instant at, stepping the
-// state machines and appending transitions to the log. Deterministic drivers
-// call it at simulated instants (Registry.Sample does so automatically);
-// calling it with a fresh snapshot is also valid for one-shot health checks.
-func (e *AlertEngine) Evaluate(at time.Time) {
-	if e == nil || e.reg == nil {
-		return
-	}
-	e.evaluate(at, e.reg.Snapshot())
 }
 
 // evaluate is the Sample-path entry: the snapshot was just taken at `at` and
@@ -337,15 +316,15 @@ func (e *AlertEngine) evaluate(at time.Time, snap Snapshot) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var series []SeriesSample
+	var series []seriesSample
 	haveSeries := false
 	for i := range e.rules {
 		r := e.rules[i]
 		if r.RealTime && e.deterministic {
 			continue
 		}
-		if (r.Kind == RuleRate || r.Kind == RuleAbsence || r.Kind == RuleBurnRate) && !haveSeries {
-			series = e.reg.Series().Samples()
+		if (r.Kind == ruleRate || r.Kind == ruleAbsence || r.Kind == ruleBurnRate) && !haveSeries {
+			series = e.reg.Series().samples()
 			haveSeries = true
 		}
 		value, cond := evalRule(r, snap, series)
@@ -358,7 +337,7 @@ func (e *AlertEngine) step(at time.Time, r Rule, value float64, cond bool) {
 	st := e.status[r.Name]
 	st.value = value
 	emit := func(state AlertState) {
-		ev := AlertEvent{At: at, Rule: r.Name, Severity: r.Severity, State: state, Value: value}
+		ev := alertEvent{At: at, Rule: r.Name, Severity: r.Severity, State: state, Value: value}
 		e.log = append(e.log, ev)
 		e.exportState(r, state)
 	}
@@ -410,22 +389,22 @@ func (e *AlertEngine) exportState(r Rule, state AlertState) {
 }
 
 // evalRule computes (value, condition) for one rule.
-func evalRule(r Rule, snap Snapshot, series []SeriesSample) (float64, bool) {
+func evalRule(r Rule, snap Snapshot, series []seriesSample) (float64, bool) {
 	switch r.Kind {
-	case RuleRate:
+	case ruleRate:
 		rate := familyRate(series, r.Metric, r.Window)
 		ok, err := alertCmp(r.Op, rate, r.Value)
 		return rate, ok && err == nil
-	case RuleAbsence:
+	case ruleAbsence:
 		return evalAbsence(r, snap, series)
-	case RuleBurnRate:
+	case ruleBurnRate:
 		burn := familyBurnRate(series, r.Metric, r.Window, r.Objective, r.Budget)
 		factor := r.Value
 		if factor == 0 {
 			factor = 1
 		}
 		return burn, burn >= factor
-	default: // RuleThreshold
+	default: // ruleThreshold
 		v, present := familyValue(snap, r.Metric)
 		if !present {
 			return 0, false
@@ -438,7 +417,7 @@ func evalRule(r Rule, snap Snapshot, series []SeriesSample) (float64, bool) {
 // evalAbsence: condition holds when the family has never been registered, or
 // when the trailing window is fully covered by samples and the family's value
 // did not change across it.
-func evalAbsence(r Rule, snap Snapshot, series []SeriesSample) (float64, bool) {
+func evalAbsence(r Rule, snap Snapshot, series []seriesSample) (float64, bool) {
 	cur, present := familyValue(snap, r.Metric)
 	if !present {
 		return 0, true
@@ -450,7 +429,7 @@ func evalAbsence(r Rule, snap Snapshot, series []SeriesSample) (float64, bool) {
 	cutoff := newest.At.Add(-r.Window)
 	// Baseline is the newest sample at or before the window start; without
 	// one the store does not span the window yet (startup) — not stale.
-	var baseline *SeriesSample
+	var baseline *seriesSample
 	for i := len(series) - 1; i >= 0; i-- {
 		if !series[i].At.After(cutoff) {
 			baseline = &series[i]
@@ -492,7 +471,7 @@ func familyValue(snap Snapshot, family string) (float64, bool) {
 }
 
 // sampleFamilyValue is familyValue over one stored series sample.
-func sampleFamilyValue(s SeriesSample, family string) (float64, bool) {
+func sampleFamilyValue(s seriesSample, family string) (float64, bool) {
 	return familyValue(Snapshot{Counters: s.Counters, Gauges: s.Gauges, Histograms: s.Histograms}, family)
 }
 
@@ -506,7 +485,7 @@ func keyInFamily(k, family string) bool {
 }
 
 // oldestInWindow returns the oldest sample at or after cutoff (nil if none).
-func oldestInWindow(series []SeriesSample, cutoff time.Time) *SeriesSample {
+func oldestInWindow(series []seriesSample, cutoff time.Time) *seriesSample {
 	for i := range series {
 		if !series[i].At.Before(cutoff) {
 			return &series[i]
@@ -518,7 +497,7 @@ func oldestInWindow(series []SeriesSample, cutoff time.Time) *SeriesSample {
 // familyRate is the family's per-second increase over the trailing window,
 // measured between the newest sample and the oldest in-window one. Zero with
 // fewer than two distinct-instant samples in the window.
-func familyRate(series []SeriesSample, family string, window time.Duration) float64 {
+func familyRate(series []seriesSample, family string, window time.Duration) float64 {
 	if len(series) == 0 {
 		return 0
 	}
@@ -539,7 +518,7 @@ func familyRate(series []SeriesSample, family string, window time.Duration) floa
 // Edge cases, pinned by tests: an empty window (no observations) burns 0; a
 // zero budget burns +Inf the moment a single observation is bad, and 0 while
 // none are.
-func familyBurnRate(series []SeriesSample, family string, window time.Duration, objective, budget float64) float64 {
+func familyBurnRate(series []seriesSample, family string, window time.Duration, objective, budget float64) float64 {
 	if len(series) == 0 {
 		return 0
 	}
@@ -568,7 +547,7 @@ func familyBurnRate(series []SeriesSample, family string, window time.Duration, 
 // across the family's histograms in one sample. "Above objective" is
 // resolved conservatively on bucket bounds: an observation counts as good
 // only if its whole bucket is at or under the objective.
-func familyBadCount(s SeriesSample, family string, objective float64) (bad, total int64) {
+func familyBadCount(s seriesSample, family string, objective float64) (bad, total int64) {
 	for k, h := range s.Histograms {
 		if !keyInFamily(k, family) {
 			continue
@@ -618,17 +597,17 @@ func formatAlertNum(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// DefaultRules is the stock health pack: one rule per failure mode the stack
+// defaultRules is the stock health pack: one rule per failure mode the stack
 // already meters. Deterministic drivers (chaos, fleet, scenarios) load it via
 // EnsureDefaultRules; live binaries do too, plus the RealTime rules actually
 // evaluate there.
-func DefaultRules() []Rule {
+func defaultRules() []Rule {
 	return []Rule{
 		{
 			// The transport guarantees exactly-once in-order delivery; a
 			// single observed violation is a page, immediately.
 			Name: "exactly_once_violation", Severity: "critical",
-			Kind: RuleThreshold, Metric: "delivery_violations_total",
+			Kind: ruleThreshold, Metric: "delivery_violations_total",
 			Op: ">", Value: 0,
 			KeepFor: time.Minute,
 		},
@@ -636,7 +615,7 @@ func DefaultRules() []Rule {
 			// Retransmission storm: sustained retry pressure across the
 			// fleet's endpoints.
 			Name: "retry_storm", Severity: "warn",
-			Kind: RuleRate, Metric: "transport_retries_total",
+			Kind: ruleRate, Metric: "transport_retries_total",
 			Op: ">", Value: 3, // retries/sec fleet-wide
 			Window: time.Minute, For: 30 * time.Second, KeepFor: time.Minute,
 		},
@@ -644,7 +623,7 @@ func DefaultRules() []Rule {
 			// Collector backpressure: outboxes piling up faster than the
 			// fleet drains them.
 			Name: "collector_backpressure", Severity: "warn",
-			Kind: RuleThreshold, Metric: "outbox_pending",
+			Kind: ruleThreshold, Metric: "outbox_pending",
 			Op: ">", Value: 200,
 			For: 15 * time.Second, KeepFor: time.Minute,
 		},
@@ -652,7 +631,7 @@ func DefaultRules() []Rule {
 			// Switchboard offline queues growing: sessions are dying faster
 			// than they resume.
 			Name: "offline_queue_growth", Severity: "warn",
-			Kind: RuleRate, Metric: "xmpp_server_queued_total",
+			Kind: ruleRate, Metric: "xmpp_server_queued_total",
 			Op: ">", Value: 1, // queued stanzas/sec
 			Window: time.Minute, For: 30 * time.Second, KeepFor: time.Minute,
 		},
@@ -661,7 +640,7 @@ func DefaultRules() []Rule {
 			// deliveries took longer than Objective, at Value times the
 			// sustainable rate.
 			Name: "delivery_latency_slo", Severity: "critical",
-			Kind: RuleBurnRate, Metric: "trace_delivery_latency_seconds",
+			Kind: ruleBurnRate, Metric: "trace_delivery_latency_seconds",
 			Objective: 15, Budget: 0.05, Value: 2,
 			Window: 2 * time.Minute, For: 30 * time.Second, KeepFor: time.Minute,
 		},
@@ -669,14 +648,14 @@ func DefaultRules() []Rule {
 			// Data flow stalled: the node stopped receiving anything for a
 			// full window while up.
 			Name: "data_flow_stalled", Severity: "warn",
-			Kind: RuleAbsence, Metric: "transport_messages_received_total",
+			Kind: ruleAbsence, Metric: "transport_messages_received_total",
 			Window: 5 * time.Minute, For: 0, KeepFor: 0,
 		},
 		{
 			// Fleet epoch-barrier stall spikes: wall-clock load imbalance.
 			// RealTime — skipped under deterministic evaluation.
 			Name: "barrier_stall", Severity: "warn",
-			Kind: RuleBurnRate, Metric: "fleet_barrier_stall_seconds",
+			Kind: ruleBurnRate, Metric: "fleet_barrier_stall_seconds",
 			Objective: 0.5, Budget: 0.05, Value: 1,
 			Window: 2 * time.Minute, For: 0, KeepFor: time.Minute,
 			RealTime: true,
@@ -684,12 +663,12 @@ func DefaultRules() []Rule {
 	}
 }
 
-// WriteAlertsProm renders the engine in a Prometheus-flavoured text form:
+// writeAlertsProm renders the engine in a Prometheus-flavoured text form:
 // one ALERTS{alertname,severity,alertstate} sample per non-inactive rule
 // (value 1), matching what a Prometheus server exposes for its own rules.
-func (e *AlertEngine) WriteAlertsProm(w io.Writer) {
+func (e *AlertEngine) writeAlertsProm(w io.Writer) {
 	fmt.Fprintf(w, "# HELP ALERTS Pogo alert rule states (pending or firing).\n# TYPE ALERTS gauge\n")
-	for _, s := range e.Snapshot() {
+	for _, s := range e.snapshot() {
 		if s.State == AlertInactive {
 			continue
 		}

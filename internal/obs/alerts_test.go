@@ -28,9 +28,9 @@ func requireState(t *testing.T, e *AlertEngine, rule string, want AlertState) {
 func TestAlertThresholdLifecycle(t *testing.T) {
 	r := NewRegistry()
 	e := r.Alerts()
-	e.AddRules(Rule{
+	e.addRules(Rule{
 		Name: "backlog", Severity: "warn",
-		Kind: RuleThreshold, Metric: "pending", Op: ">", Value: 10,
+		Kind: ruleThreshold, Metric: "pending", Op: ">", Value: 10,
 		For: 20 * time.Second,
 	})
 
@@ -54,7 +54,7 @@ func TestAlertThresholdLifecycle(t *testing.T) {
 	requireState(t, e, "backlog", AlertInactive)
 
 	var states []string
-	for _, ev := range e.Log() {
+	for _, ev := range e.eventLog() {
 		states = append(states, ev.stateString())
 	}
 	want := []string{"pending", "firing", "resolved"}
@@ -71,9 +71,9 @@ func TestAlertThresholdLifecycle(t *testing.T) {
 func TestAlertPendingLapsesSilently(t *testing.T) {
 	r := NewRegistry()
 	e := r.Alerts()
-	e.AddRules(Rule{
+	e.addRules(Rule{
 		Name: "blip", Severity: "warn",
-		Kind: RuleThreshold, Metric: "pending", Op: ">", Value: 10,
+		Kind: ruleThreshold, Metric: "pending", Op: ">", Value: 10,
 		For: time.Minute,
 	})
 	g := r.Gauge("pending")
@@ -84,7 +84,7 @@ func TestAlertPendingLapsesSilently(t *testing.T) {
 	tick(r, 10*time.Second)
 	requireState(t, e, "blip", AlertInactive)
 	// The lapse must not appear as "resolved": only firing alerts resolve.
-	for _, ev := range e.Log() {
+	for _, ev := range e.eventLog() {
 		if ev.stateString() == "resolved" || ev.stateString() == "firing" {
 			t.Fatalf("unexpected %s event for an alert that never fired", ev.stateString())
 		}
@@ -94,9 +94,9 @@ func TestAlertPendingLapsesSilently(t *testing.T) {
 func TestAlertFlapSuppression(t *testing.T) {
 	r := NewRegistry()
 	e := r.Alerts()
-	e.AddRules(Rule{
+	e.addRules(Rule{
 		Name: "flappy", Severity: "warn",
-		Kind: RuleThreshold, Metric: "pending", Op: ">", Value: 10,
+		Kind: ruleThreshold, Metric: "pending", Op: ">", Value: 10,
 		KeepFor: time.Minute, // For: 0 — fires on first true tick
 	})
 	g := r.Gauge("pending")
@@ -120,7 +120,7 @@ func TestAlertFlapSuppression(t *testing.T) {
 	tick(r, 100*time.Second)
 	requireState(t, e, "flappy", AlertInactive)
 
-	if got := len(e.Log()); got != 2 { // firing + resolved, nothing between
+	if got := len(e.eventLog()); got != 2 { // firing + resolved, nothing between
 		t.Fatalf("flap produced %d log events, want 2:\n%s", got, e.FormatLog())
 	}
 }
@@ -128,9 +128,9 @@ func TestAlertFlapSuppression(t *testing.T) {
 func TestAlertRateRule(t *testing.T) {
 	r := NewRegistry()
 	e := r.Alerts()
-	e.AddRules(Rule{
+	e.addRules(Rule{
 		Name: "storm", Severity: "warn",
-		Kind: RuleRate, Metric: "retries_total",
+		Kind: ruleRate, Metric: "retries_total",
 		Op: ">", Value: 2, Window: time.Minute,
 	})
 	c := r.Counter("retries_total", L("node", "a"))
@@ -152,9 +152,9 @@ func TestAlertRateRule(t *testing.T) {
 func TestAlertAbsenceRule(t *testing.T) {
 	r := NewRegistry()
 	e := r.Alerts()
-	e.AddRules(Rule{
+	e.addRules(Rule{
 		Name: "stalled", Severity: "warn",
-		Kind: RuleAbsence, Metric: "received_total", Window: time.Minute,
+		Kind: ruleAbsence, Metric: "received_total", Window: time.Minute,
 	})
 
 	// Family never registered: absent from the very first evaluation.
@@ -186,12 +186,12 @@ func TestBurnRateEdgeCases(t *testing.T) {
 	mk := func(counts []int64, count int64) HistogramSnapshot {
 		return HistogramSnapshot{Count: count, Bounds: bounds, Counts: counts}
 	}
-	sample := func(at time.Time, h HistogramSnapshot) SeriesSample {
-		return SeriesSample{At: at, Histograms: map[string]HistogramSnapshot{"lat{channel=x}": h}}
+	sample := func(at time.Time, h HistogramSnapshot) seriesSample {
+		return seriesSample{At: at, Histograms: map[string]HistogramSnapshot{"lat{channel=x}": h}}
 	}
 
 	// Empty window: no observations at all → burn 0, not NaN.
-	empty := []SeriesSample{sample(alertT0, mk([]int64{0, 0, 0, 0, 0}, 0))}
+	empty := []seriesSample{sample(alertT0, mk([]int64{0, 0, 0, 0, 0}, 0))}
 	if got := familyBurnRate(empty, "lat", time.Minute, 15, 0.05); got != 0 {
 		t.Fatalf("empty window burn = %v, want 0", got)
 	}
@@ -202,7 +202,7 @@ func TestBurnRateEdgeCases(t *testing.T) {
 
 	// 10 observations, 1 above the 15s objective, budget 5%:
 	// badFrac 0.1 / 0.05 = burn 2.
-	one := []SeriesSample{sample(alertT0, mk([]int64{5, 3, 1, 1, 0}, 10))}
+	one := []seriesSample{sample(alertT0, mk([]int64{5, 3, 1, 1, 0}, 10))}
 	if got := familyBurnRate(one, "lat", time.Minute, 15, 0.05); got != 2 {
 		t.Fatalf("burn = %v, want 2", got)
 	}
@@ -212,14 +212,14 @@ func TestBurnRateEdgeCases(t *testing.T) {
 		t.Fatalf("zero-budget burn = %v, want +Inf", got)
 	}
 	// ...but a perfect window burns 0 even with no budget.
-	good := []SeriesSample{sample(alertT0, mk([]int64{5, 3, 2, 0, 0}, 10))}
+	good := []seriesSample{sample(alertT0, mk([]int64{5, 3, 2, 0, 0}, 10))}
 	if got := familyBurnRate(good, "lat", time.Minute, 15, 0); got != 0 {
 		t.Fatalf("zero-budget clean burn = %v, want 0", got)
 	}
 
 	// Windowed: older cumulative sample subtracted, so only the delta counts.
 	// Old: 10 obs, 1 bad. New: 20 obs, 6 bad. Window delta: 10 obs, 5 bad.
-	windowed := []SeriesSample{
+	windowed := []seriesSample{
 		sample(alertT0, mk([]int64{5, 3, 1, 1, 0}, 10)),
 		sample(alertT0.Add(30*time.Second), mk([]int64{8, 4, 2, 5, 1}, 20)),
 	}
@@ -232,9 +232,9 @@ func TestBurnRateEdgeCases(t *testing.T) {
 func TestBurnRateRuleLifecycle(t *testing.T) {
 	r := NewRegistry()
 	e := r.Alerts()
-	e.AddRules(Rule{
+	e.addRules(Rule{
 		Name: "slo", Severity: "critical",
-		Kind: RuleBurnRate, Metric: "lat",
+		Kind: ruleBurnRate, Metric: "lat",
 		Objective: 15, Budget: 0.05, Value: 2, Window: 2 * time.Minute,
 	})
 	h := r.Histogram("lat", []float64{1, 5, 15, 60}, L("channel", "x"))
@@ -253,15 +253,15 @@ func TestAlertRealTimeSkippedWhenDeterministic(t *testing.T) {
 	r := NewRegistry()
 	e := r.Alerts()
 	e.SetDeterministic(true)
-	e.AddRules(Rule{
+	e.addRules(Rule{
 		Name: "wall", Severity: "warn",
-		Kind: RuleThreshold, Metric: "stall", Op: ">", Value: 0,
+		Kind: ruleThreshold, Metric: "stall", Op: ">", Value: 0,
 		RealTime: true,
 	})
 	r.Gauge("stall").Set(99)
 	tick(r, 0)
 	requireState(t, e, "wall", AlertInactive)
-	if len(e.Log()) != 0 {
+	if len(e.eventLog()) != 0 {
 		t.Fatalf("real-time rule logged events in deterministic mode:\n%s", e.FormatLog())
 	}
 
@@ -273,9 +273,9 @@ func TestAlertRealTimeSkippedWhenDeterministic(t *testing.T) {
 func TestAlertLogLinesAndFiringGauge(t *testing.T) {
 	r := NewRegistry()
 	e := r.Alerts()
-	e.AddRules(Rule{
+	e.addRules(Rule{
 		Name: "x", Severity: "critical",
-		Kind: RuleThreshold, Metric: "v", Op: ">", Value: 0,
+		Kind: ruleThreshold, Metric: "v", Op: ">", Value: 0,
 	})
 	r.Gauge("v").Set(3)
 	tick(r, 0)
@@ -301,13 +301,13 @@ func TestAlertLogLinesAndFiringGauge(t *testing.T) {
 func TestAlertRuleReplaceKeepsState(t *testing.T) {
 	r := NewRegistry()
 	e := r.Alerts()
-	e.AddRules(Rule{Name: "a", Kind: RuleThreshold, Metric: "v", Op: ">", Value: 0})
+	e.addRules(Rule{Name: "a", Kind: ruleThreshold, Metric: "v", Op: ">", Value: 0})
 	r.Gauge("v").Set(1)
 	tick(r, 0)
 	requireState(t, e, "a", AlertFiring)
 
 	// Re-adding (re-wiring a shared registry) must not reset the state.
-	e.AddRules(Rule{Name: "a", Kind: RuleThreshold, Metric: "v", Op: ">", Value: 0, Severity: "warn"})
+	e.addRules(Rule{Name: "a", Kind: ruleThreshold, Metric: "v", Op: ">", Value: 0, Severity: "warn"})
 	requireState(t, e, "a", AlertFiring)
 	if got := e.Rules(); len(got) != 1 || got[0].Severity != "warn" {
 		t.Fatalf("rule definition not replaced: %+v", got)
@@ -330,11 +330,11 @@ func TestEnsureDefaultRulesIdempotent(t *testing.T) {
 
 func TestNilAlertEngineSafe(t *testing.T) {
 	var e *AlertEngine
-	e.AddRules(Rule{Name: "x"})
+	e.addRules(Rule{Name: "x"})
 	e.EnsureDefaultRules()
 	e.SetDeterministic(true)
 	e.Evaluate(alertT0)
-	if e.Rules() != nil || e.Log() != nil || e.Snapshot() != nil {
+	if e.Rules() != nil || e.eventLog() != nil || e.snapshot() != nil {
 		t.Fatal("nil engine returned non-nil data")
 	}
 	if _, ok := e.State("x"); ok {
@@ -349,14 +349,14 @@ func TestNilAlertEngineSafe(t *testing.T) {
 func TestWriteAlertsProm(t *testing.T) {
 	r := NewRegistry()
 	e := r.Alerts()
-	e.AddRules(
-		Rule{Name: "hot", Severity: "critical", Kind: RuleThreshold, Metric: "v", Op: ">", Value: 0},
-		Rule{Name: "cold", Severity: "warn", Kind: RuleThreshold, Metric: "v", Op: "<", Value: -1},
+	e.addRules(
+		Rule{Name: "hot", Severity: "critical", Kind: ruleThreshold, Metric: "v", Op: ">", Value: 0},
+		Rule{Name: "cold", Severity: "warn", Kind: ruleThreshold, Metric: "v", Op: "<", Value: -1},
 	)
 	r.Gauge("v").Set(5)
 	tick(r, 0)
 	var sb strings.Builder
-	e.WriteAlertsProm(&sb)
+	e.writeAlertsProm(&sb)
 	out := sb.String()
 	if !strings.Contains(out, `ALERTS{alertname="hot",severity="critical",alertstate="firing"} 1`) {
 		t.Fatalf("missing firing sample:\n%s", out)

@@ -30,7 +30,7 @@ func WriteAccountingCSV(w io.Writer, l *Ledger) {
 // are already UTC).
 func WriteSeriesCSV(w io.Writer, s *SeriesStore) {
 	fmt.Fprintln(w, "at,tag,kind,key,value")
-	for _, sm := range s.Samples() {
+	for _, sm := range s.samples() {
 		at := sm.At.UTC().Format(time.RFC3339Nano)
 		for _, k := range sortedKeys(sm.Counters) {
 			fmt.Fprintf(w, "%s,%s,counter,%s,%d\n", at, csvField(sm.Tag), csvField(k), sm.Counters[k])

@@ -163,9 +163,9 @@ func LatencyReport(r *Registry) []TopicLatency {
 		out = append(out, TopicLatency{
 			Channel: p.channel,
 			Count:   p.snap.Count,
-			P50:     p.snap.Quantile(0.50),
-			P95:     p.snap.Quantile(0.95),
-			P99:     p.snap.Quantile(0.99),
+			P50:     p.snap.quantile(0.50),
+			P95:     p.snap.quantile(0.95),
+			P99:     p.snap.quantile(0.99),
 		})
 	}
 	return out

@@ -12,7 +12,7 @@ import (
 // previously reported only as "hash divergence, good luck"), the recent
 // contents of the span store are dumped to disk as a replayable causal
 // timeline. The dump is self-contained JSON — hops plus enough structure to
-// rebuild every span tree offline with LoadFlightDump + AssembleTree.
+// rebuild every span tree offline with LoadFlightDump.
 
 // FlightTrace is one trace's retained hops, canonically ordered.
 type FlightTrace struct {
@@ -82,7 +82,7 @@ func LoadFlightDump(path string) (*FlightDump, error) {
 func (d *FlightDump) Tree(trace TraceID) *SpanNode {
 	for _, t := range d.Traces {
 		if t.Trace == trace {
-			return AssembleTree(t.Hops)
+			return assembleTree(t.Hops)
 		}
 	}
 	return nil

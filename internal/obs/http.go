@@ -35,7 +35,7 @@ func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteProm(w, r)
+		writeProm(w, r)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -57,20 +57,20 @@ func Handler(r *Registry) http.Handler {
 		}{accounts})
 	})
 	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, req *http.Request) {
-		samples := r.Series().Samples()
+		samples := r.Series().samples()
 		if n, err := strconv.Atoi(req.URL.Query().Get("last")); err == nil && n >= 0 && n < len(samples) {
 			samples = samples[len(samples)-n:]
 		}
 		if samples == nil {
-			samples = []SeriesSample{}
+			samples = []seriesSample{}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(struct {
 			Dropped uint64         `json:"dropped"`
-			Samples []SeriesSample `json:"samples"`
-		}{r.Series().Dropped(), samples})
+			Samples []seriesSample `json:"samples"`
+		}{r.Series().droppedSamples(), samples})
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -97,23 +97,23 @@ func Handler(r *Registry) http.Handler {
 		e := r.Alerts()
 		if req.URL.Query().Get("format") == "prom" {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			e.WriteAlertsProm(w)
+			e.writeAlertsProm(w)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		alerts := e.Snapshot()
+		alerts := e.snapshot()
 		if alerts == nil {
 			alerts = []AlertSnapshot{}
 		}
-		log := e.Log()
+		log := e.eventLog()
 		if log == nil {
-			log = []AlertEvent{}
+			log = []alertEvent{}
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(struct {
 			Alerts []AlertSnapshot `json:"alerts"`
-			Log    []AlertEvent    `json:"log"`
+			Log    []alertEvent    `json:"log"`
 		}{alerts, log})
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, req *http.Request) {
@@ -123,11 +123,11 @@ func Handler(r *Registry) http.Handler {
 	return mux
 }
 
-// PprofHandler returns a mux serving the net/http/pprof endpoints under
+// pprofHandler returns a mux serving the net/http/pprof endpoints under
 // /debug/pprof/. The binaries bind it to its own flag-guarded address, never
 // alongside Handler: profiling a production node is an explicit operator
 // decision, not an accidental default.
-func PprofHandler() http.Handler {
+func pprofHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -141,12 +141,12 @@ func PprofHandler() http.Handler {
 // the runtime sampler. With metricsAddr set it also gets the default rule
 // pack, which live nodes evaluate on the real clock, and a sample every five
 // seconds tagged tag, so that /timeseries has history; Handler(reg) serves
-// on metricsAddr. With pprofAddr set, PprofHandler serves on it. ServeNode
+// on metricsAddr. With pprofAddr set, pprofHandler serves on it. ServeNode
 // prints nothing. A listener that cannot bind is reported in err, joined
 // with the other's, and the rest runs without it. stop ends the samplers,
 // closes the listeners and returns once their servers have.
 func ServeNode(reg *Registry, tag, metricsAddr, pprofAddr string) (stop func(), err error) {
-	stops := []func(){StartRuntimeSampler(reg)}
+	stops := []func(){startRuntimeSampler(reg)}
 	var serving sync.WaitGroup
 	serve := func(what, addr string, h http.Handler) {
 		ln, lerr := net.Listen("tcp", addr)
@@ -167,7 +167,7 @@ func ServeNode(reg *Registry, tag, metricsAddr, pprofAddr string) (stop func(), 
 		serve("metrics", metricsAddr, Handler(reg))
 	}
 	if pprofAddr != "" {
-		serve("pprof", pprofAddr, PprofHandler())
+		serve("pprof", pprofAddr, pprofHandler())
 	}
 	return func() {
 		for _, stop := range stops {
@@ -217,7 +217,7 @@ func WriteText(w io.Writer, r *Registry) {
 				tl.Channel, tl.Count, tl.P50, tl.P95, tl.P99)
 		}
 	}
-	if snaps := r.Alerts().Snapshot(); len(snaps) > 0 {
+	if snaps := r.Alerts().snapshot(); len(snaps) > 0 {
 		active := 0
 		for _, a := range snaps {
 			if a.State != AlertInactive {

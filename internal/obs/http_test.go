@@ -18,7 +18,7 @@ import (
 func TestHandlerContentTypes(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total").Inc()
-	r.Alerts().AddRules(Rule{Name: "a", Kind: RuleThreshold, Metric: "x_total", Op: ">", Value: 0})
+	r.Alerts().addRules(Rule{Name: "a", Kind: ruleThreshold, Metric: "x_total", Op: ">", Value: 0})
 	r.Sample(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), "t")
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
@@ -62,7 +62,7 @@ func TestHandlerContentTypes(t *testing.T) {
 func TestAlertsEndpointBody(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("pending").Set(5)
-	r.Alerts().AddRules(Rule{Name: "backlog", Severity: "warn", Kind: RuleThreshold, Metric: "pending", Op: ">", Value: 1})
+	r.Alerts().addRules(Rule{Name: "backlog", Severity: "warn", Kind: ruleThreshold, Metric: "pending", Op: ">", Value: 1})
 	r.Sample(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), "t")
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
@@ -73,7 +73,7 @@ func TestAlertsEndpointBody(t *testing.T) {
 	}
 	var payload struct {
 		Alerts []AlertSnapshot `json:"alerts"`
-		Log    []AlertEvent    `json:"log"`
+		Log    []alertEvent    `json:"log"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		t.Fatalf("decode /alerts: %v", err)

@@ -127,10 +127,10 @@ type Ledger struct {
 	accounts map[Entity]*account
 }
 
-// NewLedger returns an empty ledger. Most callers want Registry.Ledger
+// newLedger returns an empty ledger. Most callers want Registry.Ledger
 // instead, so the accounts ride the same snapshot/exposition path as the
 // metrics.
-func NewLedger() *Ledger {
+func newLedger() *Ledger {
 	return &Ledger{accounts: make(map[Entity]*account)}
 }
 

@@ -54,8 +54,8 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
+// value returns the current count (0 on nil).
+func (c *Counter) value() int64 {
 	if c == nil {
 		return 0
 	}
@@ -89,8 +89,8 @@ func (g *Gauge) Add(d float64) {
 	}
 }
 
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
+// value returns the current value (0 on nil).
+func (g *Gauge) value() float64 {
 	if g == nil {
 		return 0
 	}
@@ -138,22 +138,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
 // HistogramSnapshot is a consistent-enough copy of a histogram's state.
 type HistogramSnapshot struct {
 	Count  int64     `json:"count"`
@@ -162,12 +146,12 @@ type HistogramSnapshot struct {
 	Counts []int64   `json:"counts"` // len(Bounds)+1; last is +Inf
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
+// quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
 // inside the owning bucket, the same estimator Prometheus uses for
 // histogram_quantile. Returns NaN for an empty histogram or q outside
 // [0, 1]. When the quantile lands in the +Inf overflow bucket the largest
 // finite bound is returned (there is no upper edge to interpolate toward).
-func (s HistogramSnapshot) Quantile(q float64) float64 {
+func (s HistogramSnapshot) quantile(q float64) float64 {
 	if s.Count <= 0 || math.IsNaN(q) || q < 0 || q > 1 {
 		return math.NaN()
 	}
@@ -199,25 +183,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return math.NaN()
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Sub returns the histogram of observations made after prev was taken,
-// assuming prev is an earlier snapshot of the same histogram. Used for
-// windowed quantiles over the time-series store.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{
-		Count:  s.Count - prev.Count,
-		Sum:    s.Sum - prev.Sum,
-		Bounds: append([]float64(nil), s.Bounds...),
-		Counts: make([]int64, len(s.Counts)),
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i]
-		if i < len(prev.Counts) {
-			out.Counts[i] -= prev.Counts[i]
-		}
-	}
-	return out
 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {
@@ -267,15 +232,15 @@ func NewRegistry() *Registry {
 		hists:      make(map[string]*Histogram),
 		meta:       make(map[string]metricMeta),
 		collectors: make(map[int]func()),
-		spans:      NewSpanStore(DefaultSpanCapacity),
-		ledger:     NewLedger(),
-		series:     NewSeriesStore(DefaultSeriesCapacity),
+		spans:      newSpanStore(defaultSpanCapacity),
+		ledger:     newLedger(),
+		series:     newSeriesStore(defaultSeriesCapacity),
 	}
 	// Registered lazily on first eviction; before that, /stats surfaces the
 	// zero drop count through its dedicated tracing section.
-	r.spans.OnDrop(func() { r.Counter("trace_dropped_spans").Inc() })
+	r.spans.setOnDrop(func() { r.Counter("trace_dropped_spans").Inc() })
 	r.spans.latencyFor = func(channel string) *Histogram {
-		return r.Histogram("trace_delivery_latency_seconds", DeliveryLatencyBuckets, L("channel", channel))
+		return r.Histogram("trace_delivery_latency_seconds", deliveryLatencyBuckets, L("channel", channel))
 	}
 	return r
 }
@@ -350,7 +315,7 @@ func (r *Registry) CounterValue(name string, labels ...Label) int64 {
 	r.mu.Lock()
 	c := r.counters[k]
 	r.mu.Unlock()
-	return c.Value()
+	return c.value()
 }
 
 // Gauge returns (registering on first use) the gauge with this name and
@@ -488,10 +453,10 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for k, c := range r.counters {
-		s.Counters[k] = c.Value()
+		s.Counters[k] = c.value()
 	}
 	for k, g := range r.gauges {
-		s.Gauges[k] = g.Value()
+		s.Gauges[k] = g.value()
 	}
 	for k, h := range r.hists {
 		s.Histograms[k] = h.snapshot()

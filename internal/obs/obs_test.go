@@ -14,7 +14,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	c := r.Counter("msgs_total", L("node", "a"))
 	c.Inc()
 	c.Add(4)
-	if got := c.Value(); got != 5 {
+	if got := c.value(); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
 	// Same name+labels (any label order) is the same instrument.
@@ -35,7 +35,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.Gauge("temp")
 	g.Set(2.5)
 	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
+	if got := g.value(); got != 1.5 {
 		t.Errorf("gauge = %v", got)
 	}
 }
@@ -56,13 +56,13 @@ func TestNilSafety(t *testing.T) {
 	c := r.Counter("x")
 	c.Inc()
 	c.Add(3)
-	if c.Value() != 0 {
+	if c.value() != 0 {
 		t.Error("nil counter accumulated")
 	}
 	g := r.Gauge("y")
 	g.Set(1)
 	g.Add(1)
-	if g.Value() != 0 {
+	if g.value() != 0 {
 		t.Error("nil gauge accumulated")
 	}
 	h := r.Histogram("z", DefBuckets)
@@ -75,7 +75,6 @@ func TestNilSafety(t *testing.T) {
 	if sp.Hops() != nil || sp.Len() != 0 || sp.Dropped() != 0 {
 		t.Error("nil span store recorded")
 	}
-	sp.Reset()
 	cancel := r.OnCollect(func() {})
 	cancel()
 	s := r.Snapshot()
@@ -158,7 +157,7 @@ func TestConcurrentHotPaths(t *testing.T) {
 	if got := r.CounterValue("c", L("node", "x")); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Gauge("g").Value(); got != 8000 {
+	if got := r.Gauge("g").value(); got != 8000 {
 		t.Errorf("gauge = %v, want 8000", got)
 	}
 	if got := r.Histogram("h", DefBuckets).Count(); got != 8000 {
@@ -211,7 +210,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	r.Sample(time.Date(2012, 6, 1, 0, 1, 0, 0, time.UTC), "test")
 	var ts struct {
 		Dropped uint64         `json:"dropped"`
-		Samples []SeriesSample `json:"samples"`
+		Samples []seriesSample `json:"samples"`
 	}
 	if err := json.Unmarshal([]byte(get("/timeseries")), &ts); err != nil {
 		t.Fatalf("bad /timeseries JSON: %v", err)

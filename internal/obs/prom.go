@@ -8,12 +8,12 @@ import (
 	"strings"
 )
 
-// WriteProm renders the registry in Prometheus text exposition format 0.0.4:
+// writeProm renders the registry in Prometheus text exposition format 0.0.4:
 // one family per metric name with # HELP and # TYPE lines, label values
 // escaped, histograms expanded into _bucket/_sum/_count series, and the
 // per-entity ledger appended as pogo_entity_* families. Output is fully
 // sorted, so two identical registries render byte-identically.
-func WriteProm(w io.Writer, r *Registry) {
+func writeProm(w io.Writer, r *Registry) {
 	if r == nil {
 		return
 	}

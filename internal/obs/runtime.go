@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// StartRuntimeSampler exports Go runtime health as gauges, refreshed via an
+// startRuntimeSampler exports Go runtime health as gauges, refreshed via an
 // OnCollect hook so every snapshot (and thus every /metrics scrape) sees
 // current values:
 //
@@ -32,7 +32,7 @@ func HeapLiveBytes() uint64 {
 	return ms.HeapAlloc
 }
 
-func StartRuntimeSampler(r *Registry) (stop func()) {
+func startRuntimeSampler(r *Registry) (stop func()) {
 	if r == nil {
 		return func() {}
 	}

@@ -7,15 +7,15 @@ import (
 	"pogo/internal/vclock"
 )
 
-// DefaultSeriesCapacity bounds the ring of retained samples. At the default
+// defaultSeriesCapacity bounds the ring of retained samples. At the default
 // 30 s experiment cadence this holds 8.5 simulated hours; live servers at
 // 5 s hold ~85 minutes.
-const DefaultSeriesCapacity = 1024
+const defaultSeriesCapacity = 1024
 
-// SeriesSample is one registry snapshot at an instant. Timestamps come from
+// seriesSample is one registry snapshot at an instant. Timestamps come from
 // the caller's clock (vclock.Sim in experiments), never from the wall, so a
 // seeded run produces byte-identical sample streams.
-type SeriesSample struct {
+type seriesSample struct {
 	At         time.Time                    `json:"at"`
 	Tag        string                       `json:"tag,omitempty"`
 	Counters   map[string]int64             `json:"counters,omitempty"`
@@ -28,23 +28,23 @@ type SeriesSample struct {
 // empty results.
 type SeriesStore struct {
 	mu      sync.Mutex
-	ring    []SeriesSample
+	ring    []seriesSample
 	start   int // index of oldest sample
 	n       int
 	dropped uint64
 }
 
-// NewSeriesStore returns an empty store retaining up to capacity samples
-// (DefaultSeriesCapacity if capacity <= 0).
-func NewSeriesStore(capacity int) *SeriesStore {
+// newSeriesStore returns an empty store retaining up to capacity samples
+// (defaultSeriesCapacity if capacity <= 0).
+func newSeriesStore(capacity int) *SeriesStore {
 	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
+		capacity = defaultSeriesCapacity
 	}
-	return &SeriesStore{ring: make([]SeriesSample, capacity)}
+	return &SeriesStore{ring: make([]seriesSample, capacity)}
 }
 
-// Append records one sample, evicting the oldest when full.
-func (s *SeriesStore) Append(sample SeriesSample) {
+// append records one sample, evicting the oldest when full.
+func (s *SeriesStore) append(sample seriesSample) {
 	if s == nil {
 		return
 	}
@@ -60,32 +60,22 @@ func (s *SeriesStore) Append(sample SeriesSample) {
 	s.dropped++
 }
 
-// Samples returns the retained samples, oldest first.
-func (s *SeriesStore) Samples() []SeriesSample {
+// samples returns the retained samples, oldest first.
+func (s *SeriesStore) samples() []seriesSample {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]SeriesSample, 0, s.n)
+	out := make([]seriesSample, 0, s.n)
 	for i := 0; i < s.n; i++ {
 		out = append(out, s.ring[(s.start+i)%len(s.ring)])
 	}
 	return out
 }
 
-// Len returns the number of retained samples.
-func (s *SeriesStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Dropped returns how many samples have been evicted since creation.
-func (s *SeriesStore) Dropped() uint64 {
+// droppedSamples returns how many samples have been evicted since creation.
+func (s *SeriesStore) droppedSamples() uint64 {
 	if s == nil {
 		return 0
 	}
@@ -146,7 +136,7 @@ func (r *Registry) Sample(at time.Time, tag string) {
 		return
 	}
 	snap := r.Snapshot()
-	r.series.Append(SeriesSample{
+	r.series.append(seriesSample{
 		At:         at,
 		Tag:        tag,
 		Counters:   snap.Counters,

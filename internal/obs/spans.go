@@ -193,23 +193,23 @@ func stageRank(s Stage) int {
 	}
 }
 
-// DefaultSpanCapacity bounds the span store's ring buffer.
-const DefaultSpanCapacity = 16384
+// defaultSpanCapacity bounds the span store's ring buffer.
+const defaultSpanCapacity = 16384
 
-// DeliveryLatencyBuckets suit end-to-end delivery latency in seconds:
+// deliveryLatencyBuckets suit end-to-end delivery latency in seconds:
 // millisecond wire hops through retry-dominated tails of minutes.
-var DeliveryLatencyBuckets = []float64{
+var deliveryLatencyBuckets = []float64{
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 15, 30, 60, 120, 300, 900,
 }
 
 // rootsPerHop sizes the first-hop index used for delivery-latency
 // observation relative to the ring: a trace's root outlives its hops' stay
 // in the ring (a delivery delayed by retries still finds its zero point), up
-// to rootsPerHop × capacity traces — 2^20 at DefaultSpanCapacity.
+// to rootsPerHop × capacity traces — 2^20 at defaultSpanCapacity.
 const rootsPerHop = 64
 
 // SpanStore records hops into a bounded ring and reassembles span trees.
-// The zero value is not usable; construct with NewSpanStore (NewRegistry
+// The zero value is not usable; construct with newSpanStore (NewRegistry
 // attaches one). All methods are nil-safe, and recording is safe from
 // concurrent goroutines.
 type SpanStore struct {
@@ -228,19 +228,19 @@ type SpanStore struct {
 	latencyFor func(channel string) *Histogram
 }
 
-// NewSpanStore returns a store retaining the most recent capacity hops
-// (DefaultSpanCapacity when capacity <= 0).
-func NewSpanStore(capacity int) *SpanStore {
+// newSpanStore returns a store retaining the most recent capacity hops
+// (defaultSpanCapacity when capacity <= 0).
+func newSpanStore(capacity int) *SpanStore {
 	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
+		capacity = defaultSpanCapacity
 	}
 	return &SpanStore{cap: capacity, roots: make(map[TraceID]time.Time)}
 }
 
-// OnDrop registers fn to run once per evicted hop; NewRegistry wires it to
+// setOnDrop registers fn to run once per evicted hop; NewRegistry wires it to
 // the trace_dropped_spans counter so truncated traces are detectable from
 // /stats.
-func (s *SpanStore) OnDrop(fn func()) {
+func (s *SpanStore) setOnDrop(fn func()) {
 	if s == nil {
 		return
 	}
@@ -332,18 +332,6 @@ func (s *SpanStore) Len() int {
 	return len(s.buf)
 }
 
-// Reset discards all retained hops and root timestamps.
-func (s *SpanStore) Reset() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.buf = s.buf[:0]
-	s.start = 0
-	s.roots = make(map[TraceID]time.Time)
-}
-
 // hopLess is the canonical content ordering of hops: time, then lifecycle
 // rank, then the remaining fields as tiebreak. It depends only on hop
 // content, never on recording order.
@@ -428,20 +416,15 @@ type SpanNode struct {
 	Children []*SpanNode `json:"children,omitempty"`
 }
 
-// Tree reassembles the span tree of one trace from whatever hops were
-// retained, tolerating out-of-order and duplicated recording: hops are
-// canonicalized first, then each hop is parented onto the nearest earlier
-// hop of strictly lower lifecycle rank (falling back to the root), which
-// makes retransmitted sends siblings under their enqueue and puts a replayed
-// offline delivery under the replay hop. Returns nil when no hops remain.
-func (s *SpanStore) Tree(trace TraceID) *SpanNode {
-	return AssembleTree(s.HopsFor(trace))
-}
-
-// AssembleTree builds a span tree from canonically ordered hops of a single
-// trace (see Tree). Exported so flight-dump tooling can rebuild trees from
-// serialized hops without a live store.
-func AssembleTree(hops []Hop) *SpanNode {
+// assembleTree builds the span tree of a single trace from its hops,
+// tolerating out-of-order and duplicated recording: hops are canonicalized
+// first, then each hop is parented onto the nearest earlier hop of strictly
+// lower lifecycle rank (falling back to the root), which makes retransmitted
+// sends siblings under their enqueue and puts a replayed offline delivery
+// under the replay hop. Returns nil when no hops remain. Flight-dump
+// verification rebuilds trees from serialized hops with it, without a live
+// store.
+func assembleTree(hops []Hop) *SpanNode {
 	if len(hops) == 0 {
 		return nil
 	}
@@ -478,13 +461,4 @@ func (n *SpanNode) Walk(fn func(depth int, node *SpanNode)) {
 	if n != nil {
 		rec(0, n)
 	}
-}
-
-// Stages returns the set of stages present in the tree, in canonical hop
-// order — the quick "did this message make it to deliver?" probe used by
-// flight-dump verification.
-func (n *SpanNode) Stages() []Stage {
-	var out []Stage
-	n.Walk(func(_ int, node *SpanNode) { out = append(out, node.Hop.Stage) })
-	return out
 }

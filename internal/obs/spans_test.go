@@ -69,7 +69,7 @@ func TestAssembleTreeOutOfOrder(t *testing.T) {
 		hopAt(10, tr, StageEnqueue, "phone"),
 		hopAt(30, tr, StageSend, "phone"), // retransmission
 	}
-	st := NewSpanStore(16)
+	st := newSpanStore(16)
 	for _, h := range hops {
 		st.Record(h.At, h.Trace, h.Stage, h.Node, h.Channel, h.MsgID, h.Detail)
 	}
@@ -97,7 +97,7 @@ func TestAssembleTreeOutOfOrder(t *testing.T) {
 // delivery of the hop event itself) collapses to one node in every view.
 func TestSpanStoreDuplicateHops(t *testing.T) {
 	tr := NewTraceID(1, "phone", 2)
-	st := NewSpanStore(16)
+	st := newSpanStore(16)
 	for i := 0; i < 3; i++ {
 		st.Record(time.Unix(10, 0), tr, StageEnqueue, "phone", "ch", 1, "")
 	}
@@ -111,9 +111,9 @@ func TestSpanStoreDuplicateHops(t *testing.T) {
 }
 
 func TestSpanStoreEvictionCountsDrops(t *testing.T) {
-	st := NewSpanStore(2)
+	st := newSpanStore(2)
 	fired := 0
-	st.OnDrop(func() { fired++ })
+	st.setOnDrop(func() { fired++ })
 	tr := NewTraceID(1, "n", 1)
 	for i := 0; i < 5; i++ {
 		st.Record(time.Unix(int64(i), 0), tr, StageSend, "n", "ch", 1, "")
@@ -129,11 +129,6 @@ func TestSpanStoreEvictionCountsDrops(t *testing.T) {
 	if st.Len() != 2 || st.Dropped() != 3 {
 		t.Fatal("zero-trace record must be a no-op")
 	}
-	// Reset empties the ring; the drop count is history and stays.
-	st.Reset()
-	if st.Len() != 0 || len(st.Hops()) != 0 || st.Dropped() != 3 {
-		t.Fatalf("after Reset: Len = %d, Dropped = %d, want 0/3", st.Len(), st.Dropped())
-	}
 }
 
 // TestRootsIndexSweptOnLongLivedStore: the first-hop index behind the
@@ -145,7 +140,7 @@ func TestSpanStoreEvictionCountsDrops(t *testing.T) {
 func TestRootsIndexSweptOnLongLivedStore(t *testing.T) {
 	const capacity = 4
 	reg := NewRegistry()
-	st := NewSpanStore(capacity)
+	st := newSpanStore(capacity)
 	st.latencyFor = reg.spans.latencyFor
 	bound := rootsPerHop * capacity
 	traces := 10 * bound
@@ -176,7 +171,7 @@ func TestRegistryDropCountersLazy(t *testing.T) {
 		t.Fatal("drop counter registered before any drop")
 	}
 	tr := NewTraceID(1, "n", 1)
-	for i := 0; i <= DefaultSpanCapacity; i++ {
+	for i := 0; i <= defaultSpanCapacity; i++ {
 		reg.Spans().Record(time.Unix(int64(i), 0), tr, StageSend, "n", "ch", 1, "")
 	}
 	if got := reg.Snapshot().Counters["trace_dropped_spans"]; got != 1 {

@@ -54,13 +54,6 @@ type Event struct {
 	cow *obs.Counter
 }
 
-// MutableMessage returns a privately owned tree of the event's message for a
-// handler that writes: each call builds a fresh one (msg.Raw.Map).
-func (e *Event) MutableMessage() msg.Map {
-	e.cow.Inc()
-	return e.Message.Map()
-}
-
 // Handler consumes events for one subscription.
 type Handler func(Event)
 
@@ -290,7 +283,7 @@ func (b *Broker) Subscriptions(channel string) []SubscriptionInfo {
 	var out []SubscriptionInfo
 	for _, s := range b.subs[channel] {
 		if s.active.Load() {
-			out = append(out, SubscriptionInfo{Channel: channel, Params: s.Params()})
+			out = append(out, SubscriptionInfo{Channel: channel, Params: s.params})
 		}
 	}
 	return out
@@ -308,23 +301,6 @@ func (b *Broker) HasSubscribers(channel string) bool {
 		}
 	}
 	return false
-}
-
-// Channels returns every channel that currently has at least one active
-// subscription.
-func (b *Broker) Channels() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []string
-	for ch, subs := range b.subs {
-		for _, s := range subs {
-			if s.active.Load() {
-				out = append(out, ch)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // OnSubscriptionChange registers fn to be called (synchronously) whenever the
@@ -392,6 +368,10 @@ func (b *Broker) removeSub(sub *Subscription) {
 type Subscription struct {
 	broker  *Broker
 	channel string
+	// params is the subscription's parameter object (nil when it has none):
+	// a snapshot taken at Subscribe time (msg.Freeze) and shared, read-only
+	// for all readers. A reader that needs a mutable version clones it
+	// (msg.Clone).
 	params  msg.Map
 	handler Handler
 
@@ -402,22 +382,6 @@ type Subscription struct {
 
 	mu     sync.Mutex
 	closed bool
-}
-
-// Channel returns the subscribed channel name.
-func (s *Subscription) Channel() string { return s.channel }
-
-// Params returns the subscription's parameter object (nil when the
-// subscription has none). The map is a snapshot taken at Subscribe time
-// (msg.Freeze) and shared: read-only for all callers, no per-call copy. A
-// caller that needs a mutable version clones it (msg.Clone).
-func (s *Subscription) Params() msg.Map {
-	return s.params
-}
-
-// Active reports whether the subscription currently receives events.
-func (s *Subscription) Active() bool {
-	return s.active.Load()
 }
 
 // Release deactivates the subscription. No-op if already inactive or closed.

@@ -230,7 +230,7 @@ func TestReleaseRenewIdempotent(t *testing.T) {
 	if hits != 2 {
 		t.Errorf("hits = %d after renew, want 2", hits)
 	}
-	if !sub.Active() {
+	if !sub.active.Load() {
 		t.Error("Active = false after renew")
 	}
 }
@@ -245,7 +245,7 @@ func TestCloseRemovesSubscription(t *testing.T) {
 		t.Error("closed subscription still received events")
 	}
 	sub.Renew() // no-op after close
-	if sub.Active() {
+	if sub.active.Load() {
 		t.Error("Renew reactivated a closed subscription")
 	}
 	if b.HasSubscribers("ch") {
@@ -261,17 +261,13 @@ func TestSubscriptionParams(t *testing.T) {
 	// Mutating the caller's map must not affect the stored params: Subscribe
 	// froze its own snapshot.
 	params["interval"] = 1.0
-	got := sub.Params()
+	got := sub.params
 	if got["interval"].(float64) != 60000.0 {
 		t.Error("params not snapshotted on subscribe")
 	}
-	// Params is shared — no per-call copy. Writers clone.
-	if reflect.ValueOf(sub.Params()).Pointer() != reflect.ValueOf(got).Pointer() {
-		t.Error("Params copied per call")
-	}
 	mine := msg.Clone(got).(msg.Map)
 	mine["provider"] = "NETWORK"
-	if sub.Params()["provider"].(string) != "GPS" {
+	if sub.params["provider"].(string) != "GPS" {
 		t.Error("cloned copy aliased internal state")
 	}
 
@@ -284,8 +280,8 @@ func TestSubscriptionParams(t *testing.T) {
 func TestNilParams(t *testing.T) {
 	b := New()
 	sub := b.Subscribe("x", nil, func(Event) {})
-	if sub.Params() != nil {
-		t.Errorf("Params = %v, want nil", sub.Params())
+	if sub.params != nil {
+		t.Errorf("params = %v, want nil", sub.params)
 	}
 }
 
@@ -302,7 +298,7 @@ func TestEventFields(t *testing.T) {
 		t.Errorf("Origin = %q", ev.Origin)
 	}
 	if ev.Params["interval"].(float64) != 5.0 {
-		t.Errorf("Params = %v", ev.Params)
+		t.Errorf("params = %v", ev.Params)
 	}
 }
 

@@ -31,7 +31,6 @@ func (i Interface) String() string {
 // both *Modem and *Wifi implement it.
 type DataLink interface {
 	Transfer(tx, rx int64, onDone func())
-	Stats() TrafficStats
 }
 
 var (
@@ -64,8 +63,8 @@ func NewConnectivity(cellular, wifi DataLink) *Connectivity {
 	return c
 }
 
-// Active returns the currently active interface.
-func (c *Connectivity) Active() Interface {
+// activeInterface returns the currently active interface.
+func (c *Connectivity) activeInterface() Interface {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.active
@@ -115,4 +114,4 @@ func (c *Connectivity) OnChange(fn func(old, new Interface)) {
 }
 
 // Online reports whether any interface is active.
-func (c *Connectivity) Online() bool { return c.Active() != InterfaceNone }
+func (c *Connectivity) Online() bool { return c.activeInterface() != InterfaceNone }

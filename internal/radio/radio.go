@@ -27,7 +27,7 @@ type State int
 const (
 	Idle State = iota + 1
 	RampUp
-	Promoting
+	promoting
 	Transmitting
 	DCHTail
 	FACHTail
@@ -40,7 +40,7 @@ func (s State) String() string {
 		return "IDLE"
 	case RampUp:
 		return "RAMP"
-	case Promoting:
+	case promoting:
 		return "PROMOTE"
 	case Transmitting:
 		return "TX"
@@ -96,7 +96,7 @@ var (
 		ThroughputBps: 200e3,
 		MinTxTime:     200 * time.Millisecond,
 	}
-	TMobile = CarrierProfile{
+	tMobile = CarrierProfile{
 		Name:          "T-Mobile",
 		RampUp:        2 * time.Second,
 		Promote:       500 * time.Millisecond,
@@ -108,7 +108,7 @@ var (
 		ThroughputBps: 250e3,
 		MinTxTime:     200 * time.Millisecond,
 	}
-	Vodafone = CarrierProfile{
+	vodafone = CarrierProfile{
 		Name:          "Vodafone",
 		RampUp:        2200 * time.Millisecond,
 		Promote:       500 * time.Millisecond,
@@ -123,7 +123,7 @@ var (
 )
 
 // Carriers lists the built-in profiles in the paper's Table 3 order.
-func Carriers() []CarrierProfile { return []CarrierProfile{KPN, TMobile, Vodafone} }
+func Carriers() []CarrierProfile { return []CarrierProfile{KPN, tMobile, vodafone} }
 
 // TrafficStats mirrors Android's per-interface byte counters; the tail
 // detector polls these (§4.7).
@@ -174,9 +174,6 @@ func NewModem(clk vclock.Clock, meter *energy.Meter, profile CarrierProfile) *Mo
 	}
 }
 
-// Profile returns the modem's carrier profile.
-func (m *Modem) Profile() CarrierProfile { return m.profile }
-
 // State returns the current RRC state.
 func (m *Modem) State() State {
 	m.mu.Lock()
@@ -222,11 +219,11 @@ func (m *Modem) Transfer(tx, rx int64, onDone func()) {
 		m.pending = append(m.pending, tr)
 		m.setStateLocked(RampUp)
 		m.resetTimerLocked(m.profile.RampUp, m.rampDone)
-	case RampUp, Promoting:
+	case RampUp, promoting:
 		m.pending = append(m.pending, tr)
 	case FACHTail:
 		m.pending = append(m.pending, tr)
-		m.setStateLocked(Promoting)
+		m.setStateLocked(promoting)
 		m.resetTimerLocked(m.profile.Promote, m.rampDone)
 	case DCHTail:
 		m.inflight = append(m.inflight, tr)
@@ -242,7 +239,7 @@ func (m *Modem) Transfer(tx, rx int64, onDone func()) {
 // in flight and start transmitting.
 func (m *Modem) rampDone() {
 	m.mu.Lock()
-	if m.state != RampUp && m.state != Promoting {
+	if m.state != RampUp && m.state != promoting {
 		m.mu.Unlock()
 		return
 	}
@@ -347,7 +344,7 @@ func (m *Modem) setStateLocked(s State) {
 
 func (m *Modem) statePower(s State) float64 {
 	switch s {
-	case RampUp, Promoting:
+	case RampUp, promoting:
 		return m.profile.PowerRamp
 	case Transmitting, DCHTail:
 		return m.profile.PowerDCH

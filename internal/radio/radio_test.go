@@ -136,7 +136,7 @@ func TestModemSendDuringFACHPromotes(t *testing.T) {
 		t.Fatalf("setup: state = %v", m.State())
 	}
 	m.Transfer(100, 0, nil)
-	if m.State() != Promoting {
+	if m.State() != promoting {
 		t.Fatalf("State = %v, want Promoting", m.State())
 	}
 	clk.Advance(KPN.Promote)
@@ -202,14 +202,14 @@ func TestCarrierProfiles(t *testing.T) {
 	}
 	// Total tail ordering drives Table 3: KPN ≫ Vodafone > T-Mobile.
 	tail := func(c CarrierProfile) time.Duration { return c.DCHTailTime + c.FACHTailTime }
-	if !(tail(KPN) > tail(Vodafone) && tail(Vodafone) > tail(TMobile)) {
+	if !(tail(KPN) > tail(vodafone) && tail(vodafone) > tail(tMobile)) {
 		t.Error("carrier tail ordering wrong")
 	}
 }
 
 func TestStateString(t *testing.T) {
 	names := map[State]string{
-		Idle: "IDLE", RampUp: "RAMP", Promoting: "PROMOTE",
+		Idle: "IDLE", RampUp: "RAMP", promoting: "PROMOTE",
 		Transmitting: "TX", DCHTail: "DCH", FACHTail: "FACH", State(0): "?",
 	}
 	for s, want := range names {
@@ -260,8 +260,8 @@ func TestConnectivityHandover(t *testing.T) {
 	m := NewModem(clk, nil, KPN)
 	w := NewWifi(clk, nil)
 	c := NewConnectivity(m, w)
-	if c.Active() != InterfaceCellular {
-		t.Fatalf("initial Active = %v", c.Active())
+	if c.activeInterface() != InterfaceCellular {
+		t.Fatalf("initial Active = %v", c.activeInterface())
 	}
 	if c.Link() != DataLink(m) {
 		t.Error("Link != modem")
@@ -288,11 +288,11 @@ func TestConnectivityHandover(t *testing.T) {
 }
 
 func TestConnectivityDefaults(t *testing.T) {
-	if c := NewConnectivity(nil, NewWifi(vclock.NewSim(), nil)); c.Active() != InterfaceWifi {
-		t.Errorf("wifi-only default = %v", c.Active())
+	if c := NewConnectivity(nil, NewWifi(vclock.NewSim(), nil)); c.activeInterface() != InterfaceWifi {
+		t.Errorf("wifi-only default = %v", c.activeInterface())
 	}
-	if c := NewConnectivity(nil, nil); c.Active() != InterfaceNone {
-		t.Errorf("no-link default = %v", c.Active())
+	if c := NewConnectivity(nil, nil); c.activeInterface() != InterfaceNone {
+		t.Errorf("no-link default = %v", c.activeInterface())
 	}
 }
 

@@ -42,13 +42,6 @@ func NewWifi(clk vclock.Clock, meter *energy.Meter) *Wifi {
 	}
 }
 
-// Stats returns the interface's traffic counters.
-func (w *Wifi) Stats() TrafficStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats
-}
-
 // Transfer moves tx uplink and rx downlink bytes; onDone (may be nil) runs
 // on completion.
 func (w *Wifi) Transfer(tx, rx int64, onDone func()) {

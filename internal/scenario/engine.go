@@ -38,7 +38,7 @@ func (r *Runner) RunFile(pathname string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.Run(pathname, data)
+	return r.run(pathname, data)
 }
 
 // errSkip aborts a run without failing it.
@@ -46,11 +46,11 @@ type errSkip struct{ reason string }
 
 func (e errSkip) Error() string { return "skip: " + e.reason }
 
-// Run executes the archive's script. The returned Result is non-nil even on
+// run executes the archive's script. The returned Result is non-nil even on
 // error, carrying the transcript up to the failure for diagnosis.
-func (r *Runner) Run(name string, data []byte) (*Result, error) {
+func (r *Runner) run(name string, data []byte) (*Result, error) {
 	arch := ParseTxtar(data)
-	cmds, err := ParseScript(name, arch.Comment)
+	cmds, err := parseScript(name, arch.Comment)
 	if err != nil {
 		return &Result{Name: name}, err
 	}
@@ -83,7 +83,7 @@ func (r *Runner) Run(name string, data []byte) (*Result, error) {
 		if c.Neg {
 			if err == nil {
 				res.Transcript = st.transcript.Bytes()
-				return res, c.Errf("succeeded unexpectedly (negated with !)")
+				return res, c.errf("succeeded unexpectedly (negated with !)")
 			}
 			st.printf("[expected failure] %v\n", err)
 			err = nil
@@ -96,7 +96,7 @@ func (r *Runner) Run(name string, data []byte) (*Result, error) {
 	res.Transcript = st.transcript.Bytes()
 	if st.updated {
 		res.Updated = true
-		res.Archive = FormatTxtar(st.arch)
+		res.Archive = formatTxtar(st.arch)
 	}
 	return res, nil
 }
@@ -130,7 +130,7 @@ func (st *state) printf(format string, args ...any) {
 
 // evalCond evaluates one [cond] prefix. Unknown conditions are errors, not
 // skips — a typo must not silently disable an assertion.
-func (st *state) evalCond(c Command, cond string) (bool, error) {
+func (st *state) evalCond(c command, cond string) (bool, error) {
 	neg := strings.HasPrefix(cond, "!")
 	name := strings.TrimPrefix(cond, "!")
 	var v bool
@@ -150,11 +150,11 @@ func (st *state) evalCond(c Command, cond string) (bool, error) {
 	case strings.HasPrefix(name, "shards:"):
 		n, err := strconv.Atoi(strings.TrimPrefix(name, "shards:"))
 		if err != nil {
-			return false, c.Errf("bad condition %q: shard count is not a number", cond)
+			return false, c.errf("bad condition %q: shard count is not a number", cond)
 		}
 		v = st.fleetCfg != nil && st.fleetCfg.Shards == n
 	default:
-		return false, c.Errf("unknown condition %q", cond)
+		return false, c.errf("unknown condition %q", cond)
 	}
 	if neg {
 		v = !v
@@ -162,7 +162,7 @@ func (st *state) evalCond(c Command, cond string) (bool, error) {
 	return v, nil
 }
 
-func (st *state) dispatch(c Command) error {
+func (st *state) dispatch(c command) error {
 	switch c.Name {
 	case "skip":
 		return errSkip{reason: strings.Join(c.Args, " ")}
@@ -233,29 +233,29 @@ func (st *state) dispatch(c Command) error {
 	case "save_alert_log":
 		return st.cmdSaveAlertLog(c)
 	}
-	return c.Errf("unknown command")
+	return c.errf("unknown command")
 }
 
 // needChaos / needFleetRun / needPogo gate mode-specific commands.
-func (st *state) needChaos(c Command) (*chaosState, error) {
+func (st *state) needChaos(c command) (*chaosState, error) {
 	if st.mode != modeChaos || st.chaos == nil {
-		return nil, c.Errf("needs a chaos world (world_up <phones> 1 ... first)")
+		return nil, c.errf("needs a chaos world (world_up <phones> 1 ... first)")
 	}
 	return st.chaos, nil
 }
 
-func (st *state) needPogo(c Command) (*pogoState, error) {
+func (st *state) needPogo(c command) (*pogoState, error) {
 	if st.mode != modePogo || st.pogo == nil {
-		return nil, c.Errf("needs a pogo world (pogo_up first)")
+		return nil, c.errf("needs a pogo world (pogo_up first)")
 	}
 	return st.pogo, nil
 }
 
 // --- world construction ---
 
-func (st *state) cmdWorldUp(c Command) error {
+func (st *state) cmdWorldUp(c command) error {
 	if st.mode != modeNone {
-		return c.Errf("world already up (mode %s)", st.mode)
+		return c.errf("world already up (mode %s)", st.mode)
 	}
 	pos, kv, err := kvArgs(c, 2, "seed", "shards", "msgs", "cmds", "window", "step",
 		"drop", "dup", "corrupt", "delay", "mean_up", "mean_down",
@@ -265,11 +265,11 @@ func (st *state) cmdWorldUp(c Command) error {
 	}
 	phones, err := strconv.Atoi(pos[0])
 	if err != nil || phones < 1 {
-		return c.Errf("bad phone count %q", pos[0])
+		return c.errf("bad phone count %q", pos[0])
 	}
 	collectors, err := strconv.Atoi(pos[1])
 	if err != nil || collectors < 1 {
-		return c.Errf("bad collector count %q", pos[1])
+		return c.errf("bad collector count %q", pos[1])
 	}
 	seedN, err := kvInt(c, kv, "seed", 1)
 	if err != nil {
@@ -345,7 +345,7 @@ func (st *state) cmdWorldUp(c Command) error {
 			Obs:     st.reg,
 		}
 		if meanUp > 0 || meanDown > 0 || partFrac > 0 || drainIters != 0 {
-			return c.Errf("churn/partition/drain options are chaos-only (fleet faults are per-entity)")
+			return c.errf("churn/partition/drain options are chaos-only (fleet faults are per-entity)")
 		}
 		st.fleetCfg = &cfg
 		st.mode = modeFleet
@@ -354,7 +354,7 @@ func (st *state) cmdWorldUp(c Command) error {
 		return nil
 	}
 	if collectors != 1 {
-		return c.Errf("chaos world has exactly 1 collector (got %d); pass shards=K for a fleet", collectors)
+		return c.errf("chaos world has exactly 1 collector (got %d); pass shards=K for a fleet", collectors)
 	}
 	st.chaos = newChaosState(experiments.ChaosConfig{
 		Seed: int64(seedN), Phones: phones,
@@ -373,12 +373,12 @@ func (st *state) cmdWorldUp(c Command) error {
 // cmdWorldDown tears the active world down so the archive can bring up the
 // next one (the ported chaos matrix runs three fault levels in one file).
 // The registry, outputs, and transcript persist across worlds.
-func (st *state) cmdWorldDown(c Command) error {
+func (st *state) cmdWorldDown(c command) error {
 	if len(c.Args) != 0 {
-		return c.Errf("takes no arguments")
+		return c.errf("takes no arguments")
 	}
 	if st.mode == modeNone {
-		return c.Errf("no world is up")
+		return c.errf("no world is up")
 	}
 	if st.pogo != nil {
 		st.pogo.close()
@@ -388,9 +388,9 @@ func (st *state) cmdWorldDown(c Command) error {
 	return nil
 }
 
-func (st *state) cmdPogoUp(c Command) error {
+func (st *state) cmdPogoUp(c command) error {
 	if st.mode != modeNone {
-		return c.Errf("world already up (mode %s)", st.mode)
+		return c.errf("world already up (mode %s)", st.mode)
 	}
 	_, kv, err := kvArgs(c, 0, "carrier", "flush_every")
 	if err != nil {
@@ -400,7 +400,7 @@ func (st *state) cmdPogoUp(c Command) error {
 	if name, ok := kv["carrier"]; ok {
 		carrier, err = carrierByName(name)
 		if err != nil {
-			return c.Errf("%v", err)
+			return c.errf("%v", err)
 		}
 	}
 	flushEvery, err := kvDuration(c, kv, "flush_every", 0)
@@ -409,7 +409,7 @@ func (st *state) cmdPogoUp(c Command) error {
 	}
 	p, err := newPogoState(st.reg, carrier, flushEvery)
 	if err != nil {
-		return c.Errf("%v", err)
+		return c.errf("%v", err)
 	}
 	st.pogo = p
 	st.mode = modePogo
@@ -419,9 +419,9 @@ func (st *state) cmdPogoUp(c Command) error {
 
 // --- simulation driving ---
 
-func (st *state) cmdRun(c Command) error {
+func (st *state) cmdRun(c command) error {
 	if len(c.Args) != 0 {
-		return c.Errf("takes no arguments")
+		return c.errf("takes no arguments")
 	}
 	switch st.mode {
 	case modeChaos:
@@ -438,7 +438,7 @@ func (st *state) cmdRun(c Command) error {
 		return nil
 	case modeFleet:
 		if st.fleetRes != nil {
-			return c.Errf("fleet already ran")
+			return c.errf("fleet already ran")
 		}
 		res := experiments.Fleet(*st.fleetCfg)
 		st.fleetRes = &res
@@ -451,20 +451,20 @@ func (st *state) cmdRun(c Command) error {
 		st.printf("log sha256=%s\n", res.LogSHA256)
 		return nil
 	}
-	return c.Errf("needs a chaos or fleet world")
+	return c.errf("needs a chaos or fleet world")
 }
 
-func (st *state) cmdRounds(c Command) error {
+func (st *state) cmdRounds(c command) error {
 	cs, err := st.needChaos(c)
 	if err != nil {
 		return err
 	}
 	if len(c.Args) != 1 {
-		return c.Errf("want: rounds <n>")
+		return c.errf("want: rounds <n>")
 	}
 	n, err := strconv.Atoi(c.Args[0])
 	if err != nil || n < 1 {
-		return c.Errf("bad round count %q", c.Args[0])
+		return c.errf("bad round count %q", c.Args[0])
 	}
 	for i := 0; i < n && cs.next < cs.w.Rounds(); i++ {
 		cs.w.RunRound(cs.next)
@@ -474,13 +474,13 @@ func (st *state) cmdRounds(c Command) error {
 	return nil
 }
 
-func (st *state) cmdAdvance(c Command) error {
+func (st *state) cmdAdvance(c command) error {
 	if len(c.Args) != 1 {
-		return c.Errf("want: advance <duration>")
+		return c.errf("want: advance <duration>")
 	}
 	d, err := time.ParseDuration(c.Args[0])
 	if err != nil || d <= 0 {
-		return c.Errf("bad duration %q", c.Args[0])
+		return c.errf("bad duration %q", c.Args[0])
 	}
 	switch st.mode {
 	case modeChaos:
@@ -490,12 +490,12 @@ func (st *state) cmdAdvance(c Command) error {
 		st.pogo.clk.Advance(d)
 		return nil
 	}
-	return c.Errf("needs a chaos or pogo world")
+	return c.errf("needs a chaos or pogo world")
 }
 
-func (st *state) cmdFlush(c Command) error {
+func (st *state) cmdFlush(c command) error {
 	if len(c.Args) != 0 {
-		return c.Errf("takes no arguments")
+		return c.errf("takes no arguments")
 	}
 	switch st.mode {
 	case modeChaos:
@@ -506,57 +506,57 @@ func (st *state) cmdFlush(c Command) error {
 		st.pogo.col.Flush()
 		return nil
 	}
-	return c.Errf("needs a chaos or pogo world")
+	return c.errf("needs a chaos or pogo world")
 }
 
-func (st *state) cmdDrain(c Command) error {
+func (st *state) cmdDrain(c command) error {
 	cs, err := st.needChaos(c)
 	if err != nil {
 		return err
 	}
 	if len(c.Args) != 0 {
-		return c.Errf("takes no arguments")
+		return c.errf("takes no arguments")
 	}
 	undrained := cs.w.Drain()
 	st.printf("drain: undrained=%d\n", undrained)
 	return nil
 }
 
-func (st *state) cmdPublish(c Command) error {
+func (st *state) cmdPublish(c command) error {
 	cs, err := st.needChaos(c)
 	if err != nil {
 		return err
 	}
 	if len(c.Args) != 4 {
-		return c.Errf("want: publish <from> <to> <channel> <n>")
+		return c.errf("want: publish <from> <to> <channel> <n>")
 	}
 	n, err := strconv.Atoi(c.Args[3])
 	if err != nil {
-		return c.Errf("bad sequence number %q", c.Args[3])
+		return c.errf("bad sequence number %q", c.Args[3])
 	}
 	if err := cs.w.Enqueue(c.Args[0], c.Args[1], c.Args[2], n); err != nil {
-		return c.Errf("%v", err)
+		return c.errf("%v", err)
 	}
 	return nil
 }
 
-func (st *state) cmdKillReboot(c Command, kill bool) error {
+func (st *state) cmdKillReboot(c command, kill bool) error {
 	if len(c.Args) != 1 {
-		return c.Errf("want: %s <entity-glob>", c.Name)
+		return c.errf("want: %s <entity-glob>", c.Name)
 	}
 	switch st.mode {
 	case modeChaos:
 		cs := st.chaos
 		names, err := cs.matchEntities(c.Args[0])
 		if err != nil {
-			return c.Errf("%v", err)
+			return c.errf("%v", err)
 		}
 		n := 0
 		for _, name := range names {
 			f := cs.w.Fault(name)
 			if f == nil {
 				if len(names) == 1 {
-					return c.Errf("%s has no fault wrapper (the collector cannot churn)", name)
+					return c.errf("%s has no fault wrapper (the collector cannot churn)", name)
 				}
 				continue // glob swept up the collector; phones-only is intended
 			}
@@ -572,7 +572,7 @@ func (st *state) cmdKillReboot(c Command, kill bool) error {
 	case modePogo:
 		p := st.pogo
 		if c.Args[0] != "phone" {
-			return c.Errf("pogo mode can only %s the phone", c.Name)
+			return c.errf("pogo mode can only %s the phone", c.Name)
 		}
 		// Kill = pull connectivity; reboot = restore it. Full process reboot
 		// is table4's domain; here the observable is offline buffering.
@@ -584,10 +584,10 @@ func (st *state) cmdKillReboot(c Command, kill bool) error {
 		st.printf("%s: phone\n", c.Name)
 		return nil
 	}
-	return c.Errf("needs a chaos or pogo world")
+	return c.errf("needs a chaos or pogo world")
 }
 
-func (st *state) cmdInjectFault(c Command) error {
+func (st *state) cmdInjectFault(c command) error {
 	cs, err := st.needChaos(c)
 	if err != nil {
 		return err
@@ -599,15 +599,15 @@ func (st *state) cmdInjectFault(c Command) error {
 	if pair, ok := kv["partition"]; ok {
 		parts := strings.Split(pair, ",")
 		if len(parts) != 2 {
-			return c.Errf("partition wants two comma-separated entity globs, got %q", pair)
+			return c.errf("partition wants two comma-separated entity globs, got %q", pair)
 		}
 		as, err := cs.matchEntities(parts[0])
 		if err != nil {
-			return c.Errf("%v", err)
+			return c.errf("%v", err)
 		}
 		bs, err := cs.matchEntities(parts[1])
 		if err != nil {
-			return c.Errf("%v", err)
+			return c.errf("%v", err)
 		}
 		n := 0
 		for _, a := range as {
@@ -645,24 +645,24 @@ func (st *state) cmdInjectFault(c Command) error {
 			formatNum(cs.drop), formatNum(cs.dup), formatNum(cs.corrupt), cs.delay)
 	}
 	if !mixChanged && kv["partition"] == "" {
-		return c.Errf("nothing to inject (want drop=/dup=/corrupt=/delay= or partition=A,B)")
+		return c.errf("nothing to inject (want drop=/dup=/corrupt=/delay= or partition=A,B)")
 	}
 	return nil
 }
 
-func (st *state) cmdHeal(c Command) error {
+func (st *state) cmdHeal(c command) error {
 	cs, err := st.needChaos(c)
 	if err != nil {
 		return err
 	}
 	if len(c.Args) != 0 {
-		return c.Errf("takes no arguments")
+		return c.errf("takes no arguments")
 	}
 	cs.w.Net().HealAll()
 	return nil
 }
 
-func (st *state) cmdCrowd(c Command) error {
+func (st *state) cmdCrowd(c command) error {
 	cs, err := st.needChaos(c)
 	if err != nil {
 		return err
@@ -674,10 +674,10 @@ func (st *state) cmdCrowd(c Command) error {
 	place := pos[0]
 	users, err := strconv.Atoi(pos[1])
 	if err != nil || users < 1 {
-		return c.Errf("bad user count %q", pos[1])
+		return c.errf("bad user count %q", pos[1])
 	}
 	if users > cs.w.Config().Phones {
-		return c.Errf("crowd of %d users exceeds the world's %d phones", users, cs.w.Config().Phones)
+		return c.errf("crowd of %d users exceeds the world's %d phones", users, cs.w.Config().Phones)
 	}
 	seedN, err := kvInt(c, kv, "seed", int(cs.w.Config().Seed))
 	if err != nil {
@@ -696,11 +696,11 @@ func (st *state) cmdCrowd(c Command) error {
 		channel = "flash"
 	}
 	if channel == "upload" || channel == "cmd" {
-		return c.Errf("channel %q is reserved for scheduled traffic (the exactly-once audit would count crowd messages as duplicates)", channel)
+		return c.errf("channel %q is reserved for scheduled traffic (the exactly-once audit would count crowd messages as duplicates)", channel)
 	}
 	members, err := crowdAt(int64(seedN), users, place, at)
 	if err != nil {
-		return c.Errf("%v", err)
+		return c.errf("%v", err)
 	}
 	// Every phone whose user is dwelling at the place publishes a burst —
 	// the flash crowd all lighting up the same cell at once.
@@ -708,7 +708,7 @@ func (st *state) cmdCrowd(c Command) error {
 		from := experiments.ChaosPhoneName(i)
 		for j := 0; j < burst; j++ {
 			if err := cs.w.Enqueue(from, experiments.ChaosCollectorName, channel, j); err != nil {
-				return c.Errf("%v", err)
+				return c.errf("%v", err)
 			}
 		}
 	}
@@ -719,24 +719,24 @@ func (st *state) cmdCrowd(c Command) error {
 
 // --- pogo-mode scripting ---
 
-func (st *state) cmdDeploy(c Command, local bool) error {
+func (st *state) cmdDeploy(c command, local bool) error {
 	p, err := st.needPogo(c)
 	if err != nil {
 		return err
 	}
 	if len(c.Args) != 1 {
-		return c.Errf("want: %s <script.js>", c.Name)
+		return c.errf("want: %s <script.js>", c.Name)
 	}
 	name := c.Args[0]
 	// Script source: an archive section wins (scenarios can carry bespoke
 	// PogoScript), else the embedded script library.
 	var source string
-	if data, ok := st.arch.File(name); ok {
+	if data, ok := st.arch.file(name); ok {
 		source = string(data)
 	} else {
 		source, err = scripts.Source(name)
 		if err != nil {
-			return c.Errf("no archive section %q and no library script: %v", name, err)
+			return c.errf("no archive section %q and no library script: %v", name, err)
 		}
 	}
 	if local {
@@ -745,30 +745,30 @@ func (st *state) cmdDeploy(c Command, local bool) error {
 		err = p.col.Deploy(name, source)
 	}
 	if err != nil {
-		return c.Errf("%v", err)
+		return c.errf("%v", err)
 	}
 	return nil
 }
 
-func (st *state) cmdSubscribe(c Command) error {
+func (st *state) cmdSubscribe(c command) error {
 	p, err := st.needPogo(c)
 	if err != nil {
 		return err
 	}
 	if len(c.Args) != 1 {
-		return c.Errf("want: subscribe <channel>")
+		return c.errf("want: subscribe <channel>")
 	}
 	p.col.LocalContext().Broker().Subscribe(c.Args[0], nil, nil)
 	return nil
 }
 
-func (st *state) cmdConnectivity(c Command, online bool) error {
+func (st *state) cmdConnectivity(c command, online bool) error {
 	p, err := st.needPogo(c)
 	if err != nil {
 		return err
 	}
 	if len(c.Args) != 0 {
-		return c.Errf("takes no arguments")
+		return c.errf("takes no arguments")
 	}
 	if online {
 		p.conn.SetActive(radioInterfaceCellular())
@@ -778,25 +778,25 @@ func (st *state) cmdConnectivity(c Command, online bool) error {
 	return nil
 }
 
-func (st *state) cmdExpectLogCount(c Command) error {
+func (st *state) cmdExpectLogCount(c command) error {
 	p, err := st.needPogo(c)
 	if err != nil {
 		return err
 	}
 	if len(c.Args) != 3 {
-		return c.Errf("want: expect_log_count <log> <op> <n>")
+		return c.errf("want: expect_log_count <log> <op> <n>")
 	}
 	want, err := strconv.ParseFloat(c.Args[2], 64)
 	if err != nil {
-		return c.Errf("bad count %q", c.Args[2])
+		return c.errf("bad count %q", c.Args[2])
 	}
 	have := float64(len(p.col.Logs().Lines(c.Args[0])))
 	ok, err := cmpOp(c.Args[1], have, want)
 	if err != nil {
-		return c.Errf("%v", err)
+		return c.errf("%v", err)
 	}
 	if !ok {
-		return c.Errf("log %q has %s lines, want %s %s",
+		return c.errf("log %q has %s lines, want %s %s",
 			c.Args[0], formatNum(have), c.Args[1], formatNum(want))
 	}
 	return nil
@@ -804,12 +804,12 @@ func (st *state) cmdExpectLogCount(c Command) error {
 
 // --- paper tables ---
 
-func (st *state) cmdTable3(c Command) error {
+func (st *state) cmdTable3(c command) error {
 	if st.mode != modeNone {
-		return c.Errf("table3 is self-contained; run it before any world_up")
+		return c.errf("table3 is self-contained; run it before any world_up")
 	}
 	if len(c.Args) != 0 {
-		return c.Errf("takes no arguments")
+		return c.errf("takes no arguments")
 	}
 	rows := experiments.Table3Obs(st.reg)
 	st.outputs["table3.txt"] = []byte(experiments.RenderTable3(rows))
@@ -823,9 +823,9 @@ func (st *state) cmdTable3(c Command) error {
 	return nil
 }
 
-func (st *state) cmdTable4(c Command) error {
+func (st *state) cmdTable4(c command) error {
 	if st.mode != modeNone {
-		return c.Errf("table4 is self-contained; run it before any world_up")
+		return c.errf("table4 is self-contained; run it before any world_up")
 	}
 	_, kv, err := kvArgs(c, 0, "seed", "days")
 	if err != nil {
@@ -843,7 +843,7 @@ func (st *state) cmdTable4(c Command) error {
 	cfg.Obs = st.reg
 	res, err := experiments.Table4(cfg)
 	if err != nil {
-		return c.Errf("%v", err)
+		return c.errf("%v", err)
 	}
 	st.outputs["table4.txt"] = []byte(experiments.RenderTable4(res))
 	st.printf("table4: %d sessions, %d scans, %d locations -> table4.txt\n",
@@ -855,22 +855,22 @@ func (st *state) cmdTable4(c Command) error {
 
 // delivery returns the active world's delivery audit: a chaos world's as it
 // stands, a fleet's once it has run.
-func (st *state) delivery(c Command) (experiments.Delivery, error) {
+func (st *state) delivery(c command) (experiments.Delivery, error) {
 	switch st.mode {
 	case modeChaos:
 		return st.chaos.w.Result(st.name).Delivery, nil
 	case modeFleet:
 		if st.fleetRes == nil {
-			return experiments.Delivery{}, c.Errf("fleet has not run yet")
+			return experiments.Delivery{}, c.errf("fleet has not run yet")
 		}
 		return st.fleetRes.Delivery, nil
 	}
-	return experiments.Delivery{}, c.Errf("needs a chaos or fleet world")
+	return experiments.Delivery{}, c.errf("needs a chaos or fleet world")
 }
 
-func (st *state) cmdSaveLog(c Command) error {
+func (st *state) cmdSaveLog(c command) error {
 	if len(c.Args) != 1 {
-		return c.Errf("want: save_log <name>")
+		return c.errf("want: save_log <name>")
 	}
 	d, err := st.delivery(c)
 	if err != nil {
@@ -881,27 +881,27 @@ func (st *state) cmdSaveLog(c Command) error {
 	return nil
 }
 
-func (st *state) cmdMatchFile(c Command) error {
+func (st *state) cmdMatchFile(c command) error {
 	if len(c.Args) != 1 {
-		return c.Errf("want: match_file <name>")
+		return c.errf("want: match_file <name>")
 	}
 	name := c.Args[0]
 	out, ok := st.outputs[name]
 	if !ok {
-		return c.Errf("no output %q produced yet (outputs come from table3/table4/save_log)", name)
+		return c.errf("no output %q produced yet (outputs come from table3/table4/save_log)", name)
 	}
 	if st.r.Update {
-		st.arch.SetFile(name, out)
+		st.arch.setFile(name, out)
 		st.updated = true
 		st.printf("match_file: updated %s (%d bytes)\n", name, len(out))
 		return nil
 	}
-	want, ok := st.arch.File(name)
+	want, ok := st.arch.file(name)
 	if !ok {
-		return c.Errf("no golden section %q in the archive (run with -update to create it)", name)
+		return c.errf("no golden section %q in the archive (run with -update to create it)", name)
 	}
 	if !bytes.Equal(fixNL(out), fixNL(want)) {
-		return c.Errf("%s differs from golden (%d vs %d bytes); rerun with -update after an intentional change\n%s",
+		return c.errf("%s differs from golden (%d vs %d bytes); rerun with -update after an intentional change\n%s",
 			name, len(out), len(want), firstDiff(out, want))
 	}
 	st.printf("match_file: %s ok\n", name)
@@ -929,7 +929,7 @@ func firstDiff(got, want []byte) string {
 
 // stat reads a named scalar from the active world: a mode-specific field,
 // else one of the delivery audit's counts.
-func (st *state) stat(c Command, field string) (float64, error) {
+func (st *state) stat(c command, field string) (float64, error) {
 	switch st.mode {
 	case modeChaos:
 		cs := st.chaos
@@ -983,7 +983,7 @@ func (st *state) stat(c Command, field string) (float64, error) {
 }
 
 // deliveryStat reads one of a delivery audit's counts.
-func deliveryStat(c Command, d experiments.Delivery, field string) (float64, error) {
+func deliveryStat(c command, d experiments.Delivery, field string) (float64, error) {
 	switch field {
 	case "expected":
 		return float64(d.Expected), nil
@@ -998,12 +998,12 @@ func deliveryStat(c Command, d experiments.Delivery, field string) (float64, err
 	case "undrained":
 		return float64(d.Undrained), nil
 	}
-	return 0, c.Errf("unknown stat %q", field)
+	return 0, c.errf("unknown stat %q", field)
 }
 
-func (st *state) cmdExpectStat(c Command) error {
+func (st *state) cmdExpectStat(c command) error {
 	if len(c.Args) != 3 {
-		return c.Errf("want: expect_stat <field> <op> <n>")
+		return c.errf("want: expect_stat <field> <op> <n>")
 	}
 	have, err := st.stat(c, c.Args[0])
 	if err != nil {
@@ -1011,19 +1011,19 @@ func (st *state) cmdExpectStat(c Command) error {
 	}
 	want, err := strconv.ParseFloat(c.Args[2], 64)
 	if err != nil {
-		return c.Errf("bad number %q", c.Args[2])
+		return c.errf("bad number %q", c.Args[2])
 	}
 	ok, err := cmpOp(c.Args[1], have, want)
 	if err != nil {
-		return c.Errf("%v", err)
+		return c.errf("%v", err)
 	}
 	if !ok {
-		return c.Errf("%s = %s, want %s %s", c.Args[0], formatNum(have), c.Args[1], formatNum(want))
+		return c.errf("%s = %s, want %s %s", c.Args[0], formatNum(have), c.Args[1], formatNum(want))
 	}
 	return nil
 }
 
-func (st *state) cmdExpectDelivered(c Command) error {
+func (st *state) cmdExpectDelivered(c command) error {
 	switch len(c.Args) {
 	case 0:
 		// Bare form: every expected message arrived and nothing is pending.
@@ -1032,7 +1032,7 @@ func (st *state) cmdExpectDelivered(c Command) error {
 			return err
 		}
 		if d.Delivered < d.Expected || d.Undrained != 0 {
-			return c.Errf("delivered %d of %d expected (undrained %d)",
+			return c.errf("delivered %d of %d expected (undrained %d)",
 				d.Delivered, d.Expected, d.Undrained)
 		}
 		return nil
@@ -1043,60 +1043,60 @@ func (st *state) cmdExpectDelivered(c Command) error {
 		}
 		want, err := strconv.ParseFloat(c.Args[1], 64)
 		if err != nil {
-			return c.Errf("bad number %q", c.Args[1])
+			return c.errf("bad number %q", c.Args[1])
 		}
 		ok, err := cmpOp(c.Args[0], have, want)
 		if err != nil {
-			return c.Errf("%v", err)
+			return c.errf("%v", err)
 		}
 		if !ok {
-			return c.Errf("delivered = %s, want %s %s", formatNum(have), c.Args[0], formatNum(want))
+			return c.errf("delivered = %s, want %s %s", formatNum(have), c.Args[0], formatNum(want))
 		}
 		return nil
 	}
-	return c.Errf("want: expect_delivered [<op> <n>]")
+	return c.errf("want: expect_delivered [<op> <n>]")
 }
 
-func (st *state) cmdExpectLogSHA(c Command) error {
+func (st *state) cmdExpectLogSHA(c command) error {
 	if len(c.Args) != 1 {
-		return c.Errf("want: expect_log_sha256 <hex>")
+		return c.errf("want: expect_log_sha256 <hex>")
 	}
 	d, err := st.delivery(c)
 	if err != nil {
 		return err
 	}
 	if d.LogSHA256 != c.Args[0] {
-		return c.Errf("log sha256 = %s, want %s", d.LogSHA256, c.Args[0])
+		return c.errf("log sha256 = %s, want %s", d.LogSHA256, c.Args[0])
 	}
 	return nil
 }
 
-func (st *state) cmdExpectOutputSHA(c Command) error {
+func (st *state) cmdExpectOutputSHA(c command) error {
 	if len(c.Args) != 2 {
-		return c.Errf("want: expect_output_sha256 <name> <hex>")
+		return c.errf("want: expect_output_sha256 <name> <hex>")
 	}
 	out, ok := st.outputs[c.Args[0]]
 	if !ok {
-		return c.Errf("no output %q produced yet", c.Args[0])
+		return c.errf("no output %q produced yet", c.Args[0])
 	}
 	sum := sha256.Sum256(out)
 	have := hex.EncodeToString(sum[:])
 	if have != c.Args[1] {
-		return c.Errf("%s sha256 = %s, want %s", c.Args[0], have, c.Args[1])
+		return c.errf("%s sha256 = %s, want %s", c.Args[0], have, c.Args[1])
 	}
 	return nil
 }
 
-func (st *state) cmdAudit(c Command) error {
+func (st *state) cmdAudit(c command) error {
 	if len(c.Args) != 0 {
-		return c.Errf("takes no arguments")
+		return c.errf("takes no arguments")
 	}
 	d, err := st.delivery(c)
 	if err != nil {
 		return err
 	}
 	if err := d.Err(); err != nil {
-		return c.Errf("%v", err)
+		return c.errf("%v", err)
 	}
 	st.printf("audit_exactly_once: ok\n")
 	return nil
@@ -1111,7 +1111,7 @@ func (st *state) cmdAudit(c Command) error {
 //
 //	expect_alert <rule> [state=firing|pending]   — rule is in that state
 //	expect_no_alert <rule>                       — rule is inactive
-func (st *state) cmdExpectAlert(c Command, wantActive bool) error {
+func (st *state) cmdExpectAlert(c command, wantActive bool) error {
 	pos, kv, err := kvArgs(c, 1, "state")
 	if err != nil {
 		return err
@@ -1119,14 +1119,14 @@ func (st *state) cmdExpectAlert(c Command, wantActive bool) error {
 	engine := st.reg.Alerts()
 	state, ok := engine.State(pos[0])
 	if !ok {
-		return c.Errf("no alert rule %q is installed (rules load when a world comes up)", pos[0])
+		return c.errf("no alert rule %q is installed (rules load when a world comes up)", pos[0])
 	}
 	if !wantActive {
 		if len(kv) != 0 {
-			return c.Errf("expect_no_alert takes no options")
+			return c.errf("expect_no_alert takes no options")
 		}
 		if state != obs.AlertInactive {
-			return c.Errf("alert %q is %s, want inactive", pos[0], state)
+			return c.errf("alert %q is %s, want inactive", pos[0], state)
 		}
 		st.printf("expect_no_alert: %s ok\n", pos[0])
 		return nil
@@ -1137,10 +1137,10 @@ func (st *state) cmdExpectAlert(c Command, wantActive bool) error {
 	case "pending":
 		want = obs.AlertPending
 	default:
-		return c.Errf("bad state=%q (want firing or pending)", kv["state"])
+		return c.errf("bad state=%q (want firing or pending)", kv["state"])
 	}
 	if state != want {
-		return c.Errf("alert %q is %s, want %s", pos[0], state, want)
+		return c.errf("alert %q is %s, want %s", pos[0], state, want)
 	}
 	st.printf("expect_alert: %s %s ok\n", pos[0], want)
 	return nil
@@ -1149,9 +1149,9 @@ func (st *state) cmdExpectAlert(c Command, wantActive bool) error {
 // cmdSaveAlertLog captures the alert transition log as a named output, so
 // match_file can pin exactly which rules fired and in what order — the alert
 // analogue of save_log.
-func (st *state) cmdSaveAlertLog(c Command) error {
+func (st *state) cmdSaveAlertLog(c command) error {
 	if len(c.Args) != 1 {
-		return c.Errf("want: save_alert_log <name>")
+		return c.errf("want: save_alert_log <name>")
 	}
 	log := st.reg.Alerts().FormatLog()
 	st.outputs[c.Args[0]] = []byte(log)
@@ -1161,9 +1161,9 @@ func (st *state) cmdSaveAlertLog(c Command) error {
 
 // --- metrics ---
 
-func (st *state) cmdExpectMetric(c Command) error {
+func (st *state) cmdExpectMetric(c command) error {
 	if len(c.Args) != 3 {
-		return c.Errf("want: expect_metric <name{labels}> <op> <n>")
+		return c.errf("want: expect_metric <name{labels}> <op> <n>")
 	}
 	have, err := st.metricValue(c, c.Args[0])
 	if err != nil {
@@ -1171,14 +1171,14 @@ func (st *state) cmdExpectMetric(c Command) error {
 	}
 	want, err := strconv.ParseFloat(c.Args[2], 64)
 	if err != nil {
-		return c.Errf("bad number %q", c.Args[2])
+		return c.errf("bad number %q", c.Args[2])
 	}
 	ok, err := cmpOp(c.Args[1], have, want)
 	if err != nil {
-		return c.Errf("%v", err)
+		return c.errf("%v", err)
 	}
 	if !ok {
-		return c.Errf("%s = %s, want %s %s", c.Args[0], formatNum(have), c.Args[1], formatNum(want))
+		return c.errf("%s = %s, want %s %s", c.Args[0], formatNum(have), c.Args[1], formatNum(want))
 	}
 	return nil
 }
@@ -1187,10 +1187,10 @@ func (st *state) cmdExpectMetric(c Command) error {
 // families read the ledger (summing over rows matching the given partial
 // device/script/topic labels); everything else is an exact counter/gauge/
 // histogram lookup by canonical key.
-func (st *state) metricValue(c Command, sel string) (float64, error) {
+func (st *state) metricValue(c command, sel string) (float64, error) {
 	name, labels, err := parseSelector(sel)
 	if err != nil {
-		return 0, c.Errf("%v", err)
+		return 0, c.errf("%v", err)
 	}
 	if strings.HasPrefix(name, "pogo_entity_") {
 		return st.entityValue(c, name, labels)
@@ -1206,17 +1206,17 @@ func (st *state) metricValue(c Command, sel string) (float64, error) {
 	if h, ok := snap.Histograms[k]; ok {
 		return float64(h.Count), nil
 	}
-	return 0, c.Errf("metric %q not found", k)
+	return 0, c.errf("metric %q not found", k)
 }
 
-func (st *state) entityValue(c Command, family string, labels []obs.Label) (float64, error) {
+func (st *state) entityValue(c command, family string, labels []obs.Label) (float64, error) {
 	sel := map[string]string{}
 	for _, l := range labels {
 		switch l.Key {
 		case "device", "script", "topic", "state":
 			sel[l.Key] = l.Value
 		default:
-			return 0, c.Errf("entity metrics take device/script/topic/state labels, not %q", l.Key)
+			return 0, c.errf("entity metrics take device/script/topic/state labels, not %q", l.Key)
 		}
 	}
 	st.reg.Collect() // book pending deltas before reading the ledger
@@ -1257,11 +1257,11 @@ func (st *state) entityValue(c Command, family string, labels []obs.Label) (floa
 				total += a.EnergyTotal
 			}
 		default:
-			return 0, c.Errf("unknown entity metric family %q", family)
+			return 0, c.errf("unknown entity metric family %q", family)
 		}
 	}
 	if !matched {
-		return 0, c.Errf("no ledger rows match %s", sel)
+		return 0, c.errf("no ledger rows match %s", sel)
 	}
 	return total, nil
 }

@@ -26,12 +26,12 @@ func FuzzScenarioParse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		arch := ParseTxtar(data) // must never panic or fail
-		out := FormatTxtar(arch)
-		if again := FormatTxtar(ParseTxtar(out)); !bytes.Equal(again, out) {
+		out := formatTxtar(arch)
+		if again := formatTxtar(ParseTxtar(out)); !bytes.Equal(again, out) {
 			t.Fatalf("Parse/Format round trip not stable:\n%q\nvs\n%q", out, again)
 		}
 
-		cmds, err := ParseScript("fuzz.txtar", arch.Comment)
+		cmds, err := parseScript("fuzz.txtar", arch.Comment)
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "fuzz.txtar:") {
 				t.Fatalf("parse error lost its file:line position: %v", err)
@@ -45,7 +45,7 @@ func FuzzScenarioParse(f *testing.F) {
 			if c.Line < 1 {
 				t.Fatalf("command %q has line %d", c.Name, c.Line)
 			}
-			if e := c.Errf("boom"); !strings.HasPrefix(e.Error(), "fuzz.txtar:") {
+			if e := c.errf("boom"); !strings.HasPrefix(e.Error(), "fuzz.txtar:") {
 				t.Fatalf("Errf lost the position: %v", e)
 			}
 		}

@@ -9,8 +9,8 @@ import (
 	"pogo/internal/obs"
 )
 
-// Command is one parsed script line.
-type Command struct {
+// command is one parsed script line.
+type command struct {
 	File  string
 	Line  int      // 1-based line within the archive file
 	Neg   bool     // `! cmd`: the command must fail
@@ -20,10 +20,10 @@ type Command struct {
 	Raw   string // the line as written, for transcript echo
 }
 
-// Errf formats a script error carrying its file:line position — every
+// errf formats a script error carrying its file:line position — every
 // parse- and run-time failure in this package goes through it, so error
 // text is always attributable to the scenario line that caused it.
-func (c Command) Errf(format string, args ...any) error {
+func (c command) errf(format string, args ...any) error {
 	return fmt.Errorf("%s:%d: %s: %s", c.File, c.Line, c.Name, fmt.Sprintf(format, args...))
 }
 
@@ -31,11 +31,11 @@ func parseErrf(file string, line int, format string, args ...any) error {
 	return fmt.Errorf("%s:%d: %s", file, line, fmt.Sprintf(format, args...))
 }
 
-// ParseScript parses the comment section of a scenario archive into its
+// parseScript parses the comment section of a scenario archive into its
 // command list. Blank lines and lines whose first token starts with `#` are
 // skipped. Errors carry file:line.
-func ParseScript(file string, comment []byte) ([]Command, error) {
-	var cmds []Command
+func parseScript(file string, comment []byte) ([]command, error) {
+	var cmds []command
 	for i, raw := range strings.Split(string(comment), "\n") {
 		lineNo := i + 1
 		line := strings.TrimSuffix(raw, "\r")
@@ -50,7 +50,7 @@ func ParseScript(file string, comment []byte) ([]Command, error) {
 		if len(toks) == 0 {
 			continue
 		}
-		cmd := Command{File: file, Line: lineNo, Raw: trimmed}
+		cmd := command{File: file, Line: lineNo, Raw: trimmed}
 		// Condition prefixes, then optional negation, then the name.
 		for len(toks) > 0 && strings.HasPrefix(toks[0], "[") {
 			t := toks[0]
@@ -124,16 +124,16 @@ func tokenize(line string) ([]string, error) {
 // kvArgs splits a command's arguments into leading positional arguments and
 // key=value options, validating every key against allowed. Positional
 // arguments must precede options.
-func kvArgs(c Command, positional int, allowed ...string) ([]string, map[string]string, error) {
+func kvArgs(c command, positional int, allowed ...string) ([]string, map[string]string, error) {
 	if len(c.Args) < positional {
-		return nil, nil, c.Errf("want %d positional argument(s), got %d", positional, len(c.Args))
+		return nil, nil, c.errf("want %d positional argument(s), got %d", positional, len(c.Args))
 	}
 	pos := c.Args[:positional]
 	kv := make(map[string]string)
 	for _, a := range c.Args[positional:] {
 		eq := strings.IndexByte(a, '=')
 		if eq <= 0 {
-			return nil, nil, c.Errf("argument %q is not key=value", a)
+			return nil, nil, c.errf("argument %q is not key=value", a)
 		}
 		k, v := a[:eq], a[eq+1:]
 		ok := false
@@ -144,10 +144,10 @@ func kvArgs(c Command, positional int, allowed ...string) ([]string, map[string]
 			}
 		}
 		if !ok {
-			return nil, nil, c.Errf("unknown option %q (allowed: %s)", k, strings.Join(allowed, ", "))
+			return nil, nil, c.errf("unknown option %q (allowed: %s)", k, strings.Join(allowed, ", "))
 		}
 		if _, dup := kv[k]; dup {
-			return nil, nil, c.Errf("duplicate option %q", k)
+			return nil, nil, c.errf("duplicate option %q", k)
 		}
 		kv[k] = v
 	}
@@ -156,41 +156,41 @@ func kvArgs(c Command, positional int, allowed ...string) ([]string, map[string]
 
 // kvDuration parses an optional duration option ("10m", "1h30m"); def when
 // absent.
-func kvDuration(c Command, kv map[string]string, key string, def time.Duration) (time.Duration, error) {
+func kvDuration(c command, kv map[string]string, key string, def time.Duration) (time.Duration, error) {
 	v, ok := kv[key]
 	if !ok {
 		return def, nil
 	}
 	d, err := time.ParseDuration(v)
 	if err != nil {
-		return 0, c.Errf("bad duration %s=%q: %v", key, v, err)
+		return 0, c.errf("bad duration %s=%q: %v", key, v, err)
 	}
 	if d < 0 {
-		return 0, c.Errf("negative duration %s=%q", key, v)
+		return 0, c.errf("negative duration %s=%q", key, v)
 	}
 	return d, nil
 }
 
-func kvFloat(c Command, kv map[string]string, key string, def float64) (float64, error) {
+func kvFloat(c command, kv map[string]string, key string, def float64) (float64, error) {
 	v, ok := kv[key]
 	if !ok {
 		return def, nil
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return 0, c.Errf("bad number %s=%q", key, v)
+		return 0, c.errf("bad number %s=%q", key, v)
 	}
 	return f, nil
 }
 
-func kvInt(c Command, kv map[string]string, key string, def int) (int, error) {
+func kvInt(c command, kv map[string]string, key string, def int) (int, error) {
 	v, ok := kv[key]
 	if !ok {
 		return def, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, c.Errf("bad integer %s=%q", key, v)
+		return 0, c.errf("bad integer %s=%q", key, v)
 	}
 	return n, nil
 }

@@ -13,33 +13,33 @@ func TestParseScript(t *testing.T) {
 	tests := []struct {
 		name   string
 		src    string
-		want   []Command // Raw omitted; filled from src line in the check
+		want   []command // Raw omitted; filled from src line in the check
 		errSub string    // non-empty: parse must fail containing this
 	}{
 		{
 			name: "plain command with args",
 			src:  "world_up 50 1 seed=1\n",
-			want: []Command{{Line: 1, Name: "world_up", Args: []string{"50", "1", "seed=1"}}},
+			want: []command{{Line: 1, Name: "world_up", Args: []string{"50", "1", "seed=1"}}},
 		},
 		{
 			name: "comments and blanks are skipped",
 			src:  "# a comment\n\n  \nrun\n",
-			want: []Command{{Line: 4, Name: "run"}},
+			want: []command{{Line: 4, Name: "run"}},
 		},
 		{
 			name: "condition prefixes stack",
 			src:  "[short] [!race] skip too slow\n",
-			want: []Command{{Line: 1, Conds: []string{"short", "!race"}, Name: "skip", Args: []string{"too", "slow"}}},
+			want: []command{{Line: 1, Conds: []string{"short", "!race"}, Name: "skip", Args: []string{"too", "slow"}}},
 		},
 		{
 			name: "negation after conditions",
 			src:  "[chaos] ! kill collector\n",
-			want: []Command{{Line: 1, Conds: []string{"chaos"}, Neg: true, Name: "kill", Args: []string{"collector"}}},
+			want: []command{{Line: 1, Conds: []string{"chaos"}, Neg: true, Name: "kill", Args: []string{"collector"}}},
 		},
 		{
 			name: "quoted tokens keep spaces and doubled quotes",
 			src:  "skip 'two words' 'it''s'\n",
-			want: []Command{{Line: 1, Name: "skip", Args: []string{"two words", "it's"}}},
+			want: []command{{Line: 1, Name: "skip", Args: []string{"two words", "it's"}}},
 		},
 		{
 			name:   "malformed condition",
@@ -59,7 +59,7 @@ func TestParseScript(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			cmds, err := ParseScript("f.txtar", []byte(tc.src))
+			cmds, err := parseScript("f.txtar", []byte(tc.src))
 			if tc.errSub != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.errSub) {
 					t.Fatalf("err = %v, want containing %q", err, tc.errSub)
@@ -85,7 +85,7 @@ func TestParseScript(t *testing.T) {
 // Unknown commands parse fine (the DSL is open at parse time) and fail at
 // dispatch with a file:line error.
 func TestUnknownCommandFailsAtDispatch(t *testing.T) {
-	_, err := (&Runner{}).Run("u.txtar", []byte("frobnicate now\n"))
+	_, err := (&Runner{}).run("u.txtar", []byte("frobnicate now\n"))
 	if err == nil || err.Error() != "u.txtar:1: frobnicate: unknown command" {
 		t.Fatalf("err = %v", err)
 	}
@@ -94,15 +94,15 @@ func TestUnknownCommandFailsAtDispatch(t *testing.T) {
 // world_up validates its option keys: a fleet is partitioned by shards= and
 // nothing else.
 func TestWorldUpRejectsUnknownOption(t *testing.T) {
-	_, err := (&Runner{}).Run("u.txtar", []byte("world_up 8 2 shards=2 procs=2\n"))
+	_, err := (&Runner{}).run("u.txtar", []byte("world_up 8 2 shards=2 procs=2\n"))
 	if err == nil || !strings.Contains(err.Error(), `unknown option "procs"`) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestKVArgs(t *testing.T) {
-	mk := func(args ...string) Command {
-		return Command{File: "f", Line: 1, Name: "cmd", Args: args}
+	mk := func(args ...string) command {
+		return command{File: "f", Line: 1, Name: "cmd", Args: args}
 	}
 	t.Run("positional then options", func(t *testing.T) {
 		pos, kv, err := kvArgs(mk("a", "b", "seed=4", "delay=50ms"), 2, "seed", "delay")
@@ -118,7 +118,7 @@ func TestKVArgs(t *testing.T) {
 	})
 	for _, tc := range []struct {
 		name   string
-		c      Command
+		c      command
 		n      int
 		errSub string
 	}{
@@ -137,7 +137,7 @@ func TestKVArgs(t *testing.T) {
 }
 
 func TestKVTypedOptions(t *testing.T) {
-	c := Command{File: "f", Line: 3, Name: "cmd"}
+	c := command{File: "f", Line: 3, Name: "cmd"}
 	if d, err := kvDuration(c, map[string]string{"w": "1h30m"}, "w", 0); err != nil || d != 90*time.Minute {
 		t.Errorf("1h30m -> %v, %v", d, err)
 	}
@@ -242,17 +242,17 @@ func TestTxtarRoundTrip(t *testing.T) {
 	if string(arch.Comment) != "run\n" {
 		t.Errorf("comment = %q", arch.Comment)
 	}
-	if data, ok := arch.File("b.txt"); !ok || string(data) != "no trailing newline\n" {
+	if data, ok := arch.file("b.txt"); !ok || string(data) != "no trailing newline\n" {
 		t.Errorf("b.txt = %q, %v (want newline restored)", data, ok)
 	}
-	arch.SetFile("a.txt", []byte("replaced\n"))
-	arch.SetFile("c.txt", []byte("appended\n"))
-	out := FormatTxtar(arch)
+	arch.setFile("a.txt", []byte("replaced\n"))
+	arch.setFile("c.txt", []byte("appended\n"))
+	out := formatTxtar(arch)
 	want := "run\n-- a.txt --\nreplaced\n-- b.txt --\nno trailing newline\n-- c.txt --\nappended\n"
 	if string(out) != want {
 		t.Errorf("FormatTxtar = %q\nwant         %q", out, want)
 	}
-	if again := FormatTxtar(ParseTxtar(out)); string(again) != want {
+	if again := formatTxtar(ParseTxtar(out)); string(again) != want {
 		t.Errorf("Parse/Format round trip drifted: %q", again)
 	}
 }

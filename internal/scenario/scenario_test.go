@@ -62,7 +62,7 @@ func TestScenarios(t *testing.T) {
 // transcript up to the failing line, and the error names file:line.
 func TestRunnerReportsTranscriptOnFailure(t *testing.T) {
 	src := []byte("world_up 2 1 seed=3\nexpect_stat duplicated == 1\n")
-	res, err := (&Runner{}).Run("fail.txtar", src)
+	res, err := (&Runner{}).run("fail.txtar", src)
 	if err == nil {
 		t.Fatal("want an error from the failing assertion")
 	}
@@ -78,7 +78,7 @@ func TestRunnerReportsTranscriptOnFailure(t *testing.T) {
 // command unexpectedly succeeds.
 func TestRunnerNegationFailsOnSuccess(t *testing.T) {
 	src := []byte("world_up 2 1\n! expect_stat rounds > 0\n")
-	if _, err := (&Runner{}).Run("neg.txtar", src); err == nil {
+	if _, err := (&Runner{}).run("neg.txtar", src); err == nil {
 		t.Fatal("negated command succeeded but the run passed")
 	}
 }
@@ -88,14 +88,14 @@ func TestRunnerNegationFailsOnSuccess(t *testing.T) {
 // within one mode.
 func TestRunnerShortSkip(t *testing.T) {
 	src := []byte("[short] skip small machines only\nworld_up 2 1\n")
-	res, err := (&Runner{Short: true}).Run("short.txtar", src)
+	res, err := (&Runner{Short: true}).run("short.txtar", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Skipped || res.SkipReason != "small machines only" {
 		t.Errorf("Skipped=%v reason=%q, want skip with reason", res.Skipped, res.SkipReason)
 	}
-	res, err = (&Runner{}).Run("short.txtar", src)
+	res, err = (&Runner{}).run("short.txtar", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCrowdStatEndsWithItsWorld(t *testing.T) {
 		{"no world", "expect_stat crowd >= 0\n", "needs a chaos or fleet world"},
 		{"fleet world", "world_up 4 1 shards=1 msgs=1 cmds=1\nrun\nexpect_stat crowd >= 0\n", `unknown stat "crowd"`},
 	} {
-		_, err := (&Runner{}).Run("crowd.txtar", []byte(chaos+tc.tail))
+		_, err := (&Runner{}).run("crowd.txtar", []byte(chaos+tc.tail))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: crowd stat after world_down: err = %v, want %q", tc.name, err, tc.want)
 		}

@@ -48,8 +48,8 @@ func ParseTxtar(data []byte) *Archive {
 	return a
 }
 
-// File returns the named section's contents and whether it exists.
-func (a *Archive) File(name string) ([]byte, bool) {
+// file returns the named section's contents and whether it exists.
+func (a *Archive) file(name string) ([]byte, bool) {
 	for _, f := range a.Files {
 		if f.Name == name {
 			return f.Data, true
@@ -58,9 +58,9 @@ func (a *Archive) File(name string) ([]byte, bool) {
 	return nil, false
 }
 
-// SetFile replaces (or appends) the named section — the `-update` golden
+// setFile replaces (or appends) the named section — the `-update` golden
 // regeneration path.
-func (a *Archive) SetFile(name string, data []byte) {
+func (a *Archive) setFile(name string, data []byte) {
 	for i := range a.Files {
 		if a.Files[i].Name == name {
 			a.Files[i].Data = data
@@ -70,9 +70,9 @@ func (a *Archive) SetFile(name string, data []byte) {
 	a.Files = append(a.Files, File{Name: name, Data: data})
 }
 
-// FormatTxtar serializes the archive back to txtar bytes. Parse∘Format is
+// formatTxtar serializes the archive back to txtar bytes. Parse∘Format is
 // the identity on Format's output (fuzzed in FuzzScenarioParse).
-func FormatTxtar(a *Archive) []byte {
+func formatTxtar(a *Archive) []byte {
 	var buf bytes.Buffer
 	buf.Write(fixNL(a.Comment))
 	for _, f := range a.Files {

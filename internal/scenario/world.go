@@ -136,17 +136,6 @@ func (p *pogoState) close() {
 	}
 }
 
-// node returns the named pogo-mode node.
-func (p *pogoState) node(name string) (*core.Node, error) {
-	switch name {
-	case "collector":
-		return p.col, nil
-	case "phone":
-		return p.dev, nil
-	}
-	return nil, fmt.Errorf("unknown node %q (want phone or collector)", name)
-}
-
 // Thin radio indirections so engine.go stays free of the radio import.
 func radioDefaultCarrier() radio.CarrierProfile { return radio.KPN }
 func radioInterfaceNone() radio.Interface       { return radio.InterfaceNone }

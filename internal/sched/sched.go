@@ -154,9 +154,6 @@ func New(clk vclock.Clock, dev *android.Device) *Scheduler {
 // Clock returns the scheduler's clock.
 func (s *Scheduler) Clock() vclock.Clock { return s.clk }
 
-// Device returns the attached device, or nil on a collector node.
-func (s *Scheduler) Device() *android.Device { return s.dev }
-
 // Submit runs task as soon as possible (at the current instant in simulated
 // time), holding a wake lock around it on a device.
 func (s *Scheduler) Submit(name string, task func()) {

@@ -128,7 +128,7 @@ func TestAccessors(t *testing.T) {
 	clk := vclock.NewSim()
 	dev := android.NewDevice(clk, nil, android.Config{})
 	s := New(clk, dev)
-	if s.Clock() != vclock.Clock(clk) || s.Device() != dev {
+	if s.Clock() != vclock.Clock(clk) || s.dev != dev {
 		t.Error("accessors wrong")
 	}
 }

@@ -107,12 +107,12 @@ type tryStmt struct {
 
 type numberLit struct {
 	base
-	value Value // the float64, boxed once by the parser
+	value value // the float64, boxed once by the parser
 }
 
 type stringLit struct {
 	base
-	value Value // the string, boxed once by the parser
+	value value // the string, boxed once by the parser
 }
 
 type boolLit struct {

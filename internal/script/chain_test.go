@@ -74,7 +74,7 @@ func TestChainInLoopHitsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Start(); err == nil || !strings.Contains(err.Error(), ErrBudget.Error()) {
+	if err := s.Start(); err == nil || !strings.Contains(err.Error(), errBudget.Error()) {
 		t.Errorf("Start = %v, want budget error", err)
 	}
 	if st := s.StatsSnapshot(); st.DeadlineExceeded != 1 || st.Steps != 10_001 {

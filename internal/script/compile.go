@@ -44,7 +44,7 @@ import (
 
 // expr evaluates an expression; stmt executes a statement.
 type (
-	expr func(in *interp, fr *frame) (Value, error)
+	expr func(in *interp, fr *frame) (value, error)
 	stmt func(in *interp, fr *frame) (completion, error)
 )
 
@@ -312,13 +312,13 @@ func (c *compiler) closureEnv() func(fr *frame) *frame {
 }
 
 // declare compiles the declaration of id in the current frame.
-func (c *compiler) declare(id string) func(in *interp, fr *frame, v Value) {
+func (c *compiler) declare(id string) func(in *interp, fr *frame, v value) {
 	if c.cur == nil {
 		n := &name{id: msg.InternString(id)}
-		return func(in *interp, _ *frame, v Value) { in.setGlobal(n, v) }
+		return func(in *interp, _ *frame, v value) { in.setGlobal(n, v) }
 	}
 	slot := c.cur.slots[id]
-	return func(_ *interp, fr *frame, v Value) { fr.vals[slot] = v }
+	return func(_ *interp, fr *frame, v value) { fr.vals[slot] = v }
 }
 
 // ident compiles a read of a name. A name whose one local place is a slot
@@ -328,7 +328,7 @@ func (c *compiler) ident(e *ident) expr {
 	line, n := e.line, c.resolve(e.name)
 	if len(n.locals) == 1 && n.locals[0].hops == 0 {
 		slot := n.locals[0].slot
-		return func(in *interp, fr *frame) (Value, error) {
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
@@ -341,7 +341,7 @@ func (c *compiler) ident(e *ident) expr {
 			return nil, n.undefined(in, line)
 		}
 	}
-	return func(in *interp, fr *frame) (Value, error) {
+	return func(in *interp, fr *frame) (value, error) {
 		if in.spend() {
 			return nil, in.overBudget(line)
 		}
@@ -367,7 +367,7 @@ func (c *compiler) stmts(ns []node) []stmt {
 func (c *compiler) block(line int, body []node, funcs []*funcDecl) stmt {
 	type hoist struct {
 		code    *code
-		declare func(in *interp, fr *frame, v Value)
+		declare func(in *interp, fr *frame, v value)
 	}
 	hoists := make([]hoist, len(funcs))
 	for i, fd := range funcs {
@@ -380,7 +380,7 @@ func (c *compiler) block(line int, body []node, funcs []*funcDecl) stmt {
 			return normal, in.overBudget(line)
 		}
 		for _, h := range hoists {
-			h.declare(in, fr, &Function{code: h.code, env: env(fr)})
+			h.declare(in, fr, &function{code: h.code, env: env(fr)})
 		}
 		for _, s := range list {
 			if done, err := s(in, fr); done != normal || err != nil {
@@ -420,15 +420,15 @@ func (c *compiler) stmt(n node) stmt {
 	case *forInStmt:
 		return c.forInStmt(s)
 	case *returnStmt:
-		value := c.optExpr(s.value)
+		val := c.optExpr(s.value)
 		return func(in *interp, fr *frame) (completion, error) {
 			if in.spend() {
 				return normal, in.overBudget(line)
 			}
-			var v Value = Undefined
-			if value != nil {
+			var v value = undefined
+			if val != nil {
 				var err error
-				if v, err = value(in, fr); err != nil {
+				if v, err = val(in, fr); err != nil {
 					return normal, err
 				}
 			}
@@ -473,7 +473,7 @@ func (c *compiler) optExpr(n node) expr {
 func (c *compiler) varDecl(s *varDecl) stmt {
 	line := s.line
 	inits := make([]expr, len(s.names))
-	decls := make([]func(*interp, *frame, Value), len(s.names))
+	decls := make([]func(*interp, *frame, value), len(s.names))
 	for i, id := range s.names {
 		inits[i] = c.optExpr(s.inits[i])
 		decls[i] = c.declare(id)
@@ -483,7 +483,7 @@ func (c *compiler) varDecl(s *varDecl) stmt {
 			return normal, in.overBudget(line)
 		}
 		for i, init := range inits {
-			var v Value = Undefined
+			var v value = undefined
 			if init != nil {
 				var err error
 				if v, err = init(in, fr); err != nil {
@@ -511,7 +511,7 @@ func (c *compiler) ifStmt(s *ifStmt) stmt {
 		if err != nil {
 			return normal, err
 		}
-		if Truthy(v) {
+		if truthy(v) {
 			return then(in, fr)
 		}
 		if alt != nil {
@@ -546,7 +546,7 @@ func (c *compiler) whileStmt(s *whileStmt) stmt {
 		for {
 			if !post {
 				v, err := cond(in, fr)
-				if err != nil || !Truthy(v) {
+				if err != nil || !truthy(v) {
 					return normal, err
 				}
 			}
@@ -555,7 +555,7 @@ func (c *compiler) whileStmt(s *whileStmt) stmt {
 			}
 			if post {
 				v, err := cond(in, fr)
-				if err != nil || !Truthy(v) {
+				if err != nil || !truthy(v) {
 					return normal, err
 				}
 			}
@@ -590,7 +590,7 @@ func (c *compiler) forStmt(s *forStmt) stmt {
 		for {
 			if cond != nil {
 				v, err := cond(in, fr)
-				if err != nil || !Truthy(v) {
+				if err != nil || !truthy(v) {
 					return normal, err
 				}
 			}
@@ -614,7 +614,7 @@ const literalSizeMax = 256
 // room for when the object its site made last (nil at first) reached
 // len(last.ents): that many and a quarter more, up to literalSizeMax, and
 // never fewer than the literal's own keys.
-func literalSize(keys int, last *Object) int {
+func literalSize(keys int, last *object) int {
 	if last == nil {
 		return keys
 	}
@@ -625,7 +625,7 @@ func literalSize(keys int, last *Object) int {
 func (c *compiler) forInStmt(s *forInStmt) stmt {
 	line := s.line
 	obj := c.expr(s.obj)
-	var declare func(*interp, *frame, Value)
+	var declare func(*interp, *frame, value)
 	if s.declare {
 		declare = c.declare(s.varName)
 	}
@@ -644,20 +644,20 @@ func (c *compiler) forInStmt(s *forInStmt) stmt {
 		// this one's and cuts the scratch back to its base when it exits.
 		base := len(in.keys)
 		switch o := o.(type) {
-		case *Object:
+		case *object:
 			in.keys = o.appendKeys(in.keys)
-		case *Array:
-			for i := range o.Len() {
+		case *array:
+			for i := range o.len() {
 				in.keys = append(in.keys, strconv.Itoa(i))
 			}
-		case nil, UndefinedType:
+		case nil, undefinedType:
 			return normal, nil
 		default:
-			return normal, in.errorf(line, "for-in over %s", TypeOf(o))
+			return normal, in.errorf(line, "for-in over %s", typeName(o))
 		}
 		top := len(in.keys)
 		if declare != nil {
-			declare(in, fr, Undefined)
+			declare(in, fr, undefined)
 		}
 		done, err := normal, error(nil)
 		for i := base; i < top; i++ {
@@ -731,7 +731,7 @@ func (c *compiler) tryStmt(s *tryStmt) stmt {
 	line := s.line
 	block := c.stmt(s.block)
 	var catchBody, finally stmt
-	var catchVar func(*interp, *frame, Value)
+	var catchVar func(*interp, *frame, value)
 	if s.catchBody != nil {
 		catchVar, catchBody = c.declare(s.catchVar), c.stmt(s.catchBody)
 	}
@@ -769,8 +769,8 @@ func (c *compiler) exprs(ns []node) []expr {
 }
 
 // constant compiles a literal: its value, boxed once.
-func constant(line int, v Value) expr {
-	return func(in *interp, _ *frame) (Value, error) {
+func constant(line int, v value) expr {
+	return func(in *interp, _ *frame) (value, error) {
 		if in.spend() {
 			return nil, in.overBudget(line)
 		}
@@ -790,16 +790,16 @@ func (c *compiler) expr(n node) expr {
 	case *nullLit:
 		return constant(line, nil)
 	case *undefinedLit:
-		return constant(line, Undefined)
+		return constant(line, undefined)
 	case *ident:
 		return c.ident(e)
 	case *arrayLit:
 		elems := c.exprs(e.elems)
-		return func(in *interp, fr *frame) (Value, error) {
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
-			arr := &Array{elems: make([]Value, 0, len(elems))}
+			arr := &array{elems: make([]value, 0, len(elems))}
 			for _, el := range elems {
 				v, err := el(in, fr)
 				if err != nil {
@@ -817,12 +817,12 @@ func (c *compiler) expr(n node) expr {
 		values := c.exprs(e.values)
 		// last is the object this site made most recently: the entries it
 		// reached size the next one's, which are then allocated once.
-		var last *Object
-		return func(in *interp, fr *frame) (Value, error) {
+		var last *object
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
-			obj := NewObject()
+			obj := newObject()
 			if n := literalSize(len(keys), last); n > 0 {
 				obj.ents = make([]entry, 0, n)
 			}
@@ -832,7 +832,7 @@ func (c *compiler) expr(n node) expr {
 				if err != nil {
 					return nil, err
 				}
-				obj.Set(k, v)
+				obj.set(k, v)
 			}
 			return obj, nil
 		}
@@ -840,7 +840,7 @@ func (c *compiler) expr(n node) expr {
 		return c.funcLit(e)
 	case *member:
 		obj, id := c.expr(e.obj), msg.InternString(e.name)
-		return func(in *interp, fr *frame) (Value, error) {
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
@@ -852,7 +852,7 @@ func (c *compiler) expr(n node) expr {
 		}
 	case *index:
 		obj, key := c.expr(e.obj), c.expr(e.key)
-		return func(in *interp, fr *frame) (Value, error) {
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
@@ -868,7 +868,7 @@ func (c *compiler) expr(n node) expr {
 		}
 	case *call:
 		cs := c.call(e)
-		return func(in *interp, fr *frame) (Value, error) { return cs.run(in, fr, false) }
+		return func(in *interp, fr *frame) (value, error) { return cs.run(in, fr, false) }
 	case *unary:
 		return c.unary(e)
 	case *postfix:
@@ -877,19 +877,19 @@ func (c *compiler) expr(n node) expr {
 		return c.binary(e)
 	case *logical:
 		left, right, and := c.expr(e.left), c.expr(e.right), e.op == "&&"
-		return func(in *interp, fr *frame) (Value, error) {
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
 			l, err := left(in, fr)
-			if err != nil || Truthy(l) != and {
+			if err != nil || truthy(l) != and {
 				return l, err
 			}
 			return right(in, fr)
 		}
 	case *ternary:
 		cond, then, alt := c.expr(e.cond), c.expr(e.then), c.expr(e.alt)
-		return func(in *interp, fr *frame) (Value, error) {
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
@@ -897,7 +897,7 @@ func (c *compiler) expr(n node) expr {
 			if err != nil {
 				return nil, err
 			}
-			if Truthy(v) {
+			if truthy(v) {
 				return then(in, fr)
 			}
 			return alt(in, fr)
@@ -932,19 +932,19 @@ func (c *compiler) funcLit(e *funcLit) expr {
 	line, env := e.line, c.closureEnv()
 	k := c.function(e, e.name != "")
 	if e.name == "" {
-		return func(in *interp, fr *frame) (Value, error) {
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
-			return &Function{code: k, env: env(fr)}, nil
+			return &function{code: k, env: env(fr)}, nil
 		}
 	}
-	return func(in *interp, fr *frame) (Value, error) {
+	return func(in *interp, fr *frame) (value, error) {
 		if in.spend() {
 			return nil, in.overBudget(line)
 		}
-		self := &frame{vals: make([]Value, 1), up: env(fr)}
-		fn := &Function{code: k, env: self}
+		self := &frame{vals: make([]value, 1), up: env(fr)}
+		fn := &function{code: k, env: self}
 		self.vals[0] = fn
 		return fn, nil
 	}
@@ -986,12 +986,12 @@ func (c *compiler) call(e *call) *callSite {
 // (piece) lets a builtin that can write its result as text (json) write it
 // straight into the chain: the string it would return is never made.
 // Charges and evaluation order are the call's as ever.
-func (cs *callSite) run(in *interp, fr *frame, piece bool) (Value, error) {
+func (cs *callSite) run(in *interp, fr *frame, piece bool) (value, error) {
 	if in.spend() {
 		return nil, in.overBudget(cs.line)
 	}
-	var this Value = Undefined
-	var callee Value
+	var this value = undefined
+	var callee value
 	var err error
 	switch cs.kind {
 	case calleeMember:
@@ -1003,7 +1003,7 @@ func (cs *callSite) run(in *interp, fr *frame, piece bool) (Value, error) {
 		if this, err = cs.obj(in, fr); err != nil {
 			return nil, err
 		}
-		var key Value
+		var key value
 		if key, err = cs.key(in, fr); err != nil {
 			return nil, err
 		}
@@ -1029,8 +1029,8 @@ func (cs *callSite) run(in *interp, fr *frame, piece bool) (Value, error) {
 		}
 		in.args[base+i] = v
 	}
-	var v Value
-	if b, ok := callee.(*Builtin); ok && piece && b.text != nil {
+	var v value
+	if b, ok := callee.(*builtin); ok && piece && b.text != nil {
 		var cat []byte
 		if cat, err = b.text(in, in.cat, in.args[base:top:top]); err == nil {
 			in.cat, v = cat, wroteText{}
@@ -1049,18 +1049,18 @@ func (c *compiler) unary(e *unary) expr {
 		// typeof tolerates undefined identifiers.
 		if id, ok := e.operand.(*ident); ok {
 			n := c.resolve(id.name)
-			return func(in *interp, fr *frame) (Value, error) {
+			return func(in *interp, fr *frame) (value, error) {
 				if err := in.charge(line); err != nil {
 					return nil, err
 				}
 				if v, ok := in.lookup(n, fr); ok {
 					return typeOf(v), nil
 				}
-				return typeOf(Undefined), nil
+				return typeOf(undefined), nil
 			}
 		}
 		operand := c.expr(e.operand)
-		return func(in *interp, fr *frame) (Value, error) {
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
@@ -1079,7 +1079,7 @@ func (c *compiler) unary(e *unary) expr {
 		case *index:
 			obj, key = c.expr(t.obj), c.expr(t.key)
 		}
-		return func(in *interp, fr *frame) (Value, error) {
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
@@ -1096,10 +1096,10 @@ func (c *compiler) unary(e *unary) expr {
 				if err != nil {
 					return nil, err
 				}
-				k = ToString(kv)
+				k = toString(kv)
 			}
-			if o, ok := o.(*Object); ok {
-				o.Delete(k)
+			if o, ok := o.(*object); ok {
+				o.delete(k)
 			}
 			return true, nil
 		}
@@ -1107,7 +1107,7 @@ func (c *compiler) unary(e *unary) expr {
 		return c.update(line, e.operand, e.op == "++", false)
 	}
 	operand, op := c.expr(e.operand), e.op
-	return func(in *interp, fr *frame) (Value, error) {
+	return func(in *interp, fr *frame) (value, error) {
 		if in.spend() {
 			return nil, in.overBudget(line)
 		}
@@ -1117,17 +1117,17 @@ func (c *compiler) unary(e *unary) expr {
 		}
 		switch op {
 		case "!":
-			return !Truthy(v), nil
+			return !truthy(v), nil
 		case "-":
-			return boxNum(-ToNumber(v)), nil
+			return boxNum(-toNumber(v)), nil
 		default: // the parser's unary operators end with +
-			return boxNum(ToNumber(v)), nil
+			return boxNum(toNumber(v)), nil
 		}
 	}
 }
 
 // typeNames holds typeof's answers boxed once.
-var typeNames = map[string]Value{}
+var typeNames = map[string]value{}
 
 func init() {
 	for _, t := range []string{"undefined", "object", "boolean", "number", "string", "function"} {
@@ -1135,7 +1135,7 @@ func init() {
 	}
 }
 
-func typeOf(v Value) Value { return typeNames[TypeOf(v)] }
+func typeOf(v value) value { return typeNames[typeName(v)] }
 
 // update compiles ++ and --: the target is read as an expression, then
 // written as an assignment writes it, its object and key evaluated again.
@@ -1145,7 +1145,7 @@ func (c *compiler) update(line int, target node, inc, post bool) expr {
 	if inc {
 		delta = 1
 	}
-	return func(in *interp, fr *frame) (Value, error) {
+	return func(in *interp, fr *frame) (value, error) {
 		if in.spend() {
 			return nil, in.overBudget(line)
 		}
@@ -1153,7 +1153,7 @@ func (c *compiler) update(line int, target node, inc, post bool) expr {
 		if err != nil {
 			return nil, err
 		}
-		n := ToNumber(o)
+		n := toNumber(o)
 		v := boxNum(n + delta)
 		if err := store(in, fr, v); err != nil {
 			return nil, err
@@ -1167,17 +1167,17 @@ func (c *compiler) update(line int, target node, inc, post bool) expr {
 
 // store compiles a write to an assignment target: a name, or a property
 // whose object (and key) it evaluates.
-func (c *compiler) store(target node) func(in *interp, fr *frame, v Value) error {
+func (c *compiler) store(target node) func(in *interp, fr *frame, v value) error {
 	switch t := target.(type) {
 	case *ident:
 		n := c.resolve(t.name)
-		return func(in *interp, fr *frame, v Value) error {
+		return func(in *interp, fr *frame, v value) error {
 			in.assign(n, fr, v)
 			return nil
 		}
 	case *member:
 		obj, id, line := c.expr(t.obj), msg.InternString(t.name), t.line
-		return func(in *interp, fr *frame, v Value) error {
+		return func(in *interp, fr *frame, v value) error {
 			o, err := obj(in, fr)
 			if err != nil {
 				return err
@@ -1186,7 +1186,7 @@ func (c *compiler) store(target node) func(in *interp, fr *frame, v Value) error
 		}
 	case *index:
 		obj, key, line := c.expr(t.obj), c.expr(t.key), t.line
-		return func(in *interp, fr *frame, v Value) error {
+		return func(in *interp, fr *frame, v value) error {
 			o, err := obj(in, fr)
 			if err != nil {
 				return err
@@ -1199,7 +1199,7 @@ func (c *compiler) store(target node) func(in *interp, fr *frame, v Value) error
 		}
 	default:
 		line, _ := target.pos()
-		return func(in *interp, _ *frame, _ Value) error {
+		return func(in *interp, _ *frame, _ value) error {
 			return in.errorf(line, "invalid assignment target")
 		}
 	}
@@ -1207,13 +1207,13 @@ func (c *compiler) store(target node) func(in *interp, fr *frame, v Value) error
 
 func (c *compiler) assign(e *assign) expr {
 	line := e.line
-	store, value := c.store(e.target), c.expr(e.value)
+	store, val := c.store(e.target), c.expr(e.value)
 	if e.op == "=" {
-		return func(in *interp, fr *frame) (Value, error) {
+		return func(in *interp, fr *frame) (value, error) {
 			if in.spend() {
 				return nil, in.overBudget(line)
 			}
-			v, err := value(in, fr)
+			v, err := val(in, fr)
 			if err != nil {
 				return nil, err
 			}
@@ -1225,7 +1225,7 @@ func (c *compiler) assign(e *assign) expr {
 	}
 	old := c.expr(e.target)
 	op := binops[e.op[:1]] // "+=" → "+"
-	return func(in *interp, fr *frame) (Value, error) {
+	return func(in *interp, fr *frame) (value, error) {
 		if in.spend() {
 			return nil, in.overBudget(line)
 		}
@@ -1233,7 +1233,7 @@ func (c *compiler) assign(e *assign) expr {
 		if err != nil {
 			return nil, err
 		}
-		r, err := value(in, fr)
+		r, err := val(in, fr)
 		if err != nil {
 			return nil, err
 		}
@@ -1247,7 +1247,7 @@ func (c *compiler) assign(e *assign) expr {
 
 // binaryValue applies op, taking the short way when both operands are
 // numbers.
-func binaryValue(in *interp, op binop, l, r Value) Value {
+func binaryValue(in *interp, op binop, l, r value) value {
 	if lf, ok := l.(float64); ok {
 		if rf, ok := r.(float64); ok {
 			return numeric(op, lf, rf)
@@ -1262,7 +1262,7 @@ func (c *compiler) binary(e *binary) expr {
 	}
 	line := e.line
 	left, right, op := c.expr(e.left), c.expr(e.right), binops[e.op]
-	return func(in *interp, fr *frame) (Value, error) {
+	return func(in *interp, fr *frame) (value, error) {
 		if in.spend() {
 			return nil, in.overBudget(line)
 		}
@@ -1308,7 +1308,7 @@ func (c *compiler) chain(e *binary) expr {
 			ops = append(ops, chainOperand{e: c.expr(r)})
 		}
 	}
-	return func(in *interp, fr *frame) (Value, error) {
+	return func(in *interp, fr *frame) (value, error) {
 		if in.spend() {
 			return nil, in.overBudget(line)
 		}
@@ -1319,7 +1319,7 @@ func (c *compiler) chain(e *binary) expr {
 	}
 }
 
-func (in *interp) runChain(ch *chain, fr *frame, lines []int, first expr, ops []chainOperand) (Value, error) {
+func (in *interp) runChain(ch *chain, fr *frame, lines []int, first expr, ops []chainOperand) (value, error) {
 	for _, l := range lines {
 		if in.spend() {
 			return nil, in.overBudget(l)
@@ -1330,7 +1330,7 @@ func (in *interp) runChain(ch *chain, fr *frame, lines []int, first expr, ops []
 		return nil, err
 	}
 	for _, op := range ops {
-		var right Value
+		var right value
 		if op.call != nil {
 			right, err = op.call.run(in, fr, ch.text)
 		} else {

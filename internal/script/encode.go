@@ -31,22 +31,15 @@ type encoder struct {
 	buf []byte // the encoding being written, reused from call to call
 }
 
-// ToMsg converts a script value into the msg domain for publication: a
+// toMsg converts a script value into the msg domain for publication: a
 // scalar as itself (undefined as nil), an object or array as its encoding in
 // a buffer of its own, and a view nothing was written to as the message it
 // views, so a script that republishes what it received hands the host the
-// same bytes.
-func ToMsg(v Value) (msg.Value, error) {
-	var e encoder
-	m, _, err := e.toMsg(v)
-	return m, err
-}
-
-// toMsg is ToMsg; forwarded reports a view handed on as the message it
-// views, not encoded for this call.
-func (e *encoder) toMsg(v Value) (m msg.Value, forwarded bool, err error) {
+// same bytes. forwarded reports such a view, handed on rather than encoded
+// for this call.
+func (e *encoder) toMsg(v value) (m msg.Value, forwarded bool, err error) {
 	switch x := v.(type) {
-	case nil, UndefinedType:
+	case nil, undefinedType:
 		return nil, false, nil
 	case bool, float64, string:
 		return x, false, nil
@@ -67,7 +60,7 @@ func (e *encoder) toMsg(v Value) (m msg.Value, forwarded bool, err error) {
 
 // encode writes v's encoding to e.buf, unless v is a view nothing was
 // written to: then it writes nothing and returns the message v views.
-func (e *encoder) encode(v Value) (msg.Raw, error) {
+func (e *encoder) encode(v value) (msg.Raw, error) {
 	if r, ok := cleanView(v); ok {
 		return r, nil
 	}
@@ -77,18 +70,18 @@ func (e *encoder) encode(v Value) (msg.Raw, error) {
 
 // cleanView returns the message v views when v is an object or array
 // nothing was written to.
-func cleanView(v Value) (msg.Raw, bool) {
+func cleanView(v value) (msg.Raw, bool) {
 	switch x := v.(type) {
-	case *Object:
+	case *object:
 		return x.src, x.clean()
-	case *Array:
+	case *array:
 		return x.src, x.clean()
 	}
 	return msg.Raw{}, false
 }
 
 // value appends v, nested depth objects and arrays deep.
-func (e *encoder) value(v Value, depth int) error {
+func (e *encoder) value(v value, depth int) error {
 	if depth > maxNesting {
 		return errNesting
 	}
@@ -97,13 +90,13 @@ func (e *encoder) value(v Value, depth int) error {
 		return nil
 	}
 	switch x := v.(type) {
-	case *Object:
+	case *object:
 		return e.object(x, depth)
-	case *Array:
+	case *array:
 		return e.array(x, depth)
-	case UndefinedType:
+	case undefinedType:
 		v = nil
-	case *Function, *Builtin:
+	case *function, *builtin:
 		return errFunction
 	}
 	b, err := msg.AppendBinary(e.buf, v)
@@ -120,14 +113,14 @@ type sortKey struct {
 	ent int
 }
 
-func (e *encoder) object(o *Object, depth int) error {
+func (e *encoder) object(o *object, depth int) error {
 	// Sorted on the stack: an object of up to len(stack) keys costs nothing
 	// to order.
 	var stack [32]sortKey
 	keys := stack[:0]
 	for i := range o.ents {
 		switch o.ents[i].val.(type) {
-		case *Function, *Builtin:
+		case *function, *builtin:
 			continue
 		}
 		keys = append(keys, sortKey{msg.CanonicalKey(o.ents[i].key), i})
@@ -146,11 +139,11 @@ func (e *encoder) object(o *Object, depth int) error {
 	return nil
 }
 
-func (e *encoder) array(a *Array, depth int) error {
+func (e *encoder) array(a *array, depth int) error {
 	e.buf = msg.AppendArrayHeader(e.buf, len(a.elems))
 	for _, el := range a.elems {
 		switch el.(type) {
-		case *Function, *Builtin:
+		case *function, *builtin:
 			e.buf, _ = msg.AppendBinary(e.buf, nil)
 			continue
 		}

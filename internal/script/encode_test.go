@@ -12,29 +12,29 @@ import (
 	"pogo/internal/msg"
 )
 
-// refToMsg is the tree builder ToMsg was before it wrote the encoding
+// refToMsg is the tree builder toMsg was before it wrote the encoding
 // itself, kept as FuzzToMsg's reference: msg.Encode of the tree it builds is
 // the encoding a script value must have, and msg.AppendJSON of the tree its
 // JSON. Functions are skipped in objects and null in arrays, undefined is
 // null, a view nothing was written to is the message it views, and a value
 // nested more than 64 deep does not convert.
-func refToMsg(v Value, depth int) (msg.Value, error) {
+func refToMsg(v value, depth int) (msg.Value, error) {
 	if depth > 64 {
 		return nil, fmt.Errorf("script: value nesting too deep (cycle?)")
 	}
 	switch x := v.(type) {
-	case nil, UndefinedType:
+	case nil, undefinedType:
 		return nil, nil
 	case bool, float64, string:
 		return x, nil
-	case *Array:
+	case *array:
 		if x.clean() {
 			return x.src, nil
 		}
 		out := make([]msg.Value, 0, len(x.elems))
 		for _, e := range x.elems {
 			switch e.(type) {
-			case *Function, *Builtin:
+			case *function, *builtin:
 				out = append(out, nil)
 				continue
 			}
@@ -45,7 +45,7 @@ func refToMsg(v Value, depth int) (msg.Value, error) {
 			out = append(out, m)
 		}
 		return out, nil
-	case *Object:
+	case *object:
 		if x.clean() {
 			return x.src, nil
 		}
@@ -53,7 +53,7 @@ func refToMsg(v Value, depth int) (msg.Value, error) {
 		for i := range x.ents {
 			e := x.ents[i].val
 			switch e.(type) {
-			case *Function, *Builtin:
+			case *function, *builtin:
 				continue
 			}
 			m, err := refToMsg(e, depth+1)
@@ -63,7 +63,7 @@ func refToMsg(v Value, depth int) (msg.Value, error) {
 			out[x.ents[i].key] = m
 		}
 		return out, nil
-	case *Function, *Builtin:
+	case *function, *builtin:
 		return nil, fmt.Errorf("script: cannot serialize a function")
 	default:
 		return nil, fmt.Errorf("script: cannot serialize %T", v)
@@ -74,7 +74,7 @@ func refToMsg(v Value, depth int) (msg.Value, error) {
 // linearMax keys with keys deleted and set again, arrays, views of messages
 // partly written, the numbers and strings the canonical rules treat
 // specially, keys that are invalid UTF-8 or equal once repaired, functions,
-// undefined, nesting 62 to 66 deep — and requires that ToMsg encode it as
+// undefined, nesting 62 to 66 deep — and requires that toMsg encode it as
 // the reference tree encodes (msg.Encode), and that json() print what
 // msg.AppendJSON prints for the tree; both fail exactly when the reference
 // does. Run e.g. `go test -fuzz 'FuzzToMsg$' -fuzztime 5m ./internal/script`
@@ -98,15 +98,15 @@ func FuzzToMsg(f *testing.F) {
 	})
 }
 
-// checkToMsg compares ToMsg and json() of v with the reference.
-func checkToMsg(t *testing.T, v Value) {
+// checkToMsg compares toMsg and json() of v with the reference.
+func checkToMsg(t *testing.T, v value) {
 	t.Helper()
 	ref, wantErr := refToMsg(v, 0)
 	var want []byte
 	if wantErr == nil {
 		want, wantErr = msg.EncodeBinary(ref)
 	}
-	got, err := ToMsg(v)
+	got, err := toMsg(v)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("ToMsg error %v, reference error %v", err, wantErr)
 	}
@@ -119,7 +119,7 @@ func checkToMsg(t *testing.T, v Value) {
 		return
 	}
 	switch v.(type) {
-	case *Object, *Array:
+	case *object, *array:
 		r, ok := got.(msg.Raw)
 		if !ok {
 			t.Fatalf("ToMsg of %T = %T, want a msg.Raw", v, got)
@@ -243,7 +243,7 @@ func (g *graphGen) key() string {
 
 // value makes a value to be nested depth deep: beyond three levels, only
 // leaves and deep chains.
-func (g *graphGen) value(depth int) Value {
+func (g *graphGen) value(depth int) value {
 	op := byte(g.next()) % graphOps
 	if depth > 3 && op != graphDeep {
 		op %= graphLeaves
@@ -252,7 +252,7 @@ func (g *graphGen) value(depth int) Value {
 	case graphNull:
 		return nil
 	case graphUndefined:
-		return Undefined
+		return undefined
 	case graphBool:
 		return g.next()%2 == 1
 	case graphNumber:
@@ -261,27 +261,27 @@ func (g *graphGen) value(depth int) Value {
 		return graphStrings[g.next()%len(graphStrings)]
 	case graphFunction:
 		if g.next()%2 == 1 {
-			return &Function{}
+			return &function{}
 		}
-		return &Builtin{name: "b"}
+		return &builtin{name: "b"}
 	case graphObject:
-		o := NewObject()
+		o := newObject()
 		for n := g.next() % 24; n > 0; n-- {
-			o.Set(g.key(), g.value(depth+1))
+			o.set(g.key(), g.value(depth+1))
 		}
 		for n := g.next() % 4; n > 0; n-- {
-			o.Delete(g.key())
+			o.delete(g.key())
 		}
 		if g.next()%2 == 1 {
 			k := g.key()
-			o.Delete(k)
-			o.Set(k, g.value(depth+1))
+			o.delete(k)
+			o.set(k, g.value(depth+1))
 		}
 		return o
 	case graphArray:
-		a := NewArray()
+		a := newArray()
 		for n := g.next() % 6; n > 0; n-- {
-			a.SetAt(a.Len()+g.next()%2, g.value(depth+1)) // a hole now and then
+			a.setAt(a.len()+g.next()%2, g.value(depth+1)) // a hole now and then
 		}
 		return a
 	case graphView:
@@ -292,11 +292,11 @@ func (g *graphGen) value(depth int) Value {
 		v := g.value(depth + 4)
 		for i := 0; i < levels; i++ {
 			if g.next()%2 == 0 {
-				o := NewObject()
-				o.Set("d", v)
+				o := newObject()
+				o.set("d", v)
 				v = o
 			} else {
-				v = NewArray(v)
+				v = newArray(v)
 			}
 		}
 		return v
@@ -305,36 +305,36 @@ func (g *graphGen) value(depth int) Value {
 
 // view returns a view of one of graphMessages, or a node inside one, with
 // nothing written, or written at some level.
-func (g *graphGen) view(depth int) Value {
-	o := FromMsg(graphMessages[g.next()%len(graphMessages)]).(*Object)
+func (g *graphGen) view(depth int) value {
+	o := fromMsg(graphMessages[g.next()%len(graphMessages)]).(*object)
 	switch g.next() % 9 {
 	case 1: // filled, nothing written
-		o.Keys()
+		o.keys()
 	case 2: // a clean node inside
-		if v, ok := o.Get("inner"); ok {
+		if v, ok := o.lookup("inner"); ok {
 			return v
 		}
 	case 3:
-		o.Set(g.key(), g.value(depth+1))
+		o.set(g.key(), g.value(depth+1))
 	case 4:
-		o.Delete(g.key())
+		o.delete(g.key())
 	case 5: // written two levels down: the rest stays clean
-		if v, ok := o.Get("inner"); ok {
-			v.(*Object).Set("x", g.value(depth+2))
+		if v, ok := o.lookup("inner"); ok {
+			v.(*object).set("x", g.value(depth+2))
 		}
 	case 6:
-		if v, ok := o.Get("list"); ok {
-			v.(*Array).SetAt(g.next()%4, g.value(depth+2))
+		if v, ok := o.lookup("list"); ok {
+			v.(*array).setAt(g.next()%4, g.value(depth+2))
 		}
 	case 7: // read deep, nothing written
-		if v, ok := o.Get("inner"); ok {
-			d, _ := v.(*Object).Get("deep")
-			d.(*Array).At(1)
+		if v, ok := o.lookup("inner"); ok {
+			d, _ := v.(*object).lookup("deep")
+			d.(*array).at(1)
 		}
 	case 8: // written three levels down
-		if v, ok := o.Get("inner"); ok {
-			d, _ := v.(*Object).Get("deep")
-			d.(*Array).At(1).(*Object).Set("q", g.value(depth+3))
+		if v, ok := o.lookup("inner"); ok {
+			d, _ := v.(*object).lookup("deep")
+			d.(*array).at(1).(*object).set("q", g.value(depth+3))
 		}
 	}
 	return o
@@ -343,41 +343,41 @@ func (g *graphGen) view(depth int) Value {
 // TestToMsgCases runs checkToMsg on the shapes FuzzToMsg aims at, built by
 // hand.
 func TestToMsgCases(t *testing.T) {
-	nest := func(levels int, leaf Value, inArray bool) Value {
+	nest := func(levels int, leaf value, inArray bool) value {
 		v := leaf
 		for i := 0; i < levels; i++ {
 			if inArray {
-				v = NewArray(v)
+				v = newArray(v)
 			} else {
-				o := NewObject()
-				o.Set("d", v)
+				o := newObject()
+				o.set("d", v)
 				v = o
 			}
 		}
 		return v
 	}
-	numbers := NewObject()
+	numbers := newObject()
 	for i, f := range graphNumbers {
-		numbers.Set(fmt.Sprintf("n%02d", i), f)
+		numbers.set(fmt.Sprintf("n%02d", i), f)
 	}
-	wide := NewObject()
+	wide := newObject()
 	for i := 0; i < 3*linearMax; i++ {
-		wide.Set(fmt.Sprintf("k%02d", (i*7)%(3*linearMax)), float64(i))
+		wide.set(fmt.Sprintf("k%02d", (i*7)%(3*linearMax)), float64(i))
 	}
-	wide.Delete("k03")
-	wide.Set("k03", "again")
-	invalid := NewObject()
-	invalid.Set("\x80", 1.0)
-	invalid.Set("é", 2.0)
-	invalid.Set("s", "\xc3")
-	withFunctions := NewObject()
-	withFunctions.Set("f", &Function{})
-	withFunctions.Set("a", NewArray(&Function{}, &Builtin{}, Undefined, nil, NewObject()))
-	withFunctions.Set("u", Undefined)
-	view := FromMsg(graphMessages[0]).(*Object)
-	inner, _ := view.Get("inner")
-	inner.(*Object).Set("x", 2.0)
-	for name, v := range map[string]Value{
+	wide.delete("k03")
+	wide.set("k03", "again")
+	invalid := newObject()
+	invalid.set("\x80", 1.0)
+	invalid.set("é", 2.0)
+	invalid.set("s", "\xc3")
+	withFunctions := newObject()
+	withFunctions.set("f", &function{})
+	withFunctions.set("a", newArray(&function{}, &builtin{}, undefined, nil, newObject()))
+	withFunctions.set("u", undefined)
+	view := fromMsg(graphMessages[0]).(*object)
+	inner, _ := view.lookup("inner")
+	inner.(*object).set("x", 2.0)
+	for name, v := range map[string]value{
 		"numbers":           numbers,
 		"wide":              wide,
 		"invalid UTF-8":     invalid,
@@ -385,18 +385,18 @@ func TestToMsgCases(t *testing.T) {
 		"partly written":    view,
 		"64 deep":           nest(64, 1.0, false),
 		"65 deep":           nest(65, 1.0, true),
-		"65 deep, function": nest(64, NewArray(&Function{}), true),
-		"top function":      &Builtin{},
-		"undefined":         Undefined,
+		"65 deep, function": nest(64, newArray(&function{}), true),
+		"top function":      &builtin{},
+		"undefined":         undefined,
 		"string":            "\xc3",
 	} {
 		t.Run(name, func(t *testing.T) { checkToMsg(t, v) })
 	}
 	for _, k := range []string{"\xc4", "\xef\xbf\xbd"} {
-		o := NewObject()
-		o.Set("\xc3", 1.0)
-		o.Set(k, 2.0)
-		if _, err := ToMsg(o); err == nil || !strings.Contains(err.Error(), "keys equal after UTF-8 repair") {
+		o := newObject()
+		o.set("\xc3", 1.0)
+		o.set(k, 2.0)
+		if _, err := toMsg(o); err == nil || !strings.Contains(err.Error(), "keys equal after UTF-8 repair") {
 			t.Errorf("keys %q and %q: ToMsg error %v", "\xc3", k, err)
 		}
 	}
@@ -487,7 +487,7 @@ func TestPublishTellsForwardsFromEncodings(t *testing.T) {
 // TestJSONOfWrittenObjectAllocations pins json() of an 18-key object the
 // script built, as scan.js builds one: it is encoded and transcoded in the
 // interpreter's buffers, so what it costs is the string and the box that
-// makes it a Value.
+// makes it a value.
 func TestJSONOfWrittenObjectAllocations(t *testing.T) {
 	h, s := run(t, `
 		var o = {};
@@ -498,7 +498,7 @@ func TestJSONOfWrittenObjectAllocations(t *testing.T) {
 	in := s.in
 	if n := testing.AllocsPerRun(100, func() {
 		in.begin(1000)
-		if _, err := in.invoke(0, fn, Undefined, nil); err != nil {
+		if _, err := in.invoke(0, fn, undefined, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 2 {

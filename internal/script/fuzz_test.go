@@ -21,7 +21,7 @@ const (
 // FuzzScript feeds arbitrary bytes to New as a program. Whatever parses is
 // run twice — the body, each subscription's handler on corpusMsg, the
 // timers it sets — under a small budget, and must not panic, must finish,
-// must fail with ErrBudget exactly when an entry runs past the budget, and
+// must fail with errBudget exactly when an entry runs past the budget, and
 // must do exactly the same both times: prints, logs, publishes, errors and
 // Stats.Steps. Run e.g. `go test -fuzz 'FuzzScript$' -fuzztime 5m
 // ./internal/script` for a real session.
@@ -98,7 +98,7 @@ func fuzzTranscript(src string) (string, error) {
 	var b strings.Builder
 	var fail error
 	// entry runs one entry into the script and checks that it failed with
-	// ErrBudget exactly when it took more steps than the budget.
+	// errBudget exactly when it took more steps than the budget.
 	entry := func(what string, run func() error) {
 		before := s.StatsSnapshot()
 		err := run()
@@ -108,7 +108,7 @@ func fuzzTranscript(src string) (string, error) {
 		}
 		steps := after.Steps - before.Steps
 		over := steps > fuzzBudget
-		if fail == nil && (IsBudgetError(err) != over || (after.DeadlineExceeded > before.DeadlineExceeded) != over) {
+		if fail == nil && (isBudgetError(err) != over || (after.DeadlineExceeded > before.DeadlineExceeded) != over) {
 			fail = fmt.Errorf("%s: %d steps of %d, error %v, deadlines %d → %d", what, steps, fuzzBudget, err,
 				before.DeadlineExceeded, after.DeadlineExceeded)
 		}

@@ -13,16 +13,16 @@ type RuntimeError struct {
 	Line   int
 	Msg    string
 	// Thrown holds the value of a script `throw` that escaped, or nil.
-	Thrown Value
+	Thrown value
 }
 
 func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("%s:%d: %s", e.Script, e.Line, e.Msg)
 }
 
-// ErrBudget is wrapped into the RuntimeError produced when a script call
+// errBudget is wrapped into the RuntimeError produced when a script call
 // exceeds its step budget (the paper's 100 ms call timeout, §4.5).
-var ErrBudget = errors.New("script: execution budget exceeded")
+var errBudget = errors.New("script: execution budget exceeded")
 
 // completion is how a statement finished: normally, or by a break, continue
 // or return that the enclosing loop, switch or call takes. The value of a
@@ -46,11 +46,11 @@ var escapeMsg = [...]string{
 
 // throwSignal is a script `throw` on its way to a catch.
 type throwSignal struct {
-	value Value
+	value value
 	line  int
 }
 
-func (t throwSignal) Error() string { return "uncaught: " + ToString(t.value) }
+func (t throwSignal) Error() string { return "uncaught: " + toString(t.value) }
 
 // maxCallDepth bounds script-level call nesting so runaway recursion gets a
 // clean RuntimeError instead of exhausting the Go stack.
@@ -60,7 +60,7 @@ const maxCallDepth = 2000
 // a slot per name the function binds, up is the frame of the closest
 // enclosing function whose frames outlive their calls.
 type frame struct {
-	vals []Value
+	vals []value
 	up   *frame
 }
 
@@ -68,7 +68,7 @@ type frame struct {
 // of the name passes it by for the next enclosing binding.
 type unbound struct{}
 
-func isUnbound(v Value) bool {
+func isUnbound(v value) bool {
 	_, ok := v.(unbound)
 	return ok
 }
@@ -82,8 +82,8 @@ type interp struct {
 	steps   int // remaining budget for the current entry
 	depth   int // current script call nesting
 
-	ret    Value    // the value a return carries
-	args   []Value  // argument stack: a call's arguments are its top slots
+	ret    value    // the value a return carries
+	args   []value  // argument stack: a call's arguments are its top slots
 	frames []*frame // frames of finished calls, free for the next
 	buf    []byte   // json() output before it becomes a string
 	cat    []byte   // the text of the + chains being evaluated, innermost last
@@ -113,10 +113,10 @@ func (in *interp) newFrame(c *code, up *frame) *frame {
 		if cap(f.vals) >= c.nslots {
 			f.vals = f.vals[:c.nslots]
 		} else {
-			f.vals = make([]Value, c.nslots)
+			f.vals = make([]value, c.nslots)
 		}
 	} else {
-		f = &frame{vals: make([]Value, c.nslots)}
+		f = &frame{vals: make([]value, c.nslots)}
 	}
 	f.up = up
 	for i := range f.vals {
@@ -168,12 +168,12 @@ func (in *interp) spend() bool {
 
 // overBudget is the error of the node whose step exceeded the budget.
 func (in *interp) overBudget(line int) error {
-	return &RuntimeError{Script: in.name, Line: line, Msg: ErrBudget.Error()}
+	return &RuntimeError{Script: in.name, Line: line, Msg: errBudget.Error()}
 }
 
 // lookup returns the value name holds, seen from frame fr, and whether it is
 // bound at all.
-func (in *interp) lookup(n *name, fr *frame) (Value, bool) {
+func (in *interp) lookup(n *name, fr *frame) (value, bool) {
 	for _, l := range n.locals {
 		f := fr
 		for h := l.hops; h > 0; h-- {
@@ -189,7 +189,7 @@ func (in *interp) lookup(n *name, fr *frame) (Value, bool) {
 // global reads name from the global table. The position of the first hit is
 // kept: global entries are never removed, so it stays right. A miss is not
 // kept, since a later assignment may make the name.
-func (in *interp) global(n *name) (Value, bool) {
+func (in *interp) global(n *name) (value, bool) {
 	if n.gpos > 0 {
 		return in.globals.ents[n.gpos-1].val, true
 	}
@@ -203,7 +203,7 @@ func (in *interp) global(n *name) (Value, bool) {
 // assign stores v in the binding name refers to from fr: the innermost
 // bound local, else the global, which is made when missing (sloppy-mode
 // JavaScript).
-func (in *interp) assign(n *name, fr *frame, v Value) {
+func (in *interp) assign(n *name, fr *frame, v value) {
 	for _, l := range n.locals {
 		f := fr
 		for h := l.hops; h > 0; h-- {
@@ -218,7 +218,7 @@ func (in *interp) assign(n *name, fr *frame, v Value) {
 }
 
 // setGlobal stores v under name in the global table.
-func (in *interp) setGlobal(n *name, v Value) {
+func (in *interp) setGlobal(n *name, v value) {
 	g := in.globals
 	if n.gpos == 0 {
 		i := g.find(n.id)
@@ -234,19 +234,19 @@ func (in *interp) setGlobal(n *name, v Value) {
 
 // invoke calls a script or builtin function value. args belongs to the caller
 // again once invoke returns: a callee that keeps the arguments copies them.
-func (in *interp) invoke(line int, callee, this Value, args []Value) (Value, error) {
+func (in *interp) invoke(line int, callee, this value, args []value) (value, error) {
 	switch fn := callee.(type) {
-	case *Function:
+	case *function:
 		return in.call(line, fn, args)
-	case *Builtin:
+	case *builtin:
 		return fn.fn(in, this, args)
 	default:
-		return nil, in.errorf(line, "%s is not a function", TypeOf(callee))
+		return nil, in.errorf(line, "%s is not a function", typeName(callee))
 	}
 }
 
 // call runs a script function in a frame of its own.
-func (in *interp) call(line int, fn *Function, args []Value) (Value, error) {
+func (in *interp) call(line int, fn *function, args []value) (value, error) {
 	if in.depth >= maxCallDepth {
 		return nil, in.errorf(line, "call stack exceeded (%d nested calls)", maxCallDepth)
 	}
@@ -257,11 +257,11 @@ func (in *interp) call(line int, fn *Function, args []Value) (Value, error) {
 		if i < len(args) {
 			fr.vals[slot] = args[i]
 		} else {
-			fr.vals[slot] = Undefined
+			fr.vals[slot] = undefined
 		}
 	}
 	if c.args >= 0 {
-		fr.vals[c.args] = NewArray(slices.Clone(args)...)
+		fr.vals[c.args] = newArray(slices.Clone(args)...)
 	}
 	done, err := c.body(in, fr)
 	in.depth--
@@ -276,49 +276,49 @@ func (in *interp) call(line int, fn *Function, args []Value) (Value, error) {
 	case done != normal: // a break or continue outside any loop of fn
 		return nil, in.errorf(line, "%s", escapeMsg[done])
 	}
-	return Undefined, nil
+	return undefined, nil
 }
 
 // element reads obj[key]: an array's element or a string's byte at a
 // numeric key, any other property by the key's string form. A read and a
 // call through an index both go through it.
-func (in *interp) element(line int, obj, key Value) (Value, error) {
+func (in *interp) element(line int, obj, key value) (value, error) {
 	if kf, ok := key.(float64); ok {
 		switch o := obj.(type) {
-		case *Array:
-			return o.At(int(kf)), nil
+		case *array:
+			return o.at(int(kf)), nil
 		case string:
 			if i := int(kf); i >= 0 && i < len(o) {
 				return string(o[i]), nil
 			}
-			return Undefined, nil
+			return undefined, nil
 		}
 	}
-	return in.getProperty(line, obj, ToString(key))
+	return in.getProperty(line, obj, toString(key))
 }
 
 // setElement stores obj[key] = v.
-func (in *interp) setElement(line int, obj, key, v Value) error {
-	if arr, ok := obj.(*Array); ok {
+func (in *interp) setElement(line int, obj, key, v value) error {
+	if arr, ok := obj.(*array); ok {
 		if kf, ok := key.(float64); ok {
 			if kf < 0 || kf != math.Trunc(kf) {
 				return in.errorf(line, "bad array index %v", kf)
 			}
-			arr.SetAt(int(kf), v)
+			arr.setAt(int(kf), v)
 			return nil
 		}
 	}
-	return in.setProperty(line, obj, ToString(key), v)
+	return in.setProperty(line, obj, toString(key), v)
 }
 
-func (in *interp) setProperty(line int, obj Value, name string, v Value) error {
+func (in *interp) setProperty(line int, obj value, name string, v value) error {
 	switch o := obj.(type) {
-	case *Object:
-		o.Set(name, v)
+	case *object:
+		o.set(name, v)
 		return nil
-	case *Array:
+	case *array:
 		if name == "length" {
-			want := int(ToNumber(v))
+			want := int(toNumber(v))
 			if want < 0 {
 				return in.errorf(line, "bad length %v", v)
 			}
@@ -327,13 +327,13 @@ func (in *interp) setProperty(line int, obj Value, name string, v Value) error {
 				o.elems = o.elems[:len(o.elems)-1]
 			}
 			for len(o.elems) < want {
-				o.elems = append(o.elems, Undefined)
+				o.elems = append(o.elems, undefined)
 			}
 			return nil
 		}
 		return in.errorf(line, "cannot set %q on array", name)
 	default:
-		return in.errorf(line, "cannot set property %q on %s", name, TypeOf(obj))
+		return in.errorf(line, "cannot set property %q on %s", name, typeName(obj))
 	}
 }
 
@@ -365,7 +365,7 @@ var binops = map[string]binop{
 
 // numeric applies op to two numbers: applyBinary's result for them, without
 // its conversions.
-func numeric(op binop, l, r float64) Value {
+func numeric(op binop, l, r float64) value {
 	switch op {
 	case opComma:
 		return r
@@ -394,7 +394,7 @@ func numeric(op binop, l, r float64) Value {
 	}
 }
 
-func (in *interp) applyBinary(op binop, left, right Value) Value {
+func (in *interp) applyBinary(op binop, left, right value) value {
 	switch op {
 	case opComma:
 		return right
@@ -426,12 +426,12 @@ func (in *interp) applyBinary(op binop, left, right Value) Value {
 			}
 		}
 	}
-	return numeric(op, ToNumber(left), ToNumber(right))
+	return numeric(op, toNumber(left), toNumber(right))
 }
 
-func isComposite(v Value) bool {
+func isComposite(v value) bool {
 	switch v.(type) {
-	case *Object, *Array, *Function, *Builtin:
+	case *object, *array, *function, *builtin:
 		return true
 	default:
 		return false
@@ -439,7 +439,7 @@ func isComposite(v Value) bool {
 }
 
 // isText reports whether v makes + concatenate: a string or a composite.
-func isText(v Value) bool {
+func isText(v value) bool {
 	_, s := v.(string)
 	return s || isComposite(v)
 }
@@ -455,13 +455,13 @@ func isText(v Value) bool {
 // Chains nested in operands use in.cat beyond this chain's share and cut it
 // back when done.
 type chain struct {
-	left    Value   // the first operand, until the chain is numeric or text
+	left    value   // the first operand, until the chain is numeric or text
 	sum     float64 // the value so far, once numeric
 	numeric bool
 	text    bool  // the value so far is the string in.cat[base:]
 	base    int   // where the chain's text starts in in.cat
 	pieces  int   // non-empty operand strings in the text
-	only    Value // the text's one piece, when that is a string operand
+	only    value // the text's one piece, when that is a string operand
 }
 
 // wroteText is what a call in a text chain returns when its builtin wrote
@@ -469,7 +469,7 @@ type chain struct {
 type wroteText struct{}
 
 // concat is a lone + whose operands make text (and +=): a chain of one.
-func (in *interp) concat(left, right Value) Value {
+func (in *interp) concat(left, right value) value {
 	c := chain{left: left, base: len(in.cat)}
 	in.plus(&c, right)
 	v := in.chainValue(&c)
@@ -478,7 +478,7 @@ func (in *interp) concat(left, right Value) Value {
 }
 
 // chainValue is what an evaluated chain comes to.
-func (in *interp) chainValue(c *chain) Value {
+func (in *interp) chainValue(c *chain) value {
 	switch {
 	case !c.text:
 		return boxNum(c.sum)
@@ -490,7 +490,7 @@ func (in *interp) chainValue(c *chain) Value {
 }
 
 // plus applies the chain's next + to its right operand.
-func (in *interp) plus(c *chain, right Value) {
+func (in *interp) plus(c *chain, right value) {
 	switch {
 	case c.text:
 		in.appendPiece(c, right)
@@ -505,14 +505,14 @@ func (in *interp) plus(c *chain, right Value) {
 		in.appendPiece(c, right)
 	default:
 		if !c.numeric {
-			c.sum, c.numeric = ToNumber(c.left), true
+			c.sum, c.numeric = toNumber(c.left), true
 		}
-		c.sum += ToNumber(right)
+		c.sum += toNumber(right)
 	}
 }
 
 // appendPiece appends v's string form to the chain's text.
-func (in *interp) appendPiece(c *chain, v Value) {
+func (in *interp) appendPiece(c *chain, v value) {
 	n := len(in.cat)
 	if in.cat = appendString(in.cat, v); len(in.cat) == n {
 		return

@@ -510,7 +510,7 @@ func TestBudgetStopsInfiniteLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = s.Start()
-	if err == nil || !strings.Contains(err.Error(), ErrBudget.Error()) {
+	if err == nil || !strings.Contains(err.Error(), errBudget.Error()) {
 		t.Errorf("Start = %v, want budget error", err)
 	}
 }
@@ -838,48 +838,48 @@ func TestToMsgRoundTrip(t *testing.T) {
 }
 
 func TestFromMsgSortedKeys(t *testing.T) {
-	v := FromMsg(msg.Map{"b": 1.0, "a": 2.0, "c": 3.0})
-	o := v.(*Object)
-	if strings.Join(o.Keys(), "") != "abc" {
-		t.Errorf("keys = %v", o.Keys())
+	v := fromMsg(msg.Map{"b": 1.0, "a": 2.0, "c": 3.0})
+	o := v.(*object)
+	if strings.Join(o.keys(), "") != "abc" {
+		t.Errorf("keys = %v", o.keys())
 	}
 }
 
 func TestValueHelpers(t *testing.T) {
-	if TypeOf(Undefined) != "undefined" || TypeOf(nil) != "object" {
+	if typeName(undefined) != "undefined" || typeName(nil) != "object" {
 		t.Error("TypeOf wrong")
 	}
-	if Truthy(float64(0)) || !Truthy(float64(1)) || Truthy("") || !Truthy("x") {
+	if truthy(float64(0)) || !truthy(float64(1)) || truthy("") || !truthy("x") {
 		t.Error("Truthy wrong")
 	}
-	if ToString(NewArray(1.0, "a")) != "1,a" {
-		t.Errorf("array ToString = %q", ToString(NewArray(1.0, "a")))
+	if toString(newArray(1.0, "a")) != "1,a" {
+		t.Errorf("array ToString = %q", toString(newArray(1.0, "a")))
 	}
-	if ToNumber("  42 ") != 42 || ToNumber(nil) != 0 || ToNumber(true) != 1 {
+	if toNumber("  42 ") != 42 || toNumber(nil) != 0 || toNumber(true) != 1 {
 		t.Error("ToNumber wrong")
 	}
-	a := NewArray()
-	a.SetAt(2, "x")
-	if a.Len() != 3 || a.At(0) != Value(Undefined) || a.At(5) != Value(Undefined) {
+	a := newArray()
+	a.setAt(2, "x")
+	if a.len() != 3 || a.at(0) != value(undefined) || a.at(5) != value(undefined) {
 		t.Error("Array growth wrong")
 	}
-	o := NewObject()
-	o.Set("k", 1.0)
-	o.Set("k", 2.0)
+	o := newObject()
+	o.set("k", 1.0)
+	o.set("k", 2.0)
 	if o.Len() != 1 {
 		t.Error("duplicate Set grew object")
 	}
-	o.Delete("k")
-	o.Delete("k")
+	o.delete("k")
+	o.delete("k")
 	if o.Len() != 0 {
 		t.Error("Delete failed")
 	}
 }
 
 func TestToMsgCycleDetected(t *testing.T) {
-	o := NewObject()
-	o.Set("self", o)
-	if _, err := ToMsg(o); err == nil {
+	o := newObject()
+	o.set("self", o)
+	if _, err := toMsg(o); err == nil {
 		t.Error("cyclic ToMsg succeeded")
 	}
 }

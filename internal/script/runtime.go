@@ -16,7 +16,7 @@ import (
 // implement it directly.
 type Host interface {
 	// Publish sends a message on a pub/sub channel. m is the host's from here
-	// on (see ToMsg): a msg.Raw when the script republishes a message it
+	// on (see toMsg): a msg.Raw when the script republishes a message it
 	// received untouched, a tree decoded from the script's encoding of an
 	// object or array it built — a msg.Map for an object — and the value
 	// itself otherwise. A host that is a RawPublisher is handed an object or
@@ -26,7 +26,7 @@ type Host interface {
 	// The returned release/renew functions implement the Subscription
 	// object's methods. The handler receives the message and its origin
 	// (the remote node it came from, or ""); the script reads a msg.Raw in
-	// place (see FromMsg), which is what a host hands it; a tree is encoded
+	// place (see fromMsg), which is what a host hands it; a tree is encoded
 	// first.
 	Subscribe(channel string, params msg.Map, handler func(m msg.Value, origin string)) (release, renew func(), err error)
 	// Print emits a debug message visible on the device UI.
@@ -94,9 +94,9 @@ type Script struct {
 	autoStart   bool
 	releases    []func()
 	stats       Stats
-	// origins holds each recently seen delivery origin boxed as a Value, so
+	// origins holds each recently seen delivery origin boxed as a value, so
 	// a handler's origin argument is boxed once per peer, not per message.
-	origins map[string]Value
+	origins map[string]value
 }
 
 // maxOrigins bounds Script.origins; a full cache starts over.
@@ -114,21 +114,21 @@ type Stats struct {
 	DeadlineExceeded int
 }
 
-// IsBudgetError reports whether err is (or wraps) the execution-budget
+// isBudgetError reports whether err is (or wraps) the execution-budget
 // violation the interpreter raises when a call exceeds its step budget.
-func IsBudgetError(err error) bool {
-	if errors.Is(err, ErrBudget) {
+func isBudgetError(err error) bool {
+	if errors.Is(err, errBudget) {
 		return true
 	}
 	var re *RuntimeError
-	return errors.As(err, &re) && re.Msg == ErrBudget.Error()
+	return errors.As(err, &re) && re.Msg == errBudget.Error()
 }
 
 // noteErrLocked classifies a failed entry into script code. Caller holds
 // s.mu.
 func (s *Script) noteErrLocked(err error) {
 	s.stats.Errors++
-	if IsBudgetError(err) {
+	if isBudgetError(err) {
 		s.stats.DeadlineExceeded++
 	}
 }
@@ -202,7 +202,7 @@ func (s *Script) Start() error {
 		return normalizeErr(s.Name, err)
 	}
 	if fn, ok := s.globals.get("start"); ok {
-		if fn, isFn := fn.(*Function); isFn {
+		if fn, isFn := fn.(*function); isFn {
 			if _, err := in.call(0, fn, nil); err != nil {
 				s.noteErrLocked(err)
 				return normalizeErr(s.Name, err)
@@ -229,34 +229,9 @@ func (s *Script) Stop() {
 	}
 }
 
-// Call invokes a named global function with message-domain arguments; used
-// by tests and tooling to poke at script internals.
-func (s *Script) Call(fnName string, args ...msg.Value) (msg.Value, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn, ok := s.globals.get(fnName)
-	if !ok {
-		return nil, fmt.Errorf("script %s: no function %q", s.Name, fnName)
-	}
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		vals[i] = FromMsg(a)
-	}
-	in := s.in
-	in.begin(s.cfg.StepBudget)
-	s.stats.Entries++
-	out, err := in.invoke(0, fn, Undefined, vals)
-	s.stats.Steps += int64(s.cfg.StepBudget - in.steps)
-	if err != nil {
-		s.noteErrLocked(err)
-		return nil, normalizeErr(s.Name, err)
-	}
-	return ToMsg(out)
-}
-
 // enter runs a callback into script code under the lock and budget,
 // reporting errors to the host.
-func (s *Script) enter(fn Value, args ...Value) {
+func (s *Script) enter(fn value, args ...value) {
 	s.mu.Lock()
 	err := s.enterLocked(fn, args)
 	s.mu.Unlock()
@@ -265,24 +240,24 @@ func (s *Script) enter(fn Value, args ...Value) {
 
 // deliver is enter for a subscription handler: the message as a view and its
 // origin, boxed once per distinct origin.
-func (s *Script) deliver(fn Value, m msg.Value, origin string) {
+func (s *Script) deliver(fn value, m msg.Value, origin string) {
 	s.mu.Lock()
 	o, ok := s.origins[origin]
 	if !ok {
 		if len(s.origins) >= maxOrigins || s.origins == nil {
-			s.origins = make(map[string]Value)
+			s.origins = make(map[string]value)
 		}
 		o = origin
 		s.origins[origin] = o
 	}
-	err := s.enterLocked(fn, []Value{FromMsg(m), o})
+	err := s.enterLocked(fn, []value{fromMsg(m), o})
 	s.mu.Unlock()
 	s.report(err)
 }
 
 // enterLocked is enter's body; it does nothing once the script has stopped
 // or before it has started. Caller holds s.mu.
-func (s *Script) enterLocked(fn Value, args []Value) error {
+func (s *Script) enterLocked(fn value, args []value) error {
 	if s.stopped || !s.started {
 		return nil
 	}
@@ -292,7 +267,7 @@ func (s *Script) enterLocked(fn Value, args []Value) error {
 	// The arguments go on the interpreter's stack, so that the caller's
 	// slice need not outlive the call.
 	in.args = append(in.args, args...)
-	_, err := in.invoke(0, fn, Undefined, in.args[:len(args):len(args)])
+	_, err := in.invoke(0, fn, undefined, in.args[:len(args):len(args)])
 	s.stats.Steps += int64(s.cfg.StepBudget - in.steps)
 	if err != nil {
 		s.noteErrLocked(err)
@@ -327,7 +302,7 @@ func detectAutoStart(prog *program) bool {
 		case *boolLit:
 			return a.value
 		case *numberLit:
-			return Truthy(a.value)
+			return truthy(a.value)
 		case *nullLit, *undefinedLit:
 			return false
 		}
@@ -338,7 +313,7 @@ func detectAutoStart(prog *program) bool {
 // normalizeErr converts an escaped throw into a RuntimeError.
 func normalizeErr(name string, err error) error {
 	if e, ok := err.(throwSignal); ok {
-		return &RuntimeError{Script: name, Line: e.line, Msg: "uncaught " + ToString(e.value), Thrown: e.value}
+		return &RuntimeError{Script: name, Line: e.line, Msg: "uncaught " + toString(e.value), Thrown: e.value}
 	}
 	return err
 }
@@ -347,30 +322,30 @@ func normalizeErr(name string, err error) error {
 func (s *Script) installAPI() {
 	g := s.globals
 
-	g.put("setDescription", &Builtin{name: "setDescription", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
-		s.description = ToString(argAt(args, 0))
-		return Undefined, nil
+	g.put("setDescription", &builtin{name: "setDescription", fn: func(_ *interp, _ value, args []value) (value, error) {
+		s.description = toString(argAt(args, 0))
+		return undefined, nil
 	}})
-	g.put("setAutoStart", &Builtin{name: "setAutoStart", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
-		s.autoStart = Truthy(argAt(args, 0))
-		return Undefined, nil
+	g.put("setAutoStart", &builtin{name: "setAutoStart", fn: func(_ *interp, _ value, args []value) (value, error) {
+		s.autoStart = truthy(argAt(args, 0))
+		return undefined, nil
 	}})
-	g.put("print", &Builtin{name: "print", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("print", &builtin{name: "print", fn: func(_ *interp, _ value, args []value) (value, error) {
 		s.host.Print(s.Name, joinArgs(args))
-		return Undefined, nil
+		return undefined, nil
 	}})
-	g.put("log", &Builtin{name: "log", fn: func(_ *interp, _ Value, args []Value) (Value, error) {
+	g.put("log", &builtin{name: "log", fn: func(_ *interp, _ value, args []value) (value, error) {
 		s.host.Log(s.Name, "", joinArgs(args))
-		return Undefined, nil
+		return undefined, nil
 	}})
-	g.put("logTo", &Builtin{name: "logTo", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("logTo", &builtin{name: "logTo", fn: func(in *interp, _ value, args []value) (value, error) {
 		if len(args) < 1 {
 			return nil, in.errorf(0, "logTo needs a log name")
 		}
-		s.host.Log(s.Name, ToString(args[0]), joinArgs(args[1:]))
-		return Undefined, nil
+		s.host.Log(s.Name, toString(args[0]), joinArgs(args[1:]))
+		return undefined, nil
 	}})
-	g.put("publish", &Builtin{name: "publish", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("publish", &builtin{name: "publish", fn: func(in *interp, _ value, args []value) (value, error) {
 		if len(args) < 2 {
 			return nil, in.errorf(0, "publish needs (channel, message)")
 		}
@@ -394,9 +369,9 @@ func (s *Script) installAPI() {
 		if err := s.publish(channel, payload, forwarded); err != nil {
 			return nil, in.errorf(0, "publish: %v", err)
 		}
-		return Undefined, nil
+		return undefined, nil
 	}})
-	g.put("subscribe", &Builtin{name: "subscribe", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("subscribe", &builtin{name: "subscribe", fn: func(in *interp, _ value, args []value) (value, error) {
 		if len(args) < 2 {
 			return nil, in.errorf(0, "subscribe needs (channel, function)")
 		}
@@ -405,8 +380,8 @@ func (s *Script) installAPI() {
 			return nil, in.errorf(0, "subscribe: channel must be a string")
 		}
 		handler := args[1]
-		if _, isFn := handler.(*Function); !isFn {
-			if _, isB := handler.(*Builtin); !isB {
+		if _, isFn := handler.(*function); !isFn {
+			if _, isB := handler.(*builtin); !isB {
 				return nil, in.errorf(0, "subscribe: second argument must be a function")
 			}
 		}
@@ -427,19 +402,19 @@ func (s *Script) installAPI() {
 			return nil, in.errorf(0, "subscribe: %v", err)
 		}
 		s.releases = append(s.releases, release)
-		sub := NewObject()
-		sub.Set("channel", channel)
-		sub.Set("release", &Builtin{name: "release", fn: func(_ *interp, _ Value, _ []Value) (Value, error) {
+		sub := newObject()
+		sub.set("channel", channel)
+		sub.set("release", &builtin{name: "release", fn: func(_ *interp, _ value, _ []value) (value, error) {
 			release()
-			return Undefined, nil
+			return undefined, nil
 		}})
-		sub.Set("renew", &Builtin{name: "renew", fn: func(_ *interp, _ Value, _ []Value) (Value, error) {
+		sub.set("renew", &builtin{name: "renew", fn: func(_ *interp, _ value, _ []value) (value, error) {
 			renew()
-			return Undefined, nil
+			return undefined, nil
 		}})
 		return sub, nil
 	}})
-	g.put("freeze", &Builtin{name: "freeze", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("freeze", &builtin{name: "freeze", fn: func(in *interp, _ value, args []value) (value, error) {
 		v, _, err := in.enc.toMsg(argAt(args, 0))
 		if err != nil {
 			return nil, in.errorf(0, "freeze: %v", err)
@@ -447,36 +422,36 @@ func (s *Script) installAPI() {
 		if err := s.host.Freeze(s.Name, v); err != nil {
 			return nil, in.errorf(0, "freeze: %v", err)
 		}
-		return Undefined, nil
+		return undefined, nil
 	}})
-	g.put("thaw", &Builtin{name: "thaw", fn: func(_ *interp, _ Value, _ []Value) (Value, error) {
+	g.put("thaw", &builtin{name: "thaw", fn: func(_ *interp, _ value, _ []value) (value, error) {
 		v, ok := s.host.Thaw(s.Name)
 		if !ok {
 			return nil, nil // null when nothing frozen
 		}
-		return FromMsg(v), nil
+		return fromMsg(v), nil
 	}})
-	g.put("json", &Builtin{name: "json", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("json", &builtin{name: "json", fn: func(in *interp, _ value, args []value) (value, error) {
 		return in.jsonString("json", argAt(args, 0))
-	}, text: func(in *interp, dst []byte, args []Value) ([]byte, error) {
+	}, text: func(in *interp, dst []byte, args []value) ([]byte, error) {
 		return in.appendJSON("json", dst, argAt(args, 0))
 	}})
-	g.put("setTimeout", &Builtin{name: "setTimeout", fn: func(in *interp, _ Value, args []Value) (Value, error) {
+	g.put("setTimeout", &builtin{name: "setTimeout", fn: func(in *interp, _ value, args []value) (value, error) {
 		if len(args) < 2 {
 			return nil, in.errorf(0, "setTimeout needs (function, delay)")
 		}
 		fn := args[0]
-		delay := time.Duration(ToNumber(args[1])) * time.Millisecond
+		delay := time.Duration(toNumber(args[1])) * time.Millisecond
 		if delay < 0 {
 			delay = 0
 		}
 		s.host.SetTimeout(func() { s.enter(fn) }, delay)
-		return Undefined, nil
+		return undefined, nil
 	}})
 }
 
 // jsonString is the json() and JSON.stringify builtins: v as JSON text.
-func (in *interp) jsonString(builtin string, v Value) (Value, error) {
+func (in *interp) jsonString(builtin string, v value) (value, error) {
 	buf, err := in.appendJSON(builtin, in.buf[:0], v)
 	if err != nil {
 		return nil, err
@@ -487,7 +462,7 @@ func (in *interp) jsonString(builtin string, v Value) (Value, error) {
 
 // appendJSON appends v's JSON text to dst, transcoded from its encoding: the
 // message's own bytes for a view nothing was written to.
-func (in *interp) appendJSON(builtin string, dst []byte, v Value) ([]byte, error) {
+func (in *interp) appendJSON(builtin string, dst []byte, v value) ([]byte, error) {
 	r, err := in.enc.encode(v)
 	switch {
 	case err != nil:
@@ -516,13 +491,13 @@ func (s *Script) publish(channel string, m msg.Value, forwarded bool) error {
 	return s.host.Publish(channel, m)
 }
 
-func joinArgs(args []Value) string {
+func joinArgs(args []value) string {
 	if len(args) == 1 {
-		return ToString(args[0])
+		return toString(args[0])
 	}
 	parts := make([]string, len(args))
 	for i, a := range args {
-		parts[i] = ToString(a)
+		parts[i] = toString(a)
 	}
 	return strings.Join(parts, " ")
 }

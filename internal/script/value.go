@@ -11,20 +11,20 @@ import (
 	"pogo/internal/msg"
 )
 
-// Value is a PogoScript runtime value: nil (null), Undefined, bool, float64,
-// string, *Object, *Array, *Function, or *Builtin.
-type Value = any
+// value is a PogoScript runtime value: nil (null), undefined, bool, float64,
+// string, *object, *array, *function, or *builtin.
+type value = any
 
-// UndefinedType is the type of the Undefined singleton.
-type UndefinedType struct{}
+// undefinedType is the type of the undefined singleton.
+type undefinedType struct{}
 
-// Undefined is JavaScript's `undefined`.
-var Undefined = UndefinedType{}
+// undefined is JavaScript's `undefined`.
+var undefined = undefinedType{}
 
 // entry is one key/value slot of a table.
 type entry struct {
 	key string
-	val Value
+	val value
 }
 
 // linearMax is the largest table find searches by comparing keys one by one;
@@ -32,7 +32,7 @@ type entry struct {
 const linearMax = 8
 
 // table is an insertion-ordered set of key/value entries: the properties of
-// an Object and the script's globals.
+// an object and the script's globals.
 //
 // Past linearMax entries find uses an index, built on its first lookup: an
 // open-addressed hash table of positions in ents, mask+1 int32 slots from
@@ -40,7 +40,7 @@ const linearMax = 8
 // from its hash) passes i, and 0 when free. Its size is a power of two; put
 // keeps it at most half full, doubling it when it would be more, and remove,
 // which moves the entries behind the hole, rebuilds it. A pointer and a mask
-// rather than a slice keep an Object — every message's view is one — within
+// rather than a slice keep an object — every message's view is one — within
 // 48 bytes.
 type table struct {
 	ents  []entry
@@ -106,7 +106,7 @@ func (t *table) slot(i int) {
 }
 
 // get returns the value under key and whether there is one.
-func (t *table) get(key string) (Value, bool) {
+func (t *table) get(key string) (value, bool) {
 	if i := t.find(key); i >= 0 {
 		return t.ents[i].val, true
 	}
@@ -114,7 +114,7 @@ func (t *table) get(key string) (Value, bool) {
 }
 
 // put stores v under key: in place when the key exists, at the end otherwise.
-func (t *table) put(key string, v Value) {
+func (t *table) put(key string, v value) {
 	if i := t.find(key); i >= 0 {
 		t.ents[i].val = v
 		return
@@ -147,46 +147,46 @@ func (t *table) remove(key string) {
 	}
 }
 
-// Object is a script object with insertion-ordered keys, which keeps for-in
+// object is a script object with insertion-ordered keys, which keeps for-in
 // iteration deterministic across runs.
 //
-// An object made by FromMsg is a copy-on-write view of a message's encoding:
+// An object made by fromMsg is a copy-on-write view of a message's encoding:
 // while src is set, src is what the object holds and nothing has been
 // written. Scalar properties of a small map are read straight from the bytes;
 // the first access that needs more (a nested node, the key order, a lookup in
 // a map past linearMax entries) fills ents from src in key order, nested
 // nodes wrapped as views of their own, and the first write drops src.
-type Object struct {
+type object struct {
 	table
 	src msg.Raw
 }
 
-// NewObject returns an empty object.
-func NewObject() *Object { return &Object{} }
+// newObject returns an empty object.
+func newObject() *object { return &object{} }
 
 // viewing reports whether the object is a view not yet filled.
-func (o *Object) viewing() bool { return !o.src.IsZero() && o.ents == nil }
+func (o *object) viewing() bool { return !o.src.IsZero() && o.ents == nil }
 
 // fill builds a view's entries from its message; a no-op once done.
-func (o *Object) fill() {
+func (o *object) fill() {
 	if !o.viewing() {
 		return
 	}
 	o.ents = make([]entry, 0, o.src.Len())
 	o.src.Range(func(k string, v msg.Value) {
-		o.ents = append(o.ents, entry{k, FromMsg(v)})
+		o.ents = append(o.ents, entry{k, fromMsg(v)})
 	})
 }
 
 // own makes the entries the object's only content, ahead of a write.
-func (o *Object) own() {
+func (o *object) own() {
 	o.fill()
 	o.src = msg.Raw{}
 }
 
 // clean reports whether the object is a view that still equals its message:
 // nothing written to it or to any node reached through it.
-func (o *Object) clean() bool {
+func (o *object) clean() bool {
 	if o.src.IsZero() {
 		return false
 	}
@@ -198,19 +198,19 @@ func (o *Object) clean() bool {
 	return true
 }
 
-func cleanValue(v Value) bool {
+func cleanValue(v value) bool {
 	switch x := v.(type) {
-	case *Object:
+	case *object:
 		return x.clean()
-	case *Array:
+	case *array:
 		return x.clean()
 	default:
 		return true
 	}
 }
 
-// Get returns a property and whether it exists.
-func (o *Object) Get(key string) (Value, bool) {
+// lookup returns a property and whether it exists.
+func (o *object) lookup(key string) (value, bool) {
 	if o.viewing() && o.src.Len() <= linearMax {
 		v, ok := o.src.Field(key)
 		if !ok {
@@ -230,27 +230,27 @@ func (o *Object) Get(key string) (Value, bool) {
 	return nil, false
 }
 
-// Set stores a property, preserving first-insertion order.
-func (o *Object) Set(key string, v Value) {
+// set stores a property, preserving first-insertion order.
+func (o *object) set(key string, v value) {
 	o.own()
 	o.put(key, v)
 }
 
-// Delete removes a property.
-func (o *Object) Delete(key string) {
+// delete removes a property.
+func (o *object) delete(key string) {
 	o.own()
 	o.remove(key)
 }
 
-// Keys returns the property names in insertion order (sorted order for the
+// keys returns the property names in insertion order (sorted order for the
 // properties a message arrived with).
-func (o *Object) Keys() []string {
+func (o *object) keys() []string {
 	o.fill()
 	return o.appendKeys(make([]string, 0, len(o.ents)))
 }
 
-// appendKeys appends the property names, in Keys order, to dst.
-func (o *Object) appendKeys(dst []string) []string {
+// appendKeys appends the property names, in keys order, to dst.
+func (o *object) appendKeys(dst []string) []string {
 	o.fill()
 	for i := range o.ents {
 		dst = append(dst, o.ents[i].key)
@@ -258,34 +258,26 @@ func (o *Object) appendKeys(dst []string) []string {
 	return dst
 }
 
-// Len returns the number of properties.
-func (o *Object) Len() int {
-	if o.viewing() {
-		return o.src.Len()
-	}
-	return len(o.ents)
-}
-
-// Array is a script array. One made by FromMsg is a copy-on-write view like
-// Object's: elems is filled from src on the first access that needs it, and
+// array is a script array. One made by fromMsg is a copy-on-write view like
+// object's: elems is filled from src on the first access that needs it, and
 // the first write drops src.
-type Array struct {
-	elems []Value
+type array struct {
+	elems []value
 	src   msg.Raw
 }
 
-// NewArray returns an array wrapping elems (not copied).
-func NewArray(elems ...Value) *Array { return &Array{elems: elems} }
+// newArray returns an array wrapping elems (not copied).
+func newArray(elems ...value) *array { return &array{elems: elems} }
 
 // viewing reports whether the array is a view not yet filled.
-func (a *Array) viewing() bool { return !a.src.IsZero() && a.elems == nil }
+func (a *array) viewing() bool { return !a.src.IsZero() && a.elems == nil }
 
 // fill builds a view's elements from its message; a no-op once done.
-func (a *Array) fill() {
+func (a *array) fill() {
 	if !a.viewing() {
 		return
 	}
-	a.elems = make([]Value, 0, a.src.Len())
+	a.elems = make([]value, 0, a.src.Len())
 	// An array of records is the usual shape of a sensor message: the views
 	// of all the elements that are maps come from one allocation.
 	maps := 0
@@ -295,26 +287,26 @@ func (a *Array) fill() {
 		}
 		a.elems = append(a.elems, e)
 	})
-	views := make([]Object, maps)
+	views := make([]object, maps)
 	for i, e := range a.elems {
 		if r, ok := e.(msg.Raw); ok && r.IsMap() {
 			views[0].src = r
 			a.elems[i] = &views[0]
 			views = views[1:]
 		} else {
-			a.elems[i] = FromMsg(e)
+			a.elems[i] = fromMsg(e)
 		}
 	}
 }
 
 // own makes elems the array's only content, ahead of a write.
-func (a *Array) own() {
+func (a *array) own() {
 	a.fill()
 	a.src = msg.Raw{}
 }
 
-// clean is Object.clean for arrays.
-func (a *Array) clean() bool {
+// clean is object.clean for arrays.
+func (a *array) clean() bool {
 	if a.src.IsZero() {
 		return false
 	}
@@ -326,53 +318,53 @@ func (a *Array) clean() bool {
 	return true
 }
 
-// Len returns the element count.
-func (a *Array) Len() int {
+// len returns the element count.
+func (a *array) len() int {
 	if a.viewing() {
 		return a.src.Len()
 	}
 	return len(a.elems)
 }
 
-// At returns element i, or Undefined out of range.
-func (a *Array) At(i int) Value {
-	if i < 0 || i >= a.Len() {
-		return Undefined
+// at returns element i, or undefined out of range.
+func (a *array) at(i int) value {
+	if i < 0 || i >= a.len() {
+		return undefined
 	}
 	a.fill()
 	return a.elems[i]
 }
 
-// SetAt stores element i, growing the array with Undefined as needed.
-func (a *Array) SetAt(i int, v Value) {
+// setAt stores element i, growing the array with undefined as needed.
+func (a *array) setAt(i int, v value) {
 	a.own()
 	for len(a.elems) <= i {
-		a.elems = append(a.elems, Undefined)
+		a.elems = append(a.elems, undefined)
 	}
 	a.elems[i] = v
 }
 
-// Function is a script-defined function: compiled code and the frame of
+// function is a script-defined function: compiled code and the frame of
 // the enclosing function it closes over (nil when it closes over nothing).
-type Function struct {
+type function struct {
 	code *code
 	env  *frame
 }
 
-// Builtin is a host-provided function. this is the receiver for method-style
-// calls (may be Undefined).
-type Builtin struct {
+// builtin is a host-provided function. this is the receiver for method-style
+// calls (may be undefined).
+type builtin struct {
 	name string
-	fn   func(in *interp, this Value, args []Value) (Value, error)
+	fn   func(in *interp, this value, args []value) (value, error)
 	// text, when set, appends to dst the string form of what fn returns; a
 	// + chain uses it to take the text without the string (see operand).
-	text func(in *interp, dst []byte, args []Value) ([]byte, error)
+	text func(in *interp, dst []byte, args []value) ([]byte, error)
 }
 
-// TypeOf implements the typeof operator.
-func TypeOf(v Value) string {
+// typeName implements the typeof operator.
+func typeName(v value) string {
 	switch v.(type) {
-	case UndefinedType:
+	case undefinedType:
 		return "undefined"
 	case nil:
 		return "object" // JS: typeof null === "object"
@@ -382,17 +374,17 @@ func TypeOf(v Value) string {
 		return "number"
 	case string:
 		return "string"
-	case *Function, *Builtin:
+	case *function, *builtin:
 		return "function"
 	default:
 		return "object"
 	}
 }
 
-// Truthy implements JavaScript truthiness.
-func Truthy(v Value) bool {
+// truthy implements JavaScript truthiness.
+func truthy(v value) bool {
 	switch x := v.(type) {
-	case nil, UndefinedType:
+	case nil, undefinedType:
 		return false
 	case bool:
 		return x
@@ -405,12 +397,12 @@ func Truthy(v Value) bool {
 	}
 }
 
-// ToString converts a value to its string form (JS semantics, approximately).
-func ToString(v Value) string {
+// toString converts a value to its string form (JS semantics, approximately).
+func toString(v value) string {
 	switch x := v.(type) {
 	case nil:
 		return "null"
-	case UndefinedType:
+	case undefinedType:
 		return "undefined"
 	case bool:
 		return strconv.FormatBool(x)
@@ -418,22 +410,22 @@ func ToString(v Value) string {
 		return formatNumber(x)
 	case string:
 		return x
-	case *Array:
+	case *array:
 		x.fill()
 		parts := make([]string, len(x.elems))
 		for i, e := range x.elems {
-			if e == nil || e == Value(Undefined) {
+			if e == nil || e == value(undefined) {
 				parts[i] = ""
 			} else {
-				parts[i] = ToString(e)
+				parts[i] = toString(e)
 			}
 		}
 		return strings.Join(parts, ",")
-	case *Object:
+	case *object:
 		return "[object Object]"
-	case *Function:
+	case *function:
 		return "function " + x.code.lit.name + "() {...}"
-	case *Builtin:
+	case *builtin:
 		return "function " + x.name + "() {[native]}"
 	default:
 		return fmt.Sprintf("%v", v)
@@ -449,8 +441,8 @@ func formatNumber(f float64) string {
 // appendNumber appends formatNumber(f) to b.
 func appendNumber(b []byte, f float64) []byte { return msg.AppendNumber(b, f) }
 
-// appendString appends ToString(v) to b, formatting scalars in place.
-func appendString(b []byte, v Value) []byte {
+// appendString appends toString(v) to b, formatting scalars in place.
+func appendString(b []byte, v value) []byte {
 	switch x := v.(type) {
 	case string:
 		return append(b, x...)
@@ -459,16 +451,16 @@ func appendString(b []byte, v Value) []byte {
 	case bool:
 		return strconv.AppendBool(b, x)
 	default:
-		return append(b, ToString(v)...)
+		return append(b, toString(v)...)
 	}
 }
 
-// ToNumber coerces a value to a number (JS-ish; objects give NaN).
-func ToNumber(v Value) float64 {
+// toNumber coerces a value to a number (JS-ish; objects give NaN).
+func toNumber(v value) float64 {
 	switch x := v.(type) {
 	case nil:
 		return 0
-	case UndefinedType:
+	case undefinedType:
 		return math.NaN()
 	case bool:
 		if x {
@@ -495,19 +487,19 @@ func ToNumber(v Value) float64 {
 // smallNums bounds the numbers boxNum serves from a shared table.
 const smallNums = 1024
 
-var smallNum = func() (t [smallNums]Value) {
+var smallNum = func() (t [smallNums]value) {
 	for i := range t {
 		t[i] = float64(i)
 	}
 	return t
 }()
 
-// boxNum converts a number the evaluator produced into a Value. Loop
+// boxNum converts a number the evaluator produced into a value. Loop
 // counters, lengths and indexes — non-negative integers below smallNums —
 // share one boxed copy each; any other number comes from msg's cache of
 // recently boxed numbers, which a handler that computes the same values
 // message after message (a normalised signal strength) mostly hits.
-func boxNum(f float64) Value {
+func boxNum(f float64) value {
 	if f >= 0 && f < smallNums {
 		// -0 is >= 0 too, and must stay -0: 1/-0 is -Infinity.
 		if i := int(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
@@ -517,13 +509,13 @@ func boxNum(f float64) Value {
 	return msg.BoxFloat(f)
 }
 
-// FromMsg brings a msg-domain value into the script domain. Scalars are the
+// fromMsg brings a msg-domain value into the script domain. Scalars are the
 // same Go values in both; an encoded map or array becomes a copy-on-write
-// view of its bytes (see Object), keys in sorted order. A tree (a Map or a
+// view of its bytes (see object), keys in sorted order. A tree (a Map or a
 // []Value) is encoded first, so the script reads what a subscriber of it
 // would: NaN and infinities as null, invalid UTF-8 repaired. A value outside
 // the message domain is undefined.
-func FromMsg(v msg.Value) Value {
+func fromMsg(v msg.Value) value {
 	switch x := v.(type) {
 	case nil:
 		return nil
@@ -532,27 +524,27 @@ func FromMsg(v msg.Value) Value {
 	case msg.Raw:
 		switch {
 		case x.IsMap():
-			return &Object{src: x}
+			return &object{src: x}
 		case x.IsArray():
-			return &Array{src: x}
+			return &array{src: x}
 		}
-		return FromMsg(x.Value())
+		return fromMsg(x.Value())
 	case msg.Map, []msg.Value:
 		r, err := msg.Encode(x)
 		if err != nil {
-			return Undefined
+			return undefined
 		}
-		return FromMsg(r)
+		return fromMsg(r)
 	default:
-		return Undefined
+		return undefined
 	}
 }
 
 // looseEquals implements the == operator for the supported value domain.
-func looseEquals(a, b Value) bool {
+func looseEquals(a, b value) bool {
 	// null == undefined (and themselves).
-	aNil := a == nil || a == Value(Undefined)
-	bNil := b == nil || b == Value(Undefined)
+	aNil := a == nil || a == value(undefined)
+	bNil := b == nil || b == value(undefined)
 	if aNil || bNil {
 		return aNil && bNil
 	}
@@ -564,9 +556,9 @@ func looseEquals(a, b Value) bool {
 		case float64:
 			return x == y
 		case string:
-			return x == ToNumber(y)
+			return x == toNumber(y)
 		case bool:
-			return x == ToNumber(y)
+			return x == toNumber(y)
 		}
 		return false
 	case string:
@@ -574,7 +566,7 @@ func looseEquals(a, b Value) bool {
 		case string:
 			return x == y
 		case float64, bool:
-			return ToNumber(x) == ToNumber(y)
+			return toNumber(x) == toNumber(y)
 		}
 		return false
 	default:
@@ -593,12 +585,12 @@ func boolToNum(b bool) float64 {
 }
 
 // strictEquals implements ===.
-func strictEquals(a, b Value) bool {
+func strictEquals(a, b value) bool {
 	switch x := a.(type) {
 	case nil:
 		return b == nil
-	case UndefinedType:
-		_, ok := b.(UndefinedType)
+	case undefinedType:
+		_, ok := b.(undefinedType)
 		return ok
 	case bool:
 		y, ok := b.(bool)

@@ -38,29 +38,29 @@ func TestObjectOrderAcrossIndexThreshold(t *testing.T) {
 	// Twice linearMax keys: the index is built part way through, and order,
 	// lookup, overwrite and delete must not notice.
 	n := 2 * linearMax
-	o := NewObject()
+	o := newObject()
 	var want []string
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("k%02d", (i*7)%n) // not sorted
-		o.Set(k, float64(i))
+		o.set(k, float64(i))
 		want = append(want, k)
 	}
-	if got := o.Keys(); strings.Join(got, ",") != strings.Join(want, ",") {
+	if got := o.keys(); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("keys = %v, want %v", got, want)
 	}
 	if o.index == nil {
 		t.Fatal("no index past linearMax entries")
 	}
-	o.Set(want[3], "again")
-	if v, _ := o.Get(want[3]); v != "again" || o.Len() != n {
+	o.set(want[3], "again")
+	if v, _ := o.lookup(want[3]); v != "again" || o.Len() != n {
 		t.Errorf("overwrite: %v, len %d", v, o.Len())
 	}
 	// Delete then reinsert: the key moves to the end, the rest keep their
 	// places, and every position the index holds is still right.
-	o.Delete(want[2])
-	o.Set(want[2], "back")
+	o.delete(want[2])
+	o.set(want[2], "back")
 	want = append(append(want[:2:2], want[3:]...), want[2])
-	if got := o.Keys(); strings.Join(got, ",") != strings.Join(want, ",") {
+	if got := o.keys(); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("after delete+reinsert keys = %v, want %v", got, want)
 	}
 	for i, k := range want {
@@ -69,7 +69,7 @@ func TestObjectOrderAcrossIndexThreshold(t *testing.T) {
 		}
 	}
 	for _, k := range want {
-		o.Delete(k)
+		o.delete(k)
 	}
 	if o.Len() != 0 || o.find(want[0]) != -1 {
 		t.Errorf("after deleting all: len %d", o.Len())
@@ -157,27 +157,27 @@ func TestTableMatchesModel(t *testing.T) {
 
 // TestBuildObjectAllocations pins building an object of 18 keys, as scan.js
 // builds one per scan: the object, its entries grown from 4 to 8, 16 and 32,
-// and the index, made once past linearMax with room for 18. An Object, which
+// and the index, made once past linearMax with room for 18. An object, which
 // every delivered message's view is, stays within the 48-byte size class.
 func TestBuildObjectAllocations(t *testing.T) {
-	if n := unsafe.Sizeof(Object{}); n > 48 {
+	if n := unsafe.Sizeof(object{}); n > 48 {
 		t.Errorf("an Object is %d bytes", n)
 	}
 	keys := make([]string, 18)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("00:11:22:33:44:%02x", i)
 	}
-	var o *Object
+	var o *object
 	if n := testing.AllocsPerRun(100, func() {
-		o = NewObject()
+		o = newObject()
 		for i, k := range keys {
-			o.Set(k, smallNum[i])
+			o.set(k, smallNum[i])
 		}
 	}); n != 6 {
 		t.Errorf("an 18-key object: %v allocs, want 6", n)
 	}
 	for i, k := range keys {
-		if v, _ := o.Get(k); v != smallNum[i] {
+		if v, _ := o.lookup(k); v != smallNum[i] {
 			t.Errorf("%s = %v", k, v)
 		}
 	}
@@ -207,7 +207,7 @@ func TestLiteralSiteSizesItsObjects(t *testing.T) {
 	full, empty, huge, one := h.subs[0].handler, h.subs[1].handler, h.subs[2].handler, h.subs[3].handler
 	capOfLast := func() int {
 		v, _ := s.globals.get("last")
-		return cap(v.(*Object).ents)
+		return cap(v.(*object).ents)
 	}
 	full(nil, "")
 	perCall := func(handler func(msg.Value, string)) float64 {
@@ -308,7 +308,7 @@ func TestArgumentsOnlyWhereNamed(t *testing.T) {
 		if !ok {
 			t.Fatalf("no %s", name)
 		}
-		return v.(*Function).code.lit
+		return v.(*function).code.lit
 	}
 	if !lit("named").usesArgs {
 		t.Error("named: arguments not switched on")
@@ -332,10 +332,10 @@ func TestArgumentsOnlyWhereNamed(t *testing.T) {
 	}
 	in := s.in
 	plain, _ := s.globals.get("plain")
-	args := []Value{1.0, 2.0}
+	args := []value{1.0, 2.0}
 	if n := testing.AllocsPerRun(100, func() {
 		in.begin(1000)
-		if _, err := in.invoke(0, plain, Undefined, args); err != nil {
+		if _, err := in.invoke(0, plain, undefined, args); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -432,8 +432,8 @@ func TestToMsgOfInnerViewIsOwnRoot(t *testing.T) {
 	// message in its own right, Equal to the node, encoding to what the node
 	// alone encodes to.
 	inner := msg.Map{"x": 1.0, "s": "y"}
-	view, _ := FromMsg(mustRaw(t, msg.Map{"a": 0.0, "inner": inner, "z": true})).(*Object).Get("inner")
-	out, err := ToMsg(view)
+	view, _ := fromMsg(mustRaw(t, msg.Map{"a": 0.0, "inner": inner, "z": true})).(*object).lookup("inner")
+	out, err := toMsg(view)
 	if err != nil {
 		t.Fatal(err)
 	}

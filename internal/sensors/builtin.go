@@ -12,7 +12,7 @@ import (
 const (
 	ChannelBattery  = "battery"
 	ChannelWifiScan = "wifi-scan"
-	ChannelLocation = "location"
+	channelLocation = "location"
 )
 
 // BatterySource supplies battery readings; *android.Device implements it.
@@ -42,8 +42,8 @@ type batterySensor struct {
 }
 
 func (s *batterySensor) doSample() {
-	now := s.mgr.Clock().Now()
-	s.mgr.Publish(ChannelBattery, msg.Map{
+	now := s.mgr.clock().Now()
+	s.mgr.publish(ChannelBattery, msg.Map{
 		"voltage":   s.src.BatteryVoltage(),
 		"level":     s.src.BatteryLevel(),
 		"timestamp": float64(now.UnixMilli()),
@@ -125,7 +125,7 @@ func (s *wifiScanSensor) doSample() {
 	if s.cfg.Meter != nil {
 		s.cfg.Meter.Add("wifi-scan", s.cfg.ScanPower)
 	}
-	s.mgr.Scheduler().After(s.cfg.ScanDuration, "wifi-scan-done", func() {
+	s.mgr.scheduler().After(s.cfg.ScanDuration, "wifi-scan-done", func() {
 		if s.cfg.Meter != nil {
 			s.cfg.Meter.Add("wifi-scan", -s.cfg.ScanPower)
 		}
@@ -134,9 +134,9 @@ func (s *wifiScanSensor) doSample() {
 		for _, ap := range aps {
 			list = append(list, ap.Message())
 		}
-		s.mgr.Publish(ChannelWifiScan, msg.Map{
+		s.mgr.publish(ChannelWifiScan, msg.Map{
 			"aps":       list,
-			"timestamp": float64(s.mgr.Clock().Now().UnixMilli()),
+			"timestamp": float64(s.mgr.clock().Now().UnixMilli()),
 		})
 	})
 }
@@ -162,7 +162,7 @@ func NewLocationSensor(mgr *Manager, src LocationSource) Sensor {
 	s := &locationSensor{src: src}
 	s.periodicCore = periodicCore{
 		mgr:     mgr,
-		channel: ChannelLocation,
+		channel: channelLocation,
 		def:     time.Minute,
 		min:     time.Second,
 		sample:  s.doSample,
@@ -177,7 +177,7 @@ type locationSensor struct {
 
 func (s *locationSensor) doSample() {
 	providers := map[string]bool{}
-	for _, sub := range s.mgr.Subscriptions(ChannelLocation) {
+	for _, sub := range s.mgr.subscriptions(channelLocation) {
 		if p := msg.GetString(sub.Params, "provider"); p != "" {
 			providers[p] = true
 		} else {
@@ -187,7 +187,7 @@ func (s *locationSensor) doSample() {
 	if len(providers) == 0 {
 		providers["NETWORK"] = true
 	}
-	now := float64(s.mgr.Clock().Now().UnixMilli())
+	now := float64(s.mgr.clock().Now().UnixMilli())
 	ordered := make([]string, 0, len(providers))
 	for p := range providers {
 		ordered = append(ordered, p)
@@ -198,7 +198,7 @@ func (s *locationSensor) doSample() {
 		if !ok {
 			continue
 		}
-		s.mgr.Publish(ChannelLocation, msg.Map{
+		s.mgr.publish(channelLocation, msg.Map{
 			"lat":       pos.Lat,
 			"lon":       pos.Lon,
 			"provider":  pos.Provider,

@@ -20,13 +20,13 @@ import (
 	"pogo/internal/vclock"
 )
 
-// Sensor is a unit managed by the Manager. Reconfigure is called whenever
+// Sensor is a unit managed by the Manager. reconfigure is called whenever
 // the subscription picture may have changed; implementations query the
-// manager for demand and adjust their sampling. Close releases resources.
+// manager for demand and adjust their sampling. close releases resources.
 type Sensor interface {
-	Channel() string
-	Reconfigure()
-	Close()
+	channelName() string
+	reconfigure()
+	close()
 }
 
 // Manager connects sensors to the brokers of every context on the node.
@@ -51,21 +51,21 @@ func NewManager(s *sched.Scheduler) *Manager {
 	}
 }
 
-// Scheduler returns the manager's scheduler; sensors use it so sampling
+// scheduler returns the manager's scheduler; sensors use it so sampling
 // holds wake locks correctly.
-func (m *Manager) Scheduler() *sched.Scheduler { return m.sched }
+func (m *Manager) scheduler() *sched.Scheduler { return m.sched }
 
-// Clock returns the scheduler's clock.
-func (m *Manager) Clock() vclock.Clock { return m.sched.Clock() }
+// clock returns the scheduler's clock.
+func (m *Manager) clock() vclock.Clock { return m.sched.Clock() }
 
 // Register adds a sensor and immediately reconfigures it against current
 // demand.
 func (m *Manager) Register(s Sensor) {
 	m.mu.Lock()
 	m.sensors = append(m.sensors, s)
-	m.byChan[s.Channel()] = append(m.byChan[s.Channel()], s)
+	m.byChan[s.channelName()] = append(m.byChan[s.channelName()], s)
 	m.mu.Unlock()
-	s.Reconfigure()
+	s.reconfigure()
 }
 
 // AddBroker attaches a context's broker: sensor output will be published to
@@ -96,7 +96,7 @@ func (m *Manager) channelChanged(channel string) {
 	copy(sensors, m.byChan[channel])
 	m.mu.Unlock()
 	for _, s := range sensors {
-		s.Reconfigure()
+		s.reconfigure()
 	}
 }
 
@@ -106,12 +106,12 @@ func (m *Manager) reconfigureAll() {
 	copy(sensors, m.sensors)
 	m.mu.Unlock()
 	for _, s := range sensors {
-		s.Reconfigure()
+		s.reconfigure()
 	}
 }
 
-// Publish delivers a sensor message to every attached broker.
-func (m *Manager) Publish(channel string, message msg.Map) {
+// publish delivers a sensor message to every attached broker.
+func (m *Manager) publish(channel string, message msg.Map) {
 	m.mu.Lock()
 	brokers := make([]*pubsub.Broker, 0, len(m.brokers))
 	for b := range m.brokers {
@@ -123,9 +123,9 @@ func (m *Manager) Publish(channel string, message msg.Map) {
 	}
 }
 
-// Subscriptions aggregates the active subscriptions on a channel across all
+// subscriptions aggregates the active subscriptions on a channel across all
 // attached brokers.
-func (m *Manager) Subscriptions(channel string) []pubsub.SubscriptionInfo {
+func (m *Manager) subscriptions(channel string) []pubsub.SubscriptionInfo {
 	m.mu.Lock()
 	brokers := make([]*pubsub.Broker, 0, len(m.brokers))
 	for b := range m.brokers {
@@ -159,16 +159,16 @@ func (m *Manager) Close() {
 		c()
 	}
 	for _, s := range sensors {
-		s.Close()
+		s.close()
 	}
 }
 
-// DemandInterval inspects the active subscriptions on channel and returns
+// demandInterval inspects the active subscriptions on channel and returns
 // the effective sampling interval: the minimum requested {interval} across
 // subscribers (fallback def for subscribers with no interval parameter),
 // clamped below by min. The boolean reports whether there is any demand.
-func (m *Manager) DemandInterval(channel string, def, min time.Duration) (time.Duration, bool) {
-	subs := m.Subscriptions(channel)
+func (m *Manager) demandInterval(channel string, def, min time.Duration) (time.Duration, bool) {
+	subs := m.subscriptions(channel)
 	if len(subs) == 0 {
 		return 0, false
 	}
@@ -203,12 +203,12 @@ type periodicCore struct {
 	samples  int
 }
 
-func (p *periodicCore) Channel() string { return p.channel }
+func (p *periodicCore) channelName() string { return p.channel }
 
-// Reconfigure starts, stops, or re-periods the sampling loop based on
+// reconfigure starts, stops, or re-periods the sampling loop based on
 // current demand.
-func (p *periodicCore) Reconfigure() {
-	iv, want := p.mgr.DemandInterval(p.channel, p.def, p.min)
+func (p *periodicCore) reconfigure() {
+	iv, want := p.mgr.demandInterval(p.channel, p.def, p.min)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -229,7 +229,7 @@ func (p *periodicCore) Reconfigure() {
 		p.stop()
 	}
 	p.interval = iv
-	p.stop = p.mgr.Scheduler().Every(iv, p.channel, func() {
+	p.stop = p.mgr.scheduler().Every(iv, p.channel, func() {
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
@@ -241,29 +241,8 @@ func (p *periodicCore) Reconfigure() {
 	})
 }
 
-// Active reports whether the sensor is currently sampling.
-func (p *periodicCore) Active() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stop != nil
-}
-
-// Interval returns the current sampling interval (0 when inactive).
-func (p *periodicCore) Interval() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.interval
-}
-
-// Samples returns how many samples have been taken.
-func (p *periodicCore) Samples() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.samples
-}
-
-// Close stops sampling permanently.
-func (p *periodicCore) Close() {
+// close stops sampling permanently.
+func (p *periodicCore) close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true

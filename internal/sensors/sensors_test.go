@@ -210,7 +210,7 @@ func TestLocationSensorProviderParameter(t *testing.T) {
 	f := newFixture(t, true)
 	f.mgr.Register(NewLocationSensor(f.mgr, stubLocation{}))
 	var got []msg.Map
-	f.b.Subscribe(ChannelLocation, msg.Map{"provider": "GPS", "interval": 60000.0}, func(ev pubsub.Event) {
+	f.b.Subscribe(channelLocation, msg.Map{"provider": "GPS", "interval": 60000.0}, func(ev pubsub.Event) {
 		got = append(got, ev.Message.Map())
 	})
 	f.clk.Advance(time.Minute + time.Second)
@@ -226,7 +226,7 @@ func TestLocationSensorDefaultProvider(t *testing.T) {
 	f := newFixture(t, true)
 	f.mgr.Register(NewLocationSensor(f.mgr, stubLocation{}))
 	var got []msg.Map
-	f.b.Subscribe(ChannelLocation, nil, func(ev pubsub.Event) { got = append(got, ev.Message.Map()) })
+	f.b.Subscribe(channelLocation, nil, func(ev pubsub.Event) { got = append(got, ev.Message.Map()) })
 	f.clk.Advance(time.Minute + time.Second)
 	if len(got) != 1 || got[0]["provider"].(string) != "NETWORK" {
 		t.Errorf("got = %v", got)
@@ -253,21 +253,21 @@ func TestManagerClose(t *testing.T) {
 
 func TestDemandInterval(t *testing.T) {
 	f := newFixture(t, false)
-	if _, ok := f.mgr.DemandInterval("x", time.Minute, time.Second); ok {
+	if _, ok := f.mgr.demandInterval("x", time.Minute, time.Second); ok {
 		t.Error("demand with no subscribers")
 	}
 	f.b.Subscribe("x", nil, func(pubsub.Event) {})
-	iv, ok := f.mgr.DemandInterval("x", time.Minute, time.Second)
+	iv, ok := f.mgr.demandInterval("x", time.Minute, time.Second)
 	if !ok || iv != time.Minute {
 		t.Errorf("default interval = %v, %v", iv, ok)
 	}
 	f.b.Subscribe("x", msg.Map{"interval": 2000.0}, func(pubsub.Event) {})
-	iv, _ = f.mgr.DemandInterval("x", time.Minute, time.Second)
+	iv, _ = f.mgr.demandInterval("x", time.Minute, time.Second)
 	if iv != 2*time.Second {
 		t.Errorf("min interval = %v", iv)
 	}
 	f.b.Subscribe("x", msg.Map{"interval": 10.0}, func(pubsub.Event) {})
-	iv, _ = f.mgr.DemandInterval("x", time.Minute, time.Second)
+	iv, _ = f.mgr.demandInterval("x", time.Minute, time.Second)
 	if iv != time.Second {
 		t.Errorf("clamped interval = %v", iv)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 )
 
@@ -101,23 +100,4 @@ func (k *DirKV) Delete(key string) error {
 		return err
 	}
 	return nil
-}
-
-// Keys lists the stored keys (DirKV only; used by diagnostics).
-func (k *DirKV) Keys() []string {
-	entries, err := os.ReadDir(k.dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range entries {
-		name := strings.TrimSuffix(e.Name(), ".kv")
-		if name == e.Name() {
-			continue
-		}
-		if b, err := hex.DecodeString(name); err == nil {
-			out = append(out, string(b))
-		}
-	}
-	return out
 }

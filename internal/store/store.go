@@ -114,8 +114,8 @@ type Entry struct {
 // Enqueued returns the entry's enqueue instant.
 func (e Entry) Enqueued() time.Time { return time.UnixMilli(e.EnqueuedAt).UTC() }
 
-// ErrClosed is returned by operations on a closed outbox.
-var ErrClosed = errors.New("store: outbox closed")
+// errClosed is returned by operations on a closed outbox.
+var errClosed = errors.New("store: outbox closed")
 
 // The on-disk format; the package comment describes it.
 const (
@@ -518,7 +518,7 @@ func (o *Outbox) Add(to, channel string, seq uint64, payload []byte, at time.Tim
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	e := Entry{
 		ID:         o.nextID,
@@ -554,7 +554,7 @@ func (o *Outbox) Ack(ids ...uint64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
-		return ErrClosed
+		return errClosed
 	}
 	var del runs
 	for _, id := range ids {
@@ -573,7 +573,7 @@ func (o *Outbox) AckTo(to string, ids []uint64) ([]uint64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
-		return ids[:0], ErrClosed
+		return ids[:0], errClosed
 	}
 	keep := ids[:0]
 	var del runs
@@ -754,7 +754,7 @@ func (o *Outbox) PurgeExpired(now time.Time, maxAge time.Duration) ([]Entry, err
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	cutoff := now.Add(-maxAge).UnixMilli()
 	if o.live == 0 || o.oldest >= cutoff {

@@ -441,13 +441,13 @@ func TestClosedOperations(t *testing.T) {
 	if err := o.Close(); err != nil {
 		t.Errorf("second Close = %v", err)
 	}
-	if _, err := o.Add("c", "a", 0, nil, vclock.SimEpoch); err != ErrClosed {
+	if _, err := o.Add("c", "a", 0, nil, vclock.SimEpoch); err != errClosed {
 		t.Errorf("Add after close = %v", err)
 	}
-	if err := o.Ack(1); err != ErrClosed {
+	if err := o.Ack(1); err != errClosed {
 		t.Errorf("Ack after close = %v", err)
 	}
-	if _, err := o.PurgeExpired(vclock.SimEpoch, time.Hour); err != ErrClosed {
+	if _, err := o.PurgeExpired(vclock.SimEpoch, time.Hour); err != errClosed {
 		t.Errorf("Purge after close = %v", err)
 	}
 }

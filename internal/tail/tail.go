@@ -25,9 +25,9 @@ import (
 	"pogo/internal/radio"
 )
 
-// DefaultInterval is the paper's polling period: once per second of CPU
+// defaultInterval is the paper's polling period: once per second of CPU
 // uptime.
-const DefaultInterval = time.Second
+const defaultInterval = time.Second
 
 // Detector watches a cellular interface's traffic counters and reports
 // transmission activity. The zero value is not usable; construct with New.
@@ -66,10 +66,10 @@ func (d *Detector) Instrument(reg *obs.Registry, node string) {
 }
 
 // New returns a detector polling stats every interval of CPU uptime.
-// interval ≤ 0 uses DefaultInterval.
+// interval ≤ 0 uses defaultInterval.
 func New(dev *android.Device, stats func() radio.TrafficStats, interval time.Duration) *Detector {
 	if interval <= 0 {
-		interval = DefaultInterval
+		interval = defaultInterval
 	}
 	return &Detector{dev: dev, stats: stats, interval: interval}
 }
@@ -133,14 +133,6 @@ func (d *Detector) Fires() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.fires
-}
-
-// Polls returns how many polls have executed (each costs one timer firing of
-// awake CPU time — but never a wakeup of its own).
-func (d *Detector) Polls() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.polls
 }
 
 func (d *Detector) schedule() {

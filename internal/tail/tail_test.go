@@ -126,14 +126,14 @@ func TestDetectorMultipleBursts(t *testing.T) {
 	if f.det.Fires() != 3 {
 		t.Errorf("Fires = %d, want 3", f.det.Fires())
 	}
-	if f.det.Polls() == 0 {
-		t.Error("Polls = 0")
+	if f.det.polls == 0 {
+		t.Error("polls = 0")
 	}
 }
 
 func TestDefaultInterval(t *testing.T) {
 	f := newFixture(t)
-	if f.det.interval != DefaultInterval {
+	if f.det.interval != defaultInterval {
 		t.Errorf("interval = %v", f.det.interval)
 	}
 	det2 := New(f.dev, f.modem.Stats, 5*time.Second)

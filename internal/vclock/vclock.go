@@ -55,7 +55,7 @@ func (r realTimer) Stop() bool { return r.t.Stop() }
 //
 // The zero value is not usable; construct with NewSim. Callbacks scheduled
 // with AfterFunc run when the simulation is advanced past their due time, in
-// (time, insertion) order, on the goroutine calling Advance/Run/Step.
+// (time, insertion) order, on the goroutine calling Advance or RunUntil.
 // Callbacks may schedule further callbacks, including at the current instant.
 type Sim struct {
 	mu    sync.Mutex
@@ -90,7 +90,7 @@ func (s *Sim) Now() time.Time {
 
 // AfterFunc implements Clock. A non-positive delay schedules the callback at
 // the current instant; it will still only run once the simulation advances
-// (or Step is called).
+// (Advance or RunUntil).
 func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
 	if d < 0 {
 		d = 0
@@ -213,33 +213,6 @@ func (s *Sim) RunUntil(deadline time.Time) int {
 	return ran
 }
 
-// Step runs the single next pending callback (advancing the clock to its due
-// time) and reports whether one existed.
-func (s *Sim) Step() bool {
-	fn, ok := s.popDue(time.Time{})
-	if !ok {
-		return false
-	}
-	fn()
-	return true
-}
-
-// Run drains the event queue completely, with a safety cap on the number of
-// callbacks to avoid runaway self-rescheduling loops. It returns the number
-// of callbacks run and whether the queue actually drained: drained == false
-// means the cap cut the simulation short with events still pending, which
-// callers must treat as an error rather than a completed run.
-func (s *Sim) Run(maxEvents int) (ran int, drained bool) {
-	for ran < maxEvents {
-		if !s.Step() {
-			return ran, true
-		}
-		ran++
-	}
-	_, pending := s.NextEventAt()
-	return ran, !pending
-}
-
 // Pending returns the number of scheduled, uncancelled callbacks.
 func (s *Sim) Pending() int {
 	s.mu.Lock()
@@ -251,20 +224,6 @@ func (s *Sim) Pending() int {
 		}
 	}
 	return n
-}
-
-// NextEventAt returns the due time of the earliest pending callback, and
-// false when the queue is empty.
-func (s *Sim) NextEventAt() (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.queue) > 0 && s.queue[0].stopped {
-		heap.Pop(&s.queue)
-	}
-	if len(s.queue) == 0 {
-		return time.Time{}, false
-	}
-	return s.queue[0].at, true
 }
 
 // popDue removes and returns the earliest event. When deadline is non-zero,

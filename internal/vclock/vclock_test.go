@@ -109,16 +109,16 @@ func TestSimStepAndPending(t *testing.T) {
 	if s.Pending() != 2 {
 		t.Errorf("Pending = %d, want 2", s.Pending())
 	}
-	if at, ok := s.NextEventAt(); !ok || !at.Equal(SimEpoch.Add(time.Second)) {
+	if at, ok := s.nextEventAt(); !ok || !at.Equal(SimEpoch.Add(time.Second)) {
 		t.Errorf("NextEventAt = %v, %v", at, ok)
 	}
-	if !s.Step() {
+	if !s.step() {
 		t.Fatal("Step = false with pending events")
 	}
 	if ran != 1 || !s.Now().Equal(SimEpoch.Add(time.Second)) {
 		t.Errorf("after Step: ran=%d now=%v", ran, s.Now())
 	}
-	if !s.Step() || s.Step() {
+	if !s.step() || s.step() {
 		t.Error("Step sequence wrong")
 	}
 }
@@ -209,7 +209,7 @@ func TestSimNextEventSkipsStopped(t *testing.T) {
 	tm := s.AfterFunc(time.Second, func() {})
 	s.AfterFunc(2*time.Second, func() {})
 	tm.Stop()
-	if at, ok := s.NextEventAt(); !ok || !at.Equal(SimEpoch.Add(2*time.Second)) {
+	if at, ok := s.nextEventAt(); !ok || !at.Equal(SimEpoch.Add(2*time.Second)) {
 		t.Errorf("NextEventAt = %v, %v; want 2s event", at, ok)
 	}
 	if s.Pending() != 1 {

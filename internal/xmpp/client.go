@@ -76,7 +76,7 @@ func Dial(addr, user, password, resource string) (*Client, error) {
 func (c *Client) handshake(user, password, resource string) error {
 	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
 	defer c.conn.SetDeadline(time.Time{})
-	if _, err := c.conn.Write(streamOpenLine("to", Domain)); err != nil {
+	if _, err := c.conn.Write(streamOpenLine("to", domain)); err != nil {
 		return fmt.Errorf("xmpp: stream open: %w", err)
 	}
 	sr := newStanzaReader(c.conn)
@@ -124,9 +124,6 @@ func (c *Client) handshake(user, password, resource string) error {
 	return nil
 }
 
-// JID returns the bound full JID.
-func (c *Client) JID() JID { return c.jid }
-
 // OnMessageRaw sets the inbound message handler. The body slice is freshly
 // allocated per message and owned by the handler. Messages that arrived
 // before the handler was registered — e.g. stanzas the server replayed the
@@ -141,14 +138,6 @@ func (c *Client) OnMessageRaw(fn func(from JID, id string, body []byte)) {
 	for i := range backlog {
 		fn(JID(backlog[i].From), backlog[i].ID, backlog[i].Body)
 	}
-}
-
-// OnError sets the handler for bounced messages (recipient not on the
-// roster); id is the original message's id.
-func (c *Client) OnError(fn func(id, reason string)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onError = fn
 }
 
 // OnPresence sets the roster-contact availability handler.

@@ -32,7 +32,7 @@ func FuzzParseStanza(f *testing.F) {
 		f.Add(append(b, '\n'))
 	}
 	frame := appendFrame(nil, "b@pogo", "a@pogo", "m1", "0000000000000001", []byte{0x00, 0xff, '\n', '<', frameMagic})
-	f.Add(append(streamOpenLine("to", Domain), frame...))
+	f.Add(append(streamOpenLine("to", domain), frame...))
 	f.Add(append(append([]byte("\r\n\n"), frame...), frame...))
 	f.Add(frame[:len(frame)-1])                                                 // no terminator
 	f.Add(append(frame[:len(frame)-1:len(frame)-1], 'x'))                       // wrong terminator

@@ -48,8 +48,8 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	}
 	// And still serve legitimate clients.
 	c := dial(t, s, "alice", "pw")
-	if c.JID().User() != "alice" {
-		t.Errorf("JID = %s", c.JID())
+	if c.jid.User() != "alice" {
+		t.Errorf("JID = %s", c.jid)
 	}
 }
 
@@ -57,7 +57,7 @@ func TestServerHandshakeTimeout(t *testing.T) {
 	s := startServer(t, ServerConfig{AllowAutoRegister: true, HandshakeTimeout: 100 * time.Millisecond})
 	c := rawConn(t, s)
 	// Open the stream and then stall before auth: the server must hang up.
-	c.Write(streamOpenLine("to", Domain))
+	c.Write(streamOpenLine("to", domain))
 	buf := make([]byte, 256)
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	closed := false
@@ -82,7 +82,7 @@ func TestCloseHangsUpSilentClient(t *testing.T) {
 	c := rawConn(t, s)
 	// A half-open handshake: the server's greeting proves it accepted the
 	// connection, and the client then goes quiet before auth.
-	c.Write(streamOpenLine("to", Domain))
+	c.Write(streamOpenLine("to", domain))
 	if _, err := c.Read(make([]byte, 256)); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func rawLogin(t *testing.T, s *Server, user string) *stanzaReader {
 	c := rawConn(t, s)
 	c.SetDeadline(time.Now().Add(5 * time.Second))
 	auth := `<auth user="` + user + `" password="pw" resource="raw"></auth>` + "\n"
-	if _, err := c.Write(append(streamOpenLine("to", Domain), auth...)); err != nil {
+	if _, err := c.Write(append(streamOpenLine("to", domain), auth...)); err != nil {
 		t.Fatal(err)
 	}
 	sr := newStanzaReader(c)
@@ -252,7 +252,7 @@ func TestOfflineQueueBounded(t *testing.T) {
 	s := startServer(t, ServerConfig{AllowAutoRegister: true, Obs: reg})
 	s.Associate("r", "d")
 	r := dial(t, s, "r", "pw")
-	for i := 0; i <= QueueCap; i++ {
+	for i := 0; i <= queueCap; i++ {
 		body := "m" + strconv.Itoa(i)
 		r.SendMessageBytes(MakeJID("d"), body, []byte(body), "")
 	}
@@ -261,9 +261,9 @@ func TestOfflineQueueBounded(t *testing.T) {
 	})
 	d := dial(t, s, "d", "pw")
 	got := collectBodies(d)
-	waitFor(t, "bounded replay", func() bool { return len(got()) == QueueCap })
-	if g := got(); g[0] != "m1" || g[QueueCap-1] != "m"+strconv.Itoa(QueueCap) {
-		t.Errorf("replay runs %s..%s, want the newest %d", g[0], g[QueueCap-1], QueueCap)
+	waitFor(t, "bounded replay", func() bool { return len(got()) == queueCap })
+	if g := got(); g[0] != "m1" || g[queueCap-1] != "m"+strconv.Itoa(queueCap) {
+		t.Errorf("replay runs %s..%s, want the newest %d", g[0], g[queueCap-1], queueCap)
 	}
 }
 
@@ -378,7 +378,7 @@ func TestServerRefusesStreamWithoutBin(t *testing.T) {
 // Version check, client side: a server whose greeting lacks bin="2" is an
 // error from Dial, not a silent downgrade to some other message encoding.
 func TestDialRefusesServerWithoutBin(t *testing.T) {
-	for _, greeting := range []string{`<stream from="` + Domain + `">`, `<stream from="` + Domain + `" bin="1">`} {
+	for _, greeting := range []string{`<stream from="` + domain + `">`, `<stream from="` + domain + `" bin="1">`} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

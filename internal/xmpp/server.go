@@ -198,7 +198,7 @@ func (c *tcpSession) Presence(user string, available bool) {
 
 // Bounce implements Sink.
 func (c *tcpSession) Bounce(m Stanza, reason string) {
-	c.send(messageStanza{From: Domain, To: c.jid.String(), ID: m.ID, Type: "error", Body: reason})
+	c.send(messageStanza{From: domain, To: c.jid.String(), ID: m.ID, Type: "error", Body: reason})
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -214,7 +214,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if !ok {
 		return
 	}
-	if _, err := conn.Write(streamOpenLine("from", Domain)); err != nil {
+	if _, err := conn.Write(streamOpenLine("from", domain)); err != nil {
 		return
 	}
 	if hdr.Bin != streamBinAttr {
@@ -232,7 +232,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := xml.Unmarshal(line, &auth); err != nil {
 		return
 	}
-	if reason := s.Authenticate(auth.User, auth.Password, s.cfg.AllowAutoRegister); reason != "" {
+	if reason := s.authenticate(auth.User, auth.Password, s.cfg.AllowAutoRegister); reason != "" {
 		writeStanza(conn, failureStanza{Reason: reason})
 		return
 	}
@@ -240,7 +240,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if resource == "" {
 		resource = "pogo"
 	}
-	c := &tcpSession{jid: JID(auth.User + "@" + Domain + "/" + resource), conn: conn}
+	c := &tcpSession{jid: JID(auth.User + "@" + domain + "/" + resource), conn: conn}
 	if c.success, err = marshalStanza(successStanza{JID: c.jid.String()}); err != nil {
 		return
 	}
@@ -256,7 +256,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	// Stanza loop.
-	from := c.jid.Bare().String()
+	from := c.jid.bare().String()
 	for {
 		m, isFrame, line, err := sr.next()
 		if err != nil {

@@ -21,17 +21,17 @@ import (
 	"pogo/internal/obs"
 )
 
-// Domain is the default server domain used in JIDs.
-const Domain = "pogo"
+// domain is the default server domain used in JIDs.
+const domain = "pogo"
 
 // JID is a bare or full Jabber identifier: user@domain[/resource].
 type JID string
 
 // MakeJID builds a bare JID from a user name.
-func MakeJID(user string) JID { return JID(user + "@" + Domain) }
+func MakeJID(user string) JID { return JID(user + "@" + domain) }
 
-// Bare strips the resource part.
-func (j JID) Bare() JID {
+// bare strips the resource part.
+func (j JID) bare() JID {
 	if i := strings.IndexByte(string(j), '/'); i >= 0 {
 		return j[:i]
 	}
@@ -40,7 +40,7 @@ func (j JID) Bare() JID {
 
 // User returns the local part.
 func (j JID) User() string {
-	s := string(j.Bare())
+	s := string(j.bare())
 	if i := strings.IndexByte(s, '@'); i >= 0 {
 		return s[:i]
 	}
@@ -107,15 +107,6 @@ type messageStanza struct {
 // maxTraceAttrIDs is how many 8-byte trace IDs fit in one frame field.
 const maxTraceAttrIDs = maxFrameField / 8
 
-// TraceAttr renders a batch's trace IDs as the frame's trace field: each ID
-// as 8 bytes little-endian, in batch order, empty when every ID is zero.
-// Only the first maxTraceAttrIDs are rendered — switchboard hop tracing is
-// best-effort, and an over-long field would make the server drop the stream
-// (and with it the batch, on every retransmission).
-func TraceAttr(traces []obs.TraceID) string {
-	return string(appendTraceWords(nil, traceWords(traces)))
-}
-
 // traceWords returns the trace IDs a trace field carries: the first
 // maxTraceAttrIDs of traces, or none when all of them are zero.
 func traceWords(traces []obs.TraceID) []obs.TraceID {
@@ -135,9 +126,9 @@ func appendTraceWords(dst []byte, traces []obs.TraceID) []byte {
 	return dst
 }
 
-// ParseTraceAttr reads a trace field back into trace IDs, ignoring a
+// parseTraceAttr reads a trace field back into trace IDs, ignoring a
 // trailing partial word rather than failing the stanza.
-func ParseTraceAttr(s string) []obs.TraceID {
+func parseTraceAttr(s string) []obs.TraceID {
 	if len(s) < 8 {
 		return nil
 	}

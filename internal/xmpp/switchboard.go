@@ -8,10 +8,10 @@ import (
 	"pogo/internal/vclock"
 )
 
-// QueueCap is how many stanzas the switchboard holds per user while the user
+// queueCap is how many stanzas the switchboard holds per user while the user
 // has no live session. A full queue evicts (and counts) its oldest stanza:
 // the sender's end-to-end retransmission covers it.
-const QueueCap = 64
+const queueCap = 64
 
 // Sink is the outbound side of one attached session: what the switchboard
 // writes to, and what identifies the session, so it must be comparable (a
@@ -87,17 +87,10 @@ func NewSwitchboard(clk vclock.Clock, reg *obs.Registry) *Switchboard {
 	return s
 }
 
-// AddAccount registers (or updates) an account.
-func (s *Switchboard) AddAccount(user, password string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.accounts[user] = password
-}
-
-// Authenticate checks credentials, creating the account on first login when
+// authenticate checks credentials, creating the account on first login when
 // register is set — the paper's zero-registration participation model
 // (§3.3). It returns "" when accepted, else the failure reason.
-func (s *Switchboard) Authenticate(user, password string, register bool) string {
+func (s *Switchboard) authenticate(user, password string, register bool) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pw, ok := s.accounts[user]
@@ -132,14 +125,6 @@ func (s *Switchboard) Associate(a, b string) {
 		sb.Presence(a, true)
 		sa.Presence(b, true)
 	}
-}
-
-// Dissociate removes a researcher↔device association.
-func (s *Switchboard) Dissociate(a, b string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.rosters[a], b)
-	delete(s.rosters[b], a)
 }
 
 // Roster returns a user's contacts, sorted.
@@ -261,7 +246,7 @@ func (s *Switchboard) drainLocked(user string) {
 // enqueueLocked holds m for user's next session: at the back for a routed
 // stanza, which the queue keeps a copy of (Route's m is the caller's), at
 // the front for one a replay failed to hand over, which is the queue's
-// already. A queue over QueueCap loses its oldest stanza.
+// already. A queue over queueCap loses its oldest stanza.
 func (s *Switchboard) enqueueLocked(user string, m Stanza, front bool) {
 	q := s.queues[user]
 	if front {
@@ -271,8 +256,8 @@ func (s *Switchboard) enqueueLocked(user string, m Stanza, front bool) {
 		s.obsQueued.Inc()
 		s.hop(obs.StageOffline, m.T, "user=", user)
 	}
-	if len(q) > QueueCap {
-		q = q[len(q)-QueueCap:]
+	if len(q) > queueCap {
+		q = q[len(q)-queueCap:]
 		s.obsQueueDrops.Inc()
 	}
 	s.queues[user] = q
@@ -316,7 +301,7 @@ func (s *Switchboard) hop(stage obs.Stage, traceAttr, key, user string) {
 		return
 	}
 	at, detail := s.clk.Now(), key+user
-	for _, tr := range ParseTraceAttr(traceAttr) {
+	for _, tr := range parseTraceAttr(traceAttr) {
 		s.spans.Record(at, tr, stage, switchboardNode, "", 0, detail)
 	}
 }

@@ -10,7 +10,7 @@ import (
 func TestTraceAttrRoundTrip(t *testing.T) {
 	traces := []obs.TraceID{obs.NewTraceID(1, "a", 1), 0, obs.NewTraceID(1, "a", 2)}
 	attr := TraceAttr(traces)
-	got := ParseTraceAttr(attr)
+	got := parseTraceAttr(attr)
 	if len(got) != len(traces) {
 		t.Fatalf("parsed %d ids from %q, want %d", len(got), attr, len(traces))
 	}
@@ -22,17 +22,17 @@ func TestTraceAttrRoundTrip(t *testing.T) {
 	if TraceAttr(nil) != "" || TraceAttr([]obs.TraceID{0, 0}) != "" {
 		t.Fatal("all-zero batches must render an empty attribute")
 	}
-	if ParseTraceAttr("") != nil {
+	if parseTraceAttr("") != nil {
 		t.Fatal("empty attribute must parse to nil")
 	}
 	if len(attr) != 8*len(traces) {
 		t.Fatalf("%d IDs render %d bytes, want 8 each", len(traces), len(attr))
 	}
 	// A trailing partial word is ignored, not a dropped stanza.
-	if got := ParseTraceAttr(attr + "\x01\x02\x03"); len(got) != len(traces) || got[2] != traces[2] {
+	if got := parseTraceAttr(attr + "\x01\x02\x03"); len(got) != len(traces) || got[2] != traces[2] {
 		t.Fatalf("trailing partial word parse = %v", got)
 	}
-	if got := ParseTraceAttr(attr[:7]); got != nil {
+	if got := parseTraceAttr(attr[:7]); got != nil {
 		t.Fatalf("a lone partial word parsed to %v", got)
 	}
 }
@@ -48,7 +48,7 @@ func TestTraceAttrFitsFrameField(t *testing.T) {
 	if len(attr) > maxFrameField {
 		t.Fatalf("600 IDs render %d bytes, over the %d-byte field bound", len(attr), maxFrameField)
 	}
-	got := ParseTraceAttr(attr)
+	got := parseTraceAttr(attr)
 	if len(got) != maxTraceAttrIDs || len(TraceAttr(traces[:maxTraceAttrIDs+1])) != len(attr) {
 		t.Fatalf("rendered %d IDs, want the %d that fit", len(got), maxTraceAttrIDs)
 	}

@@ -72,8 +72,8 @@ func appendFrame(dst []byte, to, from, id, trace string, body []byte) []byte {
 // The from field is empty: the server stamps the session's own.
 func appendRawFrame(dst []byte, m *RawMessage) []byte {
 	dst = append(dst, frameMagic)
-	dst = binary.AppendUvarint(dst, uint64(len(m.To)+1+len(Domain)))
-	dst = append(append(append(dst, m.To...), '@'), Domain...)
+	dst = binary.AppendUvarint(dst, uint64(len(m.To)+1+len(domain)))
+	dst = append(append(append(dst, m.To...), '@'), domain...)
 	dst = append(dst, 0)
 	var id [20]byte
 	dst = appendFrameStr(dst, strconv.AppendUint(id[:0], m.ID, 10))
