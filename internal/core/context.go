@@ -468,7 +468,6 @@ func (h *scriptHost) Subscribe(channel string, params msg.Map, handler func(msg.
 
 // Print implements script.Host.
 func (h *scriptHost) Print(scriptName, text string) {
-	h.ctx.node.logs.print(scriptName, text)
 	if h.ctx.node.cfg.OnPrint != nil {
 		h.ctx.node.cfg.OnPrint(scriptName, text)
 	}

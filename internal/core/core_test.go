@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,6 +41,16 @@ type simDevice struct {
 	node    *Node
 	scanner *stubScanner
 	storage store.KV
+
+	mu     sync.Mutex
+	prints []string // what the node's scripts print()ed, through Config.OnPrint
+}
+
+// printed returns what the device's scripts have printed so far.
+func (d *simDevice) printed() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return slices.Clone(d.prints)
 }
 
 type stubScanner struct {
@@ -80,10 +93,19 @@ func (r *rig) addDevice(id string, policy FlushPolicy, storage store.KV, outboxP
 	modem := radio.NewModem(r.clk, meter, radio.KPN)
 	conn := radio.NewConnectivity(modem, nil)
 	port := r.sb.Port(id, conn)
+	d := &simDevice{
+		id: id, meter: meter, droid: droid, modem: modem, conn: conn,
+		port: port, storage: storage,
+	}
 	node, err := NewNode(Config{
 		ID: id, Mode: DeviceMode, Clock: r.clk, Messenger: port,
 		Device: droid, Modem: modem, Storage: storage, OutboxPath: outboxPath,
 		FlushPolicy: policy,
+		OnPrint: func(_, text string) {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			d.prints = append(d.prints, text)
+		},
 	})
 	if err != nil {
 		r.t.Fatal(err)
@@ -91,10 +113,7 @@ func (r *rig) addDevice(id string, policy FlushPolicy, storage store.KV, outboxP
 	scanner := &stubScanner{}
 	node.Sensors().Register(sensors.NewBatterySensor(node.Sensors(), droid))
 	node.Sensors().Register(sensors.NewWifiScanSensor(node.Sensors(), scanner, sensors.WifiScanConfig{Meter: meter}))
-	d := &simDevice{
-		id: id, meter: meter, droid: droid, modem: modem, conn: conn,
-		port: port, node: node, scanner: scanner, storage: storage,
-	}
+	d.node, d.scanner = node, scanner
 	r.dev[id] = d
 	r.t.Cleanup(node.Close)
 	return d
@@ -217,9 +236,8 @@ func TestScriptUpdateReplacesAndKeepsFrozenState(t *testing.T) {
 	if desc := ctx.Script("s.js").Description(); desc != "v2" {
 		t.Errorf("desc after update = %q", desc)
 	}
-	prints := d.node.Logs().Prints()
-	if len(prints) != 1 || prints[0].Text != "n=1" {
-		t.Errorf("prints = %+v (state lost across update?)", prints)
+	if prints := d.printed(); len(prints) != 1 || prints[0] != "n=1" {
+		t.Errorf("prints = %q (state lost across update?)", prints)
 	}
 }
 
@@ -245,8 +263,8 @@ func TestRebootRedeploysAndThaws(t *testing.T) {
 		print('boot ' + boots);
 	`)
 	r.clk.Advance(time.Minute)
-	if p := d.node.Logs().Prints(); len(p) != 1 || p[0].Text != "boot 0" {
-		t.Fatalf("first boot prints = %+v", p)
+	if p := d.printed(); len(p) != 1 || p[0] != "boot 0" {
+		t.Fatalf("first boot prints = %q", p)
 	}
 
 	// Reboot: node torn down, new node with the SAME storage and identity.
@@ -256,9 +274,8 @@ func TestRebootRedeploysAndThaws(t *testing.T) {
 	d2 := r.addDevice("dev1", FlushImmediate, d.storage, "")
 	r.clk.Advance(time.Minute)
 
-	p := d2.node.Logs().Prints()
-	if len(p) != 1 || p[0].Text != "boot 1" {
-		t.Errorf("post-reboot prints = %+v (redeploy or thaw failed)", p)
+	if p := d2.printed(); len(p) != 1 || p[0] != "boot 1" {
+		t.Errorf("post-reboot prints = %q (redeploy or thaw failed)", p)
 	}
 }
 
@@ -450,11 +467,29 @@ func TestLogStore(t *testing.T) {
 	if len(hooked) != 3 {
 		t.Errorf("hooked = %v", hooked)
 	}
-	for i := 0; i < 1100; i++ {
-		l.print("s", "x")
+	if got := l.Lines("missing"); got == nil || len(got) != 0 {
+		t.Errorf("Lines(missing) = %#v, want empty", got)
 	}
-	if got := len(l.Prints()); got != 1000 {
-		t.Errorf("Prints = %d, want capped at 1000", got)
+	// Across block boundaries, empty lines included, Lines gives back every
+	// line in order, and a copy: appending after a read leaves it alone.
+	var want []string
+	for i := 0; i < 2*logBlock+3; i++ {
+		line := strconv.Itoa(i)
+		if i%7 == 0 || i == logBlock-1 || i == logBlock {
+			line = ""
+		}
+		want = append(want, line)
+		l.append("c", line)
+		if i == logBlock-1 || i == logBlock || i == 2*logBlock+2 {
+			if got := l.Lines("c"); !slices.Equal(got, want) {
+				t.Fatalf("after %d lines: Lines(c) has %d lines, differing from what was appended", i+1, len(got))
+			}
+		}
+	}
+	got := l.Lines("c")
+	l.append("c", "later")
+	if !slices.Equal(got, want) || len(l.Lines("c")) != len(want)+1 {
+		t.Errorf("a later append changed an earlier Lines result, or was lost")
 	}
 }
 

@@ -169,7 +169,7 @@ func TestAutoStartOffRequiresManualStart(t *testing.T) {
 	if ctx == nil || ctx.Script("manual.js") == nil {
 		t.Fatal("script not deployed")
 	}
-	if got := len(d.node.Logs().Prints()); got != 0 {
+	if got := len(d.printed()); got != 0 {
 		t.Fatalf("script ran without user consent: %d prints", got)
 	}
 
@@ -177,9 +177,8 @@ func TestAutoStartOffRequiresManualStart(t *testing.T) {
 	if err := ctx.StartScript("manual.js"); err != nil {
 		t.Fatal(err)
 	}
-	prints := d.node.Logs().Prints()
-	if len(prints) != 1 || prints[0].Text != "running" {
-		t.Errorf("prints = %+v", prints)
+	if prints := d.printed(); len(prints) != 1 || prints[0] != "running" {
+		t.Errorf("prints = %q", prints)
 	}
 	if err := ctx.StartScript("missing.js"); err == nil {
 		t.Error("starting an unknown script succeeded")

@@ -10,10 +10,10 @@ import (
 )
 
 // What a UI or an operator would do, and what a test reads back: no
-// binary starts a manual script, undeploys, or reads a context's scripts,
-// its debug prints or the hidden channels. The device side of each (the
-// undeploy control message, a stopped script, the print ring, the privacy
-// filter) is production code these reach.
+// binary starts a manual script, undeploys, or reads a context's scripts
+// or the hidden channels. The device side of each (the undeploy control
+// message, a stopped script, the privacy filter) is production code these
+// reach.
 
 // ScriptNames lists deployed scripts in deployment order.
 func (c *Context) ScriptNames() []string {
@@ -53,15 +53,6 @@ func (l *LogStore) Names() []string {
 	for name := range l.logs {
 		out = append(out, name)
 	}
-	return out
-}
-
-// Prints returns a copy of the recent print lines.
-func (l *LogStore) Prints() []printLine {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]printLine, len(l.prints))
-	copy(out, l.prints)
 	return out
 }
 

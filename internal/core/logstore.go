@@ -7,20 +7,32 @@ import "sync"
 // collect.js pushes annotated places into.
 type LogStore struct {
 	mu       sync.Mutex
-	logs     map[string][]string
-	prints   []printLine
+	logs     map[string]*lines
 	onAppend func(logName, line string)
 }
 
-// printLine is one script debug print.
-type printLine struct {
-	Script string
-	Text   string
+// logBlock is the number of lines a block of a log holds.
+const logBlock = 1024
+
+// lines is one log: its lines in fixed blocks of logBlock, so that a line,
+// once stored, is never copied again as the log grows. The strings are kept
+// as they were handed in.
+type lines struct {
+	blocks []*[logBlock]string
+	n      int
+}
+
+func (l *lines) add(line string) {
+	if l.n%logBlock == 0 {
+		l.blocks = append(l.blocks, new([logBlock]string))
+	}
+	l.blocks[l.n/logBlock][l.n%logBlock] = line
+	l.n++
 }
 
 // newLogStore returns empty storage.
 func newLogStore() *LogStore {
-	return &LogStore{logs: make(map[string][]string)}
+	return &LogStore{logs: make(map[string]*lines)}
 }
 
 // SetOnAppend registers fn to observe every line appended to any log.
@@ -41,7 +53,12 @@ func (l *LogStore) SetOnAppend(fn func(logName, line string)) {
 // append adds a line to the named log.
 func (l *LogStore) append(logName, line string) {
 	l.mu.Lock()
-	l.logs[logName] = append(l.logs[logName], line)
+	log := l.logs[logName]
+	if log == nil {
+		log = &lines{}
+		l.logs[logName] = log
+	}
+	log.add(line)
 	fn := l.onAppend
 	l.mu.Unlock()
 	if fn != nil {
@@ -53,17 +70,13 @@ func (l *LogStore) append(logName, line string) {
 func (l *LogStore) Lines(logName string) []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]string, len(l.logs[logName]))
-	copy(out, l.logs[logName])
-	return out
-}
-
-// print records a script debug print (bounded to the most recent 1000).
-func (l *LogStore) print(script, text string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.prints = append(l.prints, printLine{Script: script, Text: text})
-	if len(l.prints) > 1000 {
-		l.prints = l.prints[len(l.prints)-1000:]
+	log := l.logs[logName]
+	if log == nil {
+		return []string{}
 	}
+	out := make([]string, 0, log.n)
+	for i, b := range log.blocks {
+		out = append(out, b[:min(logBlock, log.n-i*logBlock)]...)
+	}
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -312,22 +313,63 @@ func checkInvariants(t *testing.T, o *Outbox) {
 	}
 }
 
-// diskFiles returns name → size of everything in the outbox's directory.
+// diskFiles returns name → log size of everything in the outbox's
+// directory (see logs).
 func diskFiles(t *testing.T, path string) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for name, log := range logs(t, path) {
+		out[name] = int64(len(log))
+	}
+	return out
+}
+
+// logs returns name → log of everything in the outbox's directory. A file's
+// log is its run of whole records from the start; what follows must be all
+// zeros — the capacity an open outbox reserves past its log — and only the
+// active segment may have such a tail: a sealed one holds its log alone.
+func logs(t *testing.T, path string) map[string][]byte {
 	t.Helper()
 	ents, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]int64{}
+	out := map[string][]byte{}
 	for _, ent := range ents {
-		fi, err := ent.Info()
+		name := filepath.Join(filepath.Dir(path), ent.Name())
+		data, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[filepath.Join(filepath.Dir(path), ent.Name())] = fi.Size()
+		log := logOf(data)
+		if tail := data[len(log):]; len(tail) > 0 && (name != path || len(bytes.TrimLeft(tail, "\x00")) > 0) {
+			t.Fatalf("%s: %d bytes past its %d-byte log, %d of them not zero (sealed: %v)",
+				name, len(tail), len(log), len(bytes.TrimLeft(tail, "\x00")), name != path)
+		}
+		out[name] = log
 	}
 	return out
+}
+
+// logOf returns the longest prefix of a segment file that is its magic and
+// whole records whose checksums hold.
+func logOf(data []byte) []byte {
+	if !bytes.HasPrefix(data, []byte(segmentMagic)) {
+		return data[:0]
+	}
+	end := len(segmentMagic)
+	for end+recOverhead <= len(data) {
+		n, typ := uint64(binary.LittleEndian.Uint32(data[end:])), data[end+8]
+		if typ < recHeader || typ > recDel || n > uint64(len(data)-end-recOverhead) {
+			break
+		}
+		next := end + recOverhead + int(n)
+		if crc32.Checksum(data[end+8:next], castagnoli) != binary.LittleEndian.Uint32(data[end+4:]) {
+			break
+		}
+		end = next
+	}
+	return data[:end]
 }
 
 // shrinkSegments makes segments small for one test, so that a few hundred
@@ -572,17 +614,13 @@ func modelLog(t *testing.T, seed int64) (files map[string][]byte, ref *refBox) {
 	return readFiles(t, path), m.ref
 }
 
-// readFiles returns base name → content of everything in the outbox's
+// readFiles returns base name → log of everything in the outbox's
 // directory.
 func readFiles(t *testing.T, path string) map[string][]byte {
 	t.Helper()
 	files := map[string][]byte{}
-	for name := range diskFiles(t, path) {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[filepath.Base(name)] = data
+	for name, log := range logs(t, path) {
+		files[filepath.Base(name)] = log
 	}
 	return files
 }
@@ -631,16 +669,25 @@ func requireState(t *testing.T, what string, o *Outbox, entries map[uint64]Entry
 // every byte offset — a process death part-way through any write it ever
 // received — and requires the reopened outbox to hold exactly what the
 // records that are still whole say, to cut the torn tail off, and to keep
-// what is then added to it across one more restart.
+// what is then added to it across one more restart. Each cut is tried twice:
+// as the file ends there, and followed by zeros up to the capacity the
+// segment had been grown to — the image a killed process leaves, a copy into
+// the mapping cut short in front of the reserved tail.
 func TestCrashAtEveryOffset(t *testing.T) {
 	shrinkSegments(t, 600)
 	for seed := int64(1); seed <= 3; seed++ {
 		files, ref := modelLog(t, seed)
 		act := ref.active()
+		capacity := capacityFor(0, act.size)
 		dir := filepath.Join(t.TempDir(), "cut")
-		for cut := int64(0); cut <= act.size; cut++ {
+		for i := int64(0); i <= 2*act.size+1; i++ {
+			cut, image := i/2, files["outbox.log"][:i/2]
 			what := fmt.Sprintf("seed %d, active segment cut at %d of %d", seed, cut, act.size)
-			o, err := openDamaged(t, dir, files, "outbox.log", files["outbox.log"][:cut])
+			if i%2 == 1 {
+				image = append(slices.Clone(image), make([]byte, capacity-cut)...)
+				what += fmt.Sprintf(", zeros to %d", capacity)
+			}
+			o, err := openDamaged(t, dir, files, "outbox.log", image)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -652,7 +699,7 @@ func TestCrashAtEveryOffset(t *testing.T) {
 					whole = rec.end
 				}
 			}
-			if got := diskFiles(t, o.path)[o.path]; got != whole {
+			if got := fileSize(t, o.path); got != whole {
 				t.Fatalf("%s: active segment is %d bytes after Open, want the %d of its whole records", what, got, whole)
 			}
 			id, err := o.Add("col", "after", 0, []byte("after the crash"), vclock.SimEpoch)
@@ -771,20 +818,10 @@ func TestReplayUnorderedLog(t *testing.T) {
 	}
 }
 
-// writeCounter counts the writes that reach the log file.
-type writeCounter struct {
-	f      *os.File
-	writes int
-}
-
-func (c *writeCounter) Write(p []byte) (int, error) {
-	c.writes++
-	return c.f.Write(p)
-}
-
-// TestAckBatchIsOneWrite: an ack set is one record in one write to the log
-// however many IDs it names — an in-order set is a single (first, count)
-// pair — and it is with the OS when Ack returns; so is a purge.
+// TestAckBatchIsOneWrite: an ack set is one record in the log however many
+// IDs it names — an in-order set is a single (first, count) pair — and a
+// second reader of the file sees it when Ack returns; so is a purge, and so
+// is an Add's record.
 func TestAckBatchIsOneWrite(t *testing.T) {
 	o, path := openTemp(t)
 	defer o.Close()
@@ -793,32 +830,83 @@ func TestAckBatchIsOneWrite(t *testing.T) {
 		id, _ := o.Add("c", "ch", uint64(i), []byte("p"), vclock.SimEpoch)
 		ids = append(ids, id)
 	}
-	wc := &writeCounter{f: o.file}
-	o.w = wc
-	size := fileSize(t, path)
+	log := logs(t, path)[path]
+	appended := func(what string, want []byte) {
+		t.Helper()
+		grown := logs(t, path)[path]
+		if got := grown[min(len(log), len(grown)):]; !bytes.Equal(got, want) {
+			t.Fatalf("%s appended % x to the log by the time it returned, want the one %d-byte record % x", what, got, len(want), want)
+		}
+		log = grown
+	}
+	del := func(first, count uint64) []byte {
+		b, at := beginRecord(nil, recDel)
+		b = binary.AppendUvarint(binary.AppendUvarint(b, first), count)
+		endRecord(b, at)
+		return b
+	}
 	if err := o.Ack(ids[:20]...); err != nil {
 		t.Fatal(err)
 	}
-	if wc.writes != 1 {
-		t.Errorf("Ack of 20 IDs issued %d writes, want 1", wc.writes)
-	}
 	// Header, type, and the pair (1, 20) in a byte each.
-	if got := fileSize(t, path) - size; got != recOverhead+2 {
-		t.Fatalf("log grew by %d bytes when Ack returned, want one %d-byte record", got, recOverhead+2)
-	}
-	size += recOverhead + 2
+	appended("Ack of 20 IDs", del(1, 20))
 	dropped, err := o.PurgeExpired(vclock.SimEpoch.Add(time.Hour), time.Minute)
 	if err != nil || len(dropped) != 20 {
 		t.Fatalf("PurgeExpired = %d dropped, %v", len(dropped), err)
 	}
-	if wc.writes != 2 {
-		t.Errorf("purge of 20 entries issued %d writes, want 1", wc.writes-1)
+	appended("purge of 20 entries", del(21, 20))
+	id, err := o.Add("c", "ch", 40, []byte("p"), vclock.SimEpoch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := fileSize(t, path) - size; got != recOverhead+2 {
-		t.Fatalf("log grew by %d bytes when the purge returned, want one %d-byte record", got, recOverhead+2)
+	e, _ := o.Get(id)
+	appended("Add", appendAdd(nil, &e))
+}
+
+// refuseGrowth is the active segment with every growth failing.
+type refuseGrowth struct{ segmentFile }
+
+var errGrowth = errors.New("growth refused")
+
+func (refuseGrowth) grow(int64) error { return errGrowth }
+
+// TestGrowthFailureLeavesTheLog: an Add whose record the segment cannot
+// grow to hold fails with the growth's error, and nothing of it reaches the
+// log or the outbox; once growth works again the outbox carries on, and a
+// restart finds what was added, the failed entry not among it.
+func TestGrowthFailureLeavesTheLog(t *testing.T) {
+	o, path := openTemp(t)
+	first, err := o.Add("c", "ch", 0, []byte("before"), vclock.SimEpoch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := o.Add("c", "ch", 40, []byte("p"), vclock.SimEpoch); err != nil || wc.writes != 3 {
-		t.Errorf("Add: err %v, %d writes in all, want 3", err, wc.writes)
+	log := logs(t, path)[path]
+	file := o.file
+	o.file = refuseGrowth{file}
+	if _, err := o.Add("c", "ch", 1, bytes.Repeat([]byte("x"), 2*pageSize), vclock.SimEpoch); !errors.Is(err, errGrowth) {
+		t.Fatalf("Add with growth refused = %v, want the growth's error", err)
+	}
+	if got := logs(t, path)[path]; !bytes.Equal(got, log) {
+		t.Fatalf("the failed Add changed the log:\n got % x\nwant % x", got, log)
+	}
+	if p := o.Pending(); len(p) != 1 || p[0].ID != first {
+		t.Fatalf("after the failed Add the outbox holds %v", p)
+	}
+	o.file = file
+	second, err := o.Add("c", "ch", 1, []byte("after"), vclock.SimEpoch)
+	if err != nil || second != first+1 {
+		t.Fatalf("Add once growth works = %d, %v; want ID %d", second, err, first+1)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	o, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if p := o.Pending(); len(p) != 2 || p[0].ID != first || p[1].ID != second || string(p[1].Payload) != "after" {
+		t.Errorf("after the restart %v", p)
 	}
 }
 

@@ -54,10 +54,20 @@
 // segment again under their own IDs and the old file is unlinked, which
 // keeps the disk within a few segments of the live data.
 //
-// Every mutating call builds its records in one buffer and hands them to the
-// OS in one write before it returns: a second reader of the files sees them,
-// and they survive the death of the process. Nothing is fsynced yet, so
-// surviving a power cut is not promised.
+// Every mutating call builds its records in one buffer and copies them, in
+// one copy, into a shared writable mapping of the active segment before it
+// returns. A mapped page is the file's page in the OS page cache: a second
+// reader of the files sees the records at once, and they survive the death
+// of the process — with no system call per call. The mapping covers the
+// file's capacity, which starts at one page on the segment's first write
+// and doubles up to segmentSize; growing it writes real zeros past the log,
+// so that a store into the mapping cannot find the disk full, and sealing
+// or closing the segment cuts the file back to its log. While the outbox is
+// open the active file therefore ends in zeros, and a process that dies
+// leaves them there: replay reads them as the torn tail they are (no record
+// has type 0). Nothing is fsynced yet, so surviving a power cut is not
+// promised. Off unix, the capacity is reserved the same way and each call's
+// records go to the file in one WriteAt.
 //
 // Replay reads the sealed segments in order, then the active one, and
 // applies every record whose checksum holds; for an ID added more than once
@@ -68,7 +78,9 @@
 // duplicate filter is the backstop). Whatever trails the active segment's
 // last good record is a torn write and is cut off before anything is
 // appended. A file that does not begin with the magic is not touched: Open
-// returns an error naming it.
+// returns an error naming it — unless nothing but zeros follows a torn start
+// of it, which is a segment whose capacity was reserved before its first
+// record arrived.
 //
 // The outbox also implements the message-ageing policy that bit users 2a
 // and 3 in the deployment (§5.3): entries older than a configurable maximum
@@ -77,11 +89,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -179,11 +191,8 @@ type Outbox struct {
 	path string // "" for memory-only
 
 	// The log, all nil or zero for a memory-only outbox. file is the active
-	// segment's handle and w writes through it (apart so that a test can
-	// count the writes); buf is the reused buffer a call's records are built
-	// in.
-	file    *os.File
-	w       io.Writer
+	// segment; buf is the reused buffer a call's records are built in.
+	file    segmentFile
 	buf     []byte
 	segs    []*segment
 	nextSeg uint64 // the number the next sealed segment takes
@@ -220,11 +229,11 @@ func Open(path string) (*Outbox, error) {
 	if err := o.replay(); err != nil {
 		return nil, fmt.Errorf("store: replay %s: %w", path, err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openActive(path, 0, o.segs[len(o.segs)-1].size)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", path, err)
 	}
-	o.file, o.w = f, f
+	o.file = f
 	return o, nil
 }
 
@@ -311,11 +320,13 @@ var errForeign = errors.New("not an outbox log segment of this format version (l
 // replaySegment applies the records of one segment file and returns the
 // offset just past the last good one. Payloads alias data.
 func (o *Outbox) replaySegment(seg *segment, data []byte, in interner) (good int, err error) {
-	if len(data) < len(segmentMagic) {
-		if !strings.HasPrefix(segmentMagic, string(data)) {
+	if head := bytes.TrimRight(data, "\x00"); len(head) < len(segmentMagic) {
+		if !strings.HasPrefix(segmentMagic, string(head)) {
 			return 0, errForeign
 		}
-		return 0, nil // empty, or the torn start of a header
+		// Empty, the torn start of a header, or the zeros a growth reserved
+		// before the segment's first record arrived.
+		return 0, nil
 	}
 	if string(data[:len(segmentMagic)]) != segmentMagic {
 		return 0, errForeign
@@ -791,7 +802,7 @@ func (o *Outbox) Close() error {
 	if o.file == nil {
 		return nil
 	}
-	return o.file.Close()
+	return o.file.close(o.segs[len(o.segs)-1].size)
 }
 
 // beginRecord starts a record of the given type at the end of b; endRecord
@@ -836,20 +847,23 @@ func (o *Outbox) appendHeader(b []byte) []byte {
 	return b
 }
 
-// writeLocked hands a call's records to the OS in one write. The paper's
-// durability requirement is surviving a reboot, so every mutating call
-// writes before it returns — once, however many records it built.
+// writeLocked appends a call's records to the active segment in one copy.
+// The paper's durability requirement is surviving a reboot, so every
+// mutating call writes before it returns — once, however many records it
+// built. A write that fails leaves the log where it was: what part of b
+// arrived lies past its end, where the next write overwrites it and replay
+// cuts it off as a torn tail.
 func (o *Outbox) writeLocked(b []byte) error {
 	o.buf = b[:0]
 	act := o.segs[len(o.segs)-1]
-	if _, err := o.w.Write(b); err != nil {
-		// Whatever part of b arrived is a torn record in the middle of the
-		// log, or a torn header at its start, once more is appended: cut it
-		// off. If that fails too, replay steps over it.
-		_ = o.file.Truncate(act.size)
+	end := act.size + int64(len(b))
+	if err := o.file.grow(end); err != nil {
 		return err
 	}
-	act.size += int64(len(b))
+	if err := o.file.write(act.size, b); err != nil {
+		return err
+	}
+	act.size = end
 	return nil
 }
 
@@ -898,18 +912,23 @@ func (o *Outbox) sealLocked(act *segment) error {
 		o.nextSeg++
 	}
 	// O_TRUNC: whatever is at path now is the debris of an earlier attempt.
-	f, err := os.OpenFile(o.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_TRUNC, 0o644)
+	f, err := openActive(o.path, os.O_TRUNC, 0)
 	if err != nil {
 		return err
 	}
 	hdr := o.appendHeader(o.buf[:0])
 	o.buf = hdr[:0]
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
+	if err = f.grow(int64(len(hdr))); err == nil {
+		err = f.write(0, hdr)
+	}
+	if err != nil {
+		f.close(0)
 		return err
 	}
-	o.file.Close() // written through, never buffered: nothing left to lose
-	o.file, o.w = f, f
+	// Everything is in the file already. Should cutting the zero tail fail,
+	// the sealed segment keeps it, and replay steps over zeros.
+	_ = o.file.close(act.size)
+	o.file = f
 	o.segs = append(o.segs, &segment{size: int64(len(hdr))})
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -310,10 +311,10 @@ func TestOpenRefusesForeignFile(t *testing.T) {
 
 // TestRecordLayout pins the on-disk format: the bytes one Add and one Ack
 // leave in a fresh log, written out field by field as the package comment
-// documents them.
+// documents them — followed by zeros while the outbox is open, and by
+// nothing once it is closed.
 func TestRecordLayout(t *testing.T) {
 	o, path := openTemp(t)
-	defer o.Close()
 	id, err := o.Add("col", "wifi", 7, []byte{0xB1, 0x00, 0x2A}, time.UnixMilli(1000))
 	if err != nil {
 		t.Fatal(err)
@@ -337,12 +338,18 @@ func TestRecordLayout(t *testing.T) {
 		0xB1, 0x00, 0x2A, // payload, verbatim
 	)...)
 	want = append(want, record(3, 1, 1)...) // del: the run (1, 1)
+	if got := logs(t, path)[path]; !bytes.Equal(got, want) {
+		t.Errorf("log bytes\n got % x\nwant % x", got, want)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("log bytes\n got % x\nwant % x", got, want)
+		t.Errorf("file bytes after Close\n got % x\nwant % x", got, want)
 	}
 }
 
@@ -594,6 +601,11 @@ func FuzzReplay(f *testing.F) {
 	f.Add(valid, []byte(segmentMagic))
 	f.Add(valid[:len(valid)-4], valid[:20])
 	f.Add([]byte("pogo"), []byte(`{"op":"add","id":1}`))
+	// What a killed process leaves: the log, or the torn start of a record,
+	// then the zeros reserved up to the segment's capacity.
+	f.Add(valid, append(slices.Clone(valid), make([]byte, pageSize-len(valid))...))
+	f.Add([]byte(nil), append(valid[:len(valid)-4:len(valid)-4], make([]byte, pageSize)...))
+	f.Add([]byte(nil), make([]byte, pageSize))
 	f.Fuzz(func(t *testing.T, sealed, active []byte) {
 		path := filepath.Join(t.TempDir(), "outbox.log")
 		if len(sealed) > 0 {
