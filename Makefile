@@ -39,7 +39,8 @@ check:
 # outbox log's replay, which faces whatever a crash or a bad disk left
 # (store); the transport's delivery core against its reference model, with
 # the fuzzer's bytes also fed to the envelope decoder as inbound payloads
-# (FuzzLink), and the envelope codec itself: whatever decodes re-encodes to
+# (FuzzLink), and the envelope codec itself, an item's trace as a
+# publication-number delta or an explicit ID: whatever decodes re-encodes to
 # itself, and whatever encodes decodes to itself (FuzzEnvelope); and
 # PogoScript (FuzzScript: bytes as a program, which must lex, parse and
 # compile or fail cleanly, and run twice under a small budget

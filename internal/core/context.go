@@ -58,15 +58,12 @@ func newContext(n *Node, owner string) *Context {
 		localSubs: make(map[int]*localSub),
 		proxies:   make(map[string]map[int]*proxySub),
 	}
-	// Trace identity is unconditional (not gated on Obs): the IDs it
+	// Trace identity is unconditional (not gated on Obs): the numbers it
 	// assigns travel in wire envelopes, so they must not depend on whether
-	// a registry happens to be attached. Per-owner suffix keeps a device's
-	// multiple contexts (one broker each) in disjoint ID spaces.
-	ident := n.cfg.ID
-	if owner != "" {
-		ident += "/" + owner
-	}
-	ctx.broker.SetTraceIdentity(ident, 0)
+	// a registry happens to be attached. Every context draws from the
+	// node's one counter, under the node's wire identity, so the receiver
+	// derives each trace from the sender it authenticated and the number.
+	ctx.broker.SetTraceIdentity(n.cfg.Messenger.LocalID(), &n.pubs)
 	ctx.broker.Instrument(n.cfg.Obs, n.clk.Now, n.cfg.ID, n.cfg.ObsEntity)
 	n.smgr.AddBroker(ctx.broker)
 	return ctx
@@ -289,9 +286,10 @@ func (c *Context) addProxy(peer string, id int, channel string, params msg.Map) 
 		if ev.Origin != "" {
 			return // never relay remote-originated data (no device↔device paths)
 		}
-		// EnqueueTraced carries the publication's trace ID into the wire
-		// envelope, so the collector-side fanout joins this span tree.
-		if err := node.ep.EnqueueTraced(peer, channel, ev.Message, ev.Trace); err != nil {
+		// The publication's number travels in the wire envelope, and the
+		// collector derives its trace: the fanout there joins this span
+		// tree.
+		if err := node.ep.EnqueuePublication(peer, channel, ev.Message, ev.Pub); err != nil {
 			return
 		}
 		if node.cfg.FlushPolicy == FlushImmediate {

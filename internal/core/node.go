@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pogo/internal/android"
@@ -139,6 +140,10 @@ type Node struct {
 	// flushTask is Flush as a scheduler task, built once: the immediate
 	// policy submits it for every message.
 	flushTask func()
+
+	// pubs numbers the node's local publications: every context's broker
+	// draws from it, so a number names one publication on the node.
+	pubs atomic.Uint64
 
 	obsCancel    func()               // unregisters the usage collect hook; nil without Obs
 	usageAnchors map[string]lastUsage // previously ledger-charged usage per script

@@ -81,19 +81,12 @@ const (
 type Service struct {
 	db  *DB
 	sub *pubsub.Subscription
-	// Lookups counts served requests (including misses).
-	mu      sync.Mutex
-	lookups int
-	misses  int
 }
 
 // NewService attaches a lookup responder to the broker.
 func NewService(db *DB, broker *pubsub.Broker) *Service {
 	s := &Service{db: db}
 	s.sub = broker.Subscribe(channelLookup, nil, func(ev pubsub.Event) {
-		s.mu.Lock()
-		s.lookups++
-		s.mu.Unlock()
 		m := ev.Message.Map()
 		id := m["id"]
 		apsRaw, _ := m["aps"].(msg.Map)
@@ -105,9 +98,6 @@ func NewService(db *DB, broker *pubsub.Broker) *Service {
 		}
 		c, ok := s.db.Locate(aps)
 		if !ok {
-			s.mu.Lock()
-			s.misses++
-			s.mu.Unlock()
 			broker.Publish(channelResult, msg.Map{"id": id, "error": "not-found"})
 			return
 		}

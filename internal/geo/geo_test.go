@@ -72,10 +72,6 @@ func TestServiceAnswersLookups(t *testing.T) {
 	if len(results) != 2 || results[1]["error"].(string) != "not-found" {
 		t.Errorf("miss result = %v", results)
 	}
-	lookups, misses := svc.Stats()
-	if lookups != 2 || misses != 1 {
-		t.Errorf("stats = %d, %d", lookups, misses)
-	}
 }
 
 func TestServiceClose(t *testing.T) {
@@ -83,8 +79,10 @@ func TestServiceClose(t *testing.T) {
 	broker := pubsub.New()
 	svc := NewService(db, broker)
 	svc.Close()
+	answered := 0
+	broker.Subscribe(channelResult, nil, func(pubsub.Event) { answered++ })
 	broker.Publish(channelLookup, msg.Map{"id": "r1", "aps": msg.Map{}})
-	if lookups, _ := svc.Stats(); lookups != 0 {
-		t.Error("closed service handled a lookup")
+	if answered != 0 {
+		t.Error("closed service answered a lookup")
 	}
 }

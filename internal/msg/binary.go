@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -147,24 +148,33 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 		}
 		return dst, nil
 	case Map:
-		// The sorted-key scratch lives on this call's stack; a map of more
-		// keys than it holds grows it on the heap.
-		var stack [16]string
-		keys := stack[:0]
-		repair := false
-		for k := range x {
-			keys = append(keys, k)
-			repair = repair || !utf8.ValidString(k)
+		// One walk collects the entries under their canonical keys into
+		// scratch on this call's stack (a map of more entries than it holds
+		// grows it on the heap), and they are written in key order. Two
+		// keys that become equal after UTF-8 repair cannot both be kept, so
+		// such a map does not encode.
+		var stack [16]mapEntry
+		entries := stack[:0]
+		for k, v := range x {
+			entries = append(entries, mapEntry{CanonicalKey(k), v})
 		}
-		if repair {
-			return appendRepairedMap(dst, x)
+		if len(entries) <= len(stack) {
+			for i := 1; i < len(entries); i++ {
+				for j := i; j > 0 && entries[j].key < entries[j-1].key; j-- {
+					entries[j], entries[j-1] = entries[j-1], entries[j]
+				}
+			}
+		} else {
+			slices.SortFunc(entries, func(a, b mapEntry) int { return strings.Compare(a.key, b.key) })
 		}
-		sort.Strings(keys)
-		dst = AppendMapHeader(dst, len(keys))
+		dst = AppendMapHeader(dst, len(entries))
 		var err error
-		for _, k := range keys {
-			dst = AppendKey(dst, k)
-			if dst, err = AppendBinary(dst, x[k]); err != nil {
+		for i := range entries {
+			if i > 0 && entries[i].key == entries[i-1].key {
+				return nil, fmt.Errorf("%w: keys equal after UTF-8 repair: %q", ErrUnsupportedValue, entries[i].key)
+			}
+			dst = AppendKey(dst, entries[i].key)
+			if dst, err = AppendBinary(dst, entries[i].val); err != nil {
 				return nil, err
 			}
 		}
@@ -218,19 +228,11 @@ func DecodeFrozen(data []byte) (Value, error) {
 	return r, nil
 }
 
-// appendRepairedMap encodes a map holding keys that are not valid UTF-8,
-// each replaced as the string encoder replaces it. Two keys that become
-// equal cannot both be kept, so such a map does not encode.
-func appendRepairedMap(dst []byte, x Map) ([]byte, error) {
-	fixed := make(Map, len(x))
-	for k, v := range x {
-		k = CanonicalKey(k)
-		if _, dup := fixed[k]; dup {
-			return nil, fmt.Errorf("%w: keys equal after UTF-8 repair: %q", ErrUnsupportedValue, k)
-		}
-		fixed[k] = v
-	}
-	return AppendBinary(dst, fixed)
+// mapEntry is one map entry as AppendBinary writes it: under its canonical
+// key.
+type mapEntry struct {
+	key string
+	val Value
 }
 
 func decodeBinary(data []byte, depth int) (Value, []byte, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -158,6 +159,20 @@ func TestEncodeCoerces(t *testing.T) {
 	}
 	if _, err := Encode(Map{"\xff": 1.0, "\xfe": 2.0}); !errors.Is(err, ErrUnsupportedValue) {
 		t.Errorf("colliding repaired keys: %v, want ErrUnsupportedValue", err)
+	}
+	// Past the 16 entries the encoder sorts on its stack, the same holds:
+	// the keys in order, and a collision refused.
+	big := Map{}
+	for i := 0; i < 40; i++ {
+		big[fmt.Sprintf("k%02d", 39-i)] = float64(i)
+	}
+	r = mustEncode(t, big)
+	if _, err := ParseRaw(r.Bytes()); err != nil || !reflect.DeepEqual(r.Map(), big) {
+		t.Errorf("a 40-entry map encoded to %v (%v)", r.Map(), err)
+	}
+	big["\xff"], big["\xfe"] = 1.0, 2.0
+	if _, err := Encode(big); !errors.Is(err, ErrUnsupportedValue) {
+		t.Errorf("colliding repaired keys among 42: %v, want ErrUnsupportedValue", err)
 	}
 	if _, err := Encode(Map{"bad": 1}); !errors.Is(err, ErrUnsupportedValue) {
 		t.Errorf("int value: %v, want ErrUnsupportedValue", err)

@@ -18,8 +18,12 @@ import (
 //
 // Determinism rules, matching the rest of the stack:
 //
-//   - Trace IDs derive from (seed, entity, outbox seq) — never from wall
-//     clock or math/rand — so the same seeded run assigns the same IDs.
+//   - Trace IDs derive from (seed, entity, sequence) — never from wall
+//     clock or math/rand — so the same seeded run assigns the same IDs. A
+//     local publication's is PublicationTrace(node, n), n from the node's
+//     one publication counter; the envelope carries n, not the ID, and the
+//     receiver derives it. A transport root's is NewTraceID(seed, node,
+//     outbox ID).
 //   - Every read-side view (Hops, Traces, Tree, the exporters) is a pure
 //     function of the hop *set*: hops are content-sorted and deduplicated,
 //     never exposed in recording order, so concurrent shard workers feeding
@@ -124,6 +128,22 @@ var errBadTraceID = badTraceIDError{}
 // process reboots (transport re-derives root IDs from persisted outbox IDs).
 // The all-zero digest is remapped to 1 so 0 stays reserved for "untraced".
 func NewTraceID(seed int64, entity string, seq uint64) TraceID {
+	return traceID(seed, entity, "", seq)
+}
+
+// PublicationTrace is the trace of the n-th local publication on node,
+// NewTraceID(0, node+"#pub", n), derived without building the entity. Every
+// broker on a node draws n from one node-wide counter, so (node, n) names one
+// publication: the receiving endpoint derives from the sender it
+// authenticated and the number the envelope carries the very ID the sender's
+// broker assigned. The "#pub" suffix keeps these IDs apart from the
+// transport's roots, NewTraceID(seed, node, outbox ID).
+func PublicationTrace(node string, n uint64) TraceID {
+	return traceID(0, node, "#pub", n)
+}
+
+// traceID is NewTraceID over the entity entity+suffix.
+func traceID(seed int64, entity, suffix string, seq uint64) TraceID {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -138,6 +158,9 @@ func NewTraceID(seed int64, entity string, seq uint64) TraceID {
 	}
 	for i := 0; i < len(entity); i++ {
 		mix(entity[i])
+	}
+	for i := 0; i < len(suffix); i++ {
+		mix(suffix[i])
 	}
 	mix(0) // separator: ("ab",1) must differ from ("a",b1)
 	for i := 0; i < 8; i++ {

@@ -37,6 +37,24 @@ func TestNewTraceIDDeterministic(t *testing.T) {
 	}
 }
 
+// TestPublicationTrace: a publication's trace is NewTraceID over the node's
+// "#pub" entity and its number, derived without building the entity string,
+// and apart from the node's transport roots.
+func TestPublicationTrace(t *testing.T) {
+	for n := uint64(0); n < 100; n++ {
+		got := PublicationTrace("phone01", n)
+		if want := NewTraceID(0, "phone01#pub", n); got != want {
+			t.Fatalf("PublicationTrace(phone01, %d) = %s, want %s", n, got, want)
+		}
+		if got == NewTraceID(0, "phone01", n) {
+			t.Fatalf("publication %d collides with outbox root %d", n, n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { PublicationTrace("phone01", 7) }); allocs != 0 {
+		t.Errorf("PublicationTrace: %.1f allocs, want 0", allocs)
+	}
+}
+
 func TestTraceIDJSONRoundTrip(t *testing.T) {
 	in := NewTraceID(1, "n", 1)
 	b, err := json.Marshal(in)

@@ -3,14 +3,13 @@ package pubsub
 import "pogo/internal/msg"
 
 // No handler in production writes to a message; tests check that one that
-// does gets a private tree, counted in msg_cow_clones. Tests also list the
+// does gets a private tree. Tests also list the
 // channels with an active subscription; production asks per channel
 // (HasSubscribers, Subscriptions).
 
 // MutableMessage returns a privately owned tree of the event's message for a
 // handler that writes: each call builds a fresh one (msg.Raw.Map).
 func (e *Event) MutableMessage() msg.Map {
-	e.cow.Inc()
 	return e.Message.Map()
 }
 

@@ -34,7 +34,7 @@ type Event struct {
 	// Message payload: the publication's canonical encoding, the SAME bytes
 	// for every subscriber and for the wire, so fanout copies nothing. Read
 	// it in place (msg.Get, msg.GetNumber, Raw.Field); a handler that wants
-	// a tree to write calls MutableMessage.
+	// a tree to write builds one (Raw.Map).
 	Message msg.Raw
 	// Params of the subscription the event is being delivered to. Shared
 	// with the subscription: read-only.
@@ -45,13 +45,14 @@ type Event struct {
 	Origin string
 	// Trace is the message's causal trace ID: assigned at local publish
 	// (when the broker has a trace identity), inherited from the wire for
-	// remote-originated fanout, 0 when untraced. Proxy subscriptions carry
-	// it into the transport so the trace survives the hop.
+	// remote-originated fanout, 0 when untraced.
 	Trace obs.TraceID
-
-	// cow counts trees built for writers for the owning broker's metrics
-	// (msg_cow_clones); nil-safe.
-	cow *obs.Counter
+	// Pub is a local publication's number on its node's publication
+	// counter, from which Trace derives (obs.PublicationTrace(node, Pub));
+	// 0 when the event has no such number (remote-originated or untraced).
+	// Proxy subscriptions hand it to the transport, which sends the number
+	// and lets the receiver derive the trace, so the trace survives the hop.
+	Pub uint64
 }
 
 // Handler consumes events for one subscription.
@@ -75,11 +76,10 @@ type Broker struct {
 	obs      *brokerObs // nil until Instrument
 
 	// Trace identity (SetTraceIdentity). Assignment is deliberately
-	// independent of obs: trace IDs ride the wire, so they must be
-	// identical whether or not a registry is attached.
-	traceEntity string // node + "#pub": the derivation entity, precomputed
-	traceSeed   int64
-	traceSeq    uint64 // next local-publication sequence number
+	// independent of obs: publication numbers ride the wire, so they must
+	// be identical whether or not a registry is attached.
+	traceNode string
+	pubs      *atomic.Uint64 // the node's publication counter; nil: untraced
 }
 
 // brokerObs bundles the broker's instruments; all fields are nil-safe.
@@ -90,7 +90,6 @@ type brokerObs struct {
 	publishes  *obs.Counter
 	deliveries *obs.Counter
 	freezeHits *obs.Counter
-	cowClones  *obs.Counter
 	fanout     *obs.Histogram
 	active     *obs.Gauge
 	spans      *obs.SpanStore
@@ -113,7 +112,6 @@ func (b *Broker) Instrument(reg *obs.Registry, now func() time.Time, node, entit
 		publishes:  reg.Counter("pubsub_publishes_total", obs.L("node", node)),
 		deliveries: reg.Counter("pubsub_deliveries_total", obs.L("node", node)),
 		freezeHits: reg.Counter("msg_freeze_hits", obs.L("node", node)),
-		cowClones:  reg.Counter("msg_cow_clones", obs.L("node", node)),
 		fanout:     reg.Histogram("pubsub_fanout_subscribers", obs.CountBuckets, obs.L("node", node)),
 		active:     reg.Gauge("pubsub_subscriptions_active", obs.L("node", node)),
 		spans:      reg.Spans(),
@@ -194,15 +192,14 @@ func (b *Broker) PublishRaw(channel string, r msg.Raw, forwarded bool) int {
 }
 
 // SetTraceIdentity enables deterministic trace-ID assignment for local
-// publications: the n-th publish derives obs.NewTraceID(seed, node+"#pub",
-// n). The "#pub" suffix keeps the broker's ID space disjoint from the
-// transport's outbox-ID space on the same node. Call once, before traffic
-// flows; the core wires it for every node regardless of observability so
-// wire bytes never depend on whether a registry is attached.
-func (b *Broker) SetTraceIdentity(node string, seed int64) {
+// publications: each draws the next number n from pubs, the publication
+// counter every broker on the node shares, and carries the trace
+// obs.PublicationTrace(node, n). Call once, before traffic flows; the core
+// wires it for every node regardless of observability, so wire bytes never
+// depend on whether a registry is attached.
+func (b *Broker) SetTraceIdentity(node string, pubs *atomic.Uint64) {
 	b.mu.Lock()
-	b.traceEntity = node + "#pub"
-	b.traceSeed = seed
+	b.traceNode, b.pubs = node, pubs
 	b.mu.Unlock()
 }
 
@@ -222,9 +219,10 @@ func (b *Broker) publish(channel string, r msg.Raw, origin string, trace obs.Tra
 	b.mu.Lock()
 	o := b.obs
 	subs := b.snapshot(channel)
-	if trace == 0 && origin == "" && b.traceEntity != "" {
-		trace = obs.NewTraceID(b.traceSeed, b.traceEntity, b.traceSeq)
-		b.traceSeq++
+	var pub uint64
+	if trace == 0 && origin == "" && b.pubs != nil {
+		pub = b.pubs.Add(1)
+		trace = obs.PublicationTrace(b.traceNode, pub)
 	}
 	b.mu.Unlock()
 
@@ -234,7 +232,6 @@ func (b *Broker) publish(channel string, r msg.Raw, origin string, trace obs.Tra
 			delivered++
 		}
 	}
-	var cow *obs.Counter
 	if o != nil {
 		if forwarded {
 			o.freezeHits.Inc()
@@ -257,7 +254,6 @@ func (b *Broker) publish(channel string, r msg.Raw, origin string, trace obs.Tra
 		if o.ledger != nil {
 			o.ledger.Meter(o.entity, "", channel).AddMessages(1)
 		}
-		cow = o.cowClones
 	}
 	for _, s := range subs {
 		if s.handler == nil || !s.active.Load() {
@@ -269,7 +265,7 @@ func (b *Broker) publish(channel string, r msg.Raw, origin string, trace obs.Tra
 			Params:  s.params,
 			Origin:  origin,
 			Trace:   trace,
-			cow:     cow,
+			Pub:     pub,
 		})
 	}
 	return delivered

@@ -43,8 +43,6 @@ func TestPublishOnlyMatchingChannel(t *testing.T) {
 // the publisher.
 func TestSubscriberCopyOnWrite(t *testing.T) {
 	b := New()
-	reg := obs.NewRegistry()
-	b.Instrument(reg, time.Now, "n", "n")
 	var seen []msg.Raw
 	first := true
 	b.Subscribe("c", nil, func(ev Event) {
@@ -75,9 +73,6 @@ func TestSubscriberCopyOnWrite(t *testing.T) {
 	}
 	if _, ok := orig["mutated"]; ok {
 		t.Error("subscriber mutated publisher's message")
-	}
-	if n := reg.CounterValue("msg_cow_clones", obs.L("node", "n")); n != 1 {
-		t.Errorf("msg_cow_clones = %d, want 1", n)
 	}
 }
 
@@ -471,5 +466,33 @@ func TestPubsubConcurrentPublish(t *testing.T) {
 	wg.Wait()
 	if want := int64(publishers * perPublisher * subscribers); delivered.Load() != want {
 		t.Errorf("deliveries = %d, want %d", delivered.Load(), want)
+	}
+}
+
+// TestPublicationsShareTheNodeCounter: brokers on one node number their local
+// publications from the one counter they share, and each event's trace is
+// the one the number derives; a remote-originated event keeps the trace it
+// arrived with and has no number.
+func TestPublicationsShareTheNodeCounter(t *testing.T) {
+	var pubs atomic.Uint64
+	a, b := New(), New()
+	a.SetTraceIdentity("phone", &pubs)
+	b.SetTraceIdentity("phone", &pubs)
+	var got []Event
+	record := func(ev Event) { got = append(got, ev) }
+	a.Subscribe("c", nil, record)
+	b.Subscribe("c", nil, record)
+	a.Publish("c", msg.Map{"n": 1.0})
+	b.Publish("c", msg.Map{"n": 2.0})
+	a.Publish("c", msg.Map{"n": 3.0})
+	r, _ := msg.Encode(msg.Map{"n": 4.0})
+	a.PublishTraced("c", r, "collector", 99)
+	for i, ev := range got[:3] {
+		if n := uint64(i + 1); ev.Pub != n || ev.Trace != obs.PublicationTrace("phone", n) {
+			t.Errorf("publication %d: Pub %d, Trace %s; want %d and %s", i, ev.Pub, ev.Trace, n, obs.PublicationTrace("phone", n))
+		}
+	}
+	if ev := got[3]; ev.Pub != 0 || ev.Trace != 99 {
+		t.Errorf("remote-originated event: Pub %d, Trace %s; want 0 and the trace it arrived with", ev.Pub, ev.Trace)
 	}
 }

@@ -17,10 +17,3 @@ func (p *periodicCore) Interval() time.Duration {
 	defer p.mu.Unlock()
 	return p.interval
 }
-
-// Samples returns how many samples have been taken.
-func (p *periodicCore) Samples() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.samples
-}

@@ -11,6 +11,7 @@
 package sensors
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -33,21 +34,29 @@ type Sensor interface {
 type Manager struct {
 	sched *sched.Scheduler
 
-	mu       sync.Mutex
-	brokers  map[*pubsub.Broker]func() // broker → watcher cancel
+	mu sync.Mutex
+	// brokers are the attached brokers in attachment order, copy-on-write:
+	// AddBroker and RemoveBroker replace the slice, never write into it, so
+	// a reader takes it under mu and iterates it outside.
+	brokers  []attached
 	sensors  []Sensor
 	byChan   map[string][]Sensor
 	closed   bool
 	onChange func(channel string)
 }
 
+// attached is one attached broker and the cancel of its demand watcher.
+type attached struct {
+	b      *pubsub.Broker
+	cancel func()
+}
+
 // NewManager returns an empty manager using the given scheduler for all
 // sensor sampling work.
 func NewManager(s *sched.Scheduler) *Manager {
 	return &Manager{
-		sched:   s,
-		brokers: make(map[*pubsub.Broker]func()),
-		byChan:  make(map[string][]Sensor),
+		sched:  s,
+		byChan: make(map[string][]Sensor),
 	}
 }
 
@@ -73,7 +82,7 @@ func (m *Manager) Register(s Sensor) {
 func (m *Manager) AddBroker(b *pubsub.Broker) {
 	cancel := b.OnSubscriptionChange("", m.channelChanged)
 	m.mu.Lock()
-	m.brokers[b] = cancel
+	m.brokers = append(slices.Clip(m.brokers), attached{b, cancel})
 	m.mu.Unlock()
 	m.reconfigureAll()
 }
@@ -81,10 +90,13 @@ func (m *Manager) AddBroker(b *pubsub.Broker) {
 // RemoveBroker detaches a context's broker (context torn down).
 func (m *Manager) RemoveBroker(b *pubsub.Broker) {
 	m.mu.Lock()
-	cancel, ok := m.brokers[b]
-	delete(m.brokers, b)
+	var cancel func()
+	if i := slices.IndexFunc(m.brokers, func(a attached) bool { return a.b == b }); i >= 0 {
+		cancel = m.brokers[i].cancel
+		m.brokers = slices.Delete(slices.Clone(m.brokers), i, i+1)
+	}
 	m.mu.Unlock()
-	if ok {
+	if cancel != nil {
 		cancel()
 	}
 	m.reconfigureAll()
@@ -110,16 +122,22 @@ func (m *Manager) reconfigureAll() {
 	}
 }
 
-// publish delivers a sensor message to every attached broker.
+// publish delivers a sensor message to every attached broker, in
+// attachment order. The message is encoded once, and every broker's
+// subscribers read the same bytes (PublishRaw delivers what Publish would).
 func (m *Manager) publish(channel string, message msg.Map) {
 	m.mu.Lock()
-	brokers := make([]*pubsub.Broker, 0, len(m.brokers))
-	for b := range m.brokers {
-		brokers = append(brokers, b)
-	}
+	brokers := m.brokers
 	m.mu.Unlock()
-	for _, b := range brokers {
-		b.Publish(channel, message)
+	if len(brokers) == 0 {
+		return
+	}
+	r, err := msg.Encode(message)
+	if err != nil {
+		return
+	}
+	for _, a := range brokers {
+		a.b.PublishRaw(channel, r, false)
 	}
 }
 
@@ -127,14 +145,11 @@ func (m *Manager) publish(channel string, message msg.Map) {
 // attached brokers.
 func (m *Manager) subscriptions(channel string) []pubsub.SubscriptionInfo {
 	m.mu.Lock()
-	brokers := make([]*pubsub.Broker, 0, len(m.brokers))
-	for b := range m.brokers {
-		brokers = append(brokers, b)
-	}
+	brokers := m.brokers
 	m.mu.Unlock()
 	var out []pubsub.SubscriptionInfo
-	for _, b := range brokers {
-		out = append(out, b.Subscriptions(channel)...)
+	for _, a := range brokers {
+		out = append(out, a.b.Subscriptions(channel)...)
 	}
 	return out
 }
@@ -149,14 +164,11 @@ func (m *Manager) Close() {
 	m.closed = true
 	sensors := m.sensors
 	m.sensors = nil
-	cancels := make([]func(), 0, len(m.brokers))
-	for _, c := range m.brokers {
-		cancels = append(cancels, c)
-	}
-	m.brokers = map[*pubsub.Broker]func(){}
+	brokers := m.brokers
+	m.brokers = nil
 	m.mu.Unlock()
-	for _, c := range cancels {
-		c()
+	for _, a := range brokers {
+		a.cancel()
 	}
 	for _, s := range sensors {
 		s.close()
@@ -200,7 +212,6 @@ type periodicCore struct {
 	interval time.Duration
 	stop     func()
 	closed   bool
-	samples  int
 }
 
 func (p *periodicCore) channelName() string { return p.channel }
@@ -235,7 +246,6 @@ func (p *periodicCore) reconfigure() {
 			p.mu.Unlock()
 			return
 		}
-		p.samples++
 		p.mu.Unlock()
 		p.sample()
 	})

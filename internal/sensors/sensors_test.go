@@ -1,12 +1,14 @@
 package sensors
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"pogo/internal/android"
 	"pogo/internal/energy"
 	"pogo/internal/msg"
+	"pogo/internal/obs"
 	"pogo/internal/pubsub"
 	"pogo/internal/sched"
 	"pogo/internal/vclock"
@@ -34,6 +36,45 @@ func newFixture(t *testing.T, withDevice bool) *fixture {
 	return &fixture{clk: clk, meter: meter, dev: dev, mgr: mgr, b: b}
 }
 
+// instrument attaches the fixture's broker to a registry, whose publish
+// counter books every reading the sensors publish.
+func (f *fixture) instrument() *obs.Registry {
+	reg := obs.NewRegistry()
+	f.b.Instrument(reg, f.clk.Now, "n", "n")
+	return reg
+}
+
+// TestReadingEncodedOnce: a reading reaches every attached broker, in
+// attachment order, as the same encoded bytes Publish would deliver, and
+// encoding it is the one allocation, however many brokers listen.
+func TestReadingEncodedOnce(t *testing.T) {
+	f := newFixture(t, true)
+	brokers := []*pubsub.Broker{f.b, pubsub.New(), pubsub.New()}
+	var got []msg.Raw
+	for _, b := range brokers[1:] {
+		f.mgr.AddBroker(b)
+	}
+	for _, b := range brokers {
+		b.Subscribe(ChannelBattery, nil, func(ev pubsub.Event) { got = append(got, ev.Message) })
+	}
+	reading := msg.Map{"voltage": 4.1, "charge": 0.8, "timestamp": 1338508800000.0}
+	f.mgr.publish(ChannelBattery, reading)
+	want, err := msg.Encode(reading)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] != got[1] || got[1] != got[2] || !bytes.Equal(got[0].Bytes(), want.Bytes()) {
+		t.Fatalf("the brokers delivered %v, want one encoding %x three times", got, want.Bytes())
+	}
+	got = got[:0:3]
+	if allocs := testing.AllocsPerRun(100, func() {
+		got = got[:0]
+		f.mgr.publish(ChannelBattery, reading)
+	}); allocs != 1 {
+		t.Errorf("one reading to three brokers: %.1f allocs, want 1", allocs)
+	}
+}
+
 func TestBatterySensorSamplesOnDemand(t *testing.T) {
 	f := newFixture(t, true)
 	f.mgr.Register(NewBatterySensor(f.mgr, f.dev))
@@ -54,6 +95,7 @@ func TestBatterySensorSamplesOnDemand(t *testing.T) {
 
 func TestSensorOffWithoutSubscribers(t *testing.T) {
 	f := newFixture(t, true)
+	reg := f.instrument()
 	s := NewBatterySensor(f.mgr, f.dev)
 	f.mgr.Register(s)
 	f.clk.Advance(10 * time.Minute)
@@ -61,8 +103,8 @@ func TestSensorOffWithoutSubscribers(t *testing.T) {
 	if core.Active() {
 		t.Error("sensor active without subscribers")
 	}
-	if core.Samples() != 0 {
-		t.Errorf("Samples = %d without demand", core.Samples())
+	if n := reg.CounterValue("pubsub_publishes_total", obs.L("node", "n")); n != 0 {
+		t.Errorf("%d readings published without demand", n)
 	}
 	// Energy check: an idle sensor costs nothing beyond device baseline.
 	base := 0.010*600 + 1.2*0.2 // base power + boot linger cpu
@@ -105,6 +147,7 @@ func TestTwoSubscribersShareFastestSchedule(t *testing.T) {
 	// §3.5: two scripts requesting different rates → scan at the highest
 	// frequency, one shared schedule.
 	f := newFixture(t, true)
+	reg := f.instrument()
 	s := NewBatterySensor(f.mgr, f.dev)
 	f.mgr.Register(s)
 	slow, fast := 0, 0
@@ -118,8 +161,8 @@ func TestTwoSubscribersShareFastestSchedule(t *testing.T) {
 	if slow != 3 || fast != 3 {
 		t.Errorf("slow=%d fast=%d, want 3/3", slow, fast)
 	}
-	if got := s.(*batterySensor).Samples(); got != 3 {
-		t.Errorf("Samples = %d, want 3 (shared schedule)", got)
+	if n := reg.CounterValue("pubsub_publishes_total", obs.L("node", "n")); n != 3 {
+		t.Errorf("%d readings published, want 3 (shared schedule)", n)
 	}
 }
 

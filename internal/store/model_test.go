@@ -963,3 +963,57 @@ func TestSealFailureKeepsOutboxUsable(t *testing.T) {
 		t.Errorf("recovered %d entries: %v", len(p), p)
 	}
 }
+
+// TestFailedDeleteLeavesTheOutbox: an Ack, AckTo or PurgeExpired whose del
+// record the segment cannot grow to hold fails with the growth's error and
+// deletes nothing — Len, Pending and the floors are what they were, which is
+// what a reopen finds; once growth works again an Ack succeeds, and a
+// restart agrees with it.
+func TestFailedDeleteLeavesTheOutbox(t *testing.T) {
+	o, path := openTemp(t)
+	var ids []uint64
+	for i := 0; i < 4; i++ {
+		id, err := o.Add("c", "ch", uint64(i), []byte("payload"), vclock.SimEpoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	before := o.Pending()
+	file := o.file
+	o.file = refuseGrowth{file}
+	if err := o.Ack(ids[0], ids[2], ids[0]); !errors.Is(err, errGrowth) {
+		t.Fatalf("Ack with growth refused = %v, want the growth's error", err)
+	}
+	if _, err := o.AckTo("c", []uint64{ids[1]}); !errors.Is(err, errGrowth) {
+		t.Fatalf("AckTo with growth refused = %v, want the growth's error", err)
+	}
+	if dropped, err := o.PurgeExpired(vclock.SimEpoch.Add(time.Hour), time.Minute); !errors.Is(err, errGrowth) || len(dropped) != 0 {
+		t.Fatalf("PurgeExpired with growth refused = %v, %v; want nothing dropped and the growth's error", dropped, err)
+	}
+	if got := o.Pending(); o.Len() != len(before) || !reflect.DeepEqual(got, before) {
+		t.Fatalf("after the failed deletions Len %d, Pending %v; want %v", o.Len(), got, before)
+	}
+	if _, seqs := o.AppendFloors("c", nil, nil); !slices.Equal(seqs, []uint64{0}) {
+		t.Fatalf("after the failed deletions the floor is %v, want [0]", seqs)
+	}
+	o.file = file
+	if err := o.Ack(ids[0], ids[2]); err != nil {
+		t.Fatalf("Ack once growth works: %v", err)
+	}
+	if _, seqs := o.AppendFloors("c", nil, nil); o.Len() != 2 || !slices.Equal(seqs, []uint64{1}) {
+		t.Fatalf("after the Ack Len %d, floor %v; want 2 and [1]", o.Len(), seqs)
+	}
+	want := o.Pending()
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	o, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if got := o.Pending(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the restart %v, want %v", got, want)
+	}
+}

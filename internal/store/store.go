@@ -560,7 +560,8 @@ func (o *Outbox) Add(to, channel string, seq uint64, payload []byte, at time.Tim
 }
 
 // Ack removes delivered messages by ID. Unknown IDs are ignored. The call's
-// deletions reach the OS as one record in one write before it returns.
+// deletions reach the OS as one record in one write before it returns; a
+// call whose write fails deletes nothing.
 func (o *Outbox) Ack(ids ...uint64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -570,7 +571,7 @@ func (o *Outbox) Ack(ids ...uint64) error {
 	var del runs
 	for _, id := range ids {
 		if i := o.findLocked(id); i >= 0 {
-			o.killLocked(i)
+			o.slots[i].dead = true
 			del.add(id)
 		}
 	}
@@ -595,19 +596,20 @@ func (o *Outbox) AckTo(to string, ids []uint64) ([]uint64, error) {
 		}
 		keep = append(keep, id)
 		if i >= 0 {
-			o.killLocked(i)
+			o.slots[i].dead = true
 			del.add(id)
 		}
 	}
 	return keep, o.settleLocked(&del)
 }
 
-// killLocked marks slot i dead and moves its channel's head to the next live
-// entry of the same channel. The forward scan only ever moves a channel's
-// head up the slice, so over a channel's life it visits each slot once.
+// killLocked completes the deletion of slot i, which the call marked dead:
+// it drops the payload, books the live counts, and moves the channel's head
+// to the next live entry of the same channel. The forward scan only ever
+// moves a channel's head up the slice, so over a channel's life it visits
+// each slot once.
 func (o *Outbox) killLocked(i int) {
 	s := &o.slots[i]
-	s.dead = true
 	s.Payload = nil
 	o.live--
 	if s.seg != nil {
@@ -626,25 +628,44 @@ func (o *Outbox) killLocked(i int) {
 	}
 }
 
-// settleLocked ends a call that deleted entries: the IDs go to the OS as one
-// del record in one write, dead slots are dropped, and segments the
-// deletions emptied are unlinked.
+// settleLocked ends a call that marked the entries del names dead: their IDs
+// go to the OS as one del record in one write, and only then do the entries
+// leave memory. A write that fails revives them, so the outbox holds what a
+// reopen would find. Dead slots are dropped, and segments the deletions
+// emptied are unlinked.
 func (o *Outbox) settleLocked(del *runs) error {
+	written := o.file != nil && del.count > 0
+	if written {
+		b, at := beginRecord(o.startLocked(), recDel)
+		for _, r := range del.done {
+			b = binary.AppendUvarint(binary.AppendUvarint(b, r[0]), r[1])
+		}
+		b = binary.AppendUvarint(binary.AppendUvarint(b, del.first), del.count)
+		endRecord(b, at)
+		if err := o.writeLocked(b); err != nil {
+			o.eachLocked(del, func(i int) { o.slots[i].dead = false })
+			return err
+		}
+	}
+	o.eachLocked(del, o.killLocked)
 	o.trimLocked()
-	if o.file == nil || del.count == 0 {
-		return nil
+	if written {
+		o.maintainLocked()
 	}
-	b, at := beginRecord(o.startLocked(), recDel)
-	for _, r := range del.done {
-		b = binary.AppendUvarint(binary.AppendUvarint(b, r[0]), r[1])
-	}
-	b = binary.AppendUvarint(binary.AppendUvarint(b, del.first), del.count)
-	endRecord(b, at)
-	if err := o.writeLocked(b); err != nil {
-		return err
-	}
-	o.maintainLocked()
 	return nil
+}
+
+// eachLocked calls fn with the slot index of every ID del names.
+func (o *Outbox) eachLocked(del *runs, fn func(i int)) {
+	run := func(first, count uint64) {
+		for id := first; id < first+count; id++ {
+			fn(o.searchLocked(id))
+		}
+	}
+	for _, r := range del.done {
+		run(r[0], r[1])
+	}
+	run(del.first, del.count)
 }
 
 // runs collects the IDs one call deletes as (first ID, count) runs, in the
@@ -757,7 +778,7 @@ func (o *Outbox) Len() int {
 // PurgeExpired drops entries enqueued more than maxAge before now and
 // returns the dropped entries in ID order — the transport endpoint needs
 // them to advance its per-channel delivery floors. maxAge ≤ 0 disables
-// purging.
+// purging. A purge whose write fails drops nothing.
 func (o *Outbox) PurgeExpired(now time.Time, maxAge time.Duration) ([]Entry, error) {
 	if maxAge <= 0 {
 		return nil, nil
@@ -785,10 +806,13 @@ func (o *Outbox) PurgeExpired(now time.Time, maxAge time.Duration) ([]Entry, err
 		}
 		dropped = append(dropped, s.Entry)
 		del.add(s.ID)
-		o.killLocked(i)
+		s.dead = true
+	}
+	if err := o.settleLocked(&del); err != nil {
+		return nil, err
 	}
 	o.oldest = oldest // the walk finished: the bound is exact again
-	return dropped, o.settleLocked(&del)
+	return dropped, nil
 }
 
 // Close closes the log file. The outbox rejects further writes.

@@ -43,7 +43,6 @@ type Detector struct {
 	timer       *android.UptimeTimer
 	handlers    []func(deltaBytes int64)
 	fires       int
-	polls       int
 
 	// Instruments; nil (no-op) until Instrument is called.
 	obsPolls      *obs.Counter
@@ -152,7 +151,6 @@ func (d *Detector) poll() {
 		d.mu.Unlock()
 		return
 	}
-	d.polls++
 	d.obsPolls.Inc()
 	foreign := cur - d.self
 	delta := foreign - d.lastForeign

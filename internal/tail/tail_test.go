@@ -6,6 +6,7 @@ import (
 
 	"pogo/internal/android"
 	"pogo/internal/energy"
+	"pogo/internal/obs"
 	"pogo/internal/radio"
 	"pogo/internal/vclock"
 )
@@ -113,6 +114,8 @@ func TestDetectorStop(t *testing.T) {
 
 func TestDetectorMultipleBursts(t *testing.T) {
 	f := newFixture(t)
+	reg := obs.NewRegistry()
+	f.det.Instrument(reg, "phone")
 	f.det.Start()
 	for i := 1; i <= 3; i++ {
 		f.dev.SetAlarm(time.Duration(i)*5*time.Minute, func() {
@@ -126,8 +129,8 @@ func TestDetectorMultipleBursts(t *testing.T) {
 	if f.det.Fires() != 3 {
 		t.Errorf("Fires = %d, want 3", f.det.Fires())
 	}
-	if f.det.polls == 0 {
-		t.Error("polls = 0")
+	if n := reg.CounterValue("tail_polls_total", obs.L("node", "phone")); n == 0 {
+		t.Error("tail_polls_total = 0")
 	}
 }
 

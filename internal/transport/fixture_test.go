@@ -27,11 +27,12 @@ func readHexFixture(t *testing.T, name string) []byte {
 	return b
 }
 
-// The checked-in frames pin the one wire format, envelope v3 (magic 0xB3:
-// a channel table, delta IDs and sequences, fixed-width traces, a binary
-// CRC-32C frame check), byte for byte. The data envelope carries two items
-// on two channels with nonzero traces and floors; the ack-only envelope two
-// ack IDs. testdata/stanza_frame.hex, the same data envelope inside a 0xB3
+// The checked-in frames pin the one wire format, envelope v4 (magic 0xB4:
+// a channel table, delta IDs and sequences, a trace as a publication
+// number or whole, a binary CRC-32C frame check), byte for byte. The data
+// envelope carries two items on two channels — a relayed publication's
+// number and an explicit trace — and floors; the ack-only envelope two ack
+// IDs. testdata/stanza_frame.hex, the same data envelope inside a 0xB3
 // stanza frame with its binary trace field, is asserted by internal/xmpp.
 func TestWireFixtures(t *testing.T) {
 	body := func(v msg.Value) []byte {
@@ -48,7 +49,7 @@ func TestWireFixtures(t *testing.T) {
 		{"data_envelope.hex", envelope{
 			From: "phone-1", Boot: []byte("boot-7"),
 			Batch: []envelopeItem{
-				{ID: 41, Seq: 7, Channel: "battery", Trace: 0x0123456789abcdef,
+				{ID: 41, Seq: 7, Channel: "battery", Pub: 57,
 					Body: body(msg.Map{"level": 0.5, "charging": true})},
 				{ID: 42, Seq: 3, Channel: "wifi-scan", Trace: 0xfedcba9876543210,
 					Body: body(msg.Map{"aps": []msg.Value{"aa:01", "aa:02"}, "n": 2.0})},

@@ -39,7 +39,7 @@ type link struct {
 	// again), and inflight ones wait in retryq for their retransmission
 	// deadline.
 	nextSeq  map[string]map[string]uint64 // dest → channel → next FIFO sequence
-	traceOf  map[uint64]obs.TraceID       // outbox id → inherited (relayed) trace; roots are derived
+	pubOf    map[uint64]uint64            // outbox id → number of the relayed local publication; roots are derived
 	dirty    map[string][]string          // dest → channels whose floor moved by expiry
 	cursor   uint64
 	refused  []uint64
@@ -93,37 +93,39 @@ func (l *link) setSeq(to, channel string, next uint64) {
 	inner[channel] = next
 }
 
-// traceFor returns the trace ID that travels with outbox entry id: the
-// inherited trace when this endpoint is relaying someone else's message
-// (proxy subscriptions), otherwise the deterministic root ID derived from
-// (TraceSeed, local id, outbox id). Outbox IDs are persisted and monotonic,
-// so a rebooted endpoint re-derives the same roots for replayed entries
-// without storing anything.
-func (l *link) traceFor(id uint64) obs.TraceID {
-	if t, ok := l.traceOf[id]; ok {
-		return t
+// traceFor returns the trace outbox entry id travels under, and the number
+// of the local publication it relays (0 for a root). A relayed publication's
+// trace is obs.PublicationTrace(local id, number), and the envelope carries
+// the number. Any other entry's is the root derived from (TraceSeed, local
+// id, outbox id), carried whole: outbox IDs are persisted and monotonic, so
+// a rebooted endpoint re-derives the same roots for replayed entries — the
+// relayed ones among them, whose numbers died with the process — without
+// storing anything.
+func (l *link) traceFor(id uint64) (obs.TraceID, uint64) {
+	if pub, ok := l.pubOf[id]; ok {
+		return obs.PublicationTrace(l.local, pub), pub
 	}
-	return obs.NewTraceID(l.traceSeed, l.local, id)
+	return obs.NewTraceID(l.traceSeed, l.local, id), 0
 }
 
-// enqueue buffers body for peer to on channel at now, returning its outbox
-// ID and the trace it travels under (trace 0 derives the root).
-func (l *link) enqueue(now time.Time, to, channel string, body []byte, trace obs.TraceID) (uint64, obs.TraceID, error) {
+// enqueue buffers body for peer to on channel at now and returns its outbox
+// ID. The entry travels under the trace of local publication number pub, or
+// with pub 0 under its root (traceFor).
+func (l *link) enqueue(now time.Time, to, channel string, body []byte, pub uint64) (uint64, error) {
 	seq := l.nextSeq[to][channel]
 	id, err := l.box.Add(to, channel, seq, body, now)
 	if err != nil {
-		return 0, 0, fmt.Errorf("transport: enqueue: %w", err)
+		return 0, fmt.Errorf("transport: enqueue: %w", err)
 	}
 	l.setSeq(to, channel, seq+1)
 	l.stats.MessagesEnqueued++
-	if trace == 0 {
-		return id, l.traceFor(id), nil
+	if pub != 0 {
+		if l.pubOf == nil {
+			l.pubOf = make(map[uint64]uint64)
+		}
+		l.pubOf[id] = pub
 	}
-	if l.traceOf == nil {
-		l.traceOf = make(map[uint64]obs.TraceID)
-	}
-	l.traceOf[id] = trace
-	return id, trace, nil
+	return id, nil
 }
 
 // expire applies the max-age policy to the outbox at now and returns the
@@ -151,8 +153,8 @@ func (l *link) purge(dropped []store.Entry) []obs.TraceID {
 			l.dirty[entry.To] = append(chans, entry.Channel)
 		}
 		l.forget(entry.ID)
-		traces[i] = l.traceFor(entry.ID)
-		delete(l.traceOf, entry.ID)
+		traces[i], _ = l.traceFor(entry.ID)
+		delete(l.pubOf, entry.ID)
 	}
 	return traces
 }
@@ -360,10 +362,14 @@ func (l *link) selectDue(sc *flushScratch, now time.Time, retryOnly bool) {
 	sc.traces, sc.attempts, sc.items = sc.traces[:0], sc.attempts[:0], sc.items[:0]
 	for i := range elig {
 		e := &elig[i]
-		trace := l.traceFor(e.ID)
+		trace, pub := l.traceFor(e.ID)
 		sc.traces = append(sc.traces, trace)
 		sc.attempts = append(sc.attempts, l.inflight[e.ID].attempts)
-		sc.items = append(sc.items, envelopeItem{ID: e.ID, Seq: e.Seq, Channel: e.Channel, Trace: uint64(trace), Body: e.Payload})
+		it := envelopeItem{ID: e.ID, Seq: e.Seq, Channel: e.Channel, Pub: pub, Body: e.Payload}
+		if pub == 0 {
+			it.Trace = uint64(trace)
+		}
+		sc.items = append(sc.items, it)
 	}
 }
 
@@ -512,7 +518,7 @@ func (l *link) receive(from string, sc *envScratch) {
 	env := &sc.env
 	for _, id := range env.Ack {
 		l.forget(id)
-		delete(l.traceOf, id)
+		delete(l.pubOf, id)
 	}
 	l.stats.MessagesAcked += len(env.Ack)
 	if len(env.Batch) == 0 && len(env.FloorCh) == 0 {
@@ -568,8 +574,13 @@ func (l *link) receive(from string, sc *envScratch) {
 	// The application reads the receive buffer itself, with no decode and no
 	// copy, once the body proves to be what an encoder writes. One that is
 	// not was acked and is not retransmitted; its channel's order moves past
-	// it.
-	for _, item := range sc.deliver {
+	// it. A relayed publication's trace is derived here, once per delivered
+	// item, from the sender the messenger authenticated.
+	for i := range sc.deliver {
+		item := &sc.deliver[i]
+		if item.Pub != 0 {
+			item.Trace = uint64(obs.PublicationTrace(from, item.Pub))
+		}
 		r, err := msg.ParseRaw(item.Body)
 		if err != nil {
 			l.stats.CorruptDropped++

@@ -42,8 +42,7 @@ type refEntry struct {
 	to, ch   string
 	body     []byte
 	at       time.Time
-	trace    obs.TraceID
-	relayed  bool      // trace inherited at enqueue, not derived
+	pub      uint64    // the relayed local publication's number; 0: a root
 	sent     bool      // handed to the messenger in this boot
 	attempts int       // transmissions in this boot
 	due      time.Time // next retransmission, once sent
@@ -79,7 +78,8 @@ type refNode struct {
 type refEnvelope struct {
 	to       string
 	items    []envelopeItem
-	prior    []int // transmissions of each item before this one
+	traces   []obs.TraceID // each item's trace, as Outgoing.Traces carries it
+	prior    []int         // transmissions of each item before this one
 	floorCh  []string
 	floorSeq []uint64
 }
@@ -91,18 +91,33 @@ func newRefNode(name, boot string) *refNode {
 
 func (n *refNode) find(id uint64) *refEntry { return n.byID[id] }
 
+// trace is the trace e travels under: its publication's, or its root.
+func (n *refNode) trace(e *refEntry) obs.TraceID {
+	if e.pub != 0 {
+		return obs.NewTraceID(0, n.name+"#pub", e.pub)
+	}
+	return obs.NewTraceID(modelTraceSeed, n.name, e.id)
+}
+
+// item is e as an envelope carries it: a relayed publication's number, or
+// the root trace itself.
+func (n *refNode) item(e *refEntry) envelopeItem {
+	it := envelopeItem{ID: e.id, Seq: e.seq, Channel: e.ch, Pub: e.pub, Body: e.body}
+	if e.pub == 0 {
+		it.Trace = uint64(n.trace(e))
+	}
+	return it
+}
+
 // backoff is the wait after the attempts-th transmission: RetryAfter,
 // doubling per attempt, at most eight RetryAfters.
 func backoff(attempts int) time.Duration {
 	return modelRetryAfter << min(attempts-1, 3)
 }
 
-func (n *refNode) enqueue(now time.Time, to, ch string, body []byte, trace obs.TraceID) {
+func (n *refNode) enqueue(now time.Time, to, ch string, body []byte, pub uint64) {
 	key := [2]string{to, ch}
-	e := &refEntry{id: n.nextID, seq: n.nextSeq[key], to: to, ch: ch, body: body, at: now, trace: trace, relayed: trace != 0}
-	if trace == 0 {
-		e.trace = obs.NewTraceID(modelTraceSeed, n.name, e.id)
-	}
+	e := &refEntry{id: n.nextID, seq: n.nextSeq[key], to: to, ch: ch, body: body, at: now, pub: pub}
 	n.nextID++
 	n.nextSeq[key]++
 	n.pending = append(n.pending, e)
@@ -145,7 +160,8 @@ func (n *refNode) stage(now time.Time, retryOnly bool) []refEnvelope {
 	for _, e := range n.pending {
 		if !e.sent && !retryOnly || e.sent && !e.due.After(now) {
 			v := env(e.to)
-			v.items = append(v.items, envelopeItem{ID: e.id, Seq: e.seq, Channel: e.ch, Trace: uint64(e.trace), Body: e.body})
+			v.items = append(v.items, n.item(e))
+			v.traces = append(v.traces, n.trace(e))
 			v.prior = append(v.prior, e.attempts)
 		}
 	}
@@ -216,9 +232,7 @@ func (n *refNode) reboot(boot string) {
 	n.owed, n.peers, n.nextSeq = map[[2]string]bool{}, map[string]*refPeer{}, map[[2]string]uint64{}
 	for _, e := range n.pending {
 		e.sent, e.attempts, e.due = false, 0, time.Time{}
-		if e.relayed {
-			e.trace, e.relayed = obs.NewTraceID(modelTraceSeed, n.name, e.id), false
-		}
+		e.pub = 0 // the number died with the process: the entry travels under its root
 		n.nextSeq[[2]string{e.to, e.ch}] = max(n.nextSeq[[2]string{e.to, e.ch}], e.seq+1)
 	}
 }
@@ -316,7 +330,10 @@ func (n *refNode) receive(from string, payload []byte) (delivered []envelopeItem
 		}
 	}
 	n.stats.MessagesReceived += len(delivered)
-	for _, it := range delivered {
+	for i, it := range delivered {
+		if it.Pub != 0 {
+			delivered[i].Trace = uint64(obs.NewTraceID(0, from+"#pub", it.Pub))
+		}
 		if _, err := msg.ParseRaw(it.Body); err != nil {
 			n.stats.CorruptDropped++
 		}
@@ -404,15 +421,16 @@ func (w *linkWorld) enqueue(from, to, ch string, canonical, relayed bool) {
 			w.t.Fatal(err)
 		}
 	}
-	var trace obs.TraceID
+	var pub uint64
 	if relayed {
-		trace = obs.TraceID(1000 + w.k)
+		pub = uint64(1000 + w.k)
 	}
 	n := w.nodes[from]
-	id, got, err := n.core.enqueue(w.now, to, ch, body, trace)
-	n.ref.enqueue(w.now, to, ch, body, trace)
-	if want := n.ref.pending[len(n.ref.pending)-1]; err != nil || id != want.id || got != want.trace {
-		w.t.Fatalf("enqueue at %s: id %d trace %v (%v), model %d %v", from, id, got, err, want.id, want.trace)
+	id, err := n.core.enqueue(w.now, to, ch, body, pub)
+	n.ref.enqueue(w.now, to, ch, body, pub)
+	want := n.ref.pending[len(n.ref.pending)-1]
+	if got, _ := n.core.traceFor(id); err != nil || id != want.id || got != n.ref.trace(want) {
+		w.t.Fatalf("enqueue at %s: id %d trace %v (%v), model %d %v", from, id, got, err, want.id, n.ref.trace(want))
 	}
 }
 
@@ -462,12 +480,8 @@ func (w *linkWorld) checkEnvelope(from string, o Outgoing, want refEnvelope) {
 	if err != nil {
 		w.t.Fatalf("flush at %s: staged envelope: %v", from, err)
 	}
-	traces := make([]obs.TraceID, len(want.items))
-	for i, it := range want.items {
-		traces[i] = obs.TraceID(it.Trace)
-	}
 	if o.To != want.to || env.From != from || string(env.Boot) != w.nodes[from].ref.boot || len(env.Ack) != 0 ||
-		!sameItems(env.Batch, want.items) || !slices.Equal(o.Traces, traces) ||
+		!sameItems(env.Batch, want.items) || !slices.Equal(o.Traces, want.traces) ||
 		!slices.Equal(env.FloorCh, want.floorCh) || !slices.Equal(env.FloorSeq, want.floorSeq) {
 		w.t.Fatalf("flush at %s staged for %s %+v (traces %v), model for %s %+v", from, o.To, env, o.Traces, want.to, want)
 	}
@@ -475,7 +489,8 @@ func (w *linkWorld) checkEnvelope(from string, o Outgoing, want refEnvelope) {
 
 func sameItems(a, b []envelopeItem) bool {
 	return slices.EqualFunc(a, b, func(x, y envelopeItem) bool {
-		return x.ID == y.ID && x.Seq == y.Seq && x.Channel == y.Channel && x.Trace == y.Trace && bytes.Equal(x.Body, y.Body)
+		return x.ID == y.ID && x.Seq == y.Seq && x.Channel == y.Channel && x.Pub == y.Pub && x.Trace == y.Trace &&
+			bytes.Equal(x.Body, y.Body)
 	})
 }
 
@@ -777,6 +792,21 @@ func FuzzLink(f *testing.F) {
 	// boot's replay was delivered, resets the receiver's state of the sender
 	// once more and is held.
 	f.Add([]byte("2C0210z10\"002102C0z10\"0(z1070070A070z1098B"))
+	// Envelope v4's trace forms, injected as a's to c (op 9, framed) ahead
+	// of a seeded stream: publication delta 0, a wrapping delta, an explicit
+	// ID, and a truncated explicit ID.
+	inject := func(wire []byte) []byte {
+		return append(append([]byte{9, 24, byte(len(wire))}, wire...), linkModelStream(1)[:3*30]...)
+	}
+	for _, batch := range [][]envelopeItem{
+		{{ID: 1, Seq: 0, Channel: "x", Pub: 1}, {ID: 2, Seq: 1, Channel: "x", Pub: 2}},
+		{{ID: 1, Seq: 0, Channel: "x", Pub: 1 << 63}, {ID: 2, Seq: 1, Channel: "x", Pub: 3}},
+		{{ID: 1, Seq: 0, Channel: "x", Trace: 0x0123456789abcdef}},
+	} {
+		f.Add(inject(encodeEnvelope(&envelope{From: "a", Boot: []byte("a#0"), Batch: batch})))
+	}
+	explicit := encodeEnvelope(&envelope{From: "a", Boot: []byte("a#0"), Batch: []envelopeItem{{ID: 1, Channel: "x", Trace: 7}}})
+	f.Add(inject(explicit[:len(explicit)-6]))
 	f.Fuzz(func(t *testing.T, data []byte) { runLinkModel(t, data) })
 }
 
@@ -838,5 +868,46 @@ func TestSenderRebootRedeliversUnackedItem(t *testing.T) {
 	w.heal()
 	if want := []string{"c<-a/x:1", "c<-a/x:1"}; !slices.Equal(w.log, want) {
 		t.Errorf("delivered %v, want %v: message 1 twice", w.log, want)
+	}
+}
+
+// TestRebootReplaysRelayedEntriesExplicit: a relayed publication travels as
+// its number, but the number dies with the process that relayed it. The
+// rebooted sender replays the entry under its root trace, carried whole,
+// and the receiver delivers it.
+func TestRebootReplaysRelayedEntriesExplicit(t *testing.T) {
+	w := newLinkWorld(t)
+	items := func() []envelopeItem {
+		t.Helper()
+		body, err := unframe(w.net[len(w.net)-1].payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := decodeEnvelope(body, new(envScratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env.Batch
+	}
+	w.enqueue("a", "c", "x", true, true)
+	w.enqueue("a", "c", "x", true, true)
+	w.flush("a", false, acceptAll, false)
+	for _, it := range items() {
+		if it.Pub == 0 || it.Trace != 0 {
+			t.Fatalf("before the reboot item %d travels as %+v, want its publication number alone", it.ID, it)
+		}
+	}
+	w.net = w.net[:0] // lost
+	w.reboot("a")
+	w.flush("a", false, acceptAll, false)
+	for _, it := range items() {
+		if root := obs.NewTraceID(modelTraceSeed, "a", it.ID); it.Pub != 0 || it.Trace != uint64(root) {
+			t.Fatalf("after the reboot item %d travels as %+v, want its root %s whole", it.ID, it, root)
+		}
+	}
+	w.check("replay staged")
+	w.heal()
+	if want := []string{"c<-a/x:1", "c<-a/x:2"}; !slices.Equal(w.log, want) {
+		t.Errorf("delivered %v, want %v", w.log, want)
 	}
 }

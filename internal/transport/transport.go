@@ -162,9 +162,9 @@ type EndpointConfig struct {
 	// are charged to; defaults to the messenger's local id. Experiments use
 	// it to keep per-trial accounting apart in one registry.
 	Entity string
-	// TraceSeed seeds the deterministic trace-ID derivation for messages
-	// originated at this endpoint (obs.NewTraceID(TraceSeed, localID,
-	// outboxID)). Trace assignment is independent of Obs — the wire bytes
+	// TraceSeed seeds the deterministic trace-ID derivation for the roots
+	// this endpoint sends — every entry but a relayed publication's
+	// (obs.NewTraceID(TraceSeed, localID, outboxID)). Trace assignment is independent of Obs — the wire bytes
 	// are identical whether or not a registry is attached — so enabling
 	// observability never perturbs a seeded run.
 	TraceSeed int64
@@ -399,29 +399,34 @@ func (e *Endpoint) Enqueue(to, channel string, payload msg.Value) error {
 			return fmt.Errorf("transport: encode: %w", err)
 		}
 	}
-	return e.EnqueueTraced(to, channel, r, 0)
+	return e.EnqueuePublication(to, channel, r, 0)
 }
 
-// EnqueueTraced is Enqueue for an encoded message that continues an existing
-// causal trace (a relayed publication): the inherited trace ID travels in
-// this entry's wire envelope instead of a freshly derived root. trace 0
-// means "originates here" and derives the root ID. The outbox keeps the
+// EnqueuePublication is Enqueue for an encoded message that continues the
+// trace of local publication number pub (a relayed publication): the
+// envelope carries the number, from which the receiver derives the trace,
+// obs.PublicationTrace(this endpoint's id, pub). pub 0 means "originates
+// here": the entry travels under its root trace. The outbox keeps the
 // message's bytes themselves: enqueueing copies nothing.
-func (e *Endpoint) EnqueueTraced(to, channel string, r msg.Raw, trace obs.TraceID) error {
+func (e *Endpoint) EnqueuePublication(to, channel string, r msg.Raw, pub uint64) error {
 	if r.IsZero() {
 		return errors.New("transport: enqueue: no message")
 	}
 	now := e.clk.Now()
 	e.mu.Lock()
 	before := e.core.stats
-	id, trace, err := e.core.enqueue(now, to, channel, r.Bytes(), trace)
+	id, err := e.core.enqueue(now, to, channel, r.Bytes(), pub)
+	var trace obs.TraceID
+	if err == nil && e.obs.tracing() {
+		trace, _ = e.core.traceFor(id)
+	}
 	after := e.core.stats
 	e.mu.Unlock()
 	e.obs.count(before, after)
 	if err != nil {
 		return err
 	}
-	if e.obs.tracing() {
+	if trace != 0 {
 		e.obs.span(now, trace, obs.StageEnqueue, channel, id, "to="+to)
 	}
 	return nil

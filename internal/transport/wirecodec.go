@@ -22,25 +22,34 @@ import (
 //	            channel the items and floors name, once, in order of first use
 //	batch     uvarint count, then per item:
 //	            id      uvarint, ID − the previous item's ID (the first: − 0)
-//	            channel uvarint index into the channel table
+//	            channel uvarint, index into the channel table << 1 | kind
 //	            seq     zigzag varint, Seq − the previous Seq on the same
 //	                      channel in this envelope (the channel's first: − 0)
-//	            trace   8 bytes little-endian (obs.TraceID, 0 = untraced)
+//	            trace   kind 0, a relayed publication: zigzag varint,
+//	                      (Pub − ID) − the previous kind-0 item's (Pub − ID)
+//	                      (the first: − 0); the receiver derives the trace,
+//	                      obs.PublicationTrace(sender, Pub), and Pub 0 is
+//	                      malformed
+//	                    kind 1, any other item (a root, or a relayed entry
+//	                      replayed after a reboot): 8 bytes little-endian,
+//	                      the obs.TraceID itself (0 = untraced)
 //	            body    uvarint length + bytes (msg binary codec)
 //	acks      uvarint count, then count zigzag varints, each ID − the
 //	            previous ack ID (the first: − 0)
 //	floors    uvarint count + count × (channel index uvarint, floor uvarint),
 //	            channels sorted by name (deterministic bytes)
 //
-// A flush's IDs ascend within one destination's envelope and its channels
-// are few, so an item with a body under 128 bytes costs the body plus 12
-// bytes. Deltas wrap modulo 2⁶⁴: any ID and Seq order encodes, an
-// unusual one only in more bytes.
+// A flush's IDs ascend within one destination's envelope, its channels are
+// few, and a node's publications are numbered in the order its outbox takes
+// them, so a relayed publication with a body under 128 bytes costs the body
+// plus 5 bytes, and any other item the body plus 12. Deltas wrap modulo
+// 2⁶⁴: any ID, Seq and publication order encodes, an unusual one only in
+// more bytes.
 //
 // Anything else — a bad checksum, another first byte, a length or count that
-// overruns the input, a channel index past the table, a truncated trace,
-// trailing bytes — is rejected and counted in transport_corrupt_dropped_total;
-// the sender retransmits.
+// overruns the input, a channel index past the table, a truncated trace, a
+// publication number 0, trailing bytes — is rejected and counted in
+// transport_corrupt_dropped_total; the sender retransmits.
 //
 // Encode and decode recycle their storage: the channel table lives in the
 // flush's and the receive's scratch, an envScratch carries the batch, ack,
@@ -51,11 +60,12 @@ import (
 // need.
 
 // envMagic is the first byte of every envelope: 0xB0 | format version.
-const envMagic = 0xB3
+const envMagic = 0xB4
 
 // minItemSize is the fewest bytes an item can take: one byte each for the ID
-// delta, the channel index, the Seq delta and the body length, and the trace.
-const minItemSize = 12
+// delta, the channel index, the Seq delta, the publication delta and the
+// body length.
+const minItemSize = 5
 
 var errEnvelope = errors.New("transport: malformed envelope")
 
@@ -116,15 +126,25 @@ func appendEnvelope(dst []byte, tab *chanTable, from, boot string, batch []envel
 		dst = appendUvStr(dst, e.name)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
-	var prevID uint64
+	var prevID, prevOff uint64
 	for i := range batch {
 		it := &batch[i]
 		c := tab.index(it.Channel)
 		ch := &(*tab)[c]
+		explicit := uint64(0)
+		if it.Pub == 0 {
+			explicit = 1
+		}
 		dst = binary.AppendUvarint(dst, it.ID-prevID)
-		dst = binary.AppendUvarint(dst, uint64(c))
+		dst = binary.AppendUvarint(dst, uint64(c)<<1|explicit)
 		dst = binary.AppendVarint(dst, int64(it.Seq-ch.seq))
-		dst = binary.LittleEndian.AppendUint64(dst, it.Trace)
+		if it.Pub != 0 {
+			off := it.Pub - it.ID
+			dst = binary.AppendVarint(dst, int64(off-prevOff))
+			prevOff = off
+		} else {
+			dst = binary.LittleEndian.AppendUint64(dst, it.Trace)
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(it.Body)))
 		dst = append(dst, it.Body...)
 		prevID, ch.seq = it.ID, it.Seq
@@ -171,8 +191,15 @@ type envelopeItem struct {
 	ID      uint64
 	Seq     uint64
 	Channel string
-	Trace   uint64 // the message's causal trace ID (obs.TraceID), 0 when untraced
-	Body    []byte // msg binary codec
+	// Pub is the number of the local publication the item relays, from
+	// which its trace derives (obs.PublicationTrace(sender, Pub)); 0 when
+	// the item carries its trace whole in Trace.
+	Pub uint64
+	// Trace is the message's causal trace ID (obs.TraceID), 0 when
+	// untraced. A publication item travels without it: decoding leaves it
+	// 0, and the receiver fills it in for the items it delivers.
+	Trace uint64
+	Body  []byte // msg binary codec
 }
 
 // unframe verifies and strips the frame check.
@@ -259,7 +286,7 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 	}
 	if n > 0 {
 		batch := sc.batch[:0]
-		var id uint64
+		var id, off uint64
 		for i := uint64(0); i < n; i++ {
 			var it envelopeItem
 			var delta uint64
@@ -268,8 +295,12 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 			}
 			id += delta
 			it.ID = id
+			var kind uint64
+			if kind, b, err = readUv(b); err != nil {
+				return envelope{}, err
+			}
 			var c int
-			if c, b, err = readIndex(b, tab); err != nil {
+			if c, err = checkIndex(kind>>1, tab); err != nil {
 				return envelope{}, err
 			}
 			ch := &tab[c]
@@ -280,11 +311,23 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 			}
 			it.Seq = ch.seq + uint64(seqDelta)
 			ch.seq = it.Seq
-			if len(b) < 8 {
-				return envelope{}, fmt.Errorf("%w: truncated trace", errEnvelope)
+			if kind&1 == 0 {
+				var offDelta int64
+				if offDelta, b, err = readV(b); err != nil {
+					return envelope{}, err
+				}
+				off += uint64(offDelta)
+				if it.Pub = id + off; it.Pub == 0 {
+					return envelope{}, fmt.Errorf("%w: publication number 0", errEnvelope)
+				}
+			} else {
+				if len(b) < 8 {
+					return envelope{}, fmt.Errorf("%w: truncated trace", errEnvelope)
+				}
+				it.Trace = binary.LittleEndian.Uint64(b)
+				b = b[8:]
 			}
-			it.Trace = binary.LittleEndian.Uint64(b)
-			if it.Body, b, err = readUvBytes(b[8:]); err != nil {
+			if it.Body, b, err = readUvBytes(b); err != nil {
 				return envelope{}, err
 			}
 			batch = append(batch, it)
@@ -356,10 +399,16 @@ func readIndex(b []byte, tab chanTable) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	i, err := checkIndex(c, tab)
+	return i, rest, err
+}
+
+// checkIndex rejects a channel index past the table.
+func checkIndex(c uint64, tab chanTable) (int, error) {
 	if c >= uint64(len(tab)) {
-		return 0, nil, fmt.Errorf("%w: channel index %d past a table of %d", errEnvelope, c, len(tab))
+		return 0, fmt.Errorf("%w: channel index %d past a table of %d", errEnvelope, c, len(tab))
 	}
-	return int(c), rest, nil
+	return int(c), nil
 }
 
 // readCount reads a uvarint element count and rejects it when even

@@ -35,26 +35,35 @@ func TestBootIDsAreNotInterned(t *testing.T) {
 }
 
 // TestEnvelopeItemOverhead pins what an item costs on the wire: n
-// consecutive items on one channel, bodies under 128 bytes, cost their
-// bodies plus 12 bytes each plus a constant — the magic, from, boot, the
-// channel's one table entry, and the three counts — and an envelope over k
-// channels spells each name exactly once, however many items and floors
-// name it.
+// consecutive relayed publications on one channel, bodies under 128 bytes,
+// cost their bodies plus 5 bytes each plus a constant — the magic, from,
+// boot, the channel's one table entry, and the three counts — however many
+// numbers the node spent between them on what it did not send, fewer than
+// 64; n items with explicit traces cost their bodies plus 12 bytes each plus
+// the same constant; and an envelope over k channels spells each name
+// exactly once, however many items and floors name it.
 func TestEnvelopeItemOverhead(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const from, boot, channel = "phone-1", "boot-7", "battery"
 	constant := 1 + (1 + len(from)) + (1 + len(boot)) + 1 + (1 + len(channel)) + 1 + 1 + 1
 	tab := new(chanTable)
 	for n := 1; n <= 100; n++ {
-		batch := make([]envelopeItem, n)
+		pubs := make([]envelopeItem, n)
+		explicit := make([]envelopeItem, n)
 		sum := 0
-		for i := range batch {
+		pub := uint64(1 + rng.Intn(64))
+		for i := range pubs {
 			body := make([]byte, rng.Intn(128))
 			sum += len(body)
-			batch[i] = envelopeItem{ID: uint64(1 + i), Seq: uint64(i), Channel: channel, Trace: rng.Uint64(), Body: body}
+			pubs[i] = envelopeItem{ID: uint64(1 + i), Seq: uint64(i), Channel: channel, Pub: pub, Body: body}
+			explicit[i] = envelopeItem{ID: uint64(1 + i), Seq: uint64(i), Channel: channel, Trace: rng.Uint64(), Body: body}
+			pub += uint64(1 + rng.Intn(32))
 		}
-		if got, want := len(appendEnvelope(nil, tab, from, boot, batch, nil, nil, nil)), sum+12*n+constant; got != want {
-			t.Fatalf("%d items with %d body bytes: %d bytes, want %d = bodies + 12·n + %d", n, sum, got, want, constant)
+		if got, want := len(appendEnvelope(nil, tab, from, boot, pubs, nil, nil, nil)), sum+5*n+constant; got != want {
+			t.Fatalf("%d publications with %d body bytes: %d bytes, want %d = bodies + 5·n + %d", n, sum, got, want, constant)
+		}
+		if got, want := len(appendEnvelope(nil, tab, from, boot, explicit, nil, nil, nil)), sum+12*n+constant; got != want {
+			t.Fatalf("%d explicit traces with %d body bytes: %d bytes, want %d = bodies + 12·n + %d", n, sum, got, want, constant)
 		}
 	}
 
@@ -71,7 +80,7 @@ func TestEnvelopeItemOverhead(t *testing.T) {
 		body := make([]byte, rng.Intn(128))
 		sum += len(body)
 		seq[c]++
-		batch = append(batch, envelopeItem{ID: uint64(1 + i), Seq: seq[c], Channel: names[c], Trace: rng.Uint64(), Body: body})
+		batch = append(batch, envelopeItem{ID: uint64(1 + i), Seq: seq[c], Channel: names[c], Pub: uint64(1 + i), Body: body})
 	}
 	floorSeq := make([]uint64, k)
 	wire := appendEnvelope(nil, tab, from, boot, batch, nil, names, floorSeq)
@@ -83,7 +92,7 @@ func TestEnvelopeItemOverhead(t *testing.T) {
 		tableBytes += 1 + len(name)
 	}
 	// Each floor costs its channel index and its floor: two bytes here.
-	if want := sum + 12*len(batch) + constant - (1 + len(channel)) + tableBytes + 2*k; len(wire) != want {
+	if want := sum + 5*len(batch) + constant - (1 + len(channel)) + tableBytes + 2*k; len(wire) != want {
 		t.Errorf("%d items on %d channels: %d bytes, want %d", len(batch), k, len(wire), want)
 	}
 	env, err := decodeEnvelope(wire, new(envScratch))
@@ -121,7 +130,8 @@ func sameEnvelope(a, b envelope) bool {
 	}
 	for i := range a.Batch {
 		x, y := &a.Batch[i], &b.Batch[i]
-		if x.ID != y.ID || x.Seq != y.Seq || x.Channel != y.Channel || x.Trace != y.Trace || !bytes.Equal(x.Body, y.Body) {
+		if x.ID != y.ID || x.Seq != y.Seq || x.Channel != y.Channel || x.Pub != y.Pub || x.Trace != y.Trace ||
+			!bytes.Equal(x.Body, y.Body) {
 			return false
 		}
 	}
@@ -129,7 +139,8 @@ func sameEnvelope(a, b envelope) bool {
 }
 
 // envelopeFrom builds an envelope from arbitrary bytes: IDs, sequences,
-// acks and floors in any order and of any size, a handful of channels.
+// publication numbers, traces, acks and floors in any order and of any
+// size, a handful of channels.
 func envelopeFrom(data []byte) envelope {
 	next := func(n int) []byte {
 		b := data[:min(n, len(data))]
@@ -146,13 +157,18 @@ func envelopeFrom(data []byte) envelope {
 	env := envelope{From: "phone-1", Boot: []byte("boot")}
 	channels := []string{"a", "battery", "", "wifi-scan"}
 	for len(data) > 0 {
-		switch next(1)[0] % 3 {
+		switch next(1)[0] % 4 {
 		case 0:
 			env.Batch = append(env.Batch, envelopeItem{
 				ID: u64(), Seq: u64(), Channel: channels[u64()%4], Trace: u64(),
 				Body: next(int(u64() % 200)),
 			})
-		case 1:
+		case 1: // a publication number of 0 is the explicit trace 0
+			env.Batch = append(env.Batch, envelopeItem{
+				ID: u64(), Seq: u64(), Channel: channels[u64()%4], Pub: u64(),
+				Body: next(int(u64() % 200)),
+			})
+		case 2:
 			env.Ack = append(env.Ack, u64())
 		default:
 			env.FloorCh = append(env.FloorCh, channels[u64()%4])
@@ -178,6 +194,15 @@ func FuzzEnvelope(f *testing.F) {
 		f.Add(framed[len(frameHeader):])
 	}
 	f.Add(encodeEnvelope(traceTestEnvelope()))
+	for _, batch := range [][]envelopeItem{
+		{{ID: 1, Seq: 0, Channel: "a", Pub: 1}, {ID: 2, Seq: 1, Channel: "a", Pub: 2}},       // publication delta 0
+		{{ID: 1, Seq: 0, Channel: "a", Pub: 1 << 63}, {ID: 2, Seq: 1, Channel: "a", Pub: 3}}, // a wrapping delta
+		{{ID: 5, Seq: 0, Channel: "a", Trace: 0x0123456789abcdef}},                           // an explicit trace
+	} {
+		f.Add(encodeEnvelope(&envelope{From: "phone-1", Boot: []byte("boot"), Batch: batch}))
+	}
+	explicit := encodeEnvelope(&envelope{From: "phone-1", Batch: []envelopeItem{{ID: 5, Channel: "a", Trace: 1}}})
+	f.Add(explicit[:len(explicit)-6]) // a truncated explicit trace
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tab chanTable
 		if env, err := decodeEnvelope(data, new(envScratch)); err == nil {

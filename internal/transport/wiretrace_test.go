@@ -76,7 +76,7 @@ func TestTracedEnvelopeTruncationRejected(t *testing.T) {
 		From: "phone01", Boot: []byte("boot-1"),
 		Batch: []envelopeItem{
 			{ID: 300, Seq: 9, Channel: "wifi", Trace: 1 << 63, Body: []byte{0x00}},
-			{ID: 301, Seq: 40, Channel: "gps", Body: []byte{0x02}},
+			{ID: 301, Seq: 40, Channel: "gps", Pub: 77, Body: []byte{0x02}},
 			{ID: 305, Seq: 10, Channel: "wifi", Trace: 7},
 		},
 		Ack:     []uint64{12, 11, 400},
@@ -104,9 +104,10 @@ func hostileEnvelope(rest ...byte) []byte {
 // valid head is refused, and nothing is allocated from a count it claims.
 func TestHostileEnvelopesRejected(t *testing.T) {
 	trace := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	item := func(channel byte) []byte { // id 1, the given channel, seq 1, trace, empty body
-		return append(append([]byte{1, channel, 2}, trace...), 0)
+	item := func(channel byte) []byte { // id 1, the given channel, seq 1, an explicit trace, empty body
+		return append(append([]byte{1, channel<<1 | 1, 2}, trace...), 0)
 	}
+	pubItem := []byte{1, 0, 2, 2, 0} // id 1, channel 0, seq 1, publication 1 + 1, empty body
 	for _, tc := range []struct {
 		name, why string
 		b         []byte
@@ -115,8 +116,9 @@ func TestHostileEnvelopesRejected(t *testing.T) {
 		{"floor channel index past the table", "channel index", hostileEnvelope(0, 0, 1, 1, 5)},
 		// A 10-byte ID delta lets the item pass the count check with only
 		// three bytes of its trace.
-		{"truncated trace", "truncated trace", hostileEnvelope(1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 2, 1, 2, 3)},
-		{"two items, bytes for one", "count 2", hostileEnvelope(append(append([]byte{2}, item(0)...), 0, 0)...)},
+		{"truncated trace", "truncated trace", hostileEnvelope(1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 1, 2, 1, 2, 3)},
+		{"publication number 0", "publication number 0", hostileEnvelope(1, 1, 0, 2, 1, 0, 0, 0)},
+		{"two items, bytes for one", "count 2", hostileEnvelope(append(append([]byte{2}, pubItem...), 0, 0)...)},
 		{"2^40 items", "count", hostileEnvelope(append(binary.AppendUvarint(nil, 1<<40), item(0)...)...)},
 		{"2^40 channels", "count", append(appendUvStr(appendUvStr([]byte{envMagic}, "phone01"), "boot-1"),
 			binary.AppendUvarint(nil, 1<<40)...)},

@@ -368,20 +368,23 @@ func readHexFixture(t *testing.T, name string) []byte {
 }
 
 // The checked-in 0xB3 frame — a client's send of the fixture data envelope
-// with both items' trace IDs in the trace field — pins the frame layout byte
-// for byte in both directions, and the batch path renders the same bytes.
+// with both items' trace IDs in the trace field: the first item's derived
+// from its publication number, the second's as the envelope carries it —
+// pins the frame layout byte for byte in both directions, and the batch path
+// renders the same bytes.
 func TestStanzaFrameFixture(t *testing.T) {
 	want := readHexFixture(t, "stanza_frame.hex")
+	traces := []obs.TraceID{obs.PublicationTrace("phone-1", 57), 0xfedcba9876543210}
 	m := Stanza{
 		To:   "collector@pogo",
 		ID:   "1",
-		T:    TraceAttr([]obs.TraceID{0x0123456789abcdef, 0xfedcba9876543210}),
+		T:    TraceAttr(traces),
 		Body: readHexFixture(t, "data_envelope.hex"),
 	}
 	if got := appendFrame(nil, m.To, m.From, m.ID, m.T, m.Body); !bytes.Equal(got, want) {
 		t.Fatalf("frame encoding moved:\n got %x\nwant %x", got, want)
 	}
-	raw := RawMessage{To: "collector", ID: 1, Body: m.Body, Traces: []obs.TraceID{0x0123456789abcdef, 0xfedcba9876543210}}
+	raw := RawMessage{To: "collector", ID: 1, Body: m.Body, Traces: traces}
 	if got := appendRawFrame(nil, &raw); !bytes.Equal(got, want) {
 		t.Fatalf("batch frame differs:\n got %x\nwant %x", got, want)
 	}
