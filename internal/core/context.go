@@ -288,8 +288,9 @@ func (c *Context) addProxy(peer string, id int, channel string, params msg.Map) 
 		}
 		// The publication's number travels in the wire envelope, and the
 		// collector derives its trace: the fanout there joins this span
-		// tree.
-		if err := node.ep.EnqueuePublication(peer, channel, ev.Message, ev.Pub); err != nil {
+		// tree. The broker's trace identity is the endpoint's id (newContext),
+		// so the two derive the same trace.
+		if err := node.ep.EnqueuePublication(peer, channel, ev.Message, ev.Pub, ev.Trace); err != nil {
 			return
 		}
 		if node.cfg.FlushPolicy == FlushImmediate {

@@ -142,7 +142,8 @@ type Node struct {
 	flushTask func()
 
 	// pubs numbers the node's local publications: every context's broker
-	// draws from it, so a number names one publication on the node.
+	// draws from it, so within one boot a number names one publication on
+	// the node (it starts at 1 again after a restart).
 	pubs atomic.Uint64
 
 	obsCancel    func()               // unregisters the usage collect hook; nil without Obs

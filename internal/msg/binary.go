@@ -158,15 +158,7 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 		for k, v := range x {
 			entries = append(entries, mapEntry{CanonicalKey(k), v})
 		}
-		if len(entries) <= len(stack) {
-			for i := 1; i < len(entries); i++ {
-				for j := i; j > 0 && entries[j].key < entries[j-1].key; j-- {
-					entries[j], entries[j-1] = entries[j-1], entries[j]
-				}
-			}
-		} else {
-			slices.SortFunc(entries, func(a, b mapEntry) int { return strings.Compare(a.key, b.key) })
-		}
+		slices.SortFunc(entries, func(a, b mapEntry) int { return strings.Compare(a.key, b.key) })
 		dst = AppendMapHeader(dst, len(entries))
 		var err error
 		for i := range entries {

@@ -133,11 +133,13 @@ func NewTraceID(seed int64, entity string, seq uint64) TraceID {
 
 // PublicationTrace is the trace of the n-th local publication on node,
 // NewTraceID(0, node+"#pub", n), derived without building the entity. Every
-// broker on a node draws n from one node-wide counter, so (node, n) names one
-// publication: the receiving endpoint derives from the sender it
-// authenticated and the number the envelope carries the very ID the sender's
-// broker assigned. The "#pub" suffix keeps these IDs apart from the
-// transport's roots, NewTraceID(seed, node, outbox ID).
+// broker on a node draws n from one node-wide counter, so within one boot
+// (node, n) names one publication: the receiving endpoint derives from the
+// sender it authenticated and the number the envelope carries the very ID
+// the sender's broker assigned. The counter starts at 1 again in every
+// process, so a number repeats across a reboot, and so does its trace. The
+// "#pub" suffix keeps these IDs apart from the transport's roots,
+// NewTraceID(seed, node, outbox ID).
 func PublicationTrace(node string, n uint64) TraceID {
 	return traceID(0, node, "#pub", n)
 }

@@ -39,7 +39,7 @@ type link struct {
 	// again), and inflight ones wait in retryq for their retransmission
 	// deadline.
 	nextSeq  map[string]map[string]uint64 // dest → channel → next FIFO sequence
-	pubOf    map[uint64]uint64            // outbox id → number of the relayed local publication; roots are derived
+	pubOf    map[uint64]relayed           // outbox id → the relayed local publication; roots are derived
 	dirty    map[string][]string          // dest → channels whose floor moved by expiry
 	cursor   uint64
 	refused  []uint64
@@ -93,25 +93,32 @@ func (l *link) setSeq(to, channel string, next uint64) {
 	inner[channel] = next
 }
 
+// relayed is a local publication an outbox entry relays: its number, which
+// the envelope carries, and the trace the broker gave it,
+// obs.PublicationTrace(local id, pub), which the receiver derives.
+type relayed struct {
+	pub   uint64
+	trace obs.TraceID
+}
+
 // traceFor returns the trace outbox entry id travels under, and the number
 // of the local publication it relays (0 for a root). A relayed publication's
-// trace is obs.PublicationTrace(local id, number), and the envelope carries
-// the number. Any other entry's is the root derived from (TraceSeed, local
-// id, outbox id), carried whole: outbox IDs are persisted and monotonic, so
-// a rebooted endpoint re-derives the same roots for replayed entries — the
-// relayed ones among them, whose numbers died with the process — without
-// storing anything.
+// trace is the one it was enqueued with. Any other entry's is the root
+// derived from (TraceSeed, local id, outbox id), carried whole: outbox IDs
+// are persisted and monotonic, so a rebooted endpoint re-derives the same
+// roots for replayed entries — the relayed ones among them, whose numbers
+// died with the process — without storing anything.
 func (l *link) traceFor(id uint64) (obs.TraceID, uint64) {
-	if pub, ok := l.pubOf[id]; ok {
-		return obs.PublicationTrace(l.local, pub), pub
+	if r, ok := l.pubOf[id]; ok {
+		return r.trace, r.pub
 	}
 	return obs.NewTraceID(l.traceSeed, l.local, id), 0
 }
 
 // enqueue buffers body for peer to on channel at now and returns its outbox
-// ID. The entry travels under the trace of local publication number pub, or
-// with pub 0 under its root (traceFor).
-func (l *link) enqueue(now time.Time, to, channel string, body []byte, pub uint64) (uint64, error) {
+// ID. The entry travels under pub's trace, or with pub.pub 0 under its root
+// (traceFor).
+func (l *link) enqueue(now time.Time, to, channel string, body []byte, pub relayed) (uint64, error) {
 	seq := l.nextSeq[to][channel]
 	id, err := l.box.Add(to, channel, seq, body, now)
 	if err != nil {
@@ -119,9 +126,9 @@ func (l *link) enqueue(now time.Time, to, channel string, body []byte, pub uint6
 	}
 	l.setSeq(to, channel, seq+1)
 	l.stats.MessagesEnqueued++
-	if pub != 0 {
+	if pub.pub != 0 {
 		if l.pubOf == nil {
-			l.pubOf = make(map[uint64]uint64)
+			l.pubOf = make(map[uint64]relayed)
 		}
 		l.pubOf[id] = pub
 	}

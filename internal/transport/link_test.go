@@ -412,7 +412,7 @@ func newLinkWorld(t testing.TB) *linkWorld {
 	return w
 }
 
-func (w *linkWorld) enqueue(from, to, ch string, canonical, relayed bool) {
+func (w *linkWorld) enqueue(from, to, ch string, canonical, isRelayed bool) {
 	w.k++
 	body := nonCanonical
 	if canonical {
@@ -421,13 +421,14 @@ func (w *linkWorld) enqueue(from, to, ch string, canonical, relayed bool) {
 			w.t.Fatal(err)
 		}
 	}
-	var pub uint64
-	if relayed {
-		pub = uint64(1000 + w.k)
+	var pub relayed
+	if isRelayed {
+		pub.pub = uint64(1000 + w.k)
+		pub.trace = obs.PublicationTrace(from, pub.pub)
 	}
 	n := w.nodes[from]
 	id, err := n.core.enqueue(w.now, to, ch, body, pub)
-	n.ref.enqueue(w.now, to, ch, body, pub)
+	n.ref.enqueue(w.now, to, ch, body, pub.pub)
 	want := n.ref.pending[len(n.ref.pending)-1]
 	if got, _ := n.core.traceFor(id); err != nil || id != want.id || got != n.ref.trace(want) {
 		w.t.Fatalf("enqueue at %s: id %d trace %v (%v), model %d %v", from, id, got, err, want.id, n.ref.trace(want))

@@ -399,26 +399,27 @@ func (e *Endpoint) Enqueue(to, channel string, payload msg.Value) error {
 			return fmt.Errorf("transport: encode: %w", err)
 		}
 	}
-	return e.EnqueuePublication(to, channel, r, 0)
+	return e.EnqueuePublication(to, channel, r, 0, 0)
 }
 
 // EnqueuePublication is Enqueue for an encoded message that continues the
-// trace of local publication number pub (a relayed publication): the
-// envelope carries the number, from which the receiver derives the trace,
-// obs.PublicationTrace(this endpoint's id, pub). pub 0 means "originates
-// here": the entry travels under its root trace. The outbox keeps the
-// message's bytes themselves: enqueueing copies nothing.
-func (e *Endpoint) EnqueuePublication(to, channel string, r msg.Raw, pub uint64) error {
+// trace of local publication number pub (a relayed publication), trace: the
+// envelope carries the number, and the receiver derives the trace from it
+// and this endpoint's id, so trace must be obs.PublicationTrace(this
+// endpoint's id, pub). pub 0 means "originates here": the entry travels
+// under its root trace and trace is ignored. The outbox keeps the message's
+// bytes themselves: enqueueing copies nothing.
+func (e *Endpoint) EnqueuePublication(to, channel string, r msg.Raw, pub uint64, trace obs.TraceID) error {
 	if r.IsZero() {
 		return errors.New("transport: enqueue: no message")
 	}
 	now := e.clk.Now()
 	e.mu.Lock()
 	before := e.core.stats
-	id, err := e.core.enqueue(now, to, channel, r.Bytes(), pub)
-	var trace obs.TraceID
+	id, err := e.core.enqueue(now, to, channel, r.Bytes(), relayed{pub, trace})
+	var span obs.TraceID
 	if err == nil && e.obs.tracing() {
-		trace, _ = e.core.traceFor(id)
+		span, _ = e.core.traceFor(id)
 	}
 	after := e.core.stats
 	e.mu.Unlock()
@@ -426,8 +427,8 @@ func (e *Endpoint) EnqueuePublication(to, channel string, r msg.Raw, pub uint64)
 	if err != nil {
 		return err
 	}
-	if trace != 0 {
-		e.obs.span(now, trace, obs.StageEnqueue, channel, id, "to="+to)
+	if span != 0 {
+		e.obs.span(now, span, obs.StageEnqueue, channel, id, "to="+to)
 	}
 	return nil
 }

@@ -50,7 +50,7 @@ func relayedPublication(t *testing.T, ep *Endpoint, node, to string, m msg.Map) 
 	var trace obs.TraceID
 	b.Subscribe("battery", nil, func(ev pubsub.Event) {
 		trace = ev.Trace
-		if err := ep.EnqueuePublication(to, ev.Channel, ev.Message, ev.Pub); err != nil {
+		if err := ep.EnqueuePublication(to, ev.Channel, ev.Message, ev.Pub, ev.Trace); err != nil {
 			t.Error(err)
 		}
 	})
