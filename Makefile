@@ -40,8 +40,10 @@ check:
 # (store); the transport's delivery core against its reference model, with
 # the fuzzer's bytes also fed to the envelope decoder as inbound payloads
 # (FuzzLink), and the envelope codec itself, an item's trace as a
-# publication-number delta or an explicit ID: whatever decodes re-encodes to
-# itself, and whatever encodes decodes to itself (FuzzEnvelope); and
+# publication-number delta or an explicit ID and a map as its values alone
+# when its channel's previous message has its keys: whatever decodes
+# re-encodes to itself, and whatever encodes decodes to itself
+# (FuzzEnvelope); and
 # PogoScript (FuzzScript: bytes as a program, which must lex, parse and
 # compile or fail cleanly, and run twice under a small budget
 # without a panic, doing the same both times and failing with the budget

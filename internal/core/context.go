@@ -61,9 +61,10 @@ func newContext(n *Node, owner string) *Context {
 	// Trace identity is unconditional (not gated on Obs): the numbers it
 	// assigns travel in wire envelopes, so they must not depend on whether
 	// a registry happens to be attached. Every context draws from the
-	// node's one counter, under the node's wire identity, so the receiver
-	// derives each trace from the sender it authenticated and the number.
-	ctx.broker.SetTraceIdentity(n.cfg.Messenger.LocalID(), &n.pubs)
+	// node's one counter, under the node's wire identity and boot, so the
+	// receiver derives each trace from the sender it authenticated, the
+	// boot its envelopes carry and the number.
+	ctx.broker.SetTraceIdentity(n.pubTraces, &n.pubs)
 	ctx.broker.Instrument(n.cfg.Obs, n.clk.Now, n.cfg.ID, n.cfg.ObsEntity)
 	n.smgr.AddBroker(ctx.broker)
 	return ctx

@@ -13,6 +13,7 @@ import (
 	"pogo/internal/energy"
 	"pogo/internal/geo"
 	"pogo/internal/msg"
+	"pogo/internal/obs"
 	"pogo/internal/pubsub"
 	"pogo/internal/radio"
 	"pogo/internal/script/scripts"
@@ -276,6 +277,53 @@ func TestRebootRedeploysAndThaws(t *testing.T) {
 
 	if p := d2.printed(); len(p) != 1 || p[0] != "boot 1" {
 		t.Errorf("post-reboot prints = %q (redeploy or thaw failed)", p)
+	}
+}
+
+// TestRebootStartsNewPublicationTraces: a node numbers its publications
+// from 1 again in every boot, and the boot is part of what their traces
+// derive from, so a rebooted node does not repeat the traces of the boot
+// before — and the collector derives the very trace the device assigned.
+func TestRebootStartsNewPublicationTraces(t *testing.T) {
+	r := newRig(t, "dev1")
+	d := r.dev["dev1"]
+	var arrived []obs.TraceID
+	r.col.LocalContext().Broker().Subscribe("c", nil, func(ev pubsub.Event) { arrived = append(arrived, ev.Trace) })
+	if err := r.col.DeployLocal("c.js", `subscribe('c', function (m) {});`); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(time.Minute)
+	publish := func(n *Node) pubsub.Event {
+		t.Helper()
+		ctx := n.Contexts()["collector"]
+		if ctx == nil {
+			t.Fatal("the collector's context never reached the device")
+		}
+		var got pubsub.Event
+		ctx.Broker().Subscribe("c", nil, func(ev pubsub.Event) { got = ev })
+		ctx.Broker().Publish("c", msg.Map{"n": 1.0})
+		return got
+	}
+	first := publish(d.node)
+	r.clk.Advance(time.Minute)
+	d.node.Close()
+	d.port.Close()
+	r.clk.Advance(time.Minute)
+	d2 := r.addDevice("dev1", FlushImmediate, d.storage, "")
+	r.clk.Advance(time.Minute)
+	second := publish(d2.node)
+	if first.Pub != 1 || second.Pub != 1 {
+		t.Fatalf("publication numbers %d and %d, want 1 in each boot", first.Pub, second.Pub)
+	}
+	if first.Trace == second.Trace {
+		t.Errorf("both boots' first publication carry trace %s", first.Trace)
+	}
+	if want := obs.PublicationsOf("dev1", d2.node.ep.BootID()).Trace(1); second.Trace != want {
+		t.Errorf("second boot's publication carries %s, want %s", second.Trace, want)
+	}
+	r.clk.Advance(time.Minute)
+	if len(arrived) != 2 || arrived[0] != first.Trace || arrived[1] != second.Trace {
+		t.Errorf("the collector saw traces %v, want [%s %s]", arrived, first.Trace, second.Trace)
 	}
 }
 

@@ -143,8 +143,10 @@ type Node struct {
 
 	// pubs numbers the node's local publications: every context's broker
 	// draws from it, so within one boot a number names one publication on
-	// the node (it starts at 1 again after a restart).
-	pubs atomic.Uint64
+	// the node (it starts at 1 again after a restart, and the boot, which
+	// pubTraces folds in, tells the two apart).
+	pubs      atomic.Uint64
+	pubTraces obs.Publications
 
 	obsCancel    func()               // unregisters the usage collect hook; nil without Obs
 	usageAnchors map[string]lastUsage // previously ledger-charged usage per script
@@ -225,6 +227,7 @@ func NewNode(cfg Config) (*Node, error) {
 		Obs:    cfg.Obs,
 		Entity: cfg.ObsEntity,
 	})
+	n.pubTraces = obs.PublicationsOf(cfg.Messenger.LocalID(), n.ep.BootID())
 	n.ep.OnMessageTraced(n.handleMessage)
 	cfg.Messenger.OnOnline(func() { n.sch.Submit("reconnect-flush", n.flushTask) })
 	cfg.Messenger.OnPresence(n.handlePresence)

@@ -1,6 +1,9 @@
 package msg
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func benchPayload() Map {
 	aps := Map{}
@@ -11,10 +14,31 @@ func benchPayload() Map {
 }
 
 // BenchmarkEncodeBinary, BenchmarkDecodeBinary and BenchmarkEncodeJSON time
-// the codec ops TestRawAllocations pins, on a sensor reading.
+// the codec ops TestRawAllocations pins, on a sensor reading; the encoding
+// benchmark also times EncodeBinary on a 4-key battery sample and a 20-AP
+// Wi-Fi scan, the messages the benchmark's workloads publish.
 func BenchmarkEncodeBinary(b *testing.B) {
 	encodeBinary, _, _ := codecOps(sensorReading())
-	benchOp(b, encodeBinary)
+	b.Run("append", func(b *testing.B) { benchOp(b, encodeBinary) })
+	aps := make([]Value, 20)
+	for i := range aps {
+		aps[i] = Map{"bssid": fmt.Sprintf("02:1b:77:49:54:%02x", i), "ssid": fmt.Sprintf("net-%d", i), "rssi": float64(-90 + i)}
+	}
+	for _, tc := range []struct {
+		name string
+		m    Map
+	}{
+		{"sample", Map{"n": 7.0, "level": 80.0, "voltage": 3.9, "charging": true}},
+		{"scan20", Map{"timestamp": 1.7e12, "aps": aps}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			benchOp(b, func() {
+				if _, err := EncodeBinary(tc.m); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkDecodeBinary(b *testing.B) {

@@ -20,10 +20,10 @@ import (
 //
 //   - Trace IDs derive from (seed, entity, sequence) — never from wall
 //     clock or math/rand — so the same seeded run assigns the same IDs. A
-//     local publication's is PublicationTrace(node, n), n from the node's
-//     one publication counter; the envelope carries n, not the ID, and the
-//     receiver derives it. A transport root's is NewTraceID(seed, node,
-//     outbox ID).
+//     local publication's is PublicationsOf(node, boot).Trace(n), n from
+//     the node's one publication counter; the envelope carries n, not the
+//     ID, and the receiver derives it. A transport root's is
+//     NewTraceID(seed, node, outbox ID).
 //   - Every read-side view (Hops, Traces, Tree, the exporters) is a pure
 //     function of the hop *set*: hops are content-sorted and deduplicated,
 //     never exposed in recording order, so concurrent shard workers feeding
@@ -128,45 +128,53 @@ var errBadTraceID = badTraceIDError{}
 // process reboots (transport re-derives root IDs from persisted outbox IDs).
 // The all-zero digest is remapped to 1 so 0 stays reserved for "untraced".
 func NewTraceID(seed int64, entity string, seq uint64) TraceID {
-	return traceID(seed, entity, "", seq)
+	return traceID(tracePrefix(seed, entity), seq)
 }
 
-// PublicationTrace is the trace of the n-th local publication on node,
-// NewTraceID(0, node+"#pub", n), derived without building the entity. Every
-// broker on a node draws n from one node-wide counter, so within one boot
-// (node, n) names one publication: the receiving endpoint derives from the
-// sender it authenticated and the number the envelope carries the very ID
-// the sender's broker assigned. The counter starts at 1 again in every
-// process, so a number repeats across a reboot, and so does its trace. The
-// "#pub" suffix keeps these IDs apart from the transport's roots,
-// NewTraceID(seed, node, outbox ID).
-func PublicationTrace(node string, n uint64) TraceID {
-	return traceID(0, node, "#pub", n)
+// Publications derives the traces of one node's local publications in one
+// boot. It holds the digest of what they share, so a trace costs eight
+// multiplies and no allocation: the broker makes one per node, and the
+// receiving endpoint one per sender and boot.
+type Publications struct{ prefix uint64 }
+
+// PublicationsOf returns the publication traces of node in the boot the
+// transport names boot.
+func PublicationsOf(node, boot string) Publications {
+	return Publications{tracePrefix(0, node+"#pub:"+boot)}
 }
 
-// traceID is NewTraceID over the entity entity+suffix.
-func traceID(seed int64, entity, suffix string, seq uint64) TraceID {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
+// Trace is the trace of the n-th local publication, NewTraceID(0,
+// node+"#pub:"+boot, n). Every broker on a node draws n from one node-wide
+// counter, which starts at 1 in every process, so (node, boot, n) names one
+// publication: the receiving endpoint derives from the sender it
+// authenticated, the boot and the number the envelope carries the very ID
+// the sender's broker assigned, and a rebooted node's publications do not
+// repeat the traces of the boot before. The "#pub:" infix keeps these IDs
+// apart from the transport's roots, NewTraceID(seed, node, outbox ID).
+func (p Publications) Trace(n uint64) TraceID { return traceID(p.prefix, n) }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// tracePrefix is the FNV-64a digest of the seed and the entity, and of the
+// separator that keeps ("ab", 1) apart from ("a", b1).
+func tracePrefix(seed int64, entity string) uint64 {
+	h := uint64(fnvOffset64)
 	for i := 0; i < 8; i++ {
-		mix(byte(uint64(seed) >> (8 * i)))
+		h = (h ^ uint64(byte(uint64(seed)>>(8*i)))) * fnvPrime64
 	}
 	for i := 0; i < len(entity); i++ {
-		mix(entity[i])
+		h = (h ^ uint64(entity[i])) * fnvPrime64
 	}
-	for i := 0; i < len(suffix); i++ {
-		mix(suffix[i])
-	}
-	mix(0) // separator: ("ab",1) must differ from ("a",b1)
+	return h * fnvPrime64 // the separator, a zero byte
+}
+
+// traceID finishes a prefix's digest with the sequence number.
+func traceID(h, seq uint64) TraceID {
 	for i := 0; i < 8; i++ {
-		mix(byte(seq >> (8 * i)))
+		h = (h ^ uint64(byte(seq>>(8*i)))) * fnvPrime64
 	}
 	if h == 0 {
 		h = 1

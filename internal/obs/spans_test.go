@@ -38,20 +38,25 @@ func TestNewTraceIDDeterministic(t *testing.T) {
 }
 
 // TestPublicationTrace: a publication's trace is NewTraceID over the node's
-// "#pub" entity and its number, derived without building the entity string,
-// and apart from the node's transport roots.
+// "#pub:" entity for its boot and its number, derived from a digest of the
+// prefix made once, apart from the node's transport roots and from the
+// same number in another boot.
 func TestPublicationTrace(t *testing.T) {
+	pubs, next := PublicationsOf("phone01", "boot-1"), PublicationsOf("phone01", "boot-2")
 	for n := uint64(0); n < 100; n++ {
-		got := PublicationTrace("phone01", n)
-		if want := NewTraceID(0, "phone01#pub", n); got != want {
-			t.Fatalf("PublicationTrace(phone01, %d) = %s, want %s", n, got, want)
+		got := pubs.Trace(n)
+		if want := NewTraceID(0, "phone01#pub:boot-1", n); got != want {
+			t.Fatalf("publication %d = %s, want %s", n, got, want)
 		}
 		if got == NewTraceID(0, "phone01", n) {
 			t.Fatalf("publication %d collides with outbox root %d", n, n)
 		}
+		if got == next.Trace(n) {
+			t.Fatalf("publication %d has the same trace in two boots", n)
+		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { PublicationTrace("phone01", 7) }); allocs != 0 {
-		t.Errorf("PublicationTrace: %.1f allocs, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { pubs.Trace(7) }); allocs != 0 {
+		t.Errorf("Publications.Trace: %.1f allocs, want 0", allocs)
 	}
 }
 

@@ -48,7 +48,7 @@ type Event struct {
 	// remote-originated fanout, 0 when untraced.
 	Trace obs.TraceID
 	// Pub is a local publication's number on its node's publication
-	// counter, from which Trace derives (obs.PublicationTrace(node, Pub));
+	// counter, from which Trace derives (the node's obs.Publications);
 	// 0 when the event has no such number (remote-originated or untraced).
 	// Proxy subscriptions hand it to the transport, which sends the number
 	// and lets the receiver derive the trace, so the trace survives the hop.
@@ -78,8 +78,8 @@ type Broker struct {
 	// Trace identity (SetTraceIdentity). Assignment is deliberately
 	// independent of obs: publication numbers ride the wire, so they must
 	// be identical whether or not a registry is attached.
-	traceNode string
-	pubs      *atomic.Uint64 // the node's publication counter; nil: untraced
+	traces obs.Publications
+	pubs   *atomic.Uint64 // the node's publication counter; nil: untraced
 }
 
 // brokerObs bundles the broker's instruments; all fields are nil-safe.
@@ -194,12 +194,13 @@ func (b *Broker) PublishRaw(channel string, r msg.Raw, forwarded bool) int {
 // SetTraceIdentity enables deterministic trace-ID assignment for local
 // publications: each draws the next number n from pubs, the publication
 // counter every broker on the node shares, and carries the trace
-// obs.PublicationTrace(node, n). Call once, before traffic flows; the core
-// wires it for every node regardless of observability, so wire bytes never
-// depend on whether a registry is attached.
-func (b *Broker) SetTraceIdentity(node string, pubs *atomic.Uint64) {
+// traces.Trace(n), traces being the node's obs.PublicationsOf for this
+// boot. Call once, before traffic flows; the core wires it for every node
+// regardless of observability, so wire bytes never depend on whether a
+// registry is attached.
+func (b *Broker) SetTraceIdentity(traces obs.Publications, pubs *atomic.Uint64) {
 	b.mu.Lock()
-	b.traceNode, b.pubs = node, pubs
+	b.traces, b.pubs = traces, pubs
 	b.mu.Unlock()
 }
 
@@ -222,7 +223,7 @@ func (b *Broker) publish(channel string, r msg.Raw, origin string, trace obs.Tra
 	var pub uint64
 	if trace == 0 && origin == "" && b.pubs != nil {
 		pub = b.pubs.Add(1)
-		trace = obs.PublicationTrace(b.traceNode, pub)
+		trace = b.traces.Trace(pub)
 	}
 	b.mu.Unlock()
 

@@ -476,8 +476,9 @@ func TestPubsubConcurrentPublish(t *testing.T) {
 func TestPublicationsShareTheNodeCounter(t *testing.T) {
 	var pubs atomic.Uint64
 	a, b := New(), New()
-	a.SetTraceIdentity("phone", &pubs)
-	b.SetTraceIdentity("phone", &pubs)
+	traces := obs.PublicationsOf("phone", "boot-1")
+	a.SetTraceIdentity(traces, &pubs)
+	b.SetTraceIdentity(traces, &pubs)
 	var got []Event
 	record := func(ev Event) { got = append(got, ev) }
 	a.Subscribe("c", nil, record)
@@ -488,8 +489,8 @@ func TestPublicationsShareTheNodeCounter(t *testing.T) {
 	r, _ := msg.Encode(msg.Map{"n": 4.0})
 	a.PublishTraced("c", r, "collector", 99)
 	for i, ev := range got[:3] {
-		if n := uint64(i + 1); ev.Pub != n || ev.Trace != obs.PublicationTrace("phone", n) {
-			t.Errorf("publication %d: Pub %d, Trace %s; want %d and %s", i, ev.Pub, ev.Trace, n, obs.PublicationTrace("phone", n))
+		if n := uint64(i + 1); ev.Pub != n || ev.Trace != traces.Trace(n) {
+			t.Errorf("publication %d: Pub %d, Trace %s; want %d and %s", i, ev.Pub, ev.Trace, n, traces.Trace(n))
 		}
 	}
 	if ev := got[3]; ev.Pub != 0 || ev.Trace != 99 {

@@ -27,13 +27,15 @@ func readHexFixture(t *testing.T, name string) []byte {
 	return b
 }
 
-// The checked-in frames pin the one wire format, envelope v4 (magic 0xB4:
+// The checked-in frames pin the one wire format, envelope v5 (magic 0xB5:
 // a channel table, delta IDs and sequences, a trace as a publication
-// number or whole, a binary CRC-32C frame check), byte for byte. The data
-// envelope carries two items on two channels — a relayed publication's
-// number and an explicit trace — and floors; the ack-only envelope two ack
-// IDs. testdata/stanza_frame.hex, the same data envelope inside a 0xB3
-// stanza frame with its binary trace field, is asserted by internal/xmpp.
+// number or whole, a map with its channel's previous keys as its values
+// alone, a binary CRC-32C frame check), byte for byte. The data envelope
+// carries three items on two channels — relayed publications' numbers, the
+// second on its channel shaped, and an explicit trace — and floors; the
+// ack-only envelope two ack IDs. testdata/stanza_frame.hex, the same data
+// envelope inside a 0xB3 stanza frame with its binary trace field, is
+// asserted by internal/xmpp.
 func TestWireFixtures(t *testing.T) {
 	body := func(v msg.Value) []byte {
 		b, err := msg.EncodeBinary(v)
@@ -53,6 +55,8 @@ func TestWireFixtures(t *testing.T) {
 					Body: body(msg.Map{"level": 0.5, "charging": true})},
 				{ID: 42, Seq: 3, Channel: "wifi-scan", Trace: 0xfedcba9876543210,
 					Body: body(msg.Map{"aps": []msg.Value{"aa:01", "aa:02"}, "n": 2.0})},
+				{ID: 43, Seq: 8, Channel: "battery", Pub: 58,
+					Body: body(msg.Map{"level": 0.75, "charging": false})},
 			},
 			FloorCh: []string{"battery", "wifi-scan"}, FloorSeq: []uint64{7, 3},
 		}},
@@ -69,7 +73,7 @@ func TestWireFixtures(t *testing.T) {
 			t.Errorf("%s: %v", tc.file, err)
 			continue
 		}
-		dec, err := decodeEnvelope(unframed, new(envScratch))
+		dec, err := decodeEnvelope(unframed, new(envScratch), false)
 		if err != nil || !reflect.DeepEqual(dec, tc.env) {
 			t.Errorf("%s: decoded %+v (%v), want %+v", tc.file, dec, err, tc.env)
 		}

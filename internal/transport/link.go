@@ -95,7 +95,7 @@ func (l *link) setSeq(to, channel string, next uint64) {
 
 // relayed is a local publication an outbox entry relays: its number, which
 // the envelope carries, and the trace the broker gave it,
-// obs.PublicationTrace(local id, pub), which the receiver derives.
+// obs.PublicationsOf(local id, boot).Trace(pub), which the receiver derives.
 type relayed struct {
 	pub   uint64
 	trace obs.TraceID
@@ -475,9 +475,11 @@ func (c *chanOrder) drainInto(out []envelopeItem) []envelopeItem {
 	}
 }
 
-// peerState is everything the receiver remembers about one sender.
+// peerState is everything the receiver remembers about one sender in one
+// boot, the traces of its publications among it.
 type peerState struct {
 	boot  string
+	pubs  obs.Publications
 	chans map[string]*chanOrder
 }
 
@@ -496,11 +498,12 @@ func (ps *peerState) channel(ch string) *chanOrder {
 // entries addressed to a peer other than from — leaving the IDs it took in
 // sc.env.Ack. Everything is keyed by from, the sender the messenger
 // authenticated: an envelope that names another is refused like a corrupt
-// one.
-func (l *link) unpack(from string, payload []byte, sc *envScratch) {
+// one. A lent payload is the messenger's again once the receive returns, so
+// the bodies decoded from it are copies.
+func (l *link) unpack(from string, payload []byte, sc *envScratch, lent bool) {
 	body, err := unframe(payload)
 	if err == nil {
-		sc.env, err = decodeEnvelope(body, sc)
+		sc.env, err = decodeEnvelope(body, sc, lent)
 	}
 	sc.bad = err != nil || sc.env.From != "" && sc.env.From != from
 	if sc.bad || len(sc.env.Ack) == 0 {
@@ -537,7 +540,8 @@ func (l *link) receive(from string, sc *envScratch) {
 		// First contact, or the peer rebooted: its IDs and sequences may have
 		// restarted, so any previous state for it is stale. The envelope's
 		// floors re-anchor the FIFO cursors.
-		ps = &peerState{boot: string(env.Boot), chans: make(map[string]*chanOrder)}
+		boot := string(env.Boot)
+		ps = &peerState{boot: boot, pubs: obs.PublicationsOf(from, boot), chans: make(map[string]*chanOrder)}
 		if l.peers == nil {
 			l.peers = make(map[string]*peerState)
 		}
@@ -582,11 +586,11 @@ func (l *link) receive(from string, sc *envScratch) {
 	// copy, once the body proves to be what an encoder writes. One that is
 	// not was acked and is not retransmitted; its channel's order moves past
 	// it. A relayed publication's trace is derived here, once per delivered
-	// item, from the sender the messenger authenticated.
+	// item, from the sender the messenger authenticated and its boot.
 	for i := range sc.deliver {
 		item := &sc.deliver[i]
 		if item.Pub != 0 {
-			item.Trace = uint64(obs.PublicationTrace(from, item.Pub))
+			item.Trace = uint64(ps.pubs.Trace(item.Pub))
 		}
 		r, err := msg.ParseRaw(item.Body)
 		if err != nil {

@@ -94,7 +94,7 @@ func (n *refNode) find(id uint64) *refEntry { return n.byID[id] }
 // trace is the trace e travels under: its publication's, or its root.
 func (n *refNode) trace(e *refEntry) obs.TraceID {
 	if e.pub != 0 {
-		return obs.NewTraceID(0, n.name+"#pub", e.pub)
+		return obs.NewTraceID(0, n.name+"#pub:"+n.boot, e.pub)
 	}
 	return obs.NewTraceID(modelTraceSeed, n.name, e.id)
 }
@@ -267,7 +267,7 @@ func (n *refNode) receive(from string, payload []byte) (delivered []envelopeItem
 	var env envelope
 	body, err := unframe(payload)
 	if err == nil {
-		env, err = decodeEnvelope(body, new(envScratch))
+		env, err = decodeEnvelope(body, new(envScratch), false)
 	}
 	if err != nil || env.From != "" && env.From != from {
 		n.stats.CorruptDropped++
@@ -332,7 +332,7 @@ func (n *refNode) receive(from string, payload []byte) (delivered []envelopeItem
 	n.stats.MessagesReceived += len(delivered)
 	for i, it := range delivered {
 		if it.Pub != 0 {
-			delivered[i].Trace = uint64(obs.NewTraceID(0, from+"#pub", it.Pub))
+			delivered[i].Trace = uint64(obs.NewTraceID(0, from+"#pub:"+p.boot, it.Pub))
 		}
 		if _, err := msg.ParseRaw(it.Body); err != nil {
 			n.stats.CorruptDropped++
@@ -424,9 +424,11 @@ func (w *linkWorld) enqueue(from, to, ch string, canonical, isRelayed bool) {
 	var pub relayed
 	if isRelayed {
 		pub.pub = uint64(1000 + w.k)
-		pub.trace = obs.PublicationTrace(from, pub.pub)
 	}
 	n := w.nodes[from]
+	if isRelayed {
+		pub.trace = obs.PublicationsOf(from, n.ref.boot).Trace(pub.pub)
+	}
 	id, err := n.core.enqueue(w.now, to, ch, body, pub)
 	n.ref.enqueue(w.now, to, ch, body, pub.pub)
 	want := n.ref.pending[len(n.ref.pending)-1]
@@ -477,7 +479,7 @@ func (w *linkWorld) checkEnvelope(from string, o Outgoing, want refEnvelope) {
 	if err != nil {
 		w.t.Fatalf("flush at %s: staged frame: %v", from, err)
 	}
-	env, err := decodeEnvelope(body, new(envScratch))
+	env, err := decodeEnvelope(body, new(envScratch), false)
 	if err != nil {
 		w.t.Fatalf("flush at %s: staged envelope: %v", from, err)
 	}
@@ -500,7 +502,7 @@ func sameItems(a, b []envelopeItem) bool {
 // any.
 func (w *linkWorld) receiveAt(to, from string, payload []byte) []byte {
 	n := w.nodes[to]
-	n.core.unpack(from, payload, &n.sc)
+	n.core.unpack(from, payload, &n.sc, false)
 	n.core.receive(from, &n.sc)
 	delivered, ack := n.ref.receive(from, payload)
 	if !sameItems(n.sc.deliver, delivered) || len(n.sc.msgs) != len(delivered) {
@@ -544,7 +546,7 @@ func (w *linkWorld) receiveAt(to, from string, payload []byte) []byte {
 	if err != nil {
 		w.t.Fatalf("%s ack frame: %v", to, err)
 	}
-	env, err := decodeEnvelope(body, new(envScratch))
+	env, err := decodeEnvelope(body, new(envScratch), false)
 	if err != nil || env.From != to || string(env.Boot) != n.ref.boot || !slices.Equal(env.Ack, ack) ||
 		len(env.Batch) != 0 || len(env.FloorCh) != 0 {
 		w.t.Fatalf("%s acked %+v (%v), model acks %v", to, env, err, ack)
@@ -565,7 +567,7 @@ func (w *linkWorld) deliver(i int) {
 // onWire counts the items of a copy of payload put on the wire.
 func (w *linkWorld) onWire(from, to string, payload []byte) {
 	if body, err := unframe(payload); err == nil {
-		if env, err := decodeEnvelope(body, new(envScratch)); err == nil {
+		if env, err := decodeEnvelope(body, new(envScratch), false); err == nil {
 			for _, it := range env.Batch {
 				w.inAir[itemKey(from, to, it)]++
 			}
@@ -793,7 +795,7 @@ func FuzzLink(f *testing.F) {
 	// boot's replay was delivered, resets the receiver's state of the sender
 	// once more and is held.
 	f.Add([]byte("2C0210z10\"002102C0z10\"0(z1070070A070z1098B"))
-	// Envelope v4's trace forms, injected as a's to c (op 9, framed) ahead
+	// Envelope v5's trace forms, injected as a's to c (op 9, framed) ahead
 	// of a seeded stream: publication delta 0, a wrapping delta, an explicit
 	// ID, and a truncated explicit ID.
 	inject := func(wire []byte) []byte {
@@ -808,6 +810,13 @@ func FuzzLink(f *testing.F) {
 	}
 	explicit := encodeEnvelope(&envelope{From: "a", Boot: []byte("a#0"), Batch: []envelopeItem{{ID: 1, Channel: "x", Trace: 7}}})
 	f.Add(inject(explicit[:len(explicit)-6]))
+	// A shaped run: the second and third maps travel as their values.
+	var run []envelopeItem
+	for i := range 3 {
+		body, _ := msg.EncodeBinary(msg.Map{"n": float64(i)})
+		run = append(run, envelopeItem{ID: uint64(1 + i), Seq: uint64(i), Channel: "x", Pub: uint64(1 + i), Body: body})
+	}
+	f.Add(inject(encodeEnvelope(&envelope{From: "a", Boot: []byte("a#0"), Batch: run})))
 	f.Fuzz(func(t *testing.T, data []byte) { runLinkModel(t, data) })
 }
 
@@ -884,7 +893,7 @@ func TestRebootReplaysRelayedEntriesExplicit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err := decodeEnvelope(body, new(envScratch))
+		env, err := decodeEnvelope(body, new(envScratch), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,10 @@ type Messenger interface {
 	// Send transmits payload to peer `to`. It returns ErrOffline when no
 	// interface is active; otherwise delivery is best-effort.
 	Send(to string, payload []byte) error
-	// OnReceive registers the single inbound payload handler.
+	// OnReceive registers the single inbound payload handler. The payload
+	// is the handler's to keep, unless the messenger lends it (lender):
+	// then it is the messenger's again once the handler returns. A wrapper
+	// that hands on a lent payload must copy it or lend it on.
 	OnReceive(fn func(from string, payload []byte))
 	// OnOnline registers a handler invoked whenever connectivity is
 	// (re-)established — Pogo reconnects and flushes on interface changes.
@@ -102,6 +105,17 @@ type Messenger interface {
 // is a BatchSender too, and Outgoing carries the same traces.
 type TraceSender interface {
 	SendTraced(to string, payload []byte, traces []obs.TraceID) error
+}
+
+// lender marks a messenger that may only lend the payloads it hands its
+// OnReceive handler, as BatchSender marks one that coalesces: the XMPP
+// adapter passes the view of its connection's read buffer, with no copy, and
+// reads the next frame over it once the handler returns. The endpoint then
+// copies what it keeps of a payload, the bodies it delivers or holds back,
+// into the one slab it allocates for the envelope's rebuilt bodies anyway.
+type lender interface {
+	// lendsPayloads reports whether the payloads are lent.
+	lendsPayloads() bool
 }
 
 // Outgoing is one destination's framed envelope within a coalesced flush
@@ -294,8 +308,9 @@ func (o *endpointObs) count(before, after Stats) {
 // instrument in one place, from the core's outputs. The zero value is not
 // usable; construct with NewEndpoint. All methods are goroutine-safe.
 type Endpoint struct {
-	m   Messenger
-	clk vclock.Clock
+	m    Messenger
+	lent bool // m lends its payloads: keep no view of one past receive
+	clk  vclock.Clock
 
 	mu         sync.Mutex // guards core, handler, onWire and retryTimer
 	core       link
@@ -337,6 +352,9 @@ func NewEndpoint(m Messenger, box *store.Outbox, clk vclock.Clock, cfg EndpointC
 		core: newLink(box, local, cfg),
 		obs:  newEndpointObs(cfg.Obs, local, cfg.Entity),
 	}
+	if l, ok := m.(lender); ok {
+		e.lent = l.lendsPayloads()
+	}
 	e.retryFn = func() { e.flush(true) }
 	m.OnReceive(e.receive)
 	m.OnOnline(e.onReconnect)
@@ -358,6 +376,10 @@ func (e *Endpoint) OnMessageTraced(fn func(from, channel string, payload msg.Raw
 	defer e.mu.Unlock()
 	e.handler = fn
 }
+
+// BootID returns the identity of this process lifetime that the endpoint's
+// envelopes carry (EndpointConfig.BootID).
+func (e *Endpoint) BootID() string { return e.core.boot }
 
 // Stats returns a snapshot of the endpoint's counters.
 func (e *Endpoint) Stats() Stats {
@@ -404,10 +426,11 @@ func (e *Endpoint) Enqueue(to, channel string, payload msg.Value) error {
 
 // EnqueuePublication is Enqueue for an encoded message that continues the
 // trace of local publication number pub (a relayed publication), trace: the
-// envelope carries the number, and the receiver derives the trace from it
-// and this endpoint's id, so trace must be obs.PublicationTrace(this
-// endpoint's id, pub). pub 0 means "originates here": the entry travels
-// under its root trace and trace is ignored. The outbox keeps the message's
+// envelope carries the number, and the receiver derives the trace from it,
+// this endpoint's id and its boot, so trace must be
+// obs.PublicationsOf(this endpoint's id, BootID()).Trace(pub). pub 0 means
+// "originates here": the entry travels under its root trace and trace is
+// ignored. The outbox keeps the message's
 // bytes themselves: enqueueing copies nothing.
 func (e *Endpoint) EnqueuePublication(to, channel string, r msg.Raw, pub uint64, trace obs.TraceID) error {
 	if r.IsZero() {
@@ -564,7 +587,7 @@ func (e *Endpoint) receive(from string, payload []byte) {
 		sc = new(envScratch)
 	}
 	defer e.putScratch(sc)
-	e.core.unpack(from, payload, sc)
+	e.core.unpack(from, payload, sc, e.lent)
 	e.mu.Lock()
 	before := e.core.stats
 	e.core.receive(from, sc)

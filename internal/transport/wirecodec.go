@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"pogo/internal/msg"
 )
@@ -22,7 +23,8 @@ import (
 //	            channel the items and floors name, once, in order of first use
 //	batch     uvarint count, then per item:
 //	            id      uvarint, ID − the previous item's ID (the first: − 0)
-//	            channel uvarint, index into the channel table << 1 | kind
+//	            channel uvarint, index into the channel table << 2 |
+//	                      shaped << 1 | kind
 //	            seq     zigzag varint, Seq − the previous Seq on the same
 //	                      channel in this envelope (the channel's first: − 0)
 //	            trace   kind 0, a relayed publication: zigzag varint,
@@ -33,22 +35,37 @@ import (
 //	                    kind 1, any other item (a root, or a relayed entry
 //	                      replayed after a reboot): 8 bytes little-endian,
 //	                      the obs.TraceID itself (0 = untraced)
-//	            body    uvarint length + bytes (msg binary codec)
+//	            body    uvarint length + bytes: the message (msg binary
+//	                      codec), or for a shaped item its values alone
 //	acks      uvarint count, then count zigzag varints, each ID − the
 //	            previous ack ID (the first: − 0)
 //	floors    uvarint count + count × (channel index uvarint, floor uvarint),
 //	            channels sorted by name (deterministic bytes)
 //
+// An item is shaped when its message is a map with exactly the keys of the
+// previous item's message on the same channel in the same envelope, a map
+// too: it carries its values alone, in key order (msg.AppendValues), and
+// the receiver puts the keys back from that earlier message
+// (msg.AppendShaped) and validates the result like any other body. The
+// encoder shapes every item it can, and the decoder refuses a map sent
+// whole that it should have shaped, so an envelope has one encoding. The
+// only exception is the cap: the rebuilt messages of one envelope take at
+// most maxRebuilt bytes together, and an item that would pass it travels
+// whole. Nothing outlives the envelope: a retransmission or a reboot needs
+// no state the receiver might have lost.
+//
 // A flush's IDs ascend within one destination's envelope, its channels are
 // few, and a node's publications are numbered in the order its outbox takes
 // them, so a relayed publication with a body under 128 bytes costs the body
-// plus 5 bytes, and any other item the body plus 12. Deltas wrap modulo
-// 2⁶⁴: any ID, Seq and publication order encodes, an unusual one only in
-// more bytes.
+// plus 5 bytes, and any other item the body plus 12; a shaped item costs its
+// values instead of its body. Deltas wrap modulo 2⁶⁴: any ID, Seq and
+// publication order encodes, an unusual one only in more bytes.
 //
 // Anything else — a bad checksum, another first byte, a length or count that
 // overruns the input, a channel index past the table, a truncated trace, a
-// publication number 0, trailing bytes — is rejected and counted in
+// publication number 0, a shaped item with no map before it or with values
+// that do not fit its keys, a map that should have been shaped, rebuilt
+// messages past the cap, trailing bytes — is rejected and counted in
 // transport_corrupt_dropped_total; the sender retransmits.
 //
 // Encode and decode recycle their storage: the channel table lives in the
@@ -56,11 +73,17 @@ import (
 // and floor storage from envelope to envelope, and the envelope's From and
 // channel strings are interned — sensor fleets repeat the same few
 // identifiers forever, so in steady state encoding an envelope allocates
-// nothing and decoding one allocates nothing beyond what its payload bodies
-// need.
+// nothing and decoding one allocates at most one slab for the bodies it
+// rebuilds and, from a lent payload, the bodies it copies.
 
 // envMagic is the first byte of every envelope: 0xB0 | format version.
-const envMagic = 0xB4
+const envMagic = 0xB5
+
+// maxRebuilt caps the bytes of the messages one envelope's shaped items
+// rebuild, together. Keys are spelt once and put back in every shaped item,
+// so without it a payload of a few kilobytes could make the receiver
+// allocate gigabytes. A flush of 200 sensor readings rebuilds about 9 KB.
+const maxRebuilt = 1 << 20
 
 // minItemSize is the fewest bytes an item can take: one byte each for the ID
 // delta, the channel index, the Seq delta, the publication delta and the
@@ -86,13 +109,15 @@ func frameInto(buf []byte) []byte {
 
 // chanTable is an envelope's channel table, as the encoder builds it and the
 // decoder reads it: the channels in table order, each with the Seq of the
-// last item on it so far, the base of the next item's delta. It lives in
-// recycled scratch, so it costs nothing in steady state.
+// last item on it so far, the base of the next item's delta, and the last
+// message sent whole on it, the keys of a shaped item. It lives in recycled
+// scratch, so it costs nothing in steady state.
 type chanTable []chanEntry
 
 type chanEntry struct {
-	name string
-	seq  uint64
+	name  string
+	seq   uint64
+	shape []byte
 }
 
 // index returns ch's position in the table, adding it when it is new. A
@@ -127,16 +152,18 @@ func appendEnvelope(dst []byte, tab *chanTable, from, boot string, batch []envel
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
 	var prevID, prevOff uint64
+	rebuilt := 0
 	for i := range batch {
 		it := &batch[i]
 		c := tab.index(it.Channel)
 		ch := &(*tab)[c]
-		explicit := uint64(0)
+		kind := uint64(2) // shaped, until the body says otherwise
 		if it.Pub == 0 {
-			explicit = 1
+			kind |= 1
 		}
 		dst = binary.AppendUvarint(dst, it.ID-prevID)
-		dst = binary.AppendUvarint(dst, uint64(c)<<1|explicit)
+		kindAt := len(dst)
+		dst = binary.AppendUvarint(dst, uint64(c)<<2|kind)
 		dst = binary.AppendVarint(dst, int64(it.Seq-ch.seq))
 		if it.Pub != 0 {
 			off := it.Pub - it.ID
@@ -145,8 +172,23 @@ func appendEnvelope(dst []byte, tab *chanTable, from, boot string, batch []envel
 		} else {
 			dst = binary.LittleEndian.AppendUint64(dst, it.Trace)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(it.Body)))
-		dst = append(dst, it.Body...)
+		// The values go in where the body would, and their length in front
+		// of them once it is known. The shaped bit is in the kind's first
+		// byte, so clearing it leaves the kind's length alone.
+		shaped := false
+		valsAt := len(dst)
+		if rebuilt+len(it.Body) <= maxRebuilt {
+			dst, shaped = msg.AppendValues(dst, ch.shape, it.Body)
+		}
+		if shaped {
+			var n [binary.MaxVarintLen64]byte
+			dst = slices.Insert(dst, valsAt, n[:binary.PutUvarint(n[:], uint64(len(dst)-valsAt))]...)
+			rebuilt += len(it.Body)
+		} else {
+			dst[kindAt] &^= 2
+			dst = appendUvStr(dst, it.Body)
+			ch.shape = it.Body
+		}
 		prevID, ch.seq = it.ID, it.Seq
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(ack)))
@@ -163,7 +205,7 @@ func appendEnvelope(dst []byte, tab *chanTable, from, boot string, batch []envel
 	return dst
 }
 
-func appendUvStr(dst []byte, s string) []byte {
+func appendUvStr[S string | []byte](dst []byte, s S) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -222,6 +264,8 @@ func unframe(b []byte) ([]byte, error) {
 type envScratch struct {
 	tab      chanTable
 	batch    []envelopeItem
+	shapes   [][]byte // parallel to batch: a shaped item's keys, nil for one sent whole
+	vals     []byte   // what a map sent whole would have been shaped to
 	ack      []uint64
 	floorCh  []string
 	floorSeq []uint64
@@ -243,19 +287,25 @@ type envScratch struct {
 // part-way wrote items past the length it left.
 func (sc *envScratch) release() {
 	clear(sc.batch[:cap(sc.batch)])
+	clear(sc.shapes[:cap(sc.shapes)])
+	clear(sc.tab[:cap(sc.tab)])
 	clear(sc.deliver)
 	clear(sc.msgs)
 	sc.env = envelope{}
 }
 
-// decodeEnvelope parses an unframed envelope into sc's recycled storage. Item
-// bodies alias the input buffer (zero-copy): the buffer is GC-owned by the
-// receive path, never recycled, so held-back items keep it alive exactly as
-// long as needed. From and the channels are interned — a fleet repeats the
-// same identifiers forever; the boot ID, new with every node start, aliases
-// the input like the bodies. Claimed counts and lengths are
-// validated against the remaining bytes before any allocation.
-func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
+// decodeEnvelope parses an unframed envelope into sc's recycled storage.
+// Item bodies alias the input buffer (zero-copy) when it is the receive
+// path's own, never recycled, so held-back items keep it alive exactly as
+// long as needed. A lent buffer is the messenger's again once the receive
+// returns: its bodies are copied out. Those copies and the bodies shaped
+// items rebuild share one slab of exactly their size, allocated only once
+// the whole envelope has parsed. From and the channels are interned — a
+// fleet repeats the same identifiers forever; the boot ID, new with every
+// node start, aliases the input, and the receive copies what it keeps of
+// it. Claimed counts and lengths are validated against the remaining bytes
+// before any allocation.
+func decodeEnvelope(b []byte, sc *envScratch, lent bool) (envelope, error) {
 	if len(b) == 0 || b[0] != envMagic {
 		return envelope{}, fmt.Errorf("%w: not an envelope", errEnvelope)
 	}
@@ -284,8 +334,11 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 	if n, b, err = readCount(b, minItemSize); err != nil {
 		return envelope{}, err
 	}
+	rebuilt, copied := 0, 0
 	if n > 0 {
-		batch := sc.batch[:0]
+		// The scratch keeps what it grows to, even when the envelope is
+		// refused part-way.
+		sc.batch, sc.shapes = sc.batch[:0], sc.shapes[:0]
 		var id, off uint64
 		for i := uint64(0); i < n; i++ {
 			var it envelopeItem
@@ -300,7 +353,7 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 				return envelope{}, err
 			}
 			var c int
-			if c, err = checkIndex(kind>>1, tab); err != nil {
+			if c, err = checkIndex(kind>>2, tab); err != nil {
 				return envelope{}, err
 			}
 			ch := &tab[c]
@@ -330,10 +383,31 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 			if it.Body, b, err = readUvBytes(b); err != nil {
 				return envelope{}, err
 			}
-			batch = append(batch, it)
+			var shape []byte
+			if kind&2 != 0 {
+				size, err := msg.ShapedLen(ch.shape, it.Body)
+				if err != nil {
+					return envelope{}, fmt.Errorf("%w: shaped item: %v", errEnvelope, err)
+				}
+				if rebuilt += size; rebuilt > maxRebuilt {
+					return envelope{}, fmt.Errorf("%w: shaped items rebuild more than %d bytes", errEnvelope, maxRebuilt)
+				}
+				shape = ch.shape
+			} else {
+				if rebuilt+len(it.Body) <= maxRebuilt {
+					var same bool
+					if sc.vals, same = msg.AppendValues(sc.vals[:0], ch.shape, it.Body); same {
+						return envelope{}, fmt.Errorf("%w: a map sent whole that should have been shaped", errEnvelope)
+					}
+				}
+				ch.shape = it.Body
+				if lent {
+					copied += len(it.Body)
+				}
+			}
+			sc.batch, sc.shapes = append(sc.batch, it), append(sc.shapes, shape)
 		}
-		sc.batch = batch
-		env.Batch = batch
+		env.Batch = sc.batch
 	}
 	if n, b, err = readCount(b, 1); err != nil {
 		return envelope{}, err
@@ -374,7 +448,30 @@ func decodeEnvelope(b []byte, sc *envScratch) (envelope, error) {
 	if len(b) != 0 {
 		return envelope{}, fmt.Errorf("%w: %d bytes of trailing data", errEnvelope, len(b))
 	}
+	if rebuilt+copied > 0 {
+		fillSlab(env.Batch, sc.shapes, lent, rebuilt+copied)
+	}
 	return env, nil
+}
+
+// fillSlab moves the bodies of batch that must not alias the payload into
+// one slab of size bytes: the shaped items' rebuilt messages, and when the
+// payload is lent every other body too.
+func fillSlab(batch []envelopeItem, shapes [][]byte, lent bool, size int) {
+	slab := make([]byte, 0, size)
+	for i := range batch {
+		it := &batch[i]
+		start := len(slab)
+		switch {
+		case shapes[i] != nil:
+			slab = msg.AppendShaped(slab, shapes[i], it.Body)
+		case lent:
+			slab = append(slab, it.Body...)
+		default:
+			continue
+		}
+		it.Body = slab[start:len(slab):len(slab)]
+	}
 }
 
 func readUv(b []byte) (uint64, []byte, error) {

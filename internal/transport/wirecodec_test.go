@@ -23,7 +23,7 @@ import (
 func TestBootIDsAreNotInterned(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		boot := fmt.Sprintf("boot-%d", i)
-		env, err := decodeEnvelope(appendEnvelope(nil, new(chanTable), "phone-1", boot, nil, []uint64{1}, nil, nil), new(envScratch))
+		env, err := decodeEnvelope(appendEnvelope(nil, new(chanTable), "phone-1", boot, nil, []uint64{1}, nil, nil), new(envScratch), false)
 		if err != nil || string(env.Boot) != boot {
 			t.Fatalf("decoded boot %q (%v), want %q", env.Boot, err, boot)
 		}
@@ -40,8 +40,10 @@ func TestBootIDsAreNotInterned(t *testing.T) {
 // boot, the channel's one table entry, and the three counts — however many
 // numbers the node spent between them on what it did not send, fewer than
 // 64; n items with explicit traces cost their bodies plus 12 bytes each plus
-// the same constant; and an envelope over k channels spells each name
-// exactly once, however many items and floors name it.
+// the same constant; n maps with the same keys cost their values plus 5
+// bytes each plus the keys once plus the constant; and an envelope over k
+// channels spells each name exactly once, however many items and floors
+// name it.
 func TestEnvelopeItemOverhead(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const from, boot, channel = "phone-1", "boot-7", "battery"
@@ -64,6 +66,34 @@ func TestEnvelopeItemOverhead(t *testing.T) {
 		}
 		if got, want := len(appendEnvelope(nil, tab, from, boot, explicit, nil, nil, nil)), sum+12*n+constant; got != want {
 			t.Fatalf("%d explicit traces with %d body bytes: %d bytes, want %d = bodies + 12·n + %d", n, sum, got, want, constant)
+		}
+	}
+
+	// A run of n maps with the same keys on one channel spells the keys
+	// once: the first map travels whole, the others as their values alone.
+	for n := 1; n <= 100; n++ {
+		run := make([]envelopeItem, n)
+		values := 0
+		pub := uint64(1 + rng.Intn(64))
+		for i := range run {
+			body, err := msg.EncodeBinary(msg.Map{"charging": rng.Intn(4) == 0, "level": float64(rng.Intn(101)),
+				"n": float64(rng.Intn(1 << 20)), "voltage": 3.5 + float64(rng.Intn(700))/1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals, _ := msg.AppendValues(nil, body, body)
+			values += len(vals)
+			run[i] = envelopeItem{ID: uint64(1 + i), Seq: uint64(i), Channel: channel, Pub: pub, Body: body}
+			pub += uint64(1 + rng.Intn(32))
+		}
+		first, _ := msg.AppendValues(nil, run[0].Body, run[0].Body)
+		keys := len(run[0].Body) - len(first) // the map head and its keys
+		wire := appendEnvelope(nil, tab, from, boot, run, nil, nil, nil)
+		if want := values + 5*n + keys + constant; len(wire) != want {
+			t.Fatalf("a run of %d maps with %d bytes of values: %d bytes, want %d = values + 5·n + %d of keys + %d", n, values, len(wire), want, keys, constant)
+		}
+		if env, err := decodeEnvelope(wire, new(envScratch), false); err != nil || !sameEnvelope(env, envelope{From: from, Boot: []byte(boot), Batch: run}) {
+			t.Fatalf("the run of %d maps decoded to %+v (%v)", n, env, err)
 		}
 	}
 
@@ -95,9 +125,30 @@ func TestEnvelopeItemOverhead(t *testing.T) {
 	if want := sum + 5*len(batch) + constant - (1 + len(channel)) + tableBytes + 2*k; len(wire) != want {
 		t.Errorf("%d items on %d channels: %d bytes, want %d", len(batch), k, len(wire), want)
 	}
-	env, err := decodeEnvelope(wire, new(envScratch))
+	env, err := decodeEnvelope(wire, new(envScratch), false)
 	if err != nil || !sameEnvelope(env, envelope{From: from, Boot: []byte(boot), Batch: batch, FloorCh: names, FloorSeq: floorSeq}) {
 		t.Fatalf("the %d-channel envelope decoded to %+v (%v)", k, env, err)
+	}
+}
+
+// TestShapingStopsAtTheCap: a sender never writes what the receiver must
+// refuse. Maps whose rebuilt bodies would pass maxRebuilt together travel
+// whole, and the envelope decodes to what was sent.
+func TestShapingStopsAtTheCap(t *testing.T) {
+	big := msg.Map{"k": strings.Repeat("v", 100<<10)}
+	var batch []envelopeItem
+	for i := 0; i < 14; i++ {
+		big["n"] = float64(i)
+		body, err := msg.EncodeBinary(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, envelopeItem{ID: uint64(1 + i), Seq: uint64(i), Channel: "a", Pub: uint64(1 + i), Body: body})
+	}
+	wire := encodeEnvelope(&envelope{From: "phone-1", Boot: []byte("boot"), Batch: batch})
+	env, err := decodeEnvelope(wire, new(envScratch), false)
+	if err != nil || !sameEnvelope(env, envelope{From: "phone-1", Boot: []byte("boot"), Batch: batch}) {
+		t.Fatalf("%d maps of %d B decoded to %d items (%v)", len(batch), len(batch[0].Body), len(env.Batch), err)
 	}
 }
 
@@ -111,7 +162,7 @@ func TestEnvelopeCodecAllocatesNothing(t *testing.T) {
 	sc := new(envScratch)
 	op := func() {
 		buf = appendEnvelope(buf[:0], &tab, env.From, string(env.Boot), env.Batch, env.Ack, env.FloorCh, env.FloorSeq)
-		if _, err := decodeEnvelope(buf, sc); err != nil {
+		if _, err := decodeEnvelope(buf, sc, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +191,7 @@ func sameEnvelope(a, b envelope) bool {
 
 // envelopeFrom builds an envelope from arbitrary bytes: IDs, sequences,
 // publication numbers, traces, acks and floors in any order and of any
-// size, a handful of channels.
+// size, a handful of channels, bodies of any bytes and maps over a few keys.
 func envelopeFrom(data []byte) envelope {
 	next := func(n int) []byte {
 		b := data[:min(n, len(data))]
@@ -157,11 +208,22 @@ func envelopeFrom(data []byte) envelope {
 	env := envelope{From: "phone-1", Boot: []byte("boot")}
 	channels := []string{"a", "battery", "", "wifi-scan"}
 	for len(data) > 0 {
-		switch next(1)[0] % 4 {
+		switch next(1)[0] % 5 {
 		case 0:
 			env.Batch = append(env.Batch, envelopeItem{
 				ID: u64(), Seq: u64(), Channel: channels[u64()%4], Trace: u64(),
 				Body: next(int(u64() % 200)),
+			})
+		case 4: // a map over a few keys, which later ones on its channel may shape
+			m := msg.Map{}
+			for i, k := range []string{"a", "level", "n"} {
+				if v := u64(); v&1 != 0 || i == 0 {
+					m[k] = float64(v >> 1 % 1000)
+				}
+			}
+			body, _ := msg.EncodeBinary(m)
+			env.Batch = append(env.Batch, envelopeItem{
+				ID: u64(), Seq: u64(), Channel: channels[u64()%4], Pub: u64(), Body: body,
 			})
 		case 1: // a publication number of 0 is the explicit trace 0
 			env.Batch = append(env.Batch, envelopeItem{
@@ -203,11 +265,21 @@ func FuzzEnvelope(f *testing.F) {
 	}
 	explicit := encodeEnvelope(&envelope{From: "phone-1", Batch: []envelopeItem{{ID: 5, Channel: "a", Trace: 1}}})
 	f.Add(explicit[:len(explicit)-6]) // a truncated explicit trace
+	// Shaped runs: maps with their channel's previous keys, interleaved
+	// with another channel's, a map of other keys and a body that is no map.
+	var run []envelopeItem
+	for i, m := range []msg.Map{{"level": 1.0, "n": 1.0}, {"level": 2.0, "n": 2.0}, {"n": 3.0}, {"level": 4.0, "n": 4.0},
+		{"level": 5.0, "n": 5.0}, {}, {}} {
+		body, _ := msg.EncodeBinary(m)
+		run = append(run, envelopeItem{ID: uint64(10 + i), Seq: uint64(i), Channel: []string{"a", "b"}[i%2], Pub: uint64(20 + i), Body: body})
+	}
+	run = append(run, envelopeItem{ID: 30, Seq: 9, Channel: "a", Trace: 3, Body: []byte{0x04, 0x02}})
+	f.Add(encodeEnvelope(&envelope{From: "phone-1", Boot: []byte("boot"), Batch: run}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tab chanTable
-		if env, err := decodeEnvelope(data, new(envScratch)); err == nil {
+		if env, err := decodeEnvelope(data, new(envScratch), false); err == nil {
 			wire := appendEnvelope(nil, &tab, env.From, string(env.Boot), env.Batch, env.Ack, env.FloorCh, env.FloorSeq)
-			again, err := decodeEnvelope(wire, new(envScratch))
+			again, err := decodeEnvelope(wire, new(envScratch), false)
 			if err != nil || !sameEnvelope(env, again) {
 				t.Fatalf("accepted %x decodes to %+v, re-encoded to %x, which decodes to %+v (%v)", data, env, wire, again, err)
 			}
@@ -217,7 +289,7 @@ func FuzzEnvelope(f *testing.F) {
 		}
 		env := envelopeFrom(data)
 		wire := appendEnvelope(nil, &tab, env.From, string(env.Boot), env.Batch, env.Ack, env.FloorCh, env.FloorSeq)
-		if got, err := decodeEnvelope(wire, new(envScratch)); err != nil || !sameEnvelope(env, got) {
+		if got, err := decodeEnvelope(wire, new(envScratch), false); err != nil || !sameEnvelope(env, got) {
 			t.Fatalf("%+v encoded to %x, which decodes to %+v (%v)", env, wire, got, err)
 		}
 	})

@@ -65,6 +65,10 @@ func (m *XMPPMessenger) Instrument(reg *obs.Registry) {
 	}
 }
 
+// lendsPayloads makes the messenger a lender: the payload it hands the
+// receive handler views the client's read buffer (xmpp.Client.OnMessageRaw).
+func (m *XMPPMessenger) lendsPayloads() bool { return true }
+
 var _ Messenger = (*XMPPMessenger)(nil)
 var _ TraceSender = (*XMPPMessenger)(nil)
 var _ BatchSender = (*XMPPMessenger)(nil)

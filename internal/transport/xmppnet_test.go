@@ -379,3 +379,45 @@ func TestSendBatchAllocatesNothing(t *testing.T) {
 		t.Errorf("SendBatch of 2 envelopes: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// lendingPort is a memnet port that says it lends its payloads, as the XMPP
+// adapter does.
+type lendingPort struct{ *Port }
+
+func (lendingPort) lendsPayloads() bool { return true }
+
+// TestLentPayloadsAreCopied: an endpoint over a messenger that lends its
+// payloads keeps no view of one past the receive. Messages delivered at
+// once, one held back for an earlier gap and one rebuilt from its values
+// all read intact after every payload has been scribbled over.
+func TestLentPayloadsAreCopied(t *testing.T) {
+	clk := vclock.NewSim()
+	e := NewEndpoint(lendingPort{NewSwitchboard(clk).Port("collector", nil)}, store.OpenMemory(), clk, EndpointConfig{})
+	var got []msg.Raw
+	e.OnMessage(func(_, _ string, v msg.Value) { got = append(got, v.(msg.Raw)) })
+	item := func(id, seq uint64) envelopeItem {
+		body, err := msg.EncodeBinary(msg.Map{"n": float64(seq), "level": 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return envelopeItem{ID: id, Seq: seq, Channel: "x", Trace: id, Body: body}
+	}
+	for _, batch := range [][]envelopeItem{
+		{item(2, 1)},             // held back: 0 has not arrived
+		{item(1, 0), item(3, 2)}, // 0 fills the gap; 2 travels shaped
+	} {
+		payload := frameInto(append(frameHeader[:], encodeEnvelope(&envelope{From: "phone", Boot: []byte("b"), Batch: batch})...))
+		e.receive("phone", payload)
+		for i := range payload {
+			payload[i] = 0xff
+		}
+	}
+	if len(got) != 3 {
+		t.Fatalf("delivered %d of 3 messages", len(got))
+	}
+	for i, r := range got {
+		if n, ok := r.Field("n"); !ok || n != float64(i) {
+			t.Errorf("message %d reads n = %v after its payload was reused", i, n)
+		}
+	}
+}

@@ -37,8 +37,8 @@ func (r *traceRecorder) got() []obs.TraceID {
 	return slices.Clone(r.traces)
 }
 
-// relayedPublication publishes m on a broker with node's trace identity
-// whose one subscription relays to peer to as the core's proxy does — the
+// relayedPublication publishes m on a broker with the trace identity of
+// node in ep's boot, whose one subscription relays to peer to as the core's proxy does — the
 // event's publication number, not its trace — and returns the trace the
 // broker put on the event.
 func relayedPublication(t *testing.T, ep *Endpoint, node, to string, m msg.Map) obs.TraceID {
@@ -46,7 +46,7 @@ func relayedPublication(t *testing.T, ep *Endpoint, node, to string, m msg.Map) 
 	var pubs atomic.Uint64
 	pubs.Store(40) // numbers need not start at 1, nor follow the outbox IDs
 	b := pubsub.New()
-	b.SetTraceIdentity(node, &pubs)
+	b.SetTraceIdentity(obs.PublicationsOf(node, ep.BootID()), &pubs)
 	var trace obs.TraceID
 	b.Subscribe("battery", nil, func(ev pubsub.Event) {
 		trace = ev.Trace

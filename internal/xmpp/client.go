@@ -124,11 +124,13 @@ func (c *Client) handshake(user, password, resource string) error {
 	return nil
 }
 
-// OnMessageRaw sets the inbound message handler. The body slice is freshly
-// allocated per message and owned by the handler. Messages that arrived
-// before the handler was registered — e.g. stanzas the server replayed the
-// moment this session resumed — are delivered to it immediately, in arrival
-// order.
+// OnMessageRaw sets the inbound message handler. The id and the body view
+// the client's read buffer and are lent to the handler for the call: the
+// reader reads the next frame over them once it returns, so a handler that
+// keeps either copies it. Messages that arrived before the handler was
+// registered — e.g. stanzas the server replayed the moment this session
+// resumed — were copied when they arrived, and are delivered to it
+// immediately, in arrival order.
 func (c *Client) OnMessageRaw(fn func(from JID, id string, body []byte)) {
 	c.mu.Lock()
 	c.onMessageRaw = fn
@@ -242,17 +244,16 @@ func (c *Client) write(v any) error {
 	return writeStanza(c.conn, v)
 }
 
-// dispatchMessage hands a frame to the message handler, or holds it for
-// one. The frame views the reader's buffer, so it is made the handler's own
-// first: its one allocation.
+// dispatchMessage lends a frame, which views the reader's buffer, to the
+// message handler, or holds a copy of it for one.
 func (c *Client) dispatchMessage(m Stanza) {
-	m = m.owned()
 	c.mu.Lock()
 	onRaw := c.onMessageRaw
 	if onRaw == nil && len(c.backlog) < 256 {
 		// No handler yet (session-resumption replay races handler
-		// registration): hold the message for OnMessageRaw.
-		c.backlog = append(c.backlog, m)
+		// registration): hold the message for OnMessageRaw. The next
+		// frame is read over this one, so the backlog keeps a copy.
+		c.backlog = append(c.backlog, m.owned())
 	}
 	c.mu.Unlock()
 	if onRaw != nil {
